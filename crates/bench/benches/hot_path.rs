@@ -12,9 +12,8 @@
 //! * `hot_path/writeback` — the specialised micro-kernel merges: β = 0
 //!   (no C read) and α = 1 write-backs vs the general `α·acc + β·C`.
 
-use adsala_gemm::gemm::{
-    gemm_with_stats, gemm_with_stats_pooled, gemm_with_stats_pooled_unshared, GemmCall,
-};
+use adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
+use adsala_gemm::plan::PackingStrategy;
 use adsala_gemm::pool::ThreadPool;
 use adsala_gemm::workspace::reset_thread_arena;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -58,6 +57,7 @@ fn bench_b_packing(c: &mut Criterion) {
     let a = fill(m * k, 3);
     let b = fill(k * n, 4);
     let call = GemmCall::new(m, n, k, threads);
+    let dup_call = call.with_plan(call.plan.with_packing(PackingStrategy::Independent));
     let mut group = c.benchmark_group("hot_path/b_packing");
     group.sample_size(100);
     group.throughput(Throughput::Elements((2 * m * n * k) as u64));
@@ -72,18 +72,7 @@ fn bench_b_packing(c: &mut Criterion) {
         let pool = ThreadPool::new(threads);
         let mut out = vec![0.0f32; m * n];
         bench.iter(|| {
-            gemm_with_stats_pooled_unshared(
-                &pool,
-                &call,
-                1.0,
-                &a,
-                k,
-                &b,
-                n,
-                0.0,
-                black_box(&mut out),
-                n,
-            )
+            gemm_with_stats_pooled(&pool, &dup_call, 1.0, &a, k, &b, n, 0.0, black_box(&mut out), n)
         });
     });
     group.bench_function("duplicated_b_alloc_per_call", |bench| {
@@ -96,18 +85,7 @@ fn bench_b_packing(c: &mut Criterion) {
         bench.iter(|| {
             pool.workspace().reset();
             reset_thread_arena();
-            gemm_with_stats_pooled_unshared(
-                &pool,
-                &call,
-                1.0,
-                &a,
-                k,
-                &b,
-                n,
-                0.0,
-                black_box(&mut out),
-                n,
-            )
+            gemm_with_stats_pooled(&pool, &dup_call, 1.0, &a, k, &b, n, 0.0, black_box(&mut out), n)
         });
     });
     group.finish();

@@ -1,49 +1,43 @@
 //! Criterion benches for the end-to-end ADSALA runtime predictor:
-//! full thread-selection sweeps (cold) vs memoised decisions — quantifying
+//! full plan-selection sweeps (no memo) vs memoised decisions — quantifying
 //! the §III-C memoisation the paper builds into the runtime workflow.
 
 use adsala::install::{InstallConfig, Installation};
-use adsala::runtime::AdsalaGemm;
+use adsala::{OpShape, Precision, ServiceConfig};
 use adsala_machine::{MachineModel, SimTimer};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-fn trained_runtime() -> AdsalaGemm {
-    let timer = SimTimer::new(MachineModel::gadi());
-    Installation::run(&timer, &InstallConfig::quick()).expect("quick install").into_runtime()
-}
-
 fn bench_selection(c: &mut Criterion) {
-    let mut runtime = trained_runtime();
+    let timer = SimTimer::new(MachineModel::gadi());
+    // Decision serving only: a 1-worker pool avoids idle workers.
+    let service = Installation::run(&timer, &InstallConfig::quick())
+        .expect("quick install")
+        .into_service_with(ServiceConfig { pool_workers: 1, ..ServiceConfig::default() });
+    let bundle = service.bundle();
     let mut group = c.benchmark_group("predictor");
 
     group.bench_function("select_cold_96_candidates", |b| {
-        let mut flip = false;
-        b.iter(|| {
-            // Alternate shapes so the single-entry memo always misses.
-            flip = !flip;
-            let m = if flip { 64 } else { 128 };
-            black_box(runtime.select_threads(m, 2048, 64))
-        })
+        let shape = OpShape::gemm(Precision::F32, 64, 2048, 64);
+        b.iter(|| black_box(bundle.decide_op_capped(shape, u32::MAX)))
     });
 
     group.bench_function("select_memoised", |b| {
-        runtime.select_threads(64, 2048, 64);
-        b.iter(|| black_box(runtime.select_threads(64, 2048, 64)))
+        service.select_threads(64, 2048, 64);
+        b.iter(|| black_box(service.select_threads(64, 2048, 64)))
     });
 
-    let mut cached = trained_runtime().with_full_cache();
     // Pre-warm a working set of shapes.
     let shapes: Vec<(u64, u64, u64)> = (0..32).map(|i| (64 + i * 8, 256, 64 + i * 4)).collect();
     for &(m, k, n) in &shapes {
-        cached.select_threads(m, k, n);
+        service.select_threads(m, k, n);
     }
     group.bench_function("select_full_cache_hit", |b| {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % shapes.len();
             let (m, k, n) = shapes[i];
-            black_box(cached.select_threads(m, k, n))
+            black_box(service.select_threads(m, k, n))
         })
     });
 

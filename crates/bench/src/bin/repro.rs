@@ -1696,7 +1696,7 @@ fn predesigned(machine: Machine, tag: &str) {
     ));
     let saved = SavedInstall::cached(machine, true);
     let timer = sim_timer(machine, true, Affinity::CoreBased);
-    let mut runtime = saved.artifact.into_runtime();
+    let runtime = saved.artifact.into_service();
     let p_max = timer.max_threads();
     let mut rows = Vec::new();
     for grid in PredesignedGrid::all() {
@@ -1749,7 +1749,7 @@ fn table7() {
     banner("Table VII — profiling breakdown on Gadi, 1000 repetitions");
     let saved = SavedInstall::cached(Machine::Gadi, true);
     let model = Machine::Gadi.model(true);
-    let mut runtime = saved.artifact.into_runtime();
+    let runtime = saved.artifact.into_service();
     println!(
         "{:<16} {:>8} {:>12} {:>12} {:>12} {:>12}",
         "m,k,n", "threads", "total (s)", "sync (s)", "kernel (s)", "copy (s)"
@@ -1855,7 +1855,7 @@ fn ops_extension() {
         let install = Installation::run(&timer, &cfg).expect("install");
         let p_max = timer.max_threads();
         let selected = install.selected;
-        let mut runtime = install.into_runtime();
+        let runtime = install.into_service();
         // Fresh Halton shapes from the same domain, restricted to the
         // routine's live dimensions.
         let mut sampler = DomainSampler::new(MemoryCap::paper_training(), Precision::F32, 0x0B5);
@@ -2049,45 +2049,28 @@ fn ablation_halton() {
     }
 }
 
-/// Measure the memoisation benefit of the runtime workflow (§III-C),
-/// for both the single-client facade and the shared concurrent service.
+/// Measure the memoisation benefit of the runtime workflow (§III-C): the
+/// bundle's pure model sweep (no memo) against a decision-cache hit on a
+/// repeated shape and a miss on a fresh-shape stream.
 fn ablation_memo() {
     banner("Ablation `memo` — repeated-shape decision latency (Gadi install)");
     let saved = SavedInstall::cached(Machine::Gadi, true);
-    let mut runtime = saved.artifact.clone().into_runtime();
-    let reps = 20_000u32;
-    let t_cold = {
-        let start = Instant::now();
-        for i in 0..reps {
-            // Alternate two shapes so the single-entry memo always misses.
-            if i % 2 == 0 {
-                runtime.select_threads(64, 2048, 64);
-            } else {
-                runtime.select_threads(128, 128, 1024);
-            }
-        }
-        start.elapsed().as_secs_f64() / reps as f64
-    };
-    let t_memo = {
-        runtime.select_threads(64, 2048, 64);
-        let start = Instant::now();
-        for _ in 0..reps {
-            runtime.select_threads(64, 2048, 64);
-        }
-        start.elapsed().as_secs_f64() / reps as f64
-    };
-    println!("cold selection (alternating shapes): {:.2} us", t_cold * 1e6);
-    println!("memoised selection (repeated shape): {:.3} us", t_memo * 1e6);
-    println!("memoisation saves {:.0}x", t_cold / t_memo.max(1e-12));
-
-    // The same comparison through the shared service: striped-cache hits
-    // vs capacity-bounded misses on a fresh-shape stream.
     // Decision serving only (no sgemm here): a 1-worker pool avoids
     // spawning idle host-parallelism workers per run.
     let service = adsala::AdsalaService::with_config(
         saved.artifact.into_bundle().into_shared(),
         adsala::ServiceConfig { pool_workers: 1, ..Default::default() },
     );
+    let bundle = service.bundle();
+    let shape = adsala::OpShape::gemm(adsala::Precision::F32, 64, 2048, 64);
+    let reps = 20_000u32;
+    let t_sweep = {
+        let start = Instant::now();
+        for _ in 0..reps {
+            std::hint::black_box(bundle.decide_op_capped(shape, u32::MAX));
+        }
+        start.elapsed().as_secs_f64() / reps as f64
+    };
     let t_svc_cold = {
         let start = Instant::now();
         for i in 0..reps {
@@ -2096,16 +2079,18 @@ fn ablation_memo() {
         start.elapsed().as_secs_f64() / reps as f64
     };
     let t_svc_hot = {
-        service.select_threads(64, 2048, 64);
+        service.select_for(shape);
         let start = Instant::now();
         for _ in 0..reps {
-            service.select_threads(64, 2048, 64);
+            service.select_for(shape);
         }
         start.elapsed().as_secs_f64() / reps as f64
     };
     let stats = service.cache_stats();
+    println!("unmemoised selection (model sweep):      {:.2} us", t_sweep * 1e6);
     println!("service cold selection (fresh shapes):   {:.2} us", t_svc_cold * 1e6);
     println!("service memoised selection (hot shape):  {:.3} us", t_svc_hot * 1e6);
+    println!("memoisation saves {:.0}x", t_sweep / t_svc_hot.max(1e-12));
     println!("[service] kernel dispatch: {}", adsala_machine::HostCaches::probe().summary());
     println!(
         "service cache: {} hits / {} misses, {} evictions, {}/{} entries, {} sweeps",

@@ -37,7 +37,6 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::bundle::ArtifactBundle;
 use crate::preprocess::PreprocessConfig;
-use crate::runtime::AdsalaGemm;
 use crate::service::AdsalaService;
 use crate::AdsalaError;
 
@@ -344,13 +343,8 @@ impl Artifact {
         ArtifactBundle::from_artifact(self)
     }
 
-    /// Build the single-threaded runtime handle (Fig. 3's
+    /// Build the shared, concurrent serving handle (Fig. 3's
     /// "instantiation" step).
-    pub fn into_runtime(self) -> AdsalaGemm {
-        AdsalaGemm::from_bundle(self.into_bundle())
-    }
-
-    /// Build the shared, concurrent serving handle.
     pub fn into_service(self) -> AdsalaService {
         AdsalaService::new(self.into_bundle().into_shared())
     }
@@ -420,8 +414,8 @@ mod tests {
         let art = artifact();
         let json = art.to_json().unwrap();
         let back = Artifact::from_json(&json).unwrap();
-        let mut a = art.clone().into_runtime();
-        let mut b = back.into_runtime();
+        let a = art.clone().into_service();
+        let b = back.into_service();
         for (m, k, n) in [(64, 64, 64), (1000, 500, 1000), (64, 4096, 64)] {
             assert_eq!(a.select_threads(m, k, n), b.select_threads(m, k, n));
         }
@@ -442,8 +436,8 @@ mod tests {
         assert_eq!(migrated.version, Artifact::VERSION);
         assert!(migrated.grid.is_threads_only(), "v1 artefacts degrade to threads-only grids");
         assert!(!migrated.models.has_dedicated(adsala_gemm::Routine::Syrk));
-        let mut a = art.into_runtime();
-        let mut b = migrated.into_runtime();
+        let a = art.into_service();
+        let b = migrated.into_service();
         for (m, k, n) in [(64, 64, 64), (1000, 500, 1000), (2000, 64, 2000)] {
             assert_eq!(a.select_threads(m, k, n), b.select_threads(m, k, n));
         }
@@ -464,8 +458,8 @@ mod tests {
         assert_eq!(migrated.version, Artifact::VERSION);
         assert_eq!(migrated.grid, PlanGrid::threads_only(art.candidates().to_vec()));
         assert!(!migrated.grid.plan_features);
-        let mut a = art.into_runtime();
-        let mut b = migrated.into_runtime();
+        let a = art.into_service();
+        let b = migrated.into_service();
         for (m, k, n) in [(64, 64, 64), (1000, 500, 1000), (2000, 64, 2000)] {
             assert_eq!(a.select_threads(m, k, n), b.select_threads(m, k, n));
         }

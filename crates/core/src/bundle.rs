@@ -9,12 +9,12 @@
 //! memoisation in [`crate::cache::DecisionCache`], execution and
 //! diagnostics in [`crate::service::AdsalaService`].
 //!
-//! Decisions are routine- and precision-generic: [`ArtifactBundle::decide_op`]
-//! takes an [`OpShape`] (routine, precision, dimensions), picks the
-//! routine's model (GEMM fallback), maps the dimensions into the §III-A
-//! GEMM feature space, and sweeps the grid. The legacy
-//! [`ArtifactBundle::decide`] is the f32-GEMM special case. A bundle
-//! built from a threads-only grid (every migrated v1/v2 artefact) decides
+//! Decisions are routine- and precision-generic:
+//! [`ArtifactBundle::decide_op_capped`] takes an [`OpShape`] (routine,
+//! precision, dimensions) and a thread cap (`u32::MAX` for none), picks
+//! the routine's model (GEMM fallback), maps the dimensions into the
+//! §III-A GEMM feature space, and sweeps the grid. A bundle built from a
+//! threads-only grid (every migrated v1/v2 artefact) decides
 //! bit-identically to the pre-plan thread ladder and emits threads-only
 //! plans.
 //!
@@ -26,15 +26,13 @@ use std::path::Path;
 use std::sync::Arc;
 
 use adsala_gemm::plan::{ExecutionPlan, PlanGrid, PlanPoint};
-use adsala_gemm::{OpShape, Precision, Routine};
+use adsala_gemm::{OpShape, Routine};
 use adsala_ml::AnyModel;
 use serde::{Deserialize, Serialize};
 
 use crate::artifact::{Artifact, ModelTable};
 use crate::preprocess::PreprocessConfig;
-use crate::select::{
-    predict_at_point, predict_curve_for_op, predict_plan_for_op, predict_plan_for_op_capped,
-};
+use crate::select::{predict_at_point, predict_curve_for_op, predict_point_for_op_capped};
 use crate::AdsalaError;
 
 /// The outcome of a plan selection: the full learned execution plan plus
@@ -121,32 +119,24 @@ impl ArtifactBundle {
         Arc::new(self)
     }
 
-    /// Run one full model sweep over the candidate grid for any
-    /// operation. Pure: no memo is consulted or updated, so equal inputs
-    /// always produce equal decisions.
-    pub fn decide_op(&self, shape: OpShape) -> PlanDecision {
-        let model = self.models.for_routine(shape.routine);
-        let (plan, predicted_runtime_s) =
-            predict_plan_for_op(model, &self.config, &self.grid, shape);
-        PlanDecision { plan, predicted_runtime_s, memoised: false }
-    }
-
-    /// The f32-GEMM special case of [`ArtifactBundle::decide_op`], kept
-    /// for the paper-faithful `(m, k, n)` call sites.
-    pub fn decide(&self, m: u64, k: u64, n: u64) -> PlanDecision {
-        self.decide_op(OpShape::gemm(Precision::F32, m, k, n))
-    }
-
-    /// [`ArtifactBundle::decide_op`] under a per-call thread cap: the
-    /// sweep clamps every candidate to `cap` threads *before* the model
-    /// prices it, so both the chosen plan and its predicted runtime
-    /// respect the cap (no decide-then-clamp mismatch). A cap at or above
-    /// the grid maximum decides bit-identically to the uncapped sweep.
+    /// Run one full model sweep over the candidate grid for any operation,
+    /// considering only plans with at most `cap` threads (`u32::MAX`: no
+    /// cap). Pure: no memo is consulted or updated, so equal inputs always
+    /// produce equal decisions.
+    ///
+    /// The sweep clamps every candidate to `cap` threads *before* the
+    /// model prices it, so both the chosen plan and its predicted runtime
+    /// respect the cap (no decide-then-clamp mismatch). Every cap at or
+    /// above the grid maximum is the same sweep.
     pub fn decide_op_capped(&self, shape: OpShape, cap: u32) -> PlanDecision {
         let model = self.models.for_routine(shape.routine);
-        let (plan, predicted_runtime_s) =
-            predict_plan_for_op_capped(model, &self.config, &self.grid, shape, cap);
-        PlanDecision { plan, predicted_runtime_s, memoised: false }
+        let (point, predicted_runtime_s) =
+            predict_point_for_op_capped(model, &self.config, &self.grid, shape, cap);
+        PlanDecision {
+            plan: point.materialise(shape.precision),
+            predicted_runtime_s,
+            memoised: false,
+        }
     }
 
     /// The predicted-runtime curve a joint scheduler optimises over: for
@@ -241,14 +231,19 @@ pub fn quick_test_bundle() -> ArtifactBundle {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use adsala_gemm::Precision;
 
     pub(crate) use super::quick_test_bundle as quick_bundle;
+
+    fn decide(bundle: &ArtifactBundle, m: u64, k: u64, n: u64) -> PlanDecision {
+        bundle.decide_op_capped(OpShape::gemm(Precision::F32, m, k, n), u32::MAX)
+    }
 
     #[test]
     fn decide_is_pure_and_in_ladder() {
         let bundle = quick_bundle();
-        let first = bundle.decide(256, 256, 256);
-        let again = bundle.decide(256, 256, 256);
+        let first = decide(&bundle, 256, 256, 256);
+        let again = decide(&bundle, 256, 256, 256);
         assert_eq!(first, again, "an immutable bundle must be deterministic");
         assert!(bundle.candidates().contains(&first.threads()));
         assert!(first.plan.is_threads_only(), "a threads-only grid emits threads-only plans");
@@ -265,7 +260,7 @@ pub(crate) mod tests {
             OpShape::syrk(Precision::F64, 512, 64),
             OpShape::gemv(Precision::F32, 4096, 512),
         ] {
-            let d = bundle.decide_op(shape);
+            let d = bundle.decide_op_capped(shape, u32::MAX);
             assert!(bundle.candidates().contains(&d.threads()), "{shape:?}");
             assert!(d.predicted_runtime_s > 0.0);
         }
@@ -276,11 +271,10 @@ pub(crate) mod tests {
         // Without dedicated models, a routine's decision equals the GEMM
         // decision at its gemm-equivalent dimensions — bit for bit.
         let bundle = quick_bundle();
-        let syrk = bundle.decide_op(OpShape::syrk(Precision::F32, 300, 40));
-        let gemm = bundle.decide(300, 40, 300);
-        assert_eq!(syrk, gemm);
-        let gemv = bundle.decide_op(OpShape::gemv(Precision::F32, 2000, 500));
-        assert_eq!(gemv, bundle.decide(2000, 500, 1));
+        let syrk = bundle.decide_op_capped(OpShape::syrk(Precision::F32, 300, 40), u32::MAX);
+        assert_eq!(syrk, decide(&bundle, 300, 40, 300));
+        let gemv = bundle.decide_op_capped(OpShape::gemv(Precision::F32, 2000, 500), u32::MAX);
+        assert_eq!(gemv, decide(&bundle, 2000, 500, 1));
     }
 
     #[test]
@@ -300,7 +294,7 @@ pub(crate) mod tests {
         let bundle = base.with_routine_model(Routine::Syrk, other);
         assert!(bundle.models.has_dedicated(Routine::Syrk));
         // GEMM decisions are untouched.
-        let d = bundle.decide(256, 256, 256);
+        let d = decide(&bundle, 256, 256, 256);
         assert!(bundle.candidates().contains(&d.threads()));
     }
 
@@ -312,12 +306,15 @@ pub(crate) mod tests {
         let back =
             ArtifactBundle::from_artifact(Artifact::from_json(&art.to_json().unwrap()).unwrap());
         for (m, k, n) in [(64, 64, 64), (1000, 500, 1000), (64, 4096, 64)] {
-            assert_eq!(bundle.decide(m, k, n), back.decide(m, k, n));
+            assert_eq!(decide(&bundle, m, k, n), decide(&back, m, k, n));
         }
         for shape in
             [OpShape::syrk(Precision::F64, 400, 80), OpShape::gemv(Precision::F32, 1000, 1000)]
         {
-            assert_eq!(bundle.decide_op(shape), back.decide_op(shape));
+            assert_eq!(
+                bundle.decide_op_capped(shape, u32::MAX),
+                back.decide_op_capped(shape, u32::MAX)
+            );
         }
     }
 
@@ -331,7 +328,7 @@ pub(crate) mod tests {
         let back = ArtifactBundle::load(&path).unwrap();
         assert_eq!(back.candidates(), bundle.candidates());
         assert_eq!(back.grid, bundle.grid);
-        assert_eq!(back.decide(128, 512, 128), bundle.decide(128, 512, 128));
+        assert_eq!(decide(&back, 128, 512, 128), decide(&bundle, 128, 512, 128));
         std::fs::remove_file(&path).ok();
     }
 

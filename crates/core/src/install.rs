@@ -13,7 +13,6 @@ use adsala_sampling::GemmShape;
 use crate::bundle::ArtifactBundle;
 use crate::gather::{GatherConfig, TrainingData};
 use crate::preprocess::{fit_preprocess, PreprocessConfig, PreprocessReport};
-use crate::runtime::AdsalaGemm;
 use crate::select::estimate_speedups;
 use crate::service::AdsalaService;
 use crate::train::{measure_eval_time, test_nrmse, train_all_families, ModelReport};
@@ -254,15 +253,10 @@ impl Installation {
         &self.grid.threads
     }
 
-    /// Hand back the immutable artefact bundle — the input every serving
-    /// layer (facade or concurrent service) is built from.
+    /// Hand back the immutable artefact bundle — the input the serving
+    /// layer is built from.
     pub fn into_bundle(self) -> ArtifactBundle {
         ArtifactBundle::new(self.config, self.model, self.grid.threads.clone()).with_grid(self.grid)
-    }
-
-    /// Build the single-threaded runtime handle from this installation.
-    pub fn into_runtime(self) -> AdsalaGemm {
-        AdsalaGemm::from_bundle(self.into_bundle())
     }
 
     /// Build the shared, concurrent serving handle from this
@@ -325,8 +319,8 @@ mod tests {
     fn runtime_handle_from_install_works() {
         let timer = SimTimer::new(MachineModel::gadi());
         let install = Installation::run(&timer, &InstallConfig::quick()).unwrap();
-        let mut gemm = install.into_runtime();
-        let d = gemm.select_threads(64, 2048, 64);
+        let service = install.into_service();
+        let d = service.select_threads(64, 2048, 64);
         assert!((1..=96).contains(&d.threads()));
     }
 

@@ -36,10 +36,15 @@
 //! 4. [`online`] — the control plane that closes the loop: every call
 //!    feeds an observation reservoir and a drift detector, and a
 //!    background retrainer rebuilds models from observed timings and
-//!    hot-swaps the bundle under live traffic with zero downtime;
+//!    hot-swaps the bundle under live traffic with zero downtime.
 //!
-//! plus [`runtime::AdsalaGemm`], the paper-faithful single-threaded
-//! facade over the same bundle (`&mut self`, §III-C memo semantics).
+//! There is one decision path ([`select`]'s single pricing sweep, folded
+//! into an argmin or a per-thread-count curve) and one serving path (the
+//! service's execute → observe → recover stage, which the
+//! [`scheduler`] also executes through). The paper's single-threaded
+//! runtime class (Fig. 3) is a service used from one thread: its §III-C
+//! "same shape as the previous call" memo is the cache's per-shard
+//! last-shape fast path.
 //!
 //! ```no_run
 //! use adsala::install::{InstallConfig, Installation};
@@ -60,7 +65,6 @@ pub mod gather;
 pub mod install;
 pub mod online;
 pub mod preprocess;
-pub mod runtime;
 pub mod scheduler;
 pub mod select;
 pub mod service;
@@ -84,12 +88,9 @@ pub use online::{
 pub use preprocess::{
     fit_preprocess, fit_preprocess_with, PreprocessConfig, PreprocessOptions, PreprocessReport,
 };
-pub use runtime::AdsalaGemm;
 pub use scheduler::{ScheduledRun, SchedulerConfig, SchedulerStats, ServiceScheduler};
 pub use select::{
-    estimate_speedups, predict_curve_for_op, predict_plan_for_op, predict_plan_for_op_capped,
-    predict_point_for_op, predict_point_for_op_capped, predict_threads_for_op,
-    predict_threads_with_runtime, SpeedupEstimate,
+    estimate_speedups, predict_curve_for_op, predict_point_for_op_capped, SpeedupEstimate,
 };
 pub use service::{AdsalaService, AlgorithmMix, RunOptions, ServiceConfig, ServiceStats};
 pub use speedup::SpeedupStats;
@@ -103,7 +104,7 @@ pub use adsala_gemm::dispatch::{
 };
 
 /// Everything a serving-layer caller needs in one import: the request
-/// vocabulary, the service and facade handles, decisions, cache counters,
+/// vocabulary, the service and scheduler handles, decisions, cache counters,
 /// and the error enum.
 ///
 /// ```no_run
@@ -128,7 +129,6 @@ pub mod prelude {
     pub use crate::online::{
         retrain_now, DriftConfig, OnlineAdapter, OnlineConfig, RetrainConfig, RetrainOutcome,
     };
-    pub use crate::runtime::AdsalaGemm;
     pub use crate::scheduler::{ScheduledRun, SchedulerConfig, SchedulerStats, ServiceScheduler};
     pub use crate::service::{AdsalaService, RunOptions, ServiceConfig, ServiceStats};
     pub use crate::AdsalaError;

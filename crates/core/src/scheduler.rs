@@ -51,22 +51,22 @@
 //! unit's threads must return to the budget, so expiry mid-execution is
 //! deliberately not a cancellation point.
 //!
-//! **Panic isolation.** Solo and fused dispatches are guarded exactly
-//! like [`AdsalaService::run_with`]: a kernel panic is caught, the pool
-//! swept whole, and the op retried once on the degraded serial plan when
-//! that is sound (idempotent, deadline permitting; for a fused batch,
-//! member-by-member). Whatever the outcome, the unit completes — its
-//! threads return to the budget and its wave settles — so a panicked op
-//! can never wedge the queue. Unrecoverable members observe
-//! [`AdsalaError::Execution`] on their own `submit` calls.
+//! **Panic isolation.** Solo and fused dispatches execute through the
+//! same serve stage as [`AdsalaService::run_with`], so they are booked and
+//! guarded identically: a kernel panic is caught, the pool swept whole,
+//! and the op retried once on the degraded serial plan when that is sound
+//! (idempotent, deadline permitting; for a fused batch, member-by-member).
+//! Whatever the outcome, the unit completes — its threads return to the
+//! budget and its wave settles — so a panicked op can never wedge the
+//! queue. Unrecoverable members observe [`AdsalaError::Execution`] on
+//! their own `submit` calls.
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use adsala_gemm::dispatch::{FuseKey, OpRequest, OpShape, OpStats, Routine};
+use adsala_gemm::dispatch::{FuseKey, OpRequest, OpShape, OpStats};
 use adsala_gemm::plan::ExecutionPlan;
 use adsala_gemm::Element;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -212,11 +212,8 @@ enum Phase {
     /// [`AdsalaError::Timeout`]. Admitted tickets are never shed.
     Shed,
     /// The op panicked and could not be recovered by the degraded retry;
-    /// the owner observes [`AdsalaError::Execution`].
-    Failed {
-        routine: Routine,
-        detail: String,
-    },
+    /// the owner observes this [`AdsalaError::Execution`].
+    Failed(AdsalaError),
 }
 
 /// A predicted-runtime curve: `(plan, seconds)` rows ascending by
@@ -473,13 +470,12 @@ impl ServiceScheduler {
                     shape.routine
                 )));
             }
-            Phase::Failed { .. } => {
-                let Some(Ticket { phase: Phase::Failed { routine, detail }, .. }) =
-                    st.tickets.remove(&id)
+            Phase::Failed(_) => {
+                let Some(Ticket { phase: Phase::Failed(error), .. }) = st.tickets.remove(&id)
                 else {
                     unreachable!("phase just matched Failed")
                 };
-                return Err(AdsalaError::Execution { routine, detail });
+                return Err(error);
             }
             Phase::Admitted(a) => a.clone(),
             Phase::Queued => unreachable!("wait loop exits only on Admitted/Done/Shed/Failed"),
@@ -488,22 +484,8 @@ impl ServiceScheduler {
         match admission {
             Admission::Solo { plan, predicted_s, threads, wave } => {
                 drop(st);
-                let outcome = match self.service.execute_guarded(req, &plan) {
-                    Ok(mut stats) => {
-                        stats.predicted_ns = crate::service::predicted_ns(predicted_s);
-                        // The scheduler executes on the pool directly
-                        // (bypassing service.run), so it must feed the
-                        // feedback loop itself.
-                        self.service.record_algorithm(stats.exec.algorithm);
-                        self.service.observe(shape, &plan, predicted_s, stats.exec.wall_ns);
-                        Ok(stats)
-                    }
-                    // Kernel panic: the same isolate → heal → degraded
-                    // retry the service applies (recovered ops skip
-                    // `observe`; the prediction no longer describes what
-                    // ran).
-                    Err(detail) => self.service.recover_from_panic(req, detail, opts.deadline),
-                };
+                let outcome =
+                    self.service.serve(req, &plan, Some(predicted_s), opts.deadline, true);
                 if let Ok(stats) = &outcome {
                     if stats.plan_degraded {
                         self.plan_downgrades.fetch_add(1, Ordering::Relaxed);
@@ -534,61 +516,7 @@ impl ServiceScheduler {
                 for p in &member_ptrs {
                     refs.push(unsafe { &mut *(*p as *mut OpRequest<'_, T>) });
                 }
-                let batch = catch_unwind(AssertUnwindSafe(|| {
-                    OpRequest::execute_fused_refs_validated(&mut refs, self.service.pool(), &plan)
-                }))
-                .map_err(crate::service::panic_message);
-                let all: Vec<Result<OpStats, (Routine, String)>> = match batch {
-                    Ok(mut all) => {
-                        for s in &mut all {
-                            s.predicted_ns = crate::service::predicted_ns(predicted_s);
-                            // Every fused member shares the unit's shape
-                            // and plan; each contributes its own
-                            // measurement.
-                            self.service.record_algorithm(s.exec.algorithm);
-                            self.service.observe(shape, &plan, predicted_s, s.exec.wall_ns);
-                        }
-                        all.into_iter().map(Ok).collect()
-                    }
-                    Err(detail) => {
-                        // The whole gang unwound together. Isolate, sweep
-                        // the pool whole, and retry member-by-member on
-                        // the degraded serial plan, inline on this thread
-                        // — no gang, no barrier, nothing shared left to
-                        // poison a second time.
-                        self.service.note_panic_caught();
-                        let degraded = AdsalaService::degraded_plan();
-                        refs.iter_mut()
-                            .map(|r| {
-                                let routine = r.routine();
-                                if !r.is_idempotent() {
-                                    return Err((
-                                        routine,
-                                        format!(
-                                            "{detail} (not retried: beta != 0 makes a rerun \
-                                             unsound)"
-                                        ),
-                                    ));
-                                }
-                                self.service.note_degraded_retry();
-                                match self.service.execute_guarded(r, &degraded) {
-                                    Ok(mut s) => {
-                                        s.plan_degraded = true;
-                                        self.service.record_algorithm(s.exec.algorithm);
-                                        Ok(s)
-                                    }
-                                    Err(d2) => {
-                                        self.service.pool().heal();
-                                        Err((
-                                            routine,
-                                            format!("{detail}; degraded retry also failed: {d2}"),
-                                        ))
-                                    }
-                                }
-                            })
-                            .collect()
-                    }
-                };
+                let all = self.service.serve_fused(&mut refs, &plan, predicted_s);
                 drop(refs);
                 let degraded =
                     all.iter().filter(|r| matches!(r, Ok(s) if s.plan_degraded)).count() as u64;
@@ -596,37 +524,23 @@ impl ServiceScheduler {
                     self.plan_downgrades.fetch_add(degraded, Ordering::Relaxed);
                 }
                 let failures = all.iter().filter(|r| r.is_err()).count() as u64;
-                if failures > 0 {
-                    self.service.note_execution_failures(failures);
-                }
                 self.fused_ops.fetch_add(all.len() as u64 - failures, Ordering::Relaxed);
+                let mut results = all.into_iter();
+                let own = results.next().expect("the leader is its batch's first member");
                 let mut st = self.state.lock();
-                for (m, res) in members.iter().zip(all.iter().skip(1)) {
+                for (m, res) in members.iter().zip(results) {
                     let t = st.tickets.get_mut(m).expect("member parked");
                     t.phase = match res {
-                        Ok(s) => Phase::Done { plan, predicted_s, fused: true, stats: *s },
-                        Err((routine, detail)) => {
-                            Phase::Failed { routine: *routine, detail: detail.clone() }
-                        }
+                        Ok(stats) => Phase::Done { plan, predicted_s, fused: true, stats },
+                        Err(error) => Phase::Failed(error),
                     };
                 }
                 st.tickets.remove(&id);
                 self.complete_unit(&mut st, wave, threads);
                 self.work.notify_all();
-                match &all[0] {
-                    Ok(stats) => {
-                        self.completed.fetch_add(1, Ordering::Relaxed);
-                        Ok(ScheduledRun {
-                            plan,
-                            predicted_runtime_s: predicted_s,
-                            fused: true,
-                            stats: *stats,
-                        })
-                    }
-                    Err((routine, detail)) => {
-                        Err(AdsalaError::Execution { routine: *routine, detail: detail.clone() })
-                    }
-                }
+                let stats = own?;
+                self.completed.fetch_add(1, Ordering::Relaxed);
+                Ok(ScheduledRun { plan, predicted_runtime_s: predicted_s, fused: true, stats })
             }
             Admission::Member => unreachable!("members only leave the wait loop via Done"),
         }

@@ -12,8 +12,15 @@
 //! thread count (the conventional default) and `t_ADSALA` uses the
 //! model-chosen count. The candidate with the highest estimated mean
 //! speedup wins.
+//!
+//! Every decision is one sweep (`priced_points`: clamp the thread axis
+//! to the cap, skip aliased points, price the rest) under one of two
+//! folds: the argmin ([`predict_point_for_op_capped`]) and the
+//! per-thread-count curve ([`predict_curve_for_op`]). An uncapped sweep is
+//! `cap = u32::MAX`; the paper's thread ladder is a
+//! [`PlanGrid::threads_only`] grid.
 
-use adsala_gemm::plan::{ExecutionPlan, PlanGrid, PlanPoint};
+use adsala_gemm::plan::{PlanGrid, PlanPoint};
 use adsala_machine::GemmTimer;
 use adsala_ml::{AnyModel, Regressor};
 use adsala_sampling::GemmShape;
@@ -30,76 +37,9 @@ pub struct SpeedupEstimate {
     pub est_aggregate: f64,
 }
 
-/// Predict the runtime-minimising thread count for any routine's shape,
-/// returning both the argmin and its predicted runtime in seconds.
-///
-/// The ladder sweep already evaluates the model at every candidate, so the
-/// winner's prediction comes for free — callers must not re-evaluate the
-/// model for the chosen row (that would double the per-call cost the
-/// paper's `t_eval` budget accounts for).
-pub fn predict_threads_for_op(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    candidates: &[u32],
-    shape: adsala_gemm::OpShape,
-) -> (u32, f64) {
-    debug_assert!(!candidates.is_empty());
-    let mut best = candidates[0];
-    let mut best_pred = f64::INFINITY;
-    for &p in candidates {
-        let row = config.features_for_op(&shape, p);
-        let pred = model.predict_row(&row);
-        if pred < best_pred {
-            best_pred = pred;
-            best = p;
-        }
-    }
-    (best, config.runtime_from_prediction(best_pred))
-}
-
-/// Predict the runtime-minimising plan-grid point for any routine's
-/// shape, returning the argmin point and its predicted runtime in
-/// seconds.
-///
-/// For a threads-only grid this sweep visits exactly the legacy thread
-/// ladder with the legacy 17-feature rows, in the legacy order — so a
-/// migrated (pre-grid) artefact decides bit-identically to
-/// [`predict_threads_for_op`]. Grid-trained artefacts
-/// ([`PlanGrid::plan_features`]) get the plan axes appended to every row.
-pub fn predict_point_for_op(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    grid: &PlanGrid,
-    shape: adsala_gemm::OpShape,
-) -> (PlanPoint, f64) {
-    debug_assert!(!grid.is_empty());
-    let mut best = PlanPoint::threads_only(grid.threads.first().copied().unwrap_or(1));
-    let mut best_pred = f64::INFINITY;
-    for point in grid.points() {
-        let pred = predict_at_point(model, config, grid, &shape, &point);
-        if pred < best_pred {
-            best_pred = pred;
-            best = point;
-        }
-    }
-    (best, config.runtime_from_prediction(best_pred))
-}
-
-/// Like [`predict_point_for_op`], but materialises the winning point into
-/// a concrete [`ExecutionPlan`] for the shape's precision on this host.
-pub fn predict_plan_for_op(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    grid: &PlanGrid,
-    shape: adsala_gemm::OpShape,
-) -> (ExecutionPlan, f64) {
-    let (point, runtime_s) = predict_point_for_op(model, config, grid, shape);
-    (point.materialise(shape.precision), runtime_s)
-}
-
 /// Evaluate the model at one (possibly clamped) candidate point.
 /// `pub(crate)` so the bundle can price a single conservative fallback
-/// plan with the same feature path the sweeps use.
+/// plan with the same feature path the sweep uses.
 pub(crate) fn predict_at_point(
     model: &AnyModel,
     config: &PreprocessConfig,
@@ -115,19 +55,54 @@ pub(crate) fn predict_at_point(
     model.predict_row(&row)
 }
 
-/// [`predict_point_for_op`] under a per-call thread cap: every candidate
-/// point's thread count is clamped to `cap` *before* the model evaluates
-/// it, so the argmin — and its predicted runtime — describe a
-/// configuration that actually respects the cap. This is the fix for the
-/// clamp-after-decide bug, where a capped call executed `cap` threads but
-/// reported the prediction of the uncapped winner.
+/// The one pricing sweep: every distinct grid point under `cap`, in grid
+/// order, with the model's raw (preprocessed-target) prediction for it.
+///
+/// Each candidate's thread count is clamped to `cap` *before* the model
+/// evaluates it, so whatever a fold picks — and its predicted runtime —
+/// describes a configuration that actually respects the cap (the fix for
+/// the clamp-after-decide bug, where a capped call executed `cap` threads
+/// but reported the prediction of the uncapped winner).
 ///
 /// Clamping can alias grid points (ladder `[1, 2, 4, 8]` under cap 3
-/// yields `1, 2, 3, 3`); duplicates are swept once, keeping the grid's
-/// candidate order, so a cap at or above the grid maximum decides
-/// bit-identically to the uncapped sweep. The feature chain accepts any
-/// thread count, so off-ladder caps (like 3) are predicted genuinely, not
-/// approximated by a neighbouring ladder rung.
+/// yields `1, 2, 3, 3`); duplicates are priced once, keeping the grid's
+/// candidate order, so a cap at or above the grid maximum sweeps exactly
+/// the grid. The feature chain accepts any thread count, so off-ladder
+/// caps (like 3) are predicted genuinely, not approximated by a
+/// neighbouring ladder rung. For a threads-only grid the sweep visits the
+/// legacy thread ladder with the legacy 17-feature rows, in the legacy
+/// order — so a migrated (pre-grid) artefact decides bit-identically to
+/// the pre-plan runtime; grid-trained artefacts
+/// ([`PlanGrid::plan_features`]) get the plan axes appended to every row.
+fn priced_points(
+    model: &AnyModel,
+    config: &PreprocessConfig,
+    grid: &PlanGrid,
+    shape: adsala_gemm::OpShape,
+    cap: u32,
+) -> Vec<(PlanPoint, f64)> {
+    debug_assert!(!grid.is_empty());
+    let cap = cap.max(1);
+    let mut priced: Vec<(PlanPoint, f64)> = Vec::with_capacity(grid.len());
+    for mut point in grid.points() {
+        point.threads = point.threads.min(cap);
+        if priced.iter().any(|(seen, _)| *seen == point) {
+            continue;
+        }
+        priced.push((point, predict_at_point(model, config, grid, &shape, &point)));
+    }
+    priced
+}
+
+/// Predict the runtime-minimising plan-grid point with at most `cap`
+/// threads for any routine's shape, returning the argmin point (the first
+/// strict minimum in grid order) and its predicted runtime in seconds.
+/// `cap = u32::MAX` is the uncapped decision.
+///
+/// The sweep already evaluates the model at every candidate, so the
+/// winner's prediction comes for free — callers must not re-evaluate the
+/// model for the chosen point (that would double the per-call cost the
+/// paper's `t_eval` budget accounts for).
 pub fn predict_point_for_op_capped(
     model: &AnyModel,
     config: &PreprocessConfig,
@@ -135,36 +110,14 @@ pub fn predict_point_for_op_capped(
     shape: adsala_gemm::OpShape,
     cap: u32,
 ) -> (PlanPoint, f64) {
-    debug_assert!(!grid.is_empty());
-    let cap = cap.max(1);
-    let mut seen: Vec<PlanPoint> = Vec::new();
-    let mut best = PlanPoint::threads_only(grid.threads.first().copied().unwrap_or(1).min(cap));
-    let mut best_pred = f64::INFINITY;
-    for mut point in grid.points() {
-        point.threads = point.threads.min(cap);
-        if seen.contains(&point) {
-            continue;
-        }
-        seen.push(point);
-        let pred = predict_at_point(model, config, grid, &shape, &point);
-        if pred < best_pred {
-            best_pred = pred;
-            best = point;
+    let first = grid.threads.first().copied().unwrap_or(1).min(cap.max(1));
+    let mut best = (PlanPoint::threads_only(first), f64::INFINITY);
+    for priced in priced_points(model, config, grid, shape, cap) {
+        if priced.1 < best.1 {
+            best = priced;
         }
     }
-    (best, config.runtime_from_prediction(best_pred))
-}
-
-/// The [`ExecutionPlan`] form of [`predict_point_for_op_capped`].
-pub fn predict_plan_for_op_capped(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    grid: &PlanGrid,
-    shape: adsala_gemm::OpShape,
-    cap: u32,
-) -> (ExecutionPlan, f64) {
-    let (point, runtime_s) = predict_point_for_op_capped(model, config, grid, shape, cap);
-    (point.materialise(shape.precision), runtime_s)
+    (best.0, config.runtime_from_prediction(best.1))
 }
 
 /// The full predicted-runtime curve a joint scheduler optimises over: for
@@ -183,53 +136,23 @@ pub fn predict_curve_for_op(
     shape: adsala_gemm::OpShape,
     cap: u32,
 ) -> Vec<(PlanPoint, f64)> {
-    let cap = cap.max(1);
-    let mut seen: Vec<PlanPoint> = Vec::new();
-    // (threads, best point, best raw prediction), in first-seen order.
-    let mut per_count: Vec<(u32, PlanPoint, f64)> = Vec::new();
-    for mut point in grid.points() {
-        point.threads = point.threads.min(cap);
-        if seen.contains(&point) {
-            continue;
-        }
-        seen.push(point);
-        let pred = predict_at_point(model, config, grid, &shape, &point);
-        match per_count.iter_mut().find(|(t, _, _)| *t == point.threads) {
+    // Best (point, raw prediction) per thread count, in first-seen order.
+    let mut per_count: Vec<(PlanPoint, f64)> = Vec::new();
+    for (point, pred) in priced_points(model, config, grid, shape, cap) {
+        match per_count.iter_mut().find(|(best, _)| best.threads == point.threads) {
             Some(entry) => {
-                if pred < entry.2 {
-                    entry.1 = point;
-                    entry.2 = pred;
+                if pred < entry.1 {
+                    *entry = (point, pred);
                 }
             }
-            None => per_count.push((point.threads, point, pred)),
+            None => per_count.push((point, pred)),
         }
     }
-    per_count.sort_by_key(|&(t, _, _)| t);
+    per_count.sort_by_key(|(point, _)| point.threads);
+    for (_, pred) in &mut per_count {
+        *pred = config.runtime_from_prediction(*pred);
+    }
     per_count
-        .into_iter()
-        .map(|(_, point, pred)| (point, config.runtime_from_prediction(pred)))
-        .collect()
-}
-
-/// The GEMM special case of [`predict_threads_for_op`].
-pub fn predict_threads_with_runtime(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    candidates: &[u32],
-    shape: GemmShape,
-) -> (u32, f64) {
-    let op = adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, shape.m, shape.k, shape.n);
-    predict_threads_for_op(model, config, candidates, op)
-}
-
-/// Predict the runtime-minimising thread count for one shape.
-pub fn predict_threads(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    candidates: &[u32],
-    shape: GemmShape,
-) -> u32 {
-    predict_threads_with_runtime(model, config, candidates, shape).0
 }
 
 /// Estimate ideal and evaluation-inclusive speedups of `model` over
@@ -257,7 +180,7 @@ pub fn estimate_speedups<T: GemmTimer + ?Sized>(
     for &shape in shapes {
         let t_orig = timer.time(shape, p_max, reps);
         let op = adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, shape.m, shape.k, shape.n);
-        let (chosen, _) = predict_point_for_op(model, config, grid, op);
+        let (chosen, _) = predict_point_for_op_capped(model, config, grid, op, u32::MAX);
         let t_adsala = timer.time_plan(shape, &chosen, reps);
         ideal_ratios.push(t_orig / t_adsala);
         est_ratios.push(t_orig / (t_adsala + t_eval_s));
@@ -279,10 +202,13 @@ mod tests {
     use super::*;
     use crate::gather::{GatherConfig, TrainingData};
     use crate::preprocess::fit_preprocess;
+    use adsala_gemm::{OpShape, Precision};
     use adsala_machine::{MachineModel, SimTimer};
     use adsala_ml::tune::ModelSpec;
 
-    fn setup() -> (SimTimer, PreprocessConfig, AnyModel, Vec<u32>) {
+    /// The trained model with the paper's thread ladder as a threads-only
+    /// grid.
+    fn setup() -> (SimTimer, PreprocessConfig, AnyModel, PlanGrid) {
         let timer = SimTimer::new(MachineModel::gadi());
         let config = GatherConfig { n_shapes: 80, reps: 2, ..GatherConfig::quick() };
         let data = TrainingData::gather(&timer, &config);
@@ -290,29 +216,31 @@ mod tests {
         let spec = ModelSpec::XgBoost { n_rounds: 60, max_depth: 5, eta: 0.15, lambda: 1.0 };
         let mut model = spec.build(0);
         model.fit(&fitted.dataset.x, &fitted.dataset.y).unwrap();
-        let candidates = data.ladder.counts.clone();
-        (timer, fitted.config, model, candidates)
+        let grid = PlanGrid::threads_only(data.ladder.counts.clone());
+        (timer, fitted.config, model, grid)
+    }
+
+    fn gemm(m: u64, k: u64, n: u64) -> OpShape {
+        OpShape::gemm(Precision::F32, m, k, n)
     }
 
     #[test]
     fn predicted_threads_are_candidates() {
-        let (_, config, model, candidates) = setup();
-        for shape in [
-            GemmShape::new(64, 64, 64),
-            GemmShape::new(2000, 2000, 2000),
-            GemmShape::new(64, 4096, 64),
-        ] {
-            let p = predict_threads(&model, &config, &candidates, shape);
-            assert!(candidates.contains(&p));
+        let (_, config, model, grid) = setup();
+        for op in [gemm(64, 64, 64), gemm(2000, 2000, 2000), gemm(64, 4096, 64)] {
+            let (point, _) = predict_point_for_op_capped(&model, &config, &grid, op, u32::MAX);
+            assert!(grid.threads.contains(&point.threads));
+            assert_eq!(point, PlanPoint::threads_only(point.threads));
         }
     }
 
     #[test]
     fn sweep_runtime_matches_argmin_reevaluation() {
-        let (_, config, model, candidates) = setup();
-        for shape in [GemmShape::new(128, 512, 128), GemmShape::new(2000, 64, 2000)] {
-            let (p, runtime_s) = predict_threads_with_runtime(&model, &config, &candidates, shape);
-            let row = config.features_for(shape.m, shape.k, shape.n, p);
+        let (_, config, model, grid) = setup();
+        for (m, k, n) in [(128, 512, 128), (2000, 64, 2000)] {
+            let (point, runtime_s) =
+                predict_point_for_op_capped(&model, &config, &grid, gemm(m, k, n), u32::MAX);
+            let row = config.features_for(m, k, n, point.threads);
             let expected = config.runtime_from_prediction(model.predict_row(&row));
             assert_eq!(runtime_s, expected, "sweep must reuse the argmin's prediction");
             assert!(runtime_s > 0.0);
@@ -320,39 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn threads_only_grid_sweep_is_bit_identical_to_the_ladder_sweep() {
-        let (_, config, model, candidates) = setup();
-        let grid = PlanGrid::threads_only(candidates.clone());
-        for shape in [
-            GemmShape::new(64, 64, 64),
-            GemmShape::new(128, 512, 128),
-            GemmShape::new(2000, 64, 2000),
-            GemmShape::new(1, 74_000, 1),
-        ] {
-            let op =
-                adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, shape.m, shape.k, shape.n);
-            let (t, rt) = predict_threads_for_op(&model, &config, &candidates, op);
-            let (point, prt) = predict_point_for_op(&model, &config, &grid, op);
-            assert_eq!(point, PlanPoint::threads_only(t));
-            assert_eq!(prt.to_bits(), rt.to_bits(), "sweep must reuse the same prediction");
-            let (plan, _) = predict_plan_for_op(&model, &config, &grid, op);
-            assert_eq!(plan, ExecutionPlan::with_threads(t));
-            assert!(plan.is_threads_only());
-        }
-    }
-
-    #[test]
     fn capped_sweep_respects_cap_and_generalises_the_uncapped_sweep() {
-        let (_, config, model, candidates) = setup();
-        let grid = PlanGrid::threads_only(candidates.clone());
-        let max = candidates.iter().copied().max().unwrap();
-        for shape in [
-            GemmShape::new(64, 64, 64),
-            GemmShape::new(128, 512, 128),
-            GemmShape::new(2000, 64, 2000),
-        ] {
-            let op =
-                adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, shape.m, shape.k, shape.n);
+        let (_, config, model, grid) = setup();
+        let max = grid.threads.iter().copied().max().unwrap();
+        for op in [gemm(64, 64, 64), gemm(128, 512, 128), gemm(2000, 64, 2000)] {
             // Off-ladder cap: the winner must obey it, and its prediction
             // must be a genuine model evaluation at the clamped count.
             let (point, rt) = predict_point_for_op_capped(&model, &config, &grid, op, 3);
@@ -361,12 +260,22 @@ mod tests {
                 .runtime_from_prediction(predict_at_point(&model, &config, &grid, &op, &point));
             assert_eq!(rt.to_bits(), re.to_bits(), "prediction must match the clamped point");
 
-            // Cap at/above the grid max is bit-identical to no cap.
-            let uncapped = predict_point_for_op(&model, &config, &grid, op);
-            for wide in [max, max + 1, u32::MAX] {
+            // A cap at/above the grid max clamps nothing: every such cap
+            // is the uncapped sweep, whose winner is the first strict
+            // minimum over the ladder.
+            let uncapped = predict_point_for_op_capped(&model, &config, &grid, op, u32::MAX);
+            for wide in [max, max + 1] {
                 let capped = predict_point_for_op_capped(&model, &config, &grid, op, wide);
                 assert_eq!(capped.0, uncapped.0);
                 assert_eq!(capped.1.to_bits(), uncapped.1.to_bits());
+            }
+            let raw =
+                |t: u32| predict_at_point(&model, &config, &grid, &op, &PlanPoint::threads_only(t));
+            let best = raw(uncapped.0.threads);
+            let mut before_winner = true;
+            for &t in &grid.threads {
+                before_winner &= t != uncapped.0.threads;
+                assert!(if before_winner { raw(t) > best } else { raw(t) >= best }, "rung {t}");
             }
 
             // Cap 1 forces the serial plan.
@@ -377,19 +286,14 @@ mod tests {
 
     #[test]
     fn curve_minimum_is_the_capped_decision() {
-        let (_, config, model, candidates) = setup();
-        let grid = PlanGrid::threads_only(candidates.clone());
-        for (shape, cap) in [
-            (GemmShape::new(64, 64, 64), u32::MAX),
-            (GemmShape::new(128, 512, 128), 3),
-            (GemmShape::new(2000, 64, 2000), 8),
-        ] {
-            let op =
-                adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, shape.m, shape.k, shape.n);
+        let (_, config, model, grid) = setup();
+        for (op, cap) in
+            [(gemm(64, 64, 64), u32::MAX), (gemm(128, 512, 128), 3), (gemm(2000, 64, 2000), 8)]
+        {
             let curve = predict_curve_for_op(&model, &config, &grid, op, cap);
             // One row per distinct clamped thread count, ascending.
             let counts: Vec<u32> = curve.iter().map(|(p, _)| p.threads).collect();
-            let mut expected: Vec<u32> = candidates.iter().map(|&t| t.min(cap)).collect::<Vec<_>>();
+            let mut expected: Vec<u32> = grid.threads.iter().map(|&t| t.min(cap)).collect();
             expected.sort_unstable();
             expected.dedup();
             assert_eq!(counts, expected);
@@ -409,14 +313,15 @@ mod tests {
 
     #[test]
     fn model_avoids_max_threads_for_tiny_gemm() {
-        let (_, config, model, candidates) = setup();
-        let p = predict_threads(&model, &config, &candidates, GemmShape::new(48, 48, 48));
-        assert!(p < 96, "model chose max threads for a tiny GEMM");
+        let (_, config, model, grid) = setup();
+        let (point, _) =
+            predict_point_for_op_capped(&model, &config, &grid, gemm(48, 48, 48), u32::MAX);
+        assert!(point.threads < 96, "model chose max threads for a tiny GEMM");
     }
 
     #[test]
     fn speedup_estimate_beats_one_on_small_shapes() {
-        let (timer, config, model, candidates) = setup();
+        let (timer, config, model, grid) = setup();
         let shapes: Vec<GemmShape> = vec![
             GemmShape::new(64, 64, 64),
             GemmShape::new(128, 256, 128),
@@ -424,7 +329,6 @@ mod tests {
             GemmShape::new(300, 300, 300),
             GemmShape::new(64, 64, 4096),
         ];
-        let grid = PlanGrid::threads_only(candidates);
         let est = estimate_speedups(&model, &config, &grid, &shapes, &timer, 0.0, 2);
         assert!(
             est.ideal_mean > 1.2,
@@ -435,9 +339,8 @@ mod tests {
 
     #[test]
     fn eval_overhead_lowers_estimates() {
-        let (timer, config, model, candidates) = setup();
+        let (timer, config, model, grid) = setup();
         let shapes = vec![GemmShape::new(64, 64, 64), GemmShape::new(128, 128, 128)];
-        let grid = PlanGrid::threads_only(candidates);
         let no_overhead = estimate_speedups(&model, &config, &grid, &shapes, &timer, 0.0, 2);
         let heavy = estimate_speedups(&model, &config, &grid, &shapes, &timer, 1.0, 2);
         assert!(heavy.est_mean < no_overhead.est_mean);

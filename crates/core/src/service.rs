@@ -74,7 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use adsala_gemm::dispatch::{GemmArgs, OpRequest, OpShape, OpStats, Precision, Routine};
+use adsala_gemm::dispatch::{GemmArgs, OpRequest, OpShape, OpStats, Precision};
 use adsala_gemm::isa::KernelIsa;
 use adsala_gemm::plan::{Algorithm, ExecutionPlan, PackingStrategy};
 use adsala_gemm::{
@@ -457,44 +457,71 @@ impl AdsalaService {
         // The cap bounded the sweep, so the decision *is* the executed
         // plan — no post-hoc clamp that would desynchronise the reported
         // prediction from the configuration that runs.
-        match self.execute_guarded(req, &decision.plan) {
-            Ok(mut stats) => {
-                stats.predicted_ns = predicted_ns(decision.predicted_runtime_s);
-                if stats.plan_degraded {
-                    self.plan_downgrades.fetch_add(1, Ordering::Relaxed);
-                }
-                self.record_algorithm(stats.exec.algorithm);
-                self.observe(
-                    shape,
-                    &decision.plan,
-                    decision.predicted_runtime_s,
-                    stats.exec.wall_ns,
-                );
-                Ok((decision, stats))
-            }
+        let predicted = Some(decision.predicted_runtime_s);
+        let stats = self.serve(req, &decision.plan, predicted, opts.deadline, true)?;
+        Ok((decision, stats))
+    }
+
+    /// The one execute → observe → recover stage behind
+    /// [`AdsalaService::run_with`], [`AdsalaService::run_pinned`] and the
+    /// co-scheduler's solo dispatch: run a validated request under `plan`
+    /// inside the panic boundary, book the outcome, and on a kernel panic
+    /// isolate it and (when `allow_retry`) retry once on the degraded plan.
+    ///
+    /// `predicted_s` is the model's prediction for `plan`; `None` (a
+    /// caller-pinned plan) skips the prediction stamp and the feedback
+    /// loop. `deadline` is re-checked before a retry.
+    pub(crate) fn serve<T: Element>(
+        &self,
+        req: &mut OpRequest<'_, T>,
+        plan: &ExecutionPlan,
+        predicted_s: Option<f64>,
+        deadline: Option<Instant>,
+        allow_retry: bool,
+    ) -> Result<OpStats, AdsalaError> {
+        match self.execute_guarded(req, plan) {
+            Ok(stats) => Ok(self.settle(req.shape(), plan, predicted_s, stats)),
             Err(detail) => {
-                let stats = self.recover_from_panic(req, detail, opts.deadline)?;
-                Ok((decision, stats))
+                self.isolate_panic();
+                self.retry_degraded(req, &detail, deadline, allow_retry)
             }
         }
     }
 
-    /// The plan a panicked request retries on: serial, scalar kernel,
-    /// independent packing, blocked loop nest. It shares nothing with the
-    /// failed attempt — no pool workers, barriers, gangs, or shared-B
-    /// regions — and runs inline on the caller's thread, so it cannot
-    /// re-trip a worker-scoped fault or a poisoned coordination primitive.
-    pub(crate) fn degraded_plan() -> ExecutionPlan {
-        ExecutionPlan::with_threads(1)
-            .with_isa(KernelIsa::Scalar)
-            .with_packing(PackingStrategy::Independent)
-            .with_algorithm(Algorithm::Blocked)
+    /// [`AdsalaService::serve`] for a fused same-shape batch (see
+    /// [`OpRequest::execute_fused_refs_validated`]): the batch executes
+    /// once under `plan`, every member is booked like a solo op, and a gang
+    /// panic — the whole batch unwinds together — is counted once, after
+    /// which each member gets the same degraded retry a solo op would,
+    /// inline on this thread with nothing shared left to poison a second
+    /// time. Members were admitted together, so no deadline applies.
+    pub(crate) fn serve_fused<T: Element>(
+        &self,
+        reqs: &mut [&mut OpRequest<'_, T>],
+        plan: &ExecutionPlan,
+        predicted_s: f64,
+    ) -> Vec<Result<OpStats, AdsalaError>> {
+        let Some(shape) = reqs.first().map(|r| r.shape()) else { return Vec::new() };
+        let batch = catch_unwind(AssertUnwindSafe(|| {
+            OpRequest::execute_fused_refs_validated(reqs, &self.pool, plan)
+        }));
+        match batch {
+            Ok(all) => all
+                .into_iter()
+                .map(|stats| Ok(self.settle(shape, plan, Some(predicted_s), stats)))
+                .collect(),
+            Err(payload) => {
+                let detail = panic_message(payload);
+                self.isolate_panic();
+                reqs.iter_mut().map(|r| self.retry_degraded(r, &detail, None, true)).collect()
+            }
+        }
     }
 
     /// Run a validated request under `plan`, converting a kernel-batch
     /// panic into the captured message instead of unwinding through the
     /// serving layer.
-    pub(crate) fn execute_guarded<T: Element>(
+    fn execute_guarded<T: Element>(
         &self,
         req: &mut OpRequest<'_, T>,
         plan: &ExecutionPlan,
@@ -503,75 +530,104 @@ impl AdsalaService {
             .map_err(panic_message)
     }
 
+    /// Book one executed op: stamp the prediction it ran under (if any),
+    /// count a plan downgrade, tally the algorithm that actually ran, and
+    /// feed the feedback loop (only when there is a prediction to compare
+    /// the measurement against).
+    fn settle(
+        &self,
+        shape: OpShape,
+        plan: &ExecutionPlan,
+        predicted_s: Option<f64>,
+        mut stats: OpStats,
+    ) -> OpStats {
+        if stats.plan_degraded {
+            self.plan_downgrades.fetch_add(1, Ordering::Relaxed);
+        }
+        let slot = match stats.exec.algorithm {
+            Algorithm::Blocked => 0,
+            Algorithm::Strassen { .. } => 1,
+            Algorithm::ZOrder => 2,
+        };
+        self.algo_executed[slot].fetch_add(1, Ordering::Relaxed);
+        if let Some(predicted_s) = predicted_s {
+            stats.predicted_ns = predicted_ns(predicted_s);
+            self.observe(shape, plan, predicted_s, stats.exec.wall_ns);
+        }
+        stats
+    }
+
     /// Count a caught kernel-batch panic and sweep the pool roster whole.
-    /// The scheduler calls this for panics it catches around its own
-    /// pool dispatches.
-    pub(crate) fn note_panic_caught(&self) {
+    /// The pool has already respawned any workers the panic killed (its
+    /// batch wait does not return until the roster is whole); the `heal`
+    /// is a belt-and-braces sweep for panics that unwound outside a batch.
+    fn isolate_panic(&self) {
         self.panics_recovered.fetch_add(1, Ordering::Relaxed);
         self.pool.heal();
     }
 
-    /// Count a degraded-plan retry attempt (scheduler-driven recovery).
-    pub(crate) fn note_degraded_retry(&self) {
-        self.degraded_retries.fetch_add(1, Ordering::Relaxed);
+    /// The plan a panicked request retries on: serial, scalar kernel,
+    /// independent packing, blocked loop nest. It shares nothing with the
+    /// failed attempt — no pool workers, barriers, gangs, or shared-B
+    /// regions — and runs inline on the caller's thread, so it cannot
+    /// re-trip a worker-scoped fault or a poisoned coordination primitive.
+    fn degraded_plan() -> ExecutionPlan {
+        ExecutionPlan::with_threads(1)
+            .with_isa(KernelIsa::Scalar)
+            .with_packing(PackingStrategy::Independent)
+            .with_algorithm(Algorithm::Blocked)
     }
 
-    /// Count `n` unrecoverable executions (scheduler-driven recovery).
-    pub(crate) fn note_execution_failures(&self, n: u64) {
-        self.execution_failures.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The isolate-and-retry path of [`AdsalaService::run_with`] after a
-    /// caught kernel panic. The pool has already respawned any workers the
-    /// panic killed (its batch wait does not return until the roster is
-    /// whole); the `heal` here is a belt-and-braces sweep for panics that
-    /// unwound outside a batch. A recovered op is *not* fed to
+    /// The recovery arm: after an isolated panic (`detail`), rerun `req`
+    /// once on [`AdsalaService::degraded_plan`].
+    ///
+    /// Refused with [`AdsalaError::Execution`] when the caller pinned the
+    /// plan (`allow_retry` is false: substituting a different
+    /// configuration would betray the pin), when the op is not idempotent,
+    /// or when `deadline` has passed. A recovered op is *not* fed to
     /// [`AdsalaService::observe`] — the decision's prediction does not
     /// describe the degraded plan that actually ran — but it still counts
-    /// in the executed-algorithm mix.
-    pub(crate) fn recover_from_panic<T: Element>(
+    /// as a plan downgrade and in the executed-algorithm mix.
+    fn retry_degraded<T: Element>(
         &self,
         req: &mut OpRequest<'_, T>,
-        detail: String,
+        detail: &str,
         deadline: Option<Instant>,
+        allow_retry: bool,
     ) -> Result<OpStats, AdsalaError> {
-        self.panics_recovered.fetch_add(1, Ordering::Relaxed);
-        self.pool.heal();
-        let routine = req.routine();
-        if !req.is_idempotent() {
+        let refused = if !allow_retry {
+            Some("pinned plan, no retry")
+        } else if !req.is_idempotent() {
             // The first attempt may have dirtied the β-scaled output;
             // rerunning would double-apply it.
-            self.execution_failures.fetch_add(1, Ordering::Relaxed);
-            return Err(AdsalaError::Execution {
-                routine,
-                detail: format!("{detail} (not retried: beta != 0 makes a rerun unsound)"),
-            });
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+            Some("not retried: beta != 0 makes a rerun unsound")
+        } else if deadline.is_some_and(|d| Instant::now() >= d) {
             // Not a clean Timeout: the panicked attempt may have written
             // into the output buffer, which Timeout promises is untouched.
             self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-            self.execution_failures.fetch_add(1, Ordering::Relaxed);
-            return Err(AdsalaError::Execution {
-                routine,
-                detail: format!("{detail} (deadline passed before the degraded retry)"),
-            });
-        }
-        self.degraded_retries.fetch_add(1, Ordering::Relaxed);
-        match self.execute_guarded(req, &Self::degraded_plan()) {
+            Some("deadline passed before the degraded retry")
+        } else {
+            None
+        };
+        let outcome = match refused {
+            Some(why) => Err(format!("{detail} ({why})")),
+            None => {
+                self.degraded_retries.fetch_add(1, Ordering::Relaxed);
+                self.execute_guarded(req, &Self::degraded_plan()).map_err(|retry_detail| {
+                    self.pool.heal();
+                    format!("{detail}; degraded retry also failed: {retry_detail}")
+                })
+            }
+        };
+        match outcome {
             Ok(mut stats) => {
                 stats.plan_degraded = true;
-                self.plan_downgrades.fetch_add(1, Ordering::Relaxed);
-                self.record_algorithm(stats.exec.algorithm);
-                Ok(stats)
+                let plan = stats.plan;
+                Ok(self.settle(req.shape(), &plan, None, stats))
             }
-            Err(retry_detail) => {
-                self.pool.heal();
+            Err(detail) => {
                 self.execution_failures.fetch_add(1, Ordering::Relaxed);
-                Err(AdsalaError::Execution {
-                    routine,
-                    detail: format!("{detail}; degraded retry also failed: {retry_detail}"),
-                })
+                Err(AdsalaError::Execution { routine: req.routine(), detail })
             }
         }
     }
@@ -580,40 +636,22 @@ impl AdsalaService {
     /// service's pool, skipping the model sweep and the memo. Downgrade
     /// and algorithm-mix telemetry still apply; the prediction meter and
     /// drift detector do not (a pinned run carries no prediction to
-    /// compare against).
+    /// compare against), and a kernel panic is isolated but never retried
+    /// on a different plan.
     pub fn run_pinned<T: Element>(
         &self,
         req: &mut OpRequest<'_, T>,
         plan: &ExecutionPlan,
     ) -> Result<OpStats, AdsalaError> {
         req.validate()?;
-        let stats = match self.execute_guarded(req, plan) {
-            Ok(stats) => stats,
-            Err(detail) => return Err(self.pinned_panic(req.routine(), detail)),
-        };
-        if stats.plan_degraded {
-            self.plan_downgrades.fetch_add(1, Ordering::Relaxed);
-        }
-        self.record_algorithm(stats.exec.algorithm);
-        Ok(stats)
-    }
-
-    /// Fault path of [`AdsalaService::run_pinned`]: the caller pinned the
-    /// plan, so there is no degraded retry — substituting a different
-    /// configuration would betray the pin. The panic is still isolated
-    /// and the pool swept whole.
-    fn pinned_panic(&self, routine: Routine, detail: String) -> AdsalaError {
-        self.panics_recovered.fetch_add(1, Ordering::Relaxed);
-        self.pool.heal();
-        self.execution_failures.fetch_add(1, Ordering::Relaxed);
-        AdsalaError::Execution { routine, detail: format!("{detail} (pinned plan, no retry)") }
+        self.serve(req, plan, None, None, false)
     }
 
     /// Feed one executed op into the feedback loop: the prediction
     /// meter, the drift detector, and (sampled) the observation
-    /// reservoir. [`AdsalaService::run_with`] calls this for every
-    /// request; layers that execute on the pool directly (the
-    /// co-scheduler) call it themselves. Lock-cheap and never blocking.
+    /// reservoir. The serve stage calls this for every model-decided op
+    /// (served directly or through the co-scheduler). Lock-cheap and never
+    /// blocking.
     pub fn observe(
         &self,
         shape: OpShape,
@@ -672,12 +710,6 @@ impl AdsalaService {
         let mut req: OpRequest<'_, f64> =
             GemmArgs::untransposed(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc).into();
         self.run_with(&mut req, RunOptions::with_host_cap(host_max_threads.max(1)))
-    }
-
-    /// The persistent execution pool, for layers (like the co-scheduler)
-    /// that dispatch through this service's workers directly.
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
     }
 
     /// Model sweeps performed so far (accurate under concurrency).
@@ -765,19 +797,6 @@ impl AdsalaService {
     /// Calls refused with [`AdsalaError::Timeout`] (expired deadline).
     pub fn deadline_misses(&self) -> u64 {
         self.deadline_misses.load(Ordering::Relaxed)
-    }
-
-    /// Tally one executed op under the algorithm that actually ran.
-    /// [`AdsalaService::run_with`] calls this; layers that execute on the
-    /// pool directly (the co-scheduler) call it themselves, like
-    /// [`AdsalaService::observe`].
-    pub fn record_algorithm(&self, algorithm: Algorithm) {
-        let slot = match algorithm {
-            Algorithm::Blocked => 0,
-            Algorithm::Strassen { .. } => 1,
-            Algorithm::ZOrder => 2,
-        };
-        self.algo_executed[slot].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Executed-algorithm mix so far.

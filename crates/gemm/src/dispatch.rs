@@ -650,25 +650,13 @@ impl<T: Element> OpRequest<'_, T> {
     /// request, in order; results are bitwise identical to executing the
     /// requests one at a time.
     ///
+    /// The batch is a slice of mutable references because the fused
+    /// requests of a scheduler live in different clients' frames rather
+    /// than one contiguous buffer.
+    ///
     /// # Panics
     /// Panics if the batch is not pairwise [`OpRequest::fusable_with`]
     /// (callers group requests before dispatching).
-    pub fn execute_fused_validated(
-        reqs: &mut [Self],
-        pool: &ThreadPool,
-        plan: &ExecutionPlan,
-    ) -> Vec<OpStats> {
-        let mut refs: Vec<&mut Self> = reqs.iter_mut().collect();
-        Self::execute_fused_refs_validated(&mut refs, pool, plan)
-    }
-
-    /// [`OpRequest::execute_fused_validated`] over a batch of mutable
-    /// references — the form a scheduler needs when the fused requests
-    /// live in different clients' frames rather than one contiguous
-    /// buffer.
-    ///
-    /// # Panics
-    /// Panics if the batch is not pairwise [`OpRequest::fusable_with`].
     pub fn execute_fused_refs_validated(
         reqs: &mut [&mut Self],
         pool: &ThreadPool,
@@ -679,7 +667,7 @@ impl<T: Element> OpRequest<'_, T> {
         }
         assert!(
             reqs.windows(2).all(|w| w[0].fusable_with(w[1])),
-            "execute_fused_validated: batch is not pairwise fusable"
+            "execute_fused_refs_validated: batch is not pairwise fusable"
         );
         let (call, b, ldb) = match &*reqs[0] {
             OpRequest::Gemm(g) => (
@@ -694,7 +682,9 @@ impl<T: Element> OpRequest<'_, T> {
                 g.b,
                 g.ldb,
             ),
-            other => panic!("execute_fused_validated: only GEMM fuses, got {}", other.routine()),
+            other => {
+                panic!("execute_fused_refs_validated: only GEMM fuses, got {}", other.routine())
+            }
         };
         let mut items: Vec<FusedGemm<'_, T>> = reqs
             .iter_mut()
@@ -920,7 +910,8 @@ mod tests {
         for r in &reqs {
             r.validate().unwrap();
         }
-        let stats = OpRequest::execute_fused_validated(&mut reqs, &pool, &plan);
+        let mut refs: Vec<&mut OpRequest<'_, f64>> = reqs.iter_mut().collect();
+        let stats = OpRequest::execute_fused_refs_validated(&mut refs, &pool, &plan);
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|s| s.routine == Routine::Gemm && !s.plan_degraded));
         drop(reqs);

@@ -1,16 +1,17 @@
 //! The blocked, packed, threaded GEMM driver.
 //!
 //! Entry points:
-//! * [`sgemm`] / [`dgemm`] — BLAS-style calls with a thread-count argument,
 //! * [`gemm_with_stats`] — spawn-per-call (scoped) execution, returns the
 //!   [`GemmStats`] sync/copy/kernel breakdown,
 //! * [`gemm_with_stats_pooled`] — the serving path: persistent
 //!   [`ThreadPool`] workers, reusable packing arenas, and **cooperative
 //!   shared-B packing**.
 //!
-//! All entry points are thin wrappers over one generic driver
-//! parameterised by [`Executor`], so packing, statistics, and blocking
-//! logic exist in exactly one place.
+//! Both are thin wrappers over one generic driver parameterised by
+//! [`Executor`], so packing, statistics, and blocking logic exist in
+//! exactly one place. Whether B is shared follows from the executor (a
+//! gang needs pool workers) and the plan's
+//! [`PackingStrategy`] — there is no separate switch.
 //!
 //! The requested thread count is a *maximum*: like vendor BLAS, tiny
 //! problems run on fewer threads (see [`ThreadGrid::choose`]).
@@ -53,7 +54,7 @@ use crate::workspace::{
     pack_buffer_lens, with_thread_arena, PackArena, PanelBarrier, PoisonOnUnwind, Workspace,
     CACHE_LINE,
 };
-use crate::{Element, Transpose};
+use crate::{beta_scaled, Element, Transpose};
 
 /// A fully described GEMM invocation: shape, flags, and the
 /// [`ExecutionPlan`] saying how to run it.
@@ -138,7 +139,7 @@ pub fn gemm_with_stats<T: Element>(
     c: &mut [T],
     ldc: usize,
 ) -> GemmStats {
-    run_planned(Executor::Scoped, false, call, alpha, a, lda, b, ldb, beta, c, ldc)
+    run_planned(Executor::Scoped, call, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 /// Like [`gemm_with_stats`], but running the workers on a persistent
@@ -159,28 +160,7 @@ pub fn gemm_with_stats_pooled<T: Element>(
     c: &mut [T],
     ldc: usize,
 ) -> GemmStats {
-    run_planned(Executor::Pool(pool), true, call, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-/// [`gemm_with_stats_pooled`] with cooperative shared-B packing disabled:
-/// every row group packs its own private copy of B, like the scoped
-/// driver. This is the measurement baseline the `hot_path` bench and the
-/// copy-volume tests compare the shared-B driver against; serving code
-/// should not call it.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_with_stats_pooled_unshared<T: Element>(
-    pool: &ThreadPool,
-    call: &GemmCall,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) -> GemmStats {
-    run_planned(Executor::Pool(pool), false, call, alpha, a, lda, b, ldb, beta, c, ldc)
+    run_planned(Executor::Pool(pool), call, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 /// Algorithm dispatch in front of the blocked driver: route the call to
@@ -191,7 +171,6 @@ pub fn gemm_with_stats_pooled_unshared<T: Element>(
 #[allow(clippy::too_many_arguments)]
 fn run_planned<T: Element>(
     exec: Executor<'_>,
-    allow_shared_b: bool,
     call: &GemmCall,
     alpha: T,
     a: &[T],
@@ -207,22 +186,11 @@ fn run_planned<T: Element>(
             if crate::strassen::applicable(call.m, call.n, call.k, cutoff) =>
         {
             crate::strassen::strassen_with_stats(
-                exec,
-                allow_shared_b,
-                call,
-                cutoff,
-                alpha,
-                a,
-                lda,
-                b,
-                ldb,
-                beta,
-                c,
-                ldc,
+                exec, call, cutoff, alpha, a, lda, b, ldb, beta, c, ldc,
             )
         }
         Algorithm::ZOrder => zorder_with_stats(call, alpha, a, lda, b, ldb, beta, c, ldc),
-        _ => drive(exec, allow_shared_b, call, alpha, a, lda, b, ldb, beta, c, ldc),
+        _ => drive(exec, call, alpha, a, lda, b, ldb, beta, c, ldc),
     }
 }
 
@@ -327,7 +295,6 @@ pub fn gemm_fused_with_stats_pooled<T: Element>(
             .map(|it| {
                 drive(
                     Executor::Pool(pool),
-                    true,
                     &item_call,
                     it.alpha,
                     it.a,
@@ -463,7 +430,6 @@ pub fn gemm_fused_with_stats_pooled<T: Element>(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<T: Element>(
     exec: Executor<'_>,
-    allow_shared_b: bool,
     call: &GemmCall,
     alpha: T,
     a: &[T],
@@ -555,8 +521,9 @@ pub(crate) fn drive<T: Element>(
         let c_ptr = SendMutPtr(c.as_mut_ptr());
         // Cooperative shared-B needs every group member running at once;
         // reserve the gang or fall back to independent packing. A plan
-        // that asks for independent packing skips the gang entirely.
-        let share = allow_shared_b && call.plan.packing == PackingStrategy::SharedB;
+        // that asks for independent packing skips the gang entirely, and
+        // the scoped executor has no pool to reserve one on.
+        let share = call.plan.packing == PackingStrategy::SharedB;
         let gang = if share && grid.rows > 1 {
             exec.pool().and_then(|pool| pool.reserve_gang_backoff(grid.count()).map(|g| (pool, g)))
         } else {
@@ -910,16 +877,20 @@ impl Drop for RestoreSharedOnDrop<'_> {
     }
 }
 
+/// `row ← β·row` (see [`beta_scaled`] for β = 0).
+pub(crate) fn scale_row_by_beta<T: Element>(row: &mut [T], beta: T) {
+    for v in row {
+        *v = beta_scaled(beta, *v);
+    }
+}
+
 /// `C ← β·C` over `ms` rows of `ns` elements (the `k == 0` early out).
 ///
 /// # Safety
 /// The rows must be valid for read/write and not concurrently accessed.
 unsafe fn scale_rows_by_beta<T: Element>(c: *mut T, ldc: usize, ms: usize, ns: usize, beta: T) {
     for i in 0..ms {
-        let row = std::slice::from_raw_parts_mut(c.add(i * ldc), ns);
-        for v in row {
-            *v = beta.mul_add_e(*v, T::ZERO);
-        }
+        scale_row_by_beta(std::slice::from_raw_parts_mut(c.add(i * ldc), ns), beta);
     }
 }
 
@@ -1127,50 +1098,6 @@ unsafe fn row_panel_sweep<T: Element>(
         stats.kernel_ns += t0.elapsed().as_nanos() as u64;
         ic += mcur;
     }
-}
-
-/// Single-precision GEMM: `C ← α·op(A)·op(B) + β·C` on `threads` threads.
-#[allow(clippy::too_many_arguments)]
-pub fn sgemm(
-    trans_a: Transpose,
-    trans_b: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    beta: f32,
-    c: &mut [f32],
-    ldc: usize,
-    threads: usize,
-) {
-    let call = GemmCall { trans_a, trans_b, ..GemmCall::new(m, n, k, threads) };
-    gemm_with_stats(&call, alpha, a, lda, b, ldb, beta, c, ldc);
-}
-
-/// Double-precision GEMM: `C ← α·op(A)·op(B) + β·C` on `threads` threads.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm(
-    trans_a: Transpose,
-    trans_b: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-    threads: usize,
-) {
-    let call = GemmCall { trans_a, trans_b, ..GemmCall::new(m, n, k, threads) };
-    gemm_with_stats(&call, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
 #[cfg(test)]
@@ -1406,8 +1333,8 @@ mod tests {
         let mut c_dup = c_shared.clone();
         let s_shared =
             gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.5, &mut c_shared, n);
-        let s_dup =
-            gemm_with_stats_pooled_unshared(&pool, &call, 1.0, &a, k, &b, n, 0.5, &mut c_dup, n);
+        let dup_call = call.with_plan(call.plan.with_packing(PackingStrategy::Independent));
+        let s_dup = gemm_with_stats_pooled(&pool, &dup_call, 1.0, &a, k, &b, n, 0.5, &mut c_dup, n);
         assert_eq!(c_shared, c_dup, "sharing must not change results");
         assert!(s_shared.grid_rows > 1, "test shape must row-split: {s_shared:?}");
         assert_eq!(s_dup.b_pack_shared, 0);
@@ -1543,7 +1470,7 @@ mod tests {
         let b: Vec<f32> = fill(k * n, 9).iter().map(|&v| v as f32).collect();
         let mut c = vec![0.0f32; m * n];
         let mut c_ref = c.clone();
-        sgemm(Transpose::No, Transpose::No, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, 3);
+        gemm_with_stats(&GemmCall::new(m, n, k, 3), 1.0f32, &a, k, &b, n, 0.0, &mut c, n);
         naive_gemm(Transpose::No, Transpose::No, m, n, k, 1.0f32, &a, k, &b, n, 0.0, &mut c_ref, n);
         for (x, y) in c.iter().zip(&c_ref) {
             assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()));

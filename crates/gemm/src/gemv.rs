@@ -11,7 +11,7 @@ use crate::isa::KernelIsa;
 use crate::pool::Executor;
 use crate::stats::{GemmStats, StatsCollector, ThreadLocalStats};
 use crate::threading::SendMutPtr;
-use crate::Element;
+use crate::{beta_scaled, Element};
 use std::time::Instant;
 
 /// GEMV streams rows through plain (auto-vectorised) dot products — there
@@ -153,7 +153,7 @@ fn row_range<T: Element>(
         }
         // SAFETY: rows [r0, r1) are owned exclusively by this worker.
         let out = unsafe { &mut *y.add(i) };
-        *out = alpha.mul_add_e(acc, beta.mul_add_e(*out, T::ZERO));
+        *out = alpha.mul_add_e(acc, beta_scaled(beta, *out));
         stats.kernel_calls += 1;
     }
     stats.kernel_ns += t0.elapsed().as_nanos() as u64;
@@ -176,7 +176,7 @@ pub fn naive_gemv<T: Element>(
         for j in 0..n {
             acc = a[i * lda + j].mul_add_e(x[j], acc);
         }
-        y[i] = alpha.mul_add_e(acc, beta.mul_add_e(y[i], T::ZERO));
+        y[i] = alpha.mul_add_e(acc, beta_scaled(beta, y[i]));
     }
 }
 

@@ -13,11 +13,13 @@
 //! 3. **kernel calls** — an `MR×NR` register-blocked micro-kernel where all
 //!    floating-point work happens.
 //!
-//! The public entry points are [`sgemm`]/[`dgemm`] (BLAS-style, row-major)
-//! and the lower-level [`gemm_with_stats`] which additionally reports a
-//! [`GemmStats`] breakdown (bytes packed, kernel calls, the thread grid) so
-//! experiments can observe the same quantities the paper pulled out of
-//! Intel VTune.
+//! The public entry points are [`gemm_with_stats`] (spawn-per-call) and
+//! [`gemm_with_stats_pooled`] (persistent pool), plus their SYRK/GEMV
+//! siblings and the typed [`OpRequest`] descriptors over all of them; each
+//! reports a [`GemmStats`] breakdown (bytes packed, kernel calls, the
+//! thread grid) so experiments can observe the same quantities the paper
+//! pulled out of Intel VTune. The BLAS-style `sgemm`/`dgemm` calls live on
+//! the serving layer (`adsala::AdsalaService`).
 //!
 //! Matrices are dense, row-major, with an explicit leading (row) stride.
 //! Operands may be logically transposed via [`Transpose`]; packing handles
@@ -47,8 +49,7 @@ pub use dispatch::{
 };
 pub use fault::FaultPlan;
 pub use gemm::{
-    dgemm, gemm_fused_with_stats_pooled, gemm_with_stats, gemm_with_stats_pooled,
-    gemm_with_stats_pooled_unshared, sgemm, FusedGemm, GemmCall,
+    gemm_fused_with_stats_pooled, gemm_with_stats, gemm_with_stats_pooled, FusedGemm, GemmCall,
 };
 pub use gemv::{gemv_with_stats, gemv_with_stats_pooled};
 pub use isa::{Kernel, KernelIsa};
@@ -109,6 +110,20 @@ pub trait Element:
     /// The micro-kernel table for this element type under `isa` (see
     /// [`isa::Kernel`]; drivers resolve it once per call).
     fn kernel(isa: isa::KernelIsa) -> isa::Kernel<Self>;
+}
+
+/// `β·old` as the write-back paths outside the micro-kernel apply it.
+/// With β = 0 the old value does not enter the result (BLAS semantics:
+/// the output may be uninitialised, so NaN/Inf garbage must not
+/// propagate through `0·old`); for finite values the result is bitwise
+/// the same as the plain product.
+#[inline(always)]
+pub(crate) fn beta_scaled<T: Element>(beta: T, old: T) -> T {
+    if beta == T::ZERO {
+        T::ZERO
+    } else {
+        beta.mul_add_e(old, T::ZERO)
+    }
 }
 
 impl Element for f32 {

@@ -3,7 +3,7 @@
 //! Deliberately simple: no blocking, no packing, no threading. Every
 //! optimised path in this crate is property-tested against these kernels.
 
-use crate::{Element, Transpose};
+use crate::{beta_scaled, Element, Transpose};
 
 /// `C ← α·op(A)·op(B) + β·C` with the straightforward `i,j,l` loop nest.
 ///
@@ -68,7 +68,7 @@ pub fn naive_gemm<T: Element>(
                 acc = at(i, l).mul_add_e(bt(l, j), acc);
             }
             let out = &mut c[i * ldc + j];
-            *out = alpha.mul_add_e(acc, beta.mul_add_e(*out, T::ZERO));
+            *out = alpha.mul_add_e(acc, beta_scaled(beta, *out));
         }
     }
 }

@@ -33,7 +33,7 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::gemm::{drive, GemmCall};
+use crate::gemm::{drive, scale_row_by_beta, GemmCall};
 use crate::plan::{Algorithm, ExecutionPlan};
 use crate::pool::Executor;
 use crate::stats::GemmStats;
@@ -145,7 +145,6 @@ impl<'a, T: Element> Quad<'a, T> {
 /// Everything the recursion threads through unchanged.
 struct Ctx<'p> {
     exec: Executor<'p>,
-    allow_shared_b: bool,
     /// The caller's plan with the algorithm forced back to blocked — the
     /// base case must not re-enter the Strassen dispatch.
     base_plan: ExecutionPlan,
@@ -242,19 +241,7 @@ fn accumulate<T: Element>(
             k,
             plan: ctx.base_plan,
         };
-        let s = drive(
-            ctx.exec,
-            ctx.allow_shared_b,
-            &call,
-            alpha,
-            a.slice(),
-            a.ld,
-            b.slice(),
-            b.ld,
-            T::ONE,
-            c,
-            ldc,
-        );
+        let s = drive(ctx.exec, &call, alpha, a.slice(), a.ld, b.slice(), b.ld, T::ONE, c, ldc);
         ctx.absorb(&s);
         return;
     }
@@ -327,7 +314,6 @@ fn accumulate<T: Element>(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn strassen_with_stats<T: Element>(
     exec: Executor<'_>,
-    allow_shared_b: bool,
     call: &GemmCall,
     cutoff: u32,
     alpha: T,
@@ -349,16 +335,13 @@ pub(crate) fn strassen_with_stats<T: Element>(
     // driver's k == 0 path); every accumulation below then runs β = 1.
     if beta != T::ONE {
         for i in 0..m {
-            for v in &mut c[i * ldc..][..n] {
-                *v = beta.mul_add_e(*v, T::ZERO);
-            }
+            scale_row_by_beta(&mut c[i * ldc..][..n], beta);
         }
     }
 
     let cut = cutoff.max(MIN_CUTOFF) as usize;
     let mut ctx = Ctx {
         exec,
-        allow_shared_b,
         base_plan: call.plan.with_algorithm(Algorithm::Blocked),
         cut,
         agg: GemmStats::default(),

@@ -13,13 +13,14 @@
 //! it, so the strict upper triangle of `C` is never written.
 
 use crate::blocking::BlockSizes;
+use crate::gemm::scale_row_by_beta;
 use crate::isa::{Kernel, MAX_TILE_ELEMS};
 use crate::pack::{pack_a, pack_b, MatView};
 use crate::pool::Executor;
 use crate::stats::{GemmStats, StatsCollector, ThreadLocalStats};
 use crate::threading::SendMutPtr;
 use crate::workspace::with_thread_arena;
-use crate::Element;
+use crate::{beta_scaled, Element};
 use std::time::Instant;
 
 /// `C ← α·A·Aᵀ + β·C`, updating only the lower triangle (row-major, `A` is
@@ -218,10 +219,7 @@ unsafe fn band_subproblem<T: Element>(
     if k == 0 {
         // β-scale the band's lower triangle only.
         for i in r0..r1 {
-            let row = std::slice::from_raw_parts_mut(c.add(i * ldc), i + 1);
-            for v in row {
-                *v = beta.mul_add_e(*v, T::ZERO);
-            }
+            scale_row_by_beta(std::slice::from_raw_parts_mut(c.add(i * ldc), i + 1), beta);
         }
         return;
     }
@@ -241,6 +239,11 @@ unsafe fn band_subproblem<T: Element>(
         while pc < k {
             let kcur = (k - pc).min(kc);
             let beta_eff = if pc == 0 { beta } else { T::ONE };
+            // β = 0 (first rank update only): write-only merge, chosen
+            // here so the element loops below carry no branch — `C` may be
+            // uninitialised and must not be read (NaN/Inf would survive
+            // `0·C`). Bitwise equal to the general form for finite `C`.
+            let overwrite = beta_eff == T::ZERO;
 
             let t0 = Instant::now();
             // "B" is Aᵀ: columns jc..jc+ncur are A's rows jc.. transposed.
@@ -285,9 +288,14 @@ unsafe fn band_subproblem<T: Element>(
                             }
                             let acc_row = &tile[di * nr..di * nr + max_col];
                             let row = std::slice::from_raw_parts_mut(c.add(gi * ldc + j0), max_col);
-                            for (dj, out) in row.iter_mut().enumerate() {
-                                *out =
-                                    alpha.mul_add_e(acc_row[dj], beta_eff.mul_add_e(*out, T::ZERO));
+                            if overwrite {
+                                for (out, &acc) in row.iter_mut().zip(acc_row) {
+                                    *out = alpha.mul_add_e(acc, T::ZERO);
+                                }
+                            } else {
+                                for (out, &acc) in row.iter_mut().zip(acc_row) {
+                                    *out = alpha.mul_add_e(acc, beta_eff.mul_add_e(*out, T::ZERO));
+                                }
                             }
                         }
                         stats.kernel_calls += 1;
@@ -321,7 +329,7 @@ pub fn naive_syrk<T: Element>(
                 acc = a[i * lda + l].mul_add_e(a[j * lda + l], acc);
             }
             let out = &mut c[i * ldc + j];
-            *out = alpha.mul_add_e(acc, beta.mul_add_e(*out, T::ZERO));
+            *out = alpha.mul_add_e(acc, beta_scaled(beta, *out));
         }
     }
 }

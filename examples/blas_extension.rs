@@ -21,7 +21,7 @@ fn main() {
         println!("=== {} ===", timer.name());
         let install = Installation::run(&timer, &InstallConfig::quick()).expect("install");
         println!("selected model family: {:?}", install.selected);
-        let mut runtime = install.into_runtime();
+        let runtime = install.into_service();
         let p_max = timer.max_threads();
 
         // Probe shapes, given in each routine's own dimension convention

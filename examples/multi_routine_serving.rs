@@ -85,7 +85,7 @@ fn main() {
         OpShape::syrk(Precision::F64, 2000, 200),
         OpShape::gemv(Precision::F64, 20_000, 2000),
     ] {
-        let d = bundle.decide_op(shape);
+        let d = bundle.decide_op_capped(shape, u32::MAX);
         println!(
             "{:<28} {:>8} {:>16.1}",
             format!("{} {} {:?}", shape.precision, shape.routine, shape.dims),

@@ -33,12 +33,12 @@ fn main() {
     }
 
     // 3. Persist the two artefacts (config + model), like the paper's
-    //    install step, then reload them as a runtime handle.
+    //    install step, then reload them as a serving handle.
     let artifact = install.to_artifact();
     let path = std::env::temp_dir().join("adsala_quickstart.json");
     artifact.save(&path).expect("save artifact");
     println!("artifact saved to {}", path.display());
-    let mut gemm = adsala::Artifact::load(&path).expect("load artifact").into_runtime();
+    let gemm = adsala::Artifact::load(&path).expect("load artifact").into_service();
 
     // 4. Ask for thread decisions. Note the small/skewed shapes avoiding
     //    the 96-thread maximum.
@@ -59,7 +59,7 @@ fn main() {
     let b = vec![0.5f32; k * n];
     let mut c = vec![0.0f32; m * n];
     let (decision, stats) = gemm
-        .sgemm_host(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, host_cores)
+        .sgemm(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, host_cores)
         .expect("well-formed sgemm");
     println!(
         "host SGEMM {m}x{k}x{n}: ML chose {} threads, ran on {} ({} kernel calls, {:.2} MB packed)",

@@ -30,7 +30,7 @@ fn main() {
     let timer = SimTimer::new(MachineModel::gadi());
     println!("training ADSALA for {}...", timer.name());
     let install = Installation::run(&timer, &InstallConfig::quick()).expect("install");
-    let mut gemm = install.into_runtime();
+    let gemm = install.into_service();
     let p_max = timer.max_threads();
 
     println!("\nper-layer thread choices and simulated speedups (batch of 100 calls):");
@@ -67,7 +67,7 @@ fn main() {
         total_max * 1e3,
         total_ml * 1e3,
         total_max / total_ml,
-        gemm.evaluations,
+        gemm.evaluations(),
         resnet_layer_shapes().len() * 100
     );
 }

@@ -280,9 +280,9 @@ fn v3_fixture_loads_as_v4_with_a_widened_blocked_only_grid() {
 
 #[test]
 fn v3_fixture_decides_bitwise_identically_after_migration() {
-    let mut runtime = Artifact::load(&fixture_path("artifact_v3.json"))
+    let runtime = Artifact::load(&fixture_path("artifact_v3.json"))
         .expect("fixture must load")
-        .into_runtime();
+        .into_service();
     for &((m, k, n), threads, runtime_bits) in V3_PINNED_DECISIONS {
         let d = runtime.select_threads(m, k, n);
         assert_eq!(d.threads(), threads, "thread decision drifted for {m}x{k}x{n}");
@@ -320,8 +320,8 @@ fn migrated_v3_fixture_rewrites_as_v4_and_round_trips() {
     assert!(json.contains("\"blockings\""), "v4 carries per-axis block scales");
     assert!(json.contains("\"algorithms\""), "v4 carries the algorithm axis");
     let back = Artifact::from_json(&json).expect("v4 round trip");
-    let mut a = art.into_runtime();
-    let mut b = back.into_runtime();
+    let a = art.into_service();
+    let b = back.into_service();
     for &((m, k, n), _, _) in V3_PINNED_DECISIONS {
         assert_eq!(a.select_threads(m, k, n), b.select_threads(m, k, n));
     }

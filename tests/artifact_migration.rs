@@ -64,9 +64,9 @@ fn v2_fixture_loads_at_current_schema_with_threads_only_grid() {
 
 #[test]
 fn v1_fixture_decides_bitwise_identically_to_pre_redesign_runtime() {
-    let mut runtime = Artifact::load(&fixture_path("artifact_v1.json"))
+    let runtime = Artifact::load(&fixture_path("artifact_v1.json"))
         .expect("fixture must load")
-        .into_runtime();
+        .into_service();
     for &((m, k, n), threads, runtime_bits) in V1_PINNED_DECISIONS {
         let d = runtime.select_threads(m, k, n);
         assert_eq!(d.threads(), threads, "thread decision drifted for {m}x{k}x{n}");
@@ -82,9 +82,9 @@ fn v1_fixture_decides_bitwise_identically_to_pre_redesign_runtime() {
 
 #[test]
 fn v2_fixture_decides_bitwise_identically_to_pre_plan_runtime() {
-    let mut runtime = Artifact::load(&fixture_path("artifact_v2.json"))
+    let runtime = Artifact::load(&fixture_path("artifact_v2.json"))
         .expect("fixture must load")
-        .into_runtime();
+        .into_service();
     for &((m, k, n), threads, runtime_bits) in V2_PINNED_DECISIONS {
         let d = runtime.select_threads(m, k, n);
         assert_eq!(d.threads(), threads, "thread decision drifted for {m}x{k}x{n}");
@@ -136,8 +136,8 @@ fn migrated_fixture_rewrites_at_current_schema_and_round_trips() {
         assert!(json.contains("\"models\""), "the per-routine model table must survive");
         assert!(json.contains("\"grid\""), "the candidate plan grid must survive");
         let back = Artifact::from_json(&json).expect("current-schema round trip");
-        let mut a = art.into_runtime();
-        let mut b = back.into_runtime();
+        let a = art.into_service();
+        let b = back.into_service();
         for &((m, k, n), _, _) in V1_PINNED_DECISIONS {
             assert_eq!(a.select_threads(m, k, n), b.select_threads(m, k, n));
         }

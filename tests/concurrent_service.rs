@@ -67,8 +67,10 @@ fn concurrent_clients_get_deterministic_in_ladder_decisions() {
     let mut agreed: HashMap<ShapeKey, u32> = HashMap::new();
     for decisions in &per_client {
         for &((m, k, n), d) in decisions {
-            let expected =
-                *agreed.entry((m, k, n)).or_insert_with(|| bundle.decide(m, k, n).threads());
+            let expected = *agreed.entry((m, k, n)).or_insert_with(|| {
+                let shape = OpShape::gemm(Precision::F32, m, k, n);
+                bundle.decide_op_capped(shape, u32::MAX).threads()
+            });
             assert_eq!(d.threads(), expected, "non-deterministic decision for {m}x{k}x{n}");
             assert!(
                 bundle.candidates().contains(&d.threads()),

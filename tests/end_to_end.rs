@@ -18,7 +18,7 @@ fn gadi_pipeline_selects_boosting_and_speeds_up() {
     let (timer, install) = quick_install(MachineModel::gadi());
     assert_eq!(install.selected, ModelKind::XgBoost);
 
-    let mut runtime = install.into_runtime();
+    let runtime = install.into_service();
     // Fresh shapes never seen in training.
     let shapes = [
         GemmShape::new(100, 3000, 100),
@@ -46,7 +46,7 @@ fn gadi_pipeline_selects_boosting_and_speeds_up() {
 fn setonix_pipeline_end_to_end() {
     let (timer, install) = quick_install(MachineModel::setonix());
     assert_eq!(install.max_threads, 256);
-    let mut runtime = install.into_runtime();
+    let runtime = install.into_service();
     let small = runtime.select_threads(64, 64, 64);
     assert!(
         small.threads() < 128,
@@ -69,8 +69,8 @@ fn artifact_file_roundtrip_preserves_runtime_behaviour() {
     let restored = Artifact::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
 
-    let mut a = artifact.into_runtime();
-    let mut b = restored.into_runtime();
+    let a = artifact.into_service();
+    let b = restored.into_service();
     for (m, k, n) in [(64, 2048, 64), (128, 128, 128), (2000, 500, 300)] {
         assert_eq!(
             a.select_threads(m, k, n).threads(),
@@ -83,13 +83,13 @@ fn artifact_file_roundtrip_preserves_runtime_behaviour() {
 #[test]
 fn memoisation_counts_evaluations_once_per_shape_change() {
     let (_, install) = quick_install(MachineModel::gadi());
-    let mut runtime = install.into_runtime();
+    let runtime = install.into_service();
     for _ in 0..10 {
         runtime.select_threads(64, 3000, 64);
     }
-    assert_eq!(runtime.evaluations, 1);
+    assert_eq!(runtime.evaluations(), 1);
     runtime.select_threads(65, 3000, 64);
-    assert_eq!(runtime.evaluations, 2);
+    assert_eq!(runtime.evaluations(), 2);
 }
 
 #[test]

@@ -239,6 +239,102 @@ fn packing_arenas_stay_allocation_steady_after_a_panic() {
     assert!(pool_after.bytes_reused > pool_before.bytes_reused, "steady state never reused");
 }
 
+/// One injected kernel panic must be booked identically whichever path
+/// serves the op: `service.run`, a solo scheduler dispatch, or a fused
+/// pair (where the gang unwinds together: one panic per dispatch, then
+/// one degraded retry — and so one plan downgrade and one blocked-mix
+/// tally — per op).
+#[test]
+fn injected_panic_is_booked_identically_by_service_and_scheduler() {
+    let (m, n, k) = (64usize, 48usize, 32usize);
+    let b = fill(k * n, 72);
+    let a_mats = [fill(m * k, 70), fill(m * k, 71)];
+    let c_refs: Vec<Vec<f32>> = a_mats.iter().map(|a| serial_reference(m, n, k, a, &b)).collect();
+    // (panics_recovered, degraded_retries, plan_downgrades, blocked ops)
+    let booked = |s: &ServiceStats| {
+        assert_eq!((s.algorithms.strassen, s.algorithms.zorder, s.execution_failures), (0, 0, 0));
+        (s.panics_recovered, s.degraded_retries, s.plan_downgrades, s.algorithms.blocked)
+    };
+
+    // Any context, any ISA: the first GEMM kernel entry panics wherever
+    // it runs; the degraded retry finds the budget spent and runs clean.
+    let spec = "panic:count=1";
+    let per_op = {
+        let (_lock, _guard, plan) = install(spec);
+        let svc = service(2);
+        let mut c = vec![f32::NAN; m * n];
+        let mut req: OpRequest<'_, f32> =
+            GemmArgs::untransposed(m, n, k, 1.0, &a_mats[0], k, &b, n, 0.0, &mut c, n).into();
+        let (_, stats) = svc.run(&mut req).expect("service.run must recover");
+        assert!(stats.plan_degraded);
+        assert_close(&c, &c_refs[0], "service.run recovered result");
+        assert_eq!(plan.injected_panics(), 1);
+        let per_op = booked(&svc.stats());
+        assert_eq!(per_op, (1, 1, 1, 1));
+        per_op
+    };
+
+    {
+        let (_lock, _guard, plan) = install(spec);
+        let sched = ServiceScheduler::new(Arc::new(service(2)));
+        let mut c = vec![f32::NAN; m * n];
+        let mut req: OpRequest<'_, f32> =
+            GemmArgs::untransposed(m, n, k, 1.0, &a_mats[0], k, &b, n, 0.0, &mut c, n).into();
+        let run = sched.submit(&mut req).expect("solo submit must recover");
+        assert!(!run.fused && run.stats.plan_degraded);
+        assert_close(&c, &c_refs[0], "solo recovered result");
+        assert_eq!(plan.injected_panics(), 1);
+        assert_eq!(booked(&sched.stats().service), per_op, "solo dispatch books differently");
+    }
+
+    // Fused pair: a SYRK blocker (no fault hook in its kernel) fills the
+    // 2-thread budget while both same-shape shared-B GEMMs queue behind
+    // it, so they are admitted as one fused unit.
+    let (_lock, _guard, plan) = install(spec);
+    let sched = ServiceScheduler::with_config(
+        Arc::new(service(2)),
+        SchedulerConfig { thread_budget: 2, ..SchedulerConfig::default() },
+    );
+    let (bm, bk) = (1024usize, 512usize);
+    let blocker_a: Vec<f64> = (0..bm * bk).map(|i| (i % 13) as f64 - 6.0).collect();
+    std::thread::scope(|scope| {
+        let (sched, blocker_a, b) = (&sched, &blocker_a, &b);
+        scope.spawn(move || {
+            let mut c = vec![0.0f64; bm * bm];
+            let mut req: OpRequest<'_, f64> = SyrkArgs {
+                m: bm,
+                k: bk,
+                alpha: 1.0,
+                a: blocker_a,
+                lda: bk,
+                beta: 0.0,
+                c: &mut c,
+                ldc: bm,
+            }
+            .into();
+            let run = sched.submit(&mut req).expect("blocker syrk");
+            assert_eq!(run.plan.threads, 2, "test precondition: the blocker must fill the budget");
+        });
+        // Let the blocker get admitted before the pair queues up.
+        std::thread::sleep(Duration::from_millis(50));
+        for (a, c_ref) in a_mats.iter().zip(&c_refs) {
+            scope.spawn(move || {
+                let mut c = vec![f32::NAN; m * n];
+                let mut req: OpRequest<'_, f32> =
+                    GemmArgs::untransposed(m, n, k, 1.0, a, k, b, n, 0.0, &mut c, n).into();
+                let run = sched.submit(&mut req).expect("fused member must recover");
+                assert!(run.fused && run.stats.plan_degraded, "{run:?}");
+                assert_close(&c, c_ref, "fused recovered result");
+            });
+        }
+    });
+    assert_eq!(plan.injected_panics(), 1);
+    let (panics, retries, downgrades, blocked) = booked(&sched.stats().service);
+    assert_eq!(panics, per_op.0, "a gang panic is one panic");
+    // Two recovered members, plus the blocker's clean blocked run.
+    assert_eq!((retries, downgrades, blocked), (2 * per_op.1, 2 * per_op.2, 2 * per_op.3 + 1));
+}
+
 /// `submit_within` under a stalled wave: an occupier holds the whole
 /// thread budget behind injected worker stalls, so a small op's
 /// deadline expires while it is still queued. It must come back as a

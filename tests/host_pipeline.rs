@@ -58,7 +58,7 @@ fn pipeline_trains_against_real_host_gemm() {
 
     // The runtime handle must produce usable decisions and execute a
     // correct GEMM with them.
-    let mut gemm = install.into_runtime();
+    let gemm = install.into_service();
     let d = gemm.select_threads(96, 96, 96);
     assert!((1..=host_threads).contains(&d.threads()));
 
@@ -67,7 +67,7 @@ fn pipeline_trains_against_real_host_gemm() {
     let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 * 0.25).collect();
     let mut c = vec![0.0f32; m * n];
     let (_, stats) = gemm
-        .sgemm_host(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, host_threads)
+        .sgemm(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, host_threads)
         .expect("well-formed sgemm");
     assert!(stats.exec.kernel_calls > 0);
 

@@ -21,12 +21,17 @@
 //! resolves to scalar the comparisons degenerate to bitwise equality,
 //! which the bounds trivially admit.
 
+use adsala_repro::adsala::bundle::quick_test_bundle;
+use adsala_repro::adsala::{AdsalaService, ServiceConfig};
 use adsala_repro::adsala_gemm::blocking::BlockSizes;
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
 use adsala_repro::adsala_gemm::isa::{Kernel, KernelIsa};
 use adsala_repro::adsala_gemm::microkernel::{accumulate, merge_into_raw};
 use adsala_repro::adsala_gemm::pool::ThreadPool;
-use adsala_repro::adsala_gemm::{Element, Transpose};
+use adsala_repro::adsala_gemm::{
+    gemv_with_stats, gemv_with_stats_pooled, syrk_with_stats, syrk_with_stats_pooled, Algorithm,
+    Element, ExecutionPlan, GemvArgs, OpRequest, SyrkArgs, Transpose,
+};
 
 fn fill_f32(n: usize, seed: u64) -> Vec<f32> {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -300,6 +305,86 @@ fn beta_zero_never_reads_c_under_dispatch() {
     let call = GemmCall::new(m, n, k, 2);
     gemm_with_stats(&call, 1.0f32, &a, k, &b, n, 0.0, &mut c, n);
     assert!(c.iter().all(|v| v.is_finite()), "β = 0 must overwrite NaN garbage");
+
+    // Every routine, driver and serving path: a NaN-poisoned output under
+    // β = 0 must come back bit for bit what a zeroed output comes back as
+    // (the degraded retry of `OpRequest::is_idempotent` ops rests on it).
+    let pool = ThreadPool::new(3);
+    let service = AdsalaService::with_config(
+        quick_test_bundle().into_shared(),
+        ServiceConfig { pool_workers: 3, ..ServiceConfig::default() },
+    );
+    beta_zero_overwrites_nan::<f32>(&pool, &service, f32::NAN);
+    beta_zero_overwrites_nan::<f64>(&pool, &service, f64::NAN);
+}
+
+/// Every (routine, path) under β = 0, from a `poison`ed and from a zeroed
+/// output, compared bitwise.
+fn beta_zero_overwrites_nan<T: Element + From<f32>>(
+    pool: &ThreadPool,
+    service: &AdsalaService,
+    poison: T,
+) {
+    let (m, n, k) = (37usize, 23usize, 18usize);
+    let a: Vec<T> = fill_f32(m * k.max(n), 3).into_iter().map(T::from).collect();
+    let b: Vec<T> = fill_f32(k * n, 4).into_iter().map(T::from).collect();
+    let (alpha, zero) = (T::from(1.5), T::ZERO);
+    // SYRK writes the lower triangle only; everything else in its buffer
+    // must keep the start value, which is what `live` filters out.
+    let lower = |i: usize| i % m <= i / m;
+    let all = |_: usize| true;
+    let strassen = GemmCall::new(128, 128, 128, 1).with_plan(
+        ExecutionPlan::with_threads(1).with_algorithm(Algorithm::Strassen { cutoff: 64 }),
+    );
+    let big_a: Vec<T> = fill_f32(128 * 128, 5).into_iter().map(T::from).collect();
+
+    // Run on a poisoned and on a zeroed output; every live cell must agree.
+    let check = |label: &str, len: usize, live: &dyn Fn(usize) -> bool, run: &dyn Fn(&mut [T])| {
+        let mut poisoned = vec![poison; len];
+        let mut zeroed = vec![zero; len];
+        run(&mut poisoned);
+        run(&mut zeroed);
+        for i in (0..len).filter(|&i| live(i)) {
+            assert!(
+                poisoned[i] == zeroed[i],
+                "{label}: β = 0 read the poisoned output at {i}: {:?} vs {:?}",
+                poisoned[i],
+                zeroed[i]
+            );
+        }
+    };
+    check("syrk scoped", m * m, &lower, &|c| {
+        syrk_with_stats(m, k, alpha, &a, k, zero, c, m, 3);
+    });
+    check("syrk pooled", m * m, &lower, &|c| {
+        syrk_with_stats_pooled(pool, m, k, alpha, &a, k, zero, c, m, 3);
+    });
+    check("syrk k=0", m * m, &lower, &|c| {
+        syrk_with_stats(m, 0, alpha, &a, 1, zero, c, m, 2);
+    });
+    check("syrk service", m * m, &lower, &|c| {
+        let mut req: OpRequest<'_, T> =
+            SyrkArgs { m, k, alpha, a: &a, lda: k, beta: zero, c, ldc: m }.into();
+        service.run(&mut req).expect("valid SYRK");
+    });
+    check("gemv scoped", m, &all, &|y| {
+        gemv_with_stats(m, n, alpha, &a, n, &b, zero, y, 3);
+    });
+    check("gemv pooled", m, &all, &|y| {
+        gemv_with_stats_pooled(pool, m, n, alpha, &a, n, &b, zero, y, 3);
+    });
+    check("gemv service", m, &all, &|y| {
+        let mut req: OpRequest<'_, T> =
+            GemvArgs { m, n, alpha, a: &a, lda: n, x: &b, beta: zero, y }.into();
+        service.run(&mut req).expect("valid GEMV");
+    });
+    check("gemm k=0", m * n, &all, &|c| {
+        gemm_with_stats(&GemmCall::new(m, n, 0, 2), alpha, &a, 1, &b, n, zero, c, n);
+    });
+    check("gemm strassen", 128 * 128, &all, &|c| {
+        let s = gemm_with_stats(&strassen, alpha, &big_a, 128, &big_a, 128, zero, c, 128);
+        assert!(matches!(s.algorithm, Algorithm::Strassen { .. }), "{s:?}");
+    });
 }
 
 #[test]
