@@ -2,9 +2,10 @@
 //! analogue of the `t_eval` column in the paper's Tables III/IV.
 //!
 //! Each model family is fitted once on a shared synthetic regression
-//! problem, then timed on single-row prediction (the runtime hot path) —
-//! the ordering (linear fastest, forest slowest among trees) is the
-//! property the paper's model selection hinges on.
+//! problem, then timed on single-row prediction — the ordering (linear
+//! fastest, forest slowest among trees) is the property the paper's model
+//! selection hinges on — and, for the tree ensembles, on the batched
+//! prediction a decision sweep makes.
 
 use adsala_ml::data::Matrix;
 use adsala_ml::{AnyModel, ModelKind, Regressor};
@@ -37,6 +38,36 @@ fn bench_predict_row(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 54-row batch (one widened-grid decision sweep) for the families that
+/// evaluate `predict_rows` tree-major, against `predict_row` looped over
+/// the same rows (distinct rows, unlike the single probe above, whose path
+/// the branch predictor learns).
+fn bench_predict_rows(c: &mut Criterion) {
+    let (x, y) = dataset(800);
+    let batch: Vec<f64> = x.row_iter().take(54).flatten().copied().collect();
+    let mut out = vec![0.0; 54];
+    let mut group = c.benchmark_group("model_eval/predict_rows_54");
+    for kind in [ModelKind::RandomForest, ModelKind::XgBoost, ModelKind::LightGbm] {
+        let mut model = AnyModel::default_for(kind);
+        model.fit(&x, &y).expect("fit");
+        group.bench_with_input(BenchmarkId::new("batched", kind.name()), &model, |b, m| {
+            b.iter(|| {
+                m.predict_rows(black_box(&batch), x.cols(), &mut out);
+                black_box(out[53])
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("row_loop", kind.name()), &model, |b, m| {
+            b.iter(|| {
+                for (row, pred) in black_box(&batch).chunks_exact(x.cols()).zip(&mut out) {
+                    *pred = m.predict_row(row);
+                }
+                black_box(out[53])
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_fit(c: &mut Criterion) {
     let (x, y) = dataset(400);
     let mut group = c.benchmark_group("model_eval/fit_400x10");
@@ -59,5 +90,5 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_predict_row, bench_fit);
+criterion_group!(benches, bench_predict_row, bench_predict_rows, bench_fit);
 criterion_main!(benches);

@@ -212,6 +212,13 @@ impl ArtifactBundle {
 /// integration/stress tests, so every layer exercises the same model.
 #[doc(hidden)]
 pub fn quick_test_bundle() -> ArtifactBundle {
+    quick_test_bundle_over(None)
+}
+
+/// [`quick_test_bundle`] gathered, trained and deciding over `grid`
+/// (`None`: the simulated node's thread ladder).
+#[doc(hidden)]
+pub fn quick_test_bundle_over(grid: Option<PlanGrid>) -> ArtifactBundle {
     use crate::gather::{GatherConfig, TrainingData};
     use crate::preprocess::fit_preprocess;
     use adsala_machine::{MachineModel, SimTimer};
@@ -219,13 +226,13 @@ pub fn quick_test_bundle() -> ArtifactBundle {
     use adsala_ml::Regressor;
 
     let timer = SimTimer::new(MachineModel::gadi());
-    let config = GatherConfig { n_shapes: 60, reps: 2, ..GatherConfig::quick() };
+    let config = GatherConfig { n_shapes: 60, reps: 2, grid, ..GatherConfig::quick() };
     let data = TrainingData::gather(&timer, &config);
     let fitted = fit_preprocess(&data).unwrap();
     let mut model =
         ModelSpec::XgBoost { n_rounds: 40, max_depth: 4, eta: 0.2, lambda: 1.0 }.build(0);
     model.fit(&fitted.dataset.x, &fitted.dataset.y).unwrap();
-    ArtifactBundle::new(fitted.config, model, data.ladder.counts)
+    ArtifactBundle::new(fitted.config, model, data.ladder.counts).with_grid(data.grid)
 }
 
 #[cfg(test)]

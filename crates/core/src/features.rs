@@ -61,34 +61,44 @@ pub fn feature_names() -> [&'static str; FEATURE_COUNT] {
     ]
 }
 
-/// Build the raw feature vector for one `(m, k, n, n_threads)` input.
-pub fn build_features(m: u64, k: u64, n: u64, n_threads: u32) -> Vec<f64> {
+/// The `n_threads` column, and the Group 2 (`…/n_threads`) columns.
+const THREADS_COL: usize = 3;
+const PER_THREAD_COLS: std::ops::Range<usize> = 9..FEATURE_COUNT;
+
+/// Whether Table II column `col` changes with the thread count: the
+/// count itself and the Group 2 terms. The other eight depend on the shape
+/// alone, so a sweep over one shape transforms them once.
+pub(crate) fn depends_on_threads(col: usize) -> bool {
+    col == THREADS_COL || PER_THREAD_COLS.contains(&col)
+}
+
+/// The eight thread-independent Table II terms of a shape, in column
+/// order: `m, k, n, m*k, m*n, k*n, m*k*n, m*k+k*n+m*n`.
+pub(crate) fn shape_terms(m: u64, k: u64, n: u64) -> [f64; 8] {
     let (mf, kf, nf) = (m as f64, k as f64, n as f64);
-    let t = f64::from(n_threads.max(1));
     let mk = mf * kf;
     let mn = mf * nf;
     let kn = kf * nf;
-    let mkn = mf * kf * nf;
-    let mem = mk + kn + mn;
-    vec![
-        mf,
-        kf,
-        nf,
-        t,
-        mk,
-        mn,
-        kn,
-        mkn,
-        mem,
-        mf / t,
-        kf / t,
-        nf / t,
-        mk / t,
-        mn / t,
-        kn / t,
-        mkn / t,
-        mem / t,
-    ]
+    [mf, kf, nf, mk, mn, kn, mf * kf * nf, mk + kn + mn]
+}
+
+/// Write the Table II columns of a shape (its [`shape_terms`]) at one
+/// thread count into `out[..FEATURE_COUNT]`.
+pub(crate) fn write_features(terms: &[f64; 8], n_threads: u32, out: &mut [f64]) {
+    let t = f64::from(n_threads.max(1));
+    out[..THREADS_COL].copy_from_slice(&terms[..THREADS_COL]);
+    out[THREADS_COL] = t;
+    out[THREADS_COL + 1..PER_THREAD_COLS.start].copy_from_slice(&terms[THREADS_COL..]);
+    for (per_thread, term) in out[PER_THREAD_COLS].iter_mut().zip(terms) {
+        *per_thread = term / t;
+    }
+}
+
+/// Build the raw feature vector for one `(m, k, n, n_threads)` input.
+pub fn build_features(m: u64, k: u64, n: u64, n_threads: u32) -> Vec<f64> {
+    let mut f = vec![0.0; FEATURE_COUNT];
+    write_features(&shape_terms(m, k, n), n_threads, &mut f);
+    f
 }
 
 /// Build the raw feature vector for any routine's shape: map the
@@ -123,6 +133,42 @@ pub fn plan_feature_names_axes() -> [&'static str; 8] {
     ]
 }
 
+/// Write the plan-axis columns of `point` in the layout of `feature_rev`
+/// into `out` (`plan_feature_count(feature_rev) - FEATURE_COUNT` wide).
+/// They depend on the point's non-thread axes alone, not on the shape.
+pub(crate) fn write_plan_axes(point: &PlanPoint, feature_rev: u32, out: &mut [f64]) {
+    let isa = match point.isa {
+        IsaChoice::Dispatched => 0.0,
+        IsaChoice::Scalar => 1.0,
+    };
+    let packing = match point.packing {
+        PackingStrategy::SharedB => 0.0,
+        PackingStrategy::Independent => 1.0,
+    };
+    let scale = |percent: u32| f64::from(percent.max(1)) / 100.0;
+    if feature_rev >= FEATURE_REV_AXES {
+        let (strassen, zorder, cutoff) = match point.algorithm {
+            Algorithm::Blocked => (0.0, 0.0, 0.0),
+            Algorithm::Strassen { cutoff } => (1.0, 0.0, f64::from(cutoff) / 1024.0),
+            Algorithm::ZOrder => (0.0, 1.0, 0.0),
+        };
+        out.copy_from_slice(&[
+            isa,
+            scale(point.blocking.mc_percent),
+            scale(point.blocking.kc_percent),
+            scale(point.blocking.nc_percent),
+            packing,
+            strassen,
+            zorder,
+            cutoff,
+        ]);
+    } else {
+        // The v3 space had one uniform scale; kc carries it on a migrated
+        // uniform triple (all three axes equal), bit-exactly.
+        out.copy_from_slice(&[isa, scale(point.blocking.kc_percent), packing]);
+    }
+}
+
 /// Build the extended feature vector for one plan-grid point: the Table II
 /// set at the point's thread count, plus one column per non-thread plan
 /// axis in the layout of `feature_rev` (the owning
@@ -136,34 +182,9 @@ pub fn build_plan_features(
     point: &PlanPoint,
     feature_rev: u32,
 ) -> Vec<f64> {
-    let mut f = build_features(m, k, n, point.threads);
-    f.push(match point.isa {
-        IsaChoice::Dispatched => 0.0,
-        IsaChoice::Scalar => 1.0,
-    });
-    if feature_rev >= FEATURE_REV_AXES {
-        f.push(f64::from(point.blocking.mc_percent.max(1)) / 100.0);
-        f.push(f64::from(point.blocking.kc_percent.max(1)) / 100.0);
-        f.push(f64::from(point.blocking.nc_percent.max(1)) / 100.0);
-    } else {
-        // The v3 space had one uniform scale; kc carries it on a migrated
-        // uniform triple (all three axes equal), bit-exactly.
-        f.push(f64::from(point.blocking.kc_percent.max(1)) / 100.0);
-    }
-    f.push(match point.packing {
-        PackingStrategy::SharedB => 0.0,
-        PackingStrategy::Independent => 1.0,
-    });
-    if feature_rev >= FEATURE_REV_AXES {
-        let (strassen, zorder, cutoff) = match point.algorithm {
-            Algorithm::Blocked => (0.0, 0.0, 0.0),
-            Algorithm::Strassen { cutoff } => (1.0, 0.0, f64::from(cutoff) / 1024.0),
-            Algorithm::ZOrder => (0.0, 1.0, 0.0),
-        };
-        f.push(strassen);
-        f.push(zorder);
-        f.push(cutoff);
-    }
+    let mut f = vec![0.0; plan_feature_count(feature_rev)];
+    write_features(&shape_terms(m, k, n), point.threads, &mut f);
+    write_plan_axes(point, feature_rev, &mut f[FEATURE_COUNT..]);
     f
 }
 

@@ -21,6 +21,7 @@
 use adsala_gemm::plan::PlanPoint;
 use adsala_ml::data::{Dataset, Matrix};
 use adsala_ml::preprocess::scaler::LabelScaler;
+use adsala_ml::preprocess::yeo_johnson::transform_value;
 use adsala_ml::preprocess::{CorrelationPruner, LocalOutlierFactor, StandardScaler, YeoJohnson};
 use serde::{Deserialize, Serialize};
 
@@ -40,14 +41,14 @@ pub struct PreprocessConfig {
 impl PreprocessConfig {
     /// Model-ready feature row for one `(m, k, n, threads)` GEMM input.
     pub fn features_for(&self, m: u64, k: u64, n: u64, threads: u32) -> Vec<f64> {
-        self.transform_raw(build_features(m, k, n, threads))
+        self.transform_raw(&build_features(m, k, n, threads))
     }
 
     /// Model-ready feature row for any routine's shape (the runtime hot
     /// path of the generic dispatch layer): the routine's dimensions map
     /// into the GEMM feature space, then go through the fitted chain.
     pub fn features_for_op(&self, shape: &adsala_gemm::OpShape, threads: u32) -> Vec<f64> {
-        self.transform_raw(crate::features::build_features_for_op(shape, threads))
+        self.transform_raw(&crate::features::build_features_for_op(shape, threads))
     }
 
     /// Model-ready feature row for one plan-grid point of a `(m, k, n)`
@@ -62,7 +63,7 @@ impl PreprocessConfig {
         point: &PlanPoint,
         feature_rev: u32,
     ) -> Vec<f64> {
-        self.transform_raw(build_plan_features(m, k, n, point, feature_rev))
+        self.transform_raw(&build_plan_features(m, k, n, point, feature_rev))
     }
 
     /// The any-routine analogue of [`PreprocessConfig::features_for_plan`].
@@ -72,13 +73,22 @@ impl PreprocessConfig {
         point: &PlanPoint,
         feature_rev: u32,
     ) -> Vec<f64> {
-        self.transform_raw(crate::features::build_plan_features_for_op(shape, point, feature_rev))
+        self.transform_raw(&crate::features::build_plan_features_for_op(shape, point, feature_rev))
     }
 
-    fn transform_raw(&self, mut row: Vec<f64>) -> Vec<f64> {
-        self.yeo_johnson.transform_row(&mut row);
-        self.scaler.transform_row(&mut row);
-        self.pruner.transform_row(&row)
+    /// Raw column `col` of a feature row through the fitted chain:
+    /// Yeo-Johnson, then standardise — the row transforms' operations in
+    /// their order, one column at a time, so a sweep can transform a value
+    /// its candidates share once.
+    #[inline]
+    pub(crate) fn transform_column(&self, col: usize, raw: f64) -> f64 {
+        let v = transform_value(raw, self.yeo_johnson.lambdas[col]);
+        (v - self.scaler.means[col]) / self.scaler.stds[col]
+    }
+
+    /// The model row of a raw feature row: the kept columns, transformed.
+    fn transform_raw(&self, raw: &[f64]) -> Vec<f64> {
+        self.pruner.kept.iter().map(|&col| self.transform_column(col, raw[col])).collect()
     }
 
     /// Map a model prediction back to seconds.
@@ -287,6 +297,22 @@ mod tests {
         let row = f.config.features_for(r.shape.m, r.shape.k, r.shape.n, r.threads());
         assert_eq!(row.len(), f.config.pruner.kept.len());
         assert!(row.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn per_column_transform_is_the_row_chain() {
+        let f = fitted();
+        for (m, k, n, t) in [(1, 1, 1, 1), (64, 4096, 64, 3), (2000, 300, 1, 96)] {
+            let mut row = build_features(m, k, n, t);
+            f.config.yeo_johnson.transform_row(&mut row);
+            f.config.scaler.transform_row(&mut row);
+            let chain = f.config.pruner.transform_row(&row);
+            let per_column = f.config.features_for(m, k, n, t);
+            assert_eq!(chain.len(), per_column.len());
+            for (a, b) in chain.iter().zip(&per_column) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -14,11 +14,41 @@
 //! speedup wins.
 //!
 //! Every decision is one sweep (`priced_points`: clamp the thread axis
-//! to the cap, skip aliased points, price the rest) under one of two
+//! to the cap, skip aliased rungs, price the rest) under one of two
 //! folds: the argmin ([`predict_point_for_op_capped`]) and the
 //! per-thread-count curve ([`predict_curve_for_op`]). An uncapped sweep is
 //! `cap = u32::MAX`; the paper's thread ladder is a
 //! [`PlanGrid::threads_only`] grid.
+//!
+//! # How a sweep is priced
+//!
+//! `t_eval` is the sweep, and at the small shapes where the paper's gains
+//! live it is comparable to the kernel, so the sweep is priced as one
+//! batch rather than candidate by candidate. A candidate's model row is
+//! its kept raw columns through the fitted chain
+//! (`PreprocessConfig::transform_column`: Yeo-Johnson `powf`, then
+//! standardise), and most of those values are shared between candidates:
+//!
+//! | raw columns | depend on | transformed |
+//! |---|---|---|
+//! | `m, k, n, m*k, m*n, k*n, m*k*n, mem` | the shape | once per sweep |
+//! | `n_threads` and the eight `…/n_threads` terms | shape × clamped thread count | once per distinct clamped count |
+//! | the plan-axis columns | one non-thread axis each | once per distinct value |
+//! | columns the pruner dropped | — | never |
+//!
+//! The rows go into a per-thread scratch buffer, row-major: the first
+//! rung's rows are built column by column, a later rung's rows are copies
+//! of them with the thread-dependent columns replaced. A rung whose
+//! clamped thread count was already priced is skipped whole, and
+//! [`PlanGrid::rung`] lists a rung's distinct points, so no two points are
+//! ever compared. The model prices the batch in one
+//! [`Regressor::predict_rows`] call, which the tree ensembles evaluate
+//! tree-major. A warm sweep allocates nothing, and its points, their order
+//! and the bits of every prediction are those of pricing each candidate
+//! alone with `predict_at_point`, the one-row reference the tests compare
+//! against.
+
+use std::cell::RefCell;
 
 use adsala_gemm::plan::{PlanGrid, PlanPoint};
 use adsala_machine::GemmTimer;
@@ -26,6 +56,10 @@ use adsala_ml::{AnyModel, Regressor};
 use adsala_sampling::GemmShape;
 use serde::{Deserialize, Serialize};
 
+use crate::features::{
+    depends_on_threads, plan_feature_count, shape_terms, write_features, write_plan_axes,
+    FEATURE_COUNT, PLAN_FEATURE_COUNT_AXES,
+};
 use crate::preprocess::PreprocessConfig;
 
 /// Speedup estimates for one model over a set of test shapes.
@@ -55,8 +89,52 @@ pub(crate) fn predict_at_point(
     model.predict_row(&row)
 }
 
+/// What one sweep fills. One per thread (as the packing arenas of
+/// `adsala_gemm::workspace` are), so a warm sweep allocates nothing.
+struct SweepScratch {
+    /// The distinct candidates under the cap, in grid order.
+    points: Vec<PlanPoint>,
+    /// Their model rows, row-major `points × kept columns`.
+    rows: Vec<f64>,
+    /// The model's raw prediction for each.
+    preds: Vec<f64>,
+    /// `(column, raw value, model-row value)` of every plan-axis value
+    /// this sweep has transformed.
+    axis_values: Vec<(usize, f64, f64)>,
+}
+
+thread_local! {
+    static SWEEP_SCRATCH: RefCell<SweepScratch> = const {
+        RefCell::new(SweepScratch {
+            points: Vec::new(),
+            rows: Vec::new(),
+            preds: Vec::new(),
+            axis_values: Vec::new(),
+        })
+    };
+}
+
+/// Plan-axis column `col` at raw value `raw` as the model sees it,
+/// transformed the first time the sweep meets the value.
+fn axis_value(
+    seen: &mut Vec<(usize, f64, f64)>,
+    config: &PreprocessConfig,
+    col: usize,
+    raw: f64,
+) -> f64 {
+    if let Some(&(_, _, value)) =
+        seen.iter().find(|&&(c, r, _)| c == col && r.to_bits() == raw.to_bits())
+    {
+        return value;
+    }
+    let value = config.transform_column(col, raw);
+    seen.push((col, raw, value));
+    value
+}
+
 /// The one pricing sweep: every distinct grid point under `cap`, in grid
-/// order, with the model's raw (preprocessed-target) prediction for it.
+/// order, with the model's raw (preprocessed-target) prediction for it,
+/// handed to `fold` as two parallel slices.
 ///
 /// Each candidate's thread count is clamped to `cap` *before* the model
 /// evaluates it, so whatever a fold picks — and its predicted runtime —
@@ -64,34 +142,97 @@ pub(crate) fn predict_at_point(
 /// the clamp-after-decide bug, where a capped call executed `cap` threads
 /// but reported the prediction of the uncapped winner).
 ///
-/// Clamping can alias grid points (ladder `[1, 2, 4, 8]` under cap 3
-/// yields `1, 2, 3, 3`); duplicates are priced once, keeping the grid's
-/// candidate order, so a cap at or above the grid maximum sweeps exactly
-/// the grid. The feature chain accepts any thread count, so off-ladder
-/// caps (like 3) are predicted genuinely, not approximated by a
-/// neighbouring ladder rung. For a threads-only grid the sweep visits the
-/// legacy thread ladder with the legacy 17-feature rows, in the legacy
-/// order — so a migrated (pre-grid) artefact decides bit-identically to
-/// the pre-plan runtime; grid-trained artefacts
-/// ([`PlanGrid::plan_features`]) get the plan axes appended to every row.
-fn priced_points(
+/// Clamping can alias thread rungs (ladder `[1, 2, 4, 8]` under cap 3
+/// yields `1, 2, 3, 3`); a rung whose clamped count was already priced is
+/// skipped whole, and within a rung [`PlanGrid::rung`] lists each distinct
+/// point once, so every point is priced once in the grid's candidate order
+/// and a cap at or above the grid maximum sweeps exactly the grid. The
+/// feature chain accepts any thread count, so off-ladder caps (like 3) are
+/// predicted genuinely, not approximated by a neighbouring ladder rung.
+/// For a threads-only grid the sweep visits the legacy thread ladder with
+/// the legacy 17-feature rows, in the legacy order — so a migrated
+/// (pre-grid) artefact decides bit-identically to the pre-plan runtime;
+/// grid-trained artefacts ([`PlanGrid::plan_features`]) get the plan axes
+/// appended to every row.
+///
+/// The rows are those [`predict_at_point`] builds one at a time, bit for
+/// bit, but built as one batch (see the module doc): a column is
+/// transformed once for all the candidates that share its value, and the
+/// model prices the batch in one [`Regressor::predict_rows`] call.
+fn priced_points<R>(
     model: &AnyModel,
     config: &PreprocessConfig,
     grid: &PlanGrid,
     shape: adsala_gemm::OpShape,
     cap: u32,
-) -> Vec<(PlanPoint, f64)> {
+    fold: impl FnOnce(&[PlanPoint], &[f64]) -> R,
+) -> R {
     debug_assert!(!grid.is_empty());
     let cap = cap.max(1);
-    let mut priced: Vec<(PlanPoint, f64)> = Vec::with_capacity(grid.len());
-    for mut point in grid.points() {
-        point.threads = point.threads.min(cap);
-        if priced.iter().any(|(seen, _)| *seen == point) {
-            continue;
+    let kept = config.pruner.kept.as_slice();
+    let (m, k, n) = shape.gemm_equivalent();
+    let terms = shape_terms(m, k, n);
+    let raw_width =
+        if grid.plan_features { plan_feature_count(grid.feature_rev) } else { FEATURE_COUNT };
+    SWEEP_SCRATCH.with(|scratch| {
+        let SweepScratch { points, rows, preds, axis_values } = &mut *scratch.borrow_mut();
+        points.clear();
+        rows.clear();
+        axis_values.clear();
+        let mut raw = [0.0; PLAN_FEATURE_COUNT_AXES];
+        let raw = &mut raw[..raw_width];
+        // The current rung's Table II columns as the model sees them,
+        // indexed by raw column; only kept columns are filled.
+        let mut table2 = [0.0; FEATURE_COUNT];
+        let mut rung_len = 0;
+        for (i, &threads) in grid.threads.iter().enumerate() {
+            let threads = threads.min(cap);
+            if grid.threads[..i].iter().any(|&seen| seen.min(cap) == threads) {
+                continue;
+            }
+            let first_rung = points.is_empty();
+            write_features(&terms, threads, raw);
+            for &col in kept {
+                if col < FEATURE_COUNT && (first_rung || depends_on_threads(col)) {
+                    table2[col] = config.transform_column(col, raw[col]);
+                }
+            }
+            if first_rung {
+                for point in grid.rung(threads) {
+                    if grid.plan_features {
+                        write_plan_axes(&point, grid.feature_rev, &mut raw[FEATURE_COUNT..]);
+                    }
+                    rows.extend(kept.iter().map(|&col| {
+                        if col < FEATURE_COUNT {
+                            table2[col]
+                        } else {
+                            axis_value(axis_values, config, col, raw[col])
+                        }
+                    }));
+                    points.push(point);
+                }
+                rung_len = points.len();
+            } else {
+                // A later rung's rows are the first rung's with the
+                // thread-dependent columns replaced: the shape and the
+                // other plan axes are the same.
+                for j in 0..rung_len {
+                    let row = rows.len();
+                    rows.extend_from_within(j * kept.len()..(j + 1) * kept.len());
+                    for (value, &col) in rows[row..].iter_mut().zip(kept) {
+                        if depends_on_threads(col) {
+                            *value = table2[col];
+                        }
+                    }
+                    points.push(PlanPoint { threads, ..points[j] });
+                }
+            }
         }
-        priced.push((point, predict_at_point(model, config, grid, &shape, &point)));
-    }
-    priced
+        preds.clear();
+        preds.resize(points.len(), 0.0);
+        model.predict_rows(rows, kept.len(), preds);
+        fold(points, preds)
+    })
 }
 
 /// Predict the runtime-minimising plan-grid point with at most `cap`
@@ -112,11 +253,13 @@ pub fn predict_point_for_op_capped(
 ) -> (PlanPoint, f64) {
     let first = grid.threads.first().copied().unwrap_or(1).min(cap.max(1));
     let mut best = (PlanPoint::threads_only(first), f64::INFINITY);
-    for priced in priced_points(model, config, grid, shape, cap) {
-        if priced.1 < best.1 {
-            best = priced;
+    priced_points(model, config, grid, shape, cap, |points, preds| {
+        for (&point, &pred) in points.iter().zip(preds) {
+            if pred < best.1 {
+                best = (point, pred);
+            }
         }
-    }
+    });
     (best.0, config.runtime_from_prediction(best.1))
 }
 
@@ -138,16 +281,18 @@ pub fn predict_curve_for_op(
 ) -> Vec<(PlanPoint, f64)> {
     // Best (point, raw prediction) per thread count, in first-seen order.
     let mut per_count: Vec<(PlanPoint, f64)> = Vec::new();
-    for (point, pred) in priced_points(model, config, grid, shape, cap) {
-        match per_count.iter_mut().find(|(best, _)| best.threads == point.threads) {
-            Some(entry) => {
-                if pred < entry.1 {
-                    *entry = (point, pred);
+    priced_points(model, config, grid, shape, cap, |points, preds| {
+        for (&point, &pred) in points.iter().zip(preds) {
+            match per_count.iter_mut().find(|(best, _)| best.threads == point.threads) {
+                Some(entry) => {
+                    if pred < entry.1 {
+                        *entry = (point, pred);
+                    }
                 }
+                None => per_count.push((point, pred)),
             }
-            None => per_count.push((point, pred)),
         }
-    }
+    });
     per_count.sort_by_key(|(point, _)| point.threads);
     for (_, pred) in &mut per_count {
         *pred = config.runtime_from_prediction(*pred);
@@ -200,9 +345,10 @@ pub fn estimate_speedups<T: GemmTimer + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bundle::quick_test_bundle_over;
     use crate::gather::{GatherConfig, TrainingData};
     use crate::preprocess::fit_preprocess;
-    use adsala_gemm::{OpShape, Precision};
+    use adsala_gemm::{OpShape, Precision, Routine};
     use adsala_machine::{MachineModel, SimTimer};
     use adsala_ml::tune::ModelSpec;
 
@@ -281,6 +427,64 @@ mod tests {
             // Cap 1 forces the serial plan.
             let (serial, _) = predict_point_for_op_capped(&model, &config, &grid, op, 1);
             assert_eq!(serial.threads, 1);
+        }
+    }
+
+    #[test]
+    fn batched_sweep_is_bitwise_the_per_point_reference() {
+        let ladder = PlanGrid::threads_only(vec![1, 2, 4, 8, 48, 96]);
+        let full = PlanGrid::full(vec![1, 4, 16, 96]);
+        let widened = PlanGrid::widened(vec![1, 2, 4], 384);
+        // Repeated non-thread axis entries: the sweep must price the first
+        // occurrence of each point only.
+        let mut repeated = full.clone();
+        repeated.blockings.push(repeated.blockings[1]);
+        repeated.packing.insert(1, repeated.packing[0]);
+
+        let trained = [ladder, full, widened].map(|grid| quick_test_bundle_over(Some(grid)));
+        let shapes = [
+            gemm(64, 64, 64),
+            gemm(1, 4096, 300),
+            gemm(2000, 64, 2000),
+            OpShape::syrk(Precision::F64, 512, 1),
+            OpShape::syrk(Precision::F32, 300, 900),
+            OpShape::gemv(Precision::F32, 1, 700),
+            OpShape::gemv(Precision::F64, 3000, 200),
+        ];
+        // The repeated grid shares the full grid's feature layout, so its
+        // model.
+        for (grid, bundle) in trained.iter().map(|b| (&b.grid, b)).chain([(&repeated, &trained[1])])
+        {
+            let (config, model) = (&bundle.config, bundle.models.for_routine(Routine::Gemm));
+            let max = grid.threads.iter().copied().max().unwrap();
+            for cap in [1, 2, 3, 5, max, max + 1, u32::MAX] {
+                for shape in shapes {
+                    // Clamp, skip a point already seen, price the rest one
+                    // row at a time.
+                    let mut reference: Vec<(PlanPoint, f64)> = Vec::new();
+                    for mut point in grid.points() {
+                        point.threads = point.threads.min(cap);
+                        if !reference.iter().any(|(seen, _)| *seen == point) {
+                            let pred = predict_at_point(model, config, grid, &shape, &point);
+                            reference.push((point, pred));
+                        }
+                    }
+                    priced_points(model, config, grid, shape, cap, |points, preds| {
+                        assert_eq!(points.len(), reference.len(), "{shape:?} cap {cap}");
+                        assert_eq!(preds.len(), reference.len());
+                        for ((point, pred), (ref_point, ref_pred)) in
+                            points.iter().zip(preds).zip(&reference)
+                        {
+                            assert_eq!(point, ref_point, "{shape:?} cap {cap}");
+                            assert_eq!(
+                                pred.to_bits(),
+                                ref_pred.to_bits(),
+                                "{shape:?} cap {cap} {point:?}"
+                            );
+                        }
+                    });
+                }
+            }
         }
     }
 

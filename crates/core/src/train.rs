@@ -1,9 +1,11 @@
 //! Model training: tune every candidate family on the training split
 //! (the right half of the paper's Fig. 2).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use adsala_gemm::plan::PlanGrid;
+use adsala_gemm::{OpShape, Precision};
 use adsala_ml::data::Dataset;
 use adsala_ml::metrics::normalised_rmse;
 use adsala_ml::tune::{GridSearch, ModelSpec};
@@ -11,6 +13,7 @@ use adsala_ml::{AnyModel, ModelKind, Regressor};
 use serde::{Deserialize, Serialize};
 
 use crate::preprocess::PreprocessConfig;
+use crate::select::predict_point_for_op_capped;
 use crate::AdsalaError;
 
 /// One tuned family, its CV score and its fitted model.
@@ -83,10 +86,10 @@ pub fn test_nrmse(model: &AnyModel, test: &Dataset) -> f64 {
     normalised_rmse(&model.predict(&test.x), &test.y)
 }
 
-/// Measure the per-call model-evaluation time: one full plan-selection
-/// sweep (features + prediction for every candidate grid point), averaged
-/// over `probes` distinct inputs and `reps` timed repetitions. Returns
-/// seconds.
+/// Measure the per-call model-evaluation time: the decision sweep the
+/// runtime serves on a cache miss ([`predict_point_for_op_capped`],
+/// uncapped), averaged over `probes` distinct inputs and `reps` timed
+/// repetitions. Returns seconds.
 pub fn measure_eval_time(
     model: &AnyModel,
     config: &PreprocessConfig,
@@ -95,34 +98,18 @@ pub fn measure_eval_time(
     reps: u32,
 ) -> f64 {
     debug_assert!(!grid.is_empty() && !probes.is_empty());
-    let sweep = |sink: &mut f64, m: u64, k: u64, n: u64| {
-        for point in grid.points() {
-            let row = if grid.plan_features {
-                config.features_for_plan(m, k, n, &point, grid.feature_rev)
-            } else {
-                config.features_for(m, k, n, point.threads)
-            };
-            *sink += model.predict_row(&row);
-        }
+    let sweep = |&(m, k, n): &(u64, u64, u64)| {
+        let shape = OpShape::gemm(Precision::F32, m, k, n);
+        black_box(predict_point_for_op_capped(model, config, grid, black_box(shape), u32::MAX));
     };
     // Warm-up sweep so lazy CPU state doesn't inflate the first probe.
-    let mut sink = 0.0f64;
-    for &(m, k, n) in probes.iter().take(1) {
-        sweep(&mut sink, m, k, n);
-    }
+    probes.iter().take(1).for_each(sweep);
     let reps = reps.max(1);
     let start = Instant::now();
     for _ in 0..reps {
-        for &(m, k, n) in probes {
-            sweep(&mut sink, m, k, n);
-        }
+        probes.iter().for_each(sweep);
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    // Prevent the optimiser from deleting the loop.
-    if sink.is_nan() {
-        eprintln!("impossible: {sink}");
-    }
-    elapsed / (reps as f64 * probes.len() as f64)
+    start.elapsed().as_secs_f64() / (reps as f64 * probes.len() as f64)
 }
 
 #[cfg(test)]

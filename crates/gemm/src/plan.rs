@@ -467,17 +467,38 @@ impl PlanGrid {
     /// unchanged too, so strict-`<` argmin sweeps keep their tie-breaking
     /// behaviour.
     pub fn points(&self) -> impl Iterator<Item = PlanPoint> + '_ {
-        self.threads.iter().flat_map(move |&threads| {
-            self.isa.iter().flat_map(move |&isa| {
-                self.blockings.iter().flat_map(move |&blocking| {
-                    self.packing.iter().flat_map(move |&packing| {
-                        self.algorithms.iter().map(move |&algorithm| PlanPoint {
-                            threads,
-                            isa,
-                            blocking,
-                            packing,
-                            algorithm,
-                        })
+        self.threads.iter().flat_map(move |&threads| self.rung_points(threads, false))
+    }
+
+    /// The distinct candidates of one thread rung, at `threads`, in
+    /// [`PlanGrid::points`] order. An axis entry equal to an earlier entry
+    /// of its axis only repeats points the earlier one already listed, so
+    /// skipping it there leaves exactly the first occurrence of every
+    /// point — what a decision sweep prices.
+    pub fn rung(&self, threads: u32) -> impl Iterator<Item = PlanPoint> + '_ {
+        self.rung_points(threads, true)
+    }
+
+    fn rung_points(&self, threads: u32, distinct: bool) -> impl Iterator<Item = PlanPoint> + '_ {
+        fn axis<T: PartialEq + Copy>(
+            entries: &[T],
+            distinct: bool,
+        ) -> impl Iterator<Item = T> + '_ {
+            entries
+                .iter()
+                .enumerate()
+                .filter(move |&(i, entry)| !(distinct && entries[..i].contains(entry)))
+                .map(|(_, &entry)| entry)
+        }
+        axis(&self.isa, distinct).flat_map(move |isa| {
+            axis(&self.blockings, distinct).flat_map(move |blocking| {
+                axis(&self.packing, distinct).flat_map(move |packing| {
+                    axis(&self.algorithms, distinct).map(move |algorithm| PlanPoint {
+                        threads,
+                        isa,
+                        blocking,
+                        packing,
+                        algorithm,
                     })
                 })
             })
@@ -565,6 +586,29 @@ mod tests {
         uniq.sort_by_key(|p| (p.threads, p.isa as u8, p.blocking.kc_percent, p.packing as u8));
         uniq.dedup();
         assert_eq!(uniq.len(), points.len());
+    }
+
+    #[test]
+    fn rung_lists_each_distinct_point_of_a_thread_count_once() {
+        // Without repeated axis entries a rung is that count's slice of
+        // `points()`.
+        let grid = PlanGrid::widened(vec![1, 8], 256);
+        let rung: Vec<_> = grid.rung(8).collect();
+        assert_eq!(rung, grid.points().filter(|p| p.threads == 8).collect::<Vec<_>>());
+
+        // A repeated entry is skipped where it repeats: the rung is the
+        // first occurrence of every point, in `points()` order.
+        let mut dup = PlanGrid::full(vec![4]);
+        dup.blockings.push(BlockScale::uniform(50));
+        dup.isa.push(IsaChoice::Dispatched);
+        let mut first_seen: Vec<PlanPoint> = Vec::new();
+        for p in dup.points() {
+            if !first_seen.contains(&p) {
+                first_seen.push(p);
+            }
+        }
+        assert!(first_seen.len() < dup.len());
+        assert_eq!(dup.rung(4).collect::<Vec<_>>(), first_seen);
     }
 
     #[test]

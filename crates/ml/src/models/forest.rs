@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::data::Matrix;
-use crate::models::tree::DecisionTree;
+use crate::models::tree::{sum_leaves_tree_major, DecisionTree};
 use crate::models::Regressor;
 use crate::MlError;
 
@@ -88,6 +88,14 @@ impl Regressor for RandomForest {
     fn predict_row(&self, row: &[f64]) -> f64 {
         debug_assert!(!self.trees.is_empty(), "predict before fit");
         self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>() / self.trees.len() as f64
+    }
+
+    fn predict_rows(&self, rows: &[f64], width: usize, out: &mut [f64]) {
+        debug_assert!(!self.trees.is_empty(), "predict before fit");
+        sum_leaves_tree_major(self.trees.iter().map(|t| t.nodes.as_slice()), rows, width, out);
+        for sum in out {
+            *sum /= self.trees.len() as f64;
+        }
     }
 
     fn is_fitted(&self) -> bool {

@@ -18,11 +18,9 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::data::Matrix;
-use crate::models::tree::Node;
+use crate::models::tree::{leaf_value, sum_leaves_tree_major, Node, LEAF};
 use crate::models::Regressor;
 use crate::MlError;
-
-const LEAF: u32 = u32::MAX;
 
 /// Gradient-boosting model and hyper-parameters (XGBoost naming).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -168,18 +166,6 @@ impl GradientBoosting {
         node.right = right;
         me
     }
-
-    fn predict_tree(nodes: &[Node], row: &[f64]) -> f64 {
-        let mut node = &nodes[0];
-        while node.feature != LEAF {
-            node = if row[node.feature as usize] <= node.threshold {
-                &nodes[node.left as usize]
-            } else {
-                &nodes[node.right as usize]
-            };
-        }
-        node.value
-    }
 }
 
 impl Regressor for GradientBoosting {
@@ -213,7 +199,7 @@ impl Regressor for GradientBoosting {
             self.build_node(x, &g, &mut idx, 0, &mut nodes);
             // Update predictions with the new tree.
             for (i, p) in pred.iter_mut().enumerate() {
-                *p += Self::predict_tree(&nodes, x.row(i));
+                *p += leaf_value(&nodes, x.row(i));
             }
             self.trees.push(nodes);
         }
@@ -222,7 +208,15 @@ impl Regressor for GradientBoosting {
 
     fn predict_row(&self, row: &[f64]) -> f64 {
         debug_assert!(!self.trees.is_empty(), "predict before fit");
-        self.base_score + self.trees.iter().map(|t| Self::predict_tree(t, row)).sum::<f64>()
+        self.base_score + self.trees.iter().map(|t| leaf_value(t, row)).sum::<f64>()
+    }
+
+    fn predict_rows(&self, rows: &[f64], width: usize, out: &mut [f64]) {
+        debug_assert!(!self.trees.is_empty(), "predict before fit");
+        sum_leaves_tree_major(self.trees.iter().map(Vec::as_slice), rows, width, out);
+        for sum in out {
+            *sum += self.base_score;
+        }
     }
 
     fn is_fitted(&self) -> bool {

@@ -15,11 +15,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::data::Matrix;
-use crate::models::tree::Node;
+use crate::models::tree::{leaf_value, sum_leaves_tree_major, Node, LEAF};
 use crate::models::Regressor;
 use crate::MlError;
-
-const LEAF: u32 = u32::MAX;
 const MAX_BINS: usize = 255;
 
 /// Per-feature quantisation grid.
@@ -259,18 +257,6 @@ impl HistGradientBoosting {
         nodes
     }
 
-    fn predict_tree(nodes: &[Node], row: &[f64]) -> f64 {
-        let mut node = &nodes[0];
-        while node.feature != LEAF {
-            node = if row[node.feature as usize] <= node.threshold {
-                &nodes[node.left as usize]
-            } else {
-                &nodes[node.right as usize]
-            };
-        }
-        node.value
-    }
-
     /// Leaves of a fitted tree (testing/introspection).
     pub fn leaf_count(tree: &[Node]) -> usize {
         tree.iter().filter(|n| n.feature == LEAF).count()
@@ -302,7 +288,7 @@ impl Regressor for HistGradientBoosting {
             let g: Vec<f64> = pred.iter().zip(y).map(|(&p, &t)| p - t).collect();
             let tree = self.grow_tree(&binned, &mapper, &g, n);
             for (i, p) in pred.iter_mut().enumerate() {
-                *p += Self::predict_tree(&tree, x.row(i));
+                *p += leaf_value(&tree, x.row(i));
             }
             self.trees.push(tree);
         }
@@ -312,7 +298,15 @@ impl Regressor for HistGradientBoosting {
 
     fn predict_row(&self, row: &[f64]) -> f64 {
         debug_assert!(!self.trees.is_empty(), "predict before fit");
-        self.base_score + self.trees.iter().map(|t| Self::predict_tree(t, row)).sum::<f64>()
+        self.base_score + self.trees.iter().map(|t| leaf_value(t, row)).sum::<f64>()
+    }
+
+    fn predict_rows(&self, rows: &[f64], width: usize, out: &mut [f64]) {
+        debug_assert!(!self.trees.is_empty(), "predict before fit");
+        sum_leaves_tree_major(self.trees.iter().map(Vec::as_slice), rows, width, out);
+        for sum in out {
+            *sum += self.base_score;
+        }
     }
 
     fn is_fitted(&self) -> bool {

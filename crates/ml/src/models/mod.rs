@@ -51,6 +51,17 @@ pub trait Regressor {
         x.row_iter().map(|r| self.predict_row(r)).collect()
     }
 
+    /// Predict every `width`-wide row of the row-major batch `rows` into
+    /// `out` (one slot per row) without allocating; bitwise equal to
+    /// [`Regressor::predict_row`] on each row. The tree ensembles override
+    /// it to evaluate tree-major.
+    fn predict_rows(&self, rows: &[f64], width: usize, out: &mut [f64]) {
+        debug_assert_eq!(rows.len(), width * out.len());
+        for (row, pred) in rows.chunks_exact(width).zip(out) {
+            *pred = self.predict_row(row);
+        }
+    }
+
     /// Whether `fit` has completed successfully.
     fn is_fitted(&self) -> bool;
 }
@@ -198,6 +209,10 @@ impl Regressor for AnyModel {
         dispatch!(self, m => m.predict(x))
     }
 
+    fn predict_rows(&self, rows: &[f64], width: usize, out: &mut [f64]) {
+        dispatch!(self, m => m.predict_rows(rows, width, out))
+    }
+
     fn is_fitted(&self) -> bool {
         dispatch!(self, m => m.is_fitted())
     }
@@ -285,6 +300,23 @@ mod tests {
                 preds.iter().all(|p| p.is_finite()),
                 "{kind:?} produced non-finite predictions"
             );
+        }
+    }
+
+    #[test]
+    fn predict_rows_is_bitwise_predict_row() {
+        let (x, y) = test_support::nonlinear_dataset(120, 2);
+        // A 54-row batch: the size of a widened-grid decision sweep.
+        let (batch, _) = test_support::nonlinear_dataset(54, 3);
+        let rows: Vec<f64> = batch.row_iter().flatten().copied().collect();
+        for kind in ModelKind::all() {
+            let mut m = AnyModel::default_for(kind);
+            m.fit(&x, &y).unwrap();
+            let mut out = vec![f64::NAN; batch.rows()];
+            m.predict_rows(&rows, batch.cols(), &mut out);
+            for (row, pred) in batch.row_iter().zip(&out) {
+                assert_eq!(pred.to_bits(), m.predict_row(row).to_bits(), "{kind:?}");
+            }
         }
     }
 

@@ -34,7 +34,44 @@ pub struct Node {
     pub value: f64,
 }
 
-const LEAF: u32 = u32::MAX;
+pub(crate) const LEAF: u32 = u32::MAX;
+
+/// The value of the leaf `row` falls in, walking one flat tree from its
+/// root.
+#[inline]
+pub(crate) fn leaf_value(nodes: &[Node], row: &[f64]) -> f64 {
+    let mut node = &nodes[0];
+    while node.feature != LEAF {
+        node = if row[node.feature as usize] <= node.threshold {
+            &nodes[node.left as usize]
+        } else {
+            &nodes[node.right as usize]
+        };
+    }
+    node.value
+}
+
+/// For every `width`-wide row of the row-major batch `rows`, the sum over
+/// `trees` of the leaf the row falls in, written to `out`.
+///
+/// Evaluated tree-major: one tree's nodes stay in L1 while every row walks
+/// it. Each row's sum starts from the value `Iterator::sum` starts from and
+/// adds the trees in order, so it is bitwise the
+/// `trees.map(|t| leaf_value(t, row)).sum::<f64>()` of the one-row path.
+pub(crate) fn sum_leaves_tree_major<'a>(
+    trees: impl Iterator<Item = &'a [Node]>,
+    rows: &[f64],
+    width: usize,
+    out: &mut [f64],
+) {
+    debug_assert_eq!(rows.len(), width * out.len());
+    out.fill(std::iter::empty::<f64>().sum());
+    for nodes in trees {
+        for (row, acc) in rows.chunks_exact(width).zip(out.iter_mut()) {
+            *acc += leaf_value(nodes, row);
+        }
+    }
+}
 
 /// Decision-tree regressor and hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -230,15 +267,7 @@ impl Regressor for DecisionTree {
 
     fn predict_row(&self, row: &[f64]) -> f64 {
         debug_assert!(!self.nodes.is_empty(), "predict before fit");
-        let mut node = &self.nodes[0];
-        while node.feature != LEAF {
-            node = if row[node.feature as usize] <= node.threshold {
-                &self.nodes[node.left as usize]
-            } else {
-                &self.nodes[node.right as usize]
-            };
-        }
-        node.value
+        leaf_value(&self.nodes, row)
     }
 
     fn is_fitted(&self) -> bool {
