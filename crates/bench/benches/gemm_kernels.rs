@@ -7,8 +7,10 @@ use adsala_gemm::naive::naive_gemm;
 use adsala_gemm::pack::{pack_a, pack_b, MatView};
 use adsala_gemm::pool::ThreadPool;
 use adsala_gemm::syrk::syrk_with_stats;
-use adsala_gemm::Transpose;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use adsala_gemm::{Element, Kernel, Transpose};
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
 use std::hint::black_box;
 
 fn fill(n: usize, seed: u32) -> Vec<f32> {
@@ -72,21 +74,42 @@ fn bench_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The four operand × orientation cases of one element type, at the
+/// dispatched kernel's register tile and perfbench's block geometry
+/// (`pack.a_gbps`/`pack.b_gbps`: a 128×256 `A` block, a 256×128 `B`
+/// block, rate in packed bytes written).
+fn bench_packing_for<T: Element + From<f32>>(group: &mut BenchmarkGroup, precision: &str) {
+    let kernel = Kernel::<T>::dispatched();
+    let (mc, kc, nc) = (128usize, 256usize, 128usize);
+    let data: Vec<T> = fill(mc * kc, 5).into_iter().map(T::from).collect();
+
+    let mut buf = vec![T::ZERO; mc.div_ceil(kernel.mr) * kernel.mr * kc];
+    group.throughput(Throughput::Bytes((buf.len() * T::BYTES) as u64));
+    for (case, view) in [
+        ("a_rowmajor", MatView::row_major(&data, mc, kc, kc)),
+        ("a_transposed", MatView::row_major(&data, kc, mc, mc).t()),
+    ] {
+        group.bench_function(format!("{case}/{precision}"), |bench| {
+            bench.iter(|| pack_a(black_box(&view), kernel.mr, black_box(&mut buf)))
+        });
+    }
+
+    let mut buf = vec![T::ZERO; kc * nc.div_ceil(kernel.nr) * kernel.nr];
+    group.throughput(Throughput::Bytes((buf.len() * T::BYTES) as u64));
+    for (case, view) in [
+        ("b_rowmajor", MatView::row_major(&data, kc, nc, nc)),
+        ("b_transposed", MatView::row_major(&data, nc, kc, kc).t()),
+    ] {
+        group.bench_function(format!("{case}/{precision}"), |bench| {
+            bench.iter(|| pack_b(black_box(&view), kernel.nr, black_box(&mut buf)))
+        });
+    }
+}
+
 fn bench_packing(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm/packing");
-    let rows = 256usize;
-    let cols = 384usize;
-    let data = fill(rows * cols, 5);
-    let view = MatView::row_major(&data, rows, cols, cols);
-    let mut buf_a = vec![0.0f32; rows.div_ceil(8) * 8 * cols];
-    group.throughput(Throughput::Bytes((rows * cols * 4) as u64));
-    group.bench_function("pack_a_256x384", |bench| {
-        bench.iter(|| pack_a(black_box(&view), 8, black_box(&mut buf_a)))
-    });
-    let mut buf_b = vec![0.0f32; rows * cols.div_ceil(8) * 8];
-    group.bench_function("pack_b_256x384", |bench| {
-        bench.iter(|| pack_b(black_box(&view), 8, black_box(&mut buf_b)))
-    });
+    bench_packing_for::<f32>(&mut group, "f32");
+    bench_packing_for::<f64>(&mut group, "f64");
     group.finish();
 }
 

@@ -27,6 +27,13 @@
 //! the `live_m × live_n` region — with the same β = 0 (no read of `C`)
 //! and α = 1 specialisations.
 //!
+//! Beside each kernel pair live the two **panel-packing primitives** the
+//! one packing routine ([`crate::pack`]) is built on — a strided-row
+//! *transpose* and a row *copy*, each producing one zero-padded strip of
+//! micro-panels ([`PanelFn`]). They are pure data movement (every ISA
+//! writes the same bytes) and ride the same dispatch decision as the
+//! kernels.
+//!
 //! SIMD and FMA change floating-point **rounding** relative to the scalar
 //! path (vector lanes partition the sum differently, FMA skips an
 //! intermediate rounding), so dispatched results are ULP-close but not
@@ -154,6 +161,26 @@ pub type MicroFn<T> = unsafe fn(
 /// `tile` must hold `mr·nr` elements.
 pub type AccFn<T> = unsafe fn(kc: usize, a_panel: *const T, b_panel: *const T, tile: *mut T);
 
+/// Panel-packing primitive: fill one strip of a packed operand —
+/// `dst[..depth·width]`, `depth` steps of `width` contiguous slots — from
+/// `1 ≤ live ≤ width` source lines, zeroing slots `live..width` of every
+/// step and writing nothing past `depth·width`.
+///
+/// Two primitives share the signature and differ in which source axis is
+/// contiguous:
+/// * **transpose** ([`Kernel::pack_transpose`]) —
+///   `dst[l·width + i] = src[i·stride + l]`: `live` source rows of `depth`
+///   contiguous elements, `stride` apart, interleaved;
+/// * **copy** ([`Kernel::pack_copy`]) — `dst[l·width + i] = src[l·stride + i]`:
+///   `depth` source runs of `live` contiguous elements, `stride` apart,
+///   copied.
+///
+/// The primitives are safe to call: each checks `live`, the destination
+/// length and the source extent (panicking otherwise) before it touches a
+/// raw pointer.
+pub type PanelFn<T> =
+    fn(src: &[T], stride: usize, live: usize, depth: usize, width: usize, dst: &mut [T]);
+
 /// One dispatched micro-kernel: the register-tile geometry plus the two
 /// entry points every driver consumes.
 pub struct Kernel<T> {
@@ -165,6 +192,8 @@ pub struct Kernel<T> {
     pub nr: usize,
     run: MicroFn<T>,
     acc: AccFn<T>,
+    pack_transpose: PanelFn<T>,
+    pack_copy: PanelFn<T>,
 }
 
 // Derived Clone/Copy would put `T: Clone` bounds on the impls; the struct
@@ -233,15 +262,61 @@ impl<T: Element> Kernel<T> {
     pub unsafe fn acc(&self, kc: usize, a_panel: *const T, b_panel: *const T, tile: *mut T) {
         (self.acc)(kc, a_panel, b_panel, tile)
     }
+
+    /// Pack one strip by transposition (see [`PanelFn`]): `live` source
+    /// rows of `depth` contiguous elements, `stride` apart, become `depth`
+    /// steps of `width` slots.
+    ///
+    /// # Panics
+    /// Unless `1 ≤ live ≤ width`, `dst` holds `depth·width`, and `src`
+    /// covers the rows.
+    #[inline(always)]
+    pub fn pack_transpose(
+        &self,
+        src: &[T],
+        stride: usize,
+        live: usize,
+        depth: usize,
+        width: usize,
+        dst: &mut [T],
+    ) {
+        (self.pack_transpose)(src, stride, live, depth, width, dst)
+    }
+
+    /// Pack one strip by row copies (see [`PanelFn`]): `depth` source runs
+    /// of `live` contiguous elements, `stride` apart, each become one step
+    /// of `width` slots.
+    ///
+    /// # Panics
+    /// Unless `1 ≤ live ≤ width`, `dst` holds `depth·width`, and `src`
+    /// covers the runs.
+    #[inline(always)]
+    pub fn pack_copy(
+        &self,
+        src: &[T],
+        stride: usize,
+        live: usize,
+        depth: usize,
+        width: usize,
+        dst: &mut [T],
+    ) {
+        (self.pack_copy)(src, stride, live, depth, width, dst)
+    }
 }
 
 /// Kernel table for `f32`.
 pub fn kernel_f32(isa: KernelIsa) -> Kernel<f32> {
     match isa {
         #[cfg(target_arch = "x86_64")]
-        KernelIsa::Avx2Fma => {
-            Kernel { isa, mr: x86::MR_F32, nr: x86::NR_F32, run: x86::run_f32, acc: x86::acc_f32 }
-        }
+        KernelIsa::Avx2Fma => Kernel {
+            isa,
+            mr: x86::MR_F32,
+            nr: x86::NR_F32,
+            run: x86::run_f32,
+            acc: x86::acc_f32,
+            pack_transpose: x86::pack_transpose_f32,
+            pack_copy: x86::pack_copy::<f32>,
+        },
         #[cfg(target_arch = "aarch64")]
         KernelIsa::Neon => Kernel {
             isa,
@@ -249,6 +324,8 @@ pub fn kernel_f32(isa: KernelIsa) -> Kernel<f32> {
             nr: neon::NR_F32,
             run: neon::run_f32,
             acc: neon::acc_f32,
+            pack_transpose: neon::pack_transpose_f32,
+            pack_copy: pack_copy_scalar::<f32>,
         },
         _ => scalar_kernel::<f32>(),
     }
@@ -258,9 +335,15 @@ pub fn kernel_f32(isa: KernelIsa) -> Kernel<f32> {
 pub fn kernel_f64(isa: KernelIsa) -> Kernel<f64> {
     match isa {
         #[cfg(target_arch = "x86_64")]
-        KernelIsa::Avx2Fma => {
-            Kernel { isa, mr: x86::MR_F64, nr: x86::NR_F64, run: x86::run_f64, acc: x86::acc_f64 }
-        }
+        KernelIsa::Avx2Fma => Kernel {
+            isa,
+            mr: x86::MR_F64,
+            nr: x86::NR_F64,
+            run: x86::run_f64,
+            acc: x86::acc_f64,
+            pack_transpose: x86::pack_transpose_f64,
+            pack_copy: x86::pack_copy::<f64>,
+        },
         #[cfg(target_arch = "aarch64")]
         KernelIsa::Neon => Kernel {
             isa,
@@ -268,6 +351,8 @@ pub fn kernel_f64(isa: KernelIsa) -> Kernel<f64> {
             nr: neon::NR_F64,
             run: neon::run_f64,
             acc: neon::acc_f64,
+            pack_transpose: neon::pack_transpose_f64,
+            pack_copy: pack_copy_scalar::<f64>,
         },
         _ => scalar_kernel::<f64>(),
     }
@@ -276,7 +361,15 @@ pub fn kernel_f64(isa: KernelIsa) -> Kernel<f64> {
 /// The always-available scalar kernel: the exact pre-dispatch
 /// `accumulate` + `merge_into_raw` pair at the historical `8×8` tile.
 fn scalar_kernel<T: Element>() -> Kernel<T> {
-    Kernel { isa: KernelIsa::Scalar, mr: MR, nr: NR, run: scalar_run::<T>, acc: scalar_acc::<T> }
+    Kernel {
+        isa: KernelIsa::Scalar,
+        mr: MR,
+        nr: NR,
+        run: scalar_run::<T>,
+        acc: scalar_acc::<T>,
+        pack_transpose: pack_transpose_scalar::<T>,
+        pack_copy: pack_copy_scalar::<T>,
+    }
 }
 
 /// Scalar fused kernel. Safety: see [`MicroFn`].
@@ -359,10 +452,106 @@ unsafe fn merge_staged_tile<T: Element>(
     }
 }
 
+/// The checks every panel primitive makes before it reads or writes (see
+/// [`PanelFn`]): `1 ≤ live ≤ width`, a destination of at least
+/// `depth·width`, and a source covering every line it will read — `live`
+/// lines of `depth` elements for the transpose (`rows_are_lines`), `depth`
+/// lines of `live` for the copy, `stride` apart. The SIMD bodies'
+/// raw-pointer accesses rest on exactly these.
+#[inline(always)]
+fn check_panel<T>(
+    src: &[T],
+    stride: usize,
+    live: usize,
+    depth: usize,
+    width: usize,
+    dst: &[T],
+    rows_are_lines: bool,
+) {
+    assert!(0 < live && live <= width, "panel strip of {live} lines in {width} slots");
+    let needed = depth.checked_mul(width).expect("panel size overflows usize");
+    assert!(dst.len() >= needed, "panel destination too small");
+    let (lines, run) = if rows_are_lines { (live, depth) } else { (depth, live) };
+    if depth > 0 {
+        let extent = (lines - 1).checked_mul(stride).and_then(|last| last.checked_add(run));
+        assert!(extent.is_some_and(|e| e <= src.len()), "panel source too small");
+    }
+}
+
+/// Scalar transpose primitive (see [`PanelFn`]), any width: the portable
+/// version, and what the SIMD versions leave to it — the depth tail short
+/// of one register block, and a width they have no register transpose for.
+fn pack_transpose_scalar<T: Element>(
+    src: &[T],
+    stride: usize,
+    live: usize,
+    depth: usize,
+    width: usize,
+    dst: &mut [T],
+) {
+    check_panel(src, stride, live, depth, width, dst, true);
+    for (l, step) in dst[..depth * width].chunks_exact_mut(width).enumerate() {
+        let (lanes, pad) = step.split_at_mut(live);
+        for (i, slot) in lanes.iter_mut().enumerate() {
+            *slot = src[i * stride + l];
+        }
+        pad.fill(T::ZERO);
+    }
+}
+
+/// Copy `depth` full runs of exactly `W` elements: the row copy has a
+/// compile-time length, so it is a fixed handful of vector moves (as wide
+/// as the instantiating function's target features allow) instead of a
+/// `memcpy` call of run-time length.
+#[inline(always)]
+fn copy_full_rows<T: Element, const W: usize>(
+    src: &[T],
+    stride: usize,
+    depth: usize,
+    dst: &mut [T],
+) {
+    for (l, step) in dst[..depth * W].chunks_exact_mut(W).enumerate() {
+        step.copy_from_slice(&src[l * stride..][..W]);
+    }
+}
+
+/// Copy primitive (see [`PanelFn`]) at the build's baseline target
+/// features — the scalar ISA's, and NEON's too (NEON *is* the AArch64
+/// baseline, so the fixed-width copies already are `q`-register moves) —
+/// and, inlined under wider features, the body of the other ISAs'. Full
+/// strips at a register-tile width go through [`copy_full_rows`]; a ragged
+/// strip (at most one per packed block) or any other width takes the
+/// run-time-length loop with zero padding.
+#[inline(always)]
+fn pack_copy_scalar<T: Element>(
+    src: &[T],
+    stride: usize,
+    live: usize,
+    depth: usize,
+    width: usize,
+    dst: &mut [T],
+) {
+    check_panel(src, stride, live, depth, width, dst, false);
+    match (width, live == width) {
+        (4, true) => copy_full_rows::<T, 4>(src, stride, depth, dst),
+        (6, true) => copy_full_rows::<T, 6>(src, stride, depth, dst),
+        (8, true) => copy_full_rows::<T, 8>(src, stride, depth, dst),
+        (16, true) => copy_full_rows::<T, 16>(src, stride, depth, dst),
+        _ => {
+            for (l, step) in dst[..depth * width].chunks_exact_mut(width).enumerate() {
+                let (lanes, pad) = step.split_at_mut(live);
+                lanes.copy_from_slice(&src[l * stride..][..live]);
+                pad.fill(T::ZERO);
+            }
+        }
+    }
+}
+
 /// AVX2 + FMA micro-kernels (x86-64, 256-bit registers).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::merge_staged_tile;
+    use crate::Element;
     use std::arch::x86_64::*;
 
     /// f32 register-tile rows.
@@ -616,6 +805,213 @@ mod x86 {
         // SAFETY: forwarded contract; AVX2+FMA guaranteed by dispatch.
         acc_f64_body(kc, a_panel, b_panel, tile)
     }
+
+    /// Transpose body for f32: a strip of `W ∈ {6, 8, 16}` rows, four
+    /// depth steps a block. Rows are taken eight at a time as four `ymm`
+    /// whose low lane holds row `g+q` and high lane row `g+4+q`, so one
+    /// in-lane 4×4 transpose (four unpacks, four shuffles) yields the four
+    /// steps' eight-row vectors with no cross-lane permute. Rows past
+    /// `live ≤ W` enter as zeros. Returns the steps packed (the multiple
+    /// of four below `depth`); the caller packs the tail.
+    ///
+    /// `W = 6` stores eight lanes into six slots: the two zero lanes land
+    /// on the next step's first slots, which the next store overwrites
+    /// (stores run in step order, the caller's tail last). Only the
+    /// strip's final step has nothing after it, and is stored as 4 + 2
+    /// lanes.
+    ///
+    /// # Safety
+    /// CPU must support AVX2; bounds as established by
+    /// [`super::check_panel`] for the transpose at `width = W`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose_f32<const W: usize>(
+        src: *const f32,
+        stride: usize,
+        live: usize,
+        depth: usize,
+        dst: *mut f32,
+    ) -> usize {
+        assert!(W == 6 || W == 8 || W == 16);
+        let row4 = |i: usize, d: usize| -> __m128 {
+            if i < live {
+                // SAFETY: row i < live is readable over steps d..d+4.
+                _mm_loadu_ps(src.add(i * stride + d))
+            } else {
+                _mm_setzero_ps()
+            }
+        };
+        let main = depth - depth % 4;
+        let mut d = 0;
+        while d < main {
+            let mut g = 0;
+            while g < W {
+                let x0 = _mm256_set_m128(row4(g + 4, d), row4(g, d));
+                let x1 = _mm256_set_m128(row4(g + 5, d), row4(g + 1, d));
+                let x2 = _mm256_set_m128(row4(g + 6, d), row4(g + 2, d));
+                let x3 = _mm256_set_m128(row4(g + 7, d), row4(g + 3, d));
+                let t0 = _mm256_unpacklo_ps(x0, x1); // steps d, d+1 of rows q = 0, 1
+                let t1 = _mm256_unpackhi_ps(x0, x1); // steps d+2, d+3
+                let t2 = _mm256_unpacklo_ps(x2, x3); // the same of rows q = 2, 3
+                let t3 = _mm256_unpackhi_ps(x2, x3);
+                let steps = [
+                    _mm256_shuffle_ps::<0x44>(t0, t2),
+                    _mm256_shuffle_ps::<0xEE>(t0, t2),
+                    _mm256_shuffle_ps::<0x44>(t1, t3),
+                    _mm256_shuffle_ps::<0xEE>(t1, t3),
+                ];
+                for (j, &v) in steps.iter().enumerate() {
+                    // SAFETY: step d+j < depth; eight lanes stay inside
+                    // depth·W unless this is the last step of a W = 6
+                    // strip, which takes the narrow store.
+                    let out = dst.add((d + j) * W + g);
+                    if W - g >= 8 || d + j + 1 < depth {
+                        _mm256_storeu_ps(out, v);
+                    } else {
+                        _mm_storeu_ps(out, _mm256_castps256_ps128(v));
+                        let high = _mm_castps_pd(_mm256_extractf128_ps::<1>(v));
+                        _mm_store_sd(out.add(4).cast::<f64>(), high);
+                    }
+                }
+                g += 8;
+            }
+            d += 4;
+        }
+        main
+    }
+
+    /// Transpose primitive for f32 (see [`super::PanelFn`]): register
+    /// transposes at the widths a kernel packs at — 6 and 16 (this ISA's
+    /// tile) and 8 (the scalar tile, which a plan can pin) — and the
+    /// scalar loop otherwise.
+    pub fn pack_transpose_f32(
+        src: &[f32],
+        stride: usize,
+        live: usize,
+        depth: usize,
+        width: usize,
+        dst: &mut [f32],
+    ) {
+        super::check_panel(src, stride, live, depth, width, dst, true);
+        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+        // SAFETY: check_panel proved the bounds the bodies rely on at this
+        // width; dispatch installs this pointer only when AVX2 is detected.
+        let done = unsafe {
+            match width {
+                6 => transpose_f32::<6>(s, stride, live, depth, d),
+                8 => transpose_f32::<8>(s, stride, live, depth, d),
+                16 => transpose_f32::<16>(s, stride, live, depth, d),
+                _ => 0,
+            }
+        };
+        let (src, dst) = (&src[done..], &mut dst[done * width..]);
+        super::pack_transpose_scalar(src, stride, live, depth - done, width, dst);
+    }
+
+    /// Transpose body for f64: a strip of `W ∈ {6, 8}` rows, two depth
+    /// steps a block. Four rows at a time as two `ymm` (low lane rows
+    /// `g`/`g+1`, high lane rows `g+2`/`g+3`): `unpacklo`/`unpackhi` are
+    /// the two steps' four-row vectors. `W = 6` finishes with one `xmm`
+    /// pair for rows 4 and 5, so every store is exact. Rows past `live`
+    /// enter as zeros. Returns the steps packed (the even number below
+    /// `depth`); the caller packs the tail.
+    ///
+    /// # Safety
+    /// CPU must support AVX2; bounds as established by
+    /// [`super::check_panel`] for the transpose at `width = W`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose_f64<const W: usize>(
+        src: *const f64,
+        stride: usize,
+        live: usize,
+        depth: usize,
+        dst: *mut f64,
+    ) -> usize {
+        assert!(W == 6 || W == 8);
+        let row2 = |i: usize, d: usize| -> __m128d {
+            if i < live {
+                // SAFETY: row i < live is readable over steps d, d+1.
+                _mm_loadu_pd(src.add(i * stride + d))
+            } else {
+                _mm_setzero_pd()
+            }
+        };
+        let main = depth - depth % 2;
+        let mut d = 0;
+        while d < main {
+            // SAFETY (stores): steps d, d+1 < depth and g + lanes ≤ W.
+            let mut g = 0;
+            while g + 4 <= W {
+                let a = _mm256_set_m128d(row2(g + 2, d), row2(g, d));
+                let b = _mm256_set_m128d(row2(g + 3, d), row2(g + 1, d));
+                _mm256_storeu_pd(dst.add(d * W + g), _mm256_unpacklo_pd(a, b));
+                _mm256_storeu_pd(dst.add((d + 1) * W + g), _mm256_unpackhi_pd(a, b));
+                g += 4;
+            }
+            if g < W {
+                let (a, b) = (row2(g, d), row2(g + 1, d));
+                _mm_storeu_pd(dst.add(d * W + g), _mm_unpacklo_pd(a, b));
+                _mm_storeu_pd(dst.add((d + 1) * W + g), _mm_unpackhi_pd(a, b));
+            }
+            d += 2;
+        }
+        main
+    }
+
+    /// Transpose primitive for f64 (see [`super::PanelFn`]): register
+    /// transposes at widths 6 and 8 (this ISA's tile; 8 is also the scalar
+    /// tile), the scalar loop otherwise.
+    pub fn pack_transpose_f64(
+        src: &[f64],
+        stride: usize,
+        live: usize,
+        depth: usize,
+        width: usize,
+        dst: &mut [f64],
+    ) {
+        super::check_panel(src, stride, live, depth, width, dst, true);
+        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+        // SAFETY: check_panel proved the bounds the bodies rely on at this
+        // width; dispatch installs this pointer only when AVX2 is detected.
+        let done = unsafe {
+            match width {
+                6 => transpose_f64::<6>(s, stride, live, depth, d),
+                8 => transpose_f64::<8>(s, stride, live, depth, d),
+                _ => 0,
+            }
+        };
+        let (src, dst) = (&src[done..], &mut dst[done * width..]);
+        super::pack_transpose_scalar(src, stride, live, depth - done, width, dst);
+    }
+
+    /// [`super::pack_copy_scalar`] compiled with AVX2 enabled, so a
+    /// fixed-width row is `ymm` moves.
+    ///
+    /// # Safety
+    /// CPU must support AVX2 (the body itself is safe code).
+    #[target_feature(enable = "avx2")]
+    unsafe fn copy_body<T: Element>(
+        src: &[T],
+        stride: usize,
+        live: usize,
+        depth: usize,
+        width: usize,
+        dst: &mut [T],
+    ) {
+        super::pack_copy_scalar(src, stride, live, depth, width, dst)
+    }
+
+    /// Copy primitive (see [`super::PanelFn`]).
+    pub fn pack_copy<T: Element>(
+        src: &[T],
+        stride: usize,
+        live: usize,
+        depth: usize,
+        width: usize,
+        dst: &mut [T],
+    ) {
+        // SAFETY: dispatch installs this pointer only when AVX2 is detected.
+        unsafe { copy_body(src, stride, live, depth, width, dst) }
+    }
 }
 
 /// NEON micro-kernels (AArch64, 128-bit registers). NEON is baseline on
@@ -796,6 +1192,161 @@ mod neon {
             vst1q_f64(tile.add(i * NR_F64), acc[2 * i]);
             vst1q_f64(tile.add(i * NR_F64 + 2), acc[2 * i + 1]);
         }
+    }
+
+    /// Transpose body for f32: a strip of `W ∈ {4, 6, 8}` rows, four depth
+    /// steps a block. Four rows at a time through a 4×4 register transpose
+    /// (`trn1`/`trn2`, then the 64-bit halves recombined); `W = 6`
+    /// finishes with rows 4 and 5 as 2×4 → four 64-bit stores, so every
+    /// store is exact. Rows past `live` enter as zeros. Returns the steps
+    /// packed (the multiple of four below `depth`); the caller packs the
+    /// tail.
+    ///
+    /// # Safety
+    /// Bounds as established by [`super::check_panel`] for the transpose
+    /// at `width = W`.
+    unsafe fn transpose_f32<const W: usize>(
+        src: *const f32,
+        stride: usize,
+        live: usize,
+        depth: usize,
+        dst: *mut f32,
+    ) -> usize {
+        assert!(W == 4 || W == 6 || W == 8);
+        let row4 = |i: usize, d: usize| -> float32x4_t {
+            if i < live {
+                // SAFETY: row i < live is readable over steps d..d+4.
+                vld1q_f32(src.add(i * stride + d))
+            } else {
+                vdupq_n_f32(0.0)
+            }
+        };
+        let main = depth - depth % 4;
+        let mut d = 0;
+        while d < main {
+            // SAFETY (stores): steps d..d+4 < depth and g + lanes ≤ W.
+            let mut g = 0;
+            while g + 4 <= W {
+                let (r0, r1, r2, r3) = (row4(g, d), row4(g + 1, d), row4(g + 2, d), row4(g + 3, d));
+                let t0 = vtrn1q_f32(r0, r1); // [r0[0] r1[0] r0[2] r1[2]]
+                let t1 = vtrn2q_f32(r0, r1); // [r0[1] r1[1] r0[3] r1[3]]
+                let t2 = vtrn1q_f32(r2, r3);
+                let t3 = vtrn2q_f32(r2, r3);
+                let out = dst.add(d * W + g);
+                vst1q_f32(out, vcombine_f32(vget_low_f32(t0), vget_low_f32(t2)));
+                vst1q_f32(out.add(W), vcombine_f32(vget_low_f32(t1), vget_low_f32(t3)));
+                vst1q_f32(out.add(2 * W), vcombine_f32(vget_high_f32(t0), vget_high_f32(t2)));
+                vst1q_f32(out.add(3 * W), vcombine_f32(vget_high_f32(t1), vget_high_f32(t3)));
+                g += 4;
+            }
+            if g < W {
+                let (r0, r1) = (row4(g, d), row4(g + 1, d));
+                let t0 = vtrn1q_f32(r0, r1);
+                let t1 = vtrn2q_f32(r0, r1);
+                let out = dst.add(d * W + g);
+                vst1_f32(out, vget_low_f32(t0));
+                vst1_f32(out.add(W), vget_low_f32(t1));
+                vst1_f32(out.add(2 * W), vget_high_f32(t0));
+                vst1_f32(out.add(3 * W), vget_high_f32(t1));
+            }
+            d += 4;
+        }
+        main
+    }
+
+    /// Transpose primitive for f32 (see [`super::PanelFn`]): register
+    /// transposes at widths 6 and 8 (this ISA's tile; 8 is also the scalar
+    /// tile) and 4, the scalar loop otherwise.
+    pub fn pack_transpose_f32(
+        src: &[f32],
+        stride: usize,
+        live: usize,
+        depth: usize,
+        width: usize,
+        dst: &mut [f32],
+    ) {
+        super::check_panel(src, stride, live, depth, width, dst, true);
+        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+        // SAFETY: check_panel proved the bounds the bodies rely on at this
+        // width.
+        let done = unsafe {
+            match width {
+                4 => transpose_f32::<4>(s, stride, live, depth, d),
+                6 => transpose_f32::<6>(s, stride, live, depth, d),
+                8 => transpose_f32::<8>(s, stride, live, depth, d),
+                _ => 0,
+            }
+        };
+        let (src, dst) = (&src[done..], &mut dst[done * width..]);
+        super::pack_transpose_scalar(src, stride, live, depth - done, width, dst);
+    }
+
+    /// Transpose body for f64: a strip of `W ∈ {4, 6, 8}` rows, two depth
+    /// steps a block, two rows at a time (`zip1`/`zip2` are the 2×2
+    /// transpose); every store is exact. Rows past `live` enter as zeros.
+    /// Returns the steps packed (the even number below `depth`); the
+    /// caller packs the tail.
+    ///
+    /// # Safety
+    /// Bounds as established by [`super::check_panel`] for the transpose
+    /// at `width = W`.
+    unsafe fn transpose_f64<const W: usize>(
+        src: *const f64,
+        stride: usize,
+        live: usize,
+        depth: usize,
+        dst: *mut f64,
+    ) -> usize {
+        assert!(W == 4 || W == 6 || W == 8);
+        let row2 = |i: usize, d: usize| -> float64x2_t {
+            if i < live {
+                // SAFETY: row i < live is readable over steps d, d+1.
+                vld1q_f64(src.add(i * stride + d))
+            } else {
+                vdupq_n_f64(0.0)
+            }
+        };
+        let main = depth - depth % 2;
+        let mut d = 0;
+        while d < main {
+            // SAFETY (stores): steps d, d+1 < depth and g + 2 ≤ W.
+            let mut g = 0;
+            while g < W {
+                let (r0, r1) = (row2(g, d), row2(g + 1, d));
+                vst1q_f64(dst.add(d * W + g), vzip1q_f64(r0, r1));
+                vst1q_f64(dst.add((d + 1) * W + g), vzip2q_f64(r0, r1));
+                g += 2;
+            }
+            d += 2;
+        }
+        main
+    }
+
+    /// Transpose primitive for f64 (see [`super::PanelFn`]): register
+    /// transposes at widths 6 and 4 (this ISA's tile) and 8 (the scalar
+    /// tile), the scalar loop otherwise.
+    pub fn pack_transpose_f64(
+        src: &[f64],
+        stride: usize,
+        live: usize,
+        depth: usize,
+        width: usize,
+        dst: &mut [f64],
+    ) {
+        super::check_panel(src, stride, live, depth, width, dst, true);
+        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+        // SAFETY: check_panel proved the bounds the bodies rely on at this
+        // width.
+        let done = unsafe {
+            match width {
+                4 => transpose_f64::<4>(s, stride, live, depth, d),
+                6 => transpose_f64::<6>(s, stride, live, depth, d),
+                8 => transpose_f64::<8>(s, stride, live, depth, d),
+                _ => 0,
+            }
+        };
+        let (src, dst) = (&src[done..], &mut dst[done * width..]);
+        super::pack_transpose_scalar(src, stride, live, depth - done, width, dst);
     }
 }
 

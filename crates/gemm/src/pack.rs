@@ -14,13 +14,40 @@
 //! contribute nothing. This padding is also a real cost: vendor libraries
 //! pay it too, and it is one reason many threads on a tiny matrix spend
 //! almost all their time copying (paper §VI-D, Table VII).
+//!
+//! # One routine, two primitives
+//!
+//! The two layouts are one: a `B` block packed `NR` columns at a time is
+//! its transpose packed `NR` rows at a time, so [`pack_b`]`(v, nr, ·)` is
+//! [`pack_a`]`(v.t(), nr, ·)` and both are `pack_panels`, the only packing
+//! loop. It walks the strips and hands each to one of two per-ISA
+//! primitives that live beside the micro-kernels ([`crate::isa::PanelFn`],
+//! chosen by the same once-per-process [`crate::isa::KernelIsa::dispatched`]
+//! decision, so `ADSALA_FORCE_SCALAR` and hosts without AVX2/NEON get the
+//! scalar versions):
+//!
+//! | the strip's … are contiguous in storage | primitive | reached by |
+//! | --- | --- | --- |
+//! | rows along the depth (`cs == 1`) | **transpose**: `width` strided rows interleaved through in-register transposes | `pack_a` of a row-major `A` (every untransposed GEMM, SYRK's `A`); `pack_b` of a transposed `B` (SYRK's `Aᵀ`) |
+//! | depth steps across the rows (`rs == 1`) | **copy**: one fixed-width row copy per depth step | `pack_b` of a row-major `B` (every untransposed GEMM); `pack_a` of a transposed `A` |
+//!
+//! There is no third, element-gather path, because a view with two
+//! general strides cannot be built: [`MatView`]'s fields are private and
+//! its constructors are [`MatView::row_major`] (column stride 1) and the
+//! stride-preserving [`MatView::t`] and [`MatView::sub`], so one stride of
+//! every view is 1 (both, for a single row or column, which either
+//! primitive packs correctly). Packing is pure data movement: every ISA's
+//! primitives write the same bytes, which the unit tests pin against a
+//! plain `at(i, j)` loop.
 
+use crate::isa::Kernel;
 use crate::Element;
 
 /// A read-only strided view of a dense matrix.
 ///
-/// `at(i, j) = data[offset + i·rs + j·cs]`. Logical transposition is a
-/// stride swap, so the pack routines handle `Transpose::Yes` for free.
+/// `at(i, j) = data[offset + i·rs + j·cs]`, with `rs == 1` or `cs == 1`
+/// (see the module docs). Logical transposition is a stride swap, so
+/// `Transpose::Yes` only changes which pack primitive a block reaches.
 #[derive(Clone, Copy)]
 pub struct MatView<'a, T> {
     data: &'a [T],
@@ -86,129 +113,62 @@ impl<'a, T: Element> MatView<'a, T> {
     }
 }
 
-/// Pack an `A` block into `MR`-row micro-panels.
+/// Pack `view` into micro-panels of `width` of its rows: strip `s` holds
+/// rows `s·width..`, stored as `cols` steps of `width` contiguous values
+/// (step `l` is column `l` of those rows), the last strip zero-padded to
+/// the full width. The one packing loop: each strip is one call of a
+/// [`Kernel`] primitive — the copy when the strip's rows are adjacent in
+/// storage (`rs == 1`), the transpose when its columns are (`cs == 1`).
 ///
-/// `buf` must hold at least `ceil(rows/MR)·MR·cols` elements. Returns the
+/// Returns the bytes written, padding included.
+fn pack_panels<T: Element>(
+    kernel: Kernel<T>,
+    view: &MatView<'_, T>,
+    width: usize,
+    buf: &mut [T],
+) -> u64 {
+    debug_assert!(width > 0, "zero panel width");
+    if width == 0 {
+        return 0;
+    }
+    let (rows, depth) = (view.rows, view.cols);
+    let needed = rows.div_ceil(width) * width * depth;
+    assert!(buf.len() >= needed, "pack buffer too small");
+    if needed == 0 {
+        return 0;
+    }
+    let rows_adjacent = view.rs == 1;
+    // Every constructor leaves a unit stride (see the module docs).
+    assert!(rows_adjacent || view.cs == 1, "MatView with two general strides");
+    for (strip, panel) in buf[..needed].chunks_exact_mut(width * depth).enumerate() {
+        let r0 = strip * width;
+        let live = (rows - r0).min(width);
+        let src = &view.data[view.offset + r0 * view.rs..];
+        if rows_adjacent {
+            kernel.pack_copy(src, view.cs, live, depth, width, panel);
+        } else {
+            kernel.pack_transpose(src, view.rs, live, depth, width, panel);
+        }
+    }
+    (needed * T::BYTES) as u64
+}
+
+/// Pack an `A` block (`mc×kc`) into `mr`-row micro-panels, each stored
+/// column by column.
+///
+/// `buf` must hold at least `ceil(rows/mr)·mr·cols` elements. Returns the
 /// number of *bytes* written (padding included) for copy accounting.
-///
-/// When the view's row stride is 1 (a transposed operand: the packed
-/// "columns" are contiguous in storage), each micro-panel column is one
-/// `copy_from_slice` — `memcpy` speed instead of a gather loop.
 pub fn pack_a<T: Element>(block: &MatView<'_, T>, mr: usize, buf: &mut [T]) -> u64 {
-    let rows = block.rows();
-    let cols = block.cols();
-    let strips = rows.div_ceil(mr.max(1));
-    let needed = strips * mr * cols;
-    assert!(buf.len() >= needed, "pack_a buffer too small");
-    let mut idx = 0;
-    if block.rs == 1 {
-        // Unit row stride: rows r0..r0+live of column l are the
-        // contiguous range data[offset + r0 + l·cs ..][..live].
-        for strip in 0..strips {
-            let r0 = strip * mr;
-            let live = (rows - r0).min(mr);
-            for l in 0..cols {
-                let src = block.offset + r0 + l * block.cs;
-                buf[idx..idx + live].copy_from_slice(&block.data[src..src + live]);
-                for slot in &mut buf[idx + live..idx + mr] {
-                    *slot = T::ZERO;
-                }
-                idx += mr;
-            }
-        }
-        return (needed * T::BYTES) as u64;
-    }
-    for strip in 0..strips {
-        let r0 = strip * mr;
-        let live = (rows - r0).min(mr);
-        for l in 0..cols {
-            // Full-tile fast path avoids the branch in the hot loop.
-            if live == mr {
-                for i in 0..mr {
-                    buf[idx] = block.at(r0 + i, l);
-                    idx += 1;
-                }
-            } else {
-                for i in 0..live {
-                    buf[idx] = block.at(r0 + i, l);
-                    idx += 1;
-                }
-                for _ in live..mr {
-                    buf[idx] = T::ZERO;
-                    idx += 1;
-                }
-            }
-        }
-    }
-    (needed * T::BYTES) as u64
+    pack_panels(Kernel::dispatched(), block, mr, buf)
 }
 
-/// Pack a `B` block into `NR`-column micro-panels.
+/// Pack a `B` block (`kc×nc`) into `nr`-column micro-panels, each stored
+/// row by row — [`pack_a`] of the transposed view.
 ///
-/// `buf` must hold at least `kc·ceil(cols/NR)·NR` elements. Returns the
+/// `buf` must hold at least `rows·ceil(cols/nr)·nr` elements. Returns the
 /// number of bytes written (padding included).
-///
-/// When the view's column stride is 1 (an untransposed row-major
-/// operand — the common case), each micro-panel row is one
-/// `copy_from_slice` instead of an element gather.
 pub fn pack_b<T: Element>(block: &MatView<'_, T>, nr: usize, buf: &mut [T]) -> u64 {
-    let kc = block.rows();
-    let cols = block.cols();
-    let strips = cols.div_ceil(nr.max(1));
-    let needed = strips * nr * kc;
-    assert!(buf.len() >= needed, "pack_b buffer too small");
-    let mut idx = 0;
-    if block.cs == 1 {
-        // Unit column stride: columns c0..c0+live of row l are the
-        // contiguous range data[offset + l·rs + c0 ..][..live].
-        for strip in 0..strips {
-            let c0 = strip * nr;
-            let live = (cols - c0).min(nr);
-            for l in 0..kc {
-                let src = block.offset + l * block.rs + c0;
-                buf[idx..idx + live].copy_from_slice(&block.data[src..src + live]);
-                for slot in &mut buf[idx + live..idx + nr] {
-                    *slot = T::ZERO;
-                }
-                idx += nr;
-            }
-        }
-        return (needed * T::BYTES) as u64;
-    }
-    for strip in 0..strips {
-        let c0 = strip * nr;
-        let live = (cols - c0).min(nr);
-        for l in 0..kc {
-            if live == nr {
-                for j in 0..nr {
-                    buf[idx] = block.at(l, c0 + j);
-                    idx += 1;
-                }
-            } else {
-                for j in 0..live {
-                    buf[idx] = block.at(l, c0 + j);
-                    idx += 1;
-                }
-                for _ in live..nr {
-                    buf[idx] = T::ZERO;
-                    idx += 1;
-                }
-            }
-        }
-    }
-    (needed * T::BYTES) as u64
-}
-
-/// Spread the low 32 bits of `x` into the even bit positions of a `u64`.
-#[inline]
-fn part1by1(x: u64) -> u64 {
-    let mut x = x & 0xffff_ffff;
-    x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
-    x = (x | (x << 8)) & 0x00ff_00ff_00ff_00ff;
-    x = (x | (x << 4)) & 0x0f0f_0f0f_0f0f_0f0f;
-    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
-    x = (x | (x << 1)) & 0x5555_5555_5555_5555;
-    x
+    pack_panels(Kernel::dispatched(), &block.t(), nr, buf)
 }
 
 /// Gather the even bit positions of `x` back into the low 32 bits.
@@ -223,112 +183,20 @@ fn compact1by1(x: u64) -> u64 {
     x
 }
 
-/// Morton (Z-order) code of the tile coordinate `(x, y)`: bits of `x`
+/// The tile coordinate `(x, y)` of a Morton (Z-order) code: bits of `x`
 /// occupy the even positions, bits of `y` the odd ones. Walking codes in
 /// increasing order visits tiles along the recursive Z curve, which keeps
 /// both the row- and column-neighbour of the previous tile hot in cache —
-/// the layout the `Algorithm::ZOrder` driver traverses macro-blocks in.
-#[inline]
-pub fn morton_encode(x: u32, y: u32) -> u64 {
-    part1by1(x as u64) | (part1by1(y as u64) << 1)
-}
-
-/// Inverse of [`morton_encode`]: recover `(x, y)` from a Morton code.
+/// the order the `Algorithm::ZOrder` driver traverses macro-blocks in.
 #[inline]
 pub fn morton_decode(z: u64) -> (u32, u32) {
     (compact1by1(z) as u32, compact1by1(z >> 1) as u32)
 }
 
-/// Elements required by [`pack_zorder`] for a `rows×cols` operand split
-/// into `tile×tile` blocks: every live tile is stored in full (ragged
-/// edges zero-padded), dead Morton slots are skipped entirely.
-pub fn zorder_buffer_len(rows: usize, cols: usize, tile: usize) -> usize {
-    let t = tile.max(1);
-    rows.div_ceil(t) * cols.div_ceil(t) * t * t
-}
-
-/// Pack a matrix into tile-blocked Morton (Z-order) layout.
-///
-/// The operand is cut into `tile×tile` blocks; blocks are emitted in
-/// increasing Morton code of their `(tile_row, tile_col)` coordinate and
-/// each block is stored row-major, zero-padded to the full tile on ragged
-/// edges. `buf` must hold [`zorder_buffer_len`] elements. Returns bytes
-/// written (padding included) for copy accounting.
-pub fn pack_zorder<T: Element>(block: &MatView<'_, T>, tile: usize, buf: &mut [T]) -> u64 {
-    let t = tile.max(1);
-    let (rows, cols) = (block.rows(), block.cols());
-    let (tr, tc) = (rows.div_ceil(t), cols.div_ceil(t));
-    let needed = tr * tc * t * t;
-    assert!(buf.len() >= needed, "pack_zorder buffer too small");
-    let side = tr.max(tc).next_power_of_two() as u64;
-    let mut idx = 0;
-    for z in 0..side * side {
-        let (ti, tj) = morton_decode(z);
-        let (ti, tj) = (ti as usize, tj as usize);
-        if ti >= tr || tj >= tc {
-            continue;
-        }
-        let r0 = ti * t;
-        let c0 = tj * t;
-        let live_r = (rows - r0).min(t);
-        let live_c = (cols - c0).min(t);
-        for i in 0..t {
-            for j in 0..t {
-                buf[idx] =
-                    if i < live_r && j < live_c { block.at(r0 + i, c0 + j) } else { T::ZERO };
-                idx += 1;
-            }
-        }
-    }
-    (needed * T::BYTES) as u64
-}
-
-/// Inverse of [`pack_zorder`]: scatter a Morton-packed buffer back into a
-/// dense row-major `rows×cols` matrix with leading dimension `ld`. Only
-/// live elements are written (padding is dropped), so a
-/// pack→unpack round trip reproduces the live region bitwise.
-pub fn unpack_zorder<T: Element>(
-    buf: &[T],
-    rows: usize,
-    cols: usize,
-    tile: usize,
-    out: &mut [T],
-    ld: usize,
-) {
-    let t = tile.max(1);
-    let (tr, tc) = (rows.div_ceil(t), cols.div_ceil(t));
-    let needed = tr * tc * t * t;
-    assert!(buf.len() >= needed, "unpack_zorder buffer too small");
-    if rows > 0 && cols > 0 {
-        assert!(ld >= cols, "leading dimension too small");
-        assert!(out.len() >= (rows - 1) * ld + cols, "unpack_zorder output too small");
-    }
-    let side = tr.max(tc).next_power_of_two() as u64;
-    let mut idx = 0;
-    for z in 0..side * side {
-        let (ti, tj) = morton_decode(z);
-        let (ti, tj) = (ti as usize, tj as usize);
-        if ti >= tr || tj >= tc {
-            continue;
-        }
-        let r0 = ti * t;
-        let c0 = tj * t;
-        let live_r = (rows - r0).min(t);
-        let live_c = (cols - c0).min(t);
-        for i in 0..t {
-            for j in 0..t {
-                if i < live_r && j < live_c {
-                    out[(r0 + i) * ld + c0 + j] = buf[idx];
-                }
-                idx += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::KernelIsa;
 
     fn seq(n: usize) -> Vec<f64> {
         (0..n).map(|i| i as f64).collect()
@@ -431,9 +299,9 @@ mod tests {
     #[test]
     fn pack_b_unit_stride_fast_path_matches_strided_path() {
         // The same logical 5×7 matrix, once stored row-major (cs = 1,
-        // copy_from_slice fast path) and once as the transpose of its
-        // materialised transpose (cs = 5, generic gather path). Both
-        // pack orders must agree, including ragged zero padding.
+        // the copy primitive) and once as the transpose of its
+        // materialised transpose (cs = 5, the transpose primitive). Both
+        // must pack alike, including ragged zero padding.
         let (k, n) = (5usize, 7usize);
         let dense: Vec<f64> = (0..k * n).map(|i| i as f64 * 1.5 - 10.0).collect();
         let mut transposed = vec![0.0; k * n];
@@ -457,8 +325,9 @@ mod tests {
 
     #[test]
     fn pack_a_unit_stride_fast_path_matches_strided_path() {
-        // Logical 7×5 A: unit row stride via a transposed view (fast
-        // path) vs its materialised row-major equivalent (generic path).
+        // Logical 7×5 A: unit row stride via a transposed view (the copy
+        // primitive) vs its materialised row-major equivalent (the
+        // transpose primitive).
         let (m, k) = (7usize, 5usize);
         let stored: Vec<f64> = (0..k * m).map(|i| (i as f64).sin() * 4.0).collect(); // k×m
         let mut materialised = vec![0.0; m * k];
@@ -482,8 +351,8 @@ mod tests {
 
     #[test]
     fn pack_fast_paths_zero_pad_subviews() {
-        // A sub-view with an offset keeps the fast path honest about
-        // offsets and padding.
+        // A sub-view with an offset keeps the copy primitive honest
+        // about offsets and padding.
         let d = seq(48); // 6x8
         let v = MatView::row_major(&d, 6, 8, 8).sub(1, 2, 4, 5); // cs = 1
         let mut buf = vec![-1.0; 4 * 8];
@@ -492,6 +361,22 @@ mod tests {
         assert_eq!(&buf[0..4], &[10.0, 11.0, 12.0, 13.0]);
         // Second strip holds the ragged column 14.0 + three zeros.
         assert_eq!(&buf[16..20], &[14.0, 0.0, 0.0, 0.0]);
+    }
+
+    /// Spread the low 32 bits of `x` into the even bit positions.
+    fn part1by1(x: u64) -> u64 {
+        let mut x = x & 0xffff_ffff;
+        x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
+        x = (x | (x << 8)) & 0x00ff_00ff_00ff_00ff;
+        x = (x | (x << 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+        x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+        x = (x | (x << 1)) & 0x5555_5555_5555_5555;
+        x
+    }
+
+    /// Morton code of `(x, y)`, the inverse of [`morton_decode`].
+    fn morton_encode(x: u32, y: u32) -> u64 {
+        part1by1(x as u64) | (part1by1(y as u64) << 1)
     }
 
     #[test]
@@ -521,57 +406,196 @@ mod tests {
         }
     }
 
-    #[test]
-    fn zorder_round_trip_is_bitwise() {
-        // Ragged 7x5 with tile 3: 3x2 tile grid, padded slots dropped on
-        // unpack. Values chosen to be bit-sensitive (not representable
-        // sums).
-        let (rows, cols, tile, ld) = (7usize, 5usize, 3usize, 6usize);
-        let src: Vec<f64> = (0..rows * ld).map(|i| (i as f64 * 0.1).sin() * 1e3).collect();
-        let v = MatView::row_major(&src, rows, cols, ld);
-        let mut buf = vec![f64::NAN; zorder_buffer_len(rows, cols, tile)];
-        let bytes = pack_zorder(&v, tile, &mut buf);
-        assert_eq!(bytes as usize, zorder_buffer_len(rows, cols, tile) * 8);
-        let mut out = vec![0.0f64; rows * ld];
-        unpack_zorder(&buf, rows, cols, tile, &mut out, ld);
-        for i in 0..rows {
-            for j in 0..cols {
-                assert_eq!(
-                    out[i * ld + j].to_bits(),
-                    src[i * ld + j].to_bits(),
-                    "mismatch at ({i},{j})"
+    /// Bit-level access and bit-sensitive fill values for the reference
+    /// test, per element type.
+    trait BitElement: Element {
+        /// Depth steps one SIMD register block covers (the widest ISA's).
+        const LANE: usize;
+        fn from_pattern(bits: u64) -> Self;
+        fn bits(self) -> u64;
+    }
+    impl BitElement for f32 {
+        const LANE: usize = 8;
+        fn from_pattern(bits: u64) -> Self {
+            f32::from_bits(bits as u32)
+        }
+        fn bits(self) -> u64 {
+            self.to_bits() as u64
+        }
+    }
+    impl BitElement for f64 {
+        const LANE: usize = 4;
+        fn from_pattern(bits: u64) -> Self {
+            f64::from_bits(bits)
+        }
+        fn bits(self) -> u64 {
+            self.to_bits()
+        }
+    }
+
+    /// Element `i` of a source buffer: all distinct, cycling through the
+    /// values a copy that is not bit-exact would change (−0.0 first, then
+    /// quiet NaNs with a payload and either sign, subnormals) between
+    /// ordinary numbers.
+    fn bit_sensitive<T: BitElement>(i: usize) -> T {
+        let top = T::BYTES * 8 - 1; // sign bit; exponent starts below it
+        let quiet_nan = if T::BYTES == 4 { 0x7fc0_0000u64 } else { 0x7ff8_0000_0000_0000u64 };
+        let n = i as u64 + 1;
+        match i % 5 {
+            0 if i == 0 => T::from_pattern(1 << top),       // −0.0
+            0 => T::from_pattern(n),                        // subnormal
+            1 => T::from_pattern(quiet_nan | n),            // NaN, payload n
+            2 => T::from_pattern(1 << top | quiet_nan | n), // −NaN, payload n
+            // Ordinary values: a biased exponent of 1 upward over an
+            // index-valued mantissa.
+            _ => T::from_pattern((n % 64 + 1) << (if T::BYTES == 4 { 23 } else { 52 }) | n),
+        }
+    }
+
+    /// What a slot nothing may write holds (no `bit_sensitive` value has
+    /// this payload: indices stay far below it).
+    fn sentinel<T: BitElement>() -> T {
+        T::from_pattern(if T::BYTES == 4 { 0x7fc5_a5a5 } else { 0x7ff8_5a5a_5a5a_5a5a })
+    }
+    const GUARD: usize = 24;
+
+    /// `pack_a`'s layout from a plain `at(i, j)` loop.
+    fn reference_a<T: Element>(v: &MatView<'_, T>, w: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        for r0 in (0..v.rows()).step_by(w) {
+            for l in 0..v.cols() {
+                for i in r0..r0 + w {
+                    out.push(if i < v.rows() { v.at(i, l) } else { T::ZERO });
+                }
+            }
+        }
+        out
+    }
+
+    /// `pack_b`'s layout from a plain `at(i, j)` loop.
+    fn reference_b<T: Element>(v: &MatView<'_, T>, w: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        for c0 in (0..v.cols()).step_by(w) {
+            for l in 0..v.rows() {
+                for j in c0..c0 + w {
+                    out.push(if j < v.cols() { v.at(l, j) } else { T::ZERO });
+                }
+            }
+        }
+        out
+    }
+
+    /// `got[..want.len()]` is `want` bit for bit and the rest of `got` is
+    /// still the sentinel.
+    fn assert_bits_and_guard<T: BitElement>(got: &[T], want: &[T], what: &str) {
+        for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.bits(), w.bits(), "{what}: slot {idx} of {}", want.len());
+        }
+        for (idx, g) in got.iter().enumerate().skip(want.len()) {
+            assert_eq!(g.bits(), sentinel::<T>().bits(), "{what}: wrote past the panel at {idx}");
+        }
+    }
+
+    fn panels_match_reference<T: BitElement>() {
+        let mut kernels: Vec<Kernel<T>> = Vec::new();
+        for isa in [KernelIsa::Avx2Fma, KernelIsa::Neon, KernelIsa::Scalar] {
+            let kernel = Kernel::<T>::for_isa(isa);
+            if isa.is_supported() && kernels.iter().all(|k| k.isa != kernel.isa) {
+                kernels.push(kernel);
+            }
+        }
+        let lane = T::LANE;
+        for w in [4usize, 6, 8, 16] {
+            for rows in [0, 1, w - 1, w, w + 1, 3 * w + 2] {
+                for depth in [0, 1, lane - 1, lane, lane + 1, 2 * lane + 3] {
+                    // The logical rows×depth block, stored as is (its rows
+                    // run along the depth: transpose) or transposed (its
+                    // depth steps run across the rows: copy); dense, or an
+                    // offset sub-view of a larger padded-ld buffer.
+                    for stored_transposed in [false, true] {
+                        for padded in [false, true] {
+                            let (sr, sc) =
+                                if stored_transposed { (depth, rows) } else { (rows, depth) };
+                            let (r_off, c_off, ld) =
+                                if padded { (1, 2, sc + 5) } else { (0, 0, sc.max(1)) };
+                            let data: Vec<T> =
+                                (0..(sr + r_off + 1) * ld).map(bit_sensitive).collect();
+                            let stored = MatView::row_major(&data, sr + r_off, sc + c_off, ld)
+                                .sub(r_off, c_off, sr, sc);
+                            let view = if stored_transposed { stored.t() } else { stored };
+                            let what = format!(
+                                "w={w} rows={rows} depth={depth} \
+                                 transposed={stored_transposed} padded={padded}"
+                            );
+                            check_case(&kernels, &view, w, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn check_case<T: BitElement>(
+        kernels: &[Kernel<T>],
+        view: &MatView<'_, T>,
+        w: usize,
+        what: &str,
+    ) {
+        let (rows, depth) = (view.rows(), view.cols());
+        let want = reference_a(view, w);
+        assert_eq!(want.len(), rows.div_ceil(w) * w * depth);
+
+        // The primitives, called directly: one strip into an exactly
+        // sized panel with a guard behind it.
+        for kernel in kernels {
+            let mut panel = vec![sentinel::<T>(); w * depth + GUARD];
+            for strip in 0..rows.div_ceil(w) {
+                let want = &want[strip * w * depth..][..w * depth];
+                let r0 = strip * w;
+                let live = (rows - r0).min(w);
+                panel.fill(sentinel::<T>());
+                let src = &view.data[view.offset + r0 * view.rs..];
+                if view.rs == 1 {
+                    kernel.pack_copy(src, view.cs, live, depth, w, &mut panel);
+                } else {
+                    kernel.pack_transpose(src, view.rs, live, depth, w, &mut panel);
+                }
+                assert_bits_and_guard(
+                    &panel,
+                    want,
+                    &format!("{what} {} strip {strip}", kernel.isa),
                 );
             }
         }
-        // Padding slots stay untouched in the output (non-live columns).
-        assert_eq!(out[5], 0.0);
+
+        // The dispatched entries, as an A block and as the B block that
+        // packs to the same panels.
+        let bytes = (want.len() * T::BYTES) as u64;
+        let mut buf = vec![sentinel::<T>(); want.len() + GUARD];
+        assert_eq!(pack_a(view, w, &mut buf), bytes, "{what}");
+        assert_bits_and_guard(&buf, &want, &format!("{what} pack_a"));
+        let as_b = view.t();
+        buf.fill(sentinel::<T>());
+        assert_eq!(pack_b(&as_b, w, &mut buf), bytes, "{what}");
+        assert_bits_and_guard(&buf, &reference_b(&as_b, w), &format!("{what} pack_b"));
     }
 
     #[test]
-    fn zorder_pack_orders_tiles_by_morton_code() {
-        // 4x4 with tile 2: tiles visited (0,0) (1,0) (0,1) (1,1).
-        let d = seq(16);
-        let v = MatView::row_major(&d, 4, 4, 4);
-        let mut buf = vec![-1.0; zorder_buffer_len(4, 4, 2)];
-        pack_zorder(&v, 2, &mut buf);
-        // Tile (0,0) rows 0-1 cols 0-1.
-        assert_eq!(&buf[0..4], &[0.0, 1.0, 4.0, 5.0]);
-        // Morton code 1 is (x=1, y=0): tile rows 2-3, cols 0-1.
-        assert_eq!(&buf[4..8], &[8.0, 9.0, 12.0, 13.0]);
-        // Morton code 2 is (x=0, y=1): tile rows 0-1, cols 2-3.
-        assert_eq!(&buf[8..12], &[2.0, 3.0, 6.0, 7.0]);
-        assert_eq!(&buf[12..16], &[10.0, 11.0, 14.0, 15.0]);
+    fn panels_are_bitwise_the_elementwise_reference() {
+        panels_match_reference::<f32>();
+        panels_match_reference::<f64>();
     }
 
     #[test]
-    fn zorder_handles_empty_and_degenerate_tiles() {
-        let d = seq(4);
-        let v = MatView::row_major(&d, 0, 0, 1);
-        let mut buf = [0.0f64; 0];
-        assert_eq!(pack_zorder(&v, 4, &mut buf), 0);
-        assert_eq!(zorder_buffer_len(0, 5, 4), 0);
-        // tile = 0 snaps to 1 instead of dividing by zero.
-        assert_eq!(zorder_buffer_len(2, 2, 0), 4);
+    #[cfg_attr(debug_assertions, should_panic(expected = "zero panel width"))]
+    fn zero_width_packs_nothing() {
+        // A debug assertion; in release an immediate 0 with `buf` untouched.
+        let d = seq(6);
+        let v = MatView::row_major(&d, 3, 2, 2);
+        let mut buf = vec![-1.0; 6];
+        assert_eq!(pack_a(&v, 0, &mut buf), 0);
+        assert_eq!(pack_b(&v, 0, &mut buf), 0);
+        assert_eq!(buf, vec![-1.0; 6]);
     }
 
     #[test]

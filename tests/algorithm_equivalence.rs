@@ -6,9 +6,8 @@
 //!   digit of slack per recursion level over the drivers' own error),
 //!   across transpose combinations and skewed shapes; ineligible shapes
 //!   must degrade to the bitwise-identical blocked call.
-//! * Z-order packing is pure data movement: a pack→unpack round trip is
-//!   bitwise, and the Z-order driver matches the serial blocked driver
-//!   bitwise (same kernels, same per-tile update order).
+//! * The Z-order driver only reorders macro-blocks: it matches the serial
+//!   blocked driver bitwise (same kernels, same per-tile update order).
 //! * Plan-pinned algorithm execution flows through the serving stack:
 //!   `AdsalaService::run_pinned` honours an eligible Strassen plan, and
 //!   the co-scheduler reports executed algorithms into the service mix.
@@ -22,7 +21,6 @@ use std::sync::Arc;
 use adsala_repro::adsala::prelude::*;
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
 use adsala_repro::adsala_gemm::naive::naive_gemm;
-use adsala_repro::adsala_gemm::pack::{pack_zorder, unpack_zorder, zorder_buffer_len, MatView};
 use adsala_repro::adsala_gemm::plan::Algorithm;
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::Transpose;
@@ -125,35 +123,6 @@ fn ineligible_strassen_is_bitwise_the_blocked_call() {
         assert_eq!(s.algorithm, Algorithm::Blocked, "{m}x{n}x{k} must degrade");
         gemm_with_stats(&base, 1.0, &a, k, &b, n, 0.5, &mut c_blk, n);
         assert_eq!(c_str, c_blk, "the degraded call must be exactly the blocked call");
-    }
-}
-
-/// Z-order pack → unpack reproduces the live region bitwise, including
-/// ragged (non-multiple-of-tile) edges and transposed views.
-#[test]
-fn zorder_pack_unpack_round_trips_bitwise() {
-    for &(rows, cols, tile) in
-        &[(64usize, 64usize, 16usize), (37, 53, 8), (5, 129, 16), (96, 1, 32)]
-    {
-        let src: Vec<f64> = fill(rows * cols, (rows * cols) as u64);
-        for transposed in [false, true] {
-            let view = MatView::row_major(&src, rows, cols, cols);
-            let view = if transposed { view.t() } else { view };
-            let (r, c) = (view.rows(), view.cols());
-            let mut buf = vec![f64::NAN; zorder_buffer_len(r, c, tile)];
-            pack_zorder(&view, tile, &mut buf);
-            let mut out = vec![0.0f64; r * c];
-            unpack_zorder(&buf, r, c, tile, &mut out, c);
-            for i in 0..r {
-                for j in 0..c {
-                    assert!(
-                        out[i * c + j].to_bits() == view.at(i, j).to_bits(),
-                        "round trip drifted at ({i},{j}) for {rows}x{cols} t={tile} \
-                         transposed={transposed}"
-                    );
-                }
-            }
-        }
     }
 }
 

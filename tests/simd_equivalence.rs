@@ -483,6 +483,123 @@ fn scalar_path_is_bitwise_identical_to_pr4_reference() {
     assert_eq!(c_driver, c_ref, "forced-scalar driver must match the PR 4 loop nest bitwise");
 }
 
+/// Panels holding one live line each, built element by element with no
+/// pack routine: depth step `l` of the `A` panel has `a_at(l)` in slot 0
+/// of `mr`, of the `B` panel `b_at(l)` in slot 0 of `nr`, zeros elsewhere.
+/// Every kernel accumulates tile element (0, 0) as the sequential chain
+/// over `l` it uses for any other slot, so the tile's first element is
+/// the driver's value for that output element whatever tile it fell in.
+fn single_line_panels<T: Element>(
+    kcur: usize,
+    mr: usize,
+    nr: usize,
+    a_at: impl Fn(usize) -> T,
+    b_at: impl Fn(usize) -> T,
+) -> (Vec<T>, Vec<T>) {
+    let mut a_panel = vec![T::ZERO; kcur * mr];
+    let mut b_panel = vec![T::ZERO; kcur * nr];
+    for l in 0..kcur {
+        a_panel[l * mr] = a_at(l);
+        b_panel[l * nr] = b_at(l);
+    }
+    (a_panel, b_panel)
+}
+
+/// Orientation pins for the packing primitives: drivers whose operands
+/// reach each primitive (row-major and transposed `A` and `B`, SYRK's
+/// `A`/`Aᵀ` pair), with padded leading dimensions and several `KC` blocks,
+/// against outputs rebuilt one element at a time from hand-filled panels.
+/// A pack routine that moved a wrong or inexact value anywhere changes
+/// the driver's bits and not the reference's.
+fn orientations_match_elementwise_reference<T: Element>(fill: fn(usize, u64) -> Vec<T>) {
+    let pad = 3;
+    // GEMM at a pinned scalar kernel (its merge is one formula on every
+    // tile); the operands are still packed by the dispatched primitives.
+    let (m, n, k) = (37usize, 29usize, 70usize);
+    let blocks =
+        BlockSizes { mc: 16, kc: 24, nc: 16, ..BlockSizes::for_isa::<T>(KernelIsa::Scalar) };
+    let kc = blocks.clamped(m, n, k).kc;
+    let alpha = fill(1, 70)[0];
+    let beta = fill(1, 71)[0];
+    assert!(beta != T::ZERO && alpha != T::ZERO);
+    for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+        let (lda, ldb) = (if ta { m } else { k } + pad, if tb { k } else { n } + pad);
+        let a = fill(if ta { k } else { m } * lda, 72);
+        let b = fill(if tb { n } else { k } * ldb, 73);
+        let c0 = fill(m * n, 74);
+        let op_a = |i: usize, l: usize| if ta { a[l * lda + i] } else { a[i * lda + l] };
+        let op_b = |l: usize, j: usize| if tb { b[j * ldb + l] } else { b[l * ldb + j] };
+
+        let flag = |t| if t { Transpose::Yes } else { Transpose::No };
+        let call = GemmCall { trans_a: flag(ta), trans_b: flag(tb), ..GemmCall::new(m, n, k, 1) }
+            .with_blocks(blocks)
+            .with_isa(KernelIsa::Scalar);
+        let mut c_driver = c0.clone();
+        let stats = gemm_with_stats(&call, alpha, &a, lda, &b, ldb, beta, &mut c_driver, n);
+        assert_eq!(stats.kernel_isa, KernelIsa::Scalar);
+
+        let mut c_ref = c0;
+        let (mr, nr) = (stats.mr, stats.nr);
+        for i in 0..m {
+            for j in 0..n {
+                for pc in (0..k).step_by(kc) {
+                    let kcur = (k - pc).min(kc);
+                    let (a_panel, b_panel) =
+                        single_line_panels(kcur, mr, nr, |l| op_a(i, pc + l), |l| op_b(pc + l, j));
+                    let acc = accumulate(kcur, &a_panel, &b_panel);
+                    let beta_eff = if pc == 0 { beta } else { T::ONE };
+                    // SAFETY: a 1×1 live region at element (i, j) of C.
+                    unsafe {
+                        merge_into_raw(&acc, &mut c_ref[i * n + j], n, 1, 1, alpha, beta_eff)
+                    };
+                }
+            }
+        }
+        assert!(c_driver == c_ref, "GEMM ta={ta} tb={tb} differs from the elementwise reference");
+    }
+
+    // SYRK at the dispatched kernel (it has no other): `pack_a` of the
+    // row-major `A`, `pack_b` of `Aᵀ`. Its merge is the driver's own
+    // per-element formula on every tile.
+    let kernel = Kernel::<T>::dispatched();
+    let m = 23usize;
+    let kc = BlockSizes::dispatched::<T>().clamped(m, m, usize::MAX).kc;
+    let k = 2 * kc + 5;
+    let (lda, ldc) = (k + pad, m + pad);
+    let a = fill(m * lda, 75);
+    let c0 = fill(m * ldc, 76);
+    let mut c_driver = c0.clone();
+    syrk_with_stats(m, k, alpha, &a, lda, beta, &mut c_driver, ldc, 1);
+    let mut c_ref = c0;
+    let mut tile = vec![T::ZERO; kernel.mr * kernel.nr];
+    for i in 0..m {
+        for j in 0..=i {
+            for pc in (0..k).step_by(kc) {
+                let kcur = (k - pc).min(kc);
+                let (a_panel, b_panel) = single_line_panels(
+                    kcur,
+                    kernel.mr,
+                    kernel.nr,
+                    |l| a[i * lda + pc + l],
+                    |l| a[j * lda + pc + l],
+                );
+                // SAFETY: panels of kcur·mr / kcur·nr, a tile of mr·nr.
+                unsafe { kernel.acc(kcur, a_panel.as_ptr(), b_panel.as_ptr(), tile.as_mut_ptr()) };
+                let beta_eff = if pc == 0 { beta } else { T::ONE };
+                let out = &mut c_ref[i * ldc + j];
+                *out = alpha.mul_add_e(tile[0], beta_eff.mul_add_e(*out, T::ZERO));
+            }
+        }
+    }
+    assert!(c_driver == c_ref, "SYRK differs from the elementwise reference");
+}
+
+#[test]
+fn transposed_operands_and_syrk_match_elementwise_packed_reference() {
+    orientations_match_elementwise_reference::<f32>(fill_f32);
+    orientations_match_elementwise_reference::<f64>(fill_f64);
+}
+
 #[test]
 fn kernel_level_edge_tiles_match_scalar_masking() {
     // Directly exercise every (live_m, live_n) mask of the dispatched
