@@ -1,4 +1,5 @@
-//! Criterion benches for the real GEMM substrate on the host: blocked vs
+//! Criterion benches for the real GEMM substrate on the host: the
+//! register-tile micro-kernel of every ISA the host executes, blocked vs
 //! naive kernels, packing cost, and thread scaling.
 
 use adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
@@ -7,7 +8,7 @@ use adsala_gemm::naive::naive_gemm;
 use adsala_gemm::pack::{pack_a, pack_b, MatView};
 use adsala_gemm::pool::ThreadPool;
 use adsala_gemm::syrk::syrk_with_stats;
-use adsala_gemm::{Element, Kernel, Transpose};
+use adsala_gemm::{Element, Kernel, KernelIsa, Transpose};
 use criterion::{
     criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
@@ -17,6 +18,47 @@ fn fill(n: usize, seed: u32) -> Vec<f32> {
     (0..n)
         .map(|i| ((i as u32).wrapping_mul(2654435761).wrapping_add(seed) % 997) as f32 / 500.0)
         .collect()
+}
+
+/// One full-tile fused kernel call (`α = 1`, `β = 0`) on warm packed
+/// panels that stay in L1 — the FMA issue rate each ISA's tile reaches,
+/// for every ISA this host executes (the element rate is FLOP/s).
+fn bench_microkernel_for<T: Element + From<f32>>(group: &mut BenchmarkGroup, precision: &str) {
+    let kc = 128usize;
+    for kernel in KernelIsa::supported().map(Kernel::<T>::for_isa) {
+        let (mr, nr) = (kernel.mr, kernel.nr);
+        let a_panel: Vec<T> = fill(kc * mr, 1).into_iter().map(T::from).collect();
+        let b_panel: Vec<T> = fill(kc * nr, 2).into_iter().map(T::from).collect();
+        let mut tile = vec![T::ZERO; mr * nr];
+        group.throughput(Throughput::Elements((2 * mr * nr * kc) as u64));
+        group.bench_function(format!("{}/{precision}", kernel.isa), |bench| {
+            bench.iter(|| {
+                // SAFETY: panels of kc·mr / kc·nr packed elements, a full
+                // mr×nr tile at stride nr owned by this thread.
+                unsafe {
+                    kernel.run(
+                        kc,
+                        black_box(a_panel.as_ptr()),
+                        black_box(b_panel.as_ptr()),
+                        tile.as_mut_ptr(),
+                        nr,
+                        mr,
+                        nr,
+                        T::ONE,
+                        T::ZERO,
+                    );
+                }
+                black_box(&mut tile);
+            })
+        });
+    }
+}
+
+fn bench_microkernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm/microkernel");
+    bench_microkernel_for::<f32>(&mut group, "f32");
+    bench_microkernel_for::<f64>(&mut group, "f64");
+    group.finish();
 }
 
 fn bench_blocked_vs_naive(c: &mut Criterion) {
@@ -160,6 +202,7 @@ fn bench_extension_routines(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_microkernel,
     bench_blocked_vs_naive,
     bench_thread_scaling,
     bench_packing,

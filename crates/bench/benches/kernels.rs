@@ -1,92 +1,26 @@
-//! Micro-kernel and end-to-end throughput for the kernel-dispatch layer.
+//! End-to-end throughput for the kernel-dispatch layer.
 //!
-//! * `kernels/micro_f32` / `kernels/micro_f64` — raw register-tile
-//!   micro-kernel GFLOP/s (scalar reference vs the dispatched SIMD
-//!   kernel) on warm packed panels: the roofline gap the dispatch layer
-//!   exists to close. The ISSUE's acceptance bar — ≥ 3× f32 micro-kernel
-//!   throughput over scalar on an AVX2+FMA host — reads directly off the
-//!   `dispatched` vs `scalar` element rates here.
 //! * `kernels/gemm_table5` — end-to-end pooled GEMM under dispatch vs
 //!   forced scalar across shapes drawn from the paper's Table V sampling
 //!   domain (the 0–500 MB f32 region the speedup tables integrate over).
 //!
-//! Each benchmark reports `Throughput::Elements` equal to the FLOPs of
-//! the measured body, so criterion's element rate is FLOP/s.
+//! The raw register-tile rates, per ISA, are `gemm/microkernel/*` in the
+//! `gemm_kernels` bench. Each benchmark reports `Throughput::Elements`
+//! equal to the FLOPs of the measured body, so criterion's element rate
+//! is FLOP/s.
 
 use adsala_gemm::gemm::{gemm_with_stats_pooled, GemmCall};
-use adsala_gemm::isa::{Kernel, KernelIsa};
+use adsala_gemm::isa::KernelIsa;
 use adsala_gemm::pool::ThreadPool;
-use adsala_gemm::Element;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-fn fill<T: Element>(n: usize, seed: u32, from: fn(f32) -> T) -> Vec<T> {
+fn fill(n: usize, seed: u32) -> Vec<f32> {
     (0..n)
         .map(|i| {
-            from(
-                ((i as u32).wrapping_mul(2654435761).wrapping_add(seed) % 997) as f32 / 500.0 - 1.0,
-            )
+            ((i as u32).wrapping_mul(2654435761).wrapping_add(seed) % 997) as f32 / 500.0 - 1.0
         })
         .collect()
-}
-
-/// Pack panels for `kern` and repeatedly drive one full-tile kernel call
-/// over a ring of tiles (so the working set stays in registers/L1 and
-/// measures FLOP issue rate, not memory).
-fn bench_micro<T: Element>(
-    c: &mut Criterion,
-    group_name: &str,
-    from: fn(f32) -> T,
-    alpha: T,
-    beta: T,
-) {
-    let mut group = c.benchmark_group(group_name);
-    let kc = 256usize;
-    for (label, kern) in [
-        ("scalar", Kernel::<T>::for_isa(KernelIsa::Scalar)),
-        ("dispatched", Kernel::<T>::dispatched()),
-    ] {
-        let (mr, nr) = (kern.mr, kern.nr);
-        let a_panel: Vec<T> = fill(kc * mr, 1, from);
-        let b_panel: Vec<T> = fill(kc * nr, 2, from);
-        let mut out = vec![T::ZERO; mr * nr];
-        // 2 FLOPs (mul + add) per accumulator update.
-        let flops = (2 * mr * nr * kc) as u64;
-        group.throughput(Throughput::Elements(flops));
-        group.bench_with_input(
-            BenchmarkId::new(label, format!("{mr}x{nr}xkc{kc}")),
-            &kc,
-            |b, _| {
-                b.iter(|| {
-                    // SAFETY: panels hold kc·mr / kc·nr packed elements and
-                    // `out` is a full mr×nr tile owned by this thread.
-                    unsafe {
-                        kern.run(
-                            kc,
-                            black_box(a_panel.as_ptr()),
-                            black_box(b_panel.as_ptr()),
-                            out.as_mut_ptr(),
-                            nr,
-                            mr,
-                            nr,
-                            alpha,
-                            beta,
-                        );
-                    }
-                    black_box(out[0])
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_micro_f32(c: &mut Criterion) {
-    bench_micro::<f32>(c, "kernels/micro_f32", |v| v, 1.0, 0.0);
-}
-
-fn bench_micro_f64(c: &mut Criterion) {
-    bench_micro::<f64>(c, "kernels/micro_f64", f64::from, 1.0, 0.0);
 }
 
 /// End-to-end pooled f32 GEMM across Table V-domain shapes, dispatched
@@ -102,8 +36,8 @@ fn bench_gemm_table5(c: &mut Criterion) {
     for &(m, k, n) in
         &[(500usize, 500usize, 500usize), (1024, 256, 128), (96, 2048, 96), (160, 64, 1408)]
     {
-        let a = fill::<f32>(m * k, 3, |v| v);
-        let b = fill::<f32>(k * n, 4, |v| v);
+        let a = fill(m * k, 3);
+        let b = fill(k * n, 4);
         let flops = (2 * m * k * n) as u64;
         group.throughput(Throughput::Elements(flops));
         for (label, isa) in [("dispatched", None), ("scalar", Some(KernelIsa::Scalar))] {
@@ -137,5 +71,5 @@ fn bench_gemm_table5(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_micro_f32, bench_micro_f64, bench_gemm_table5);
+criterion_group!(benches, bench_gemm_table5);
 criterion_main!(benches);

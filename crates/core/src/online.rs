@@ -181,7 +181,7 @@ impl ObservationReservoir {
     /// Returns `true` only if the observation is now resident.
     pub fn record(&self, obs: Observation) -> bool {
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        if self.sample_every > 1 && call % self.sample_every as u64 != 0 {
+        if self.sample_every > 1 && !call.is_multiple_of(self.sample_every as u64) {
             self.sampled_out.fetch_add(1, Ordering::Relaxed);
             return false;
         }

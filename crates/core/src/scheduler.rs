@@ -819,7 +819,7 @@ impl ServiceScheduler {
                 if cost > remaining || next.1 >= cur.1 {
                     continue;
                 }
-                if pick.map_or(true, |(_, p)| cur.1 > p) {
+                if pick.is_none_or(|(_, p)| cur.1 > p) {
                     pick = Some((u, cur.1));
                 }
             }

@@ -9,8 +9,13 @@
 //! Since the kernel-dispatch layer landed, the blocking is **derived at
 //! runtime** from two inputs:
 //!
-//! * the dispatched micro-kernel's `MR×NR` register tile (ISA-dependent:
-//!   see [`crate::isa`]), which `MC`/`NC` must be multiples of, and
+//! * the dispatched micro-kernel's `MR×NR` register tile (one per ISA and
+//!   precision, from 8×8 scalar to 12×32 AVX-512 `f32`: see
+//!   [`crate::isa`]), which `MC`/`NC` must be multiples of and which sets
+//!   `KC` — the `KC×NR` strip gets half of L1d, so a tile twice as wide
+//!   gets half the depth (48 KiB L1d, `f32`: `KC` 384 at AVX2's `NR` = 16,
+//!   192 at AVX-512's 32). Nothing here names an ISA: a new tile is
+//!   blocked by the same three rules; and
 //! * the host's cache hierarchy, probed once per process from
 //!   `/sys/devices/system/cpu/.../cache` ([`CacheInfo::detect`]); when the
 //!   probe is unavailable (non-Linux, sandboxed sysfs) the derivation
@@ -202,8 +207,8 @@ impl BlockSizes {
             && self.kc > 0
             && self.mc >= self.mr
             && self.nc >= self.nr
-            && self.mc % self.mr == 0
-            && self.nc % self.nr == 0
+            && self.mc.is_multiple_of(self.mr)
+            && self.nc.is_multiple_of(self.nr)
     }
 }
 

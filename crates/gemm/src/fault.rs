@@ -14,8 +14,10 @@
 //!   degraded scalar retry succeeds) and execution context (`where=worker`
 //!   fires only on pool worker threads, so a serial retry on the caller's
 //!   thread succeeds), plus an optional fire-count budget;
-//! * **per-worker stalls** — an artificial sleep a pool worker takes
+//! * **per-worker stalls** — an artificial wait a pool worker takes
 //!   before each job, optionally limited to one worker index and budget;
+//!   [`FaultPlan::release_stalls`] ends them early, which makes a long
+//!   stall a gate a test can hold a job behind and open on cue;
 //! * **artifact corruption** — a flag consumers (tests, `repro faults`)
 //!   use to corrupt an artifact JSON document before loading it.
 //!
@@ -33,7 +35,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
 
 use crate::isa::KernelIsa;
@@ -44,7 +46,7 @@ pub enum IsaFilter {
     /// Fire on any kernel ISA.
     #[default]
     Any,
-    /// Fire only on SIMD kernels (AVX2/NEON) — a degraded scalar retry
+    /// Fire only on SIMD kernels (AVX-512/AVX2/NEON) — a degraded scalar retry
     /// then runs clean.
     SimdOnly,
     /// Fire only on the scalar kernel.
@@ -118,6 +120,9 @@ pub struct FaultPlan {
     artifact_corruption: bool,
     injected_panics: AtomicU64,
     injected_stalls: AtomicU64,
+    /// Set by [`FaultPlan::release_stalls`]; stalls wait on it.
+    stalls_released: Mutex<bool>,
+    stall_gate: Condvar,
 }
 
 /// Try to consume one unit of a fire budget; negative budgets never run
@@ -261,11 +266,23 @@ impl FaultPlan {
 
     fn maybe_stall(&self, worker: usize) {
         for fault in &self.stalls {
-            if fault.worker.map_or(true, |w| w == worker) && consume(&fault.budget) {
+            if fault.worker.is_none_or(|w| w == worker) && consume(&fault.budget) {
                 self.injected_stalls.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(fault.millis));
+                // A timed wait, not a sleep, so `release_stalls` can end it.
+                let released = self.stalls_released.lock().unwrap_or_else(PoisonError::into_inner);
+                let stall = Duration::from_millis(fault.millis);
+                drop(self.stall_gate.wait_timeout_while(released, stall, |released| !*released));
             }
         }
+    }
+
+    /// End every stall in progress and make every later one return at
+    /// once. A test that needs a pool job held until some interleaving is
+    /// in place installs a long stall, waits for the state it needs, and
+    /// calls this — instead of racing a sleep against the job's runtime.
+    pub fn release_stalls(&self) {
+        *self.stalls_released.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.stall_gate.notify_all();
     }
 
     /// Corrupt an artifact JSON document the way a truncated float does:
@@ -338,7 +355,7 @@ fn resolve_env() -> u8 {
                 _ => None,
             };
             let state = if plan.is_some() { ON } else { OFF };
-            *PLAN.write().unwrap_or_else(std::sync::PoisonError::into_inner) = plan;
+            *PLAN.write().unwrap_or_else(PoisonError::into_inner) = plan;
             STATE.store(state, Ordering::Release);
         }
     });
@@ -363,13 +380,18 @@ pub fn active() -> bool {
 
 /// Install (or clear, with `None`) a fault plan programmatically,
 /// overriding `ADSALA_FAULTS`. Returns the installed plan so tests can
-/// read its fire counters. Process-global: serialize tests that use it.
+/// read its fire counters. A plan that is replaced or cleared stops
+/// stalling: its stalls in progress are released. Process-global:
+/// serialize tests that use it.
 pub fn set_plan(plan: Option<FaultPlan>) -> Option<Arc<FaultPlan>> {
     let plan = plan.map(Arc::new);
     let state = if plan.is_some() { ON } else { OFF };
-    let mut slot = PLAN.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-    *slot = plan.clone();
+    let mut slot = PLAN.write().unwrap_or_else(PoisonError::into_inner);
+    let replaced = std::mem::replace(&mut *slot, plan.clone());
     STATE.store(state, Ordering::Release);
+    if let Some(old) = replaced {
+        old.release_stalls();
+    }
     plan
 }
 
@@ -379,7 +401,7 @@ pub fn current_plan() -> Option<Arc<FaultPlan>> {
     if !active() {
         return None;
     }
-    PLAN.read().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+    PLAN.read().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
 /// Hook at the entry of a kernel subproblem: panics if an active panic

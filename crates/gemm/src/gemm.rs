@@ -1423,9 +1423,21 @@ mod tests {
             let mut c = vec![0.0f64; m * n];
             gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.0, &mut c, n)
         };
-        // Warm-up: first calls may grow arenas.
-        run();
-        run();
+        // Warm-up until the arena counters hold still: which worker takes
+        // which job is the pool's business, so no fixed number of calls
+        // guarantees every worker's arena has grown.
+        let allocations = || pool.workspace().arena_stats().allocations;
+        let (mut seen, mut stable_calls) = (allocations(), 0);
+        for _ in 0..200 {
+            run();
+            let now = allocations();
+            stable_calls = if now == seen { stable_calls + 1 } else { 0 };
+            seen = now;
+            if stable_calls == 8 {
+                break;
+            }
+        }
+        assert_eq!(stable_calls, 8, "arena allocations never settled");
         let before = pool.workspace().arena_stats();
         for _ in 0..10 {
             let stats = run();

@@ -1,43 +1,49 @@
 //! Runtime kernel dispatch: architecture-aware SIMD micro-kernels.
 //!
-//! The paper's speedups are measured against vendor BLAS kernels running
-//! near machine peak; a scalar reference kernel would put every absolute
-//! latency an ML router trains on an order of magnitude off the hardware
-//! roofline. This module closes that gap the way vendor libraries do —
-//! one hand-written register-tile micro-kernel per instruction set,
-//! selected **once per process** by runtime CPU feature detection:
+//! The paper's baseline is a vendor BLAS running the widest SIMD its node
+//! has; a scalar kernel would put every latency the ML router trains on
+//! an order of magnitude off the roofline. So all floating-point work runs
+//! through a register-tile micro-kernel chosen **once per process** by CPU
+//! feature detection ([`KernelIsa::detect`], widest first). On x86-64 the
+//! kernels are **one template** (`tile`): `MR` rows of `NV` vector
+//! registers, instantiated per vector width — an ISA is a row of this
+//! table, not a copy of the kernel:
 //!
-//! * [`KernelIsa::Avx2Fma`] — x86-64 with AVX2 + FMA: 256-bit register
-//!   tiles, `6×16` for `f32` and `6×8` for `f64` (12 accumulator vectors,
-//!   two `B` vectors and one broadcast in flight — 15 of the 16 `ymm`
-//!   registers), built on `_mm256_fmadd_ps/pd`.
-//! * [`KernelIsa::Neon`] — AArch64 NEON (baseline on that architecture):
-//!   128-bit tiles, `6×8` for `f32` and `6×4` for `f64`.
-//! * [`KernelIsa::Scalar`] — the portable reference kernel
-//!   ([`crate::microkernel`]), always available, and selectable on any
-//!   host via the `ADSALA_FORCE_SCALAR` environment variable (any value
-//!   other than empty or `0`). Its arithmetic is bitwise-identical to the
-//!   pre-dispatch implementation.
+//! | [`KernelIsa`] | f32 tile | f64 tile | registers live in the depth loop |
+//! | --- | --- | --- | --- |
+//! | `Avx512` (`avx512f`) | 12×32 | 12×16 | 24 accumulators + 2 `B` + 1 broadcast of 32 `zmm` |
+//! | `Avx2Fma` (`avx2`, `fma`) | 6×16 | 6×8 | 12 + 2 + 1 of 16 `ymm` |
+//! | `Neon` (AArch64 baseline) | 6×8 | 6×4 | 12 + 2 of 32 `v`; hand-written, not yet on the template |
+//! | `Scalar` | 8×8 | 8×8 | [`crate::microkernel`], bitwise the pre-dispatch code; forced by `ADSALA_FORCE_SCALAR` (any value but empty or `0`) |
 //!
-//! A [`Kernel`] is a pair of function pointers behind the same contract
-//! the scalar [`crate::microkernel::accumulate`] /
-//! [`crate::microkernel::merge_into_raw`] pair established: panels are
-//! packed zero-padded to the full `MR`/`NR` tile, the accumulator always
-//! computes the full register tile, and only the write-back is masked to
-//! the `live_m × live_n` region — with the same β = 0 (no read of `C`)
-//! and α = 1 specialisations.
+//! The tile per ISA is **fixed, not searched**. Every shape that fits the
+//! register file issues FMAs at the same rate from L1 (6×32, 12×32, 8×48
+//! and 6×64 all reach the same rate on the two-port AVX-512 host this was
+//! sized on); they differ only in how often the drivers reload `B`, and
+//! there 12×32 won — `large_compute` FLOP/cycle 58.8 against 53.0 (6×32)
+//! and 56.4 (8×48), a tie on `small_repeat`. That ranking follows from the
+//! register count of the ISA, not from the host, so it is a constant here
+//! and not an install-time search, an artefact field or a plan axis.
+//! Measured against perfbench's FMA peak (a `ymm` loop), the AVX2 kernel
+//! reaches `microkernel.peak_share_f32` 0.90–0.95 and the AVX-512 kernel
+//! 1.2–1.8 of that same 256-bit peak (its probe panels only just fit L1).
 //!
-//! Beside each kernel pair live the two **panel-packing primitives** the
-//! one packing routine ([`crate::pack`]) is built on — a strided-row
-//! *transpose* and a row *copy*, each producing one zero-padded strip of
-//! micro-panels ([`PanelFn`]). They are pure data movement (every ISA
-//! writes the same bytes) and ride the same dispatch decision as the
-//! kernels.
+//! A [`Kernel`] is a table row: the tile geometry and four function
+//! pointers behind the contract the scalar
+//! [`crate::microkernel::accumulate`] / [`crate::microkernel::merge_into_raw`]
+//! pair established — panels packed zero-padded to the full tile, the full
+//! tile always accumulated, only the write-back masked to `live_m × live_n`
+//! with the β = 0 (never read `C`) and α = 1 specialisations. Two pointers
+//! are the kernel (fused `run`, accumulate-only `acc`); two are the
+//! **panel-packing primitives** the one packing routine ([`crate::pack`])
+//! is built on, a strided-row *transpose* and a row *copy* ([`PanelFn`]):
+//! pure data movement, the same bytes from every ISA. Both x86 ISAs pack
+//! through the AVX2 primitives.
 //!
 //! SIMD and FMA change floating-point **rounding** relative to the scalar
-//! path (vector lanes partition the sum differently, FMA skips an
-//! intermediate rounding), so dispatched results are ULP-close but not
-//! bitwise equal to scalar results; the scalar path itself is unchanged.
+//! path (lanes partition the sum differently, FMA skips a rounding), so
+//! SIMD results are ULP-close to scalar ones, not bitwise equal; the
+//! scalar path itself is unchanged.
 
 use std::sync::OnceLock;
 
@@ -46,15 +52,26 @@ use crate::microkernel::{accumulate, merge_into_raw};
 use crate::Element;
 use serde::{Deserialize, Serialize};
 
-/// Upper bound on `mr·nr` across every kernel in this module; callers
-/// that stage a register tile in memory (the SYRK triangle merge, the
-/// SIMD edge write-back) can use a fixed-size buffer of this many
-/// elements.
-pub const MAX_TILE_ELEMS: usize = 128;
+/// The largest `mr·nr` in the kernel table of this build, computed from
+/// the table itself: callers that stage a register tile in memory (the
+/// SYRK triangle merge) use a fixed-size buffer of this many elements.
+pub const MAX_TILE_ELEMS: usize = {
+    let (mut max, mut i) = (0, 0);
+    while i < KernelIsa::ALL.len() {
+        let (k32, k64) = (kernel_f32(KernelIsa::ALL[i]), kernel_f64(KernelIsa::ALL[i]));
+        let (e32, e64) = (k32.mr * k32.nr, k64.mr * k64.nr);
+        let elems = if e32 > e64 { e32 } else { e64 };
+        max = if elems > max { elems } else { max };
+        i += 1;
+    }
+    max
+};
 
 /// The instruction set a micro-kernel is written for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum KernelIsa {
+    /// x86-64 AVX-512F, 512-bit registers.
+    Avx512,
     /// x86-64 AVX2 + FMA, 256-bit registers.
     Avx2Fma,
     /// AArch64 NEON, 128-bit registers.
@@ -65,42 +82,55 @@ pub enum KernelIsa {
 }
 
 impl KernelIsa {
+    /// Every ISA, most preferred first: [`KernelIsa::detect`] is the first
+    /// supported entry.
+    pub const ALL: [KernelIsa; 4] =
+        [KernelIsa::Avx512, KernelIsa::Avx2Fma, KernelIsa::Neon, KernelIsa::Scalar];
+
     /// Lower-case ISA name (stable; used in stats lines and benches).
     pub fn as_str(self) -> &'static str {
         match self {
+            KernelIsa::Avx512 => "avx512",
             KernelIsa::Avx2Fma => "avx2fma",
             KernelIsa::Neon => "neon",
             KernelIsa::Scalar => "scalar",
         }
     }
 
-    /// Detect the best ISA supported by the running CPU, ignoring the
-    /// `ADSALA_FORCE_SCALAR` override.
-    pub fn detect() -> KernelIsa {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return KernelIsa::Avx2Fma;
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            // NEON is part of the AArch64 baseline.
-            return KernelIsa::Neon;
-        }
-        #[allow(unreachable_code)]
-        KernelIsa::Scalar
-    }
-
     /// `true` if kernels for this ISA exist in this build *and* the
-    /// running CPU can execute them.
+    /// running CPU can execute them — a test of this ISA's own features,
+    /// so a host that detects a wider one still supports the narrower.
     pub fn is_supported(self) -> bool {
         match self {
             KernelIsa::Scalar => true,
-            KernelIsa::Avx2Fma | KernelIsa::Neon => Self::detect() == self,
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx2Fma => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
+            // The AVX-512 kernels pack through the AVX2 primitives.
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f") && KernelIsa::Avx2Fma.is_supported()
+            }
+            // NEON is part of the AArch64 baseline.
+            #[cfg(target_arch = "aarch64")]
+            KernelIsa::Neon => true,
+            #[allow(unreachable_patterns)]
+            _ => false,
         }
+    }
+
+    /// Every ISA this host can execute, most preferred first (always ends
+    /// in [`KernelIsa::Scalar`]).
+    pub fn supported() -> impl Iterator<Item = KernelIsa> {
+        Self::ALL.into_iter().filter(|isa| isa.is_supported())
+    }
+
+    /// Detect the best ISA supported by the running CPU, ignoring the
+    /// `ADSALA_FORCE_SCALAR` override.
+    pub fn detect() -> KernelIsa {
+        Self::supported().next().unwrap_or(KernelIsa::Scalar)
     }
 
     /// The ISA every default kernel dispatches to, resolved once per
@@ -305,18 +335,12 @@ impl<T: Element> Kernel<T> {
 }
 
 /// Kernel table for `f32`.
-pub fn kernel_f32(isa: KernelIsa) -> Kernel<f32> {
+pub const fn kernel_f32(isa: KernelIsa) -> Kernel<f32> {
     match isa {
         #[cfg(target_arch = "x86_64")]
-        KernelIsa::Avx2Fma => Kernel {
-            isa,
-            mr: x86::MR_F32,
-            nr: x86::NR_F32,
-            run: x86::run_f32,
-            acc: x86::acc_f32,
-            pack_transpose: x86::pack_transpose_f32,
-            pack_copy: x86::pack_copy::<f32>,
-        },
+        KernelIsa::Avx512 => x86::AVX512_F32,
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::Avx2Fma => x86::AVX2_F32,
         #[cfg(target_arch = "aarch64")]
         KernelIsa::Neon => Kernel {
             isa,
@@ -332,18 +356,12 @@ pub fn kernel_f32(isa: KernelIsa) -> Kernel<f32> {
 }
 
 /// Kernel table for `f64`.
-pub fn kernel_f64(isa: KernelIsa) -> Kernel<f64> {
+pub const fn kernel_f64(isa: KernelIsa) -> Kernel<f64> {
     match isa {
         #[cfg(target_arch = "x86_64")]
-        KernelIsa::Avx2Fma => Kernel {
-            isa,
-            mr: x86::MR_F64,
-            nr: x86::NR_F64,
-            run: x86::run_f64,
-            acc: x86::acc_f64,
-            pack_transpose: x86::pack_transpose_f64,
-            pack_copy: x86::pack_copy::<f64>,
-        },
+        KernelIsa::Avx512 => x86::AVX512_F64,
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::Avx2Fma => x86::AVX2_F64,
         #[cfg(target_arch = "aarch64")]
         KernelIsa::Neon => Kernel {
             isa,
@@ -360,7 +378,7 @@ pub fn kernel_f64(isa: KernelIsa) -> Kernel<f64> {
 
 /// The always-available scalar kernel: the exact pre-dispatch
 /// `accumulate` + `merge_into_raw` pair at the historical `8×8` tile.
-fn scalar_kernel<T: Element>() -> Kernel<T> {
+const fn scalar_kernel<T: Element>() -> Kernel<T> {
     Kernel {
         isa: KernelIsa::Scalar,
         mr: MR,
@@ -536,7 +554,9 @@ fn pack_copy_scalar<T: Element>(
         (4, true) => copy_full_rows::<T, 4>(src, stride, depth, dst),
         (6, true) => copy_full_rows::<T, 6>(src, stride, depth, dst),
         (8, true) => copy_full_rows::<T, 8>(src, stride, depth, dst),
+        (12, true) => copy_full_rows::<T, 12>(src, stride, depth, dst),
         (16, true) => copy_full_rows::<T, 16>(src, stride, depth, dst),
+        (32, true) => copy_full_rows::<T, 32>(src, stride, depth, dst),
         _ => {
             for (l, step) in dst[..depth * width].chunks_exact_mut(width).enumerate() {
                 let (lanes, pad) = step.split_at_mut(live);
@@ -547,278 +567,275 @@ fn pack_copy_scalar<T: Element>(
     }
 }
 
-/// AVX2 + FMA micro-kernels (x86-64, 256-bit registers).
+/// The register-tile template: the one micro-kernel body, generic over
+/// the vector register it is built from and the tile's shape in registers.
+/// It is `#[inline(always)]` with no target feature of its own: compiled
+/// inside the `#[target_feature]` shim that instantiates it (`x86::kernel!`),
+/// the intrinsics inline and the accumulators stay in registers.
+///
+/// x86-64 only for now: the NEON module below predates the template and
+/// this container has no AArch64 target to compile a port against.
+#[cfg(target_arch = "x86_64")]
+mod tile {
+    use super::merge_staged_tile;
+    use crate::Element;
+    use std::mem::MaybeUninit;
+
+    /// One SIMD register of `LANES` lanes of `Elem` — as much of it as a
+    /// register-tile kernel needs: `zero`, `splat(x)` (every lane `x`),
+    /// unaligned `load`/`store` of `LANES` elements at `p`, `a.mul(b)`
+    /// (`a·b`) and `a.fma(b, acc)` (`a·b + acc`, fused).
+    ///
+    /// # Safety
+    /// `Self` must have the size of `[Elem; LANES]` (an edge tile is
+    /// staged in a buffer declared as an array of registers). Every method
+    /// requires a CPU that supports the implementor's instruction set.
+    #[allow(missing_docs)]
+    pub unsafe trait Vector: Copy {
+        type Elem: Element;
+        const LANES: usize;
+        unsafe fn zero() -> Self;
+        unsafe fn splat(x: Self::Elem) -> Self;
+        unsafe fn load(p: *const Self::Elem) -> Self;
+        unsafe fn store(self, p: *mut Self::Elem);
+        unsafe fn fma(self, b: Self, acc: Self) -> Self;
+        unsafe fn mul(self, b: Self) -> Self;
+    }
+
+    /// The accumulators of one `MR × NV·LANES` tile, row `i` in `tile[i]`.
+    type Tile<V, const MR: usize, const NV: usize> = [[V; NV]; MR];
+
+    /// Accumulate the full tile of `A_panel · B_panel`: per depth step
+    /// `NV` loads of `B`, then `MR` broadcasts of `A` each feeding `NV`
+    /// FMAs — `MR·NV` accumulators, `NV` `B` vectors and one broadcast
+    /// live at once. The trip counts are constants: LLVM unrolls both
+    /// inner loops and keeps every accumulator in a register.
+    ///
+    /// # Safety
+    /// [`Vector`]'s CPU requirement; `a` points at `kc·MR` packed
+    /// elements, `b` at `kc·NV·LANES`.
+    #[inline(always)]
+    pub unsafe fn accumulate<V: Vector, const MR: usize, const NV: usize>(
+        kc: usize,
+        a: *const V::Elem,
+        b: *const V::Elem,
+    ) -> Tile<V, MR, NV> {
+        let mut acc = [[V::zero(); NV]; MR];
+        let (mut ap, mut bp) = (a, b);
+        for _ in 0..kc {
+            // SAFETY: step l reads a[l·MR..][..MR] and b[l·NR..][..NR],
+            // inside the panels per the function contract.
+            let mut bv = [V::zero(); NV];
+            for (j, v) in bv.iter_mut().enumerate() {
+                *v = V::load(bp.add(j * V::LANES));
+            }
+            for (i, row) in acc.iter_mut().enumerate() {
+                let ai = V::splat(*ap.add(i));
+                for (c, &bj) in row.iter_mut().zip(&bv) {
+                    *c = ai.fma(bj, *c);
+                }
+            }
+            ap = ap.add(MR);
+            bp = bp.add(NV * V::LANES);
+        }
+        acc
+    }
+
+    /// Store the accumulators as the row-major `MR × NV·LANES` tile at
+    /// `tile` — after [`accumulate`], the accumulate-only kernel
+    /// ([`super::AccFn`]).
+    ///
+    /// # Safety
+    /// [`Vector`]'s CPU requirement; `tile` is valid for `MR·NV·LANES`
+    /// writes.
+    #[inline(always)]
+    pub unsafe fn store_tile<V: Vector, const MR: usize, const NV: usize>(
+        acc: &Tile<V, MR, NV>,
+        tile: *mut V::Elem,
+    ) {
+        for (i, row) in acc.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                v.store(tile.add((i * NV + j) * V::LANES));
+            }
+        }
+    }
+
+    /// Fused kernel body ([`super::MicroFn`]): a full tile is written
+    /// back in vectors (`α = 1` skips the scale, `β = 0` never reads
+    /// `C`); an edge tile is staged on the stack and merged by the scalar
+    /// masked merge.
+    ///
+    /// # Safety
+    /// [`Vector`]'s CPU requirement plus the [`super::MicroFn`] contract
+    /// at `mr = MR`, `nr = NV·LANES`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub unsafe fn run<V: Vector, const MR: usize, const NV: usize>(
+        kc: usize,
+        a_panel: *const V::Elem,
+        b_panel: *const V::Elem,
+        c: *mut V::Elem,
+        ldc: usize,
+        live_m: usize,
+        live_n: usize,
+        alpha: V::Elem,
+        beta: V::Elem,
+    ) {
+        let acc = accumulate::<V, MR, NV>(kc, a_panel, b_panel);
+        let nr = NV * V::LANES;
+        if live_m == MR && live_n == nr {
+            let (va, vb) = (V::splat(alpha), V::splat(beta));
+            for (i, row) in acc.iter().enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    // SAFETY: full-tile rows are valid per the contract.
+                    let out = c.add(i * ldc + j * V::LANES);
+                    let mut v = v;
+                    if alpha != V::Elem::ONE {
+                        v = va.mul(v);
+                    }
+                    if beta != V::Elem::ZERO {
+                        // β = 0 must not read C (BLAS semantics).
+                        v = vb.fma(V::load(out), v);
+                    }
+                    v.store(out);
+                }
+            }
+        } else {
+            // A buffer of exactly the tile's size: `Vector` guarantees
+            // `Tile` has the layout of MR·nr scalars.
+            let mut staged = MaybeUninit::<Tile<V, MR, NV>>::uninit();
+            let tile = staged.as_mut_ptr().cast::<V::Elem>();
+            // SAFETY: `store_tile` initialises all MR·nr elements before
+            // the merge reads them; C bounds per the caller's contract.
+            store_tile(&acc, tile);
+            merge_staged_tile(tile, nr, c, ldc, live_m, live_n, alpha, beta);
+        }
+    }
+}
+
+/// x86-64: the template's `ymm` (AVX2 + FMA) and `zmm` (AVX-512F)
+/// instantiations, and the AVX2 packing primitives both use.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::merge_staged_tile;
+    use super::tile::{self, Vector};
+    use super::{Kernel, KernelIsa};
     use crate::Element;
     use std::arch::x86_64::*;
 
-    /// f32 register-tile rows.
-    pub const MR_F32: usize = 6;
-    /// f32 register-tile columns (two 8-lane `ymm` per row).
-    pub const NR_F32: usize = 16;
-    /// f64 register-tile rows.
-    pub const MR_F64: usize = 6;
-    /// f64 register-tile columns (two 4-lane `ymm` per row).
-    pub const NR_F64: usize = 8;
-
-    /// Accumulate the full 6×16 f32 tile: 12 accumulator vectors, two B
-    /// vectors and one broadcast live at once (15 of 16 `ymm`).
-    ///
-    /// # Safety
-    /// CPU must support AVX2+FMA; `a` points at `kc·6` packed elements,
-    /// `b` at `kc·16`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn acc_tile_f32(kc: usize, a: *const f32, b: *const f32) -> [__m256; 12] {
-        let mut acc = [_mm256_setzero_ps(); 12];
-        let mut ap = a;
-        let mut bp = b;
-        for _ in 0..kc {
-            // SAFETY: panel bounds per the function contract.
-            let b0 = _mm256_loadu_ps(bp);
-            let b1 = _mm256_loadu_ps(bp.add(8));
-            // Constant trip count: LLVM fully unrolls and keeps every
-            // accumulator pinned to a register.
-            for i in 0..6 {
-                let ai = _mm256_set1_ps(*ap.add(i));
-                acc[2 * i] = _mm256_fmadd_ps(ai, b0, acc[2 * i]);
-                acc[2 * i + 1] = _mm256_fmadd_ps(ai, b1, acc[2 * i + 1]);
-            }
-            ap = ap.add(MR_F32);
-            bp = bp.add(NR_F32);
-        }
-        acc
-    }
-
-    /// Fused 6×16 f32 kernel body (full-tile vector write-back, staged
-    /// scalar write-back on edge tiles).
-    ///
-    /// # Safety
-    /// CPU must support AVX2+FMA; otherwise the [`super::MicroFn`]
-    /// contract.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn run_f32_body(
-        kc: usize,
-        a_panel: *const f32,
-        b_panel: *const f32,
-        c: *mut f32,
-        ldc: usize,
-        live_m: usize,
-        live_n: usize,
-        alpha: f32,
-        beta: f32,
-    ) {
-        let acc = acc_tile_f32(kc, a_panel, b_panel);
-        if live_m == MR_F32 && live_n == NR_F32 {
-            let va = _mm256_set1_ps(alpha);
-            let vb = _mm256_set1_ps(beta);
-            for i in 0..MR_F32 {
-                // SAFETY: full-tile rows are valid per the contract.
-                let row = c.add(i * ldc);
-                let mut lo = acc[2 * i];
-                let mut hi = acc[2 * i + 1];
-                if alpha != 1.0 {
-                    lo = _mm256_mul_ps(va, lo);
-                    hi = _mm256_mul_ps(va, hi);
+    macro_rules! impl_vector {
+        ($($V:ty = [$E:ty; $lanes:literal]:
+           $zero:ident, $splat:ident, $load:ident, $store:ident, $fma:ident, $mul:ident;)*) => {$(
+            // SAFETY: the register is `$lanes` packed `$E` in element
+            // order; the `loadu`/`storeu` forms take any alignment.
+            unsafe impl Vector for $V {
+                type Elem = $E;
+                const LANES: usize = $lanes;
+                #[inline(always)]
+                unsafe fn zero() -> Self {
+                    $zero()
                 }
-                if beta != 0.0 {
-                    // β = 0 must not read C (BLAS semantics).
-                    lo = _mm256_fmadd_ps(vb, _mm256_loadu_ps(row), lo);
-                    hi = _mm256_fmadd_ps(vb, _mm256_loadu_ps(row.add(8)), hi);
+                #[inline(always)]
+                unsafe fn splat(x: $E) -> Self {
+                    $splat(x)
                 }
-                _mm256_storeu_ps(row, lo);
-                _mm256_storeu_ps(row.add(8), hi);
-            }
-        } else {
-            let mut tile = [0.0f32; MR_F32 * NR_F32];
-            for i in 0..MR_F32 {
-                _mm256_storeu_ps(tile.as_mut_ptr().add(i * NR_F32), acc[2 * i]);
-                _mm256_storeu_ps(tile.as_mut_ptr().add(i * NR_F32 + 8), acc[2 * i + 1]);
-            }
-            // SAFETY: staged tile is fully initialised; C bounds per the
-            // caller's contract.
-            merge_staged_tile(tile.as_ptr(), NR_F32, c, ldc, live_m, live_n, alpha, beta);
-        }
-    }
-
-    /// Plain-`unsafe fn` wrapper so the kernel coerces to a function
-    /// pointer (a `#[target_feature]` fn cannot).
-    ///
-    /// # Safety
-    /// See [`super::MicroFn`]; dispatch guarantees AVX2+FMA.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn run_f32(
-        kc: usize,
-        a_panel: *const f32,
-        b_panel: *const f32,
-        c: *mut f32,
-        ldc: usize,
-        live_m: usize,
-        live_n: usize,
-        alpha: f32,
-        beta: f32,
-    ) {
-        // SAFETY: forwarded contract; the dispatch layer only installs
-        // this pointer when AVX2+FMA are detected.
-        run_f32_body(kc, a_panel, b_panel, c, ldc, live_m, live_n, alpha, beta)
-    }
-
-    /// Accumulate-only 6×16 f32 kernel body.
-    ///
-    /// # Safety
-    /// CPU must support AVX2+FMA; `tile` holds `6·16` elements.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn acc_f32_body(kc: usize, a_panel: *const f32, b_panel: *const f32, tile: *mut f32) {
-        let acc = acc_tile_f32(kc, a_panel, b_panel);
-        for i in 0..MR_F32 {
-            // SAFETY: `tile` holds mr·nr elements per the contract.
-            _mm256_storeu_ps(tile.add(i * NR_F32), acc[2 * i]);
-            _mm256_storeu_ps(tile.add(i * NR_F32 + 8), acc[2 * i + 1]);
-        }
-    }
-
-    /// Fn-pointer wrapper for [`acc_f32_body`].
-    ///
-    /// # Safety
-    /// See [`super::AccFn`]; dispatch guarantees AVX2+FMA.
-    pub unsafe fn acc_f32(kc: usize, a_panel: *const f32, b_panel: *const f32, tile: *mut f32) {
-        // SAFETY: forwarded contract; AVX2+FMA guaranteed by dispatch.
-        acc_f32_body(kc, a_panel, b_panel, tile)
-    }
-
-    /// Accumulate the full 6×8 f64 tile (12 accumulator `ymm`).
-    ///
-    /// # Safety
-    /// CPU must support AVX2+FMA; `a` points at `kc·6` packed elements,
-    /// `b` at `kc·8`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn acc_tile_f64(kc: usize, a: *const f64, b: *const f64) -> [__m256d; 12] {
-        let mut acc = [_mm256_setzero_pd(); 12];
-        let mut ap = a;
-        let mut bp = b;
-        for _ in 0..kc {
-            // SAFETY: panel bounds per the function contract.
-            let b0 = _mm256_loadu_pd(bp);
-            let b1 = _mm256_loadu_pd(bp.add(4));
-            for i in 0..6 {
-                let ai = _mm256_set1_pd(*ap.add(i));
-                acc[2 * i] = _mm256_fmadd_pd(ai, b0, acc[2 * i]);
-                acc[2 * i + 1] = _mm256_fmadd_pd(ai, b1, acc[2 * i + 1]);
-            }
-            ap = ap.add(MR_F64);
-            bp = bp.add(NR_F64);
-        }
-        acc
-    }
-
-    /// Fused 6×8 f64 kernel body.
-    ///
-    /// # Safety
-    /// CPU must support AVX2+FMA; otherwise the [`super::MicroFn`]
-    /// contract.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn run_f64_body(
-        kc: usize,
-        a_panel: *const f64,
-        b_panel: *const f64,
-        c: *mut f64,
-        ldc: usize,
-        live_m: usize,
-        live_n: usize,
-        alpha: f64,
-        beta: f64,
-    ) {
-        let acc = acc_tile_f64(kc, a_panel, b_panel);
-        if live_m == MR_F64 && live_n == NR_F64 {
-            let va = _mm256_set1_pd(alpha);
-            let vb = _mm256_set1_pd(beta);
-            for i in 0..MR_F64 {
-                // SAFETY: full-tile rows are valid per the contract.
-                let row = c.add(i * ldc);
-                let mut lo = acc[2 * i];
-                let mut hi = acc[2 * i + 1];
-                if alpha != 1.0 {
-                    lo = _mm256_mul_pd(va, lo);
-                    hi = _mm256_mul_pd(va, hi);
+                #[inline(always)]
+                unsafe fn load(p: *const $E) -> Self {
+                    $load(p)
                 }
-                if beta != 0.0 {
-                    // β = 0 must not read C (BLAS semantics).
-                    lo = _mm256_fmadd_pd(vb, _mm256_loadu_pd(row), lo);
-                    hi = _mm256_fmadd_pd(vb, _mm256_loadu_pd(row.add(4)), hi);
+                #[inline(always)]
+                unsafe fn store(self, p: *mut $E) {
+                    $store(p, self)
                 }
-                _mm256_storeu_pd(row, lo);
-                _mm256_storeu_pd(row.add(4), hi);
+                #[inline(always)]
+                unsafe fn fma(self, b: Self, acc: Self) -> Self {
+                    $fma(self, b, acc)
+                }
+                #[inline(always)]
+                unsafe fn mul(self, b: Self) -> Self {
+                    $mul(self, b)
+                }
             }
-        } else {
-            let mut tile = [0.0f64; MR_F64 * NR_F64];
-            for i in 0..MR_F64 {
-                _mm256_storeu_pd(tile.as_mut_ptr().add(i * NR_F64), acc[2 * i]);
-                _mm256_storeu_pd(tile.as_mut_ptr().add(i * NR_F64 + 4), acc[2 * i + 1]);
+        )*};
+    }
+    impl_vector! {
+        __m256 = [f32; 8]:
+            _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_fmadd_ps, _mm256_mul_ps;
+        __m256d = [f64; 4]:
+            _mm256_setzero_pd, _mm256_set1_pd, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_fmadd_pd, _mm256_mul_pd;
+        __m512 = [f32; 16]:
+            _mm512_setzero_ps, _mm512_set1_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_fmadd_ps, _mm512_mul_ps;
+        __m512d = [f64; 8]:
+            _mm512_setzero_pd, _mm512_set1_pd, _mm512_loadu_pd, _mm512_storeu_pd, _mm512_fmadd_pd, _mm512_mul_pd;
+    }
+
+    /// One row of the kernel table: the template at `$mr` rows of `$nv`
+    /// `$V` registers, compiled with `$features` enabled. The two shims
+    /// are the only per-ISA kernel code — a `#[target_feature]` frame for
+    /// the template to inline into, coercible to the table's fn pointers.
+    macro_rules! kernel {
+        ($isa:ident, $features:literal, $V:ty, $mr:literal, $nv:literal, $transpose:ident) => {{
+            type E = <$V as Vector>::Elem;
+            /// # Safety
+            /// See [`super::MicroFn`]; dispatch installs this pointer
+            /// only where `$features` are detected.
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = $features)]
+            unsafe fn run(
+                kc: usize,
+                a_panel: *const E,
+                b_panel: *const E,
+                c: *mut E,
+                ldc: usize,
+                live_m: usize,
+                live_n: usize,
+                alpha: E,
+                beta: E,
+            ) {
+                tile::run::<$V, $mr, $nv>(kc, a_panel, b_panel, c, ldc, live_m, live_n, alpha, beta)
             }
-            // SAFETY: staged tile fully initialised; C bounds per caller.
-            merge_staged_tile(tile.as_ptr(), NR_F64, c, ldc, live_m, live_n, alpha, beta);
-        }
+            /// # Safety
+            /// See [`super::AccFn`]; dispatch as for `run`.
+            #[target_feature(enable = $features)]
+            unsafe fn acc(kc: usize, a_panel: *const E, b_panel: *const E, tile: *mut E) {
+                tile::store_tile(&tile::accumulate::<$V, $mr, $nv>(kc, a_panel, b_panel), tile)
+            }
+            Kernel {
+                isa: KernelIsa::$isa,
+                mr: $mr,
+                nr: $nv * <$V as Vector>::LANES,
+                run,
+                acc,
+                pack_transpose: $transpose,
+                pack_copy: pack_copy::<E>,
+            }
+        }};
     }
 
-    /// Fn-pointer wrapper for [`run_f64_body`].
-    ///
-    /// # Safety
-    /// See [`super::MicroFn`]; dispatch guarantees AVX2+FMA.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn run_f64(
-        kc: usize,
-        a_panel: *const f64,
-        b_panel: *const f64,
-        c: *mut f64,
-        ldc: usize,
-        live_m: usize,
-        live_n: usize,
-        alpha: f64,
-        beta: f64,
-    ) {
-        // SAFETY: forwarded contract; AVX2+FMA guaranteed by dispatch.
-        run_f64_body(kc, a_panel, b_panel, c, ldc, live_m, live_n, alpha, beta)
-    }
+    // The x86 rows of the module docs' table (6×16, 6×8, 12×32, 12×16).
+    pub const AVX2_F32: Kernel<f32> =
+        kernel!(Avx2Fma, "avx2,fma", __m256, 6, 2, pack_transpose_f32);
+    pub const AVX2_F64: Kernel<f64> =
+        kernel!(Avx2Fma, "avx2,fma", __m256d, 6, 2, pack_transpose_f64);
+    pub const AVX512_F32: Kernel<f32> =
+        kernel!(Avx512, "avx512f", __m512, 12, 2, pack_transpose_f32);
+    pub const AVX512_F64: Kernel<f64> =
+        kernel!(Avx512, "avx512f", __m512d, 12, 2, pack_transpose_f64);
 
-    /// Accumulate-only 6×8 f64 kernel body.
-    ///
-    /// # Safety
-    /// CPU must support AVX2+FMA; `tile` holds `6·8` elements.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn acc_f64_body(kc: usize, a_panel: *const f64, b_panel: *const f64, tile: *mut f64) {
-        let acc = acc_tile_f64(kc, a_panel, b_panel);
-        for i in 0..MR_F64 {
-            // SAFETY: `tile` holds mr·nr elements per the contract.
-            _mm256_storeu_pd(tile.add(i * NR_F64), acc[2 * i]);
-            _mm256_storeu_pd(tile.add(i * NR_F64 + 4), acc[2 * i + 1]);
-        }
-    }
-
-    /// Fn-pointer wrapper for [`acc_f64_body`].
-    ///
-    /// # Safety
-    /// See [`super::AccFn`]; dispatch guarantees AVX2+FMA.
-    pub unsafe fn acc_f64(kc: usize, a_panel: *const f64, b_panel: *const f64, tile: *mut f64) {
-        // SAFETY: forwarded contract; AVX2+FMA guaranteed by dispatch.
-        acc_f64_body(kc, a_panel, b_panel, tile)
-    }
-
-    /// Transpose body for f32: a strip of `W ∈ {6, 8, 16}` rows, four
-    /// depth steps a block. Rows are taken eight at a time as four `ymm`
-    /// whose low lane holds row `g+q` and high lane row `g+4+q`, so one
-    /// in-lane 4×4 transpose (four unpacks, four shuffles) yields the four
-    /// steps' eight-row vectors with no cross-lane permute. Rows past
+    /// Transpose body for f32: a strip of `W ∈ {6, 8, 12, 16, 32}` rows,
+    /// four depth steps a block. Rows are taken eight at a time as four
+    /// `ymm` whose low lane holds row `g+q` and high lane row `g+4+q`, so
+    /// one in-lane 4×4 transpose (four unpacks, four shuffles) yields the
+    /// four steps' eight-row vectors with no cross-lane permute. Rows past
     /// `live ≤ W` enter as zeros. Returns the steps packed (the multiple
     /// of four below `depth`); the caller packs the tail.
     ///
-    /// `W = 6` stores eight lanes into six slots: the two zero lanes land
-    /// on the next step's first slots, which the next store overwrites
-    /// (stores run in step order, the caller's tail last). Only the
-    /// strip's final step has nothing after it, and is stored as 4 + 2
-    /// lanes.
+    /// A group with fewer than eight slots left stores fewer lanes.
+    /// `W = 12`'s second group has four: the low `xmm`, exactly. `W = 6`
+    /// stores eight lanes into six slots: the two zero lanes land on the
+    /// next step's first slots, which the next store overwrites (it is the
+    /// strip's only group, so stores run in step order, the caller's tail
+    /// last). Only the strip's final step has nothing after it, and is
+    /// stored as 4 + 2 lanes.
     ///
     /// # Safety
     /// CPU must support AVX2; bounds as established by
@@ -831,7 +848,7 @@ mod x86 {
         depth: usize,
         dst: *mut f32,
     ) -> usize {
-        assert!(W == 6 || W == 8 || W == 16);
+        assert!(matches!(W, 6 | 8 | 12 | 16 | 32));
         let row4 = |i: usize, d: usize| -> __m128 {
             if i < live {
                 // SAFETY: row i < live is readable over steps d..d+4.
@@ -864,12 +881,15 @@ mod x86 {
                     // depth·W unless this is the last step of a W = 6
                     // strip, which takes the narrow store.
                     let out = dst.add((d + j) * W + g);
-                    if W - g >= 8 || d + j + 1 < depth {
+                    let slots = W - g;
+                    if slots >= 8 || (slots == 6 && d + j + 1 < depth) {
                         _mm256_storeu_ps(out, v);
                     } else {
                         _mm_storeu_ps(out, _mm256_castps256_ps128(v));
-                        let high = _mm_castps_pd(_mm256_extractf128_ps::<1>(v));
-                        _mm_store_sd(out.add(4).cast::<f64>(), high);
+                        if slots == 6 {
+                            let high = _mm_castps_pd(_mm256_extractf128_ps::<1>(v));
+                            _mm_store_sd(out.add(4).cast::<f64>(), high);
+                        }
                     }
                 }
                 g += 8;
@@ -879,36 +899,8 @@ mod x86 {
         main
     }
 
-    /// Transpose primitive for f32 (see [`super::PanelFn`]): register
-    /// transposes at the widths a kernel packs at — 6 and 16 (this ISA's
-    /// tile) and 8 (the scalar tile, which a plan can pin) — and the
-    /// scalar loop otherwise.
-    pub fn pack_transpose_f32(
-        src: &[f32],
-        stride: usize,
-        live: usize,
-        depth: usize,
-        width: usize,
-        dst: &mut [f32],
-    ) {
-        super::check_panel(src, stride, live, depth, width, dst, true);
-        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
-        // SAFETY: check_panel proved the bounds the bodies rely on at this
-        // width; dispatch installs this pointer only when AVX2 is detected.
-        let done = unsafe {
-            match width {
-                6 => transpose_f32::<6>(s, stride, live, depth, d),
-                8 => transpose_f32::<8>(s, stride, live, depth, d),
-                16 => transpose_f32::<16>(s, stride, live, depth, d),
-                _ => 0,
-            }
-        };
-        let (src, dst) = (&src[done..], &mut dst[done * width..]);
-        super::pack_transpose_scalar(src, stride, live, depth - done, width, dst);
-    }
-
-    /// Transpose body for f64: a strip of `W ∈ {6, 8}` rows, two depth
-    /// steps a block. Four rows at a time as two `ymm` (low lane rows
+    /// Transpose body for f64: a strip of `W ∈ {6, 8, 12, 16}` rows, two
+    /// depth steps a block. Four rows at a time as two `ymm` (low lane rows
     /// `g`/`g+1`, high lane rows `g+2`/`g+3`): `unpacklo`/`unpackhi` are
     /// the two steps' four-row vectors. `W = 6` finishes with one `xmm`
     /// pair for rows 4 and 5, so every store is exact. Rows past `live`
@@ -926,7 +918,7 @@ mod x86 {
         depth: usize,
         dst: *mut f64,
     ) -> usize {
-        assert!(W == 6 || W == 8);
+        assert!(matches!(W, 6 | 8 | 12 | 16));
         let row2 = |i: usize, d: usize| -> __m128d {
             if i < live {
                 // SAFETY: row i < live is readable over steps d, d+1.
@@ -957,31 +949,39 @@ mod x86 {
         main
     }
 
-    /// Transpose primitive for f64 (see [`super::PanelFn`]): register
-    /// transposes at widths 6 and 8 (this ISA's tile; 8 is also the scalar
-    /// tile), the scalar loop otherwise.
-    pub fn pack_transpose_f64(
-        src: &[f64],
-        stride: usize,
-        live: usize,
-        depth: usize,
-        width: usize,
-        dst: &mut [f64],
-    ) {
-        super::check_panel(src, stride, live, depth, width, dst, true);
-        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
-        // SAFETY: check_panel proved the bounds the bodies rely on at this
-        // width; dispatch installs this pointer only when AVX2 is detected.
-        let done = unsafe {
-            match width {
-                6 => transpose_f64::<6>(s, stride, live, depth, d),
-                8 => transpose_f64::<8>(s, stride, live, depth, d),
-                _ => 0,
+    /// A transpose primitive (see [`super::PanelFn`]) from a transposer
+    /// body: the body at the widths it has a register transpose for, the
+    /// scalar loop for the depth tail it leaves and for any other width.
+    macro_rules! transpose_primitive {
+        ($name:ident, $T:ty, $body:ident, [$($width:literal),*]) => {
+            pub fn $name(
+                src: &[$T],
+                stride: usize,
+                live: usize,
+                depth: usize,
+                width: usize,
+                dst: &mut [$T],
+            ) {
+                super::check_panel(src, stride, live, depth, width, dst, true);
+                let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+                // SAFETY: check_panel proved the bounds the body relies on
+                // at this width; dispatch installs this pointer only where
+                // AVX2 is detected.
+                let done = unsafe {
+                    match width {
+                        $($width => $body::<$width>(s, stride, live, depth, d),)*
+                        _ => 0,
+                    }
+                };
+                let (src, dst) = (&src[done..], &mut dst[done * width..]);
+                super::pack_transpose_scalar(src, stride, live, depth - done, width, dst);
             }
         };
-        let (src, dst) = (&src[done..], &mut dst[done * width..]);
-        super::pack_transpose_scalar(src, stride, live, depth - done, width, dst);
     }
+    // The widths a kernel packs at: the AVX2 tiles (6×16, 6×8), the AVX-512
+    // tiles (12×32, 12×16) and the scalar tile (8×8), which a plan can pin.
+    transpose_primitive!(pack_transpose_f32, f32, transpose_f32, [6, 8, 12, 16, 32]);
+    transpose_primitive!(pack_transpose_f64, f64, transpose_f64, [6, 8, 12, 16]);
 
     /// [`super::pack_copy_scalar`] compiled with AVX2 enabled, so a
     /// fixed-width row is `ymm` moves.
@@ -1378,12 +1378,29 @@ mod tests {
         (0..n).map(|i| ((i % 17) as f64 - 8.0) * scale).collect()
     }
 
-    /// Every kernel (whatever the host dispatches plus scalar) must agree
-    /// with a naive tile product within an accumulation-order bound.
+    /// The kernels a test can run here: every supported ISA's (one per
+    /// ISA the host executes, scalar always) — or the scalar kernel alone
+    /// under `ADSALA_FORCE_SCALAR`. An ISA the host lacks is a printed
+    /// skip, so a runner's coverage is on its log.
+    fn runnable_kernels<T: Element>() -> Vec<Kernel<T>> {
+        let mut kernels: Vec<Kernel<T>> = Vec::new();
+        for isa in KernelIsa::ALL {
+            let kernel = Kernel::<T>::for_isa(isa);
+            if kernel.isa != isa {
+                eprintln!("skipped: {isa} kernels cannot run here (resolved to {})", kernel.isa);
+            } else {
+                kernels.push(kernel);
+            }
+        }
+        kernels
+    }
+
+    /// Every runnable kernel must agree with a naive tile product within
+    /// an accumulation-order bound.
     #[test]
     fn kernels_match_naive_tile_product() {
-        for isa in [KernelIsa::dispatched(), KernelIsa::Scalar] {
-            let kern = Kernel::<f64>::for_isa(isa);
+        for kern in runnable_kernels::<f64>() {
+            let isa = kern.isa;
             let (mr, nr) = (kern.mr, kern.nr);
             for kc in [0usize, 1, 3, 7, 64] {
                 let a = dense_f64(mr * kc.max(1), 0.37);
@@ -1413,7 +1430,10 @@ mod tests {
 
     #[test]
     fn dispatched_beta_zero_never_reads_c() {
-        let kern = Kernel::<f32>::dispatched();
+        runnable_kernels::<f32>().into_iter().for_each(beta_zero_never_reads_c);
+    }
+
+    fn beta_zero_never_reads_c(kern: Kernel<f32>) {
         let (mr, nr) = (kern.mr, kern.nr);
         let kc = 5;
         let a = vec![1.0f32; mr * kc];
@@ -1424,7 +1444,7 @@ mod tests {
         // SAFETY: packed panels and C tile sized per contract.
         unsafe { kern.run(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), nr, mr, nr, 0.5, 0.0) };
         for &v in &c {
-            assert_eq!(v, 0.5 * kc as f32 * 2.0);
+            assert_eq!(v, 0.5 * kc as f32 * 2.0, "{}", kern.isa);
         }
         // Edge tile: live lanes overwritten, dead lanes untouched.
         let mut c = vec![f32::NAN; mr * nr];
@@ -1435,9 +1455,9 @@ mod tests {
             for j in 0..nr {
                 let v = c[i * nr + j];
                 if i < lm && j < ln {
-                    assert_eq!(v, kc as f32 * 2.0, "({i},{j})");
+                    assert_eq!(v, kc as f32 * 2.0, "{} ({i},{j})", kern.isa);
                 } else {
-                    assert!(v.is_nan(), "dead lane ({i},{j}) was written");
+                    assert!(v.is_nan(), "{}: dead lane ({i},{j}) was written", kern.isa);
                 }
             }
         }
@@ -1445,10 +1465,9 @@ mod tests {
 
     #[test]
     fn acc_matches_run_with_identity_merge() {
-        for isa in [KernelIsa::dispatched(), KernelIsa::Scalar] {
-            let kern = Kernel::<f64>::for_isa(isa);
+        for kern in runnable_kernels::<f64>() {
+            let isa = kern.isa;
             let (mr, nr) = (kern.mr, kern.nr);
-            assert!(mr * nr <= MAX_TILE_ELEMS);
             let kc = 9;
             let a = dense_f64(mr * kc, 1.1);
             let b = dense_f64(kc * nr, -0.7);
@@ -1486,31 +1505,55 @@ mod tests {
         assert!(isa.is_supported());
         assert_eq!(isa, KernelIsa::detect());
         assert!(KernelIsa::Scalar.is_supported());
+        assert_eq!(KernelIsa::supported().last(), Some(KernelIsa::Scalar));
     }
 
     #[test]
     fn for_isa_falls_back_to_scalar_when_unsupported() {
-        // Whichever SIMD ISA the host does NOT have must degrade to the
-        // scalar kernel rather than installing an illegal path — and even
-        // a *supported* ISA must degrade while ADSALA_FORCE_SCALAR is
-        // active (is_supported() reflects detection, not the override, so
-        // a cached SIMD plan would otherwise replay past it).
-        for isa in [KernelIsa::Avx2Fma, KernelIsa::Neon] {
-            let k32 = Kernel::<f32>::for_isa(isa);
-            let k64 = Kernel::<f64>::for_isa(isa);
-            if isa.is_supported() && !force_scalar_requested() {
-                assert_eq!(k32.isa, isa);
-                assert_eq!(k64.isa, isa);
-            } else {
-                assert_eq!(k32.isa, KernelIsa::Scalar);
-                assert_eq!(k64.isa, KernelIsa::Scalar);
-            }
+        // Each architecture's ISAs form a ladder (`ALL` lists it widest
+        // first): the host runs its detected rung and every one below it,
+        // and nothing above — or of another architecture — may resolve to
+        // anything but the scalar kernel. Were support `detect() == self`,
+        // an AVX-512 host would run a plan pinned to AVX2 on scalar. Even
+        // a supported ISA must degrade while ADSALA_FORCE_SCALAR is active
+        // (is_supported() reflects detection, not the override, so a
+        // cached SIMD plan would otherwise replay past it).
+        let ladder: &[KernelIsa] = if cfg!(target_arch = "x86_64") {
+            &[KernelIsa::Avx512, KernelIsa::Avx2Fma, KernelIsa::Scalar]
+        } else if cfg!(target_arch = "aarch64") {
+            &[KernelIsa::Neon, KernelIsa::Scalar]
+        } else {
+            &[KernelIsa::Scalar]
+        };
+        let detected = KernelIsa::detect();
+        let top = ladder.iter().position(|&isa| isa == detected).expect("detected off-ladder");
+        for isa in KernelIsa::ALL {
+            let runs = ladder.iter().position(|&rung| rung == isa).is_some_and(|at| at >= top);
+            assert_eq!(isa.is_supported(), runs, "{isa} on a host that detects {detected}");
+            let want = if runs && !force_scalar_requested() { isa } else { KernelIsa::Scalar };
+            assert_eq!(Kernel::<f32>::for_isa(isa).isa, want);
+            assert_eq!(Kernel::<f64>::for_isa(isa).isa, want);
         }
     }
 
     #[test]
+    fn every_table_entry_fits_the_staging_tile() {
+        // The table functions themselves, not `for_isa`: an ISA this host
+        // cannot run still has its row checked.
+        let mut largest = 0;
+        for isa in KernelIsa::ALL {
+            let (k32, k64) = (kernel_f32(isa), kernel_f64(isa));
+            for (mr, nr) in [(k32.mr, k32.nr), (k64.mr, k64.nr)] {
+                assert!(mr * nr <= MAX_TILE_ELEMS, "{isa}: {mr}x{nr} > {MAX_TILE_ELEMS}");
+                largest = largest.max(mr * nr);
+            }
+        }
+        assert_eq!(largest, MAX_TILE_ELEMS, "the bound is the table's maximum, not a guess");
+    }
+
+    #[test]
     fn kernel_isa_serde_roundtrip() {
-        for isa in [KernelIsa::Avx2Fma, KernelIsa::Neon, KernelIsa::Scalar] {
+        for isa in KernelIsa::ALL {
             let v = serde::Serialize::to_value(&isa);
             let back: KernelIsa = serde::Deserialize::from_value(&v).unwrap();
             assert_eq!(isa, back);

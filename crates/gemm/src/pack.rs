@@ -497,15 +497,16 @@ mod tests {
     }
 
     fn panels_match_reference<T: BitElement>() {
+        // Each supported ISA's primitives (under ADSALA_FORCE_SCALAR they
+        // all resolve to the scalar ones: once is enough).
         let mut kernels: Vec<Kernel<T>> = Vec::new();
-        for isa in [KernelIsa::Avx2Fma, KernelIsa::Neon, KernelIsa::Scalar] {
-            let kernel = Kernel::<T>::for_isa(isa);
-            if isa.is_supported() && kernels.iter().all(|k| k.isa != kernel.isa) {
+        for kernel in KernelIsa::supported().map(Kernel::<T>::for_isa) {
+            if kernels.iter().all(|k| k.isa != kernel.isa) {
                 kernels.push(kernel);
             }
         }
         let lane = T::LANE;
-        for w in [4usize, 6, 8, 16] {
+        for w in [4usize, 6, 8, 12, 16, 32] {
             for rows in [0, 1, w - 1, w, w + 1, 3 * w + 2] {
                 for depth in [0, 1, lane - 1, lane, lane + 1, 2 * lane + 3] {
                     // The logical rows×depth block, stored as is (its rows

@@ -68,7 +68,7 @@ pub fn applicable(m: usize, n: usize, k: usize, cutoff: u32) -> bool {
 
 /// `true` when one more recursion level is legal for this sub-problem.
 fn recursable(m: usize, n: usize, k: usize, cut: usize) -> bool {
-    m % 2 == 0 && n % 2 == 0 && k % 2 == 0 && m.min(n).min(k) >= 2 * cut
+    m.is_multiple_of(2) && n.is_multiple_of(2) && k.is_multiple_of(2) && m.min(n).min(k) >= 2 * cut
 }
 
 /// Scratch elements the recursion needs for an `m×n×k` problem: per

@@ -229,7 +229,7 @@ unsafe fn band_subproblem<T: Element>(
     debug_assert!(b_buf.len() >= kc * nc.div_ceil(nr) * nr);
     debug_assert!((mr, nr) == (kernel.mr, kernel.nr), "blocks/kernel tile mismatch");
     // The register tile staged in memory for the masked triangle merge;
-    // every kernel tile fits in MAX_TILE_ELEMS by construction.
+    // MAX_TILE_ELEMS is the maximum over the table `kernel` came from.
     let mut tile = [T::ZERO; MAX_TILE_ELEMS];
 
     let mut jc = 0;

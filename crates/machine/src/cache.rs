@@ -83,7 +83,7 @@ fn format_bytes(bytes: usize) -> String {
     const UNITS: [(usize, &str); 3] = [(1 << 30, "GiB"), (1 << 20, "MiB"), (1 << 10, "KiB")];
     for (scale, unit) in UNITS {
         if bytes >= scale {
-            return if bytes % scale == 0 {
+            return if bytes.is_multiple_of(scale) {
                 format!("{}{unit}", bytes / scale)
             } else {
                 format!("{:.1}{unit}", bytes as f64 / scale as f64)

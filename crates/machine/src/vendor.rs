@@ -111,7 +111,7 @@ impl Vendor {
         let mut best_score = f64::INFINITY;
         let mut pr = 1;
         while pr * pr <= p {
-            if p % pr == 0 {
+            if p.is_multiple_of(pr) {
                 for (r, c) in [(pr, p / pr), (p / pr, pr)] {
                     let tile_m = (m.max(1)).div_ceil(r) as f64;
                     let tile_n = (n.max(1)).div_ceil(c) as f64;

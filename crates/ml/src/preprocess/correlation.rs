@@ -84,7 +84,7 @@ impl CorrelationPruner {
                         continue;
                     }
                     let c = corr.get(i, j).abs();
-                    if c > threshold && worst.map_or(true, |(_, _, w)| c > w) {
+                    if c > threshold && worst.is_none_or(|(_, _, w)| c > w) {
                         worst = Some((i, j, c));
                     }
                 }

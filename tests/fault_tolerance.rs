@@ -71,6 +71,16 @@ fn serial_reference(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f
     c
 }
 
+/// Poll until `ready` (the state an interleaving needs before its next
+/// step) or fail after 20 s.
+fn wait_for(what: &str, ready: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !ready() {
+        assert!(start.elapsed() < Duration::from_secs(20), "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn assert_close(c: &[f32], c_ref: &[f32], what: &str) {
     for (i, (x, y)) in c.iter().zip(c_ref).enumerate() {
         assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()), "{what}: c[{i}] = {x} vs reference {y}");
@@ -198,16 +208,27 @@ fn packing_arenas_stay_allocation_steady_after_a_panic() {
         .with_isa(KernelIsa::Scalar)
         .with_packing(PackingStrategy::Independent)
         .with_algorithm(Algorithm::Blocked);
-    for round in 0..4 {
+    // Which worker takes which job is the pool's business, so the pooled
+    // warm-up runs until the arena counters have held still for a while
+    // rather than for a fixed number of calls.
+    let mut stable_calls = 0;
+    for round in 0..200 {
         let mut c = vec![0.0f32; m * n];
         let mut req: OpRequest<'_, f32> =
             GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
         if round == 0 {
             svc.run_pinned(&mut req, &degraded).expect("caller-arena warm-up");
-        } else {
-            svc.run(&mut req).expect("worker-arena warm-up");
+            continue;
+        }
+        let before = svc.workspace_stats().allocations;
+        svc.run(&mut req).expect("worker-arena warm-up");
+        stable_calls =
+            if svc.workspace_stats().allocations == before { stable_calls + 1 } else { 0 };
+        if stable_calls == 8 {
+            break;
         }
     }
+    assert_eq!(stable_calls, 8, "arena allocations never settled");
     let pool_before = svc.workspace_stats();
     let local_before = thread_arena_stats();
 
@@ -289,8 +310,10 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
 
     // Fused pair: a SYRK blocker (no fault hook in its kernel) fills the
     // 2-thread budget while both same-shape shared-B GEMMs queue behind
-    // it, so they are admitted as one fused unit.
-    let (_lock, _guard, plan) = install(spec);
+    // it, so they are admitted as one fused unit. The blocker's pool jobs
+    // wait behind a stall that is released once the pair is queued, so
+    // the interleaving does not depend on how long a SYRK takes.
+    let (_lock, _guard, plan) = install("panic:count=1,stall:ms=30000");
     let sched = ServiceScheduler::with_config(
         Arc::new(service(2)),
         SchedulerConfig { thread_budget: 2, ..SchedulerConfig::default() },
@@ -315,8 +338,7 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
             let run = sched.submit(&mut req).expect("blocker syrk");
             assert_eq!(run.plan.threads, 2, "test precondition: the blocker must fill the budget");
         });
-        // Let the blocker get admitted before the pair queues up.
-        std::thread::sleep(Duration::from_millis(50));
+        wait_for("the blocker to hold the budget", || sched.stats().in_flight_threads == 2);
         for (a, c_ref) in a_mats.iter().zip(&c_refs) {
             scope.spawn(move || {
                 let mut c = vec![f32::NAN; m * n];
@@ -327,6 +349,8 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
                 assert_close(&c, c_ref, "fused recovered result");
             });
         }
+        wait_for("the pair to queue", || sched.stats().queue_depth == a_mats.len());
+        plan.release_stalls();
     });
     assert_eq!(plan.injected_panics(), 1);
     let (panics, retries, downgrades, blocked) = booked(&sched.stats().service);

@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use adsala::bundle::quick_test_bundle as quick_bundle;
 use adsala::prelude::*;
+use adsala_gemm::fault::{self, FaultPlan};
 use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
 
 fn scheduler(workers: usize, cfg: SchedulerConfig) -> ServiceScheduler {
@@ -16,6 +17,26 @@ fn scheduler(workers: usize, cfg: SchedulerConfig) -> ServiceScheduler {
         ServiceConfig { pool_workers: workers, ..ServiceConfig::default() },
     ));
     ServiceScheduler::with_config(service, cfg)
+}
+
+/// Clears the fault plan (which opens its stall gate) when dropped, so a
+/// failing assertion cannot leave the binary's other tests stalled.
+struct StallGate(Arc<FaultPlan>);
+
+impl Drop for StallGate {
+    fn drop(&mut self) {
+        fault::set_plan(None);
+    }
+}
+
+/// Poll until `ready` (the state an interleaving needs before its next
+/// step) or fail after 20 s.
+fn wait_for(what: &str, ready: impl Fn() -> bool) {
+    let start = std::time::Instant::now();
+    while !ready() {
+        assert!(start.elapsed().as_secs() < 20, "timed out waiting for {what}");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 }
 
 fn fill(n: usize, seed: u64) -> Vec<f32> {
@@ -214,9 +235,15 @@ fn queued_same_shape_ops_fuse_and_never_lose_gangs() {
 
     // The blocker must occupy the whole 2-thread budget so the fusable
     // ops pile up behind it; for a GEMM this large the model reliably
-    // predicts 2 threads beating 1. 768x384x768 f64 keeps it running for
-    // hundreds of milliseconds — orders of magnitude past the staging
-    // sleep below.
+    // predicts 2 threads beating 1. Its pool jobs wait behind the fault
+    // harness's stall, released once the followers are queued, so the
+    // interleaving does not depend on how fast the kernel is. The plan is
+    // process-wide: pool jobs of this binary's other tests wait at the
+    // same gate for those few milliseconds, which none of them can tell.
+    let gate = StallGate(
+        fault::set_plan(Some(FaultPlan::parse("stall:ms=30000").expect("valid fault spec")))
+            .expect("installed"),
+    );
     let (bm, bn, bk) = (768usize, 768usize, 384usize);
     let blocker_a: Vec<f64> = (0..bm * bk).map(|i| (i % 13) as f64 - 6.0).collect();
     let blocker_b: Vec<f64> = (0..bk * bn).map(|i| (i % 11) as f64 * 0.25).collect();
@@ -247,8 +274,7 @@ fn queued_same_shape_ops_fuse_and_never_lose_gangs() {
                 "test precondition: the blocker must occupy the whole budget"
             );
         });
-        // Let the blocker get admitted before the followers queue up.
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        wait_for("the blocker to hold the budget", || sched.stats().in_flight_threads == 2);
         for (a, c_ref) in a_mats.iter().zip(&c_refs) {
             let sched = Arc::clone(&sched);
             let b = &b;
@@ -261,7 +287,10 @@ fn queued_same_shape_ops_fuse_and_never_lose_gangs() {
                 assert!(run.plan.threads >= 1);
             });
         }
+        wait_for("the followers to queue", || sched.stats().queue_depth == followers);
+        gate.0.release_stalls();
     });
+    drop(gate);
 
     let stats = sched.stats();
     assert_eq!(stats.completed, (followers + 1) as u64);

@@ -1,9 +1,12 @@
 //! SIMD-vs-scalar equivalence suite for the kernel-dispatch layer.
 //!
-//! The dispatched SIMD micro-kernels (AVX2+FMA / NEON) partition the
+//! The SIMD micro-kernels (AVX-512 / AVX2+FMA / NEON) partition the
 //! depth sum across vector lanes and contract multiply-adds into FMAs,
 //! so their results differ from the scalar reference path by rounding
-//! only. This suite pins that claim down:
+//! only. This suite pins that claim down, for **every ISA the host can
+//! execute** and not only the one it dispatches (an AVX-512 host still
+//! covers the AVX2 kernels; an ISA the host lacks is a printed skip —
+//! see `isa_coverage_is_on_the_log`):
 //!
 //! * every `(transpose_a, transpose_b)` combination, skewed shapes, and
 //!   edge tiles (`live_m < MR`, `live_n < NR`) agree within an
@@ -16,10 +19,10 @@
 //!   pre-dispatch (PR 4) implementation, reconstructed here from the
 //!   public `accumulate`/`merge_into_raw` contract.
 //!
-//! The suite passes under the host's dispatched ISA *and* under
-//! `ADSALA_FORCE_SCALAR=1` (CI runs both): when dispatch already
-//! resolves to scalar the comparisons degenerate to bitwise equality,
-//! which the bounds trivially admit.
+//! The suite passes under the host's own ISAs *and* under
+//! `ADSALA_FORCE_SCALAR=1` (CI runs both): under the override every
+//! pinned ISA resolves to scalar and the comparisons degenerate to
+//! bitwise equality, which the bounds trivially admit.
 
 use adsala_repro::adsala::bundle::quick_test_bundle;
 use adsala_repro::adsala::{AdsalaService, ServiceConfig};
@@ -109,6 +112,45 @@ fn assert_equivalent<T: Element + Into<f64>>(
     }
 }
 
+/// The ISAs the suite compares with the scalar path: every SIMD ISA this
+/// host can execute (scalar itself when there is none).
+fn exercised_isas() -> Vec<KernelIsa> {
+    let simd: Vec<_> = KernelIsa::supported().filter(|&isa| isa != KernelIsa::Scalar).collect();
+    if simd.is_empty() {
+        vec![KernelIsa::Scalar]
+    } else {
+        simd
+    }
+}
+
+/// What a runner covered, on its log (`-- --nocapture`, as CI runs it):
+/// the detected and dispatched ISA, and per ISA whether the equivalence
+/// cases ran its kernels (with their tiles) or skipped it.
+#[test]
+fn isa_coverage_is_on_the_log() {
+    let exercised = exercised_isas();
+    println!(
+        "simd_equivalence: detect() = {}, dispatched() = {}",
+        KernelIsa::detect(),
+        KernelIsa::dispatched()
+    );
+    for isa in KernelIsa::ALL {
+        let (k32, k64) = (Kernel::<f32>::for_isa(isa), Kernel::<f64>::for_isa(isa));
+        if exercised.contains(&isa) {
+            println!(
+                "simd_equivalence: {isa}: exercised, runs as {} (f32 {}x{}, f64 {}x{})",
+                k32.isa, k32.mr, k32.nr, k64.mr, k64.nr
+            );
+        } else if isa.is_supported() {
+            println!("simd_equivalence: {isa}: the reference side of every comparison");
+        } else {
+            println!("simd_equivalence: {isa}: skipped, this host cannot execute it");
+        }
+    }
+    // The dispatched ISA is never the one left out.
+    assert!(exercised.contains(&KernelIsa::detect()));
+}
+
 /// Run one GEMM under an explicit ISA, returning the output.
 #[allow(clippy::too_many_arguments)]
 fn run_isa<T: Element>(
@@ -136,7 +178,7 @@ fn run_isa<T: Element>(
 
 /// The suite's shape grid: square, skewed both ways, sub-tile, ragged
 /// edges around every kernel's MR/NR, and a deep-k accumulation case.
-const SHAPES: [(usize, usize, usize); 8] = [
+const SHAPES: [(usize, usize, usize); 9] = [
     (64, 64, 64),
     (97, 33, 131),  // ragged in every dimension
     (5, 3, 7),      // below any register tile: all-edge tiles
@@ -144,12 +186,13 @@ const SHAPES: [(usize, usize, usize); 8] = [
     (256, 17, 40),  // tall-skinny, live_n < NR tiles
     (13, 257, 96),  // short-wide, live_m < MR tiles
     (6, 16, 128),   // exactly one AVX2 f32 tile
+    (12, 32, 128),  // exactly one AVX-512 f32 tile
     (48, 48, 1200), // multiple KC blocks (β_eff accumulation path)
 ];
 
 #[test]
 fn dispatched_matches_scalar_all_transposes_f32() {
-    let dispatched = KernelIsa::dispatched();
+    let isas = exercised_isas();
     for &(m, n, k) in &SHAPES {
         for ta in [Transpose::No, Transpose::Yes] {
             for tb in [Transpose::No, Transpose::Yes] {
@@ -160,9 +203,6 @@ fn dispatched_matches_scalar_all_transposes_f32() {
                 let c0 = fill_f32(m * n, 33);
                 let c0_f64: Vec<f64> = c0.iter().map(|&v| f64::from(v)).collect();
                 let (alpha, beta) = (1.3f32, -0.4f32);
-                let (simd, ran) =
-                    run_isa(dispatched, ta, tb, m, n, k, 3, alpha, &a, ac, &b, bc, beta, &c0);
-                assert_eq!(ran, dispatched);
                 let (scalar, ran) = run_isa(
                     KernelIsa::Scalar,
                     ta,
@@ -180,24 +220,29 @@ fn dispatched_matches_scalar_all_transposes_f32() {
                     &c0,
                 );
                 assert_eq!(ran, KernelIsa::Scalar);
-                assert_equivalent(
-                    &format!("f32 {m}x{n}x{k} {ta:?}/{tb:?}"),
-                    &simd,
-                    &scalar,
-                    &a,
-                    ac,
-                    ta,
-                    &b,
-                    bc,
-                    tb,
-                    &c0_f64,
-                    m,
-                    n,
-                    k,
-                    f64::from(alpha),
-                    f64::from(beta),
-                    f64::from(f32::EPSILON),
-                );
+                for &isa in &isas {
+                    let (simd, ran) =
+                        run_isa(isa, ta, tb, m, n, k, 3, alpha, &a, ac, &b, bc, beta, &c0);
+                    assert_eq!(ran, Kernel::<f32>::for_isa(isa).isa);
+                    assert_equivalent(
+                        &format!("{isa} f32 {m}x{n}x{k} {ta:?}/{tb:?}"),
+                        &simd,
+                        &scalar,
+                        &a,
+                        ac,
+                        ta,
+                        &b,
+                        bc,
+                        tb,
+                        &c0_f64,
+                        m,
+                        n,
+                        k,
+                        f64::from(alpha),
+                        f64::from(beta),
+                        f64::from(f32::EPSILON),
+                    );
+                }
             }
         }
     }
@@ -205,7 +250,7 @@ fn dispatched_matches_scalar_all_transposes_f32() {
 
 #[test]
 fn dispatched_matches_scalar_all_transposes_f64() {
-    let dispatched = KernelIsa::dispatched();
+    let isas = exercised_isas();
     for &(m, n, k) in &SHAPES {
         for ta in [Transpose::No, Transpose::Yes] {
             for tb in [Transpose::No, Transpose::Yes] {
@@ -215,8 +260,6 @@ fn dispatched_matches_scalar_all_transposes_f64() {
                 let b = fill_f64(br * bc, 55);
                 let c0 = fill_f64(m * n, 66);
                 let (alpha, beta) = (0.75f64, 2.0f64);
-                let (simd, _) =
-                    run_isa(dispatched, ta, tb, m, n, k, 4, alpha, &a, ac, &b, bc, beta, &c0);
                 let (scalar, _) = run_isa(
                     KernelIsa::Scalar,
                     ta,
@@ -233,24 +276,29 @@ fn dispatched_matches_scalar_all_transposes_f64() {
                     beta,
                     &c0,
                 );
-                assert_equivalent(
-                    &format!("f64 {m}x{n}x{k} {ta:?}/{tb:?}"),
-                    &simd,
-                    &scalar,
-                    &a,
-                    ac,
-                    ta,
-                    &b,
-                    bc,
-                    tb,
-                    &c0,
-                    m,
-                    n,
-                    k,
-                    alpha,
-                    beta,
-                    f64::EPSILON,
-                );
+                for &isa in &isas {
+                    let (simd, ran) =
+                        run_isa(isa, ta, tb, m, n, k, 4, alpha, &a, ac, &b, bc, beta, &c0);
+                    assert_eq!(ran, Kernel::<f64>::for_isa(isa).isa);
+                    assert_equivalent(
+                        &format!("{isa} f64 {m}x{n}x{k} {ta:?}/{tb:?}"),
+                        &simd,
+                        &scalar,
+                        &a,
+                        ac,
+                        ta,
+                        &b,
+                        bc,
+                        tb,
+                        &c0,
+                        m,
+                        n,
+                        k,
+                        alpha,
+                        beta,
+                        f64::EPSILON,
+                    );
+                }
             }
         }
     }
@@ -258,7 +306,6 @@ fn dispatched_matches_scalar_all_transposes_f64() {
 
 #[test]
 fn beta_zero_and_alpha_one_specialisations_agree() {
-    let dispatched = KernelIsa::dispatched();
     let (m, n, k) = (45, 29, 77);
     let a = fill_f32(m * k, 7);
     let b = fill_f32(k * n, 8);
@@ -270,27 +317,29 @@ fn beta_zero_and_alpha_one_specialisations_agree() {
     {
         let c_init_f64: Vec<f64> = if beta == 0.0 { vec![0.0; m * n] } else { c0_f64.clone() };
         let no = Transpose::No;
-        let (simd, _) = run_isa(dispatched, no, no, m, n, k, 2, alpha, &a, k, &b, n, beta, c_init);
         let (scalar, _) =
             run_isa(KernelIsa::Scalar, no, no, m, n, k, 2, alpha, &a, k, &b, n, beta, c_init);
-        assert_equivalent(
-            label,
-            &simd,
-            &scalar,
-            &a,
-            k,
-            no,
-            &b,
-            n,
-            no,
-            &c_init_f64,
-            m,
-            n,
-            k,
-            f64::from(alpha),
-            f64::from(beta),
-            f64::from(f32::EPSILON),
-        );
+        for isa in exercised_isas() {
+            let (simd, _) = run_isa(isa, no, no, m, n, k, 2, alpha, &a, k, &b, n, beta, c_init);
+            assert_equivalent(
+                &format!("{isa} {label}"),
+                &simd,
+                &scalar,
+                &a,
+                k,
+                no,
+                &b,
+                n,
+                no,
+                &c_init_f64,
+                m,
+                n,
+                k,
+                f64::from(alpha),
+                f64::from(beta),
+                f64::from(f32::EPSILON),
+            );
+        }
     }
 }
 
@@ -602,76 +651,92 @@ fn transposed_operands_and_syrk_match_elementwise_packed_reference() {
 
 #[test]
 fn kernel_level_edge_tiles_match_scalar_masking() {
-    // Directly exercise every (live_m, live_n) mask of the dispatched
-    // kernel against the scalar kernel on identically packed panels.
-    let kern = Kernel::<f32>::dispatched();
+    // Every (live_m, live_n) mask of every executable SIMD kernel's own
+    // tile, against the scalar kernel on panels packed from the same
+    // dense data: the scalar kernel covers the SIMD tile with its own
+    // (smaller) tiles, written unmasked into a reference block.
     let scal = Kernel::<f32>::for_isa(KernelIsa::Scalar);
     let kc = 23usize;
-    // Pack one panel pair per kernel geometry from the same dense data.
-    let dense_a = fill_f32(8 * 16 * kc, 3); // enough for any tile
-    let dense_b = fill_f32(kc * 16, 4);
-    let pack = |mr: usize, nr: usize| {
-        let mut ap = vec![0.0f32; kc * mr];
-        for l in 0..kc {
-            for i in 0..mr {
-                ap[l * mr + i] = dense_a[i * kc + l];
+    for kern in exercised_isas().into_iter().map(Kernel::<f32>::for_isa) {
+        let (mr, nr) = (kern.mr, kern.nr);
+        let (ref_m, ref_n) = (mr.next_multiple_of(scal.mr), nr.next_multiple_of(scal.nr));
+        // Row i of A is dense_a[i·kc..], depth step l of B dense_b[l·ref_n..].
+        let dense_a = fill_f32(ref_m * kc, 3);
+        let dense_b = fill_f32(kc * ref_n, 4);
+        // One packed panel pair: rows r0.. of A in `pm` slots, columns c0..
+        // of B in `pn` slots.
+        let pack = |r0: usize, pm: usize, c0: usize, pn: usize| {
+            let mut ap = vec![0.0f32; kc * pm];
+            let mut bp = vec![0.0f32; kc * pn];
+            for l in 0..kc {
+                for i in 0..pm {
+                    ap[l * pm + i] = dense_a[(r0 + i) * kc + l];
+                }
+                bp[l * pn..][..pn].copy_from_slice(&dense_b[l * ref_n + c0..][..pn]);
+            }
+            (ap, bp)
+        };
+        let mut want = vec![-7.0f32; ref_m * ref_n];
+        for r0 in (0..ref_m).step_by(scal.mr) {
+            for c0 in (0..ref_n).step_by(scal.nr) {
+                let (ap, bp) = pack(r0, scal.mr, c0, scal.nr);
+                let origin = want[r0 * ref_n + c0..].as_mut_ptr();
+                // SAFETY: scalar-tile panels; a full scalar tile at
+                // (r0, c0) lies inside the ref_m×ref_n block.
+                unsafe {
+                    scal.run(
+                        kc,
+                        ap.as_ptr(),
+                        bp.as_ptr(),
+                        origin,
+                        ref_n,
+                        scal.mr,
+                        scal.nr,
+                        1.5,
+                        0.25,
+                    )
+                };
             }
         }
-        let mut bp = vec![0.0f32; kc * nr];
-        for l in 0..kc {
-            bp[l * nr..(l + 1) * nr].copy_from_slice(&dense_b[l * 16..l * 16 + nr]);
-        }
-        (ap, bp)
-    };
-    let (kap, kbp) = pack(kern.mr, kern.nr);
-    let (sap, sbp) = pack(scal.mr, scal.nr);
-    let common_m = kern.mr.min(scal.mr);
-    let common_n = kern.nr.min(scal.nr);
-    for live_m in 1..=common_m {
-        for live_n in 1..=common_n {
-            let mut ck = vec![-7.0f32; common_m * common_n];
-            let mut cs = ck.clone();
-            // SAFETY: panels are packed for each kernel's tile; the
-            // live region lies inside the common_m×common_n buffer.
-            unsafe {
-                kern.run(
-                    kc,
-                    kap.as_ptr(),
-                    kbp.as_ptr(),
-                    ck.as_mut_ptr(),
-                    common_n,
-                    live_m,
-                    live_n,
-                    1.5,
-                    0.25,
-                );
-                scal.run(
-                    kc,
-                    sap.as_ptr(),
-                    sbp.as_ptr(),
-                    cs.as_mut_ptr(),
-                    common_n,
-                    live_m,
-                    live_n,
-                    1.5,
-                    0.25,
-                );
-            }
-            for i in 0..common_m {
-                for j in 0..common_n {
-                    let (x, y) = (ck[i * common_n + j], cs[i * common_n + j]);
-                    if i < live_m && j < live_n {
-                        let mag: f32 = (0..kc)
-                            .map(|l| (dense_a[i * kc + l] * dense_b[l * 16 + j]).abs())
-                            .sum();
-                        let bound = 8.0 * f32::EPSILON * (kc as f32 + 2.0) * (1.5 * mag + 2.0);
-                        assert!(
-                            (x - y).abs() <= bound,
-                            "live ({live_m},{live_n}) @ ({i},{j}): {x} vs {y}"
-                        );
-                    } else {
-                        assert_eq!(x, -7.0, "dead lane ({i},{j}) written at ({live_m},{live_n})");
-                        assert_eq!(x, y);
+        let (ap, bp) = pack(0, mr, 0, nr);
+        for live_m in 1..=mr {
+            for live_n in 1..=nr {
+                let mut got = vec![-7.0f32; mr * nr];
+                // SAFETY: panels packed for this kernel's tile; the live
+                // region lies inside the mr×nr buffer.
+                unsafe {
+                    kern.run(
+                        kc,
+                        ap.as_ptr(),
+                        bp.as_ptr(),
+                        got.as_mut_ptr(),
+                        nr,
+                        live_m,
+                        live_n,
+                        1.5,
+                        0.25,
+                    )
+                };
+                for i in 0..mr {
+                    for j in 0..nr {
+                        let (x, y) = (got[i * nr + j], want[i * ref_n + j]);
+                        if i < live_m && j < live_n {
+                            let mag: f32 = (0..kc)
+                                .map(|l| (dense_a[i * kc + l] * dense_b[l * ref_n + j]).abs())
+                                .sum();
+                            let bound = 8.0 * f32::EPSILON * (kc as f32 + 2.0) * (1.5 * mag + 2.0);
+                            assert!(
+                                (x - y).abs() <= bound,
+                                "{} live ({live_m},{live_n}) @ ({i},{j}): {x} vs {y}",
+                                kern.isa
+                            );
+                        } else {
+                            assert_eq!(
+                                x, -7.0,
+                                "{}: dead lane ({i},{j}) written at ({live_m},{live_n})",
+                                kern.isa
+                            );
+                        }
                     }
                 }
             }
