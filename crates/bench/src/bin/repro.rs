@@ -526,8 +526,9 @@ fn plan_table() {
     let timer = sim_timer(Machine::Gadi, true, Affinity::CoreBased);
     let mut cfg = InstallConfig::quick();
     // Every shape is timed at every grid point (threads × isa × blocking
-    // × packing), and the LOF filter is quadratic in rows — keep the
-    // thread axis coarse so the sweep stays a few thousand rows.
+    // × packing), and the LOF filter is quadratic in rows (in time; its
+    // memory is linear) — keep the thread axis coarse so the sweep stays a
+    // few thousand rows.
     cfg.gather.n_shapes = 120;
     cfg.gather.grid =
         Some(adsala_gemm::plan::PlanGrid::full(vec![1, 8, 24, 48, timer.max_threads()]));

@@ -29,12 +29,12 @@
 //! (`PreprocessConfig::transform_column`: Yeo-Johnson `powf`, then
 //! standardise), and most of those values are shared between candidates:
 //!
-//! | raw columns | depend on | transformed |
-//! |---|---|---|
-//! | `m, k, n, m*k, m*n, k*n, m*k*n, mem` | the shape | once per sweep |
-//! | `n_threads` and the eight `…/n_threads` terms | shape × clamped thread count | once per distinct clamped count |
-//! | the plan-axis columns | one non-thread axis each | once per distinct value |
-//! | columns the pruner dropped | — | never |
+//! | raw columns | depend on | transformed | values over the batch |
+//! |---|---|---|---|
+//! | `m, k, n, m*k, m*n, k*n, m*k*n, mem` | the shape | once per sweep | one |
+//! | `n_threads` and the eight `…/n_threads` terms | shape × clamped thread count | once per distinct clamped count | one per priced rung |
+//! | the plan-axis columns | one non-thread axis each | once per distinct value | one per distinct axis value |
+//! | columns the pruner dropped | — | never | — |
 //!
 //! The rows go into a per-thread scratch buffer, row-major: the first
 //! rung's rows are built column by column, a later rung's rows are copies
@@ -42,11 +42,16 @@
 //! clamped thread count was already priced is skipped whole, and
 //! [`PlanGrid::rung`] lists a rung's distinct points, so no two points are
 //! ever compared. The model prices the batch in one
-//! [`Regressor::predict_rows`] call, which the tree ensembles evaluate
-//! tree-major. A warm sweep allocates nothing, and its points, their order
-//! and the bits of every prediction are those of pricing each candidate
-//! alone with `predict_at_point`, the one-row reference the tests compare
-//! against.
+//! [`Regressor::predict_rows`] call, and the tree ensembles use what the
+//! last column of the table says: they find each column's few distinct
+//! values again (a scan of the batch, about an eighth of the sweep — cheap
+//! enough that the sweep does not hand its own bookkeeping down through
+//! the model interface) and walk each tree once with the *set* of
+//! candidates, splitting the set at a node by those values, instead of
+//! once per candidate. A warm sweep allocates nothing, and its points,
+//! their order and the bits of every prediction are those of pricing each
+//! candidate alone with `predict_at_point`, the one-row reference the tests
+//! compare against.
 
 use std::cell::RefCell;
 
@@ -158,7 +163,8 @@ fn axis_value(
 /// The rows are those [`predict_at_point`] builds one at a time, bit for
 /// bit, but built as one batch (see the module doc): a column is
 /// transformed once for all the candidates that share its value, and the
-/// model prices the batch in one [`Regressor::predict_rows`] call.
+/// model prices the batch in one [`Regressor::predict_rows`] call (a tree
+/// ensemble walks each tree once for the whole batch).
 fn priced_points<R>(
     model: &AnyModel,
     config: &PreprocessConfig,

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::data::Matrix;
-use crate::models::tree::{sum_leaves_tree_major, DecisionTree};
+use crate::models::tree::{sum_leaves_set_valued, DecisionTree};
 use crate::models::Regressor;
 use crate::MlError;
 
@@ -92,7 +92,7 @@ impl Regressor for RandomForest {
 
     fn predict_rows(&self, rows: &[f64], width: usize, out: &mut [f64]) {
         debug_assert!(!self.trees.is_empty(), "predict before fit");
-        sum_leaves_tree_major(self.trees.iter().map(|t| t.nodes.as_slice()), rows, width, out);
+        sum_leaves_set_valued(self.trees.iter().map(|t| t.nodes.as_slice()), rows, width, out);
         for sum in out {
             *sum /= self.trees.len() as f64;
         }

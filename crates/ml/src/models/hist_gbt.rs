@@ -15,7 +15,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::data::Matrix;
-use crate::models::tree::{leaf_value, sum_leaves_tree_major, Node, LEAF};
+use crate::models::tree::{leaf_value, sum_leaves_set_valued, Node, LEAF};
 use crate::models::Regressor;
 use crate::MlError;
 const MAX_BINS: usize = 255;
@@ -303,7 +303,7 @@ impl Regressor for HistGradientBoosting {
 
     fn predict_rows(&self, rows: &[f64], width: usize, out: &mut [f64]) {
         debug_assert!(!self.trees.is_empty(), "predict before fit");
-        sum_leaves_tree_major(self.trees.iter().map(Vec::as_slice), rows, width, out);
+        sum_leaves_set_valued(self.trees.iter().map(Vec::as_slice), rows, width, out);
         for sum in out {
             *sum += self.base_score;
         }

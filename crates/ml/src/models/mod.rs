@@ -52,9 +52,14 @@ pub trait Regressor {
     }
 
     /// Predict every `width`-wide row of the row-major batch `rows` into
-    /// `out` (one slot per row) without allocating; bitwise equal to
-    /// [`Regressor::predict_row`] on each row. The tree ensembles override
-    /// it to evaluate tree-major.
+    /// `out` (one slot per row) without allocating once warm; bitwise equal
+    /// to [`Regressor::predict_row`] on each row. The tree ensembles
+    /// override it to evaluate set-valued (see [`tree`]): per chunk of 64
+    /// rows a tree is walked once with the set of rows, split at a node by
+    /// the distinct values its column takes, so a batch whose columns
+    /// repeat few values (a decision sweep's) costs a walk per tree, not
+    /// per row and tree; every row still adds one leaf per tree in tree
+    /// order, hence the same bits.
     fn predict_rows(&self, rows: &[f64], width: usize, out: &mut [f64]) {
         debug_assert_eq!(rows.len(), width * out.len());
         for (row, pred) in rows.chunks_exact(width).zip(out) {

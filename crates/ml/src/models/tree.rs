@@ -9,6 +9,31 @@
 //! The same builder powers [`crate::models::RandomForest`] (bootstrap
 //! rows plus per-split feature subsampling) and
 //! [`crate::models::AdaBoostR2`] (weighted resampling).
+//!
+//! # Batched prediction is set-valued
+//!
+//! One row walks a tree with `leaf_value`: a chain of dependent,
+//! data-dependent branches. A batch (`Regressor::predict_rows` of the
+//! summing ensembles, `sum_leaves_set_valued` here) does not repeat that
+//! walk per row. Per chunk of 64 rows — a `u64` is a set of rows — each
+//! column's *value classes* are derived once: the distinct bit patterns the
+//! column takes, ascending with NaN last, each with the set of rows holding
+//! a value up to it. A tree is then walked once per chunk from the root
+//! with the full set; a node splits the set by comparing its threshold with
+//! the column's classes (`value <= threshold`, the comparison `leaf_value`
+//! makes, so NaN, ±0 and a value equal to the threshold go where they
+//! went), only non-empty sides are followed, and a leaf adds its value to
+//! the sum of every row in its set. The leaf sets of a tree partition the
+//! chunk, so a row's sum receives one leaf per tree, the trees in order,
+//! from `Iterator::sum`'s start value: the bits of the one-row path. The
+//! cost is nodes reached × classes of the split column, which for the rows
+//! of a decision sweep (one shape, three thread counts, a few values per
+//! plan axis) is a handful of comparisons per node for all 54 rows; a
+//! batch whose every value is distinct goes through the same code with one
+//! class per row and gains nothing. The class table is a per-thread
+//! scratch, so a warm call allocates nothing.
+
+use std::cell::RefCell;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -51,26 +76,139 @@ pub(crate) fn leaf_value(nodes: &[Node], row: &[f64]) -> f64 {
     node.value
 }
 
+/// Rows per set-valued descent: one `u64` holds a set of them.
+const CHUNK_ROWS: usize = u64::BITS as usize;
+
+/// The *value classes* of a chunk of at most [`CHUNK_ROWS`] rows: for every
+/// column, the distinct bit patterns it takes in the chunk. A column that
+/// is constant over the chunk is one class; a column whose every row
+/// differs has one class per row.
+struct ValueClasses {
+    /// Column `c`'s classes are `classes[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    /// `(value, at_most)` per class, a column's classes ascending by value
+    /// with NaN last: `at_most` is the set (bit `r` = row `r` of the chunk)
+    /// of rows holding this value or one sorted before it, so the rows
+    /// `<=` any threshold are the `at_most` of one class.
+    classes: Vec<(f64, u64)>,
+}
+
+thread_local! {
+    /// One class table per thread, as the sweep's own scratch is, so a warm
+    /// `predict_rows` allocates nothing.
+    static VALUE_CLASSES: RefCell<ValueClasses> =
+        const { RefCell::new(ValueClasses { starts: Vec::new(), classes: Vec::new() }) };
+}
+
+impl ValueClasses {
+    /// Rebuild the table for `rows` (row-major, `width` wide, at most
+    /// [`CHUNK_ROWS`] of them).
+    fn derive(&mut self, rows: &[f64], width: usize) {
+        self.starts.clear();
+        self.classes.clear();
+        let n = rows.len() / width;
+        for col in 0..width {
+            let start = self.classes.len();
+            self.starts.push(start);
+            let bits_at = |r: usize| rows[r * width + col].to_bits();
+            let mut first = 0;
+            while first < n {
+                // A sweep's rows change a column rarely: take the whole run
+                // of consecutive rows holding these bits at once.
+                let bits = bits_at(first);
+                let mut end = first + 1;
+                while end < n && bits_at(end) == bits {
+                    end += 1;
+                }
+                let run = (u64::MAX >> (CHUNK_ROWS - (end - first))) << first;
+                let value = f64::from_bits(bits);
+                let column = &mut self.classes[start..];
+                match column.iter_mut().find(|c| c.0.to_bits() == bits) {
+                    Some(class) => class.1 |= run,
+                    None => {
+                        // Ascending, NaN (which is `<=` nothing) last.
+                        let at = column
+                            .partition_point(|c| c.0 <= value || (value.is_nan() && !c.0.is_nan()));
+                        self.classes.insert(start + at, (value, run));
+                    }
+                }
+                first = end;
+            }
+            // Own rows, so far; from here every class's and its predecessors'.
+            let mut at_most = 0;
+            for class in &mut self.classes[start..] {
+                at_most |= class.1;
+                class.1 = at_most;
+            }
+        }
+        self.starts.push(self.classes.len());
+    }
+
+    /// The rows whose `feature` column is `<= threshold`: the comparison
+    /// [`leaf_value`] makes, against the column's classes instead of its
+    /// rows.
+    #[inline]
+    fn at_most(&self, feature: u32, threshold: f64) -> u64 {
+        let col = feature as usize;
+        let column = &self.classes[self.starts[col]..self.starts[col + 1]];
+        column.iter().take_while(|class| class.0 <= threshold).last().map_or(0, |class| class.1)
+    }
+}
+
+/// Walk one tree with the set `rows` of chunk rows at node `at`: split the
+/// set at every node it reaches, follow only non-empty sides, and add the
+/// leaf's value to `out[r]` for every row `r` that ends in it.
+fn descend(
+    nodes: &[Node],
+    mut at: u32,
+    mut rows: u64,
+    classes: &ValueClasses,
+    out: &mut [f64; CHUNK_ROWS],
+) {
+    loop {
+        let node = &nodes[at as usize];
+        if node.feature == LEAF {
+            while rows != 0 {
+                // (`%`: the index of a set bit, visibly in bounds.)
+                out[rows.trailing_zeros() as usize % CHUNK_ROWS] += node.value;
+                rows &= rows - 1;
+            }
+            return;
+        }
+        let left = rows & classes.at_most(node.feature, node.threshold);
+        let right = rows & !left;
+        if left != 0 && right != 0 {
+            descend(nodes, node.left, left, classes, out);
+        }
+        (at, rows) = if right != 0 { (node.right, right) } else { (node.left, left) };
+    }
+}
+
 /// For every `width`-wide row of the row-major batch `rows`, the sum over
-/// `trees` of the leaf the row falls in, written to `out`.
-///
-/// Evaluated tree-major: one tree's nodes stay in L1 while every row walks
-/// it. Each row's sum starts from the value `Iterator::sum` starts from and
-/// adds the trees in order, so it is bitwise the
-/// `trees.map(|t| leaf_value(t, row)).sum::<f64>()` of the one-row path.
-pub(crate) fn sum_leaves_tree_major<'a>(
-    trees: impl Iterator<Item = &'a [Node]>,
+/// `trees` of the leaf the row falls in, written to `out`: bitwise the
+/// `trees.map(|t| leaf_value(t, row)).sum::<f64>()` of the one-row path,
+/// evaluated set-valued (see the module doc) — each chunk of
+/// [`CHUNK_ROWS`] rows derives its [`ValueClasses`] once and walks every
+/// tree once.
+pub(crate) fn sum_leaves_set_valued<'a>(
+    trees: impl Iterator<Item = &'a [Node]> + Clone,
     rows: &[f64],
     width: usize,
     out: &mut [f64],
 ) {
     debug_assert_eq!(rows.len(), width * out.len());
-    out.fill(std::iter::empty::<f64>().sum());
-    for nodes in trees {
-        for (row, acc) in rows.chunks_exact(width).zip(out.iter_mut()) {
-            *acc += leaf_value(nodes, row);
+    VALUE_CLASSES.with(|classes| {
+        let classes = &mut *classes.borrow_mut();
+        for (rows, out) in rows.chunks(CHUNK_ROWS * width).zip(out.chunks_mut(CHUNK_ROWS)) {
+            classes.derive(rows, width);
+            let all = u64::MAX >> (CHUNK_ROWS - out.len());
+            let mut sums = [std::iter::empty::<f64>().sum(); CHUNK_ROWS];
+            for nodes in trees.clone() {
+                descend(nodes, 0, all, classes, &mut sums);
+            }
+            out.copy_from_slice(&sums[..out.len()]);
         }
-    }
+    });
 }
 
 /// Decision-tree regressor and hyper-parameters.
@@ -280,6 +418,8 @@ mod tests {
     use super::*;
     use crate::metrics::r2;
     use crate::models::test_support::nonlinear_dataset;
+    use crate::models::{GradientBoosting, HistGradientBoosting, RandomForest};
+    use rand::Rng;
 
     #[test]
     fn fits_step_function_exactly() {
@@ -407,6 +547,123 @@ mod tests {
         let mut t = DecisionTree::default();
         t.fit_on(&Matrix::from_rows(&rows), &y, &[0, 1, 2, 3, 4, 5]).unwrap();
         assert_eq!(t.predict_row(&[2.0]), 1.0);
+    }
+
+    /// `n` rows × 6 columns, i.i.d. uniform: every value its own class.
+    fn dense_rows(n: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| (0..6).map(|_| rng.gen_range(-2.0..2.0)).collect()).collect()
+    }
+
+    /// `n` rows shaped like a decision sweep's (rungs of 18 points over one
+    /// shape), their values taken from `donors`: columns 0–1 hold one value,
+    /// columns 2–3 one per rung, column 4 cycles through three values and
+    /// column 5 through three with repeats, out of order.
+    fn sweep_rows(n: usize, donors: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                let (rung, point) = (i / 18, i % 18);
+                let donor = [0, 0, rung % 4, rung % 4, point % 3, [2, 0, 0, 1, 2, 1][point % 6]];
+                (0..6).map(|col| donors[donor[col]][col]).collect()
+            })
+            .collect()
+    }
+
+    /// `n` rows whose values are, half of them, NaN of either sign, ±0, ±∞,
+    /// or a threshold `nodes` split on in that column (or a neighbour one
+    /// ulp away); the rest dense.
+    fn edge_rows(n: usize, nodes: &[Node], seed: u64) -> Vec<Vec<f64>> {
+        let pools: Vec<Vec<f64>> = (0..6)
+            .map(|col| {
+                let thresholds = nodes.iter().filter(|n| n.feature == col).map(|n| n.threshold);
+                [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY]
+                    .into_iter()
+                    .chain(thresholds.flat_map(|t| [t, t.next_up(), t.next_down()]))
+                    .collect()
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows = dense_rows(n, seed + 1);
+        for value in rows.iter_mut().flat_map(|row| row.iter_mut().zip(&pools)) {
+            if rng.gen_range(0..2) == 0 {
+                *value.0 = value.1[rng.gen_range(0..value.1.len())];
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn set_valued_descent_is_bitwise_the_one_row_walk() {
+        let train = dense_rows(300, 20);
+        let y: Vec<f64> = train
+            .iter()
+            .map(|r| r[0] * r[0] + 2.0 * (3.0 * r[1]).sin() + r[2] * r[3] - r[4] + 0.5 * r[5])
+            .collect();
+        let x = Matrix::from_rows(&train);
+
+        // Two hand-built trees ride in every ensemble: a single leaf, and a
+        // one-sided chain deeper than any fitted tree whose thresholds are
+        // feature values of the sweep-shaped batches (and zero).
+        let leaf = |value| Node { feature: LEAF, threshold: 0.0, left: 0, right: 0, value };
+        let single = vec![leaf(0.375)];
+        let mut chain = Vec::new();
+        for depth in 0..20u32 {
+            let col = depth % 6;
+            let threshold = if depth == 7 { 0.0 } else { train[depth as usize % 4][col as usize] };
+            let node = Node {
+                feature: col,
+                threshold,
+                left: 2 * depth + 1,
+                right: 2 * depth + 2,
+                value: 0.0,
+            };
+            chain.extend([node, leaf(f64::from(depth) - 0.7)]);
+        }
+        chain.push(leaf(-11.25));
+        let as_tree =
+            |nodes: &Vec<Node>| DecisionTree { nodes: nodes.clone(), ..DecisionTree::default() };
+
+        let mut gbt = GradientBoosting::new(30, 4, 0.2);
+        gbt.fit(&x, &y).unwrap();
+        gbt.trees.insert(1, single.clone());
+        gbt.trees.push(chain.clone());
+        let mut hist = HistGradientBoosting::new(30, 15, 0.2);
+        hist.fit(&x, &y).unwrap();
+        hist.trees.insert(1, single.clone());
+        hist.trees.push(chain.clone());
+        // The default depth limit (12): deep, unbalanced fitted trees.
+        let mut forest = RandomForest { n_trees: 20, ..RandomForest::default() };
+        forest.fit(&x, &y).unwrap();
+        assert!(forest.trees.iter().any(|t| t.depth() >= 10));
+        forest.trees.insert(1, as_tree(&single));
+        forest.trees.push(as_tree(&chain));
+
+        let models: [(&str, Vec<Node>, &dyn Regressor); 3] = [
+            ("gbt", gbt.trees.concat(), &gbt),
+            ("hist_gbt", hist.trees.concat(), &hist),
+            ("forest", forest.trees.iter().flat_map(|t| t.nodes.clone()).collect(), &forest),
+        ];
+        for (name, nodes, model) in models {
+            // One row, two, and either side of the 64-row chunk boundary.
+            for n in [1, 2, 54, 63, 64, 65, 130] {
+                let batches = [
+                    ("sweep", sweep_rows(n, &train)),
+                    ("dense", dense_rows(n, 21)),
+                    ("edge", edge_rows(n, &nodes, 22)),
+                ];
+                for (shape, batch) in batches {
+                    let mut out = vec![f64::NAN; n];
+                    model.predict_rows(&batch.concat(), 6, &mut out);
+                    for (r, (row, pred)) in batch.iter().zip(&out).enumerate() {
+                        assert_eq!(
+                            pred.to_bits(),
+                            model.predict_row(row).to_bits(),
+                            "{name}, {shape} batch of {n}, row {r}: {row:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

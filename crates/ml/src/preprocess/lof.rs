@@ -7,8 +7,18 @@
 //! statistical filters miss. The paper runs LOF after standardisation
 //! (distances need comparable scales) to clean the gathered timings.
 //!
-//! The training sets here are ~10³ points, so exact brute-force k-NN is
-//! both simplest and fast enough.
+//! The neighbour search is exact brute force: every pairwise distance is
+//! computed, O(n²·d) time, which at the sizes gathered here (a few
+//! thousand rows: shapes × plan-grid points) is a fraction of a second.
+//! Memory is O(n·k): one n − 1 distance buffer is reused for every row, the
+//! k nearest are *selected* out of it (not sorted out of all n − 1) and
+//! copied into an exact-size list, so no n × n matrix ever exists. The
+//! order of a row's neighbours — nearest first, equidistant rows by
+//! ascending index — is the order of its sums, so it is part of the
+//! result: the scores, the flagged set and every artefact trained after
+//! the filter depend on it bit for bit. (A GEMM-shaped
+//! `‖x‖² + ‖y‖² − 2x·y` search would be faster still but rounds
+//! differently, moves ties, and with them the artefact.)
 
 use crate::data::Matrix;
 use crate::MlError;
@@ -43,51 +53,33 @@ impl LocalOutlierFactor {
         if n <= self.k {
             return Err(MlError::BadShape(format!("need more than k={} samples, got {n}", self.k)));
         }
+        Ok(scores_from_neighbours(&self.nearest(x)))
+    }
 
-        // Pairwise distances; only k smallest per row are kept.
-        let mut neighbours: Vec<Vec<(f64, usize)>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let ri = x.row(i);
-            let mut dists: Vec<(f64, usize)> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| {
-                    let rj = x.row(j);
-                    let d2: f64 = ri.iter().zip(rj).map(|(&a, &b)| (a - b) * (a - b)).sum();
-                    (d2.sqrt(), j)
-                })
-                .collect();
-            dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
-            dists.truncate(self.k);
-            neighbours.push(dists);
-        }
-
-        // k-distance of each point = distance to its k-th neighbour.
-        let k_dist: Vec<f64> = neighbours.iter().map(|nb| nb[nb.len() - 1].0).collect();
-
-        // Local reachability density.
-        let lrd: Vec<f64> = neighbours
-            .iter()
-            .map(|nb| {
-                let sum: f64 = nb.iter().map(|&(d, j)| d.max(k_dist[j])).sum();
-                if sum == 0.0 {
-                    // All neighbours coincide: infinite density; use a large
-                    // finite stand-in so ratios stay meaningful.
-                    f64::MAX / 1e6
-                } else {
-                    nb.len() as f64 / sum
+    /// Every row's `k` nearest other rows as `(distance, row)`, nearest
+    /// first, equidistant rows by ascending index. Needs more than `k` rows.
+    ///
+    /// One distance buffer serves every row and each row keeps a list of
+    /// exactly `k`, so the n × (n − 1) distances are never alive together;
+    /// the `k` nearest are selected, not sorted out of all n − 1.
+    fn nearest(&self, x: &Matrix) -> Vec<Vec<(f64, usize)>> {
+        let n = x.rows();
+        let nearest_first = |a: &(f64, usize), b: &(f64, usize)| {
+            a.0.partial_cmp(&b.0).expect("finite distances").then(a.1.cmp(&b.1))
+        };
+        let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n - 1);
+        (0..n)
+            .map(|i| {
+                dists.clear();
+                dists.extend((0..n).filter(|&j| j != i).map(|j| (distance(x.row(i), x.row(j)), j)));
+                if self.k < dists.len() {
+                    dists.select_nth_unstable_by(self.k, nearest_first);
                 }
+                let nearest = &mut dists[..self.k];
+                nearest.sort_unstable_by(nearest_first);
+                nearest.to_vec()
             })
-            .collect();
-
-        // LOF = mean neighbour density / own density.
-        Ok(neighbours
-            .iter()
-            .enumerate()
-            .map(|(i, nb)| {
-                let mean_nb: f64 = nb.iter().map(|&(_, j)| lrd[j]).sum::<f64>() / nb.len() as f64;
-                mean_nb / lrd[i]
-            })
-            .collect())
+            .collect()
     }
 
     /// Indices of rows whose LOF score is at or below the threshold
@@ -101,6 +93,42 @@ impl LocalOutlierFactor {
             .map(|(i, _)| i)
             .collect())
     }
+}
+
+/// Euclidean distance between two rows.
+fn distance(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(&a, &b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+}
+
+/// LOF of every point from every point's nearest-first neighbour list.
+fn scores_from_neighbours(neighbours: &[Vec<(f64, usize)>]) -> Vec<f64> {
+    // k-distance of each point = distance to its k-th neighbour.
+    let k_dist: Vec<f64> = neighbours.iter().map(|nb| nb[nb.len() - 1].0).collect();
+
+    // Local reachability density.
+    let lrd: Vec<f64> = neighbours
+        .iter()
+        .map(|nb| {
+            let sum: f64 = nb.iter().map(|&(d, j)| d.max(k_dist[j])).sum();
+            if sum == 0.0 {
+                // All neighbours coincide: infinite density; use a large
+                // finite stand-in so ratios stay meaningful.
+                f64::MAX / 1e6
+            } else {
+                nb.len() as f64 / sum
+            }
+        })
+        .collect();
+
+    // LOF = mean neighbour density / own density.
+    neighbours
+        .iter()
+        .enumerate()
+        .map(|(i, nb)| {
+            let mean_nb: f64 = nb.iter().map(|&(_, j)| lrd[j]).sum::<f64>() / nb.len() as f64;
+            mean_nb / lrd[i]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -149,11 +177,10 @@ mod tests {
         assert!(keep.len() >= 28, "too many inliers dropped: kept {}", keep.len());
     }
 
-    #[test]
-    fn local_outlier_in_varying_density() {
-        // Dense cluster at origin, sparse-but-regular cluster far away, and
-        // a point that is globally mid-range but locally isolated from the
-        // dense cluster. Global z-score methods would keep it; LOF flags it.
+    /// Dense cluster at origin, sparse-but-regular cluster far away, and a
+    /// point that is globally mid-range but locally isolated from the dense
+    /// cluster.
+    fn varying_density() -> Matrix {
         let mut rows: Vec<Vec<f64>> = Vec::new();
         for i in 0..25 {
             rows.push(vec![(i % 5) as f64 * 0.05, (i / 5) as f64 * 0.05]);
@@ -162,9 +189,68 @@ mod tests {
             rows.push(vec![50.0 + (i % 5) as f64 * 2.0, (i / 5) as f64 * 2.0]);
         }
         rows.push(vec![1.5, 1.5]); // near dense cluster but locally isolated
-        let x = Matrix::from_rows(&rows);
+        Matrix::from_rows(&rows)
+    }
+
+    #[test]
+    fn local_outlier_in_varying_density() {
+        // Global z-score methods would keep the isolated point; LOF flags it.
+        let x = varying_density();
         let scores = LocalOutlierFactor::new(5, 1.5).scores(&x).unwrap();
         assert!(scores[50] > 1.5, "local outlier score {} too low", scores[50]);
+    }
+
+    /// The neighbour search `scores` ran before it selected: every distance
+    /// of a row collected, stably sorted by distance alone (so equidistant
+    /// rows keep their ascending-index order) and cut to `k`.
+    fn nearest_by_full_sort(lof: &LocalOutlierFactor, x: &Matrix) -> Vec<Vec<(f64, usize)>> {
+        (0..x.rows())
+            .map(|i| {
+                let mut dists: Vec<(f64, usize)> = (0..x.rows())
+                    .filter(|&j| j != i)
+                    .map(|j| (distance(x.row(i), x.row(j)), j))
+                    .collect();
+                dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
+                dists.truncate(lof.k);
+                dists
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selected_neighbours_are_bitwise_the_full_sort() {
+        // Ties are where a selection could part from a stable sort: an
+        // integer lattice (every point has four neighbours at distance 1,
+        // four at √2, …) with three of its points repeated exactly.
+        let mut lattice: Vec<Vec<f64>> =
+            (0..49).map(|i| vec![(i % 7) as f64, (i / 7) as f64]).collect();
+        lattice.extend([vec![3.0, 3.0], vec![3.0, 3.0], vec![0.0, 6.0]]);
+        let fixtures = [
+            cluster_with_outlier(),
+            varying_density(),
+            Matrix::from_rows(&vec![vec![1.0, 1.0]; 10]),
+            Matrix::from_rows(&lattice),
+        ];
+        let bits = |lists: &[Vec<(f64, usize)>]| -> Vec<Vec<(u64, usize)>> {
+            lists.iter().map(|nb| nb.iter().map(|&(d, j)| (d.to_bits(), j)).collect()).collect()
+        };
+        for x in &fixtures {
+            // Cuts inside a group of equidistant rows, and every other row.
+            for k in [1, 3, 5, 6, 9, x.rows() - 1] {
+                let lof = LocalOutlierFactor::new(k, 1.5);
+                let (nearest, reference) = (lof.nearest(x), nearest_by_full_sort(&lof, x));
+                assert_eq!(bits(&nearest), bits(&reference), "{} rows, k = {k}", x.rows());
+                assert!(nearest.iter().all(|nb| nb.capacity() == k), "a list holds more than k");
+                let scores = lof.scores(x).unwrap();
+                let expected = scores_from_neighbours(&reference);
+                assert_eq!(
+                    scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    expected.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    "{} rows, k = {k}",
+                    x.rows()
+                );
+            }
+        }
     }
 
     #[test]
