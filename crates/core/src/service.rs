@@ -717,12 +717,6 @@ impl AdsalaService {
         self.evaluations.load(Ordering::Relaxed)
     }
 
-    /// Ops that executed on a humbler kernel ISA than their plan asked
-    /// for (accurate under concurrency).
-    pub fn plan_downgrades(&self) -> u64 {
-        self.plan_downgrades.load(Ordering::Relaxed)
-    }
-
     /// Snapshot the decision-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -779,26 +773,6 @@ impl AdsalaService {
         self.drift_fallbacks.load(Ordering::Relaxed)
     }
 
-    /// Kernel-batch panics caught and isolated at the service boundary.
-    pub fn panics_recovered(&self) -> u64 {
-        self.panics_recovered.load(Ordering::Relaxed)
-    }
-
-    /// Degraded-plan retries attempted after a caught panic.
-    pub fn degraded_retries(&self) -> u64 {
-        self.degraded_retries.load(Ordering::Relaxed)
-    }
-
-    /// Ops that failed with [`AdsalaError::Execution`].
-    pub fn execution_failures(&self) -> u64 {
-        self.execution_failures.load(Ordering::Relaxed)
-    }
-
-    /// Calls refused with [`AdsalaError::Timeout`] (expired deadline).
-    pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses.load(Ordering::Relaxed)
-    }
-
     /// Executed-algorithm mix so far.
     pub fn algorithm_mix(&self) -> AlgorithmMix {
         AlgorithmMix {
@@ -812,7 +786,7 @@ impl AdsalaService {
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             evaluations: self.evaluations(),
-            plan_downgrades: self.plan_downgrades(),
+            plan_downgrades: self.plan_downgrades.load(Ordering::Relaxed),
             swaps: self.swaps(),
             generation: self.generation(),
             drift_fallbacks: self.drift_fallbacks(),
@@ -823,10 +797,10 @@ impl AdsalaService {
             pool: self.pool_stats(),
             workspace: self.workspace_stats(),
             algorithms: self.algorithm_mix(),
-            panics_recovered: self.panics_recovered(),
-            degraded_retries: self.degraded_retries(),
-            execution_failures: self.execution_failures(),
-            deadline_misses: self.deadline_misses(),
+            panics_recovered: self.panics_recovered.load(Ordering::Relaxed),
+            degraded_retries: self.degraded_retries.load(Ordering::Relaxed),
+            execution_failures: self.execution_failures.load(Ordering::Relaxed),
+            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
         }
     }
 

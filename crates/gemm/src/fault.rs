@@ -405,7 +405,10 @@ pub fn current_plan() -> Option<Arc<FaultPlan>> {
 }
 
 /// Hook at the entry of a kernel subproblem: panics if an active panic
-/// fault matches. `on_worker` distinguishes pool workers from callers.
+/// fault matches, pool workers told apart from callers. Its one call
+/// site is the blocked loop nest's tile entry, which every worker of
+/// every GEMM algorithm and every SYRK band passes with its tile's
+/// `m×n×k` (GEMV packs nothing and has no hook).
 #[inline]
 pub fn kernel_entry(isa: KernelIsa, m: usize, n: usize, k: usize) {
     if active() {

@@ -1,53 +1,64 @@
-//! The blocked, packed, threaded GEMM driver.
+//! The blocked, packed, threaded loop nest — one copy of it — and the GEMM
+//! entry points over it.
 //!
-//! Entry points:
-//! * [`gemm_with_stats`] — spawn-per-call (scoped) execution, returns the
-//!   [`GemmStats`] sync/copy/kernel breakdown,
-//! * [`gemm_with_stats_pooled`] — the serving path: persistent
-//!   [`ThreadPool`] workers, reusable packing arenas, and **cooperative
-//!   shared-B packing**.
+//! Every FLOP of GEMM, the fused batch, Z-order, Strassen's base case and
+//! SYRK goes through the same three stages:
 //!
-//! Both are thin wrappers over one generic driver parameterised by
-//! [`Executor`], so packing, statistics, and blocking logic exist in
-//! exactly one place. Whether B is shared follows from the executor (a
-//! gang needs pool workers) and the plan's
-//! [`PackingStrategy`] — there is no separate switch.
+//! 1. **Prologue** (`Prologue::resolve`, `Member::new`): the plan's
+//!    micro-kernel, the cache blocks at that kernel's register tile clamped
+//!    to the shape, the wall clock, the operand views, the `C` bounds
+//!    asserts and the empty-shape [`GemmStats`].
+//! 2. **Task builder** (`run_tiles`): one worker per *member × grid row
+//!    × grid column*. A plain call is the one-member batch; one member on
+//!    a `1×1` grid runs inline on the caller's thread with nothing boxed.
+//!    The requested thread count is a *maximum*: like vendor BLAS, tiny
+//!    problems run on fewer threads (see [`ThreadGrid::choose`]).
+//! 3. **Tile loop** (`tile_loop` → `row_panel_sweep`): `jc → pc → ic → jr
+//!    → ir` over a worker's tile of `C`, parameterised by where the packed
+//!    `B` block comes from (`BSource`) and how an accumulator tile reaches
+//!    `C` (`Merge`, resolved statically: `Full` is the fused
+//!    `kernel.run`, SYRK's lower triangle a staged tile merged under a
+//!    row mask).
 //!
-//! The requested thread count is a *maximum*: like vendor BLAS, tiny
-//! problems run on fewer threads (see [`ThreadGrid::choose`]).
+//! [`gemm_with_stats`] (spawn-per-call) and [`gemm_with_stats_pooled`]
+//! (the serving path: persistent [`ThreadPool`] workers) differ only in
+//! the [`Executor`] they hand the builder; Z-order keeps its own Morton
+//! traversal between the prologue and `row_panel_sweep`. Every worker
+//! enters its tile through `enter_tile`, the fault-injection hook's one
+//! site.
 //!
 //! ## Packing workspace
 //!
-//! No driver heap-allocates scratch on the hot path: packing buffers come
+//! Nothing heap-allocates scratch on the hot path: packing buffers come
 //! from [`crate::workspace`] arenas — pool workers use their stable
 //! pool-owned slots, everything else a thread-local arena — so
 //! steady-state pooled traffic performs **zero packing-path allocations**
 //! (see `GemmStats::arena_bytes_reused` and the workspace counters).
 //!
-//! ## Cooperative shared-B packing
+//! ## Shared-B packing
 //!
-//! With a row-split thread grid, the scoped driver's workers each pack a
-//! private copy of the same `kc×nc` B block — the duplicated-copy effect
-//! the paper's Table VII exposes (`more_threads_pack_more_b_panels`
-//! pins it). The pooled driver instead packs each B block **once** into a
-//! shared arena region per grid column group; a rotating designated
-//! packer fills it, and a lightweight per-rank-update
-//! [`crate::workspace::PanelBarrier`] publishes it to all row groups.
-//! This turns `b_packed_bytes` from `O(grid_rows · k·n)` into `O(k·n)`
-//! while keeping per-tile FLOP order — and therefore results — bitwise
-//! identical to the independent driver. Cooperative batches are gang-
-//! reserved on the pool ([`ThreadPool::try_reserve_gang`]); when the grid
-//! is larger than the reservable workers the driver falls back to
-//! independent (duplicated) packing rather than risk parking a barrier
+//! With a row-split grid and private `B`, every row group packs its own
+//! copy of the same `kc×nc` block — the duplicated-copy effect the
+//! paper's Table VII exposes (`more_threads_pack_more_b_panels` pins it).
+//! When the plan's [`PackingStrategy`] allows it and the executor is a
+//! pool, the builder instead gives each grid column group one shared arena
+//! region and one [`PanelBarrier`] spanning every member's row groups: a
+//! rotating rank packs each block **once**, the barrier publishes it to
+//! the rest. `b_packed_bytes` drops from `O(ranks · k·n)` to `O(k·n)` while
+//! per-tile FLOP order — and therefore every result bit — is the private
+//! case's. A shared batch is gang-reserved on the pool
+//! ([`ThreadPool::try_reserve_gang`]); when the pool cannot spare the
+//! workers the call packs privately rather than risk parking a barrier
 //! group behind its own queued members.
 
+use std::marker::PhantomData;
 use std::time::Instant;
 
 use crate::blocking::BlockSizes;
-use crate::isa::{Kernel, KernelIsa};
+use crate::isa::{Kernel, KernelIsa, MAX_TILE_ELEMS};
 use crate::pack::{morton_decode, pack_a, pack_b, MatView};
 use crate::plan::{Algorithm, ExecutionPlan, PackingStrategy};
-use crate::pool::{Executor, ThreadPool};
+use crate::pool::{Executor, GangReservation, ThreadPool};
 use crate::stats::{GemmStats, StatsCollector, ThreadLocalStats};
 use crate::threading::{SendMutPtr, ThreadGrid};
 use crate::workspace::{
@@ -144,9 +155,9 @@ pub fn gemm_with_stats<T: Element>(
 
 /// Like [`gemm_with_stats`], but running the workers on a persistent
 /// [`ThreadPool`] — no per-call OS-thread spawn, warm packing arenas, and
-/// cooperative shared-B packing for row-split grids (see the module
-/// docs). Results are bitwise identical to the scoped driver; only the
-/// copy-volume counters differ.
+/// shared-B packing for row-split grids (see the module docs). Results
+/// are bitwise identical to the scoped driver; only the copy-volume
+/// counters differ.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_with_stats_pooled<T: Element>(
     pool: &ThreadPool,
@@ -218,11 +229,11 @@ pub struct FusedGemm<'a, T: Element> {
 /// single gang-reserved pooled dispatch: one plan, one packed-B stream,
 /// N result matrices.
 ///
-/// Every member becomes a rank in one cooperative barrier group per grid
-/// column, so each `kc×nc` B block is packed **once** for the whole batch
-/// instead of once per member — the co-scheduling layer uses this to
-/// collapse a flood of small same-shape ops into one decision and one
-/// copy of B traffic. `call` describes the shared shape/flags/plan;
+/// Every member becomes a rank in one barrier group per grid column, so
+/// each `kc×nc` B block is packed **once** for the whole batch instead of
+/// once per member — the co-scheduling layer uses this to collapse a
+/// flood of small same-shape ops into one decision and one copy of B
+/// traffic. `call` describes the shared shape/flags/plan;
 /// `call.plan.threads` is the budget for the *whole batch* (each member
 /// runs on `max(1, threads / N)` workers). Results are bitwise identical
 /// to running each member through [`gemm_with_stats_pooled`] on its own.
@@ -230,7 +241,8 @@ pub struct FusedGemm<'a, T: Element> {
 /// When the batch cannot gang-reserve enough workers (or the plan asks
 /// for independent packing) it degrades to executing the members
 /// sequentially through the ordinary pooled driver — identical results,
-/// counted in [`crate::PoolStats::gang_refused`].
+/// counted in [`crate::PoolStats::gang_refused`]. A batch of one *is* the
+/// ordinary pooled driver.
 ///
 /// # Panics
 /// Panics if a member's `C` buffer is too small for its described shape.
@@ -245,188 +257,46 @@ pub fn gemm_fused_with_stats_pooled<T: Element>(
         return Vec::new();
     }
     let (m, n, k) = (call.m, call.n, call.k);
-    for item in items.iter() {
-        assert!(item.ldc >= n.max(1), "ldc too small");
-        if m > 0 && n > 0 {
-            assert!(item.c.len() >= (m - 1) * item.ldc + n, "C buffer too small");
-        }
-    }
-
-    let kernel = match call.plan.kernel_isa {
-        Some(isa) => Kernel::<T>::for_isa(isa),
-        None => Kernel::<T>::dispatched(),
-    };
-    let kernel_stat = (kernel.isa, kernel.mr, kernel.nr);
-    let start = Instant::now();
-    if m == 0 || n == 0 {
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        return items
-            .iter()
-            .map(|_| GemmStats {
-                kernel_isa: kernel.isa,
-                mr: kernel.mr,
-                nr: kernel.nr,
-                wall_ns,
-                ..GemmStats::default()
-            })
-            .collect();
-    }
-
-    let blocks = match (call.plan.blocking, call.plan.kernel_isa) {
-        (Some(b), _) => b.with_tile(kernel.mr, kernel.nr),
-        (None, None) => BlockSizes::dispatched::<T>(),
-        (None, Some(isa)) => BlockSizes::for_isa::<T>(isa),
-    };
-    let blocks = blocks.clamped(m, n, k);
+    let exec = Executor::Pool(pool);
     // The batch splits the plan's thread budget evenly; every member uses
     // the same grid, so their barrier sequences line up.
     let per_item_threads = (call.threads() / items.len()).max(1);
-    let grid = ThreadGrid::choose(per_item_threads, m, n, blocks.mr, blocks.nr);
-    let members = grid.count() * items.len();
+    let item_call = GemmCall { plan: call.plan.with_thread_count(per_item_threads), ..*call };
+    let pro = Prologue::<T>::resolve(&call.plan, m, n, k);
+    let grid = ThreadGrid::choose(per_item_threads, m, n, pro.blocks.mr, pro.blocks.nr);
 
-    let share = call.plan.packing == PackingStrategy::SharedB;
-    let gang = if share { pool.reserve_gang_backoff(members) } else { None };
-    let Some(_reservation) = gang else {
+    let ranks = if m == 0 || n == 0 { 0 } else { grid.rows * items.len() };
+    let Some(_reservation) = reserve_gang(exec, &call.plan, ranks, grid.cols) else {
         // Degraded path: same results, one member at a time, each free to
         // gang-reserve (or not) on its own.
-        let item_call = GemmCall { plan: call.plan.with_thread_count(per_item_threads), ..*call };
         return items
             .iter_mut()
             .map(|it| {
-                drive(
-                    Executor::Pool(pool),
-                    &item_call,
-                    it.alpha,
-                    it.a,
-                    it.lda,
-                    b,
-                    ldb,
-                    it.beta,
-                    it.c,
-                    it.ldc,
-                )
+                drive(exec, &item_call, it.alpha, it.a, it.lda, b, ldb, it.beta, it.c, it.ldc)
             })
             .collect();
     };
 
-    let b_view = match call.trans_b {
-        Transpose::No => MatView::row_major(b, k, n, ldb),
-        Transpose::Yes => MatView::row_major(b, n, k, ldb).t(),
-    };
-    struct MemberCtx<'v, T: Element> {
-        a_view: MatView<'v, T>,
-        c_ptr: SendMutPtr<T>,
-        ldc: usize,
-        alpha: T,
-        beta: T,
-    }
-    let ctxs: Vec<MemberCtx<'_, T>> = items
+    let b_view = operand_view(call.trans_b, b, k, n, ldb);
+    let members: Vec<Member<'_, T>> = items
         .iter_mut()
         .map(|it| {
-            let a_view = match call.trans_a {
-                Transpose::No => MatView::row_major(it.a, m, k, it.lda),
-                Transpose::Yes => MatView::row_major(it.a, k, m, it.lda).t(),
-            };
-            MemberCtx {
-                a_view,
-                c_ptr: SendMutPtr(it.c.as_mut_ptr()),
-                ldc: it.ldc,
-                alpha: it.alpha,
-                beta: it.beta,
-            }
+            let a_view = operand_view(call.trans_a, it.a, m, k, it.lda);
+            Member::new(a_view, m, n, it.alpha, it.beta, it.c, it.ldc)
         })
         .collect();
-
-    let ws = pool.workspace();
-    let (a_len, b_len) = pack_buffer_lens(&blocks);
-    let elems_per_line = (CACHE_LINE / std::mem::size_of::<T>()).max(1);
-    let region_elems = b_len.div_ceil(elems_per_line) * elems_per_line;
-    // The restore guard owns the arena *before* any region is checked
-    // out, so a panic anywhere past this point (including inside
-    // `checkout_elems` growth) returns the arena to the free list
-    // instead of dropping it.
-    let mut shared_return = RestoreSharedOnDrop { ws, arena: Some(ws.checkout_shared()) };
-    let (b_all, shared_reused) =
-        shared_return.arena_mut().checkout_elems::<T>(region_elems * grid.cols);
-    let b_base = SendMutPtr(b_all.as_mut_ptr());
-
-    // One barrier group per grid column spanning ALL members' row groups:
-    // rank (item, r) packs when `block_idx % group_rows` lands on it, so
-    // the whole batch shares one packed-B stream per column.
-    let group_rows = grid.rows * items.len();
-    let barriers: Vec<PanelBarrier> =
-        (0..grid.cols).map(|_| PanelBarrier::new(group_rows)).collect();
-    let collectors: Vec<StatsCollector> = items.iter().map(|_| StatsCollector::default()).collect();
-    collectors[0]
-        .absorb(&ThreadLocalStats { arena_bytes_reused: shared_reused, ..Default::default() });
-
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(members * grid.cols);
-    for (col, barrier) in barriers.iter().enumerate() {
-        for (idx, ctx) in ctxs.iter().enumerate() {
-            for r in 0..grid.rows {
-                let rank = idx * grid.rows + r;
-                let (r0, r1) = grid.row_range(r, m);
-                let (c0, c1) = grid.col_range(col, n);
-                let a_sub = ctx.a_view.sub(r0, 0, r1 - r0, k);
-                let b_sub = b_view.sub(0, c0, k, c1 - c0);
-                let (c_ptr, ldc, alpha, beta) = (ctx.c_ptr, ctx.ldc, ctx.alpha, ctx.beta);
-                let collector = &collectors[idx];
-                let blocks = &blocks;
-                tasks.push(Box::new(move || {
-                    let _poison = PoisonOnUnwind(barrier);
-                    let mut local = ThreadLocalStats::default();
-                    // Move the Send wrappers, not the raw pointers.
-                    let c_ptr = c_ptr;
-                    let b_base = b_base;
-                    ws.with_arena(|arena| {
-                        let (a_buf, reused) = arena.checkout_elems::<T>(a_len);
-                        local.arena_bytes_reused += reused;
-                        // SAFETY: C tiles are pairwise disjoint — across
-                        // members because each `c` is its own `&mut`
-                        // buffer, within a member by the grid partition.
-                        // All `group_rows` ranks share one `b` view/`ns`/
-                        // `k`, so their barrier sequences are identical;
-                        // the shared region and arena lifetimes are as in
-                        // `run_cooperative`.
-                        unsafe {
-                            coop_subproblem(
-                                &kernel,
-                                &a_sub,
-                                &b_sub,
-                                c_ptr.0.add(r0 * ldc + c0),
-                                ldc,
-                                r1 - r0,
-                                c1 - c0,
-                                k,
-                                alpha,
-                                beta,
-                                blocks,
-                                b_base.0.add(col * region_elems),
-                                barrier,
-                                rank,
-                                group_rows,
-                                a_buf,
-                                &mut local,
-                            );
-                        }
-                    });
-                    collector.absorb(&local);
-                }));
-            }
-        }
-    }
-    pool.scope_execute(tasks);
-
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    collectors
-        .iter()
-        .map(|c| c.finish(grid.count(), grid.rows, grid.cols, wall_ns, kernel_stat))
-        .collect()
+    let rows = |r| grid.row_range(r, m);
+    // SAFETY: every member was checked for this `m×n`, the grid's row
+    // ranges partition `0..m`, and the reservation above covers every
+    // rank of every column group.
+    unsafe { run_tiles::<T, Full>(exec, &pro, &b_view, &members, grid, rows, true) };
+    members.iter().map(|member| pro.finish(&member.stats, grid)).collect()
 }
 
 /// The one blocked GEMM driver behind every public entry point (and the
 /// Strassen recursion's base case, which re-enters it directly so a base
-/// sub-problem can never re-dispatch on the algorithm axis).
+/// sub-problem can never re-dispatch on the algorithm axis): the
+/// one-member batch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<T: Element>(
     exec: Executor<'_>,
@@ -441,149 +311,20 @@ pub(crate) fn drive<T: Element>(
     ldc: usize,
 ) -> GemmStats {
     let (m, n, k) = (call.m, call.n, call.k);
-    assert!(ldc >= n.max(1), "ldc too small");
-    if m > 0 && n > 0 {
-        assert!(c.len() >= (m - 1) * ldc + n, "C buffer too small");
-    }
-
-    // Build logical m×k / k×n views; transposition is a stride swap.
-    let a_view = match call.trans_a {
-        Transpose::No => MatView::row_major(a, m, k, lda),
-        Transpose::Yes => MatView::row_major(a, k, m, lda).t(),
-    };
-    let b_view = match call.trans_b {
-        Transpose::No => MatView::row_major(b, k, n, ldb),
-        Transpose::Yes => MatView::row_major(b, n, k, ldb).t(),
-    };
-
-    // Resolve the micro-kernel once per call (the dispatch itself is
-    // resolved once per process); everything downstream — blocking,
-    // grid choice, packing geometry, the per-tile kernel calls — flows
-    // from its register tile.
-    let kernel = match call.plan.kernel_isa {
-        Some(isa) => Kernel::<T>::for_isa(isa),
-        None => Kernel::<T>::dispatched(),
-    };
-    let kernel_stat = (kernel.isa, kernel.mr, kernel.nr);
-
-    let start = Instant::now();
+    let a_view = operand_view(call.trans_a, a, m, k, lda);
+    let b_view = operand_view(call.trans_b, b, k, n, ldb);
+    let member = Member::new(a_view, m, n, alpha, beta, c, ldc);
+    let pro = Prologue::<T>::resolve(&call.plan, m, n, k);
     if m == 0 || n == 0 {
-        // Degenerate shapes still report their (tiny) wall time, so
-        // latency accounting upstream treats them like any other call.
-        return GemmStats {
-            kernel_isa: kernel.isa,
-            mr: kernel.mr,
-            nr: kernel.nr,
-            wall_ns: start.elapsed().as_nanos() as u64,
-            ..GemmStats::default()
-        };
+        return pro.empty_stats();
     }
-
-    let blocks = match (call.plan.blocking, call.plan.kernel_isa) {
-        // An explicit MC/KC/NC override keeps its cache blocks but must
-        // run at the resolved kernel's register tile.
-        (Some(b), _) => b.with_tile(kernel.mr, kernel.nr),
-        (None, None) => BlockSizes::dispatched::<T>(),
-        (None, Some(isa)) => BlockSizes::for_isa::<T>(isa),
-    };
-    debug_assert!(blocks.is_valid(), "invalid block sizes {blocks:?}");
-    let blocks = blocks.clamped(m, n, k);
-    let grid = ThreadGrid::choose(call.threads(), m, n, blocks.mr, blocks.nr);
-
-    let collector = StatsCollector::default();
-    if grid.count() == 1 {
-        let mut local = ThreadLocalStats::default();
-        with_thread_arena(|arena| {
-            let (a_buf, b_buf, reused) = arena.checkout_pair::<T>(&blocks);
-            local.arena_bytes_reused += reused;
-            // SAFETY: single worker owns the whole of C.
-            unsafe {
-                subproblem(
-                    &kernel,
-                    &a_view,
-                    &b_view,
-                    c.as_mut_ptr(),
-                    ldc,
-                    m,
-                    n,
-                    k,
-                    alpha,
-                    beta,
-                    &blocks,
-                    a_buf,
-                    b_buf,
-                    &mut local,
-                );
-            }
-        });
-        collector.absorb(&local);
-    } else {
-        let c_ptr = SendMutPtr(c.as_mut_ptr());
-        // Cooperative shared-B needs every group member running at once;
-        // reserve the gang or fall back to independent packing. A plan
-        // that asks for independent packing skips the gang entirely, and
-        // the scoped executor has no pool to reserve one on.
-        let share = call.plan.packing == PackingStrategy::SharedB;
-        let gang = if share && grid.rows > 1 {
-            exec.pool().and_then(|pool| pool.reserve_gang_backoff(grid.count()).map(|g| (pool, g)))
-        } else {
-            None
-        };
-        if let Some((pool, _reservation)) = gang {
-            run_cooperative(
-                pool, &kernel, &grid, m, n, k, &a_view, &b_view, c_ptr, ldc, alpha, beta, &blocks,
-                &collector,
-            );
-        } else {
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(grid.count());
-            for r in 0..grid.rows {
-                for col in 0..grid.cols {
-                    let (r0, r1) = grid.row_range(r, m);
-                    let (c0, c1) = grid.col_range(col, n);
-                    let a_sub = a_view.sub(r0, 0, r1 - r0, k);
-                    let b_sub = b_view.sub(0, c0, k, c1 - c0);
-                    let collector = &collector;
-                    let blocks = &blocks;
-                    tasks.push(Box::new(move || {
-                        let mut local = ThreadLocalStats::default();
-                        // Move the Send wrapper, not the raw ptr.
-                        let ptr = c_ptr;
-                        exec.with_arena(|arena| {
-                            let (a_buf, b_buf, reused) = arena.checkout_pair::<T>(blocks);
-                            local.arena_bytes_reused += reused;
-                            // SAFETY: tile (r0..r1) × (c0..c1) is disjoint
-                            // from every other worker's tile (ThreadGrid
-                            // ranges partition rows and columns), and `c`
-                            // outlives the executor's blocking run.
-                            unsafe {
-                                subproblem(
-                                    &kernel,
-                                    &a_sub,
-                                    &b_sub,
-                                    ptr.0.add(r0 * ldc + c0),
-                                    ldc,
-                                    r1 - r0,
-                                    c1 - c0,
-                                    k,
-                                    alpha,
-                                    beta,
-                                    blocks,
-                                    a_buf,
-                                    b_buf,
-                                    &mut local,
-                                );
-                            }
-                        });
-                        collector.absorb(&local);
-                    }));
-                }
-            }
-            exec.run(tasks);
-        }
-    }
-
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    collector.finish(grid.count(), grid.rows, grid.cols, wall_ns, kernel_stat)
+    let grid = ThreadGrid::choose(call.threads(), m, n, pro.blocks.mr, pro.blocks.nr);
+    let gang = reserve_gang(exec, &call.plan, grid.rows, grid.cols);
+    let (members, rows) = (std::slice::from_ref(&member), |r| grid.row_range(r, m));
+    // SAFETY: `member` was checked for this `m×n`, the grid's row ranges
+    // partition `0..m`, and `gang` (when held) covers the whole grid.
+    unsafe { run_tiles::<T, Full>(exec, &pro, &b_view, members, grid, rows, gang.is_some()) };
+    pro.finish(&member.stats, grid)
 }
 
 /// The Morton-traversal serial driver behind [`Algorithm::ZOrder`]:
@@ -593,7 +334,9 @@ pub(crate) fn drive<T: Element>(
 /// [`morton_decode`] and the packed `B` panel is reused whenever two
 /// consecutive live Morton steps share a column block. Single-threaded by
 /// construction — its profitability on large squares against the
-/// parallel blocked driver is exactly what the model has to learn.
+/// parallel blocked driver is exactly what the model has to learn. Only
+/// the traversal is its own: prologue, tile entry and the row sweep are
+/// the blocked driver's.
 #[allow(clippy::too_many_arguments)]
 fn zorder_with_stats<T: Element>(
     call: &GemmCall,
@@ -607,252 +350,377 @@ fn zorder_with_stats<T: Element>(
     ldc: usize,
 ) -> GemmStats {
     let (m, n, k) = (call.m, call.n, call.k);
-    assert!(ldc >= n.max(1), "ldc too small");
-    if m > 0 && n > 0 {
-        assert!(c.len() >= (m - 1) * ldc + n, "C buffer too small");
-    }
-    let kernel = match call.plan.kernel_isa {
-        Some(isa) => Kernel::<T>::for_isa(isa),
-        None => Kernel::<T>::dispatched(),
-    };
-    let kernel_stat = (kernel.isa, kernel.mr, kernel.nr);
-    let start = Instant::now();
+    let a_view = operand_view(call.trans_a, a, m, k, lda);
+    let b_view = operand_view(call.trans_b, b, k, n, ldb);
+    let member = Member::new(a_view, m, n, alpha, beta, c, ldc);
+    let pro = Prologue::<T>::resolve(&call.plan, m, n, k);
     if m == 0 || n == 0 {
-        return GemmStats {
-            kernel_isa: kernel.isa,
-            algorithm: Algorithm::ZOrder,
-            mr: kernel.mr,
-            nr: kernel.nr,
-            wall_ns: start.elapsed().as_nanos() as u64,
-            ..GemmStats::default()
-        };
+        return GemmStats { algorithm: Algorithm::ZOrder, ..pro.empty_stats() };
     }
-    let a_view = match call.trans_a {
-        Transpose::No => MatView::row_major(a, m, k, lda),
-        Transpose::Yes => MatView::row_major(a, k, m, lda).t(),
-    };
-    let b_view = match call.trans_b {
-        Transpose::No => MatView::row_major(b, k, n, ldb),
-        Transpose::Yes => MatView::row_major(b, n, k, ldb).t(),
-    };
-    let blocks = match (call.plan.blocking, call.plan.kernel_isa) {
-        (Some(b), _) => b.with_tile(kernel.mr, kernel.nr),
-        (None, None) => BlockSizes::dispatched::<T>(),
-        (None, Some(isa)) => BlockSizes::for_isa::<T>(isa),
-    };
-    let blocks = blocks.clamped(m, n, k);
+    let (kernel, blocks) = (&pro.kernel, &pro.blocks);
+    let BlockSizes { mc, kc, nc, nr, .. } = *blocks;
+    let c = member.c.0;
 
-    let collector = StatsCollector::default();
     let mut local = ThreadLocalStats::default();
     with_thread_arena(|arena| {
-        let (a_buf, b_buf, reused) = arena.checkout_pair::<T>(&blocks);
+        let (a_buf, b_buf, reused) = arena.checkout_pair::<T>(blocks);
         local.arena_bytes_reused += reused;
-        // SAFETY: single worker owns the whole of C.
-        unsafe {
-            zorder_subproblem(
-                &kernel,
-                &a_view,
-                &b_view,
-                c.as_mut_ptr(),
-                ldc,
-                m,
-                n,
-                k,
-                alpha,
-                beta,
-                &blocks,
-                a_buf,
-                b_buf,
-                &mut local,
-            );
+        // SAFETY: `member` holds the exclusive borrow of the whole of `C`,
+        // whose extent `Member::new` checked, and this thread is its only
+        // worker.
+        if !unsafe { enter_tile::<T, Full>(kernel.isa, c, ldc, 0, m, n, k, beta) } {
+            return;
+        }
+        let nbi = m.div_ceil(mc);
+        let nbj = n.div_ceil(nc);
+        // Walk a power-of-two Morton square covering the (possibly
+        // rectangular) block grid and skip dead codes: cheaper than sorting
+        // a code list and — crucially for the zero-alloc invariant — free
+        // of per-call heap traffic.
+        let side = nbi.max(nbj).next_power_of_two() as u64;
+        let mut pc = 0;
+        while pc < k {
+            let kcur = (k - pc).min(kc);
+            let beta_eff = if pc == 0 { beta } else { T::ONE };
+            let mut packed_bj = usize::MAX;
+            for z in 0..side * side {
+                let (bi, bj) = morton_decode(z);
+                let (bi, bj) = (bi as usize, bj as usize);
+                if bi >= nbi || bj >= nbj {
+                    continue;
+                }
+                let jc = bj * nc;
+                let ncur = (n - jc).min(nc);
+                let ic = bi * mc;
+                let mcur = (m - ic).min(mc);
+                // Pack `B` only when the column block changes between
+                // consecutive live steps.
+                if packed_bj != bj {
+                    pack_b_block(&b_view.sub(pc, jc, kcur, ncur), nr, b_buf, &mut local);
+                    packed_bj = bj;
+                }
+                let a_rows = a_view.sub(ic, 0, mcur, k);
+                // SAFETY: as above; the sweep covers rows `ic..ic + mcur`,
+                // columns `jc..jc + ncur` of `C`, and `b_buf` holds that
+                // column block's packed panel.
+                unsafe {
+                    row_panel_sweep::<T, Full>(
+                        kernel,
+                        &a_rows,
+                        c.add(ic * ldc),
+                        ldc,
+                        ic,
+                        mcur,
+                        jc,
+                        pc,
+                        ncur,
+                        kcur,
+                        alpha,
+                        beta_eff,
+                        blocks,
+                        b_buf,
+                        a_buf,
+                        &mut local,
+                    );
+                }
+            }
+            pc += kcur;
         }
     });
-    collector.absorb(&local);
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    let mut stats = collector.finish(1, 1, 1, wall_ns, kernel_stat);
-    stats.algorithm = Algorithm::ZOrder;
-    stats
+    member.stats.absorb(&local);
+    let stats = pro.finish(&member.stats, ThreadGrid { rows: 1, cols: 1 });
+    GemmStats { algorithm: Algorithm::ZOrder, ..stats }
 }
 
-/// The Z-order macro-block sweep: for each `kc` rank update, visit the
-/// `(row block, col block)` grid in Morton order, packing `B` only when
-/// the column block changes between consecutive live steps.
+/// The logical `rows×cols` view of a stored operand; transposition is a
+/// stride swap.
+fn operand_view<T: Element>(
+    trans: Transpose,
+    data: &[T],
+    rows: usize,
+    cols: usize,
+    ld: usize,
+) -> MatView<'_, T> {
+    match trans {
+        Transpose::No => MatView::row_major(data, rows, cols, ld),
+        Transpose::Yes => MatView::row_major(data, cols, rows, ld).t(),
+    }
+}
+
+/// What every blocked entry point — GEMM, the fused batch, Z-order, SYRK
+/// — resolves from its plan before the first tile: the micro-kernel, the
+/// cache blocks at that kernel's register tile clamped to the shape, and
+/// the wall clock.
+pub(crate) struct Prologue<T> {
+    pub(crate) kernel: Kernel<T>,
+    pub(crate) blocks: BlockSizes,
+    start: Instant,
+}
+
+impl<T: Element> Prologue<T> {
+    /// Resolve `plan` for an `m×n×k` product. The micro-kernel is resolved
+    /// once per call (the dispatch itself once per process); blocking,
+    /// grid choice, packing geometry and the per-tile kernel calls all
+    /// flow from its register tile.
+    pub(crate) fn resolve(plan: &ExecutionPlan, m: usize, n: usize, k: usize) -> Self {
+        let kernel = match plan.kernel_isa {
+            Some(isa) => Kernel::<T>::for_isa(isa),
+            None => Kernel::<T>::dispatched(),
+        };
+        let start = Instant::now();
+        let blocks = match (plan.blocking, plan.kernel_isa) {
+            // An explicit MC/KC/NC override keeps its cache blocks but must
+            // run at the resolved kernel's register tile.
+            (Some(b), _) => b.with_tile(kernel.mr, kernel.nr),
+            (None, None) => BlockSizes::dispatched::<T>(),
+            (None, Some(isa)) => BlockSizes::for_isa::<T>(isa),
+        };
+        debug_assert!(blocks.is_valid(), "invalid block sizes {blocks:?}");
+        Self { kernel, blocks: blocks.clamped(m, n, k), start }
+    }
+
+    /// The stats of a call whose `C` is empty: degenerate shapes still
+    /// report their (tiny) wall time, so latency accounting upstream
+    /// treats them like any other call.
+    pub(crate) fn empty_stats(&self) -> GemmStats {
+        GemmStats {
+            kernel_isa: self.kernel.isa,
+            mr: self.kernel.mr,
+            nr: self.kernel.nr,
+            wall_ns: self.start.elapsed().as_nanos() as u64,
+            ..GemmStats::default()
+        }
+    }
+
+    /// One member's stats once its workers have been absorbed.
+    pub(crate) fn finish(&self, collector: &StatsCollector, grid: ThreadGrid) -> GemmStats {
+        let wall_ns = self.start.elapsed().as_nanos() as u64;
+        let kernel_stat = (self.kernel.isa, self.kernel.mr, self.kernel.nr);
+        collector.finish(grid.count(), grid.rows, grid.cols, wall_ns, kernel_stat)
+    }
+}
+
+/// One member of a blocked batch as its workers see it: the logical `A`
+/// view, the checked `C` and the scalars, plus the collector its workers
+/// report into. A plain GEMM or SYRK call is a batch of one.
+pub(crate) struct Member<'v, T: Element> {
+    a: MatView<'v, T>,
+    c: SendMutPtr<T>,
+    ldc: usize,
+    alpha: T,
+    beta: T,
+    pub(crate) stats: StatsCollector,
+    /// `c` stands for this exclusive borrow of the caller's buffer.
+    _c: PhantomData<&'v mut [T]>,
+}
+
+impl<'v, T: Element> Member<'v, T> {
+    /// Check that `c` holds an `m×n` matrix at row stride `ldc` and take
+    /// it for the batch's lifetime.
+    ///
+    /// # Panics
+    /// Panics if `ldc < n` or the buffer is too small.
+    pub(crate) fn new(
+        a: MatView<'v, T>,
+        m: usize,
+        n: usize,
+        alpha: T,
+        beta: T,
+        c: &'v mut [T],
+        ldc: usize,
+    ) -> Self {
+        assert!(ldc >= n.max(1), "ldc too small");
+        if m > 0 && n > 0 {
+            assert!(c.len() >= (m - 1) * ldc + n, "C buffer too small");
+        }
+        let stats = StatsCollector::default();
+        Self { a, c: SendMutPtr(c.as_mut_ptr()), ldc, alpha, beta, stats, _c: PhantomData }
+    }
+}
+
+/// How an accumulator tile reaches `C`, resolved statically per routine.
+pub(crate) trait Merge {
+    /// Every tile is merged whole by the fused `kernel.run`. Otherwise a
+    /// tile is staged by `kernel.acc` and merged row by row over the
+    /// columns [`Merge::live_cols`] leaves writable, and a tile with none
+    /// is skipped.
+    const FULL: bool;
+
+    /// How many of the leading `ns` columns of `C`'s row `row` may be
+    /// written. `row` is global; columns count from the worker's first,
+    /// so a masking merge runs on a one-column grid.
+    fn live_cols(row: usize, ns: usize) -> usize;
+}
+
+/// GEMM's merge: all of `C` is written.
+pub(crate) struct Full;
+
+impl Merge for Full {
+    const FULL: bool = true;
+
+    #[inline(always)]
+    fn live_cols(_row: usize, ns: usize) -> usize {
+        ns
+    }
+}
+
+/// Reserve the gang a shared-B batch needs — all `ranks` of each of its
+/// `cols` column groups running at once — or `None`, and private packing,
+/// when the plan packs independently, a lone rank has nobody to share
+/// with, the executor has no pool to reserve on, or the pool cannot spare
+/// the workers.
+fn reserve_gang<'p>(
+    exec: Executor<'p>,
+    plan: &ExecutionPlan,
+    ranks: usize,
+    cols: usize,
+) -> Option<GangReservation<'p>> {
+    if plan.packing != PackingStrategy::SharedB || ranks < 2 {
+        return None;
+    }
+    exec.pool()?.reserve_gang_backoff(ranks * cols)
+}
+
+/// The one task builder: run a worker for every *member × grid row × grid
+/// column*, each on its tile of its member's `C` — rows `rows(r)`, columns
+/// `grid.col_range(col, n)` — against the matching panels of `A` and of
+/// the `B` every member shares.
+///
+/// `share_b` says the caller holds a [`reserve_gang`] reservation for
+/// exactly these workers; with it, each column group's `B` blocks are
+/// packed once into a shared region (module docs), without it every
+/// worker packs its own. One member on a `1×1` grid runs inline on the
+/// caller's thread and its thread-local arena, nothing boxed.
 ///
 /// # Safety
-/// As for [`subproblem`]: `c` points at the matrix origin and the `ms`
-/// rows of `ns` elements spaced `ldc` apart are exclusively owned.
-#[allow(clippy::too_many_arguments)]
-unsafe fn zorder_subproblem<T: Element>(
-    kernel: &Kernel<T>,
-    a: &MatView<'_, T>,
+/// Every member's `C` must have been checked by [`Member::new`] for the
+/// `m×n` of its `A` view's rows and `b`'s columns, and `rows(r)` for `r`
+/// in `0..grid.rows` must be pairwise disjoint, non-empty sub-ranges of
+/// `0..m`, the same on every call. With `share_b`, `exec` must be a pool
+/// on which the reservation covers `members.len() · grid.count()` workers
+/// (else a barrier group can park behind its own queued members), and `M`
+/// must leave every worker of a column group the same live columns.
+pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
+    exec: Executor<'_>,
+    pro: &Prologue<T>,
     b: &MatView<'_, T>,
-    c: *mut T,
-    ldc: usize,
-    ms: usize,
-    ns: usize,
-    k: usize,
-    alpha: T,
-    beta: T,
-    blocks: &BlockSizes,
-    a_buf: &mut [T],
-    b_buf: &mut [T],
-    stats: &mut ThreadLocalStats,
+    members: &[Member<'_, T>],
+    grid: ThreadGrid,
+    rows: impl Fn(usize) -> (usize, usize) + Sync,
+    share_b: bool,
 ) {
-    let BlockSizes { mc, kc, nc, nr, .. } = *blocks;
-
-    if k == 0 {
-        scale_rows_by_beta(c, ldc, ms, ns, beta);
-        return;
-    }
-
-    let nbi = ms.div_ceil(mc);
-    let nbj = ns.div_ceil(nc);
-    // Walk a power-of-two Morton square covering the (possibly
-    // rectangular) block grid and skip dead codes: cheaper than sorting a
-    // code list and — crucially for the zero-alloc invariant — free of
-    // per-call heap traffic.
-    let side = nbi.max(nbj).next_power_of_two() as u64;
-    let mut pc = 0;
-    while pc < k {
-        let kcur = (k - pc).min(kc);
-        let beta_eff = if pc == 0 { beta } else { T::ONE };
-        let mut packed_bj = usize::MAX;
-        for z in 0..side * side {
-            let (bi, bj) = morton_decode(z);
-            let (bi, bj) = (bi as usize, bj as usize);
-            if bi >= nbi || bj >= nbj {
-                continue;
-            }
-            let jc = bj * nc;
-            let ncur = (ns - jc).min(nc);
-            let ic = bi * mc;
-            let mcur = (ms - ic).min(mc);
-            if packed_bj != bj {
-                let t0 = Instant::now();
-                let b_block = b.sub(pc, jc, kcur, ncur);
-                stats.b_packed_bytes += pack_b(&b_block, nr, b_buf);
-                stats.pack_ns += t0.elapsed().as_nanos() as u64;
-                packed_bj = bj;
-            }
-            row_panel_sweep(
-                kernel,
-                &a.sub(ic, 0, mcur, k),
-                c.add(ic * ldc),
-                ldc,
-                mcur,
-                jc,
-                pc,
-                ncur,
-                kcur,
-                alpha,
-                beta_eff,
-                blocks,
-                b_buf,
-                a_buf,
-                stats,
-            );
-        }
-        pc += kcur;
-    }
-}
-
-/// The cooperative shared-B parallel section: one shared packed-B region
-/// and one [`PanelBarrier`] per grid column group; each `kc×nc` B block
-/// is packed exactly once by a rotating designated worker and consumed
-/// by every row group.
-#[allow(clippy::too_many_arguments)]
-fn run_cooperative<T: Element>(
-    pool: &ThreadPool,
-    kernel: &Kernel<T>,
-    grid: &ThreadGrid,
-    m: usize,
-    n: usize,
-    k: usize,
-    a_view: &MatView<'_, T>,
-    b_view: &MatView<'_, T>,
-    c_ptr: SendMutPtr<T>,
-    ldc: usize,
-    alpha: T,
-    beta: T,
-    blocks: &BlockSizes,
-    collector: &StatsCollector,
-) {
-    let ws = pool.workspace();
+    let Prologue { kernel, blocks, .. } = pro;
+    let (k, n) = (b.rows(), b.cols());
+    let ranks = grid.rows * members.len();
     let (a_len, b_len) = pack_buffer_lens(blocks);
     // Pad each column group's region to cache lines so groups never
     // false-share while one packs and another computes.
     let elems_per_line = (CACHE_LINE / std::mem::size_of::<T>()).max(1);
     let region_elems = b_len.div_ceil(elems_per_line) * elems_per_line;
 
-    // Return the arena to the free list even if a worker panic is
-    // re-raised below — dropping it would both lose its counters and
-    // force the next shared-B call to re-allocate. The guard owns the
-    // arena *before* the region checkout so even a panic during growth
-    // restores it. The arena's heap buffer is address-stable inside the
-    // guard, so `b_base` stays valid for the whole batch.
-    let mut shared_return = RestoreSharedOnDrop { ws, arena: Some(ws.checkout_shared()) };
-    let (b_all, shared_reused) =
-        shared_return.arena_mut().checkout_elems::<T>(region_elems * grid.cols);
-    collector.absorb(&ThreadLocalStats { arena_bytes_reused: shared_reused, ..Default::default() });
-    let b_base = SendMutPtr(b_all.as_mut_ptr());
-    let barriers: Vec<PanelBarrier> =
-        (0..grid.cols).map(|_| PanelBarrier::new(grid.rows)).collect();
+    // One worker: `shared` is its column group's region base, barrier and
+    // rank, or `None` to pack B privately.
+    let worker = |member: &Member<'_, T>,
+                  r: usize,
+                  col: usize,
+                  shared: Option<(SendMutPtr<T>, &PanelBarrier, usize)>,
+                  arena: &mut PackArena| {
+        // A panicking rank poisons its group's barrier so the rest fail
+        // fast instead of spinning forever.
+        let _poison = shared.map(|(_, barrier, _)| PoisonOnUnwind(barrier));
+        let mut local = ThreadLocalStats::default();
+        let (a_buf, b_src) = match shared {
+            None => {
+                let (a_buf, b_buf, reused) = arena.checkout_pair::<T>(blocks);
+                local.arena_bytes_reused += reused;
+                (a_buf, BSource::Private(b_buf))
+            }
+            Some((base, barrier, rank)) => {
+                let (a_buf, reused) = arena.checkout_elems::<T>(a_len);
+                local.arena_bytes_reused += reused;
+                // SAFETY: `base` heads `grid.cols` regions of
+                // `region_elems` each (checked out below).
+                let region = unsafe { base.0.add(col * region_elems) };
+                (a_buf, BSource::Shared { region, barrier, rank, ranks })
+            }
+        };
+        let (r0, r1) = rows(r);
+        let (c0, c1) = grid.col_range(col, n);
+        // SAFETY: by this function's contract the tile (r0..r1) × (c0..c1)
+        // lies inside the `C` that `Member::new` checked and is disjoint
+        // from every other worker's — across members because each `C` is
+        // its own `&mut` buffer, within one because the row and column
+        // ranges partition it — and the executor blocks until every
+        // worker returns, keeping the borrows alive. A shared region is written only by the block's
+        // packing rank between barrier generations and read by its group
+        // only after the publish barrier; groups use disjoint, padded
+        // regions of an arena that outlives the run; and all `ranks` of a
+        // group share one `b` view, `ns` and `k`, so their barrier
+        // sequences are identical.
+        unsafe {
+            tile_loop::<T, M>(
+                kernel,
+                &member.a.sub(r0, 0, r1 - r0, k),
+                &b.sub(0, c0, k, c1 - c0),
+                member.c.0.add(r0 * member.ldc + c0),
+                member.ldc,
+                r0,
+                r1 - r0,
+                c1 - c0,
+                k,
+                member.alpha,
+                member.beta,
+                blocks,
+                a_buf,
+                b_src,
+                &mut local,
+            );
+        }
+        member.stats.absorb(&local);
+    };
 
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(grid.count());
-    for (col, barrier) in barriers.iter().enumerate() {
-        for r in 0..grid.rows {
-            let (r0, r1) = grid.row_range(r, m);
-            let (c0, c1) = grid.col_range(col, n);
-            let a_sub = a_view.sub(r0, 0, r1 - r0, k);
-            let b_sub = b_view.sub(0, c0, k, c1 - c0);
-            let rows = grid.rows;
-            let kernel = *kernel;
-            tasks.push(Box::new(move || {
-                // A panicking member poisons its group's barrier so the
-                // rest fail fast instead of spinning forever.
-                let _poison = PoisonOnUnwind(barrier);
-                let mut local = ThreadLocalStats::default();
-                // Move the Send wrappers, not the raw pointers (2021
-                // precise capture would otherwise grab the `*mut T`).
-                let c_ptr = c_ptr;
-                let b_base = b_base;
-                ws.with_arena(|arena| {
-                    let (a_buf, reused) = arena.checkout_elems::<T>(a_len);
-                    local.arena_bytes_reused += reused;
-                    // SAFETY: C tiles are pairwise disjoint as in the
-                    // independent driver. The shared B region for this
-                    // column group is written only by the designated
-                    // packer between barrier generations and read by the
-                    // group only after the publish barrier; distinct
-                    // groups use disjoint, cache-line-padded regions. The
-                    // arena behind `b_base` outlives `scope_execute`.
-                    unsafe {
-                        coop_subproblem(
-                            &kernel,
-                            &a_sub,
-                            &b_sub,
-                            c_ptr.0.add(r0 * ldc + c0),
-                            ldc,
-                            r1 - r0,
-                            c1 - c0,
-                            k,
-                            alpha,
-                            beta,
-                            blocks,
-                            b_base.0.add(col * region_elems),
-                            barrier,
-                            r,
-                            rows,
-                            a_buf,
-                            &mut local,
-                        );
-                    }
-                });
-                collector.absorb(&local);
-            }));
+    if ranks * grid.cols == 1 {
+        with_thread_arena(|arena| worker(&members[0], 0, 0, None, arena));
+        return;
+    }
+
+    // The restore guard owns the shared arena *before* the regions are
+    // checked out, so a panic anywhere past this point (including inside
+    // `checkout_elems` growth) returns it to the free list instead of
+    // dropping it — which would lose its counters and make the next
+    // shared-B call allocate. Its heap buffer is address-stable inside the
+    // guard, so `base` stays valid for the whole batch.
+    let mut shared_return = share_b.then(|| {
+        let ws = exec.pool().expect("a gang is reserved on a pool").workspace();
+        RestoreSharedOnDrop { ws, arena: Some(ws.checkout_shared()) }
+    });
+    // With it go one barrier per column group, each spanning ALL members'
+    // row groups: rank `idx·rows + r` packs the blocks whose index lands
+    // on it, so the whole batch shares one packed-B stream per column.
+    let shared = shared_return.as_mut().map(|guard| {
+        let (all, reused) = guard.arena_mut().checkout_elems::<T>(region_elems * grid.cols);
+        let warm = ThreadLocalStats { arena_bytes_reused: reused, ..Default::default() };
+        members[0].stats.absorb(&warm);
+        let barriers: Vec<PanelBarrier> =
+            (0..grid.cols).map(|_| PanelBarrier::new(ranks)).collect();
+        (SendMutPtr(all.as_mut_ptr()), barriers)
+    });
+
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranks * grid.cols);
+    for col in 0..grid.cols {
+        for (idx, member) in members.iter().enumerate() {
+            for r in 0..grid.rows {
+                let shared = shared
+                    .as_ref()
+                    .map(|(base, barriers)| (*base, &barriers[col], idx * grid.rows + r));
+                let worker = &worker;
+                tasks.push(Box::new(move || {
+                    exec.with_arena(|arena| worker(member, r, col, shared, arena));
+                }));
+            }
         }
     }
-    pool.scope_execute(tasks);
+    exec.run(tasks);
 }
 
 /// Returns a checked-out shared-B arena to its workspace's free list on
@@ -884,29 +752,81 @@ pub(crate) fn scale_row_by_beta<T: Element>(row: &mut [T], beta: T) {
     }
 }
 
-/// `C ← β·C` over `ms` rows of `ns` elements (the `k == 0` early out).
-///
-/// # Safety
-/// The rows must be valid for read/write and not concurrently accessed.
-unsafe fn scale_rows_by_beta<T: Element>(c: *mut T, ldc: usize, ms: usize, ns: usize, beta: T) {
-    for i in 0..ms {
-        scale_row_by_beta(std::slice::from_raw_parts_mut(c.add(i * ldc), ns), beta);
-    }
+/// Where a worker's packed `kc×nc` B block lives.
+enum BSource<'b, T> {
+    /// In the worker's own arena scratch: it packs every block itself.
+    Private(&'b mut [T]),
+    /// In its grid column group's shared region: of the group's `ranks`
+    /// workers, the one a block's index lands on (rotating, for balance)
+    /// packs it, and `barrier` publishes it to the rest.
+    Shared { region: *mut T, barrier: &'b PanelBarrier, rank: usize, ranks: usize },
 }
 
-/// One worker's blocked GEMM over its `ms×ns` tile of `C`, packing both
-/// operands into caller-provided arena scratch.
+/// Pack one `kc×nc` block of `B` into `buf`, on the copy clock.
+fn pack_b_block<T: Element>(
+    block: &MatView<'_, T>,
+    nr: usize,
+    buf: &mut [T],
+    stats: &mut ThreadLocalStats,
+) {
+    let t0 = Instant::now();
+    stats.b_packed_bytes += pack_b(block, nr, buf);
+    stats.pack_ns += t0.elapsed().as_nanos() as u64;
+}
+
+/// The entry of every worker's tile, whichever traversal follows: the
+/// fault-injection hook's one site, and the `k == 0` early out — pure
+/// `C ← β·C` over the live columns; no packing, no kernels. Returns
+/// whether there is a product left to accumulate.
 ///
 /// # Safety
-/// `c` must point at the tile origin; the `ms` rows of `ns` elements spaced
-/// `ldc` apart must be valid for read/write and not concurrently accessed.
+/// `c` must point at the tile origin, `row0` being that row's index in the
+/// whole of `C`; the `ms` rows of `ns` elements spaced `ldc` apart must be
+/// valid for read/write and not concurrently accessed.
 #[allow(clippy::too_many_arguments)]
-unsafe fn subproblem<T: Element>(
+unsafe fn enter_tile<T: Element, M: Merge>(
+    isa: KernelIsa,
+    c: *mut T,
+    ldc: usize,
+    row0: usize,
+    ms: usize,
+    ns: usize,
+    k: usize,
+    beta: T,
+) -> bool {
+    crate::fault::kernel_entry(isa, ms, ns, k);
+    if k == 0 {
+        for i in 0..ms {
+            let live = M::live_cols(row0 + i, ns);
+            scale_row_by_beta(std::slice::from_raw_parts_mut(c.add(i * ldc), live), beta);
+        }
+    }
+    k > 0
+}
+
+/// The one blocked loop nest: `jc → pc` over a worker's `ms×ns` tile of
+/// `C`, each `kc×nc` block of `B` packed (or awaited) through `b_src`,
+/// then swept down the worker's rows by [`row_panel_sweep`]. Private and
+/// shared `B` run the same loop in the same order, which is what keeps
+/// their per-tile FLOP order — and results — bitwise identical.
+///
+/// # Safety
+/// As for [`enter_tile`], with `ms, ns ≥ 1`. `blocks.mr`/`blocks.nr` must
+/// equal `kernel.mr`/`kernel.nr` (a [`Prologue`] derives one from the
+/// other) and `a_buf` (and a private `b_src`) must come from
+/// [`pack_buffer_lens`] of `blocks`. With [`BSource::Shared`], `region`
+/// must hold a packed `kc×nc` block, all `ranks` workers of the group
+/// must run this function with the same `b` view, `ns` and `k` so they
+/// execute the same barrier sequence, and nothing else may touch the
+/// region while the group runs.
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_loop<T: Element, M: Merge>(
     kernel: &Kernel<T>,
     a: &MatView<'_, T>,
     b: &MatView<'_, T>,
     c: *mut T,
     ldc: usize,
+    row0: usize,
     ms: usize,
     ns: usize,
     k: usize,
@@ -914,18 +834,20 @@ unsafe fn subproblem<T: Element>(
     beta: T,
     blocks: &BlockSizes,
     a_buf: &mut [T],
-    b_buf: &mut [T],
+    mut b_src: BSource<'_, T>,
     stats: &mut ThreadLocalStats,
 ) {
-    crate::fault::kernel_entry(kernel.isa, ms, ns, k);
-    let BlockSizes { kc, nc, nr, .. } = *blocks;
-
-    if k == 0 {
-        // Pure C ← β·C scaling; no packing, no kernels.
-        scale_rows_by_beta(c, ldc, ms, ns, beta);
+    debug_assert!((blocks.mr, blocks.nr) == (kernel.mr, kernel.nr), "blocks/kernel tile mismatch");
+    debug_assert!(ms > 0 && ns > 0, "empty tile");
+    // No row of the tile writes past its last row's live columns, so the
+    // rest take no part: a SYRK band stops at its diagonal.
+    let ns = M::live_cols(row0 + ms - 1, ns);
+    if !enter_tile::<T, M>(kernel.isa, c, ldc, row0, ms, ns, k, beta) {
         return;
     }
+    let BlockSizes { kc, nc, nr, .. } = *blocks;
 
+    let mut block_idx = 0usize;
     let mut jc = 0;
     while jc < ns {
         let ncur = (ns - jc).min(nc);
@@ -935,93 +857,39 @@ unsafe fn subproblem<T: Element>(
             // First rank update of a tile applies the caller's β; later
             // updates accumulate.
             let beta_eff = if pc == 0 { beta } else { T::ONE };
-
-            let t0 = Instant::now();
             let b_block = b.sub(pc, jc, kcur, ncur);
-            stats.b_packed_bytes += pack_b(&b_block, nr, b_buf);
-            stats.pack_ns += t0.elapsed().as_nanos() as u64;
 
-            row_panel_sweep(
-                kernel, a, c, ldc, ms, jc, pc, ncur, kcur, alpha, beta_eff, blocks, b_buf, a_buf,
-                stats,
+            let b_buf: &[T] = match &mut b_src {
+                BSource::Private(buf) => {
+                    pack_b_block(&b_block, nr, buf, stats);
+                    &buf[..]
+                }
+                BSource::Shared { region, barrier, rank, ranks } => {
+                    let b_needed = kcur * ncur.div_ceil(nr) * nr;
+                    if block_idx % *ranks == *rank {
+                        // SAFETY: exclusive write access between barrier
+                        // generations by the group protocol (see above).
+                        let buf = std::slice::from_raw_parts_mut(*region, b_needed);
+                        pack_b_block(&b_block, nr, buf, stats);
+                    } else {
+                        // Copy volume this worker did NOT pay thanks to
+                        // sharing.
+                        stats.b_pack_shared += (b_needed * T::BYTES) as u64;
+                    }
+                    // Publish: the packed panel is visible to the group.
+                    barrier.wait();
+                    std::slice::from_raw_parts(*region, b_needed)
+                }
+            };
+            row_panel_sweep::<T, M>(
+                kernel, a, c, ldc, row0, ms, jc, pc, ncur, kcur, alpha, beta_eff, blocks, b_buf,
+                a_buf, stats,
             );
-            pc += kcur;
-        }
-        jc += ncur;
-    }
-}
-
-/// One worker's tile under the cooperative shared-B protocol: identical
-/// loop structure and per-tile FLOP order to [`subproblem`], except that
-/// the packed B panel lives in the group's shared region and only the
-/// designated packer (rotating round-robin for balance) fills it.
-///
-/// # Safety
-/// As for [`subproblem`]; additionally `shared_b` must point at this
-/// column group's region (large enough for a `kc×nc` packed block), all
-/// `group_rows` members must call this function with the same `b`
-/// view/`ns`/`k` so they execute the same barrier sequence, and nothing
-/// else may touch the region while the group runs.
-#[allow(clippy::too_many_arguments)]
-unsafe fn coop_subproblem<T: Element>(
-    kernel: &Kernel<T>,
-    a: &MatView<'_, T>,
-    b: &MatView<'_, T>,
-    c: *mut T,
-    ldc: usize,
-    ms: usize,
-    ns: usize,
-    k: usize,
-    alpha: T,
-    beta: T,
-    blocks: &BlockSizes,
-    shared_b: *mut T,
-    barrier: &PanelBarrier,
-    rank: usize,
-    group_rows: usize,
-    a_buf: &mut [T],
-    stats: &mut ThreadLocalStats,
-) {
-    crate::fault::kernel_entry(kernel.isa, ms, ns, k);
-    let BlockSizes { kc, nc, nr, .. } = *blocks;
-
-    if k == 0 {
-        scale_rows_by_beta(c, ldc, ms, ns, beta);
-        return;
-    }
-
-    let mut block_idx = 0usize;
-    let mut jc = 0;
-    while jc < ns {
-        let ncur = (ns - jc).min(nc);
-        let mut pc = 0;
-        while pc < k {
-            let kcur = (k - pc).min(kc);
-            let beta_eff = if pc == 0 { beta } else { T::ONE };
-            let b_needed = kcur * ncur.div_ceil(nr) * nr;
-
-            if block_idx % group_rows == rank {
-                let t0 = Instant::now();
-                let b_block = b.sub(pc, jc, kcur, ncur);
-                // SAFETY: exclusive write access between barrier
-                // generations by the group protocol (see caller).
-                let buf = std::slice::from_raw_parts_mut(shared_b, b_needed);
-                stats.b_packed_bytes += pack_b(&b_block, nr, buf);
-                stats.pack_ns += t0.elapsed().as_nanos() as u64;
-            } else {
-                // Copy volume this worker did NOT pay thanks to sharing.
-                stats.b_pack_shared += (b_needed * T::BYTES) as u64;
+            if let BSource::Shared { barrier, .. } = &b_src {
+                // Retire: nobody still reads the panel when the next
+                // packer overwrites it.
+                barrier.wait();
             }
-            // Publish: the packed panel is visible to the whole group.
-            barrier.wait();
-            let b_buf = std::slice::from_raw_parts(shared_b, b_needed);
-            row_panel_sweep(
-                kernel, a, c, ldc, ms, jc, pc, ncur, kcur, alpha, beta_eff, blocks, b_buf, a_buf,
-                stats,
-            );
-            // Retire: nobody still reads the panel when the next packer
-            // overwrites it.
-            barrier.wait();
 
             block_idx += 1;
             pc += kcur;
@@ -1030,21 +898,21 @@ unsafe fn coop_subproblem<T: Element>(
     }
 }
 
-/// The `A`-panel sweep for one packed B block: pack each `mc×kc` A block
-/// of the worker's rows and run the micro-kernels against `b_buf`. Both
-/// the independent and the cooperative drivers call this, which is what
-/// keeps their per-tile FLOP order — and results — bitwise identical.
+/// The `A`-panel sweep for one packed B block — `ic → jr → ir`: pack each
+/// `mc×kc` A block of the worker's rows, run the micro-kernels against
+/// `b_buf` and merge each tile as `M` says. Every traversal (blocked,
+/// Z-order) and every `B` source ends here.
 ///
 /// # Safety
-/// As for [`subproblem`]; `b_buf` must hold the packed `kcur×ncur` block,
-/// and `blocks.mr`/`blocks.nr` must equal `kernel.mr`/`kernel.nr` (the
-/// drive entry point derives one from the other).
+/// As for [`tile_loop`]; `b_buf` must hold the packed `kcur×ncur` block of
+/// columns `jc..jc + ncur`.
 #[allow(clippy::too_many_arguments)]
-unsafe fn row_panel_sweep<T: Element>(
+unsafe fn row_panel_sweep<T: Element, M: Merge>(
     kernel: &Kernel<T>,
     a: &MatView<'_, T>,
     c: *mut T,
     ldc: usize,
+    row0: usize,
     ms: usize,
     jc: usize,
     pc: usize,
@@ -1058,6 +926,15 @@ unsafe fn row_panel_sweep<T: Element>(
     stats: &mut ThreadLocalStats,
 ) {
     let BlockSizes { mc, mr, nr, .. } = *blocks;
+    // The register tile staged in memory for a masked merge;
+    // MAX_TILE_ELEMS is the maximum over the table `kernel` came from.
+    let mut tile = [T::ZERO; MAX_TILE_ELEMS];
+    // β = 0 (first rank update only): write-only merge, chosen here so
+    // the element loops below carry no branch — `C` may be uninitialised
+    // and must not be read (NaN/Inf would survive `0·C`). Bitwise equal to
+    // the general form for finite `C`.
+    let overwrite = beta_eff == T::ZERO;
+
     let mut ic = 0;
     while ic < ms {
         let mcur = (ms - ic).min(mc);
@@ -1070,28 +947,54 @@ unsafe fn row_panel_sweep<T: Element>(
         let m_strips = mcur.div_ceil(mr);
         let n_strips = ncur.div_ceil(nr);
         for jr in 0..n_strips {
-            let j0 = jr * nr;
-            let live_n = (ncur - j0).min(nr);
+            let j0 = jc + jr * nr;
+            let live_n = (ncur - jr * nr).min(nr);
             let b_panel = &b_buf[jr * nr * kcur..(jr + 1) * nr * kcur];
             for ir in 0..m_strips {
-                let i0 = ir * mr;
-                let live_m = (mcur - i0).min(mr);
+                let i0 = ic + ir * mr;
+                let live_m = (mcur - ir * mr).min(mr);
                 let a_panel = &a_buf[ir * mr * kcur..(ir + 1) * mr * kcur];
-                // SAFETY: tile origin stays inside this worker's C
+                // SAFETY: the tile origin stays inside this worker's C
                 // region by construction of the loop bounds; the packed
-                // panels hold kcur·mr / kcur·nr elements (zero padded)
-                // and mr/nr are the kernel's own tile.
-                kernel.run(
-                    kcur,
-                    a_panel.as_ptr(),
-                    b_panel.as_ptr(),
-                    c.add((ic + i0) * ldc + jc + j0),
-                    ldc,
-                    live_m,
-                    live_n,
-                    alpha,
-                    beta_eff,
-                );
+                // panels hold kcur·mr / kcur·nr elements (zero padded),
+                // mr/nr are the kernel's own tile and the staged tile
+                // holds mr·nr (≤ MAX_TILE_ELEMS).
+                let c_tile = c.add(i0 * ldc + j0);
+                if M::FULL {
+                    kernel.run(
+                        kcur,
+                        a_panel.as_ptr(),
+                        b_panel.as_ptr(),
+                        c_tile,
+                        ldc,
+                        live_m,
+                        live_n,
+                        alpha,
+                        beta_eff,
+                    );
+                } else {
+                    // Its last row has the most live columns: with none
+                    // past `j0` the whole tile is masked (SYRK: strictly
+                    // above the diagonal).
+                    if M::live_cols(row0 + i0 + live_m - 1, j0 + live_n) <= j0 {
+                        continue;
+                    }
+                    kernel.acc(kcur, a_panel.as_ptr(), b_panel.as_ptr(), tile.as_mut_ptr());
+                    for di in 0..live_m {
+                        let cols = M::live_cols(row0 + i0 + di, j0 + live_n).saturating_sub(j0);
+                        let acc_row = &tile[di * nr..di * nr + cols];
+                        let row = std::slice::from_raw_parts_mut(c_tile.add(di * ldc), cols);
+                        if overwrite {
+                            for (out, &acc) in row.iter_mut().zip(acc_row) {
+                                *out = alpha.mul_add_e(acc, T::ZERO);
+                            }
+                        } else {
+                            for (out, &acc) in row.iter_mut().zip(acc_row) {
+                                *out = alpha.mul_add_e(acc, beta_eff.mul_add_e(*out, T::ZERO));
+                            }
+                        }
+                    }
+                }
                 stats.kernel_calls += 1;
             }
         }
@@ -1612,12 +1515,18 @@ mod tests {
         let mut c_plain = fill(m * n, 13);
         let mut c_fused = c_plain.clone();
         let call = GemmCall::new(m, n, k, 4);
-        gemm_with_stats_pooled(&pool, &call, 2.0, &a, k, &b, n, -0.5, &mut c_plain, n);
+        let plain = gemm_with_stats_pooled(&pool, &call, 2.0, &a, k, &b, n, -0.5, &mut c_plain, n);
         let mut items =
             vec![FusedGemm { alpha: 2.0, a: &a, lda: k, beta: -0.5, c: &mut c_fused, ldc: n }];
-        // One item keeps the whole thread budget.
-        gemm_fused_with_stats_pooled(&pool, &call, &b, n, &mut items);
+        // One item keeps the whole thread budget: a batch of one is the
+        // plain driver, down to its grid and copy-volume counters.
+        let fused = gemm_fused_with_stats_pooled(&pool, &call, &b, n, &mut items);
         assert_eq!(c_fused, c_plain);
+        assert_eq!(fused.len(), 1);
+        assert_eq!(fused[0].b_packed_bytes, plain.b_packed_bytes);
+        assert_eq!(fused[0].b_pack_shared, plain.b_pack_shared);
+        assert_eq!(fused[0].threads_used, plain.threads_used);
+        assert_eq!((fused[0].grid_rows, fused[0].grid_cols), (plain.grid_rows, plain.grid_cols));
     }
 
     #[test]

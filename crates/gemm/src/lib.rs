@@ -13,13 +13,20 @@
 //! 3. **kernel calls** — an `MR×NR` register-blocked micro-kernel where all
 //!    floating-point work happens.
 //!
-//! The public entry points are [`gemm_with_stats`] (spawn-per-call) and
-//! [`gemm_with_stats_pooled`] (persistent pool), plus their SYRK/GEMV
-//! siblings and the typed [`OpRequest`] descriptors over all of them; each
-//! reports a [`GemmStats`] breakdown (bytes packed, kernel calls, the
-//! thread grid) so experiments can observe the same quantities the paper
-//! pulled out of Intel VTune. The BLAS-style `sgemm`/`dgemm` calls live on
-//! the serving layer (`adsala::AdsalaService`).
+//! That anatomy exists once: [`gemm`] holds the one blocked loop nest —
+//! a prologue (kernel, blocks, views, bounds checks), a task builder over
+//! *members × thread grid*, and a tile loop parameterised by where the
+//! packed `B` block comes from and by a statically dispatched merge — and
+//! GEMM, the fused same-`B` batch, Strassen's base case, Z-order and SYRK
+//! are entry points over it (GEMV, which packs nothing, has its own
+//! driver). The public entry points are [`gemm_with_stats`]
+//! (spawn-per-call), [`gemm_with_stats_pooled`] (persistent pool) and
+//! [`gemm_fused_with_stats_pooled`], their SYRK/GEMV siblings, and the
+//! typed [`OpRequest`] descriptors over all of them; each reports a
+//! [`GemmStats`] breakdown (bytes packed, kernel calls, the thread grid)
+//! so experiments can observe the same quantities the paper pulled out of
+//! Intel VTune. The BLAS-style `sgemm`/`dgemm` calls live on the serving
+//! layer (`adsala::AdsalaService`).
 //!
 //! Matrices are dense, row-major, with an explicit leading (row) stride.
 //! Operands may be logically transposed via [`Transpose`]; packing handles

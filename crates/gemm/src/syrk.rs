@@ -5,23 +5,24 @@
 //! because it shares GEMM's packing/micro-kernel anatomy while doing half
 //! the FLOPs (only the lower triangle of the symmetric output is stored).
 //!
-//! Implementation: the output rows are split into per-thread row bands
+//! It shares the code too: SYRK is the blocked GEMM `A·Aᵀ` of
+//! [`crate::gemm`] — same prologue, same task builder, same loop nest, `B`
+//! being the transposed view of `A` — run under a different partition and
+//! a different merge. The output rows are split into per-thread row bands
 //! whose *triangle areas* are balanced (band edges follow a square-root
-//! law, since the work below row `r` grows like `r²`). Each band runs a
-//! blocked GEMM of `A[band, :] · Aᵀ[:, 0..band_end]`, skipping tiles
-//! strictly above the diagonal and masking the merge of tiles straddling
-//! it, so the strict upper triangle of `C` is never written.
+//! law, since the work below row `r` grows like `r²`), and the
+//! lower-triangle merge stops each band at its diagonal, skips tiles
+//! strictly above it and masks the merge of tiles straddling it, so the
+//! strict upper triangle of `C` is never written. Bands have different
+//! widths, hence different `B` block sequences, so `B` is never shared.
 
-use crate::blocking::BlockSizes;
-use crate::gemm::scale_row_by_beta;
-use crate::isa::{Kernel, MAX_TILE_ELEMS};
-use crate::pack::{pack_a, pack_b, MatView};
+use crate::gemm::{run_tiles, Member, Merge, Prologue};
+use crate::pack::MatView;
+use crate::plan::ExecutionPlan;
 use crate::pool::Executor;
-use crate::stats::{GemmStats, StatsCollector, ThreadLocalStats};
-use crate::threading::SendMutPtr;
-use crate::workspace::with_thread_arena;
+use crate::stats::GemmStats;
+use crate::threading::ThreadGrid;
 use crate::{beta_scaled, Element};
-use std::time::Instant;
 
 /// `C ← α·A·Aᵀ + β·C`, updating only the lower triangle (row-major, `A` is
 /// `m×k` with row stride `lda`, `C` is `m×m` with row stride `ldc`).
@@ -70,8 +71,8 @@ pub fn syrk_with_stats_pooled<T: Element>(
     drive(Executor::Pool(pool), m, k, alpha, a, lda, beta, c, ldc, threads)
 }
 
-/// The one banded SYRK driver behind both public entry points; packing
-/// scratch comes from the executor's arena (pool slot or thread-local).
+/// The one banded SYRK driver behind both public entry points: the
+/// one-member batch `A·Aᵀ` on a `bands×1` grid under [`LowerTriangle`].
 #[allow(clippy::too_many_arguments)]
 fn drive<T: Element>(
     exec: Executor<'_>,
@@ -85,90 +86,33 @@ fn drive<T: Element>(
     ldc: usize,
     threads: usize,
 ) -> GemmStats {
-    assert!(ldc >= m.max(1), "ldc too small");
-    if m > 0 {
-        assert!(c.len() >= (m - 1) * ldc + m, "C buffer too small");
-    }
     let a_view = MatView::row_major(a, m, k, lda);
-    // SYRK shares GEMM's packing/micro-kernel anatomy, so it runs the
-    // same dispatched register-tile kernel (accumulate-only entry; the
-    // triangle merge is masked per element below).
-    let kernel = Kernel::<T>::dispatched();
-    let kernel_stat = (kernel.isa, kernel.mr, kernel.nr);
-    let start = Instant::now();
+    let member = Member::new(a_view, m, m, alpha, beta, c, ldc);
+    // SYRK takes no plan: the process-wide kernel and its blocking.
+    let pro = Prologue::<T>::resolve(&ExecutionPlan::with_threads(1), m, m, k);
     if m == 0 {
-        // Degenerate shapes still report their wall time (see the GEMM
-        // driver's identical early out).
-        return GemmStats {
-            kernel_isa: kernel.isa,
-            mr: kernel.mr,
-            nr: kernel.nr,
-            wall_ns: start.elapsed().as_nanos() as u64,
-            ..GemmStats::default()
-        };
+        return pro.empty_stats();
     }
+    let bands = band_edges(m, threads.max(1), pro.blocks.mr);
+    let grid = ThreadGrid { rows: bands.len() - 1, cols: 1 };
+    let rows = |band: usize| (bands[band], bands[band + 1]);
+    let members = std::slice::from_ref(&member);
+    // SAFETY: `member` was checked for this `m×m`, and `band_edges` ascend
+    // strictly from 0 to `m`, so the bands partition the rows.
+    unsafe { run_tiles::<T, LowerTriangle>(exec, &pro, &a_view.t(), members, grid, rows, false) };
+    pro.finish(&member.stats, grid)
+}
 
-    let blocks = BlockSizes::dispatched::<T>().clamped(m, m, k.max(1));
-    let bands = band_edges(m, threads.max(1), blocks.mr);
-    let n_bands = bands.len() - 1;
+/// SYRK's merge: row `r` of `C` is written up to its diagonal element.
+struct LowerTriangle;
 
-    let collector = StatsCollector::default();
-    if n_bands == 1 {
-        let mut local = ThreadLocalStats::default();
-        with_thread_arena(|arena| {
-            let (a_buf, b_buf, reused) = arena.checkout_pair::<T>(&blocks);
-            local.arena_bytes_reused += reused;
-            // SAFETY: single worker owns all of C.
-            unsafe {
-                band_subproblem(
-                    &kernel,
-                    &a_view,
-                    c.as_mut_ptr(),
-                    ldc,
-                    0,
-                    m,
-                    k,
-                    alpha,
-                    beta,
-                    &blocks,
-                    a_buf,
-                    b_buf,
-                    &mut local,
-                );
-            }
-        });
-        collector.absorb(&local);
-    } else {
-        let c_ptr = SendMutPtr(c.as_mut_ptr());
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(n_bands);
-        for b in 0..n_bands {
-            let (r0, r1) = (bands[b], bands[b + 1]);
-            let collector = &collector;
-            let blocks = &blocks;
-            tasks.push(Box::new(move || {
-                let mut local = ThreadLocalStats::default();
-                let ptr = c_ptr;
-                exec.with_arena(|arena| {
-                    let (a_buf, b_buf, reused) = arena.checkout_pair::<T>(blocks);
-                    local.arena_bytes_reused += reused;
-                    // SAFETY: band rows [r0, r1) are disjoint across
-                    // workers, each worker writes only columns 0..=row
-                    // within its rows, and the executor blocks until
-                    // every task completes, keeping the borrows alive.
-                    unsafe {
-                        band_subproblem(
-                            &kernel, &a_view, ptr.0, ldc, r0, r1, k, alpha, beta, blocks, a_buf,
-                            b_buf, &mut local,
-                        );
-                    }
-                });
-                collector.absorb(&local);
-            }));
-        }
-        exec.run(tasks);
+impl Merge for LowerTriangle {
+    const FULL: bool = false;
+
+    #[inline(always)]
+    fn live_cols(row: usize, ns: usize) -> usize {
+        (row + 1).min(ns)
     }
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    collector.finish(n_bands, n_bands, 1, wall_ns, kernel_stat)
 }
 
 /// Row-band edges with balanced triangle area: `edges[t] ≈ m·√(t/T)`,
@@ -187,127 +131,6 @@ pub fn band_edges(m: usize, threads: usize, mr: usize) -> Vec<usize> {
         edges.push(m);
     }
     edges
-}
-
-/// One worker's band: rows `[r0, r1)` of the lower triangle, packing into
-/// caller-provided arena scratch.
-///
-/// # Safety
-/// `c` points at the full matrix origin; rows `[r0, r1)` (columns
-/// `0..=row`) must be valid and not concurrently accessed.
-#[allow(clippy::too_many_arguments)]
-unsafe fn band_subproblem<T: Element>(
-    kernel: &Kernel<T>,
-    a: &MatView<'_, T>,
-    c: *mut T,
-    ldc: usize,
-    r0: usize,
-    r1: usize,
-    k: usize,
-    alpha: T,
-    beta: T,
-    blocks: &BlockSizes,
-    a_buf: &mut [T],
-    b_buf: &mut [T],
-    stats: &mut ThreadLocalStats,
-) {
-    let BlockSizes { mc, kc, nc, mr, nr } = *blocks;
-    let ms = r1 - r0;
-    if ms == 0 {
-        return;
-    }
-    if k == 0 {
-        // β-scale the band's lower triangle only.
-        for i in r0..r1 {
-            scale_row_by_beta(std::slice::from_raw_parts_mut(c.add(i * ldc), i + 1), beta);
-        }
-        return;
-    }
-    let ns = r1; // columns 0..r1 participate for this band
-    let at = a.t();
-    debug_assert!(a_buf.len() >= mc.div_ceil(mr) * mr * kc);
-    debug_assert!(b_buf.len() >= kc * nc.div_ceil(nr) * nr);
-    debug_assert!((mr, nr) == (kernel.mr, kernel.nr), "blocks/kernel tile mismatch");
-    // The register tile staged in memory for the masked triangle merge;
-    // MAX_TILE_ELEMS is the maximum over the table `kernel` came from.
-    let mut tile = [T::ZERO; MAX_TILE_ELEMS];
-
-    let mut jc = 0;
-    while jc < ns {
-        let ncur = (ns - jc).min(nc);
-        let mut pc = 0;
-        while pc < k {
-            let kcur = (k - pc).min(kc);
-            let beta_eff = if pc == 0 { beta } else { T::ONE };
-            // β = 0 (first rank update only): write-only merge, chosen
-            // here so the element loops below carry no branch — `C` may be
-            // uninitialised and must not be read (NaN/Inf would survive
-            // `0·C`). Bitwise equal to the general form for finite `C`.
-            let overwrite = beta_eff == T::ZERO;
-
-            let t0 = Instant::now();
-            // "B" is Aᵀ: columns jc..jc+ncur are A's rows jc.. transposed.
-            let b_block = at.sub(pc, jc, kcur, ncur);
-            stats.b_packed_bytes += pack_b(&b_block, nr, b_buf);
-            stats.pack_ns += t0.elapsed().as_nanos() as u64;
-
-            let mut ic = 0;
-            while ic < ms {
-                let mcur = (ms - ic).min(mc);
-                let t0 = Instant::now();
-                let a_block = a.sub(r0 + ic, pc, mcur, kcur);
-                stats.a_packed_bytes += pack_a(&a_block, mr, a_buf);
-                stats.pack_ns += t0.elapsed().as_nanos() as u64;
-
-                let t0 = Instant::now();
-                let m_strips = mcur.div_ceil(mr);
-                let n_strips = ncur.div_ceil(nr);
-                for jr in 0..n_strips {
-                    let j0 = jc + jr * nr; // global column of tile origin
-                    let live_n = (ncur - jr * nr).min(nr);
-                    let b_panel = &b_buf[jr * nr * kcur..(jr + 1) * nr * kcur];
-                    for ir in 0..m_strips {
-                        let i0 = r0 + ic + ir * mr; // global row of tile origin
-                        let live_m = (mcur - ir * mr).min(mr);
-                        // Tile strictly above the diagonal: every element
-                        // has column > row; skip entirely.
-                        if j0 > i0 + live_m - 1 {
-                            continue;
-                        }
-                        let a_panel = &a_buf[ir * mr * kcur..(ir + 1) * mr * kcur];
-                        // SAFETY: packed panels hold kcur·mr / kcur·nr
-                        // elements and the staged tile holds mr·nr
-                        // (≤ MAX_TILE_ELEMS).
-                        kernel.acc(kcur, a_panel.as_ptr(), b_panel.as_ptr(), tile.as_mut_ptr());
-                        // Masked merge: only elements with column ≤ row.
-                        for di in 0..live_m {
-                            let gi = i0 + di;
-                            let max_col = if gi >= j0 { (gi - j0 + 1).min(live_n) } else { 0 };
-                            if max_col == 0 {
-                                continue;
-                            }
-                            let acc_row = &tile[di * nr..di * nr + max_col];
-                            let row = std::slice::from_raw_parts_mut(c.add(gi * ldc + j0), max_col);
-                            if overwrite {
-                                for (out, &acc) in row.iter_mut().zip(acc_row) {
-                                    *out = alpha.mul_add_e(acc, T::ZERO);
-                                }
-                            } else {
-                                for (out, &acc) in row.iter_mut().zip(acc_row) {
-                                    *out = alpha.mul_add_e(acc, beta_eff.mul_add_e(*out, T::ZERO));
-                                }
-                            }
-                        }
-                        stats.kernel_calls += 1;
-                    }
-                }
-                stats.kernel_ns += t0.elapsed().as_nanos() as u64;
-                ic += mcur;
-            }
-            pc += kcur;
-        }
-        jc += ncur;
-    }
 }
 
 /// Reference SYRK for the tests: naive lower-triangle update.

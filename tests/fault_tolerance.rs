@@ -18,6 +18,7 @@ use adsala_gemm::fault::{self, FaultPlan};
 use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
 use adsala_gemm::isa::KernelIsa;
 use adsala_gemm::plan::Algorithm;
+use adsala_gemm::syrk::naive_syrk;
 use adsala_gemm::workspace::thread_arena_stats;
 
 fn fault_lock() -> &'static Mutex<()> {
@@ -308,17 +309,18 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
         assert_eq!(booked(&sched.stats().service), per_op, "solo dispatch books differently");
     }
 
-    // Fused pair: a SYRK blocker (no fault hook in its kernel) fills the
-    // 2-thread budget while both same-shape shared-B GEMMs queue behind
-    // it, so they are admitted as one fused unit. The blocker's pool jobs
-    // wait behind a stall that is released once the pair is queued, so
-    // the interleaving does not depend on how long a SYRK takes.
-    let (_lock, _guard, plan) = install("panic:count=1,stall:ms=30000");
+    // Fused pair: a SYRK blocker (its `k` is below the fault's threshold,
+    // the pair's is not) fills the 2-thread budget while both same-shape
+    // shared-B GEMMs queue behind it, so they are admitted as one fused
+    // unit. The blocker's pool jobs wait behind a stall that is released
+    // once the pair is queued, so the interleaving does not depend on how
+    // long a SYRK takes.
+    let (_lock, _guard, plan) = install("panic:k>=32:count=1,stall:ms=30000");
     let sched = ServiceScheduler::with_config(
         Arc::new(service(2)),
         SchedulerConfig { thread_budget: 2, ..SchedulerConfig::default() },
     );
-    let (bm, bk) = (1024usize, 512usize);
+    let (bm, bk) = (1024usize, 16usize);
     let blocker_a: Vec<f64> = (0..bm * bk).map(|i| (i % 13) as f64 - 6.0).collect();
     std::thread::scope(|scope| {
         let (sched, blocker_a, b) = (&sched, &blocker_a, &b);
@@ -357,6 +359,80 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
     assert_eq!(panics, per_op.0, "a gang panic is one panic");
     // Two recovered members, plus the blocker's clean blocked run.
     assert_eq!((retries, downgrades, blocked), (2 * per_op.1, 2 * per_op.2, 2 * per_op.3 + 1));
+}
+
+/// The blocked loop nest exists once, so its fault hook covers what used
+/// to be separate copies without one: (a) a SYRK band and (b) the Z-order
+/// traversal. Each injected panic is isolated at the service boundary and
+/// booked once; the SYRK request (β = 0, so a rerun is sound) is retried
+/// degraded to a correct result, the pinned Z-order GEMM is refused — a
+/// pin is never swapped for another plan — and runs clean afterwards.
+#[test]
+fn injected_panic_reaches_syrk_bands_and_the_zorder_traversal() {
+    // (a) SYRK: the strict upper triangle starts as NaN and must stay so.
+    {
+        let (_lock, _guard, plan) = install("panic:count=1");
+        let svc = service(2);
+        let (m, k, ldc) = (200usize, 48usize, 203usize);
+        let a = fill(m * k, 81);
+        let mut c = vec![f32::NAN; m * ldc];
+        let mut c_ref = vec![0.0f32; m * ldc];
+        naive_syrk(m, k, 1.5, &a, k, 0.0, &mut c_ref, ldc);
+        let mut req: OpRequest<'_, f32> =
+            SyrkArgs { m, k, alpha: 1.5, a: &a, lda: k, beta: 0.0, c: &mut c, ldc }.into();
+        let (_, stats) = svc.run(&mut req).expect("a panicked SYRK band must recover");
+        assert!(stats.plan_degraded, "{stats:?}");
+        assert_eq!(plan.injected_panics(), 1, "the SYRK band never reached the fault hook");
+        for i in 0..m {
+            let (lower, rest) = (i * ldc..i * ldc + i + 1, i * ldc + i + 1..(i + 1) * ldc);
+            assert_close(&c[lower.clone()], &c_ref[lower], "recovered SYRK row");
+            assert!(
+                c[rest].iter().all(|v| v.is_nan()),
+                "row {i}: upper triangle or padding written"
+            );
+        }
+        let booked = svc.stats();
+        assert_eq!(
+            (booked.panics_recovered, booked.degraded_retries, booked.execution_failures),
+            (1, 1, 0),
+            "{booked:?}"
+        );
+    }
+
+    // (b) Z-order: serial on the caller's thread, so no context filter
+    // (and the reference is computed before the fault is armed).
+    let (m, n, k) = (96usize, 80usize, 64usize);
+    let a = fill(m * k, 82);
+    let b = fill(k * n, 83);
+    let c_ref = serial_reference(m, n, k, &a, &b);
+    let (_lock, guard, plan) = install("panic:count=1");
+    let svc = service(2);
+    let zorder = ExecutionPlan::with_threads(1).with_algorithm(Algorithm::ZOrder);
+    let mut c = vec![f32::NAN; m * n];
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+    match svc.run_pinned(&mut req, &zorder) {
+        Err(AdsalaError::Execution { detail, .. }) => {
+            assert!(detail.contains(&format!("{m}x{n}x{k}")), "not the Z-order call: {detail}");
+            assert!(detail.contains("pinned plan, no retry"), "{detail}");
+        }
+        other => panic!("a pinned plan's panic must surface as Execution, got {other:?}"),
+    }
+    assert_eq!(plan.injected_panics(), 1, "the Z-order traversal never reached the fault hook");
+    let booked = svc.stats();
+    assert_eq!(
+        (booked.panics_recovered, booked.degraded_retries, booked.execution_failures),
+        (1, 0, 1),
+        "{booked:?}"
+    );
+
+    drop(guard);
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+    let stats = svc.run_pinned(&mut req, &zorder).expect("fault-free Z-order run");
+    assert_eq!(stats.exec.algorithm, Algorithm::ZOrder);
+    assert_eq!(c, c_ref, "Z-order is bitwise the serial blocked driver");
+    assert_eq!(svc.stats().panics_recovered, 1);
 }
 
 /// `submit_within` under a stalled wave: an occupier holds the whole

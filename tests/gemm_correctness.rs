@@ -7,8 +7,8 @@ use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, G
 use adsala_repro::adsala_gemm::gemv::{gemv_with_stats, naive_gemv};
 use adsala_repro::adsala_gemm::naive::naive_gemm;
 use adsala_repro::adsala_gemm::pool::ThreadPool;
-use adsala_repro::adsala_gemm::syrk::{naive_syrk, syrk_with_stats};
-use adsala_repro::adsala_gemm::Transpose;
+use adsala_repro::adsala_gemm::syrk::{naive_syrk, syrk_with_stats, syrk_with_stats_pooled};
+use adsala_repro::adsala_gemm::{BlockSizes, Element, Transpose};
 use proptest::prelude::*;
 
 fn fill(n: usize, seed: u64) -> Vec<f64> {
@@ -21,6 +21,131 @@ fn fill(n: usize, seed: u64) -> Vec<f64> {
             ((s % 1000) as f64 - 500.0) / 100.0
         })
         .collect()
+}
+
+/// The numeric glue `Element` does not carry, for tests generic over the
+/// precision.
+trait Scalar: Element {
+    const EPS: f64;
+    /// A NaN with a payload no arithmetic produces: a cell holding these
+    /// bits after a call was neither written nor derived from a read.
+    const SENTINEL: Self;
+    fn from_f64(v: f64) -> Self;
+    fn to_f64(self) -> f64;
+    fn bits(self) -> u64;
+}
+
+impl Scalar for f32 {
+    const EPS: f64 = f32::EPSILON as f64;
+    const SENTINEL: Self = f32::from_bits(0x7fc0_beef);
+    fn from_f64(v: f64) -> Self {
+        v as f32
+    }
+    fn to_f64(self) -> f64 {
+        f64::from(self)
+    }
+    fn bits(self) -> u64 {
+        u64::from(self.to_bits())
+    }
+}
+
+impl Scalar for f64 {
+    const EPS: f64 = f64::EPSILON;
+    const SENTINEL: Self = f64::from_bits(0x7ff8_0000_dead_beef);
+    fn from_f64(v: f64) -> Self {
+        v
+    }
+    fn to_f64(self) -> f64 {
+        self
+    }
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+}
+
+/// One SYRK case on padded leading dimensions (`lda > k`, `ldc > m`), with
+/// `k` spanning three `kc` blocks of the dispatched blocking: the lower
+/// triangle must match `naive_syrk`, the strict upper triangle and every
+/// padding cell (NaN sentinels, `A`'s included, and with β = 0 the lower
+/// triangle's old contents too) must be neither written nor read, and the
+/// whole buffer must be bitwise the serial scoped result for every thread
+/// count, scoped and pooled.
+#[allow(clippy::too_many_arguments)]
+fn syrk_padded_case<T: Scalar>(
+    pool: &ThreadPool,
+    m: usize,
+    k_tail: usize,
+    pad_a: usize,
+    pad_c: usize,
+    alpha: f64,
+    beta: f64,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let k = 2 * BlockSizes::dispatched::<T>().kc + k_tail;
+    let (lda, ldc) = (k + pad_a, m + pad_c);
+    let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+
+    let mut a = vec![T::SENTINEL; m * lda];
+    for (row, values) in a.chunks_mut(lda).zip(fill(m * k, seed).chunks(k)) {
+        for (cell, &v) in row.iter_mut().zip(values) {
+            *cell = T::from_f64(v / 5.0);
+        }
+    }
+    let mut c0 = vec![T::SENTINEL; m * ldc];
+    if beta != T::ZERO {
+        for (i, (row, values)) in
+            c0.chunks_mut(ldc).zip(fill(m * m, seed + 1).chunks(m)).enumerate()
+        {
+            for (cell, &v) in row.iter_mut().zip(&values[..=i]) {
+                *cell = T::from_f64(v);
+            }
+        }
+    }
+
+    let mut serial = c0.clone();
+    syrk_with_stats(m, k, alpha, &a, lda, beta, &mut serial, ldc, 1);
+    let mut reference = c0.clone();
+    naive_syrk(m, k, alpha, &a, lda, beta, &mut reference, ldc);
+
+    let row_norm: Vec<f64> = a
+        .chunks(lda)
+        .map(|row| row[..k].iter().map(|v| v.to_f64().powi(2)).sum::<f64>().sqrt())
+        .collect();
+    for i in 0..m {
+        for j in 0..ldc {
+            let (got, want, old) = (serial[i * ldc + j], reference[i * ldc + j], c0[i * ldc + j]);
+            if j > i {
+                prop_assert!(
+                    got.bits() == T::SENTINEL.bits(),
+                    "({i},{j}) outside the triangle written"
+                );
+                continue;
+            }
+            let magnitude = alpha.to_f64().abs() * row_norm[i] * row_norm[j]
+                + if beta == T::ZERO { 0.0 } else { (beta.to_f64() * old.to_f64()).abs() };
+            let tol = 8.0 * T::EPS * (k + 2) as f64 * magnitude;
+            prop_assert!(
+                (got.to_f64() - want.to_f64()).abs() <= tol,
+                "({i},{j}): {got:?} vs naive {want:?} (tol {tol:e}, m={m} k={k})"
+            );
+        }
+    }
+
+    let serial_bits: Vec<u64> = serial.iter().map(|v| v.bits()).collect();
+    for threads in 1..=4 {
+        let mut scoped = c0.clone();
+        syrk_with_stats(m, k, alpha, &a, lda, beta, &mut scoped, ldc, threads);
+        let mut pooled = c0.clone();
+        syrk_with_stats_pooled(pool, m, k, alpha, &a, lda, beta, &mut pooled, ldc, threads);
+        for (what, c) in [("scoped", &scoped), ("pooled", &pooled)] {
+            let bits: Vec<u64> = c.iter().map(|v| v.bits()).collect();
+            prop_assert!(
+                bits == serial_bits,
+                "{what} t={threads} differs from serial (m={m} k={k})"
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -199,5 +324,32 @@ proptest! {
         gemm_with_stats(&call, 1.0, &a, k, &b, n, 0.5, &mut c1, n);
         gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.5, &mut c2, n);
         prop_assert_eq!(c1, c2);
+    }
+}
+
+proptest! {
+    // The shim's case stream is fixed per test name: these 24 cases cover
+    // all nine {0, 1, general}² pairs of α and β.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn syrk_on_padded_leading_dimensions_is_exact_masked_and_thread_invariant(
+        m in 1usize..120,
+        k_tail in 1usize..40,
+        pad_a in 1usize..9,
+        pad_c in 1usize..9,
+        alpha_kind in 0usize..3,
+        beta_kind in 0usize..3,
+        alpha in -2.0f64..2.0,
+        beta in -2.0f64..2.0,
+        seed in 0u64..500,
+    ) {
+        // Ragged: not a multiple of any kernel's `mr` (6, 8, 12).
+        let m = (m..).find(|m| m % 6 != 0 && m % 8 != 0).expect("unbounded");
+        let alpha = [0.0, 1.0, alpha][alpha_kind];
+        let beta = [0.0, 1.0, beta][beta_kind];
+        let pool = ThreadPool::new(4);
+        syrk_padded_case::<f32>(&pool, m, k_tail, pad_a, pad_c, alpha, beta, seed)?;
+        syrk_padded_case::<f64>(&pool, m, k_tail, pad_a, pad_c, alpha, beta, seed)?;
     }
 }
