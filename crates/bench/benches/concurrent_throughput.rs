@@ -1,6 +1,6 @@
 //! Criterion benches for the concurrent serving layer: shared-service
 //! decision throughput under client parallelism, and pooled `sgemm`
-//! dispatch vs the facade's single-client path.
+//! dispatch.
 //!
 //! The interesting comparisons:
 //! * `select_shared_hot` vs the single-threaded `predictor` bench's memo

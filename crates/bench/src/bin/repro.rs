@@ -1,33 +1,13 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation.
 //!
-//! ```text
-//! repro <artefact> [args]
+//! `repro <artefact>` makes one entry of [`ARTEFACTS`], the single list
+//! the dispatch, the `all` sequence and the usage text are read from;
+//! `repro help` prints it. Host performance is measured by `perfbench/`
+//! (see `BENCHMARK.json`), not by this binary.
 //!
-//!   fig1      optimal-thread histogram, SGEMM ≤ 100 MB, Gadi
-//!   fig4      feature distributions before/after Yeo-Johnson (Setonix)
-//!   fig7      core- vs thread-based affinity runtime curves
-//!   fig8      optimal-thread histogram, min(m,k,n) < 1000, Setonix
-//!   fig9      optimal-thread heat-maps, both machines
-//!   table3    model comparison table, Setonix
-//!   table4    model comparison table, Gadi
-//!   table5    speedup statistics, hyper-threading on
-//!   table6    speedup statistics, hyper-threading off
-//!   plans     grid-trained ExecutionPlan choice table (beyond the paper)
-//!   fig10     speedup heat-maps over (m,k),(m,n),(k,n)
-//!   fig11     GFLOPS vs memory bucket, Setonix (BLIS vs ML)
-//!   fig12     GFLOPS vs memory bucket, Gadi (MKL vs ML)
-//!   fig13     predesigned-shape GFLOPS sweeps, Setonix
-//!   fig14     predesigned-shape GFLOPS sweeps, Gadi
-//!   table7    profiler-style sync/copy/kernel breakdown, Gadi
-//!   scheduler co-scheduled vs independent serving throughput (host)
-//!   online    drift → retrain → hot-swap feedback loop (beyond the paper)
-//!   algo      algorithm-axis dispatch: Strassen/Z-order vs blocked (host)
-//!   ablation  yj | lof | corr | halton | memo | eval-overhead
-//!   all       everything above in paper order
-//! ```
-//!
-//! Results are printed to stdout and written as CSV under `results/`.
-//! Trained installations are cached in `results/install_*.json`.
+//! Results are printed to stdout and written as CSV under `results/`
+//! (or `$ADSALA_RESULTS_DIR`). Trained installations are cached in
+//! `install_*.json` there.
 
 use std::time::Instant;
 
@@ -45,70 +25,72 @@ use adsala_machine::{Affinity, GemmTimer};
 use adsala_ml::{ModelKind, Regressor};
 use adsala_sampling::{DomainSampler, GemmShape, MemoryCap, Precision, PredesignedGrid};
 
+/// Something `repro <name>` regenerates: name, one-line description, how.
+type Artefact = (&'static str, &'static str, fn());
+
+/// Every artefact, in paper order; `all` is last and runs the rest.
+const ARTEFACTS: &[Artefact] = &[
+    ("fig1", "optimal-thread histogram, SGEMM <= 100 MB, Gadi", fig1),
+    ("fig4", "feature distributions before/after Yeo-Johnson (Setonix)", fig4),
+    ("fig7", "core- vs thread-based affinity runtime curves", fig7),
+    ("fig8", "optimal-thread histogram, min(m,k,n) < 1000, Setonix", fig8),
+    ("fig9", "optimal-thread heat-maps, both machines", fig9),
+    ("table3", "model comparison table, Setonix", || model_table(Machine::Setonix)),
+    ("table4", "model comparison table, Gadi", || model_table(Machine::Gadi)),
+    ("table5", "speedup statistics, hyper-threading on", || speedup_table(true)),
+    ("table6", "speedup statistics, hyper-threading off", || speedup_table(false)),
+    ("plans", "grid-trained ExecutionPlan choice table (beyond the paper)", plan_table),
+    ("fig10", "speedup heat-maps over (m,k),(m,n),(k,n)", fig10),
+    ("fig11", "GFLOPS vs memory bucket, Setonix (BLIS vs ML)", || gflops_buckets(Machine::Setonix)),
+    ("fig12", "GFLOPS vs memory bucket, Gadi (MKL vs ML)", || gflops_buckets(Machine::Gadi)),
+    ("fig13", "predesigned-shape GFLOPS sweeps, Setonix", || predesigned(Machine::Setonix)),
+    ("fig14", "predesigned-shape GFLOPS sweeps, Gadi", || predesigned(Machine::Gadi)),
+    ("table7", "profiler-style sync/copy/kernel breakdown, Gadi", table7),
+    ("ops", "SYRK/GEMV thread selection (the paper's future work)", ops_extension),
+    ("learning-curve", "validation NRMSE vs training-set size, Gadi", learning_curve),
+    ("ablation", "`ablation <name>` runs one ablation, no name runs them all", ablation),
+    ("all", "everything above, in this order", all),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("usage: repro <fig1|fig4|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|table3|table4|table5|table6|table7|plans|scheduler|online|algo|faults|ablation <name>|all>");
+    let cmd = std::env::args().nth(1);
+    let Some(cmd) = cmd.as_deref() else {
+        eprint!("{}", usage());
+        std::process::exit(2);
+    };
+    if matches!(cmd, "help" | "-h" | "--help") {
+        print!("{}", usage());
+        return;
+    }
+    let Some(&(_, _, run)) = ARTEFACTS.iter().find(|(name, ..)| *name == cmd) else {
+        eprint!("unknown artefact `{cmd}`\n{}", usage());
         std::process::exit(2);
     };
     let started = Instant::now();
-    match cmd.as_str() {
-        "fig1" => fig1(),
-        "fig4" => fig4(),
-        "fig7" => fig7(),
-        "fig8" => fig8(),
-        "fig9" => fig9(),
-        "table3" => model_table(Machine::Setonix),
-        "table4" => model_table(Machine::Gadi),
-        "table5" => speedup_table(true),
-        "table6" => speedup_table(false),
-        "plans" => plan_table(),
-        "fig10" => fig10(),
-        "fig11" => gflops_buckets(Machine::Setonix, "fig11"),
-        "fig12" => gflops_buckets(Machine::Gadi, "fig12"),
-        "fig13" => predesigned(Machine::Setonix, "fig13"),
-        "fig14" => predesigned(Machine::Gadi, "fig14"),
-        "table7" => table7(),
-        "ops" => ops_extension(),
-        "learning-curve" => learning_curve(),
-        "scheduler" => scheduler_bench(),
-        "online" => online_bench(),
-        "algo" => algo_bench(),
-        "faults" => faults_bench(),
-        "ablation" => ablation(args.get(1).map(String::as_str).unwrap_or("")),
-        "all" => {
-            fig1();
-            fig4();
-            fig7();
-            fig8();
-            fig9();
-            model_table(Machine::Setonix);
-            model_table(Machine::Gadi);
-            speedup_table(true);
-            speedup_table(false);
-            plan_table();
-            fig10();
-            gflops_buckets(Machine::Setonix, "fig11");
-            gflops_buckets(Machine::Gadi, "fig12");
-            predesigned(Machine::Setonix, "fig13");
-            predesigned(Machine::Gadi, "fig14");
-            table7();
-            ops_extension();
-            learning_curve();
-            scheduler_bench();
-            online_bench();
-            algo_bench();
-            faults_bench();
-            for name in ["yj", "lof", "corr", "halton", "memo", "eval-overhead"] {
-                ablation(name);
-            }
-        }
-        other => {
-            eprintln!("unknown artefact `{other}`");
-            std::process::exit(2);
-        }
-    }
+    run();
     eprintln!("[repro] {cmd} finished in {:.1}s", started.elapsed().as_secs_f64());
+}
+
+/// The usage text: one line per table entry, then the ablation names.
+fn usage() -> String {
+    let mut text = String::from("usage: repro <artefact>\n\n");
+    for (name, about, _) in ARTEFACTS {
+        text += &format!("  {name:<15} {about}\n");
+    }
+    let ablations: Vec<&str> = ABLATIONS.iter().map(|&(name, _)| name).collect();
+    text + &format!("\nablations: {}\n", ablations.join(" | "))
+}
+
+/// What `all` runs: every entry before it, in table order.
+fn all_sequence() -> &'static [Artefact] {
+    let (_all, rest) = ARTEFACTS.split_last().expect("the table is not empty");
+    rest
+}
+
+fn all() {
+    for (_, _, run) in all_sequence() {
+        run();
+    }
 }
 
 /// Sample `n` shapes under `cap` from the scrambled Halton domain.
@@ -655,959 +637,6 @@ fn plan_table() {
     println!("[csv] {}", path.display());
 }
 
-// ------------------------------------------------------------- scheduler
-
-/// Nearest-rank percentile of an already-sorted latency sample.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// One side of the scheduler comparison, as written to
-/// `BENCH_scheduler.json`.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct SchedulerSide {
-    throughput_ops_s: f64,
-    p50_latency_ms: f64,
-    p99_latency_ms: f64,
-    gang_reserved: u64,
-    gang_fallbacks: u64,
-}
-
-/// Scheduler-only counters attached to the scheduled side.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct SchedulerQueueReport {
-    fused_ops: u64,
-    waves: u64,
-    admission_waits: u64,
-    max_queue_depth: usize,
-    thread_budget: usize,
-    plan_downgrades: u64,
-    predicted_makespan_s: f64,
-    measured_makespan_s: f64,
-}
-
-/// The `BENCH_scheduler.json` schema.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct SchedulerBenchReport {
-    bench: String,
-    clients: usize,
-    reps_per_client: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    independent: SchedulerSide,
-    scheduled: SchedulerSide,
-    queue: SchedulerQueueReport,
-    throughput_ratio: f64,
-}
-
-/// Serving comparison on the real host pool: N clients of same-shape
-/// shared-`B` GEMM traffic through [`adsala::ServiceScheduler::submit`]
-/// (admission queue → joint plan → fused gang dispatch) versus the same
-/// traffic through independent [`adsala::AdsalaService::run`] calls that
-/// race for the pool. Writes `results/BENCH_scheduler.json`.
-fn scheduler_bench() {
-    use adsala_gemm::dispatch::{GemmArgs, OpRequest};
-
-    banner("Co-scheduler — admission-controlled queue vs independent dispatch (host)");
-    let timer = sim_timer(Machine::Gadi, true, Affinity::CoreBased);
-    let install = Installation::run(&timer, &InstallConfig::quick()).expect("quick install");
-    let bundle = install.into_bundle().into_shared();
-
-    let clients = 8usize;
-    let reps = 48usize;
-    let warmup = 4usize;
-    let (m, n, k) = (256usize, 192usize, 160usize);
-    let fill = |len: usize, seed: u64| -> Vec<f32> {
-        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                ((s % 1000) as f32 - 500.0) / 250.0
-            })
-            .collect()
-    };
-    let b = fill(k * n, 7);
-    let a_mats: Vec<Vec<f32>> = (0..clients).map(|t| fill(m * k, 100 + t as u64)).collect();
-    // Keep enough workers that waves can hold several ops even on a
-    // narrow host — the comparison is about arbitration, not core count.
-    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).max(4);
-    let svc_cfg = adsala::ServiceConfig { pool_workers: workers, ..Default::default() };
-    println!(
-        "{clients} clients x {reps} reps of sgemm {m}x{k}x{n}, one shared B operand, \
-         {workers}-worker host pool"
-    );
-
-    // --- independent dispatch: every client races `service.run` alone.
-    let service = adsala::AdsalaService::with_config(std::sync::Arc::clone(&bundle), svc_cfg);
-    // Untimed warm-up so pool spin-up and decision memoisation are paid
-    // outside the measured window on both sides.
-    std::thread::scope(|scope| {
-        for a in a_mats.iter() {
-            let (service, b) = (&service, &b);
-            scope.spawn(move || {
-                let mut c = vec![0.0f32; m * n];
-                for _ in 0..warmup {
-                    let mut req: OpRequest<'_, f32> =
-                        GemmArgs::untransposed(m, n, k, 1.0, a, k, b, n, 0.0, &mut c, n).into();
-                    service.run(&mut req).expect("warm sgemm");
-                }
-            });
-        }
-    });
-    let unsched_lat = std::sync::Mutex::new(Vec::<f64>::new());
-    let wall = Instant::now();
-    std::thread::scope(|scope| {
-        for (t, a) in a_mats.iter().enumerate() {
-            let (service, b, lat) = (&service, &b, &unsched_lat);
-            scope.spawn(move || {
-                let mut c = vec![0.0f32; m * n];
-                let mut local = Vec::with_capacity(reps);
-                for _ in 0..reps {
-                    let mut req: OpRequest<'_, f32> =
-                        GemmArgs::untransposed(m, n, k, 1.0, a, k, b, n, 0.0, &mut c, n).into();
-                    let t0 = Instant::now();
-                    service.run(&mut req).expect("serve sgemm");
-                    local.push(t0.elapsed().as_secs_f64());
-                }
-                let _ = t;
-                lat.lock().unwrap().extend(local);
-            });
-        }
-    });
-    let unsched_wall = wall.elapsed().as_secs_f64();
-    let unsched_pool = service.pool_stats();
-    let unsched_pred = service.prediction_stats();
-    let mut unsched_lat = unsched_lat.into_inner().unwrap();
-    unsched_lat.sort_by(f64::total_cmp);
-
-    // --- co-scheduled dispatch: same traffic through the admission queue.
-    let service = std::sync::Arc::new(adsala::AdsalaService::with_config(
-        std::sync::Arc::clone(&bundle),
-        svc_cfg,
-    ));
-    let sched = adsala::ServiceScheduler::with_config(service, adsala::SchedulerConfig::default());
-    std::thread::scope(|scope| {
-        for a in a_mats.iter() {
-            let (sched, b) = (&sched, &b);
-            scope.spawn(move || {
-                let mut c = vec![0.0f32; m * n];
-                for _ in 0..warmup {
-                    let mut req: OpRequest<'_, f32> =
-                        GemmArgs::untransposed(m, n, k, 1.0, a, k, b, n, 0.0, &mut c, n).into();
-                    sched.submit(&mut req).expect("warm sgemm");
-                }
-            });
-        }
-    });
-    let sched_lat = std::sync::Mutex::new(Vec::<f64>::new());
-    let wall = Instant::now();
-    std::thread::scope(|scope| {
-        for (t, a) in a_mats.iter().enumerate() {
-            let (sched, b, lat) = (&sched, &b, &sched_lat);
-            scope.spawn(move || {
-                let mut c = vec![0.0f32; m * n];
-                let mut local = Vec::with_capacity(reps);
-                for _ in 0..reps {
-                    let mut req: OpRequest<'_, f32> =
-                        GemmArgs::untransposed(m, n, k, 1.0, a, k, b, n, 0.0, &mut c, n).into();
-                    let t0 = Instant::now();
-                    sched.submit(&mut req).expect("schedule sgemm");
-                    local.push(t0.elapsed().as_secs_f64());
-                }
-                let _ = t;
-                lat.lock().unwrap().extend(local);
-            });
-        }
-    });
-    let sched_wall = wall.elapsed().as_secs_f64();
-    let sstats = sched.stats();
-    let mut sched_lat = sched_lat.into_inner().unwrap();
-    sched_lat.sort_by(f64::total_cmp);
-
-    let ops = (clients * reps) as f64;
-    let unsched_tput = ops / unsched_wall;
-    let sched_tput = ops / sched_wall;
-    let ratio = sched_tput / unsched_tput;
-    println!(
-        "[service] independent: {:.1} ops/s (p50 {:.3} ms, p99 {:.3} ms); \
-         gangs {} reserved / {} refused",
-        unsched_tput,
-        percentile(&unsched_lat, 0.50) * 1e3,
-        percentile(&unsched_lat, 0.99) * 1e3,
-        unsched_pool.gang_reserved,
-        unsched_pool.gang_refused,
-    );
-    println!(
-        "[service] scheduled:   {:.1} ops/s (p50 {:.3} ms, p99 {:.3} ms); \
-         gangs {} reserved / {} refused; fused {} of {} ops",
-        sched_tput,
-        percentile(&sched_lat, 0.50) * 1e3,
-        percentile(&sched_lat, 0.99) * 1e3,
-        sstats.service.pool.gang_reserved,
-        sstats.gang_fallbacks(),
-        sstats.fused_ops,
-        sstats.completed,
-    );
-    println!(
-        "[service] queue: max depth {}, admission waits {}, {} waves, \
-         budget {} threads (peak in-flight {})",
-        sstats.max_queue_depth,
-        sstats.admission_waits,
-        sstats.waves_completed,
-        sstats.thread_budget,
-        sstats.max_in_flight_threads,
-    );
-    println!(
-        "[service] makespan over {} waves: predicted {:.3}s vs measured {:.3}s; \
-         plan downgrades {}",
-        sstats.waves_completed,
-        sstats.predicted_makespan_s,
-        sstats.measured_makespan_s,
-        sstats.plan_downgrades,
-    );
-    println!("{}", prediction_line("independent", &unsched_pred));
-    println!("{}", prediction_line("scheduled", &sstats.service.prediction));
-    println!("[service] scheduled/independent throughput ratio: {ratio:.2}x");
-
-    let report = SchedulerBenchReport {
-        bench: "scheduler".to_string(),
-        clients,
-        reps_per_client: reps,
-        m,
-        k,
-        n,
-        independent: SchedulerSide {
-            throughput_ops_s: unsched_tput,
-            p50_latency_ms: percentile(&unsched_lat, 0.50) * 1e3,
-            p99_latency_ms: percentile(&unsched_lat, 0.99) * 1e3,
-            gang_reserved: unsched_pool.gang_reserved,
-            gang_fallbacks: unsched_pool.gang_refused,
-        },
-        scheduled: SchedulerSide {
-            throughput_ops_s: sched_tput,
-            p50_latency_ms: percentile(&sched_lat, 0.50) * 1e3,
-            p99_latency_ms: percentile(&sched_lat, 0.99) * 1e3,
-            gang_reserved: sstats.service.pool.gang_reserved,
-            gang_fallbacks: sstats.gang_fallbacks(),
-        },
-        queue: SchedulerQueueReport {
-            fused_ops: sstats.fused_ops,
-            waves: sstats.waves_completed,
-            admission_waits: sstats.admission_waits,
-            max_queue_depth: sstats.max_queue_depth,
-            thread_budget: sstats.thread_budget,
-            plan_downgrades: sstats.plan_downgrades,
-            predicted_makespan_s: sstats.predicted_makespan_s,
-            measured_makespan_s: sstats.measured_makespan_s,
-        },
-        throughput_ratio: ratio,
-    };
-    let path = results_dir().join("BENCH_scheduler.json");
-    std::fs::create_dir_all(results_dir()).expect("create results dir");
-    std::fs::write(&path, serde_json::to_string(&report).expect("serialise bench"))
-        .expect("write BENCH_scheduler.json");
-    println!("[json] {}", path.display());
-}
-
-// ------------------------------------------------------------------ faults
-
-/// The `BENCH_faults.json` schema: recovery counters and tail latency
-/// from a chaos flood under an injected fault plan.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct FaultsBenchReport {
-    bench: String,
-    fault_spec: String,
-    clients: usize,
-    reps_per_client: usize,
-    ops_completed: u64,
-    injected_panics: u64,
-    injected_stalls: u64,
-    panics_recovered: u64,
-    degraded_retries: u64,
-    execution_failures: u64,
-    workers_respawned: u64,
-    deadline_misses: u64,
-    shed_expired: u64,
-    admission_timeouts: u64,
-    gang_backoff_retries: u64,
-    p50_latency_ms: f64,
-    p99_latency_ms: f64,
-}
-
-/// Chaos run on the host pool: an 8-client mixed-shape flood while a
-/// `FaultPlan` injects worker panics and stalls (honouring
-/// `ADSALA_FAULTS` when set, falling back to a built-in chaos spec),
-/// followed by deterministic expired-deadline traffic through the
-/// scheduler. Every flood client must still be served; the recovery
-/// counters and the tail latency under faults are recorded to
-/// `results/BENCH_faults.json`.
-fn faults_bench() {
-    use adsala_gemm::dispatch::{GemmArgs, OpRequest};
-    use adsala_gemm::fault::{self, FaultPlan};
-
-    banner("Fault tolerance — chaos flood with injected worker faults (host)");
-
-    const DEFAULT_SPEC: &str = "panic:where=worker:count=8, stall:ms=1:count=32";
-    let (plan, spec) = match fault::current_plan() {
-        Some(plan) => (plan, "env:ADSALA_FAULTS".to_string()),
-        None => (
-            fault::set_plan(Some(FaultPlan::parse(DEFAULT_SPEC).expect("default fault spec")))
-                .expect("install fault plan"),
-            DEFAULT_SPEC.to_string(),
-        ),
-    };
-    println!("fault plan: {spec}");
-
-    // Injected panics are the point of this run: silence their reports
-    // so the output stays readable, but keep the hook for real ones.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let expected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.contains("injected fault"))
-            || info.payload().downcast_ref::<&str>().is_some_and(|m| m.contains("injected fault"));
-        if !expected {
-            default_hook(info);
-        }
-    }));
-
-    let bundle = adsala::bundle::quick_test_bundle().into_shared();
-    let svc = std::sync::Arc::new(adsala::AdsalaService::with_config(
-        bundle,
-        adsala::ServiceConfig { pool_workers: 4, ..adsala::ServiceConfig::default() },
-    ));
-
-    let clients = 8usize;
-    let reps = 24usize;
-    let shapes: [(usize, usize, usize); 4] =
-        [(256, 256, 256), (192, 192, 192), (96, 96, 96), (64, 64, 64)];
-    let fill = |len: usize, seed: u64| -> Vec<f32> {
-        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                ((s % 1000) as f32 - 500.0) / 250.0
-            })
-            .collect()
-    };
-    let lat = std::sync::Mutex::new(Vec::<f64>::new());
-    std::thread::scope(|scope| {
-        for client in 0..clients {
-            let (svc, lat, fill) = (&svc, &lat, &fill);
-            scope.spawn(move || {
-                let mut local = Vec::with_capacity(reps);
-                for rep in 0..reps {
-                    let (m, n, k) = shapes[(client + rep) % shapes.len()];
-                    let a = fill(m * k, (client * 100 + rep) as u64 + 1);
-                    let b = fill(k * n, (client * 100 + rep) as u64 + 51);
-                    let mut c = vec![0.0f32; m * n];
-                    let mut req: OpRequest<'_, f32> =
-                        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-                    let t0 = Instant::now();
-                    svc.run(&mut req).expect("every client must be served under faults");
-                    local.push(t0.elapsed().as_secs_f64());
-                }
-                lat.lock().unwrap().extend(local);
-            });
-        }
-    });
-    let mut lat = lat.into_inner().unwrap();
-    lat.sort_by(f64::total_cmp);
-
-    // Deterministic deadline traffic: already-expired deadlines must be
-    // shed by the wave planner (scheduler) and refused before execution
-    // (service), both counted, neither touching the output.
-    let sched = adsala::ServiceScheduler::with_config(
-        std::sync::Arc::clone(&svc),
-        adsala::SchedulerConfig::default(),
-    );
-    let expired = adsala::RunOptions::default()
-        .with_deadline(Instant::now() - std::time::Duration::from_millis(1));
-    for seed in 0..4u64 {
-        let (m, n, k) = (64usize, 64usize, 64usize);
-        let a = fill(m * k, 900 + seed);
-        let b = fill(k * n, 950 + seed);
-        let mut c = vec![0.0f32; m * n];
-        let mut req: OpRequest<'_, f32> =
-            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-        let outcome = if seed % 2 == 0 {
-            sched.submit_with(&mut req, expired).map(|_| ())
-        } else {
-            svc.run_with(&mut req, expired).map(|_| ())
-        };
-        assert!(
-            matches!(outcome, Err(adsala::AdsalaError::Timeout(_))),
-            "expired deadline must be refused with Timeout"
-        );
-    }
-
-    fault::set_plan(None);
-    let _ = std::panic::take_hook(); // restore the default panic hook
-
-    let stats = svc.stats();
-    let sstats = sched.stats();
-    let ops = (clients * reps) as u64;
-    if plan.injected_panics() > 0 {
-        assert!(stats.panics_recovered >= 1, "injected panics were not recovered");
-        assert!(stats.pool.workers_respawned >= 1, "dead workers were not respawned");
-    }
-    assert_eq!(stats.execution_failures, 0, "a client request was dropped");
-
-    println!(
-        "[service] chaos flood: {ops} ops served under faults \
-         (p50 {:.3} ms, p99 {:.3} ms)",
-        percentile(&lat, 0.50) * 1e3,
-        percentile(&lat, 0.99) * 1e3,
-    );
-    println!(
-        "[service] faults injected: {} kernel panics, {} worker stalls",
-        plan.injected_panics(),
-        plan.injected_stalls(),
-    );
-    println!(
-        "[service] recovery: {} panics recovered, {} degraded retries, \
-         {} execution failures, {} workers respawned",
-        stats.panics_recovered,
-        stats.degraded_retries,
-        stats.execution_failures,
-        stats.pool.workers_respawned,
-    );
-    println!(
-        "[service] deadlines: {} misses refused, {} shed while queued, \
-         {} admission timeouts",
-        stats.deadline_misses, sstats.shed_expired, sstats.admission_timeouts,
-    );
-    println!(
-        "[service] gangs under faults: {} reserved, {} refused, {} backoff retries",
-        stats.pool.gang_reserved, stats.pool.gang_refused, stats.pool.gang_backoff_retries,
-    );
-
-    let report = FaultsBenchReport {
-        bench: "faults".to_string(),
-        fault_spec: spec,
-        clients,
-        reps_per_client: reps,
-        ops_completed: ops,
-        injected_panics: plan.injected_panics(),
-        injected_stalls: plan.injected_stalls(),
-        panics_recovered: stats.panics_recovered,
-        degraded_retries: stats.degraded_retries,
-        execution_failures: stats.execution_failures,
-        workers_respawned: stats.pool.workers_respawned,
-        deadline_misses: stats.deadline_misses,
-        shed_expired: sstats.shed_expired,
-        admission_timeouts: sstats.admission_timeouts,
-        gang_backoff_retries: stats.pool.gang_backoff_retries,
-        p50_latency_ms: percentile(&lat, 0.50) * 1e3,
-        p99_latency_ms: percentile(&lat, 0.99) * 1e3,
-    };
-    let path = results_dir().join("BENCH_faults.json");
-    std::fs::create_dir_all(results_dir()).expect("create results dir");
-    std::fs::write(&path, serde_json::to_string(&report).expect("serialise bench"))
-        .expect("write BENCH_faults.json");
-    println!("[json] {}", path.display());
-}
-
-// ------------------------------------------------------------------ online
-
-/// One phase's predicted-vs-measured error, as written to
-/// `BENCH_online.json`.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct OnlinePhaseError {
-    observations: u64,
-    mean_abs_log_error: f64,
-    mean_abs_pct: f64,
-}
-
-/// The `BENCH_online.json` schema: the drift → retrain → hot-swap →
-/// recovery arc, with the zero-downtime evidence attached.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct OnlineBenchReport {
-    bench: String,
-    shapes: usize,
-    rounds_per_phase: u64,
-    injected_slowdown: f64,
-    healthy: OnlinePhaseError,
-    drifted: OnlinePhaseError,
-    recovered: OnlinePhaseError,
-    drift_tripped: bool,
-    drift_trips: u64,
-    drift_fallbacks: u64,
-    retrained_routines: Vec<String>,
-    retrain_observations: usize,
-    swap_generation: u64,
-    train_latency_ms: f64,
-    swap_latency_us: f64,
-    requests_during_retrain: u64,
-    requests_dropped: u64,
-}
-
-/// The online feedback loop end to end: serve sim-priced traffic whose
-/// "machine" matches the install-time model, inject a sustained 3×
-/// slowdown until the drift detector trips, retrain from the observed
-/// timings while real host traffic floods the service (nothing blocks,
-/// nothing drops), hot-swap the refreshed bundle, and show the
-/// prediction error recovering under the still-slowed traffic. Writes
-/// `results/BENCH_online.json`.
-fn online_bench() {
-    use adsala::online::{retrain_now, OnlineConfig, RetrainConfig};
-    use adsala_gemm::dispatch::{GemmArgs, OpRequest, OpShape, Routine};
-    use adsala_gemm::Precision as GemmPrecision;
-    use adsala_machine::noise::{combine, drift_slowdown, lognormal_factor};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    banner("Online adaptation — drift detection, retrain, zero-downtime hot-swap");
-    const SEED: u64 = 0x0_D21F;
-    const SEVERITY: f64 = 3.0;
-    const SIGMA: f64 = 0.02;
-    const ROUNDS: u64 = 8;
-
-    let timer = sim_timer(Machine::Gadi, true, Affinity::CoreBased);
-    let install = Installation::run(&timer, &InstallConfig::quick()).expect("quick install");
-    let bundle = install.into_bundle().into_shared();
-    let service = adsala::AdsalaService::with_config(
-        std::sync::Arc::clone(&bundle),
-        adsala::ServiceConfig { online: OnlineConfig::enabled(), ..Default::default() },
-    );
-
-    // Eight shapes, decided at a 1-thread cap so the plan (and so the
-    // injected ground truth) is pinned per shape; the "machine" runs each
-    // exactly as fast as the install-time model predicts, times a factor.
-    let shapes: Vec<OpShape> = (0..8u64)
-        .map(|i| {
-            OpShape::gemm(GemmPrecision::F32, 64 + 32 * (i % 4), 128 + 64 * (i % 3), 48 + 16 * i)
-        })
-        .collect();
-    let baseline: Vec<f64> =
-        shapes.iter().map(|&s| bundle.decide_op_capped(s, 1).predicted_runtime_s).collect();
-
-    let run_phase = |tag: u64, severity: f64| -> OnlinePhaseError {
-        let mut abs_sum = 0.0;
-        let mut n = 0u64;
-        for round in 0..ROUNDS {
-            for (j, &shape) in shapes.iter().enumerate() {
-                let d = service.select_for_capped(shape, 1);
-                let factor =
-                    drift_slowdown(combine(&[SEED, tag, round]), j as u64, severity, SIGMA)
-                        * lognormal_factor(combine(&[SEED, tag, round, j as u64]), SIGMA);
-                let measured_s = baseline[j] * factor;
-                service.observe(shape, &d.plan, d.predicted_runtime_s, (measured_s * 1e9) as u64);
-                abs_sum += (measured_s / d.predicted_runtime_s).ln().abs();
-                n += 1;
-            }
-        }
-        let mean = abs_sum / n.max(1) as f64;
-        OnlinePhaseError {
-            observations: n,
-            mean_abs_log_error: mean,
-            mean_abs_pct: (mean.exp() - 1.0) * 100.0,
-        }
-    };
-
-    // Phase 1 — healthy traffic: measurements match the model.
-    let healthy = run_phase(0, 1.0);
-    println!(
-        "healthy:   {:.1}% mean abs error over {} ops; drift tripped: {}",
-        healthy.mean_abs_pct,
-        healthy.observations,
-        service.is_drifted()
-    );
-    // The retrainer should learn from post-drift traffic only.
-    let _ = service.drain_observations();
-
-    // Phase 2 — a sustained 3× slowdown: the detector must trip and real
-    // requests must switch to the conservative fallback plan.
-    let drifted = run_phase(1, SEVERITY);
-    let tripped = service.is_drifted();
-    println!(
-        "drifted:   {:.1}% mean abs error over {} ops; drift tripped: {tripped}",
-        drifted.mean_abs_pct, drifted.observations
-    );
-    {
-        let (m, n, k) = (96usize, 64, 48);
-        let a = vec![1.0f32; m * k];
-        let b = vec![0.5f32; k * n];
-        let mut c = vec![0.0f32; m * n];
-        let mut req: OpRequest<'_, f32> =
-            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-        let (d, _) = service
-            .run_with(&mut req, adsala::RunOptions::with_host_cap(2))
-            .expect("drifted serve");
-        println!(
-            "[service] while drifted: served conservative fallback [{}] (memoised: {})",
-            d.plan.describe(),
-            d.memoised
-        );
-    }
-
-    // Phase 3 — retrain from the drifted observations while four client
-    // threads flood the service with real host traffic: every request
-    // completes, none block on the swap.
-    let stop = AtomicBool::new(false);
-    let served = AtomicU64::new(0);
-    let (outcome, requests_during_retrain) = std::thread::scope(|scope| {
-        for t in 0..4u64 {
-            let (service, stop, served) = (&service, &stop, &served);
-            scope.spawn(move || {
-                let (m, n, k) = (64usize, 48, 32);
-                let a: Vec<f32> =
-                    (0..m * k).map(|i| ((i + t as usize) % 13) as f32 - 6.0).collect();
-                let b: Vec<f32> = (0..k * n).map(|i| (i % 11) as f32 * 0.25).collect();
-                let mut c = vec![0.0f32; m * n];
-                while !stop.load(Ordering::Relaxed) {
-                    let mut req: OpRequest<'_, f32> =
-                        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-                    service.run(&mut req).expect("request dropped during hot-swap");
-                    served.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-        // Let the flood establish itself before retraining under it.
-        while served.load(Ordering::Relaxed) < 32 {
-            std::thread::yield_now();
-        }
-        let before = served.load(Ordering::Relaxed);
-        let cfg = RetrainConfig { min_observations: 32, ..RetrainConfig::default() };
-        let outcome = retrain_now(&service, &cfg).expect("retrain");
-        let during = served.load(Ordering::Relaxed) - before;
-        stop.store(true, Ordering::Relaxed);
-        (outcome, during)
-    });
-    println!(
-        "retrain: {:?} refit from {} observations in {:.1} ms; swap took {:.1} µs \
-         (generation {:?}); {} requests served during the retrain, 0 dropped",
-        outcome.retrained,
-        outcome.observations,
-        outcome.train_latency.as_secs_f64() * 1e3,
-        outcome.swap_latency.as_secs_f64() * 1e6,
-        outcome.swap_generation,
-        requests_during_retrain,
-    );
-
-    // Phase 4 — the machine is STILL 3× slower, but the refreshed model
-    // learned that from the reservoir: the error collapses back down.
-    let recovered = run_phase(2, SEVERITY);
-    println!(
-        "recovered: {:.1}% mean abs error over {} ops; drift tripped: {}",
-        recovered.mean_abs_pct,
-        recovered.observations,
-        service.is_drifted()
-    );
-
-    let stats = service.stats();
-    println!("{}", prediction_line("online", &stats.prediction));
-    println!(
-        "[service] swaps {}, generation {}, drift trips {}, fallback decisions {}; \
-         reservoir recorded {} (dropped on contention: {})",
-        stats.swaps,
-        stats.generation,
-        stats.drift.trips,
-        stats.drift_fallbacks,
-        stats.reservoir.recorded,
-        stats.reservoir.contended_drops,
-    );
-
-    let report = OnlineBenchReport {
-        bench: "online".to_string(),
-        shapes: shapes.len(),
-        rounds_per_phase: ROUNDS,
-        injected_slowdown: SEVERITY,
-        healthy,
-        drifted,
-        recovered,
-        drift_tripped: tripped,
-        drift_trips: stats.drift.trips,
-        drift_fallbacks: stats.drift_fallbacks,
-        retrained_routines: outcome.retrained.iter().map(|r| r.as_str().to_string()).collect(),
-        retrain_observations: outcome.observations,
-        swap_generation: outcome.swap_generation.unwrap_or(0),
-        train_latency_ms: outcome.train_latency.as_secs_f64() * 1e3,
-        swap_latency_us: outcome.swap_latency.as_secs_f64() * 1e6,
-        requests_during_retrain,
-        requests_dropped: 0,
-    };
-    assert!(report.drift_tripped, "the injected slowdown must trip the detector");
-    assert_eq!(report.retrained_routines, vec![Routine::Gemm.as_str().to_string()]);
-    assert!(
-        report.recovered.mean_abs_log_error < report.drifted.mean_abs_log_error,
-        "retraining must reduce the prediction error"
-    );
-    let path = results_dir().join("BENCH_online.json");
-    std::fs::create_dir_all(results_dir()).expect("create results dir");
-    std::fs::write(&path, serde_json::to_string(&report).expect("serialise bench"))
-        .expect("write BENCH_online.json");
-    println!("[json] {}", path.display());
-}
-
-// ------------------------------------------------------ algorithm axis
-
-/// One measured (shape, algorithm) row of `BENCH_algo.json`.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct AlgoRow {
-    m: u64,
-    k: u64,
-    n: u64,
-    algorithm: String,
-    seconds: f64,
-    gflops: f64,
-    ratio_vs_blocked: f64,
-}
-
-/// What the learned dispatcher picked for one fresh square.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct AlgoSelection {
-    m: u64,
-    k: u64,
-    n: u64,
-    plan: String,
-    algorithm: String,
-    predicted_s: f64,
-}
-
-/// The `BENCH_algo.json` schema: raw per-algorithm host timings, then
-/// the learned-selection leg — which driver the grid-trained model
-/// routes each square onto and what actually executed.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct AlgoBenchReport {
-    bench: String,
-    host: String,
-    threads: u32,
-    reps: u32,
-    rows: Vec<AlgoRow>,
-    best_large_square_ratio: f64,
-    best_large_square_n: u64,
-    target_ratio: f64,
-    target_met: bool,
-    selections: Vec<AlgoSelection>,
-    strassen_selected: bool,
-    executed_algorithm: String,
-    plan_degraded: bool,
-    mix_blocked: u64,
-    mix_strassen: u64,
-    mix_zorder: u64,
-}
-
-/// Beyond the paper: the algorithm axis of the execution plan on the
-/// real host. Times the blocked loop nest against the Strassen
-/// recursion and the Z-order driver on serial large squares (where the
-/// 7-multiplications-for-8 trade genuinely pays), then trains a serial
-/// algorithm-only grid and checks the learned dispatcher routes large
-/// squares onto Strassen. Written to `results/BENCH_algo.json`.
-fn algo_bench() {
-    use adsala_gemm::dispatch::OpShape;
-    use adsala_gemm::plan::{
-        Algorithm, BlockScale, IsaChoice, PackingStrategy, PlanGrid, PlanPoint, FEATURE_REV_AXES,
-    };
-    use adsala_machine::HostTimer;
-
-    banner("Algorithm axis — Strassen & Z-order vs blocked on the host (serial)");
-    let timer = HostTimer::with_max_threads(1);
-    let reps = 2u32;
-    let candidates: [(&str, Algorithm); 4] = [
-        ("blocked", Algorithm::Blocked),
-        ("strassen_384", Algorithm::Strassen { cutoff: 384 }),
-        ("strassen_512", Algorithm::Strassen { cutoff: 512 }),
-        ("zorder", Algorithm::ZOrder),
-    ];
-    let mut rows: Vec<AlgoRow> = Vec::new();
-    let mut best_ratio = 0.0f64;
-    let mut best_n = 0u64;
-    println!(
-        "{:<8} {:>14} {:>12} {:>10} {:>12}",
-        "n", "algorithm", "seconds", "gflops", "vs blocked"
-    );
-    for n in [1024u64, 1536, 2048, 2560] {
-        let shape = GemmShape::new(n, n, n);
-        let flops = 2.0 * (n as f64).powi(3);
-        let mut blocked_s = 0.0f64;
-        for (label, algorithm) in candidates {
-            let point = PlanPoint { algorithm, ..PlanPoint::threads_only(1) };
-            let seconds = timer.time_plan(shape, &point, reps);
-            if algorithm == Algorithm::Blocked {
-                blocked_s = seconds;
-            }
-            let ratio = blocked_s / seconds;
-            if matches!(algorithm, Algorithm::Strassen { .. }) && n >= 2048 && ratio > best_ratio {
-                best_ratio = ratio;
-                best_n = n;
-            }
-            println!(
-                "{n:<8} {label:>14} {seconds:>12.4} {:>10.2} {ratio:>12.3}",
-                flops / seconds / 1e9
-            );
-            rows.push(AlgoRow {
-                m: n,
-                k: n,
-                n,
-                algorithm: label.to_string(),
-                seconds,
-                gflops: flops / seconds / 1e9,
-                ratio_vs_blocked: ratio,
-            });
-        }
-    }
-    println!(
-        "\nbest serial Strassen speedup on a large square: {best_ratio:.3}x at n={best_n} \
-         (aspirational target 1.15x)"
-    );
-    assert!(
-        best_ratio > 1.0,
-        "Strassen should beat the blocked driver on at least one large square (best {best_ratio:.3}x)"
-    );
-
-    // Learned selection: a serial, algorithm-only grid isolates the new
-    // axis — every other axis stays at its default so the decision the
-    // model learns is purely "which driver".
-    let grid = PlanGrid {
-        threads: vec![1],
-        isa: vec![IsaChoice::Dispatched],
-        blockings: vec![BlockScale::default()],
-        packing: vec![PackingStrategy::SharedB],
-        algorithms: vec![
-            Algorithm::Blocked,
-            Algorithm::Strassen { cutoff: 512 },
-            Algorithm::ZOrder,
-        ],
-        plan_features: true,
-        feature_rev: FEATURE_REV_AXES,
-    };
-    let mut shapes: Vec<GemmShape> =
-        [512u64, 768, 1024, 1536, 2048].iter().map(|&d| GemmShape::new(d, d, d)).collect();
-    shapes.extend(
-        DomainSampler::new(MemoryCap::paper_training(), Precision::F32, 0xA160)
-            .with_dim_bounds(1, 900)
-            .sample(12),
-    );
-    let mut records = Vec::new();
-    for &shape in &shapes {
-        for point in grid.points() {
-            let runtime_s = timer.time_plan(shape, &point, reps);
-            records.push(adsala::gather::GemmRecord { shape, point, runtime_s });
-        }
-    }
-    let data = TrainingData {
-        records,
-        shapes: shapes.clone(),
-        ladder: ThreadLadder { counts: vec![1] },
-        grid: grid.clone(),
-        machine: timer.name(),
-        max_threads: 1,
-    };
-    // LOF would see each shape's three near-identical rows as density
-    // and the large squares as outliers, and correlation pruning could
-    // drop the one-hot algorithm columns the decision hinges on — keep
-    // both out of this leg.
-    let fitted = fit_preprocess_with(
-        &data,
-        PreprocessOptions { yeo_johnson: true, lof: false, corr_threshold: 1.0 },
-    )
-    .expect("preprocess");
-    let mut model =
-        adsala_ml::tune::ModelSpec::DecisionTree { max_depth: 14, min_samples_leaf: 1 }.build(0);
-    model.fit(&fitted.dataset.x, &fitted.dataset.y).expect("fit");
-    let artifact = adsala::Artifact::from_table(
-        &timer.name(),
-        fitted.config,
-        adsala::ModelTable::gemm_only(model),
-        grid,
-    );
-    let service = adsala::AdsalaService::with_config(
-        artifact.into_bundle().into_shared(),
-        adsala::ServiceConfig { pool_workers: 1, ..Default::default() },
-    );
-
-    println!("\n{:<8} {:>12}  learned plan", "square", "pred (s)");
-    let mut selections: Vec<AlgoSelection> = Vec::new();
-    let mut strassen_square: Option<u64> = None;
-    for n in [2048u64, 1536, 1024, 512] {
-        let d = service.select_for(OpShape::gemm(adsala_gemm::dispatch::Precision::F32, n, n, n));
-        if matches!(d.plan.algorithm, Algorithm::Strassen { .. })
-            && n >= 1536
-            && strassen_square.is_none()
-        {
-            strassen_square = Some(n);
-        }
-        println!("{n:<8} {:>12.3e}  [{}]", d.predicted_runtime_s, d.plan.describe());
-        selections.push(AlgoSelection {
-            m: n,
-            k: n,
-            n,
-            plan: d.plan.describe(),
-            algorithm: format!("{:?}", d.plan.algorithm),
-            predicted_s: d.predicted_runtime_s,
-        });
-    }
-    let strassen_selected = strassen_square.is_some();
-    assert!(
-        strassen_selected,
-        "the learned dispatcher should route at least one large square onto Strassen"
-    );
-
-    // Serve the Strassen-routed square for real so the executed plan —
-    // and the service's algorithm-mix telemetry — is on record.
-    let serve_n = strassen_square.expect("asserted above") as usize;
-    let (exec_algorithm, degraded) = {
-        use adsala_gemm::dispatch::{GemmArgs, OpRequest};
-        let (m, n, k) = (serve_n, serve_n, serve_n);
-        let a: Vec<f32> = (0..m * k).map(|i| ((i % 13) as f32 - 6.0) * 0.25).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i % 11) as f32 - 5.0) * 0.5).collect();
-        let mut c = vec![0.0f32; m * n];
-        let mut req: OpRequest<'_, f32> =
-            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-        let (d, stats) = service.run(&mut req).expect("serve large square");
-        println!(
-            "[service] sgemm {m}x{k}x{n}: requested [{}], executed algorithm={:?} degraded={}",
-            d.plan.describe(),
-            stats.exec.algorithm,
-            stats.plan_degraded
-        );
-        (stats.exec.algorithm, stats.plan_degraded)
-    };
-    assert!(
-        matches!(exec_algorithm, Algorithm::Strassen { .. }) && !degraded,
-        "the served large square should execute the Strassen recursion undegraded"
-    );
-    let mix = service.stats().algorithms;
-    println!(
-        "[service] executed algorithms: {} blocked, {} strassen, {} z-order",
-        mix.blocked, mix.strassen, mix.zorder
-    );
-
-    let report = AlgoBenchReport {
-        bench: "algorithm_axis".to_string(),
-        host: timer.name(),
-        threads: 1,
-        reps,
-        rows,
-        best_large_square_ratio: best_ratio,
-        best_large_square_n: best_n,
-        target_ratio: 1.15,
-        target_met: best_ratio >= 1.15,
-        selections,
-        strassen_selected,
-        executed_algorithm: format!("{exec_algorithm:?}"),
-        plan_degraded: degraded,
-        mix_blocked: mix.blocked,
-        mix_strassen: mix.strassen,
-        mix_zorder: mix.zorder,
-    };
-    let path = results_dir().join("BENCH_algo.json");
-    std::fs::create_dir_all(results_dir()).expect("create results dir");
-    std::fs::write(&path, serde_json::to_string(&report).expect("serialise bench"))
-        .expect("write BENCH_algo.json");
-    println!("[json] {}", path.display());
-}
-
 // ---------------------------------------------------------------- fig 10
 
 /// Fig. 10: speedup heat-maps over (m,k), (m,n), (k,n), both machines.
@@ -1643,10 +672,10 @@ fn fig10() {
 // ------------------------------------------------------------ figs 11/12
 
 /// Figs. 11/12: GFLOPS by memory bucket, vendor baseline vs ADSALA.
-fn gflops_buckets(machine: Machine, tag: &str) {
+fn gflops_buckets(machine: Machine) {
+    let fig = if machine == Machine::Setonix { 11 } else { 12 };
     banner(&format!(
-        "{} — GFLOPS vs memory bucket on {} ({} baseline vs ML)",
-        if machine == Machine::Setonix { "Fig. 11" } else { "Fig. 12" },
+        "Fig. {fig} — GFLOPS vs memory bucket on {} ({} baseline vs ML)",
         machine.name(),
         machine.blas_name()
     ));
@@ -1678,7 +707,7 @@ fn gflops_buckets(machine: Machine, tag: &str) {
         }
     }
     write_csv(
-        &format!("{tag}_gflops_{}.csv", machine.name()),
+        &format!("fig{fig}_gflops_{}.csv", machine.name()),
         "bucket,baseline_gflops,ml_gflops",
         &rows,
     );
@@ -1688,10 +717,10 @@ fn gflops_buckets(machine: Machine, tag: &str) {
 
 /// Figs. 13/14: the predesigned-shape sweeps — six rows (shape families)
 /// by four fixed values, baseline vs ML GFLOPS.
-fn predesigned(machine: Machine, tag: &str) {
+fn predesigned(machine: Machine) {
+    let fig = if machine == Machine::Setonix { 13 } else { 14 };
     banner(&format!(
-        "{} — predesigned GEMM sweeps on {} ({} default vs ML)",
-        if machine == Machine::Setonix { "Fig. 13" } else { "Fig. 14" },
+        "Fig. {fig} — predesigned GEMM sweeps on {} ({} default vs ML)",
         machine.name(),
         machine.blas_name()
     ));
@@ -1736,7 +765,7 @@ fn predesigned(machine: Machine, tag: &str) {
         }
     }
     write_csv(
-        &format!("{tag}_predesigned_{}.csv", machine.name()),
+        &format!("fig{fig}_predesigned_{}.csv", machine.name()),
         "row,fixed,swept,m,k,n,baseline_gflops,ml_gflops",
         &rows,
     );
@@ -1915,24 +944,38 @@ fn ops_extension() {
 
 // ---------------------------------------------------------------- ablations
 
-fn ablation(name: &str) {
-    match name {
-        "yj" => ablation_preprocess(
-            "yj",
-            PreprocessOptions { yeo_johnson: false, ..Default::default() },
-        ),
-        "lof" => ablation_preprocess("lof", PreprocessOptions { lof: false, ..Default::default() }),
-        "corr" => ablation_preprocess(
+/// Every ablation `repro ablation <name>` knows, in the order `all` runs them.
+const ABLATIONS: &[(&str, fn())] = &[
+    ("yj", || {
+        ablation_preprocess("yj", PreprocessOptions { yeo_johnson: false, ..Default::default() })
+    }),
+    ("lof", || ablation_preprocess("lof", PreprocessOptions { lof: false, ..Default::default() })),
+    ("corr", || {
+        ablation_preprocess(
             "corr",
             PreprocessOptions { corr_threshold: 1.01, ..Default::default() },
-        ),
-        "halton" => ablation_halton(),
-        "memo" => ablation_memo(),
-        "eval-overhead" => ablation_eval_overhead(),
-        other => {
-            eprintln!("unknown ablation `{other}` (yj|lof|corr|halton|memo|eval-overhead)");
-            std::process::exit(2);
-        }
+        )
+    }),
+    ("halton", ablation_halton),
+    ("memo", ablation_memo),
+    ("eval-overhead", ablation_eval_overhead),
+];
+
+/// With a name after `ablation`, run that one; with none (as under `all`)
+/// run every ablation.
+fn ablation() {
+    let wanted = std::env::args().nth(2);
+    let chosen: Vec<fn()> = ABLATIONS
+        .iter()
+        .filter(|(name, _)| wanted.as_deref().is_none_or(|w| w == *name))
+        .map(|&(_, run)| run)
+        .collect();
+    if chosen.is_empty() {
+        eprint!("unknown ablation `{}`\n{}", wanted.unwrap_or_default(), usage());
+        std::process::exit(2);
+    }
+    for run in chosen {
+        run();
     }
 }
 
@@ -2153,4 +1196,30 @@ fn banner(title: &str) {
     println!("{title}");
     println!("{}", "=".repeat(title.len().min(100)));
     let _ = results_dir();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_table_feeds_dispatch_all_and_usage() {
+        let names: Vec<&str> = ARTEFACTS.iter().map(|&(name, ..)| name).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "an artefact name is listed twice: {names:?}");
+
+        // `all` runs every other entry exactly once, in table order.
+        let (last, rest) = names.split_last().unwrap();
+        assert_eq!(*last, "all");
+        let run_by_all: Vec<&str> = all_sequence().iter().map(|&(name, ..)| name).collect();
+        assert_eq!(run_by_all, rest);
+
+        let text = usage();
+        for name in names.iter().copied().chain(ABLATIONS.iter().map(|&(name, _)| name)) {
+            let listed = text.lines().any(|l| l.split_whitespace().any(|w| w == name));
+            assert!(listed, "usage does not list `{name}`:\n{text}");
+        }
+    }
 }

@@ -137,8 +137,6 @@ pub struct SchedulerStats {
     /// (each owner observed [`AdsalaError::Timeout`]; none were dropped
     /// silently or mid-execution).
     pub shed_expired: u64,
-    /// Scheduled ops whose kernel fell back from the planned ISA.
-    pub plan_downgrades: u64,
     /// Ops currently queued, not yet admitted.
     pub queue_depth: usize,
     /// High-water mark of `queue_depth`.
@@ -305,7 +303,6 @@ pub struct ServiceScheduler {
     admission_waits: AtomicU64,
     admission_timeouts: AtomicU64,
     shed_expired: AtomicU64,
-    plan_downgrades: AtomicU64,
 }
 
 /// Bound on the scheduler-local curve memo (entries, then wholesale
@@ -342,7 +339,6 @@ impl ServiceScheduler {
             admission_waits: AtomicU64::new(0),
             admission_timeouts: AtomicU64::new(0),
             shed_expired: AtomicU64::new(0),
-            plan_downgrades: AtomicU64::new(0),
         }
     }
 
@@ -486,11 +482,6 @@ impl ServiceScheduler {
                 drop(st);
                 let outcome =
                     self.service.serve(req, &plan, Some(predicted_s), opts.deadline, true);
-                if let Ok(stats) = &outcome {
-                    if stats.plan_degraded {
-                        self.plan_downgrades.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
                 // The unit completes whatever the outcome: a panicked op
                 // must still return its threads to the budget, or the
                 // queue wedges behind a phantom allocation.
@@ -518,11 +509,6 @@ impl ServiceScheduler {
                 }
                 let all = self.service.serve_fused(&mut refs, &plan, predicted_s);
                 drop(refs);
-                let degraded =
-                    all.iter().filter(|r| matches!(r, Ok(s) if s.plan_degraded)).count() as u64;
-                if degraded > 0 {
-                    self.plan_downgrades.fetch_add(degraded, Ordering::Relaxed);
-                }
                 let failures = all.iter().filter(|r| r.is_err()).count() as u64;
                 self.fused_ops.fetch_add(all.len() as u64 - failures, Ordering::Relaxed);
                 let mut results = all.into_iter();
@@ -585,7 +571,6 @@ impl ServiceScheduler {
             admission_waits: self.admission_waits.load(Ordering::Relaxed),
             admission_timeouts: self.admission_timeouts.load(Ordering::Relaxed),
             shed_expired: self.shed_expired.load(Ordering::Relaxed),
-            plan_downgrades: self.plan_downgrades.load(Ordering::Relaxed),
             queue_depth: st.queue.len(),
             max_queue_depth: st.max_queue_depth,
             in_flight_threads: st.in_flight_threads,

@@ -121,10 +121,6 @@ pub struct RunOptions {
     /// Upper bound on the executed thread count (the host's core budget
     /// for this call); 0 means no cap beyond the model's choice.
     pub host_max_threads: u32,
-    /// Skip the decision memo entirely: sweep the model fresh and do not
-    /// insert the result (useful for measurements and cache-poisoning
-    /// tests; the sweep still counts as an evaluation).
-    pub bypass_cache: bool,
     /// Refuse the call with [`AdsalaError::Timeout`] if this instant has
     /// passed before execution starts (also re-checked before a degraded
     /// retry). `None` means no deadline. The check runs before the
@@ -421,7 +417,7 @@ impl AdsalaService {
     }
 
     /// Like [`AdsalaService::run`] with per-call options (host thread
-    /// cap, cache bypass).
+    /// cap, deadline).
     pub fn run_with<T: Element>(
         &self,
         req: &mut OpRequest<'_, T>,
@@ -447,10 +443,6 @@ impl AdsalaService {
             // fallback must vanish the moment the detector recovers).
             self.drift_fallbacks.fetch_add(1, Ordering::Relaxed);
             self.bundle().conservative_op(shape, cap)
-        } else if opts.bypass_cache {
-            let d = self.bundle().decide_op_capped(shape, cap);
-            self.evaluations.fetch_add(1, Ordering::Relaxed);
-            d
         } else {
             self.select_for_capped(shape, cap)
         };
@@ -748,11 +740,6 @@ impl AdsalaService {
         self.drift.reset();
     }
 
-    /// Observation-reservoir occupancy and traffic counters.
-    pub fn reservoir_stats(&self) -> ReservoirStats {
-        self.reservoir.stats()
-    }
-
     /// Take every resident observation (the retrainer's feed).
     pub fn drain_observations(&self) -> Vec<crate::online::Observation> {
         self.reservoir.drain()
@@ -773,15 +760,6 @@ impl AdsalaService {
         self.drift_fallbacks.load(Ordering::Relaxed)
     }
 
-    /// Executed-algorithm mix so far.
-    pub fn algorithm_mix(&self) -> AlgorithmMix {
-        AlgorithmMix {
-            blocked: self.algo_executed[0].load(Ordering::Relaxed),
-            strassen: self.algo_executed[1].load(Ordering::Relaxed),
-            zorder: self.algo_executed[2].load(Ordering::Relaxed),
-        }
-    }
-
     /// Snapshot every service-level counter at once.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
@@ -792,11 +770,15 @@ impl AdsalaService {
             drift_fallbacks: self.drift_fallbacks(),
             prediction: self.prediction_stats(),
             drift: self.drift_snapshot(),
-            reservoir: self.reservoir_stats(),
+            reservoir: self.reservoir.stats(),
             cache: self.cache_stats(),
             pool: self.pool_stats(),
             workspace: self.workspace_stats(),
-            algorithms: self.algorithm_mix(),
+            algorithms: AlgorithmMix {
+                blocked: self.algo_executed[0].load(Ordering::Relaxed),
+                strassen: self.algo_executed[1].load(Ordering::Relaxed),
+                zorder: self.algo_executed[2].load(Ordering::Relaxed),
+            },
             panics_recovered: self.panics_recovered.load(Ordering::Relaxed),
             degraded_retries: self.degraded_retries.load(Ordering::Relaxed),
             execution_failures: self.execution_failures.load(Ordering::Relaxed),
@@ -945,23 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn bypass_cache_sweeps_fresh_without_inserting() {
-        let svc = service();
-        let (m, n, k) = (16usize, 16usize, 16usize);
-        let a = vec![1.0f32; m * k];
-        let b = vec![1.0f32; k * n];
-        let mut c = vec![0.0f32; m * n];
-        let opts = RunOptions { bypass_cache: true, ..RunOptions::default() };
-        for _ in 0..3 {
-            let mut req: OpRequest<'_, f32> =
-                GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-            svc.run_with(&mut req, opts).unwrap();
-        }
-        assert_eq!(svc.evaluations(), 3, "every bypassed call sweeps");
-        assert_eq!(svc.cache_stats().entries, 0, "bypass must not populate the memo");
-    }
-
-    #[test]
     fn sgemm_zero_cap_keeps_v1_single_thread_semantics() {
         // Pre-redesign, host_max_threads = 0 clamped execution to one
         // thread; the compat wrappers must preserve that, while
@@ -1001,7 +966,7 @@ mod tests {
         let mut req: OpRequest<'_, f32> =
             GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
         svc.run(&mut req).unwrap();
-        assert_eq!(svc.algorithm_mix(), AlgorithmMix { blocked: 1, strassen: 0, zorder: 0 });
+        assert_eq!(svc.stats().algorithms, AlgorithmMix { blocked: 1, strassen: 0, zorder: 0 });
 
         // A pinned Z-order plan is honoured and tallied as such.
         let zorder =

@@ -18,8 +18,8 @@
 //!   before each job, optionally limited to one worker index and budget;
 //!   [`FaultPlan::release_stalls`] ends them early, which makes a long
 //!   stall a gate a test can hold a job behind and open on cue;
-//! * **artifact corruption** — a flag consumers (tests, `repro faults`)
-//!   use to corrupt an artifact JSON document before loading it.
+//! * **artifact corruption** — a flag consumers (the tests) use to
+//!   corrupt an artifact JSON document before loading it.
 //!
 //! The plan comes from the `ADSALA_FAULTS` environment variable (resolved
 //! once, like `ADSALA_FORCE_SCALAR`) or programmatically via

@@ -185,6 +185,68 @@ fn pinned_strassen_runs_through_the_service() {
     }
 }
 
+/// A *learned* non-`Blocked` decision is what the service executes: the
+/// model (not a pinned plan) routes a shape off the blocked driver, and
+/// dispatch runs that algorithm undegraded, books it in the executed
+/// slot, and computes the blocked driver's product.
+#[test]
+fn learned_non_blocked_decision_executes_as_decided() {
+    use adsala::bundle::quick_test_bundle_over;
+    use adsala_repro::adsala_gemm::plan::PlanGrid;
+
+    // Simulator-trained, so the decisions are the same on every host.
+    let bundle = quick_test_bundle_over(Some(PlanGrid::widened(vec![1, 2], 64)));
+    let svc = AdsalaService::with_config(
+        bundle.into_shared(),
+        ServiceConfig { pool_workers: 2, ..ServiceConfig::default() },
+    );
+    const SHAPES: &[(usize, usize, usize)] = &[
+        (128, 128, 128),
+        (192, 192, 192),
+        (256, 256, 256),
+        (384, 384, 384),
+        (512, 512, 512),
+        (512, 128, 128),
+        (128, 384, 256),
+        (256, 128, 192),
+    ];
+    let ((m, n, k), decided) = SHAPES
+        .iter()
+        .find_map(|&(m, n, k)| {
+            let shape = OpShape::gemm(Precision::F32, m as u64, k as u64, n as u64);
+            let algorithm = svc.select_for_capped(shape, 1).plan.algorithm;
+            (algorithm != Algorithm::Blocked).then_some(((m, n, k), algorithm))
+        })
+        .expect("the widened simulator grid routes no listed shape off the blocked driver");
+
+    let a: Vec<f32> = fill(m * k, 91);
+    let b: Vec<f32> = fill(k * n, 92);
+    let mut expected_mix = svc.stats().algorithms;
+    match decided {
+        Algorithm::Blocked => unreachable!("filtered above"),
+        Algorithm::Strassen { .. } => expected_mix.strassen += 1,
+        Algorithm::ZOrder => expected_mix.zorder += 1,
+    }
+    let mut c = vec![0.0f32; m * n];
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+    let (decision, stats) = svc.run_with(&mut req, RunOptions::with_host_cap(1)).unwrap();
+    assert_eq!(decision.plan.algorithm, decided, "run_with re-decided {m}x{n}x{k}");
+    assert_eq!(stats.exec.algorithm, decided, "dispatch ran another driver for {m}x{n}x{k}");
+    assert!(!stats.plan_degraded, "the learned plan was degraded: {stats:?}");
+    assert_eq!(svc.stats().algorithms, expected_mix, "exactly the executed slot moves by one");
+
+    let mut c_blk = vec![0.0f32; m * n];
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c_blk, n).into();
+    let pinned = svc.run_pinned(&mut req, &ExecutionPlan::with_threads(1)).unwrap();
+    assert_eq!(pinned.exec.algorithm, Algorithm::Blocked);
+    for (i, (x, y)) in c.iter().zip(&c_blk).enumerate() {
+        let (x, y) = (f64::from(*x), f64::from(*y));
+        assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()), "{decided:?} drifted at {i}: {x} vs {y}");
+    }
+}
+
 /// Ops routed through the co-scheduler report their executed algorithm
 /// into the wrapped service's mix (the scheduler executes on the pool
 /// directly, so it must feed the telemetry itself).

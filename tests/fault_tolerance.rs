@@ -36,14 +36,29 @@ impl Drop for PlanGuard {
     }
 }
 
+/// Take the suite's fault lock. A test that runs a kernel outside a
+/// pool (a serial reference, say) while *another* test's any-context
+/// plan is armed would eat that plan's panic budget, so such a test
+/// holds the lock from its first kernel call and [`arm`]s under it.
+fn hold_fault_lock() -> MutexGuard<'static, ()> {
+    fault_lock().lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Install `spec`; the caller holds the fault lock. Returns the cleanup
+/// guard and the installed plan for reading its injection counters.
+fn arm(spec: &str) -> (PlanGuard, Arc<FaultPlan>) {
+    let plan = fault::set_plan(Some(FaultPlan::parse(spec).expect("valid fault spec")))
+        .expect("installed");
+    (PlanGuard, plan)
+}
+
 /// Serialize on the global fault state and install `spec`. Returns the
 /// lock (held for the test's duration), the cleanup guard, and the
 /// installed plan for reading its injection counters.
 fn install(spec: &str) -> (MutexGuard<'static, ()>, PlanGuard, Arc<FaultPlan>) {
-    let lock = fault_lock().lock().unwrap_or_else(|e| e.into_inner());
-    let plan = fault::set_plan(Some(FaultPlan::parse(spec).expect("valid fault spec")))
-        .expect("installed");
-    (lock, PlanGuard, plan)
+    let lock = hold_fault_lock();
+    let (guard, plan) = arm(spec);
+    (lock, guard, plan)
 }
 
 fn service(workers: usize) -> AdsalaService {
@@ -194,7 +209,7 @@ fn pool_serves_full_plan_grid_after_recovery() {
 /// as before it.
 #[test]
 fn packing_arenas_stay_allocation_steady_after_a_panic() {
-    let _lock = fault_lock().lock().unwrap_or_else(|e| e.into_inner());
+    let _lock = hold_fault_lock();
     let _guard = PlanGuard;
     fault::set_plan(None);
     let svc = service(4);
@@ -268,6 +283,7 @@ fn packing_arenas_stay_allocation_steady_after_a_panic() {
 /// tally — per op).
 #[test]
 fn injected_panic_is_booked_identically_by_service_and_scheduler() {
+    let _lock = hold_fault_lock();
     let (m, n, k) = (64usize, 48usize, 32usize);
     let b = fill(k * n, 72);
     let a_mats = [fill(m * k, 70), fill(m * k, 71)];
@@ -282,7 +298,7 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
     // it runs; the degraded retry finds the budget spent and runs clean.
     let spec = "panic:count=1";
     let per_op = {
-        let (_lock, _guard, plan) = install(spec);
+        let (_guard, plan) = arm(spec);
         let svc = service(2);
         let mut c = vec![f32::NAN; m * n];
         let mut req: OpRequest<'_, f32> =
@@ -297,7 +313,7 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
     };
 
     {
-        let (_lock, _guard, plan) = install(spec);
+        let (_guard, plan) = arm(spec);
         let sched = ServiceScheduler::new(Arc::new(service(2)));
         let mut c = vec![f32::NAN; m * n];
         let mut req: OpRequest<'_, f32> =
@@ -315,7 +331,7 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
     // unit. The blocker's pool jobs wait behind a stall that is released
     // once the pair is queued, so the interleaving does not depend on how
     // long a SYRK takes.
-    let (_lock, _guard, plan) = install("panic:k>=32:count=1,stall:ms=30000");
+    let (_guard, plan) = arm("panic:k>=32:count=1,stall:ms=30000");
     let sched = ServiceScheduler::with_config(
         Arc::new(service(2)),
         SchedulerConfig { thread_budget: 2, ..SchedulerConfig::default() },
@@ -369,9 +385,10 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
 /// pin is never swapped for another plan — and runs clean afterwards.
 #[test]
 fn injected_panic_reaches_syrk_bands_and_the_zorder_traversal() {
+    let _lock = hold_fault_lock();
     // (a) SYRK: the strict upper triangle starts as NaN and must stay so.
     {
-        let (_lock, _guard, plan) = install("panic:count=1");
+        let (_guard, plan) = arm("panic:count=1");
         let svc = service(2);
         let (m, k, ldc) = (200usize, 48usize, 203usize);
         let a = fill(m * k, 81);
@@ -400,12 +417,13 @@ fn injected_panic_reaches_syrk_bands_and_the_zorder_traversal() {
     }
 
     // (b) Z-order: serial on the caller's thread, so no context filter
-    // (and the reference is computed before the fault is armed).
+    // (and the reference is computed before the fault is armed, under the
+    // lock, so it cannot trip a neighbouring test's plan either).
     let (m, n, k) = (96usize, 80usize, 64usize);
     let a = fill(m * k, 82);
     let b = fill(k * n, 83);
     let c_ref = serial_reference(m, n, k, &a, &b);
-    let (_lock, guard, plan) = install("panic:count=1");
+    let (guard, plan) = arm("panic:count=1");
     let svc = service(2);
     let zorder = ExecutionPlan::with_threads(1).with_algorithm(Algorithm::ZOrder);
     let mut c = vec![f32::NAN; m * n];
