@@ -11,7 +11,7 @@
 //!   pooled execution), no per-call OS-thread spawn.
 
 use adsala::install::{InstallConfig, Installation};
-use adsala::{AdsalaService, ServiceConfig};
+use adsala::{AdsalaService, OpShape, Precision, ServiceConfig};
 use adsala_machine::{MachineModel, SimTimer};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -28,22 +28,23 @@ fn bench_shared_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("service");
 
     group.bench_function("select_shared_hot", |b| {
-        service.select_threads(64, 2048, 64);
-        b.iter(|| black_box(service.select_threads(64, 2048, 64)))
+        let shape = OpShape::gemm(Precision::F32, 64, 2048, 64);
+        service.select_for_capped(shape, u32::MAX);
+        b.iter(|| black_box(service.select_for_capped(shape, u32::MAX)))
     });
 
     // A ring of shapes larger than any single shard's fast path, all
     // resident: the striped-map lookup cost.
-    let shapes: Vec<(u64, u64, u64)> = (0..64).map(|i| (64 + i * 4, 256, 64 + i * 2)).collect();
-    for &(m, k, n) in &shapes {
-        service.select_threads(m, k, n);
+    let shapes: Vec<OpShape> =
+        (0..64).map(|i| OpShape::gemm(Precision::F32, 64 + i * 4, 256, 64 + i * 2)).collect();
+    for &shape in &shapes {
+        service.select_for_capped(shape, u32::MAX);
     }
     group.bench_function("select_shared_resident_ring", |b| {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % shapes.len();
-            let (m, k, n) = shapes[i];
-            black_box(service.select_threads(m, k, n))
+            black_box(service.select_for_capped(shapes[i], u32::MAX))
         })
     });
     group.finish();
@@ -53,9 +54,10 @@ fn bench_client_scaling(c: &mut Criterion) {
     let service = trained_service(2);
     let mut group = c.benchmark_group("service/clients");
     group.sample_size(10);
-    let shapes: Vec<(u64, u64, u64)> = (0..32).map(|i| (32 + i * 8, 128, 32 + i * 4)).collect();
-    for &(m, k, n) in &shapes {
-        service.select_threads(m, k, n);
+    let shapes: Vec<OpShape> =
+        (0..32).map(|i| OpShape::gemm(Precision::F32, 32 + i * 8, 128, 32 + i * 4)).collect();
+    for &shape in &shapes {
+        service.select_for_capped(shape, u32::MAX);
     }
     for &clients in &[1usize, 2, 4, 8] {
         group.bench_function(format!("{clients}"), |b| {
@@ -66,8 +68,8 @@ fn bench_client_scaling(c: &mut Criterion) {
                         let shapes = &shapes;
                         scope.spawn(move || {
                             for i in 0..256usize {
-                                let (m, k, n) = shapes[(i + t * 5) % shapes.len()];
-                                black_box(service.select_threads(m, k, n));
+                                let shape = shapes[(i + t * 5) % shapes.len()];
+                                black_box(service.select_for_capped(shape, u32::MAX));
                             }
                         });
                     }
@@ -133,7 +135,7 @@ fn bench_routine_dispatch(c: &mut Criterion) {
     // the *same* thread count the descriptor path will execute with, so
     // the delta between the two benches is pure dispatch overhead.
     let decided = service
-        .select_for(OpShape::gemm(Precision::F32, m as u64, k as u64, n as u64))
+        .select_for_capped(OpShape::gemm(Precision::F32, m as u64, k as u64, n as u64), u32::MAX)
         .threads()
         .clamp(1, threads as u32) as usize;
     let pool = ThreadPool::new(threads);

@@ -77,9 +77,9 @@ fn bench_observe_and_swap(c: &mut Criterion) {
     });
 
     // Read side under the generation tag: the steady-state decision path.
-    service.select_for(shape);
+    service.select_for_capped(shape, u32::MAX);
     c.bench_function("online_overhead/memo_hit", |bench| {
-        bench.iter(|| black_box(service.select_for(black_box(shape))));
+        bench.iter(|| black_box(service.select_for_capped(black_box(shape), u32::MAX)));
     });
 
     // Write side: one full hot-swap (bundle publish + generation bump +

@@ -50,21 +50,22 @@ fn bench_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("predictor");
 
     group.bench_function("select_memoised", |b| {
-        service.select_threads(64, 2048, 64);
-        b.iter(|| black_box(service.select_threads(64, 2048, 64)))
+        let shape = OpShape::gemm(Precision::F32, 64, 2048, 64);
+        service.select_for_capped(shape, u32::MAX);
+        b.iter(|| black_box(service.select_for_capped(shape, u32::MAX)))
     });
 
     // Pre-warm a working set of shapes.
-    let shapes: Vec<(u64, u64, u64)> = (0..32).map(|i| (64 + i * 8, 256, 64 + i * 4)).collect();
-    for &(m, k, n) in &shapes {
-        service.select_threads(m, k, n);
+    let shapes: Vec<OpShape> =
+        (0..32).map(|i| OpShape::gemm(Precision::F32, 64 + i * 8, 256, 64 + i * 4)).collect();
+    for &shape in &shapes {
+        service.select_for_capped(shape, u32::MAX);
     }
     group.bench_function("select_full_cache_hit", |b| {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % shapes.len();
-            let (m, k, n) = shapes[i];
-            black_box(service.select_threads(m, k, n))
+            black_box(service.select_for_capped(shapes[i], u32::MAX))
         })
     });
 

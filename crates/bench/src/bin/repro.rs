@@ -15,8 +15,8 @@ use adsala::gather::{histogram, GatherConfig, ThreadLadder, TrainingData};
 use adsala::install::{InstallConfig, Installation};
 use adsala::preprocess::{fit_preprocess_with, PreprocessOptions};
 
-use adsala::feature_names;
 use adsala::speedup::{bucket_mean, paper_buckets, SpeedupStats};
+use adsala::RowLayout;
 use adsala_bench::{
     grid_means, mean_runtime, render_grid, render_histogram, results_dir, sim_timer, sqrt_edges,
     write_csv, Machine, SavedInstall,
@@ -98,6 +98,13 @@ fn sample_shapes(cap: MemoryCap, n: usize, seed: u64) -> Vec<GemmShape> {
     DomainSampler::new(cap, Precision::F32, seed).sample(n)
 }
 
+/// The service's uncapped decision for an f32 GEMM of `shape` — the call
+/// the paper's runtime makes before every SGEMM.
+fn decide(service: &adsala::AdsalaService, shape: GemmShape) -> adsala::PlanDecision {
+    let shape = adsala::OpShape::gemm(adsala::Precision::F32, shape.m, shape.k, shape.n);
+    service.select_for_capped(shape, u32::MAX)
+}
+
 /// Render the service's rolling predicted-vs-measured error as one
 /// `[service]` line (the feedback-loop counter every serve now carries).
 fn prediction_line(label: &str, p: &adsala_gemm::PredictionErrorStats) -> String {
@@ -155,7 +162,7 @@ fn fig4() {
     let data = TrainingData::gather(&timer, &cfg);
     let fitted = fit_preprocess_with(&data, PreprocessOptions::default()).expect("preprocess");
     println!("{:<26} {:>10} {:>12} {:>12}", "feature", "lambda", "skew before", "skew after");
-    let names = feature_names();
+    let names = RowLayout::of(&data.grid).names();
     let mut rows = Vec::new();
     for (i, name) in names.iter().enumerate() {
         let lambda = fitted.config.yeo_johnson.lambdas[i];
@@ -367,7 +374,7 @@ fn speedup_run(machine: Machine, ht: bool) -> SpeedupRun {
         .unwrap_or(0.0);
     let shapes = sample_shapes(MemoryCap::paper_training(), 174, 0x55AA);
     let p_max = timer.max_threads();
-    let decisions: Vec<_> = shapes.iter().map(|&s| service.select_threads(s.m, s.k, s.n)).collect();
+    let decisions: Vec<_> = shapes.iter().map(|&s| decide(&service, s)).collect();
     let samples = shapes
         .iter()
         .zip(&decisions)
@@ -555,7 +562,7 @@ fn plan_table() {
     let mut distinct: std::collections::HashSet<adsala_gemm::plan::ExecutionPlan> =
         std::collections::HashSet::new();
     for (i, &s) in shapes.iter().enumerate() {
-        let d = service.select_threads(s.m, s.k, s.n);
+        let d = decide(&service, s);
         let plan = d.plan;
         distinct.insert(plan);
         chose_isa += usize::from(plan.kernel_isa.is_some());
@@ -739,7 +746,7 @@ fn predesigned(machine: Machine) {
             for swept in PredesignedGrid::SWEPT {
                 let shape = grid.shape(swept, fixed);
                 let t_orig = timer.time(shape, p_max, 10);
-                let d = runtime.select_threads(shape.m, shape.k, shape.n);
+                let d = decide(&runtime, shape);
                 let t_ml = timer.time(shape, d.threads(), 10);
                 let gf = |t: f64| shape.flops() as f64 / t / 1e9;
                 println!(
@@ -786,7 +793,7 @@ fn table7() {
     );
     let mut rows = Vec::new();
     for shape in [GemmShape::new(64, 2048, 64), GemmShape::new(64, 64, 4096)] {
-        let chosen = runtime.select_threads(shape.m, shape.k, shape.n).threads();
+        let chosen = decide(&runtime, shape).threads();
         for (label, p) in [("no ML", model.max_threads()), ("with ML", chosen)] {
             let c = model.expected(shape, p);
             let reps = 1000.0;
@@ -835,7 +842,6 @@ fn learning_curve() {
         let subset = TrainingData {
             records: data.records.iter().filter(|r| shapes.contains(&r.shape)).copied().collect(),
             shapes: data.shapes.iter().take(n_shapes).copied().collect(),
-            ladder: data.ladder.clone(),
             grid: data.grid.clone(),
             machine: data.machine.clone(),
             max_threads: data.max_threads,
@@ -910,7 +916,7 @@ fn ops_extension() {
         let mut speedups: Vec<f64> = Vec::new();
         let mut rows = Vec::new();
         for &s in &shapes {
-            let d = runtime.select_threads(s.m, s.k, s.n);
+            let d = decide(&runtime, s);
             let t_max = timer.time(s, p_max, 5);
             let t_ml = timer.time(s, d.threads(), 5);
             speedups.push(t_max / t_ml);
@@ -1061,7 +1067,6 @@ fn ablation_halton() {
         TrainingData {
             records,
             shapes: shapes.to_vec(),
-            ladder: ladder.clone(),
             grid: adsala_gemm::plan::PlanGrid::threads_only(ladder.counts.clone()),
             machine: timer.name(),
             max_threads: 96,
@@ -1118,15 +1123,15 @@ fn ablation_memo() {
     let t_svc_cold = {
         let start = Instant::now();
         for i in 0..reps {
-            service.select_threads(64 + i as u64, 2048, 64);
+            decide(&service, GemmShape::new(64 + i as u64, 2048, 64));
         }
         start.elapsed().as_secs_f64() / reps as f64
     };
     let t_svc_hot = {
-        service.select_for(shape);
+        service.select_for_capped(shape, u32::MAX);
         let start = Instant::now();
         for _ in 0..reps {
-            service.select_for(shape);
+            service.select_for_capped(shape, u32::MAX);
         }
         start.elapsed().as_secs_f64() / reps as f64
     };

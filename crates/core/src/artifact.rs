@@ -235,22 +235,6 @@ impl Artifact {
     /// `from_json`.
     pub const V3: u32 = 3;
 
-    /// Bundle runtime state into an artefact with only a GEMM model and a
-    /// threads-only candidate grid.
-    pub fn from_parts(
-        machine: &str,
-        candidates: Vec<u32>,
-        config: PreprocessConfig,
-        model: AnyModel,
-    ) -> Self {
-        Self::from_table(
-            machine,
-            config,
-            ModelTable::gemm_only(model),
-            PlanGrid::threads_only(candidates),
-        )
-    }
-
     /// Bundle runtime state into an artefact with a full model table and
     /// candidate grid.
     pub fn from_table(
@@ -277,7 +261,9 @@ impl Artifact {
     /// blocked algorithm list, a v2 thread-count list becomes a
     /// threads-only [`PlanGrid`], and a v1 single model additionally
     /// lands in the table's GEMM slot. Versions this build does not know
-    /// return [`AdsalaError::Unsupported`].
+    /// return [`AdsalaError::Unsupported`]; a document whose grid is
+    /// malformed, or whose config was not fitted on rows of the grid's
+    /// [`crate::RowLayout`], returns [`AdsalaError::Artifact`].
     pub fn from_json(json: &str) -> Result<Self, AdsalaError> {
         let err = |e: serde_json::Error| AdsalaError::Artifact(e.to_string());
         // Validate the raw tree before any typed parse: the typed float
@@ -324,6 +310,9 @@ impl Artifact {
             }
         };
         validate_grid(&artifact.grid)?;
+        // The grid decides which columns a row has; a chain fitted on
+        // another layout would index past a row inside the decision sweep.
+        artifact.config.check_fits(&artifact.grid).map_err(AdsalaError::Artifact)?;
         Ok(artifact)
     }
 
@@ -360,13 +349,25 @@ mod tests {
     use adsala_ml::Regressor;
 
     fn artifact() -> Artifact {
+        artifact_over(None)
+    }
+
+    /// A small artefact gathered and fitted over `grid` (`None`: the
+    /// simulated node's thread ladder).
+    fn artifact_over(grid: Option<PlanGrid>) -> Artifact {
         let timer = SimTimer::new(MachineModel::gadi());
-        let gc = GatherConfig { n_shapes: 50, reps: 2, ..GatherConfig::quick() };
+        let gc = GatherConfig { n_shapes: 50, reps: 2, grid, ..GatherConfig::quick() };
         let data = TrainingData::gather(&timer, &gc);
         let fitted = fit_preprocess(&data).unwrap();
         let mut model = ModelSpec::DecisionTree { max_depth: 8, min_samples_leaf: 1 }.build(0);
         model.fit(&fitted.dataset.x, &fitted.dataset.y).unwrap();
-        Artifact::from_parts("gadi-sim", data.ladder.counts, fitted.config, model)
+        Artifact::from_table("gadi-sim", fitted.config, ModelTable::gemm_only(model), data.grid)
+    }
+
+    /// The uncapped f32-GEMM decision of a service.
+    fn decide(service: &AdsalaService, m: u64, k: u64, n: u64) -> crate::PlanDecision {
+        let shape = adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, m, k, n);
+        service.select_for_capped(shape, u32::MAX)
     }
 
     /// Writer for the v1 layout, so migration is testable in-unit.
@@ -417,7 +418,7 @@ mod tests {
         let a = art.clone().into_service();
         let b = back.into_service();
         for (m, k, n) in [(64, 64, 64), (1000, 500, 1000), (64, 4096, 64)] {
-            assert_eq!(a.select_threads(m, k, n), b.select_threads(m, k, n));
+            assert_eq!(decide(&a, m, k, n), decide(&b, m, k, n));
         }
     }
 
@@ -439,7 +440,7 @@ mod tests {
         let a = art.into_service();
         let b = migrated.into_service();
         for (m, k, n) in [(64, 64, 64), (1000, 500, 1000), (2000, 64, 2000)] {
-            assert_eq!(a.select_threads(m, k, n), b.select_threads(m, k, n));
+            assert_eq!(decide(&a, m, k, n), decide(&b, m, k, n));
         }
     }
 
@@ -461,15 +462,16 @@ mod tests {
         let a = art.into_service();
         let b = migrated.into_service();
         for (m, k, n) in [(64, 64, 64), (1000, 500, 1000), (2000, 64, 2000)] {
-            assert_eq!(a.select_threads(m, k, n), b.select_threads(m, k, n));
+            assert_eq!(decide(&a, m, k, n), decide(&b, m, k, n));
         }
     }
 
     #[test]
     fn v3_document_widens_bit_exactly() {
         use adsala_gemm::plan::FEATURE_REV_LEGACY;
-        let art = artifact();
-        // A v3 grid with every legacy axis populated.
+        // A v3 grid with every legacy axis populated, and a config fitted
+        // on its rows.
+        let art = artifact_over(Some(PlanGrid::full(vec![1, 8, 96])));
         let v3 = V3Writer {
             version: Artifact::V3,
             machine: art.machine.clone(),
@@ -497,6 +499,73 @@ mod tests {
         // pinned algorithm axis adds no points.
         assert_eq!(migrated.grid.len(), art.candidates().len() * 2 * 3 * 2);
         assert!(migrated.grid.points().all(|p| p.algorithm == Algorithm::Blocked));
+        assert_eq!(migrated.grid, art.grid, "the widened grid is the full legacy grid");
+        let a = art.into_service();
+        let b = migrated.into_service();
+        for (m, k, n) in [(64, 64, 64), (1000, 500, 1000), (2000, 64, 2000)] {
+            assert_eq!(decide(&a, m, k, n), decide(&b, m, k, n));
+        }
+    }
+
+    #[test]
+    fn config_that_does_not_fit_the_grid_is_refused_at_load() {
+        let refused = |art: &Artifact, what: &str| match Artifact::from_json(
+            &serde_json::to_string(art).unwrap(),
+        ) {
+            Err(AdsalaError::Artifact(_)) => {}
+            other => panic!("{what}: expected Artifact error, got {other:?}"),
+        };
+        let art =
+            crate::bundle::quick_test_bundle_over(Some(PlanGrid::widened(vec![1, 2, 4], 384)))
+                .to_artifact("gadi-sim");
+        let width = crate::RowLayout::of(&art.grid).width();
+        assert!(art.config.pruner.kept.iter().any(|&col| col >= crate::features::FEATURE_COUNT));
+        let json = art.to_json().unwrap();
+        assert!(Artifact::from_json(&json).is_ok());
+
+        // The grid now promises 17-column rows to a chain that keeps plan-
+        // axis columns: loading it used to succeed, and the first decision
+        // indexed past the row inside the sweep, on a serving thread.
+        let flipped = json.replace("\"plan_features\":true", "\"plan_features\":false");
+        assert_ne!(flipped, json);
+        match Artifact::from_json(&flipped) {
+            Err(AdsalaError::Artifact(msg)) => assert!(msg.contains("17 columns"), "{msg}"),
+            other => panic!("expected Artifact error, got {other:?}"),
+        }
+
+        let mut short = art.clone();
+        short.config.yeo_johnson.lambdas.pop();
+        refused(&short, "truncated lambdas");
+        let mut short = art.clone();
+        short.config.scaler.stds.pop();
+        refused(&short, "truncated stds");
+        let mut long = art.clone();
+        long.config.scaler.means.push(0.0);
+        refused(&long, "extra mean");
+        let mut wide = art.clone();
+        wide.config.pruner.kept.push(width);
+        refused(&wide, "kept column past the row");
+        let mut none = art.clone();
+        none.config.pruner.kept.clear();
+        refused(&none, "no kept column");
+        let mut unsorted = art.clone();
+        unsorted.config.pruner.kept.swap(0, 1);
+        refused(&unsorted, "kept columns out of order");
+    }
+
+    #[test]
+    fn an_install_over_every_grid_constructor_loads() {
+        for grid in [
+            None,
+            Some(PlanGrid::reduced(vec![1, 4, 16])),
+            Some(PlanGrid::full(vec![1, 8, 96])),
+            Some(PlanGrid::widened(vec![1, 2, 4], 384)),
+        ] {
+            let art = artifact_over(grid);
+            let back = Artifact::from_json(&art.to_json().unwrap()).expect("round trip");
+            assert_eq!(back.grid, art.grid);
+            assert_eq!(back.config, art.config);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! plans.
 //!
 //! A bundle round-trips through [`crate::artifact::Artifact`] (the
-//! on-disk JSON installation artefact, schema v3), which adds provenance
+//! on-disk JSON installation artefact, schema v4), which adds provenance
 //! (machine name, schema version) on top of these fields.
 
 use std::path::Path;
@@ -70,37 +70,21 @@ pub struct ArtifactBundle {
 }
 
 impl ArtifactBundle {
-    /// Assemble a bundle from its parts with only a GEMM model and a
-    /// threads-only candidate grid (the paper's ladder).
+    /// Assemble a bundle from its parts. The paper's thread ladder is
+    /// [`PlanGrid::threads_only`]; a single GEMM model is
+    /// [`ModelTable::gemm_only`].
     ///
     /// # Panics
-    /// Panics if `candidates` is empty — a runtime with nothing to sweep
-    /// cannot decide anything.
-    pub fn new(config: PreprocessConfig, model: AnyModel, candidates: Vec<u32>) -> Self {
-        Self::with_models(config, ModelTable::gemm_only(model), candidates)
-    }
-
-    /// Assemble a bundle from its parts with a full model table and a
-    /// threads-only candidate grid.
-    ///
-    /// # Panics
-    /// Panics if `candidates` is empty.
-    pub fn with_models(config: PreprocessConfig, models: ModelTable, candidates: Vec<u32>) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate thread count");
-        Self { config, models, grid: PlanGrid::threads_only(candidates) }
-    }
-
-    /// Replace the candidate grid (builder-style). The grid's feature
-    /// shape must match what `config`'s chain was fitted on: plan-feature
-    /// grids pair with grid-trained configs, threads-only grids with
-    /// ladder-trained ones.
-    ///
-    /// # Panics
-    /// Panics if `grid` has no candidate points.
-    pub fn with_grid(mut self, grid: PlanGrid) -> Self {
+    /// Panics if `grid` has no candidate points — a runtime with nothing to
+    /// sweep cannot decide anything — or if `config` was not fitted on rows
+    /// of the grid's [`crate::RowLayout`] (a threads-only grid pairs with a
+    /// ladder-trained config, a wider one with a config trained on it).
+    pub fn new(config: PreprocessConfig, models: ModelTable, grid: PlanGrid) -> Self {
         assert!(!grid.is_empty(), "need at least one candidate plan point");
-        self.grid = grid;
-        self
+        if let Err(mismatch) = config.check_fits(&grid) {
+            panic!("config does not fit the grid: {mismatch}");
+        }
+        Self { config, models, grid }
     }
 
     /// Install a dedicated model for one routine (builder-style).
@@ -171,9 +155,9 @@ impl ArtifactBundle {
     /// The conservative fallback decision served while the drift detector
     /// is tripped: a threads-only plan at the widest candidate within
     /// `cap` — the paper's max-threads baseline, i.e. what a non-learning
-    /// BLAS would do. The model still prices the point (correct feature
-    /// path for either grid flavour) so the decision carries a prediction
-    /// for the books, but no model *choice* is trusted.
+    /// BLAS would do. The model still prices the point (in the grid's row
+    /// layout) so the decision carries a prediction for the books, but no
+    /// model *choice* is trusted.
     pub fn conservative_op(&self, shape: OpShape, cap: u32) -> PlanDecision {
         let threads = self.max_candidate_threads().min(cap.max(1));
         let point = PlanPoint::threads_only(threads);
@@ -232,7 +216,7 @@ pub fn quick_test_bundle_over(grid: Option<PlanGrid>) -> ArtifactBundle {
     let mut model =
         ModelSpec::XgBoost { n_rounds: 40, max_depth: 4, eta: 0.2, lambda: 1.0 }.build(0);
     model.fit(&fitted.dataset.x, &fitted.dataset.y).unwrap();
-    ArtifactBundle::new(fitted.config, model, data.ladder.counts).with_grid(data.grid)
+    ArtifactBundle::new(fitted.config, ModelTable::gemm_only(model), data.grid)
 }
 
 #[cfg(test)]
@@ -343,6 +327,13 @@ pub(crate) mod tests {
     #[should_panic(expected = "at least one candidate")]
     fn empty_ladder_rejected() {
         let bundle = quick_bundle();
-        ArtifactBundle::with_models(bundle.config, bundle.models, Vec::new());
+        ArtifactBundle::new(bundle.config, bundle.models, PlanGrid::threads_only(Vec::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "config does not fit the grid")]
+    fn grid_of_another_layout_rejected() {
+        let bundle = quick_bundle();
+        ArtifactBundle::new(bundle.config, bundle.models, PlanGrid::reduced(vec![1, 2]));
     }
 }

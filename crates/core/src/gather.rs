@@ -33,7 +33,8 @@ impl GemmRecord {
     }
 }
 
-/// The thread counts at which each shape is timed.
+/// The thread counts at which each shape is timed — the two generators of
+/// a grid's thread axis ([`PlanGrid::threads_only`] over `counts`).
 ///
 /// Timing all 256 counts on a Setonix-sized node is wasteful; a geometric
 /// ladder (plus the maximum) covers the response curve, and the regression
@@ -83,15 +84,12 @@ pub struct GatherConfig {
     pub precision: Precision,
     /// Repetitions per configuration (the paper times ten iterations).
     pub reps: u32,
-    /// Thread ladder; `None` = geometric ladder up to the machine maximum.
-    pub ladder: Option<ThreadLadder>,
     /// Per-dimension upper bound override (`None` = the paper's 74 000).
     /// Used when the routine's own constraints shrink the sensible domain
     /// (e.g. SYRK's `m×m` output).
     pub max_dim: Option<u64>,
-    /// Candidate plan grid; `None` = a threads-only grid over the ladder
-    /// (the paper's sweep). Setting a grid overrides `ladder` — the
-    /// gathered ladder becomes the grid's thread axis.
+    /// Candidate plan grid; `None` = the paper's sweep, a threads-only
+    /// grid over the geometric ladder up to the machine maximum.
     pub grid: Option<PlanGrid>,
     /// Halton scrambling / sampling seed.
     pub seed: u64,
@@ -105,7 +103,6 @@ impl GatherConfig {
             cap: MemoryCap::paper_training(),
             precision: Precision::F32,
             reps: 10,
-            ladder: None,
             max_dim: None,
             grid: None,
             seed: 0x2023_000A,
@@ -123,9 +120,8 @@ impl GatherConfig {
 pub struct TrainingData {
     pub records: Vec<GemmRecord>,
     pub shapes: Vec<GemmShape>,
-    pub ladder: ThreadLadder,
-    /// The candidate grid the records were swept over (threads-only when
-    /// gathering was ladder-based); its thread axis equals `ladder`.
+    /// The candidate grid the records were swept over (threads-only for
+    /// the paper's ladder sweep).
     pub grid: PlanGrid,
     pub machine: String,
     pub max_threads: u32,
@@ -135,14 +131,9 @@ impl TrainingData {
     /// Gather timings for `config` from `timer`: every sampled shape is
     /// timed at every point of the candidate grid.
     pub fn gather<T: GemmTimer + ?Sized>(timer: &T, config: &GatherConfig) -> TrainingData {
-        let grid = match (&config.grid, &config.ladder) {
-            (Some(grid), _) => grid.clone(),
-            (None, Some(ladder)) => PlanGrid::threads_only(ladder.counts.clone()),
-            (None, None) => {
-                PlanGrid::threads_only(ThreadLadder::geometric(timer.max_threads()).counts)
-            }
-        };
-        let ladder = ThreadLadder { counts: grid.threads.clone() };
+        let grid = config.grid.clone().unwrap_or_else(|| {
+            PlanGrid::threads_only(ThreadLadder::geometric(timer.max_threads()).counts)
+        });
         let mut sampler = DomainSampler::new(config.cap, config.precision, config.seed);
         if let Some(max_dim) = config.max_dim {
             sampler = sampler.with_dim_bounds(1, max_dim);
@@ -161,7 +152,6 @@ impl TrainingData {
         TrainingData {
             records,
             shapes,
-            ladder,
             grid,
             machine: timer.name(),
             max_threads: timer.max_threads(),
@@ -246,7 +236,7 @@ mod tests {
     fn gather_produces_expected_record_count() {
         let data = quick_data();
         assert_eq!(data.shapes.len(), 30);
-        assert_eq!(data.len(), 30 * data.ladder.len());
+        assert_eq!(data.len(), 30 * ThreadLadder::geometric(96).len());
         assert!(data.records.iter().all(|r| r.runtime_s > 0.0));
         assert!(data.grid.is_threads_only());
         assert!(data.records.iter().all(|r| r.point.is_default_axes()));
@@ -265,7 +255,6 @@ mod tests {
         };
         let data = TrainingData::gather(&timer, &config);
         assert_eq!(data.len(), 6 * grid.len());
-        assert_eq!(data.ladder.counts, grid.threads, "ladder mirrors the grid's thread axis");
         assert_eq!(data.grid, grid);
         assert!(data.records.iter().all(|r| r.runtime_s > 0.0));
         // The default-axes rows are bit-identical to a plain ladder sweep
@@ -273,7 +262,7 @@ mod tests {
         let ladder_cfg = GatherConfig {
             n_shapes: 6,
             reps: 2,
-            ladder: Some(ThreadLadder { counts: vec![1, 8, 96] }),
+            grid: Some(PlanGrid::threads_only(vec![1, 8, 96])),
             ..GatherConfig::quick()
         };
         let ladder_data = TrainingData::gather(&timer, &ladder_cfg);

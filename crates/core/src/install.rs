@@ -10,6 +10,7 @@ use adsala_ml::tune::ModelSpec;
 use adsala_ml::{AnyModel, ModelKind, Regressor};
 use adsala_sampling::GemmShape;
 
+use crate::artifact::{Artifact, ModelTable};
 use crate::bundle::ArtifactBundle;
 use crate::gather::{GatherConfig, TrainingData};
 use crate::preprocess::{fit_preprocess, PreprocessConfig, PreprocessReport};
@@ -256,7 +257,7 @@ impl Installation {
     /// Hand back the immutable artefact bundle — the input the serving
     /// layer is built from.
     pub fn into_bundle(self) -> ArtifactBundle {
-        ArtifactBundle::new(self.config, self.model, self.grid.threads.clone()).with_grid(self.grid)
+        ArtifactBundle::new(self.config, ModelTable::gemm_only(self.model), self.grid)
     }
 
     /// Build the shared, concurrent serving handle from this
@@ -270,12 +271,12 @@ impl Installation {
         AdsalaService::with_config(self.into_bundle().into_shared(), cfg)
     }
 
-    /// Bundle into a saveable artefact (schema v3, carrying the grid).
-    pub fn to_artifact(&self) -> crate::artifact::Artifact {
-        crate::artifact::Artifact::from_table(
+    /// Bundle into a saveable artefact (schema v4, carrying the grid).
+    pub fn to_artifact(&self) -> Artifact {
+        Artifact::from_table(
             &self.machine,
             self.config.clone(),
-            crate::artifact::ModelTable::gemm_only(self.model.clone()),
+            ModelTable::gemm_only(self.model.clone()),
             self.grid.clone(),
         )
     }
@@ -293,7 +294,8 @@ mod tests {
         assert_eq!(install.reports.len(), 2);
         assert!(install.model.is_fitted());
         assert_eq!(install.max_threads, 96);
-        assert_eq!(install.candidates(), install.data.ladder.counts);
+        assert_eq!(install.candidates(), crate::gather::ThreadLadder::geometric(96).counts);
+        assert_eq!(install.grid, install.data.grid);
         assert!(install.grid.is_threads_only(), "ladder installs stay threads-only");
         assert!(!install.test_shapes.is_empty());
 
@@ -320,7 +322,8 @@ mod tests {
         let timer = SimTimer::new(MachineModel::gadi());
         let install = Installation::run(&timer, &InstallConfig::quick()).unwrap();
         let service = install.into_service();
-        let d = service.select_threads(64, 2048, 64);
+        let shape = adsala_gemm::OpShape::gemm(adsala_gemm::Precision::F32, 64, 2048, 64);
+        let d = service.select_for_capped(shape, u32::MAX);
         assert!((1..=96).contains(&d.threads()));
     }
 
@@ -330,7 +333,7 @@ mod tests {
         let install = Installation::run(&timer, &InstallConfig::quick()).unwrap();
         let art = install.to_artifact();
         let json = art.to_json().unwrap();
-        let back = crate::artifact::Artifact::from_json(&json).unwrap();
+        let back = Artifact::from_json(&json).unwrap();
         assert_eq!(back.machine, install.machine);
     }
 }

@@ -16,7 +16,7 @@
 //! chain, tune all candidate model families with cross-validation, and
 //! pick the family with the best *estimated speedup*
 //! `s = t_orig / (t_ADSALA + t_eval)`. The products are two artefacts
-//! ([`artifact`], schema v3): a preprocessing config and a trained model,
+//! ([`artifact`], schema v4): a preprocessing config and a trained model,
 //! plus the candidate grid they were fitted against.
 //!
 //! **Runtime**: load the artefacts once, and for every GEMM call evaluate
@@ -53,7 +53,8 @@
 //! let timer = SimTimer::new(MachineModel::gadi());
 //! let install = Installation::run(&timer, &InstallConfig::quick()).unwrap();
 //! let service = install.into_service(); // Send + Sync, share by reference
-//! let decision = service.select_threads(64, 2048, 64);
+//! let shape = adsala::OpShape::gemm(adsala::Precision::F32, 64, 2048, 64);
+//! let decision = service.select_for_capped(shape, u32::MAX);
 //! assert!(decision.threads() >= 1);
 //! ```
 
@@ -74,11 +75,7 @@ pub mod train;
 pub use artifact::{Artifact, ModelTable};
 pub use bundle::{ArtifactBundle, PlanDecision};
 pub use cache::{CacheStats, DecisionCache};
-pub use features::{
-    build_features, build_features_for_op, build_plan_features, build_plan_features_for_op,
-    feature_names, plan_feature_count, plan_feature_names, plan_feature_names_axes, FEATURE_COUNT,
-    PLAN_FEATURE_COUNT, PLAN_FEATURE_COUNT_AXES,
-};
+pub use features::{shape_terms, RowLayout, FEATURE_COUNT};
 pub use gather::{GatherConfig, GemmRecord, ThreadLadder, TrainingData};
 pub use install::{InstallConfig, Installation};
 pub use online::{

@@ -555,12 +555,8 @@ pub fn retrain_now(
         let x: Vec<Vec<f64>> = rows
             .iter()
             .map(|o| {
-                if bundle.grid.plan_features {
-                    let point = point_for_plan(&bundle.grid, o.shape.precision, &o.plan);
-                    bundle.config.features_for_op_plan(&o.shape, &point, bundle.grid.feature_rev)
-                } else {
-                    bundle.config.features_for_op(&o.shape, o.plan.threads)
-                }
+                let point = point_for_plan(&bundle.grid, o.shape.precision, &o.plan);
+                bundle.config.features_for_point(&bundle.grid, &o.shape, &point)
             })
             .collect();
         let y: Vec<f64> =

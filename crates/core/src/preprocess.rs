@@ -15,17 +15,19 @@
 //! state its label handling; see DESIGN.md).
 //!
 //! The fitted [`PreprocessConfig`] is one of the two saved artefacts; its
-//! [`PreprocessConfig::features_for`] is the runtime hot path that turns
-//! `(m, k, n, p)` into a model-ready row.
+//! [`PreprocessConfig::features_for_point`] turns a `(shape, plan point)`
+//! into a model-ready row (a decision sweep builds the same rows as one
+//! batch, see [`crate::select`]).
 
-use adsala_gemm::plan::PlanPoint;
+use adsala_gemm::plan::{PlanGrid, PlanPoint};
+use adsala_gemm::OpShape;
 use adsala_ml::data::{Dataset, Matrix};
 use adsala_ml::preprocess::scaler::LabelScaler;
 use adsala_ml::preprocess::yeo_johnson::transform_value;
 use adsala_ml::preprocess::{CorrelationPruner, LocalOutlierFactor, StandardScaler, YeoJohnson};
 use serde::{Deserialize, Serialize};
 
-use crate::features::{build_features, build_plan_features};
+use crate::features::{shape_terms, RowLayout};
 use crate::gather::TrainingData;
 use crate::AdsalaError;
 
@@ -39,41 +41,53 @@ pub struct PreprocessConfig {
 }
 
 impl PreprocessConfig {
-    /// Model-ready feature row for one `(m, k, n, threads)` GEMM input.
-    pub fn features_for(&self, m: u64, k: u64, n: u64, threads: u32) -> Vec<f64> {
-        self.transform_raw(&build_features(m, k, n, threads))
-    }
-
-    /// Model-ready feature row for any routine's shape (the runtime hot
-    /// path of the generic dispatch layer): the routine's dimensions map
-    /// into the GEMM feature space, then go through the fitted chain.
-    pub fn features_for_op(&self, shape: &adsala_gemm::OpShape, threads: u32) -> Vec<f64> {
-        self.transform_raw(&crate::features::build_features_for_op(shape, threads))
-    }
-
-    /// Model-ready feature row for one plan-grid point of a `(m, k, n)`
-    /// GEMM input. Only valid against a config fitted on plan-feature
-    /// rows (a grid-trained artefact); `feature_rev` is the owning grid's
-    /// plan-feature layout revision.
-    pub fn features_for_plan(
+    /// Model-ready feature row of one candidate `point` of `grid` for any
+    /// routine's shape: the raw row in the grid's [`RowLayout`] (the
+    /// routine's dimensions mapped into the GEMM feature space), then the
+    /// fitted chain. A thread count is [`PlanPoint::threads_only`].
+    pub fn features_for_point(
         &self,
-        m: u64,
-        k: u64,
-        n: u64,
+        grid: &PlanGrid,
+        shape: &OpShape,
         point: &PlanPoint,
-        feature_rev: u32,
     ) -> Vec<f64> {
-        self.transform_raw(&build_plan_features(m, k, n, point, feature_rev))
+        self.transform_raw(&RowLayout::of(grid).row(shape, point))
     }
 
-    /// The any-routine analogue of [`PreprocessConfig::features_for_plan`].
+    /// [`PreprocessConfig::features_for_point`] for a grid known only by
+    /// its plan-axis layout revision ([`PlanGrid::feature_rev`]). Only
+    /// valid against a config fitted on plan-axis rows.
     pub fn features_for_op_plan(
         &self,
-        shape: &adsala_gemm::OpShape,
+        shape: &OpShape,
         point: &PlanPoint,
         feature_rev: u32,
     ) -> Vec<f64> {
-        self.transform_raw(&crate::features::build_plan_features_for_op(shape, point, feature_rev))
+        self.transform_raw(&RowLayout::with_plan_axes(feature_rev).row(shape, point))
+    }
+
+    /// Whether this chain was fitted on rows of `grid`'s [`RowLayout`]: one
+    /// Yeo-Johnson λ, mean and deviation per raw column, and a non-empty,
+    /// strictly ascending list of kept columns inside the row. A chain that
+    /// fails this indexes out of bounds the first time it transforms a row.
+    pub(crate) fn check_fits(&self, grid: &PlanGrid) -> Result<(), String> {
+        let width = RowLayout::of(grid).width();
+        let fitted =
+            [self.yeo_johnson.lambdas.len(), self.scaler.means.len(), self.scaler.stds.len()];
+        if fitted != [width; 3] {
+            return Err(format!(
+                "config has {fitted:?} lambdas/means/stds but the grid's rows have {width} columns"
+            ));
+        }
+        let kept = &self.pruner.kept;
+        if kept.is_empty() || kept.windows(2).any(|w| w[0] >= w[1]) || kept[kept.len() - 1] >= width
+        {
+            return Err(format!(
+                "config keeps columns {kept:?}: not a non-empty, strictly ascending subset of \
+                 the grid's {width}-column rows"
+            ));
+        }
+        Ok(())
     }
 
     /// Raw column `col` of a feature row through the fitted chain:
@@ -159,24 +173,12 @@ pub fn fit_preprocess_with(
     // 1. Raw features and log labels. Grid-gathered data appends the plan
     //    axes as features; ladder-gathered data keeps the paper's Table II
     //    space bit-for-bit.
-    let rows: Vec<Vec<f64>> = data
-        .records
-        .iter()
-        .map(|r| {
-            if data.grid.plan_features {
-                build_plan_features(
-                    r.shape.m,
-                    r.shape.k,
-                    r.shape.n,
-                    &r.point,
-                    data.grid.feature_rev,
-                )
-            } else {
-                build_features(r.shape.m, r.shape.k, r.shape.n, r.threads())
-            }
-        })
-        .collect();
-    let x_raw = Matrix::from_rows(&rows);
+    let layout = RowLayout::of(&data.grid);
+    let mut raw = vec![0.0; data.records.len() * layout.width()];
+    for (r, row) in data.records.iter().zip(raw.chunks_exact_mut(layout.width())) {
+        layout.write(&shape_terms(r.shape.m, r.shape.k, r.shape.n), &r.point, row);
+    }
+    let x_raw = Matrix::from_vec(data.records.len(), layout.width(), raw);
     let log_runtime: Vec<f64> = data.records.iter().map(|r| r.runtime_s.max(1e-12).ln()).collect();
 
     // 2. Yeo-Johnson (identity when ablated: λ = 1 for every feature).
@@ -294,7 +296,8 @@ mod tests {
         // Row 0 of the surviving dataset corresponds to some record; check
         // the fast path reproduces the batch transform for a fresh input.
         let r = data.records[0];
-        let row = f.config.features_for(r.shape.m, r.shape.k, r.shape.n, r.threads());
+        let shape = OpShape::gemm(adsala_gemm::Precision::F32, r.shape.m, r.shape.k, r.shape.n);
+        let row = f.config.features_for_point(&data.grid, &shape, &r.point);
         assert_eq!(row.len(), f.config.pruner.kept.len());
         assert!(row.iter().all(|v| v.is_finite()));
     }
@@ -302,12 +305,15 @@ mod tests {
     #[test]
     fn per_column_transform_is_the_row_chain() {
         let f = fitted();
+        let ladder = PlanGrid::threads_only(vec![1, 3, 96]);
         for (m, k, n, t) in [(1, 1, 1, 1), (64, 4096, 64, 3), (2000, 300, 1, 96)] {
-            let mut row = build_features(m, k, n, t);
+            let shape = OpShape::gemm(adsala_gemm::Precision::F32, m, k, n);
+            let point = PlanPoint::threads_only(t);
+            let mut row = RowLayout::Table2.row(&shape, &point);
             f.config.yeo_johnson.transform_row(&mut row);
             f.config.scaler.transform_row(&mut row);
             let chain = f.config.pruner.transform_row(&row);
-            let per_column = f.config.features_for(m, k, n, t);
+            let per_column = f.config.features_for_point(&ladder, &shape, &point);
             assert_eq!(chain.len(), per_column.len());
             for (a, b) in chain.iter().zip(&per_column) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -317,9 +323,7 @@ mod tests {
 
     #[test]
     fn plan_feature_fit_keeps_at_least_one_plan_axis() {
-        use adsala_gemm::plan::{
-            Algorithm, BlockScale, IsaChoice, PackingStrategy, PlanGrid, FEATURE_REV_LEGACY,
-        };
+        use adsala_gemm::plan::{Algorithm, BlockScale, IsaChoice, PackingStrategy};
         let timer = SimTimer::new(MachineModel::gadi());
         let config = GatherConfig {
             n_shapes: 40,
@@ -328,12 +332,13 @@ mod tests {
             ..GatherConfig::quick()
         };
         let data = crate::gather::TrainingData::gather(&timer, &config);
-        assert_eq!(data.grid.feature_rev, FEATURE_REV_LEGACY);
+        assert_eq!(RowLayout::of(&data.grid), RowLayout::LegacyAxes);
         let f = fit_preprocess(&data).unwrap();
-        assert_eq!(f.report.features_in, crate::features::PLAN_FEATURE_COUNT);
+        assert_eq!(f.report.features_in, RowLayout::LegacyAxes.width());
+        assert_eq!(f.config.check_fits(&data.grid), Ok(()));
         // The plan axes are weakly correlated with the size terms, so the
         // pruner must keep them.
-        for plan_col in crate::features::FEATURE_COUNT..crate::features::PLAN_FEATURE_COUNT {
+        for plan_col in crate::features::FEATURE_COUNT..RowLayout::LegacyAxes.width() {
             assert!(
                 f.config.pruner.kept.contains(&plan_col),
                 "plan-axis column {plan_col} was pruned: kept {:?}",
@@ -348,14 +353,14 @@ mod tests {
             packing: PackingStrategy::Independent,
             algorithm: Algorithm::Blocked,
         };
-        let row = f.config.features_for_plan(500, 300, 400, &point, data.grid.feature_rev);
+        let shape = OpShape::gemm(adsala_gemm::Precision::F32, 500, 300, 400);
+        let row = f.config.features_for_point(&data.grid, &shape, &point);
         assert_eq!(row.len(), f.config.pruner.kept.len());
         assert!(row.iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn widened_grid_fit_uses_the_axes_layout() {
-        use adsala_gemm::plan::{PlanGrid, FEATURE_REV_AXES};
         let timer = SimTimer::new(MachineModel::gadi());
         let config = GatherConfig {
             n_shapes: 40,
@@ -364,9 +369,9 @@ mod tests {
             ..GatherConfig::quick()
         };
         let data = crate::gather::TrainingData::gather(&timer, &config);
-        assert_eq!(data.grid.feature_rev, FEATURE_REV_AXES);
+        assert_eq!(RowLayout::of(&data.grid), RowLayout::Axes);
         let f = fit_preprocess(&data).unwrap();
-        assert_eq!(f.report.features_in, crate::features::PLAN_FEATURE_COUNT_AXES);
+        assert_eq!(f.report.features_in, RowLayout::Axes.width());
         // The runtime plan path produces rows of the fitted width for a
         // widened-grid point (a Strassen candidate here).
         let point = data
@@ -374,7 +379,10 @@ mod tests {
             .points()
             .find(|p| matches!(p.algorithm, adsala_gemm::plan::Algorithm::Strassen { .. }))
             .expect("widened grid has Strassen candidates");
-        let row = f.config.features_for_plan(2048, 2048, 2048, &point, data.grid.feature_rev);
+        let shape = OpShape::gemm(adsala_gemm::Precision::F32, 2048, 2048, 2048);
+        let row = f.config.features_for_point(&data.grid, &shape, &point);
+        // The entry perfbench pins builds the same row from the revision.
+        assert_eq!(row, f.config.features_for_op_plan(&shape, &point, data.grid.feature_rev));
         assert_eq!(row.len(), f.config.pruner.kept.len());
         assert!(row.iter().all(|v| v.is_finite()));
     }
@@ -394,8 +402,7 @@ mod tests {
         let data = TrainingData {
             records: vec![],
             shapes: vec![],
-            ladder: crate::gather::ThreadLadder { counts: vec![] },
-            grid: adsala_gemm::plan::PlanGrid::threads_only(vec![]),
+            grid: PlanGrid::threads_only(vec![]),
             machine: "none".into(),
             max_threads: 1,
         };

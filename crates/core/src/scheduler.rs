@@ -51,6 +51,13 @@
 //! unit's threads must return to the budget, so expiry mid-execution is
 //! deliberately not a cancellation point.
 //!
+//! **Drift.** The scheduler shares the service's decision gate
+//! (`AdsalaService::decision_gate`): while online adaptation is enabled and
+//! the drift detector is tripped, a ticket is planned from one row — the
+//! conservative max-threads plan within the thread budget — instead of the
+//! curve of a model the measurements have disowned. Such a ticket is counted
+//! in `drift_fallbacks`, stays out of the curve memo and is never fused.
+//!
 //! **Panic isolation.** Solo and fused dispatches execute through the
 //! same serve stage as [`AdsalaService::run_with`], so they are booked and
 //! guarded identically: a kernel panic is caught, the pool swept whole,
@@ -387,9 +394,21 @@ impl ServiceScheduler {
     ) -> Result<ScheduledRun, AdsalaError> {
         req.validate()?;
         let shape = req.shape();
-        let cap = self.normalised_cap(opts.thread_cap());
-        let curve = self.curve_for(shape, cap);
-        let fuse = if self.fuse { req.fuse_key().map(|k| (k, cap)) } else { None };
+        // The thread budget bounds the cap like a host cap does; the rest of
+        // the cap rule, and the drift gate, are the service's.
+        let budget = u32::try_from(self.thread_budget).unwrap_or(u32::MAX);
+        let (cap, fallback) = self.service.decision_gate(shape, opts.thread_cap().min(budget));
+        let (curve, fuse) = match fallback {
+            // While the detector is tripped the model's curve is not
+            // trusted to plan a wave either: the ticket's only row is the
+            // conservative plan, outside the curve memo, and it joins no
+            // fused unit (a unit's members share one learned curve).
+            Some(decision) => (Arc::new(vec![(decision.plan, decision.predicted_runtime_s)]), None),
+            None => (
+                self.curve_for(shape, cap),
+                if self.fuse { req.fuse_key().map(|k| (k, cap)) } else { None },
+            ),
+        };
         // Erase the request so the planner and a fusion leader can reach
         // it; we park below until `Done`, upholding ErasedReq's contract.
         let slot = ErasedReq { ptr: req as *mut OpRequest<'_, T> as *mut () };
@@ -580,11 +599,6 @@ impl ServiceScheduler {
             measured_makespan_s: st.measured_makespan_s,
             service: self.service.stats(),
         }
-    }
-
-    fn normalised_cap(&self, cap: u32) -> u32 {
-        let budget = u32::try_from(self.thread_budget).unwrap_or(u32::MAX);
-        cap.min(budget).clamp(1, self.service.bundle().max_candidate_threads())
     }
 
     fn curve_for(&self, shape: OpShape, cap: u32) -> Arc<Vec<(ExecutionPlan, f64)>> {

@@ -61,10 +61,7 @@ use adsala_ml::{AnyModel, Regressor};
 use adsala_sampling::GemmShape;
 use serde::{Deserialize, Serialize};
 
-use crate::features::{
-    depends_on_threads, plan_feature_count, shape_terms, write_features, write_plan_axes,
-    FEATURE_COUNT, PLAN_FEATURE_COUNT_AXES,
-};
+use crate::features::{depends_on_threads, shape_terms, write_table2, RowLayout, FEATURE_COUNT};
 use crate::preprocess::PreprocessConfig;
 
 /// Speedup estimates for one model over a set of test shapes.
@@ -86,12 +83,7 @@ pub(crate) fn predict_at_point(
     shape: &adsala_gemm::OpShape,
     point: &PlanPoint,
 ) -> f64 {
-    let row = if grid.plan_features {
-        config.features_for_op_plan(shape, point, grid.feature_rev)
-    } else {
-        config.features_for_op(shape, point.threads)
-    };
-    model.predict_row(&row)
+    model.predict_row(&config.features_for_point(grid, shape, point))
 }
 
 /// What one sweep fills. One per thread (as the packing arenas of
@@ -157,8 +149,8 @@ fn axis_value(
 /// For a threads-only grid the sweep visits the legacy thread ladder with
 /// the legacy 17-feature rows, in the legacy order — so a migrated
 /// (pre-grid) artefact decides bit-identically to the pre-plan runtime;
-/// grid-trained artefacts ([`PlanGrid::plan_features`]) get the plan axes
-/// appended to every row.
+/// a grid that sweeps more axes gets them appended to every row, in the
+/// grid's [`RowLayout`].
 ///
 /// The rows are those [`predict_at_point`] builds one at a time, bit for
 /// bit, but built as one batch (see the module doc): a column is
@@ -178,15 +170,14 @@ fn priced_points<R>(
     let kept = config.pruner.kept.as_slice();
     let (m, k, n) = shape.gemm_equivalent();
     let terms = shape_terms(m, k, n);
-    let raw_width =
-        if grid.plan_features { plan_feature_count(grid.feature_rev) } else { FEATURE_COUNT };
+    let layout = RowLayout::of(grid);
     SWEEP_SCRATCH.with(|scratch| {
         let SweepScratch { points, rows, preds, axis_values } = &mut *scratch.borrow_mut();
         points.clear();
         rows.clear();
         axis_values.clear();
-        let mut raw = [0.0; PLAN_FEATURE_COUNT_AXES];
-        let raw = &mut raw[..raw_width];
+        let mut raw = [0.0; RowLayout::MAX_WIDTH];
+        let raw = &mut raw[..layout.width()];
         // The current rung's Table II columns as the model sees them,
         // indexed by raw column; only kept columns are filled.
         let mut table2 = [0.0; FEATURE_COUNT];
@@ -197,7 +188,7 @@ fn priced_points<R>(
                 continue;
             }
             let first_rung = points.is_empty();
-            write_features(&terms, threads, raw);
+            write_table2(&terms, threads, raw);
             for &col in kept {
                 if col < FEATURE_COUNT && (first_rung || depends_on_threads(col)) {
                     table2[col] = config.transform_column(col, raw[col]);
@@ -205,9 +196,7 @@ fn priced_points<R>(
             }
             if first_rung {
                 for point in grid.rung(threads) {
-                    if grid.plan_features {
-                        write_plan_axes(&point, grid.feature_rev, &mut raw[FEATURE_COUNT..]);
-                    }
+                    layout.write_axes(&point, raw);
                     rows.extend(kept.iter().map(|&col| {
                         if col < FEATURE_COUNT {
                             table2[col]
@@ -368,8 +357,7 @@ mod tests {
         let spec = ModelSpec::XgBoost { n_rounds: 60, max_depth: 5, eta: 0.15, lambda: 1.0 };
         let mut model = spec.build(0);
         model.fit(&fitted.dataset.x, &fitted.dataset.y).unwrap();
-        let grid = PlanGrid::threads_only(data.ladder.counts.clone());
-        (timer, fitted.config, model, grid)
+        (timer, fitted.config, model, data.grid)
     }
 
     fn gemm(m: u64, k: u64, n: u64) -> OpShape {
@@ -392,7 +380,7 @@ mod tests {
         for (m, k, n) in [(128, 512, 128), (2000, 64, 2000)] {
             let (point, runtime_s) =
                 predict_point_for_op_capped(&model, &config, &grid, gemm(m, k, n), u32::MAX);
-            let row = config.features_for(m, k, n, point.threads);
+            let row = config.features_for_point(&grid, &gemm(m, k, n), &point);
             let expected = config.runtime_from_prediction(model.predict_row(&row));
             assert_eq!(runtime_s, expected, "sweep must reuse the argmin's prediction");
             assert!(runtime_s > 0.0);
@@ -489,6 +477,77 @@ mod tests {
                             );
                         }
                     });
+                }
+            }
+        }
+    }
+
+    /// Decisions recorded at the commit before the row builders were folded
+    /// into [`RowLayout`] (debug and release builds agree): the quick test
+    /// bundle over each grid flavour × six shapes × caps `{1, 3, none}`, as
+    /// `(threads, (mc, kc, nc) percent, algorithm, predicted seconds' bits)`.
+    /// Every pinned point has the dispatched ISA and shared-B packing; the
+    /// plan is the point materialised, whose block sizes are the host's.
+    #[test]
+    fn decisions_are_bitwise_the_recorded_ones() {
+        use adsala_gemm::plan::Algorithm::{Blocked as B, ZOrder as Z};
+        use adsala_gemm::plan::{Algorithm, BlockScale};
+        type Pin = (u32, (u32, u32, u32), Algorithm, u64);
+        const H: (u32, u32, u32) = (100, 100, 100);
+        const HALF: (u32, u32, u32) = (50, 50, 50);
+        const TWICE: (u32, u32, u32) = (200, 200, 200);
+        const KC: (u32, u32, u32) = (100, 50, 100);
+        const KN: (u32, u32, u32) = (100, 200, 200);
+        let shapes = [
+            gemm(64, 64, 64),
+            OpShape::gemm(Precision::F64, 2000, 64, 2000),
+            OpShape::syrk(Precision::F32, 300, 900),
+            OpShape::syrk(Precision::F64, 512, 1),
+            OpShape::gemv(Precision::F32, 1, 700),
+            OpShape::gemv(Precision::F64, 3000, 200),
+        ];
+        #[rustfmt::skip]
+        let pinned: [(Option<PlanGrid>, [[Pin; 3]; 6]); 3] = [
+            (None, [
+                [(1, H, B, 0x3f1091f6760314da); 3],
+                [(1, H, B, 0x3f5f1803162b19ec), (3, H, B, 0x3f4a2b7efcb798a5), (8, H, B, 0x3f43885b5df00ac0)],
+                [(1, H, B, 0x3f6c1ec0de792e99), (3, H, B, 0x3f5abfa61ed8acc1), (24, H, B, 0x3f51f5140311d3fa)],
+                [(1, H, B, 0x3f5025de791a14c8), (3, H, B, 0x3f34223024d954ea), (24, H, B, 0x3f1ae493f6aa56ca)],
+                [(1, H, B, 0x3f120780609d0549); 3],
+                [(1, H, B, 0x3f75af41996c1f69), (3, H, B, 0x3f5daf10854f245b), (16, H, B, 0x3f462fa8d7d95b75)],
+            ]),
+            (Some(PlanGrid::full(vec![1, 4, 16, 96])), [
+                [(1, TWICE, B, 0x3efbd193b22f7852); 3],
+                [(1, TWICE, B, 0x3f74ff82e54cd9e4), (3, TWICE, B, 0x3f5c9f2aa830b3b6), (96, HALF, B, 0x3f445a0c98941c15)],
+                [(1, HALF, B, 0x3f654102ded60763), (3, H, B, 0x3f53c5cbf60c9105), (16, TWICE, B, 0x3f497b44b6895031)],
+                [(1, HALF, B, 0x3f412210f9692501), (3, HALF, B, 0x3f24467fac293a1b), (16, HALF, B, 0x3f1dde9a02c1a796)],
+                [(1, TWICE, B, 0x3f3edfbeddac708d); 3],
+                [(1, TWICE, B, 0x3f6add1aa6347d59), (3, TWICE, B, 0x3f51bfe4883ba285), (96, HALF, B, 0x3f2b9cfb33e338e4)],
+            ]),
+            (Some(PlanGrid::widened(vec![1, 2, 4], 384)), [
+                [(1, KN, Z, 0x3ef9ab0d3b366a4a); 3],
+                [(1, H, B, 0x3f782a8ae8e4b09a), (3, KC, B, 0x3f6668bfb0b66d04), (4, KC, B, 0x3f6668bfb0b66d04)],
+                [(1, KC, Z, 0x3f5b6c6525dbb444), (2, H, B, 0x3f51bfd3895b1a0c), (2, H, B, 0x3f51bfd3895b1a0c)],
+                [(1, KC, B, 0x3f419f2c9d21eb95), (3, KC, B, 0x3f2e647b3e7cbaac), (4, KC, B, 0x3f2e647b3e7cbaac)],
+                [(1, KN, Z, 0x3f20c738cb045147); 3],
+                [(1, KN, Z, 0x3f2f34f3a58fd16a); 3],
+            ]),
+        ];
+        for (grid, by_shape) in pinned {
+            let bundle = quick_test_bundle_over(grid);
+            for (shape, by_cap) in shapes.iter().zip(by_shape) {
+                for (cap, (threads, (mc, kc, nc), algorithm, bits)) in
+                    [1, 3, u32::MAX].into_iter().zip(by_cap)
+                {
+                    let point = PlanPoint {
+                        blocking: BlockScale::new(mc, kc, nc),
+                        algorithm,
+                        ..PlanPoint::threads_only(threads)
+                    };
+                    let decision = bundle.decide_op_capped(*shape, cap);
+                    let context = format!("{:?} {shape:?} cap {cap}", bundle.grid.threads);
+                    assert_eq!(decision.plan, point.materialise(shape.precision), "{context}");
+                    assert_eq!(decision.predicted_runtime_s.to_bits(), bits, "{context}");
                 }
             }
         }

@@ -74,7 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use adsala_gemm::dispatch::{GemmArgs, OpRequest, OpShape, OpStats, Precision};
+use adsala_gemm::dispatch::{GemmArgs, OpRequest, OpShape, OpStats};
 use adsala_gemm::isa::KernelIsa;
 use adsala_gemm::plan::{Algorithm, ExecutionPlan, PackingStrategy};
 use adsala_gemm::{
@@ -354,19 +354,31 @@ impl AdsalaService {
         cap.clamp(1, self.bundle().max_candidate_threads())
     }
 
-    /// Pick the execution plan for any operation: memo first, model sweep
-    /// on a miss. Callable concurrently through `&self`; equal shapes
-    /// always yield equal plans because both the cache and the bundle
-    /// are deterministic.
-    pub fn select_for(&self, shape: OpShape) -> PlanDecision {
-        self.select_for_capped(shape, u32::MAX)
+    /// What every front door does before it asks the model: normalise the
+    /// request's thread cap, and — when [`OnlineConfig::enabled`] is set and
+    /// the drift detector is tripped, i.e. the measurements have disowned
+    /// the model — decide conservatively instead
+    /// ([`ArtifactBundle::conservative_op`] within the cap, counted in
+    /// `drift_fallbacks`). A fallback is never memoised, by the decision
+    /// cache or the scheduler's curve memo: it must vanish the moment the
+    /// detector recovers.
+    pub(crate) fn decision_gate(&self, shape: OpShape, cap: u32) -> (u32, Option<PlanDecision>) {
+        let cap = self.normalised_cap(cap);
+        if !(self.online.enabled && self.drift.is_drifted()) {
+            return (cap, None);
+        }
+        self.drift_fallbacks.fetch_add(1, Ordering::Relaxed);
+        (cap, Some(self.bundle().conservative_op(shape, cap)))
     }
 
-    /// Like [`AdsalaService::select_for`], but the sweep only considers
-    /// plans with at most `cap` threads (candidates above the cap are
-    /// clamped onto it before the model prices them). The returned
-    /// decision's predicted runtime therefore describes the plan that
-    /// will actually execute. Memoised per `(shape, normalised cap)`.
+    /// Pick the execution plan for any operation among the plans with at
+    /// most `cap` threads (`u32::MAX`: no cap): memo first, model sweep on
+    /// a miss. Candidates above the cap are clamped onto it before the
+    /// model prices them, so the returned decision's predicted runtime
+    /// describes the plan that will actually execute. Memoised per
+    /// `(shape, normalised cap)`. Callable concurrently through `&self`;
+    /// equal inputs always yield equal plans because both the cache and the
+    /// bundle are deterministic.
     pub fn select_for_capped(&self, shape: OpShape, cap: u32) -> PlanDecision {
         let cap = self.normalised_cap(cap);
         // Generation before bundle: if a swap lands in between, this
@@ -381,12 +393,6 @@ impl AdsalaService {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         self.cache.insert_if_generation((shape, cap), decision, generation);
         decision
-    }
-
-    /// The f32-GEMM special case of [`AdsalaService::select_for`], kept
-    /// for the paper-faithful `(m, k, n)` call sites.
-    pub fn select_threads(&self, m: u64, k: u64, n: u64) -> PlanDecision {
-        self.select_for(OpShape::gemm(Precision::F32, m, k, n))
     }
 
     /// Serve one operation with default options: validate the operands,
@@ -436,16 +442,8 @@ impl AdsalaService {
             )));
         }
         let shape = req.shape();
-        let cap = self.normalised_cap(opts.thread_cap());
-        let decision = if self.online.enabled && self.drift.is_drifted() {
-            // The measurements have disowned the model: serve the
-            // conservative max-threads baseline (never memoised — the
-            // fallback must vanish the moment the detector recovers).
-            self.drift_fallbacks.fetch_add(1, Ordering::Relaxed);
-            self.bundle().conservative_op(shape, cap)
-        } else {
-            self.select_for_capped(shape, cap)
-        };
+        let (cap, fallback) = self.decision_gate(shape, opts.thread_cap());
+        let decision = fallback.unwrap_or_else(|| self.select_for_capped(shape, cap));
         // The cap bounded the sweep, so the decision *is* the executed
         // plan — no post-hoc clamp that would desynchronise the reported
         // prediction from the configuration that runs.
@@ -823,7 +821,12 @@ const _: () = _assert_send_sync::<AdsalaService>();
 mod tests {
     use super::*;
     use crate::bundle::tests::quick_bundle;
-    use adsala_gemm::dispatch::{GemvArgs, Routine, SyrkArgs};
+    use adsala_gemm::dispatch::{GemvArgs, Precision, Routine, SyrkArgs};
+
+    /// The uncapped f32-GEMM decision for `(m, k, n)`.
+    fn decide(svc: &AdsalaService, m: u64, k: u64, n: u64) -> PlanDecision {
+        svc.select_for_capped(OpShape::gemm(Precision::F32, m, k, n), u32::MAX)
+    }
 
     fn service() -> AdsalaService {
         AdsalaService::with_config(
@@ -835,8 +838,8 @@ mod tests {
     #[test]
     fn decisions_memoise_across_calls() {
         let svc = service();
-        let first = svc.select_threads(128, 512, 128);
-        let second = svc.select_threads(128, 512, 128);
+        let first = decide(&svc, 128, 512, 128);
+        let second = decide(&svc, 128, 512, 128);
         assert!(!first.memoised);
         assert!(second.memoised);
         assert_eq!(first.threads(), second.threads());
@@ -1015,7 +1018,7 @@ mod tests {
         );
 
         // Capped and uncapped decisions are distinct memo entries.
-        let uncapped = svc.select_for(shape);
+        let uncapped = svc.select_for_capped(shape, u32::MAX);
         assert_eq!(svc.evaluations(), 2, "distinct caps must sweep separately");
         assert_eq!(svc.cache_stats().entries, 2);
         assert!(uncapped.threads() >= capped.threads());
@@ -1042,14 +1045,14 @@ mod tests {
     #[test]
     fn swap_bundle_bumps_generation_and_forces_reevaluation() {
         let svc = service();
-        let before = svc.select_threads(128, 512, 128);
+        let before = decide(&svc, 128, 512, 128);
         assert_eq!(svc.generation(), 0);
         let refreshed = svc.bundle().refreshed(svc.bundle().models.clone()).into_shared();
         let generation = svc.swap_bundle(refreshed);
         assert_eq!(generation, 1);
         assert_eq!(svc.generation(), 1);
         assert_eq!(svc.swaps(), 1);
-        let after = svc.select_threads(128, 512, 128);
+        let after = decide(&svc, 128, 512, 128);
         assert!(!after.memoised, "a swap must retire memoised decisions");
         assert_eq!(svc.evaluations(), 2);
         // Identical models ⇒ identical decision, freshly swept.
@@ -1124,9 +1127,9 @@ mod tests {
     #[test]
     fn clear_cache_forces_reevaluation() {
         let svc = service();
-        svc.select_threads(100, 100, 100);
+        decide(&svc, 100, 100, 100);
         svc.clear_cache();
-        let d = svc.select_threads(100, 100, 100);
+        let d = decide(&svc, 100, 100, 100);
         assert!(!d.memoised);
         assert_eq!(svc.evaluations(), 2);
     }
@@ -1142,9 +1145,6 @@ mod tests {
             bundle,
             ServiceConfig { pool_workers: 1, ..ServiceConfig::default() },
         );
-        assert_eq!(
-            a.select_threads(64, 2048, 64).threads(),
-            b.select_threads(64, 2048, 64).threads()
-        );
+        assert_eq!(decide(&a, 64, 2048, 64).threads(), decide(&b, 64, 2048, 64).threads());
     }
 }

@@ -441,7 +441,8 @@ pub struct OpStats {
     /// thread count.
     pub plan_degraded: bool,
     /// The model's runtime prediction for this call in nanoseconds, or 0
-    /// when no model priced the plan (direct execution, cache bypass).
+    /// when no model priced the plan (direct execution, a caller-pinned
+    /// plan, a degraded retry).
     /// Stored as integer nanoseconds so `OpStats` stays `Eq`.
     pub predicted_ns: u64,
     /// The sync/copy/kernel breakdown shared by every routine.

@@ -294,47 +294,19 @@ impl MachineModel {
         CostBreakdown { spawn_s, sync_s, copy_s, kernel_s }
     }
 
-    /// One noisy measurement (repetition `rep`) in seconds: log-normal
-    /// multiplicative noise plus occasional heavy-tail spikes.
-    pub fn measure(&self, shape: GemmShape, threads: u32, rep: u32) -> f64 {
-        let expected = self.expected(shape, threads).total();
-        if self.noise_sigma == 0.0 && self.spike_prob == 0.0 {
-            return expected;
-        }
-        let seed = combine(&[
-            self.seed,
-            shape.m,
-            shape.k,
-            shape.n,
-            threads as u64,
-            rep as u64,
-            matches!(self.affinity, Affinity::ThreadBased) as u64,
-        ]);
-        expected
-            * lognormal_factor(seed, self.noise_sigma)
-            * spike_factor(seed, self.spike_prob, self.spike_scale)
-    }
-
-    /// Mean of `reps` noisy measurements — the paper times ten iterations
-    /// of each configuration (§V-B-3).
-    pub fn measure_avg(&self, shape: GemmShape, threads: u32, reps: u32) -> f64 {
-        let reps = reps.max(1);
-        (0..reps).map(|r| self.measure(shape, threads, r)).sum::<f64>() / reps as f64
-    }
-
-    /// One noisy measurement of a plan-grid point. A default-axes point
-    /// routes through [`MachineModel::measure`] (bit-identical to the
-    /// threads-only path); other points draw noise from a seed extended
-    /// with the plan axes so distinct plans scatter independently.
+    /// One noisy measurement (repetition `rep`) of a plan-grid point in
+    /// seconds: log-normal multiplicative noise plus occasional heavy-tail
+    /// spikes. A thread count is [`PlanPoint::threads_only`]: a default-axes
+    /// point draws its noise from the seed words the threads-only model
+    /// always used (so every timing gathered before the plan axes existed
+    /// keeps its bits); other points extend them with the plan axes so
+    /// distinct plans scatter independently.
     pub fn measure_point(&self, shape: GemmShape, point: &PlanPoint, rep: u32) -> f64 {
-        if point.is_default_axes() {
-            return self.measure(shape, point.threads, rep);
-        }
         let expected = self.expected_point(shape, point).total();
         if self.noise_sigma == 0.0 && self.spike_prob == 0.0 {
             return expected;
         }
-        let seed = combine(&[
+        let words = [
             self.seed,
             shape.m,
             shape.k,
@@ -353,16 +325,13 @@ impl MachineModel {
                 Algorithm::ZOrder => 1,
                 Algorithm::Strassen { cutoff } => 0x100 + cutoff as u64,
             },
-        ]);
+        ];
+        const LEGACY_WORDS: usize = 7;
+        let seed =
+            combine(if point.is_default_axes() { &words[..LEGACY_WORDS] } else { &words[..] });
         expected
             * lognormal_factor(seed, self.noise_sigma)
             * spike_factor(seed, self.spike_prob, self.spike_scale)
-    }
-
-    /// Mean of `reps` noisy measurements of a plan-grid point.
-    pub fn measure_point_avg(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64 {
-        let reps = reps.max(1);
-        (0..reps).map(|r| self.measure_point(shape, point, r)).sum::<f64>() / reps as f64
     }
 
     /// The thread count minimising the noise-free expected runtime
@@ -535,10 +504,11 @@ mod tests {
     #[test]
     fn noise_is_deterministic_and_bounded() {
         let model = MachineModel::setonix();
-        let a = model.measure(sq(300), 16, 0);
-        let b = model.measure(sq(300), 16, 0);
+        let point = PlanPoint::threads_only(16);
+        let a = model.measure_point(sq(300), &point, 0);
+        let b = model.measure_point(sq(300), &point, 0);
         assert_eq!(a, b);
-        let c = model.measure(sq(300), 16, 1);
+        let c = model.measure_point(sq(300), &point, 1);
         assert_ne!(a, c, "different reps must differ");
         let expected = model.expected(sq(300), 16).total();
         // σ = 0.12 log-normal plus rare heavy-tail spikes: a single draw
@@ -550,7 +520,8 @@ mod tests {
     fn measure_avg_converges_near_expected() {
         let model = MachineModel::gadi();
         let expected = model.expected(sq(500), 24).total();
-        let avg = model.measure_avg(sq(500), 24, 400);
+        let point = PlanPoint::threads_only(24);
+        let avg = (0..400).map(|r| model.measure_point(sq(500), &point, r)).sum::<f64>() / 400.0;
         // Spikes lift the mean slightly above the noise-free expectation
         // (E[spike] = 1 + prob·scale ≈ 1.03).
         assert!((0.95..1.15).contains(&(avg / expected)), "avg {avg} vs expected {expected}");
@@ -575,18 +546,23 @@ mod tests {
                 for p in [1, 16, 96] {
                     let point = PlanPoint::threads_only(p);
                     assert_eq!(model.expected(shape, p), model.expected_point(shape, &point));
-                    for rep in 0..3 {
-                        assert_eq!(
-                            model.measure(shape, p, rep),
-                            model.measure_point(shape, &point, rep)
-                        );
-                    }
-                    assert_eq!(
-                        model.measure_avg(shape, p, 5),
-                        model.measure_point_avg(shape, &point, 5)
-                    );
                 }
             }
+        }
+        // Noisy measurements of default-axes points, recorded from the
+        // threads-only `measure(shape, threads, rep)` before it was folded
+        // into `measure_point`: `(rep 0, rep 2)` bits.
+        let skewed = GemmShape::new(64, 2048, 64);
+        let recorded = [
+            (MachineModel::setonix(), sq(64), 16, [0x3f15a899adb756e7, 0x3f151dd39baddff5]),
+            (MachineModel::setonix(), skewed, 96, [0x3f88ff1568d2454c, 0x3f8a04850348f18e]),
+            (MachineModel::gadi(), sq(64), 16, [0x3f55a63d843991b8, 0x3f54740088842455]),
+            (MachineModel::gadi(), skewed, 96, [0x3fc8c4098a18a7c6, 0x3fc5f29fb6120ea0]),
+        ];
+        for (model, shape, p, [rep0, rep2]) in recorded {
+            let point = PlanPoint::threads_only(p);
+            assert_eq!(model.measure_point(shape, &point, 0).to_bits(), rep0, "{shape:?} p={p}");
+            assert_eq!(model.measure_point(shape, &point, 2).to_bits(), rep2, "{shape:?} p={p}");
         }
     }
 

@@ -13,6 +13,7 @@
 //!   optimal thread count saturates at the bandwidth knee instead of the
 //!   core count.
 
+use adsala_gemm::plan::PlanPoint;
 use adsala_sampling::GemmShape;
 use serde::{Deserialize, Serialize};
 
@@ -142,7 +143,9 @@ impl OpTimer {
 }
 
 impl GemmTimer for OpTimer {
-    fn time(&self, shape: GemmShape, threads: u32, reps: u32) -> f64 {
+    /// The routine models price the thread axis alone.
+    fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64 {
+        let threads = point.threads;
         let reps = reps.max(1);
         let (d1, d2) = match self.op {
             BlasOp::Gemm => (shape.m, shape.k),
@@ -221,6 +224,12 @@ mod tests {
         let t = OpTimer::new(MachineModel::setonix(), BlasOp::Syrk);
         let shape = GemmShape::new(800, 300, 800);
         assert_eq!(t.time(shape, 32, 5), t.time(shape, 32, 5));
+        // A thread count is the default-axes point, bit for bit; the other
+        // axes do not enter a routine model.
+        let point = PlanPoint::threads_only(32);
+        assert_eq!(t.time(shape, 32, 5).to_bits(), t.time_plan(shape, &point, 5).to_bits());
+        let scalar = PlanPoint { isa: adsala_gemm::plan::IsaChoice::Scalar, ..point };
+        assert_eq!(t.time_plan(shape, &scalar, 5), t.time_plan(shape, &point, 5));
         assert!(t.name().contains("SYRK"));
         assert_eq!(t.max_threads(), 256);
     }

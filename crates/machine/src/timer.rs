@@ -21,15 +21,15 @@ use crate::cost::MachineModel;
 
 /// Source of GEMM timings for a machine with an execution-plan knob.
 pub trait GemmTimer {
-    /// Mean wall time (seconds) of `reps` runs of `shape` on `threads`.
-    fn time(&self, shape: GemmShape, threads: u32, reps: u32) -> f64;
+    /// Mean wall time (seconds) of `reps` runs of `shape` under a plan-grid
+    /// point. A timer whose machine has only the thread knob honours the
+    /// point's thread axis alone.
+    fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64;
 
-    /// Mean wall time (seconds) of `reps` runs of `shape` under a full
-    /// plan-grid point. The default implementation honours only the
-    /// thread axis (exactly [`GemmTimer::time`]); plan-capable timers
-    /// override it.
-    fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64 {
-        self.time(shape, point.threads, reps)
+    /// Mean wall time (seconds) of `reps` runs of `shape` on `threads`: the
+    /// default-axes point at that thread count.
+    fn time(&self, shape: GemmShape, threads: u32, reps: u32) -> f64 {
+        self.time_plan(shape, &PlanPoint::threads_only(threads), reps)
     }
 
     /// The machine's maximum thread count (the paper's baseline setting).
@@ -53,12 +53,10 @@ impl SimTimer {
 }
 
 impl GemmTimer for SimTimer {
-    fn time(&self, shape: GemmShape, threads: u32, reps: u32) -> f64 {
-        self.model.measure_avg(shape, threads, reps)
-    }
-
     fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64 {
-        self.model.measure_point_avg(shape, point, reps)
+        // The paper times ten iterations of each configuration (§V-B-3).
+        let reps = reps.max(1);
+        (0..reps).map(|r| self.model.measure_point(shape, point, r)).sum::<f64>() / reps as f64
     }
 
     fn max_threads(&self) -> u32 {
@@ -94,14 +92,14 @@ impl HostTimer {
     }
 }
 
-impl HostTimer {
-    /// Time `reps` runs of a prepared call, excluding one warm-up run
-    /// (first-touch, page faults) from timing, mirroring standard
-    /// benchmark practice.
-    fn time_call(&self, shape: GemmShape, call: &GemmCall, reps: u32) -> f64 {
-        let m = shape.m as usize;
-        let k = shape.k as usize;
-        let n = shape.n as usize;
+impl GemmTimer for HostTimer {
+    /// Times `reps` runs after one warm-up run (first-touch, page faults)
+    /// kept out of the timing, mirroring standard benchmark practice.
+    fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64 {
+        let (m, n, k) = (shape.m as usize, shape.n as usize, shape.k as usize);
+        let mut plan = point.materialise(Precision::F32);
+        plan.threads = plan.threads.clamp(1, self.max_threads);
+        let call = GemmCall::new(m, n, k, plan.threads as usize).with_plan(plan);
         let fill = |len: usize, seed: u32| -> Vec<f32> {
             (0..len)
                 .map(|i| {
@@ -114,29 +112,13 @@ impl HostTimer {
         let b = fill(k * n, 2);
         let mut c = vec![0.0f32; m * n];
 
-        gemm_with_stats(call, 1.0, &a, k.max(1), &b, n.max(1), 0.0, &mut c, n.max(1));
+        gemm_with_stats(&call, 1.0, &a, k.max(1), &b, n.max(1), 0.0, &mut c, n.max(1));
         let reps = reps.max(1);
         let start = Instant::now();
         for _ in 0..reps {
-            gemm_with_stats(call, 1.0, &a, k.max(1), &b, n.max(1), 0.0, &mut c, n.max(1));
+            gemm_with_stats(&call, 1.0, &a, k.max(1), &b, n.max(1), 0.0, &mut c, n.max(1));
         }
         start.elapsed().as_secs_f64() / reps as f64
-    }
-}
-
-impl GemmTimer for HostTimer {
-    fn time(&self, shape: GemmShape, threads: u32, reps: u32) -> f64 {
-        let (m, n, k) = (shape.m as usize, shape.n as usize, shape.k as usize);
-        let call = GemmCall::new(m, n, k, threads.clamp(1, self.max_threads) as usize);
-        self.time_call(shape, &call, reps)
-    }
-
-    fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64 {
-        let (m, n, k) = (shape.m as usize, shape.n as usize, shape.k as usize);
-        let mut plan = point.materialise(Precision::F32);
-        plan.threads = plan.threads.clamp(1, self.max_threads);
-        let call = GemmCall::new(m, n, k, plan.threads as usize).with_plan(plan);
-        self.time_call(shape, &call, reps)
     }
 
     fn max_threads(&self) -> u32 {
@@ -157,7 +139,9 @@ mod tests {
         let model = MachineModel::setonix();
         let timer = SimTimer::new(model.clone());
         let shape = GemmShape::new(500, 500, 500);
-        assert_eq!(timer.time(shape, 32, 10), model.measure_avg(shape, 32, 10));
+        let point = PlanPoint::threads_only(32);
+        let mean = (0..10).map(|r| model.measure_point(shape, &point, r)).sum::<f64>() / 10.0;
+        assert_eq!(timer.time(shape, 32, 10), mean);
         assert_eq!(timer.max_threads(), 256);
         assert!(timer.name().contains("setonix"));
     }
@@ -185,10 +169,15 @@ mod tests {
         let shape = GemmShape::new(300, 300, 300);
         let point =
             PlanPoint { packing: PackingStrategy::Independent, ..PlanPoint::threads_only(16) };
-        assert_eq!(timer.time_plan(shape, &point, 4), model.measure_point_avg(shape, &point, 4));
-        // Default-axes points keep the legacy timing path bit-identical.
-        let base = PlanPoint::threads_only(16);
-        assert_eq!(timer.time_plan(shape, &base, 4), timer.time(shape, 16, 4));
+        let mean = (0..4).map(|r| model.measure_point(shape, &point, r)).sum::<f64>() / 4.0;
+        assert_eq!(timer.time_plan(shape, &point, 4), mean);
+        // A thread count is the default-axes point, bit for bit.
+        for t in [1, 16, 96] {
+            assert_eq!(
+                timer.time(shape, t, 4).to_bits(),
+                timer.time_plan(shape, &PlanPoint::threads_only(t), 4).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! ```
 
 use adsala::install::{InstallConfig, Installation};
+use adsala::{OpShape, Precision};
 use adsala_machine::{BlasOp, GemmTimer, MachineModel, OpTimer};
 use adsala_sampling::GemmShape;
 
@@ -43,7 +44,10 @@ fn main() {
             "routine", "threads", "t(max) us", "t(ML) us", "speedup"
         );
         for (label, shape) in probes {
-            let d = runtime.select_threads(shape.m, shape.k, shape.n);
+            let d = runtime.select_for_capped(
+                OpShape::gemm(Precision::F32, shape.m, shape.k, shape.n),
+                u32::MAX,
+            );
             let t_max = timer.time(shape, p_max, 5);
             let t_ml = timer.time(shape, d.threads(), 5);
             println!(

@@ -14,6 +14,7 @@
 
 use adsala::install::{InstallConfig, Installation};
 use adsala::prelude::*;
+use adsala::RowLayout;
 use adsala_gemm::dispatch::{GemmArgs, OpRequest};
 use adsala_machine::{MachineModel, SimTimer};
 
@@ -28,7 +29,11 @@ fn main() {
     println!("installing over a reduced plan grid (threads x packing)...");
     let install = Installation::run(&timer, &cfg).expect("grid install");
     assert!(!install.grid.is_threads_only(), "the gathered grid must keep its plan axes");
-    assert!(install.grid.plan_features, "grid gathering must enable plan features");
+    assert_ne!(
+        RowLayout::of(&install.grid),
+        RowLayout::Table2,
+        "grid gathering must put the plan axes in the feature rows"
+    );
     println!(
         "selected {:?} over {} candidate plans per shape",
         install.selected,
@@ -46,7 +51,7 @@ fn main() {
     let service = back.into_service();
     let mut non_default = 0usize;
     for (m, k, n) in [(64u64, 2048, 64), (64, 64, 4096), (1000, 500, 1000), (4000, 4000, 4000)] {
-        let d = service.select_threads(m, k, n);
+        let d = service.select_for_capped(OpShape::gemm(Precision::F32, m, k, n), u32::MAX);
         non_default += usize::from(!d.plan.is_threads_only());
         println!(
             "GEMM {m}x{k}x{n}: [{}] predicted {:.3} ms",

@@ -7,10 +7,10 @@
 //! cargo run --release --example install_pipeline
 //! ```
 
-use adsala::feature_names;
 use adsala::gather::{GatherConfig, TrainingData};
 use adsala::install::{InstallConfig, Installation};
 use adsala::preprocess::fit_preprocess;
+use adsala::RowLayout;
 use adsala_machine::{GemmTimer, MachineModel, SimTimer};
 use adsala_sampling::Precision;
 
@@ -30,7 +30,7 @@ fn main() {
     println!(
         "  -> {} timed configurations over a {}-rung thread ladder (max {})",
         data.len(),
-        data.ladder.len(),
+        data.grid.threads.len(),
         data.max_threads
     );
     let small = data.shapes.iter().filter(|s| s.memory_bytes(Precision::F32) < 100_000_000).count();
@@ -49,7 +49,8 @@ fn main() {
         "  -> {} rows in, {} after LOF outlier removal",
         fitted.report.rows_in, fitted.report.rows_after_lof
     );
-    let kept: Vec<&str> = fitted.report.features_kept.iter().map(|&i| feature_names()[i]).collect();
+    let names = RowLayout::of(&data.grid).names();
+    let kept: Vec<&str> = fitted.report.features_kept.iter().map(|&i| names[i]).collect();
     println!(
         "  -> {} of {} features survive correlation pruning: {:?}",
         kept.len(),

@@ -40,7 +40,10 @@ fn train_routine_model(
     let rows: Vec<Vec<f64>> = data
         .records
         .iter()
-        .map(|r| base_config.features_for(r.shape.m, r.shape.k, r.shape.n, r.threads()))
+        .map(|r| {
+            let shape = OpShape::gemm(Precision::F32, r.shape.m, r.shape.k, r.shape.n);
+            base_config.features_for_point(&data.grid, &shape, &r.point)
+        })
         .collect();
     let labels: Vec<f64> =
         data.records.iter().map(|r| base_config.label_for_runtime(r.runtime_s)).collect();

@@ -6,6 +6,7 @@
 //! ```
 
 use adsala::install::{InstallConfig, Installation};
+use adsala::{OpShape, Precision};
 use adsala_machine::{MachineModel, SimTimer};
 
 fn main() {
@@ -43,7 +44,7 @@ fn main() {
     // 4. Ask for thread decisions. Note the small/skewed shapes avoiding
     //    the 96-thread maximum.
     for (m, k, n) in [(64, 2048, 64), (64, 64, 4096), (4000, 4000, 4000)] {
-        let d = gemm.select_threads(m, k, n);
+        let d = gemm.select_for_capped(OpShape::gemm(Precision::F32, m, k, n), u32::MAX);
         println!(
             "GEMM {m}x{k}x{n}: chose {} threads (predicted {:.3} ms)",
             d.threads(),

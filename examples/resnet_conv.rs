@@ -8,6 +8,7 @@
 //! ```
 
 use adsala::install::{InstallConfig, Installation};
+use adsala::{OpShape, Precision};
 use adsala_machine::{GemmTimer, MachineModel, SimTimer};
 use adsala_sampling::GemmShape;
 
@@ -44,9 +45,10 @@ fn main() {
         let calls = 100;
         let t_max = timer.time(shape, p_max, 5) * calls as f64;
         // First call evaluates the model; the next 99 hit the memo.
-        let d = gemm.select_threads(shape.m, shape.k, shape.n);
+        let op = OpShape::gemm(Precision::F32, shape.m, shape.k, shape.n);
+        let d = gemm.select_for_capped(op, u32::MAX);
         for _ in 1..calls {
-            let again = gemm.select_threads(shape.m, shape.k, shape.n);
+            let again = gemm.select_for_capped(op, u32::MAX);
             assert!(again.memoised, "repeated shape must hit the memo");
         }
         let t_ml = timer.time(shape, d.threads(), 5) * calls as f64;

@@ -145,6 +145,12 @@ fn zorder_plans_match_serial_blocked_bitwise() {
     }
 }
 
+/// The service's uncapped decision for an f32 GEMM `(m, k, n)` — a thread
+/// count is the default-axes plan at that count.
+fn decide(service: &AdsalaService, m: u64, k: u64, n: u64) -> PlanDecision {
+    service.select_for_capped(OpShape::gemm(Precision::F32, m, k, n), u32::MAX)
+}
+
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
 }
@@ -315,7 +321,7 @@ fn v3_fixture_decides_bitwise_identically_after_migration() {
         .expect("fixture must load")
         .into_service();
     for &((m, k, n), threads, runtime_bits) in V3_PINNED_DECISIONS {
-        let d = runtime.select_threads(m, k, n);
+        let d = decide(&runtime, m, k, n);
         assert_eq!(d.threads(), threads, "thread decision drifted for {m}x{k}x{n}");
         assert_eq!(
             d.plan.algorithm,
@@ -335,7 +341,7 @@ fn v3_fixture_decides_bitwise_identically_after_migration() {
 fn v3_fixture_serves_identically_through_the_concurrent_service() {
     let svc = fixture_service();
     for &((m, k, n), threads, runtime_bits) in V3_PINNED_DECISIONS {
-        let d = svc.select_threads(m, k, n);
+        let d = decide(&svc, m, k, n);
         assert_eq!(d.threads(), threads);
         assert_eq!(d.predicted_runtime_s.to_bits(), runtime_bits);
     }
@@ -354,6 +360,6 @@ fn migrated_v3_fixture_rewrites_as_v4_and_round_trips() {
     let a = art.into_service();
     let b = back.into_service();
     for &((m, k, n), _, _) in V3_PINNED_DECISIONS {
-        assert_eq!(a.select_threads(m, k, n), b.select_threads(m, k, n));
+        assert_eq!(decide(&a, m, k, n), decide(&b, m, k, n));
     }
 }

@@ -9,6 +9,12 @@ use std::path::{Path, PathBuf};
 
 use adsala::prelude::*;
 
+/// The service's uncapped decision for an f32 GEMM `(m, k, n)` — a thread
+/// count is the default-axes plan at that count.
+fn decide(service: &AdsalaService, m: u64, k: u64, n: u64) -> PlanDecision {
+    service.select_for_capped(OpShape::gemm(Precision::F32, m, k, n), u32::MAX)
+}
+
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
 }
@@ -68,7 +74,7 @@ fn v1_fixture_decides_bitwise_identically_to_pre_redesign_runtime() {
         .expect("fixture must load")
         .into_service();
     for &((m, k, n), threads, runtime_bits) in V1_PINNED_DECISIONS {
-        let d = runtime.select_threads(m, k, n);
+        let d = decide(&runtime, m, k, n);
         assert_eq!(d.threads(), threads, "thread decision drifted for {m}x{k}x{n}");
         assert!(d.plan.is_threads_only(), "migrated artefacts must emit threads-only plans");
         assert_eq!(
@@ -86,7 +92,7 @@ fn v2_fixture_decides_bitwise_identically_to_pre_plan_runtime() {
         .expect("fixture must load")
         .into_service();
     for &((m, k, n), threads, runtime_bits) in V2_PINNED_DECISIONS {
-        let d = runtime.select_threads(m, k, n);
+        let d = decide(&runtime, m, k, n);
         assert_eq!(d.threads(), threads, "thread decision drifted for {m}x{k}x{n}");
         assert!(d.plan.is_threads_only(), "migrated artefacts must emit threads-only plans");
         assert_eq!(
@@ -106,7 +112,7 @@ fn v1_fixture_serves_identically_through_the_concurrent_service() {
         ServiceConfig { pool_workers: 1, ..ServiceConfig::default() },
     );
     for &((m, k, n), threads, runtime_bits) in V1_PINNED_DECISIONS {
-        let d = service.select_threads(m, k, n);
+        let d = decide(&service, m, k, n);
         assert_eq!(d.threads(), threads);
         assert_eq!(d.predicted_runtime_s.to_bits(), runtime_bits);
     }
@@ -120,7 +126,7 @@ fn v2_fixture_serves_identically_through_the_concurrent_service() {
         ServiceConfig { pool_workers: 1, ..ServiceConfig::default() },
     );
     for &((m, k, n), threads, runtime_bits) in V2_PINNED_DECISIONS {
-        let d = service.select_threads(m, k, n);
+        let d = decide(&service, m, k, n);
         assert_eq!(d.threads(), threads);
         assert_eq!(d.predicted_runtime_s.to_bits(), runtime_bits);
     }
@@ -139,7 +145,7 @@ fn migrated_fixture_rewrites_at_current_schema_and_round_trips() {
         let a = art.into_service();
         let b = back.into_service();
         for &((m, k, n), _, _) in V1_PINNED_DECISIONS {
-            assert_eq!(a.select_threads(m, k, n), b.select_threads(m, k, n));
+            assert_eq!(decide(&a, m, k, n), decide(&b, m, k, n));
         }
     }
 }

@@ -53,7 +53,13 @@ fn concurrent_clients_get_deterministic_in_ladder_decisions() {
                     for i in 0..calls_per_client {
                         let idx = ((i + client * 7) % shapes.len() as u64) as usize;
                         let (m, k, n) = shapes[idx];
-                        seen.push(((m, k, n), service.select_threads(m, k, n)));
+                        seen.push((
+                            (m, k, n),
+                            service.select_for_capped(
+                                OpShape::gemm(Precision::F32, m, k, n),
+                                u32::MAX,
+                            ),
+                        ));
                     }
                     seen
                 })
@@ -111,7 +117,10 @@ fn cache_stays_bounded_under_adversarial_stream() {
                 for i in 0..500u64 {
                     // Almost every key is fresh: a worst-case stream.
                     let v = client * 1000 + i;
-                    service.select_threads(32 + v, 64 + v, 32 + (v % 97));
+                    service.select_for_capped(
+                        OpShape::gemm(Precision::F32, 32 + v, 64 + v, 32 + (v % 97)),
+                        u32::MAX,
+                    );
                 }
             });
         }

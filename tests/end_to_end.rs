@@ -2,10 +2,16 @@
 //! runtime decisions, on both simulated machines.
 
 use adsala_repro::adsala::install::{InstallConfig, Installation};
-use adsala_repro::adsala::Artifact;
+use adsala_repro::adsala::{AdsalaService, Artifact, OpShape, PlanDecision, Precision};
 use adsala_repro::adsala_machine::{GemmTimer, MachineModel, SimTimer};
 use adsala_repro::adsala_ml::ModelKind;
 use adsala_repro::adsala_sampling::GemmShape;
+
+/// The service's uncapped decision for an f32 GEMM `(m, k, n)` — a thread
+/// count is the default-axes plan at that count.
+fn decide(service: &AdsalaService, m: u64, k: u64, n: u64) -> PlanDecision {
+    service.select_for_capped(OpShape::gemm(Precision::F32, m, k, n), u32::MAX)
+}
 
 fn quick_install(model: MachineModel) -> (SimTimer, Installation) {
     let timer = SimTimer::new(model);
@@ -31,7 +37,7 @@ fn gadi_pipeline_selects_boosting_and_speeds_up() {
     let mut t_orig = 0.0;
     let mut t_ml = 0.0;
     for s in shapes {
-        let d = runtime.select_threads(s.m, s.k, s.n);
+        let d = decide(&runtime, s.m, s.k, s.n);
         t_orig += timer.time(s, p_max, 5);
         t_ml += timer.time(s, d.threads(), 5);
     }
@@ -47,13 +53,13 @@ fn setonix_pipeline_end_to_end() {
     let (timer, install) = quick_install(MachineModel::setonix());
     assert_eq!(install.max_threads, 256);
     let runtime = install.into_service();
-    let small = runtime.select_threads(64, 64, 64);
+    let small = decide(&runtime, 64, 64, 64);
     assert!(
         small.threads() < 128,
         "tiny GEMM got {} threads on a 256-thread node",
         small.threads()
     );
-    let large = runtime.select_threads(4000, 4000, 4000);
+    let large = decide(&runtime, 4000, 4000, 4000);
     assert!(large.threads() >= 64, "large square GEMM got only {} threads", large.threads());
     let _ = timer; // timer participates via the install above
 }
@@ -73,8 +79,8 @@ fn artifact_file_roundtrip_preserves_runtime_behaviour() {
     let b = restored.into_service();
     for (m, k, n) in [(64, 2048, 64), (128, 128, 128), (2000, 500, 300)] {
         assert_eq!(
-            a.select_threads(m, k, n).threads(),
-            b.select_threads(m, k, n).threads(),
+            decide(&a, m, k, n).threads(),
+            decide(&b, m, k, n).threads(),
             "decision changed after disk roundtrip for {m}x{k}x{n}"
         );
     }
@@ -85,10 +91,10 @@ fn memoisation_counts_evaluations_once_per_shape_change() {
     let (_, install) = quick_install(MachineModel::gadi());
     let runtime = install.into_service();
     for _ in 0..10 {
-        runtime.select_threads(64, 3000, 64);
+        decide(&runtime, 64, 3000, 64);
     }
     assert_eq!(runtime.evaluations(), 1);
-    runtime.select_threads(65, 3000, 64);
+    decide(&runtime, 65, 3000, 64);
     assert_eq!(runtime.evaluations(), 2);
 }
 

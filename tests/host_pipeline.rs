@@ -8,6 +8,8 @@
 
 use adsala_repro::adsala::gather::{GatherConfig, ThreadLadder};
 use adsala_repro::adsala::install::{InstallConfig, Installation};
+use adsala_repro::adsala::{OpShape, Precision};
+use adsala_repro::adsala_gemm::plan::PlanGrid;
 use adsala_repro::adsala_machine::{GemmTimer, HostTimer};
 use adsala_repro::adsala_ml::tune::ModelSpec;
 use adsala_repro::adsala_ml::ModelKind;
@@ -24,7 +26,7 @@ fn tiny_host_config(max_threads: u32) -> InstallConfig {
         n_shapes,
         cap: MemoryCap::from_mb(2),
         reps: 1,
-        ladder: Some(ladder),
+        grid: Some(PlanGrid::threads_only(ladder.counts)),
         max_dim: Some(384),
         ..GatherConfig::quick()
     };
@@ -59,7 +61,7 @@ fn pipeline_trains_against_real_host_gemm() {
     // The runtime handle must produce usable decisions and execute a
     // correct GEMM with them.
     let gemm = install.into_service();
-    let d = gemm.select_threads(96, 96, 96);
+    let d = gemm.select_for_capped(OpShape::gemm(Precision::F32, 96, 96, 96), u32::MAX);
     assert!((1..=host_threads).contains(&d.threads()));
 
     let (m, k, n) = (48usize, 32usize, 40usize);

@@ -306,3 +306,68 @@ fn online_adapter_retrains_and_swaps_in_background() {
     assert!(!service.is_drifted(), "the swap resets the detector");
     adapter.shutdown();
 }
+
+/// The co-scheduler is a front door too: while the detector is tripped a
+/// scheduled request is planned from the conservative row alone — the
+/// widest threads-only plan inside the thread budget, never fused, counted
+/// as a drift fallback — and the learned plan is back the moment the
+/// detector is reset.
+#[test]
+fn scheduled_requests_honour_the_drift_detector() {
+    const BUDGET: usize = 3;
+    let service = Arc::new(AdsalaService::with_config(
+        quick_bundle().into_shared(),
+        ServiceConfig {
+            pool_workers: 4,
+            online: OnlineConfig {
+                enabled: true,
+                drift: DriftConfig { min_samples: 4, alpha: 0.5, ..DriftConfig::default() },
+                ..OnlineConfig::default()
+            },
+            ..ServiceConfig::default()
+        },
+    ));
+    let sched = ServiceScheduler::with_config(
+        Arc::clone(&service),
+        SchedulerConfig { thread_budget: BUDGET, ..SchedulerConfig::default() },
+    );
+    let (m, n, k) = (64usize, 64usize, 64usize);
+    let shape = OpShape::gemm(Precision::F32, m as u64, k as u64, n as u64);
+    let a = vec![1.0f32; m * k];
+    let b = vec![1.0f32; k * n];
+    let submit = || {
+        let mut c = vec![0.0f32; m * n];
+        let mut req: OpRequest<'_, f32> =
+            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+        let run = sched.submit(&mut req).expect("scheduled GEMM");
+        assert!(c.iter().all(|&v| v == k as f32));
+        run
+    };
+
+    // Healthy: the model keeps a tiny GEMM off the full budget.
+    let learned = submit();
+    assert!((learned.plan.threads as usize) < BUDGET, "{learned:?}");
+    assert_eq!(service.drift_fallbacks(), 0);
+
+    // Sustained 8× slowdown versus prediction: trips the detector.
+    for _ in 0..16 {
+        service.observe(shape, &ExecutionPlan::with_threads(2), 1e-3, 8_000_000);
+    }
+    assert!(service.is_drifted());
+    let conservative = service.bundle().conservative_op(shape, BUDGET as u32);
+    let run = submit();
+    let widest = service.bundle().max_candidate_threads().min(BUDGET as u32);
+    assert_eq!(run.plan, ExecutionPlan::with_threads(widest));
+    assert_eq!(run.plan, conservative.plan);
+    assert!(run.plan.is_threads_only());
+    assert!(!run.fused);
+    assert_eq!(run.predicted_runtime_s.to_bits(), conservative.predicted_runtime_s.to_bits());
+    assert_eq!(service.drift_fallbacks(), 1);
+
+    // Recovery (here via the operator override) restores learned planning.
+    service.reset_drift();
+    let back = submit();
+    assert_eq!(back.plan, learned.plan);
+    assert_eq!(back.predicted_runtime_s.to_bits(), learned.predicted_runtime_s.to_bits());
+    assert_eq!(service.drift_fallbacks(), 1, "a recovered service trusts the model again");
+}

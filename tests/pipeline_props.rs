@@ -2,7 +2,8 @@
 //! transforms, feature construction, and model behaviour on arbitrary
 //! (but valid) inputs.
 
-use adsala_repro::adsala::{build_features, FEATURE_COUNT};
+use adsala_repro::adsala::{OpShape, Precision, RowLayout, FEATURE_COUNT};
+use adsala_repro::adsala_gemm::plan::PlanPoint;
 use adsala_repro::adsala_ml::data::{label_strata, stratified_split, Matrix};
 use adsala_repro::adsala_ml::preprocess::yeo_johnson::{
     inverse_value, transform_value, YeoJohnson,
@@ -37,11 +38,12 @@ proptest! {
         n in 1u64..80_000,
         t in 1u32..512,
     ) {
-        let f = build_features(m, k, n, t);
+        let shape = OpShape::gemm(Precision::F32, m, k, n);
+        let f = RowLayout::Table2.row(&shape, &PlanPoint::threads_only(t));
         prop_assert_eq!(f.len(), FEATURE_COUNT);
         prop_assert!(f.iter().all(|v| v.is_finite() && *v >= 0.0));
         // Group-2 features shrink as the thread count grows.
-        let f2 = build_features(m, k, n, t * 2);
+        let f2 = RowLayout::Table2.row(&shape, &PlanPoint::threads_only(t * 2));
         for i in 9..FEATURE_COUNT {
             prop_assert!(f2[i] <= f[i] + 1e-12);
         }

@@ -2,6 +2,7 @@
 //! positive, deterministic, and respond to shape/thread changes the way a
 //! physical machine must.
 
+use adsala_repro::adsala_gemm::plan::PlanPoint;
 use adsala_repro::adsala_machine::{Affinity, MachineModel, Placement};
 use adsala_repro::adsala_sampling::GemmShape;
 use proptest::prelude::*;
@@ -59,8 +60,9 @@ proptest! {
     ) {
         let shape = GemmShape::new(m, k, n);
         for model in machines() {
-            let a = model.measure(shape, p, rep);
-            let b = model.measure(shape, p, rep);
+            let point = PlanPoint::threads_only(p);
+            let a = model.measure_point(shape, &point, rep);
+            let b = model.measure_point(shape, &point, rep);
             prop_assert_eq!(a, b, "noise not deterministic");
             let expected = model.expected(shape, p).total();
             // Log-normal σ = 0.12 plus rare heavy-tail spikes (up to a
