@@ -11,7 +11,7 @@
 //!   pooled execution), no per-call OS-thread spawn.
 
 use adsala::install::{InstallConfig, Installation};
-use adsala::{AdsalaService, OpShape, Precision, ServiceConfig};
+use adsala::{AdsalaService, GemmArgs, OpRequest, OpShape, Precision, RunOptions, ServiceConfig};
 use adsala_machine::{MachineModel, SimTimer};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -91,22 +91,13 @@ fn bench_service_sgemm(c: &mut Criterion) {
     let mut c_out = vec![0.0f32; m * n];
     group.bench_function("sgemm_service_pooled_128", |bench| {
         bench.iter(|| {
-            service
-                .sgemm(
-                    m,
-                    n,
-                    k,
-                    1.0,
-                    &a,
-                    k,
-                    &b_mat,
-                    n,
-                    0.0,
-                    black_box(&mut c_out),
-                    n,
-                    threads as u32,
-                )
-                .expect("well-formed sgemm")
+            let mut req: OpRequest<'_, f32> =
+                GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b_mat, n, 0.0, &mut c_out, n).into();
+            black_box(
+                service
+                    .run_with(&mut req, RunOptions::with_host_cap(threads as u32))
+                    .expect("well-formed sgemm"),
+            )
         })
     });
     group.finish();

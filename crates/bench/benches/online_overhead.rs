@@ -4,10 +4,10 @@
 //!
 //! * `online_overhead/reservoir_record` — one observation into the
 //!   striped ring, at keep-all and 1-in-16 sampling rates.
-//! * `online_overhead/drift_record` — one EWMA fold into the per-routine
-//!   drift detector.
+//! * `online_overhead/drift_record` — one fold into the per-routine
+//!   error recorder (sums, EWMA, trip wire).
 //! * `online_overhead/observe` — the full per-op accounting the service
-//!   performs (prediction meter + drift detector + reservoir).
+//!   performs (error recorder + reservoir).
 //! * `online_overhead/memo_hit` — a memoised decision under the
 //!   generation-tagged cache: the swap machinery's read-side cost.
 //! * `online_overhead/hot_swap` — publishing a refreshed bundle and

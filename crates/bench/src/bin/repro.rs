@@ -348,11 +348,8 @@ struct SpeedupRun {
     samples: Vec<(GemmShape, u64, u32, f64, f64)>,
     /// The full execution plan chosen for each sample, in sample order.
     plans: Vec<adsala_gemm::plan::ExecutionPlan>,
-    /// Decision-cache counters after serving the whole set.
-    cache: adsala::CacheStats,
-    /// Model sweeps the service performed.
-    evaluations: u64,
-    /// Full service counters (pool gang traffic, plan downgrades).
+    /// The service's counters after serving the whole set (memo traffic,
+    /// model sweeps, pool gang traffic, plan downgrades).
     service: adsala::ServiceStats,
 }
 
@@ -387,8 +384,6 @@ fn speedup_run(machine: Machine, ht: bool) -> SpeedupRun {
     SpeedupRun {
         samples,
         plans: decisions.iter().map(|d| d.plan).collect(),
-        cache: service.cache_stats(),
-        evaluations: service.evaluations(),
         service: service.stats(),
     }
 }
@@ -416,11 +411,11 @@ fn speedup_table(ht: bool) {
         service_lines.push(format!(
             "[service] {}: {} lookups ({} hits, {} misses, {} evictions), {} model sweeps",
             machine.name(),
-            run.cache.lookups(),
-            run.cache.hits,
-            run.cache.misses,
-            run.cache.evictions,
-            run.evaluations
+            run.service.cache.lookups(),
+            run.service.cache.hits,
+            run.service.cache.misses,
+            run.service.cache.evictions,
+            run.service.evaluations
         ));
         service_lines.push(format!(
             "[service] {} pool gangs: {} reserved, {} refused; plan downgrades: {}",
@@ -877,15 +872,17 @@ fn learning_curve() {
 /// mapping (see `adsala_machine::ops`).
 fn ops_extension() {
     banner("Future work — ML thread selection for SYRK and GEMV (Setonix model)");
-    use adsala_machine::{BlasOp, OpTimer};
-    for op in [BlasOp::Syrk, BlasOp::Gemv] {
+    use adsala::Routine;
+    use adsala_machine::OpTimer;
+    for op in [Routine::Syrk, Routine::Gemv] {
+        let name = op.as_str().to_uppercase();
         let timer = OpTimer::new(Machine::Setonix.model(true), op);
         let mut cfg = InstallConfig::quick();
         cfg.families = vec![ModelKind::DecisionTree, ModelKind::XgBoost];
         cfg.gather.n_shapes = 250;
         // SYRK's output is m×m: keep m small enough that C itself obeys
         // the 500 MB cap, for training and probing alike.
-        if op == BlasOp::Syrk {
+        if op == Routine::Syrk {
             cfg.gather.max_dim = Some(8000);
         }
         let install = Installation::run(&timer, &cfg).expect("install");
@@ -902,9 +899,9 @@ fn ops_extension() {
             .sample(200)
             .into_iter()
             .map(|s| match op {
-                BlasOp::Syrk => GemmShape::new(s.m, s.k, s.m),
-                BlasOp::Gemv => GemmShape::new(s.m, s.k, 1),
-                BlasOp::Gemm => s,
+                Routine::Syrk => GemmShape::new(s.m, s.k, s.m),
+                Routine::Gemv => GemmShape::new(s.m, s.k, 1),
+                Routine::Gemm => s,
             })
             .filter(|s| s.memory_bytes(Precision::F32) <= MemoryCap::paper_training().bytes)
             // Degenerate inputs (a handful of elements) trivially favour
@@ -922,7 +919,7 @@ fn ops_extension() {
             speedups.push(t_max / t_ml);
             rows.push(format!(
                 "{},{},{},{},{:.6e},{:.6e}",
-                op.name(),
+                name,
                 s.m,
                 s.k,
                 d.threads(),
@@ -933,7 +930,7 @@ fn ops_extension() {
         let stats = SpeedupStats::from_samples(&speedups);
         println!(
             "{}: mean speedup {:.2}x (median {:.2}x, max {:.2}x) over {} shapes; selected {:?}",
-            op.name(),
+            name,
             stats.mean,
             stats.p50,
             stats.max,
@@ -941,7 +938,7 @@ fn ops_extension() {
             selected
         );
         write_csv(
-            &format!("ops_{}_speedups.csv", op.name().to_lowercase()),
+            &format!("ops_{}_speedups.csv", op.as_str()),
             "op,d1,d2,chosen_threads,t_max_s,t_ml_s",
             &rows,
         );
@@ -1135,7 +1132,7 @@ fn ablation_memo() {
         }
         start.elapsed().as_secs_f64() / reps as f64
     };
-    let stats = service.cache_stats();
+    let stats = service.stats();
     println!("unmemoised selection (model sweep):      {:.2} us", t_sweep * 1e6);
     println!("service cold selection (fresh shapes):   {:.2} us", t_svc_cold * 1e6);
     println!("service memoised selection (hot shape):  {:.3} us", t_svc_hot * 1e6);
@@ -1143,12 +1140,12 @@ fn ablation_memo() {
     println!("[service] kernel dispatch: {}", adsala_machine::HostCaches::probe().summary());
     println!(
         "service cache: {} hits / {} misses, {} evictions, {}/{} entries, {} sweeps",
-        stats.hits,
-        stats.misses,
-        stats.evictions,
-        stats.entries,
-        stats.capacity,
-        service.evaluations()
+        stats.cache.hits,
+        stats.cache.misses,
+        stats.cache.evictions,
+        stats.cache.entries,
+        stats.cache.capacity,
+        stats.evaluations
     );
 }
 

@@ -19,6 +19,11 @@
 //! the number of `get` calls exactly, which the concurrency stress test
 //! asserts.
 //!
+//! **Values.** The memo is generic over what it holds ([`MemoValue`]): the
+//! service keeps one instance of [`PlanDecision`]s for `run`, and a second
+//! of per-thread-count predicted-runtime curves for the co-scheduler —
+//! same shards, same bound, same counters, same generations.
+//!
 //! **Generations.** Decisions are only as durable as the model that made
 //! them: when the online-adaptation layer hot-swaps the artefact bundle,
 //! every memoised plan is stale. The cache therefore carries a
@@ -34,7 +39,9 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use adsala_gemm::plan::ExecutionPlan;
 use adsala_gemm::OpShape;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -86,22 +93,45 @@ impl CacheStats {
     }
 }
 
-/// A resident decision tagged with the model generation it was made
+/// A predicted-runtime curve: `(plan, seconds)` rows ascending by threads
+/// (see [`crate::ArtifactBundle::decide_op_curve`]), shared between the
+/// memo and the scheduler tickets planned from it.
+pub(crate) type PlanCurve = Arc<Vec<(ExecutionPlan, f64)>>;
+
+/// What a [`DecisionCache`] can hold: cloned out under a shard's read
+/// lock, so cheap to clone.
+pub trait MemoValue: Clone {
+    /// The value as a later lookup replays it.
+    fn replayed(self) -> Self {
+        self
+    }
+}
+
+impl MemoValue for PlanDecision {
+    /// A replay must be flagged as a memo hit.
+    fn replayed(self) -> Self {
+        PlanDecision { memoised: true, ..self }
+    }
+}
+
+impl MemoValue for PlanCurve {}
+
+/// A resident value tagged with the model generation it was decided
 /// under.
-#[derive(Debug, Clone, Copy)]
-struct Tagged {
+#[derive(Debug, Clone)]
+struct Tagged<V> {
     generation: u64,
-    decision: PlanDecision,
+    value: V,
 }
 
 #[derive(Debug)]
-struct ShardState<K> {
+struct ShardState<K, V> {
     /// The shard's last-decided key — the §III-C fast path.
-    last: Option<(K, Tagged)>,
-    map: HashMap<K, Tagged>,
+    last: Option<(K, Tagged<V>)>,
+    map: HashMap<K, Tagged<V>>,
 }
 
-impl<K> Default for ShardState<K> {
+impl<K, V> Default for ShardState<K, V> {
     fn default() -> Self {
         Self { last: None, map: HashMap::new() }
     }
@@ -112,9 +142,10 @@ impl<K> Default for ShardState<K> {
 /// Generic over the key: the plain [`ShapeKey`] for context-free
 /// decisions, or any `Hash + Eq + Copy` composite (like the service's
 /// `(OpShape, cap)`) when the decision depends on more than the shape.
+/// Generic over the value too: a [`PlanDecision`] unless said otherwise.
 #[derive(Debug)]
-pub struct DecisionCache<K: Hash + Eq + Copy = ShapeKey> {
-    shards: Box<[RwLock<ShardState<K>>]>,
+pub struct DecisionCache<K: Hash + Eq + Copy = ShapeKey, V: MemoValue = PlanDecision> {
+    shards: Box<[RwLock<ShardState<K, V>>]>,
     /// `shards.len() - 1`; shard count is a power of two.
     shard_mask: usize,
     per_shard_capacity: usize,
@@ -131,13 +162,13 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// Default number of lock stripes.
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
-impl<K: Hash + Eq + Copy> Default for DecisionCache<K> {
+impl<K: Hash + Eq + Copy, V: MemoValue> Default for DecisionCache<K, V> {
     fn default() -> Self {
         Self::new(DEFAULT_CACHE_SHARDS, DEFAULT_CACHE_CAPACITY)
     }
 }
 
-impl<K: Hash + Eq + Copy> DecisionCache<K> {
+impl<K: Hash + Eq + Copy, V: MemoValue> DecisionCache<K, V> {
     /// Build a cache with `shards` stripes (rounded up to a power of two,
     /// at least 1). The per-shard bound is `capacity` divided across the
     /// shards, rounded up to at least one each — so the effective total
@@ -157,7 +188,7 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
         }
     }
 
-    fn shard_for(&self, key: K) -> &RwLock<ShardState<K>> {
+    fn shard_for(&self, key: K) -> &RwLock<ShardState<K, V>> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
         &self.shards[hasher.finish() as usize & self.shard_mask]
@@ -166,27 +197,20 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
     /// Look a shape up, counting exactly one hit or one miss. Entries
     /// tagged with a generation older than the current one are dead:
     /// they miss, exactly as if a hot-swap had physically erased them.
-    pub fn get(&self, key: K) -> Option<PlanDecision> {
+    pub fn get(&self, key: K) -> Option<V> {
         let generation = self.generation.load(Ordering::Acquire);
         let shard = self.shard_for(key);
         let found = {
             let state = shard.read();
-            let tagged = match state.last {
-                Some((last_key, tagged)) if last_key == key => Some(tagged),
-                _ => state.map.get(&key).copied(),
+            let tagged = match &state.last {
+                Some((last_key, tagged)) if *last_key == key => Some(tagged),
+                _ => state.map.get(&key),
             };
-            tagged.filter(|t| t.generation == generation).map(|t| t.decision)
+            tagged.filter(|t| t.generation == generation).map(|t| t.value.clone())
         };
-        match found {
-            Some(decision) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(decision)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Insert (or refresh) a decision, evicting an arbitrary resident
@@ -194,8 +218,8 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
     /// last-shape fast path. The entry is tagged with the generation
     /// current at insert time; callers racing a hot-swap use
     /// [`DecisionCache::insert_if_generation`] instead.
-    pub fn insert(&self, key: K, decision: PlanDecision) {
-        self.insert_tagged(key, decision, self.generation.load(Ordering::Acquire));
+    pub fn insert(&self, key: K, value: V) {
+        self.insert_tagged(key, value, self.generation.load(Ordering::Acquire));
     }
 
     /// Insert a decision only if the cache is still at `generation` (the
@@ -206,19 +230,18 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
     /// linchpin of swap coherence: swap publishes the new bundle first
     /// and bumps the generation second, so any decision tagged with the
     /// pre-swap generation is guaranteed stale-or-equal and safe to drop.
-    pub fn insert_if_generation(&self, key: K, decision: PlanDecision, generation: u64) -> bool {
+    pub fn insert_if_generation(&self, key: K, value: V, generation: u64) -> bool {
         if self.generation.load(Ordering::Acquire) != generation {
             return false;
         }
         // A bump racing us right here is benign: the entry keeps the old
         // tag and dies on the next lookup's generation check.
-        self.insert_tagged(key, decision, generation);
+        self.insert_tagged(key, value, generation);
         true
     }
 
-    fn insert_tagged(&self, key: K, decision: PlanDecision, generation: u64) {
-        // The fast path must replay as a memo hit.
-        let stored = Tagged { generation, decision: PlanDecision { memoised: true, ..decision } };
+    fn insert_tagged(&self, key: K, value: V, generation: u64) {
+        let stored = Tagged { generation, value: value.replayed() };
         let shard = self.shard_for(key);
         let mut state = shard.write();
         if !state.map.contains_key(&key) && state.map.len() >= self.per_shard_capacity {
@@ -227,7 +250,7 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        state.map.insert(key, stored);
+        state.map.insert(key, stored.clone());
         state.last = Some((key, stored));
     }
 

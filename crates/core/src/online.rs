@@ -12,13 +12,15 @@
 //!    tuples. The hot path is a sampling check, one `try_lock`, and a
 //!    copy into a preallocated ring: zero allocation, and contention
 //!    *drops* the observation rather than blocking the caller.
-//! 2. [`DriftDetector`] — per-routine exponentially-weighted moving
-//!    averages of |ln(measured / predicted)|. When a routine's rolling
-//!    error exceeds a configurable band (thermal throttling, a
-//!    co-tenant, frequency scaling — anything that invalidates the
-//!    install-time timings), the detector trips and the service stops
-//!    trusting model *choices*, serving conservative max-threads plans
-//!    until the error recovers or a retrain lands.
+//! 2. [`DriftDetector`] — the one recorder of predicted-vs-measured
+//!    error: per routine, the running sums behind
+//!    [`PredictionErrorStats`] and an exponentially-weighted moving
+//!    average of |ln(measured / predicted)|, updated from one logarithm
+//!    under one short lock. When a routine's rolling error leaves the
+//!    band (thermal throttling, a co-tenant, frequency scaling — anything
+//!    that invalidates the install-time timings), the detector trips and
+//!    the service stops trusting model *choices*, serving conservative
+//!    max-threads plans until the error recovers or a retrain lands.
 //! 3. [`OnlineAdapter`] / [`retrain_now`] — a background retrainer that
 //!    rebuilds the affected [`crate::artifact::ModelTable`] entries from
 //!    the reservoir (the same `train` machinery as installation, fed
@@ -41,7 +43,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use adsala_gemm::plan::{BlockScale, ExecutionPlan, IsaChoice, PlanGrid, PlanPoint};
-use adsala_gemm::{BlockSizes, KernelIsa, OpShape, Precision, Routine};
+use adsala_gemm::{BlockSizes, KernelIsa, OpShape, Precision, PredictionErrorStats, Routine};
 use adsala_ml::data::{Dataset, Matrix};
 use adsala_ml::tune::ModelSpec;
 use parking_lot::{Condvar, Mutex};
@@ -66,35 +68,15 @@ pub struct Observation {
 
 /// Tunables for the always-on observation/drift side of the loop.
 /// `Copy` so it can ride inside [`crate::service::ServiceConfig`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineConfig {
     /// Whether a tripped drift detector changes behaviour (conservative
     /// fallback plans). Observation and error accounting are always on;
     /// this gates the control action only, so a default service behaves
     /// bit-identically to one with no online layer at all.
     pub enabled: bool,
-    /// Total observations resident across all reservoir stripes.
-    pub reservoir_capacity: usize,
-    /// Reservoir lock stripes (rounded up to a power of two).
-    pub reservoir_stripes: usize,
-    /// Keep every `sample_every`-th observation (1 = keep all). Under
-    /// heavy load a sparser sample keeps reservoir locking negligible
-    /// without biasing the shape mix.
-    pub sample_every: u32,
-    /// Drift-detector band.
+    /// Drift-detector smoothing and warm-up.
     pub drift: DriftConfig,
-}
-
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            reservoir_capacity: 4096,
-            reservoir_stripes: 8,
-            sample_every: 1,
-            drift: DriftConfig::default(),
-        }
-    }
 }
 
 impl OnlineConfig {
@@ -153,6 +135,12 @@ impl std::fmt::Debug for ObservationReservoir {
 }
 
 impl ObservationReservoir {
+    /// The service's reservoir: 4096 observations over 8 stripes, every
+    /// observation kept.
+    pub(crate) fn for_service() -> Self {
+        Self::new(8, 4096, 1)
+    }
+
     /// Build a reservoir with `stripes` lock stripes (rounded up to a
     /// power of two, at least 1) sharing `capacity` total slots, keeping
     /// every `sample_every`-th observation. All storage is allocated up
@@ -242,17 +230,12 @@ impl ObservationReservoir {
     }
 }
 
-/// The drift detector's trip band.
+/// How fast the drift detector's rolling error moves and when it starts
+/// to count.
 #[derive(Debug, Clone, Copy)]
 pub struct DriftConfig {
     /// EWMA smoothing factor in (0, 1]; smaller = slower, steadier.
     pub alpha: f64,
-    /// Trip when a routine's rolling |ln(measured/predicted)| exceeds
-    /// this (0.35 ≈ a sustained 42% runtime miss).
-    pub trip_abs_log_error: f64,
-    /// Recover (untrip) when the rolling error falls back below this;
-    /// keeping it well under the trip threshold gives hysteresis.
-    pub recover_abs_log_error: f64,
     /// Ignore a routine until it has this many observations, so a cold
     /// EWMA can't trip on startup noise.
     pub min_samples: u64,
@@ -260,24 +243,45 @@ pub struct DriftConfig {
 
 impl Default for DriftConfig {
     fn default() -> Self {
-        Self { alpha: 0.1, trip_abs_log_error: 0.35, recover_abs_log_error: 0.15, min_samples: 32 }
+        Self { alpha: 0.1, min_samples: 32 }
     }
 }
 
-/// Rolling state for one routine.
+/// The detector trips when a routine's rolling |ln(measured/predicted)|
+/// exceeds this (≈ a sustained 42% runtime miss).
+const TRIP_ABS_LOG_ERROR: f64 = 0.35;
+/// It recovers (untrips) when every routine's rolling error is back below
+/// this; the gap to the trip threshold is the hysteresis.
+const RECOVER_ABS_LOG_ERROR: f64 = 0.15;
+/// Log-ratios are clamped to ±32 nats (a factor of ~8·10¹³) so a single
+/// absurd prediction cannot swamp the sums.
+const LOG_CLAMP: f64 = 32.0;
+
+/// Rolling state for one routine. Log-space is the natural domain: the
+/// models are trained on `ln(runtime)` labels, and a symmetric ±x% miss
+/// contributes equally in either direction.
 #[derive(Debug, Clone, Copy, Default)]
 struct RoutineErrorState {
     samples: u64,
     ewma_abs_log: f64,
+    /// Σ |ln(measured / predicted)|.
+    sum_abs_log: f64,
+    /// Σ ln(measured / predicted) — positive means the model is
+    /// optimistic (reality slower than predicted).
+    sum_log: f64,
+    /// Ops where measured > predicted.
+    overshoots: u64,
 }
 
 /// One routine's rolling error, as reported in [`DriftSnapshot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoutineDriftStats {
-    /// Observations folded into this routine's EWMA.
+    /// Observations folded into this routine's EWMA and sums.
     pub samples: u64,
     /// Rolling |ln(measured / predicted)|.
     pub ewma_abs_log_error: f64,
+    /// This routine's predicted-vs-measured error since the last reset.
+    pub prediction: PredictionErrorStats,
 }
 
 /// Point-in-time view of the detector.
@@ -298,6 +302,24 @@ impl DriftSnapshot {
         self.routines[routine_index(routine)]
     }
 
+    /// Predicted-vs-measured error over every routine: the fold of the
+    /// per-routine rows.
+    pub(crate) fn prediction(&self) -> PredictionErrorStats {
+        let mut all = PredictionErrorStats::default();
+        for row in self.routines.iter().map(|r| r.prediction) {
+            let n = row.samples as f64;
+            all.samples += row.samples;
+            all.mean_abs_log_error += row.mean_abs_log_error * n;
+            all.mean_log_ratio += row.mean_log_ratio * n;
+            all.overshoot_fraction += row.overshoot_fraction * n;
+        }
+        let denom = all.samples.max(1) as f64;
+        all.mean_abs_log_error /= denom;
+        all.mean_log_ratio /= denom;
+        all.overshoot_fraction /= denom;
+        all
+    }
+
     /// The worst rolling error across routines with any samples.
     pub fn max_ewma_abs_log_error(&self) -> f64 {
         self.routines
@@ -316,7 +338,8 @@ fn routine_index(routine: Routine) -> usize {
     }
 }
 
-/// Per-routine rolling predicted-vs-measured error with a trip wire.
+/// Per-routine predicted-vs-measured error — running sums and a rolling
+/// average — with a trip wire.
 ///
 /// Readers (the serving hot path) pay one relaxed `AtomicBool` load via
 /// [`DriftDetector::is_drifted`]; the per-observation update takes one
@@ -355,10 +378,14 @@ impl DriftDetector {
         if !predicted_s.is_finite() || predicted_s <= 0.0 || wall_ns == 0 {
             return;
         }
-        let abs_log = (wall_ns as f64 * 1e-9 / predicted_s).ln().abs().min(32.0);
+        let log_ratio = (wall_ns as f64 * 1e-9 / predicted_s).ln().clamp(-LOG_CLAMP, LOG_CLAMP);
+        let abs_log = log_ratio.abs();
         let (samples, ewma) = {
             let mut state = self.routines[routine_index(routine)].lock();
             state.samples += 1;
+            state.sum_abs_log += abs_log;
+            state.sum_log += log_ratio;
+            state.overshoots += u64::from(log_ratio > 0.0);
             state.ewma_abs_log = if state.samples == 1 {
                 abs_log
             } else {
@@ -369,18 +396,17 @@ impl DriftDetector {
         if samples < self.config.min_samples {
             return;
         }
-        if ewma > self.config.trip_abs_log_error {
+        if ewma > TRIP_ABS_LOG_ERROR {
             if !self.drifted.swap(true, Ordering::Relaxed) {
                 self.trips.fetch_add(1, Ordering::Relaxed);
             }
-        } else if ewma < self.config.recover_abs_log_error && self.drifted.load(Ordering::Relaxed) {
+        } else if ewma < RECOVER_ABS_LOG_ERROR && self.drifted.load(Ordering::Relaxed) {
             // Hysteresis: only a clear recovery (or a reset after a
             // retrain) untrips. One routine recovering is enough only if
             // no other routine is still outside the band.
             let any_bad = (0..3).any(|i| {
                 let s = self.routines[i].lock();
-                s.samples >= self.config.min_samples
-                    && s.ewma_abs_log > self.config.recover_abs_log_error
+                s.samples >= self.config.min_samples && s.ewma_abs_log > RECOVER_ABS_LOG_ERROR
             });
             if !any_bad {
                 self.drifted.store(false, Ordering::Relaxed);
@@ -399,8 +425,8 @@ impl DriftDetector {
         self.trips.load(Ordering::Relaxed)
     }
 
-    /// Zero every rolling error and untrip — called when a freshly
-    /// retrained bundle goes live, because the old EWMAs measured the old
+    /// Zero every sum and rolling error and untrip — called when a
+    /// freshly retrained bundle goes live, because they measured the old
     /// model.
     pub fn reset(&self) {
         for state in &self.routines {
@@ -409,12 +435,22 @@ impl DriftDetector {
         self.drifted.store(false, Ordering::Relaxed);
     }
 
-    /// Snapshot trips and per-routine rolling error.
+    /// Snapshot trips and per-routine error.
     pub fn snapshot(&self) -> DriftSnapshot {
         let mut routines = [RoutineDriftStats::default(); 3];
         for (i, slot) in routines.iter_mut().enumerate() {
-            let s = self.routines[i].lock();
-            *slot = RoutineDriftStats { samples: s.samples, ewma_abs_log_error: s.ewma_abs_log };
+            let s = *self.routines[i].lock();
+            let denom = s.samples.max(1) as f64;
+            *slot = RoutineDriftStats {
+                samples: s.samples,
+                ewma_abs_log_error: s.ewma_abs_log,
+                prediction: PredictionErrorStats {
+                    samples: s.samples,
+                    mean_abs_log_error: s.sum_abs_log / denom,
+                    mean_log_ratio: s.sum_log / denom,
+                    overshoot_fraction: s.overshoots as f64 / denom,
+                },
+            };
         }
         DriftSnapshot { tripped: self.is_drifted(), trips: self.trips(), routines }
     }
@@ -472,9 +508,6 @@ pub struct RetrainConfig {
     pub seed: u64,
     /// How often the background adapter wakes to check for work.
     pub poll_interval: Duration,
-    /// Also retrain on this period even without drift (`None` = only on
-    /// drift or explicit trigger).
-    pub retrain_every: Option<Duration>,
 }
 
 impl Default for RetrainConfig {
@@ -485,7 +518,6 @@ impl Default for RetrainConfig {
             folds: 3,
             seed: 0,
             poll_interval: Duration::from_millis(50),
-            retrain_every: None,
         }
     }
 }
@@ -601,10 +633,9 @@ struct AdapterShared {
 }
 
 /// The background retrainer thread: wakes on a poll interval (or an
-/// explicit [`OnlineAdapter::trigger`]), and when the service's drift
-/// detector is tripped — or the periodic schedule is due — runs
-/// [`retrain_now`] and hot-swaps the result. Dropping the adapter stops
-/// and joins the thread.
+/// explicit [`OnlineAdapter::trigger`]), and when triggered or when the
+/// service's drift detector is tripped runs [`retrain_now`] and hot-swaps
+/// the result. Dropping the adapter stops and joins the thread.
 #[derive(Debug)]
 pub struct OnlineAdapter {
     shared: Arc<AdapterShared>,
@@ -631,7 +662,6 @@ impl OnlineAdapter {
     }
 
     fn run(shared: Arc<AdapterShared>, service: Arc<AdsalaService>, cfg: RetrainConfig) {
-        let mut last_scheduled = Instant::now();
         loop {
             let kicked = {
                 let mut state = shared.state.lock();
@@ -643,12 +673,9 @@ impl OnlineAdapter {
                 }
                 std::mem::take(&mut state.kick)
             };
-            let scheduled_due =
-                cfg.retrain_every.is_some_and(|every| last_scheduled.elapsed() >= every);
-            if !(kicked || scheduled_due || service.is_drifted()) {
+            if !(kicked || service.is_drifted()) {
                 continue;
             }
-            last_scheduled = Instant::now();
             shared.retrain_passes.fetch_add(1, Ordering::Relaxed);
             match retrain_now(&service, &cfg) {
                 Ok(outcome) => {
@@ -799,7 +826,7 @@ mod tests {
         assert_eq!(d.trips(), 1);
         let snap = d.snapshot();
         assert!(snap.tripped);
-        assert!(snap.for_routine(Routine::Gemm).ewma_abs_log_error > cfg.trip_abs_log_error);
+        assert!(snap.for_routine(Routine::Gemm).ewma_abs_log_error > TRIP_ABS_LOG_ERROR);
         assert_eq!(snap.for_routine(Routine::Gemv).samples, 0);
         d.reset();
         assert!(!d.is_drifted());
@@ -809,7 +836,7 @@ mod tests {
 
     #[test]
     fn drift_detector_recovers_with_hysteresis() {
-        let cfg = DriftConfig { min_samples: 4, alpha: 0.5, ..DriftConfig::default() };
+        let cfg = DriftConfig { min_samples: 4, alpha: 0.5 };
         let d = DriftDetector::new(cfg);
         for _ in 0..20 {
             d.record(Routine::Syrk, 1e-3, 3_000_000);
@@ -844,6 +871,66 @@ mod tests {
         }
         assert!(!d.is_drifted());
         assert_eq!(d.snapshot().for_routine(Routine::Gemm).samples, 0);
+    }
+
+    #[test]
+    fn prediction_meter_tracks_log_error() {
+        let d = DriftDetector::new(DriftConfig::default());
+        // Perfect prediction: 1 ms predicted, 1 ms measured.
+        d.record(Routine::Gemm, 1e-3, 1_000_000);
+        // 2× slower than predicted (model optimistic / overshoot).
+        d.record(Routine::Gemm, 1e-3, 2_000_000);
+        // 2× faster than predicted.
+        d.record(Routine::Gemm, 2e-3, 1_000_000);
+        let s = d.snapshot().prediction();
+        assert_eq!(s.samples, 3);
+        let ln2 = std::f64::consts::LN_2;
+        assert!((s.mean_abs_log_error - 2.0 * ln2 / 3.0).abs() < 1e-4, "{s:?}");
+        assert!(s.mean_log_ratio.abs() < 1e-4, "{s:?}");
+        assert!((s.overshoot_fraction - 1.0 / 3.0).abs() < 1e-12);
+        assert!(s.mean_abs_pct() > 0.0);
+        d.reset();
+        assert_eq!(d.snapshot().prediction(), PredictionErrorStats::default());
+    }
+
+    #[test]
+    fn prediction_meter_ignores_unpredicted_ops() {
+        let d = DriftDetector::new(DriftConfig::default());
+        d.record(Routine::Gemm, 0.0, 1_000_000);
+        d.record(Routine::Gemm, -1.0, 1_000_000);
+        d.record(Routine::Gemm, 1e-3, 0);
+        assert_eq!(d.snapshot().prediction().samples, 0);
+    }
+
+    #[test]
+    fn global_error_is_the_fold_of_the_routine_rows() {
+        let d = DriftDetector::new(DriftConfig::default());
+        for i in 0..5u64 {
+            d.record(Routine::Syrk, 1e-3, 1_500_000 + 100_000 * i);
+        }
+        let syrk_only = d.snapshot();
+        assert_eq!(syrk_only.for_routine(Routine::Gemm), RoutineDriftStats::default());
+        assert_eq!(syrk_only.prediction(), syrk_only.for_routine(Routine::Syrk).prediction);
+
+        for i in 0..3u64 {
+            d.record(Routine::Gemm, 2e-3, 1_000_000 + 300_000 * i);
+            d.record(Routine::Gemv, 1e-4, 50_000 + 10_000 * i);
+        }
+        let snap = d.snapshot();
+        assert_eq!(snap.for_routine(Routine::Syrk), syrk_only.for_routine(Routine::Syrk));
+        let all = snap.prediction();
+        let rows = snap.routines.map(|r| r.prediction);
+        assert_eq!(all.samples, rows.iter().map(|r| r.samples).sum::<u64>());
+        assert_eq!(all.samples, 11);
+        let sum_of = |field: fn(&PredictionErrorStats) -> f64| -> f64 {
+            rows.iter().map(|r| field(r) * r.samples as f64).sum()
+        };
+        let n = all.samples as f64;
+        assert!((all.mean_abs_log_error * n - sum_of(|r| r.mean_abs_log_error)).abs() < 1e-12);
+        assert!((all.mean_log_ratio * n - sum_of(|r| r.mean_log_ratio)).abs() < 1e-12);
+        assert!((all.overshoot_fraction * n - sum_of(|r| r.overshoot_fraction)).abs() < 1e-12);
+        // Only SYRK ran slower than predicted: 5 overshoots in 11.
+        assert!((all.overshoot_fraction - 5.0 / 11.0).abs() < 1e-12, "{all:?}");
     }
 
     #[test]

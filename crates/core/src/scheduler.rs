@@ -11,11 +11,12 @@
 //!    bounded queue (back-pressure instead of unbounded pile-up).
 //! 2. **Co-planning**: queued ops are admitted in FIFO *waves*. For each
 //!    op the scheduler holds the model's full predicted-runtime curve
-//!    ([`crate::bundle::ArtifactBundle::decide_op_curve`]): what running
-//!    at 1, 2, … threads is predicted to cost. A wave starts every op at
-//!    its narrowest plan, then greedily widens whichever op is the
-//!    predicted makespan bottleneck (LPT-style) while the pool's thread
-//!    budget lasts and the model predicts an improvement.
+//!    ([`crate::bundle::ArtifactBundle::decide_op_curve`], memoised by the
+//!    service beside its decisions): what running at 1, 2, … threads is
+//!    predicted to cost. A wave starts every op at its narrowest plan,
+//!    then greedily widens whichever op is the predicted makespan
+//!    bottleneck (LPT-style) while the pool's thread budget lasts and the
+//!    model predicts an improvement.
 //! 3. **Fusion**: same-shape GEMMs sharing one stored `B` operand
 //!    ([`adsala_gemm::dispatch::FuseKey`]) collapse into one unit — one
 //!    decision, one packed-B stream, N concurrent executes
@@ -40,7 +41,7 @@
 //! **Deadlines and load shedding.** Every park in the scheduler goes
 //! through one timeout-aware wait primitive: a plain
 //! [`ServiceScheduler::submit`] is simply the unbounded (`deadline =
-//! None`) case of [`ServiceScheduler::submit_within`]. A bounded call
+//! None`) case of [`ServiceScheduler::submit_with`]. A bounded call
 //! returns [`AdsalaError::Timeout`] instead of blocking forever — at the
 //! admission gate (also bounded globally by
 //! [`SchedulerConfig::admission_timeout`]), and while queued, where the
@@ -56,7 +57,7 @@
 //! the drift detector is tripped, a ticket is planned from one row — the
 //! conservative max-threads plan within the thread budget — instead of the
 //! curve of a model the measurements have disowned. Such a ticket is counted
-//! in `drift_fallbacks`, stays out of the curve memo and is never fused.
+//! in `drift_fallbacks`, stays out of the service's memos and is never fused.
 //!
 //! **Panic isolation.** Solo and fused dispatches execute through the
 //! same serve stage as [`AdsalaService::run_with`], so they are booked and
@@ -73,11 +74,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use adsala_gemm::dispatch::{FuseKey, OpRequest, OpShape, OpStats};
+use adsala_gemm::dispatch::{FuseKey, OpRequest, OpStats};
 use adsala_gemm::plan::ExecutionPlan;
 use adsala_gemm::Element;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::cache::PlanCurve;
 use crate::service::{AdsalaService, RunOptions, ServiceStats};
 use crate::AdsalaError;
 
@@ -91,8 +93,6 @@ pub struct SchedulerConfig {
     /// 0 means the service pool's worker count. Capping below the pool
     /// size leaves headroom for unscheduled traffic on the same pool.
     pub thread_budget: usize,
-    /// Fuse same-shape shared-B GEMMs into one pooled dispatch.
-    pub fuse: bool,
     /// Upper bound on any submit's wait at the admission gate (a full
     /// queue), regardless of the call's own deadline. `None` preserves
     /// unbounded blocking back-pressure.
@@ -101,7 +101,7 @@ pub struct SchedulerConfig {
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
-        Self { max_queue: 64, thread_budget: 0, fuse: true, admission_timeout: None }
+        Self { max_queue: 64, thread_budget: 0, admission_timeout: None }
     }
 }
 
@@ -122,7 +122,8 @@ pub struct ScheduledRun {
 
 /// Point-in-time snapshot of the scheduler's counters, with the
 /// underlying service's counters attached (gang traffic lives in
-/// `service.pool`).
+/// `service.pool`: `gang_refused` is the "loser repacks B alone" path the
+/// co-scheduler exists to make rare).
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerStats {
     /// Ops ever submitted.
@@ -165,14 +166,6 @@ pub struct SchedulerStats {
     /// The wrapped service's counters (cache, pool gang traffic,
     /// workspace).
     pub service: ServiceStats,
-}
-
-impl SchedulerStats {
-    /// Gang reservations the pool refused — the "loser repacks B alone"
-    /// path the co-scheduler exists to make rare.
-    pub fn gang_fallbacks(&self) -> u64 {
-        self.service.pool.gang_refused
-    }
 }
 
 /// The client's request, type-erased so heterogeneous (`f32`/`f64`)
@@ -220,15 +213,6 @@ enum Phase {
     /// the owner observes this [`AdsalaError::Execution`].
     Failed(AdsalaError),
 }
-
-/// A predicted-runtime curve: `(plan, seconds)` rows ascending by
-/// threads, shared between the memo and the tickets holding it.
-type PlanCurve = Arc<Vec<(ExecutionPlan, f64)>>;
-
-/// The scheduler's curve memo: predicted-runtime curves per
-/// `(shape, cap)`, tagged with the service generation they were
-/// computed under.
-type TaggedCurves = (u64, HashMap<(OpShape, u32), PlanCurve>);
 
 #[derive(Debug)]
 struct Ticket {
@@ -280,6 +264,12 @@ struct Unit {
 }
 
 impl Unit {
+    /// A unit of one op, seated at its curve's narrowest row.
+    fn solo(id: u64, curve: &[(ExecutionPlan, f64)]) -> Self {
+        let rows = curve.iter().map(|&(plan, pred)| (plan, pred, plan.threads as usize)).collect();
+        Self { ids: vec![id], rows, idx: 0 }
+    }
+
     fn selected(&self) -> &(ExecutionPlan, f64, usize) {
         &self.rows[self.idx]
     }
@@ -292,17 +282,12 @@ pub struct ServiceScheduler {
     service: Arc<AdsalaService>,
     max_queue: usize,
     thread_budget: usize,
-    fuse: bool,
     admission_timeout: Option<Duration>,
     state: Mutex<SchedState>,
     /// Signalled on any ticket phase change.
     work: Condvar,
     /// Signalled when the admission queue gains room.
     space: Condvar,
-    /// Memo of predicted-runtime curves per `(shape, cap)`, tagged with
-    /// the service generation it was computed under: a bundle hot-swap
-    /// invalidates every curve, exactly like the service's decision memo.
-    curves: Mutex<TaggedCurves>,
     submitted: AtomicU64,
     completed: AtomicU64,
     waves: AtomicU64,
@@ -311,10 +296,6 @@ pub struct ServiceScheduler {
     admission_timeouts: AtomicU64,
     shed_expired: AtomicU64,
 }
-
-/// Bound on the scheduler-local curve memo (entries, then wholesale
-/// clear — curves are cheap to recompute and shape churn is rare).
-const CURVE_CACHE_CAP: usize = 512;
 
 impl ServiceScheduler {
     /// Wrap `service` with default tunables (budget = pool workers).
@@ -333,12 +314,10 @@ impl ServiceScheduler {
             service,
             max_queue: cfg.max_queue.max(1),
             thread_budget: thread_budget.max(1),
-            fuse: cfg.fuse,
             admission_timeout: cfg.admission_timeout,
             state: Mutex::new(SchedState::default()),
             work: Condvar::new(),
             space: Condvar::new(),
-            curves: Mutex::new((0, HashMap::new())),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             waves: AtomicU64::new(0),
@@ -368,25 +347,16 @@ impl ServiceScheduler {
         self.submit_with(req, RunOptions::default())
     }
 
-    /// Like [`ServiceScheduler::submit`] but never waits past `timeout`:
-    /// if the op is still unadmitted (at the gate or queued) when the
-    /// timeout elapses, it is shed and the call returns
-    /// [`AdsalaError::Timeout`] with the output buffer untouched. An op
-    /// admitted in time runs to completion even if execution outlasts
-    /// the timeout — admission is the commit point.
-    pub fn submit_within<T: Element>(
-        &self,
-        req: &mut OpRequest<'_, T>,
-        timeout: Duration,
-    ) -> Result<ScheduledRun, AdsalaError> {
-        self.submit_with(req, RunOptions::default().with_deadline(Instant::now() + timeout))
-    }
-
     /// Like [`ServiceScheduler::submit`] with per-call options. The
     /// host cap bounds this op's share of the *joint* assignment: the
     /// planner only considers curve rows at or below the cap, so the
     /// op's allocation never exceeds it — before, during, or after the
-    /// LPT upgrades.
+    /// LPT upgrades. The call never waits past [`RunOptions::deadline`]:
+    /// an op still unadmitted (at the gate or queued) when it passes is
+    /// shed and the call returns [`AdsalaError::Timeout`] with the output
+    /// buffer untouched, while an op admitted in time runs to completion
+    /// even if execution outlasts the deadline — admission is the commit
+    /// point.
     pub fn submit_with<T: Element>(
         &self,
         req: &mut OpRequest<'_, T>,
@@ -401,13 +371,10 @@ impl ServiceScheduler {
         let (curve, fuse) = match fallback {
             // While the detector is tripped the model's curve is not
             // trusted to plan a wave either: the ticket's only row is the
-            // conservative plan, outside the curve memo, and it joins no
-            // fused unit (a unit's members share one learned curve).
+            // conservative plan, outside the memos, and it joins no fused
+            // unit (a unit's members share one learned curve).
             Some(decision) => (Arc::new(vec![(decision.plan, decision.predicted_runtime_s)]), None),
-            None => (
-                self.curve_for(shape, cap),
-                if self.fuse { req.fuse_key().map(|k| (k, cap)) } else { None },
-            ),
+            None => (self.service.curve_for_capped(shape, cap), req.fuse_key().map(|k| (k, cap))),
         };
         // Erase the request so the planner and a fusion leader can reach
         // it; we park below until `Done`, upholding ErasedReq's contract.
@@ -601,34 +568,6 @@ impl ServiceScheduler {
         }
     }
 
-    fn curve_for(&self, shape: OpShape, cap: u32) -> Arc<Vec<(ExecutionPlan, f64)>> {
-        let key = (shape, cap);
-        // Generation before bundle, mirroring the service's swap
-        // protocol: a curve computed against a retired bundle may be
-        // memoised under its own (old) tag but can never pollute the
-        // post-swap memo.
-        let generation = self.service.generation();
-        {
-            let mut memo = self.curves.lock();
-            if memo.0 != generation {
-                memo.0 = generation;
-                memo.1.clear();
-            } else if let Some(curve) = memo.1.get(&key) {
-                return Arc::clone(curve);
-            }
-        }
-        let curve = Arc::new(self.service.bundle().decide_op_curve(shape, cap));
-        assert!(!curve.is_empty(), "plan grids always hold at least one thread count");
-        let mut memo = self.curves.lock();
-        if memo.0 == generation {
-            if memo.1.len() >= CURVE_CACHE_CAP {
-                memo.1.clear();
-            }
-            memo.1.insert(key, Arc::clone(&curve));
-        }
-        curve
-    }
-
     /// Remove a finished ticket and hand its result back (caller holds
     /// the lock via `st`).
     fn take_done(&self, st: &mut SchedState, id: u64) -> ScheduledRun {
@@ -750,51 +689,29 @@ impl ServiceScheduler {
 
         for &id in &st.queue {
             let ticket = &st.tickets[&id];
+            // Seating an op — alone or as one more member of a fused unit —
+            // costs its narrowest row's threads.
             let min_threads = ticket.curve[0].0.threads as usize;
-            if let Some(class) = ticket.fuse {
-                if let Some(&u) = classes.get(&class) {
-                    // Joining an existing unit costs one more member's
-                    // share at every row.
-                    if used + min_threads > avail {
-                        break;
-                    }
-                    used += min_threads;
+            if used + min_threads > avail {
+                break;
+            }
+            used += min_threads;
+            match ticket.fuse.and_then(|class| classes.get(&class).copied()) {
+                Some(u) => {
+                    // One more member's share at every row.
                     units[u].ids.push(id);
                     let n = units[u].ids.len();
                     for (row, &(plan, pred)) in units[u].rows.iter_mut().zip(ticket.curve.iter()) {
                         let total = plan.threads as usize * n;
                         *row = (plan.with_thread_count(total), pred, total);
                     }
-                    continue;
                 }
-                if used + min_threads > avail {
-                    break;
+                None => {
+                    if let Some(class) = ticket.fuse {
+                        classes.insert(class, units.len());
+                    }
+                    units.push(Unit::solo(id, &ticket.curve));
                 }
-                used += min_threads;
-                classes.insert(class, units.len());
-                units.push(Unit {
-                    ids: vec![id],
-                    rows: ticket
-                        .curve
-                        .iter()
-                        .map(|&(plan, pred)| (plan, pred, plan.threads as usize))
-                        .collect(),
-                    idx: 0,
-                });
-            } else {
-                if used + min_threads > avail {
-                    break;
-                }
-                used += min_threads;
-                units.push(Unit {
-                    ids: vec![id],
-                    rows: ticket
-                        .curve
-                        .iter()
-                        .map(|&(plan, pred)| (plan, pred, plan.threads as usize))
-                        .collect(),
-                    idx: 0,
-                });
             }
         }
         if units.is_empty() {
@@ -990,7 +907,10 @@ mod tests {
         });
         let stats = sched.stats();
         assert_eq!(stats.completed, (clients * reps) as u64);
-        assert_eq!(stats.gang_fallbacks(), 0, "budgeted waves must never lose a gang: {stats:?}");
+        assert_eq!(
+            stats.service.pool.gang_refused, 0,
+            "budgeted waves must never lose a gang: {stats:?}"
+        );
     }
 
     #[test]

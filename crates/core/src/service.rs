@@ -6,7 +6,9 @@
 //! reference. It composes the two layers below it —
 //!
 //! * an `Arc`-shared immutable [`ArtifactBundle`] for model sweeps,
-//! * a lock-striped [`DecisionCache`] for memoisation —
+//! * a lock-striped [`DecisionCache`] for memoisation (one instance of
+//!   decisions for `run`, one of per-thread-count curves for the
+//!   co-scheduler, both behind the same swap protocol) —
 //!
 //! and owns one persistent [`ThreadPool`]. Every request executes through
 //! the pooled kernel drivers on that pool, so the service path never pays
@@ -14,7 +16,7 @@
 //! (§VI-D) identifies as the dominant overhead for small shapes. The pool
 //! also owns the packing [`adsala_gemm::Workspace`]: workers reuse warm
 //! per-worker arenas (zero packing-path heap allocations at steady
-//! state, observable via [`AdsalaService::workspace_stats`]) and
+//! state, observable as [`ServiceStats::workspace`]) and
 //! row-split GEMM grids pack each B panel once into a shared region
 //! instead of once per row group — the two copy/sync costs of Table VII
 //! this layer eliminates.
@@ -23,20 +25,20 @@
 //! [`OpRequest`] from a typed descriptor ([`adsala_gemm::GemmArgs`],
 //! [`adsala_gemm::SyrkArgs`], [`adsala_gemm::GemvArgs`] — `f32` or `f64`)
 //! and hand it to [`AdsalaService::run`]. One entry point validates,
-//! decides, and executes; `sgemm`/`dgemm` remain as thin wrappers over
-//! it. Malformed operands come back as [`crate::AdsalaError::Shape`]
+//! decides, and executes. Malformed operands come back as [`crate::AdsalaError::Shape`]
 //! instead of killing a serving thread with a panic.
 //!
-//! Diagnostics are atomics: `evaluations` counts actual model sweeps
-//! (concurrent racing misses may sweep the same shape twice — both count),
-//! and [`AdsalaService::cache_stats`] snapshots the memo counters.
+//! Diagnostics are counters behind one door, [`AdsalaService::stats`]:
+//! `evaluations` counts actual model sweeps (concurrent racing misses may
+//! sweep the same shape twice — both count), `cache` the memo traffic.
 //!
 //! **Online adaptation.** The bundle slot is hot-swappable: every call
-//! feeds the [`crate::online`] feedback loop (prediction-error meter,
-//! drift detector, observation reservoir — all lock-cheap accounting),
+//! feeds the [`crate::online`] feedback loop (the per-routine error
+//! recorder with its drift trip wire, and the observation reservoir —
+//! lock-cheap accounting),
 //! and [`AdsalaService::swap_bundle`] publishes a retrained bundle under
 //! live traffic. The swap is two ordered steps — install the new `Arc`
-//! under the bundle `RwLock`, then bump the decision-cache generation —
+//! under the bundle `RwLock`, then bump both memos' generation —
 //! while serving threads read the generation *before* loading the
 //! bundle and publish decisions through `insert_if_generation`, so a
 //! decision computed against the retired bundle can never outlive the
@@ -74,16 +76,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use adsala_gemm::dispatch::{GemmArgs, OpRequest, OpShape, OpStats};
+use adsala_gemm::dispatch::{OpRequest, OpShape, OpStats};
 use adsala_gemm::isa::KernelIsa;
 use adsala_gemm::plan::{Algorithm, ExecutionPlan, PackingStrategy};
-use adsala_gemm::{
-    ArenaStats, Element, PoolStats, PredictionErrorStats, PredictionMeter, ThreadPool,
-};
+use adsala_gemm::{ArenaStats, Element, PoolStats, PredictionErrorStats, ThreadPool};
 use parking_lot::RwLock;
 
 use crate::bundle::{ArtifactBundle, PlanDecision};
-use crate::cache::{CacheStats, DecisionCache, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS};
+use crate::cache::{
+    CacheStats, DecisionCache, MemoValue, PlanCurve, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
+};
 use crate::online::{
     DriftDetector, DriftSnapshot, Observation, ObservationReservoir, OnlineConfig, ReservoirStats,
 };
@@ -95,12 +97,12 @@ pub struct ServiceConfig {
     /// Worker threads in the persistent GEMM pool; 0 means one per
     /// available hardware thread.
     pub pool_workers: usize,
-    /// Lock stripes in the decision cache.
+    /// Lock stripes in each memo (decisions, curves).
     pub cache_shards: usize,
-    /// Maximum resident decisions across all stripes.
+    /// Maximum resident entries of each memo across all its stripes.
     pub cache_capacity: usize,
-    /// Online-adaptation knobs (reservoir size/sampling, drift band, and
-    /// whether drift changes behaviour).
+    /// Online-adaptation knobs (whether drift changes behaviour, and how
+    /// fast the detector moves).
     pub online: OnlineConfig,
 }
 
@@ -174,17 +176,18 @@ pub struct AdsalaService {
     /// vice versa). Caps at or above the grid's maximum candidate
     /// normalise to the same key as "no cap", sharing one entry.
     cache: DecisionCache<(OpShape, u32)>,
+    /// The co-scheduler's predicted-runtime curves, keyed and retired
+    /// exactly like `cache` (see [`AdsalaService::memoised`]).
+    curves: DecisionCache<(OpShape, u32), PlanCurve>,
     pool: ThreadPool,
     /// Model sweeps performed (memo hits don't count).
     evaluations: AtomicU64,
-    /// Ops whose requested kernel ISA was unavailable at execution time
-    /// and ran on a humbler one (see `OpStats::plan_degraded`).
+    /// Ops reported with `OpStats::plan_degraded` (see
+    /// [`ServiceStats::plan_downgrades`] for what that covers).
     plan_downgrades: AtomicU64,
     /// Online-adaptation knobs.
     online: OnlineConfig,
-    /// Rolling predicted-vs-measured error over every executed op.
-    prediction: PredictionMeter,
-    /// Per-routine rolling error with the drift trip wire.
+    /// Per-routine predicted-vs-measured error with the drift trip wire.
     drift: DriftDetector,
     /// Bounded sink of executed-op observations for the retrainer.
     reservoir: ObservationReservoir,
@@ -226,22 +229,27 @@ pub struct AlgorithmMix {
 pub struct ServiceStats {
     /// Model sweeps performed (memo hits don't count).
     pub evaluations: u64,
-    /// Ops that executed on a humbler kernel ISA than their plan asked
-    /// for.
+    /// Ops whose report carried [`OpStats::plan_degraded`]: a pinned
+    /// kernel ISA clamped, a requested algorithm refused, a degraded
+    /// retry — and every SYRK/GEMV served under a plan with a non-thread
+    /// axis, which those routines do not honour (most of the count under a
+    /// grid install with mixed routines).
     pub plan_downgrades: u64,
     /// Bundle hot-swaps performed.
     pub swaps: u64,
-    /// Current decision-cache generation (bumped once per swap).
+    /// Current memo generation (bumped once per swap).
     pub generation: u64,
     /// Decisions served as conservative fallbacks while drifted.
     pub drift_fallbacks: u64,
-    /// Rolling predicted-vs-measured error since the last swap.
+    /// Predicted-vs-measured error since the last swap, over every
+    /// routine (the fold of `drift`'s per-routine rows).
     pub prediction: PredictionErrorStats,
-    /// Drift-detector state (trip wire + per-routine rolling error).
+    /// Drift-detector state (trip wire + per-routine error).
     pub drift: DriftSnapshot,
     /// Observation-reservoir occupancy and traffic.
     pub reservoir: ReservoirStats,
-    /// Decision-memo counters.
+    /// Memo counters, summed over the decision memo and the
+    /// co-scheduler's curve memo.
     pub cache: CacheStats,
     /// Execution-pool gang-reservation counters.
     pub pool: PoolStats,
@@ -275,17 +283,13 @@ impl AdsalaService {
         Self {
             bundle: RwLock::new(bundle),
             cache: DecisionCache::new(cfg.cache_shards, cfg.cache_capacity),
+            curves: DecisionCache::new(cfg.cache_shards, cfg.cache_capacity),
             pool,
             evaluations: AtomicU64::new(0),
             plan_downgrades: AtomicU64::new(0),
             online: cfg.online,
-            prediction: PredictionMeter::default(),
             drift: DriftDetector::new(cfg.online.drift),
-            reservoir: ObservationReservoir::new(
-                cfg.online.reservoir_stripes,
-                cfg.online.reservoir_capacity,
-                cfg.online.sample_every,
-            ),
+            reservoir: ObservationReservoir::for_service(),
             swaps: AtomicU64::new(0),
             drift_fallbacks: AtomicU64::new(0),
             algo_executed: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
@@ -304,23 +308,23 @@ impl AdsalaService {
     }
 
     /// Atomically publish a new artefact bundle and retire every memoised
-    /// decision, without blocking or invalidating in-flight requests:
-    /// first the bundle slot is replaced (one brief write lock), then the
-    /// decision-cache generation is bumped so pre-swap decisions die.
+    /// decision and curve, without blocking or invalidating in-flight
+    /// requests: first the bundle slot is replaced (one brief write lock),
+    /// then both memos' generation is bumped so pre-swap entries die.
     /// Requests already executing finish under the plan they decided with
-    /// — the old `Arc` keeps their artefacts alive. Also resets the
-    /// prediction meter and drift detector (their rolling errors measured
-    /// the retiring model). Returns the new cache generation.
+    /// — the old `Arc` keeps their artefacts alive. Also resets the drift
+    /// detector (its errors measured the retiring model). Returns the new
+    /// memo generation.
     pub fn swap_bundle(&self, bundle: Arc<ArtifactBundle>) -> u64 {
         *self.bundle.write() = bundle;
-        // Order matters: the generation bump must follow the publish, so
+        // Order matters: the generation bumps must follow the publish, so
         // any reader who saw the old generation either decided with the
         // old bundle (entry dies now) or the new one (entry is refused by
         // insert_if_generation and re-decided — conservative but never
         // stale).
         let generation = self.cache.bump_generation();
+        self.curves.bump_generation();
         self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.prediction.reset();
         self.drift.reset();
         generation
     }
@@ -332,18 +336,8 @@ impl AdsalaService {
     }
 
     /// Worker threads in the persistent execution pool.
-    pub fn pool_workers(&self) -> usize {
+    pub(crate) fn pool_workers(&self) -> usize {
         self.pool.workers()
-    }
-
-    /// Aggregate packing-arena counters of the pool's workspace (the
-    /// per-worker scratch slots plus the shared-B free list). On a warm
-    /// service, `allocations` stops moving while `bytes_reused` keeps
-    /// climbing — the observable form of the zero-allocation hot path
-    /// (the paper's Table VII "data copy" component with the allocator
-    /// taken out of it).
-    pub fn workspace_stats(&self) -> ArenaStats {
-        self.pool.workspace().arena_stats()
     }
 
     /// Normalise a thread cap into the memo key space: caps at or above
@@ -359,9 +353,8 @@ impl AdsalaService {
     /// the drift detector is tripped, i.e. the measurements have disowned
     /// the model — decide conservatively instead
     /// ([`ArtifactBundle::conservative_op`] within the cap, counted in
-    /// `drift_fallbacks`). A fallback is never memoised, by the decision
-    /// cache or the scheduler's curve memo: it must vanish the moment the
-    /// detector recovers.
+    /// `drift_fallbacks`). A fallback enters neither memo: it must vanish
+    /// the moment the detector recovers.
     pub(crate) fn decision_gate(&self, shape: OpShape, cap: u32) -> (u32, Option<PlanDecision>) {
         let cap = self.normalised_cap(cap);
         if !(self.online.enabled && self.drift.is_drifted()) {
@@ -380,19 +373,44 @@ impl AdsalaService {
     /// equal inputs always yield equal plans because both the cache and the
     /// bundle are deterministic.
     pub fn select_for_capped(&self, shape: OpShape, cap: u32) -> PlanDecision {
+        self.memoised(&self.cache, shape, cap, |bundle, cap| bundle.decide_op_capped(shape, cap))
+    }
+
+    /// [`AdsalaService::select_for_capped`] for the co-scheduler: the whole
+    /// predicted-runtime curve ([`ArtifactBundle::decide_op_curve`]) among
+    /// the plans with at most `cap` threads, from the curve memo or one
+    /// sweep.
+    pub(crate) fn curve_for_capped(&self, shape: OpShape, cap: u32) -> PlanCurve {
+        self.memoised(&self.curves, shape, cap, |bundle, cap| {
+            let curve = bundle.decide_op_curve(shape, cap);
+            assert!(!curve.is_empty(), "plan grids always hold at least one thread count");
+            Arc::new(curve)
+        })
+    }
+
+    /// The one memo lookup: replay `(shape, normalised cap)` from `memo`,
+    /// or run `sweep` on the current bundle under that cap, count it in
+    /// `evaluations` and publish the result.
+    fn memoised<V: MemoValue>(
+        &self,
+        memo: &DecisionCache<(OpShape, u32), V>,
+        shape: OpShape,
+        cap: u32,
+        sweep: impl FnOnce(&ArtifactBundle, u32) -> V,
+    ) -> V {
         let cap = self.normalised_cap(cap);
         // Generation before bundle: if a swap lands in between, this
-        // decision is refused below and the next caller re-decides under
-        // the new epoch — a decision can never enter a younger memo than
-        // the bundle it came from.
-        let generation = self.cache.generation();
-        if let Some(decision) = self.cache.get((shape, cap)) {
-            return decision;
+        // value is refused below and the next caller re-decides under the
+        // new epoch — nothing can enter a younger memo than the bundle it
+        // came from.
+        let generation = memo.generation();
+        if let Some(hit) = memo.get((shape, cap)) {
+            return hit;
         }
-        let decision = self.bundle().decide_op_capped(shape, cap);
+        let value = sweep(&self.bundle(), cap);
         self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.cache.insert_if_generation((shape, cap), decision, generation);
-        decision
+        memo.insert_if_generation((shape, cap), value.clone(), generation);
+        value
     }
 
     /// Serve one operation with default options: validate the operands,
@@ -624,7 +642,7 @@ impl AdsalaService {
 
     /// Execute a request under a caller-pinned [`ExecutionPlan`] on the
     /// service's pool, skipping the model sweep and the memo. Downgrade
-    /// and algorithm-mix telemetry still apply; the prediction meter and
+    /// and algorithm-mix telemetry still apply; the error recorder and its
     /// drift detector do not (a pinned run carries no prediction to
     /// compare against), and a kernel panic is isolated but never retried
     /// on a different plan.
@@ -637,10 +655,10 @@ impl AdsalaService {
         self.serve(req, plan, None, None, false)
     }
 
-    /// Feed one executed op into the feedback loop: the prediction
-    /// meter, the drift detector, and (sampled) the observation
-    /// reservoir. The serve stage calls this for every model-decided op
-    /// (served directly or through the co-scheduler). Lock-cheap and never
+    /// Feed one executed op into the feedback loop: the per-routine error
+    /// recorder (with its drift trip wire) and the observation reservoir.
+    /// The serve stage calls this for every model-decided op (served
+    /// directly or through the co-scheduler). Lock-cheap and never
     /// blocking.
     pub fn observe(
         &self,
@@ -649,82 +667,8 @@ impl AdsalaService {
         predicted_runtime_s: f64,
         wall_ns: u64,
     ) {
-        self.prediction.record(predicted_runtime_s, wall_ns);
         self.drift.record(shape.routine, predicted_runtime_s, wall_ns);
         self.reservoir.record(Observation { shape, plan: *plan, predicted_runtime_s, wall_ns });
-    }
-
-    /// Single-precision GEMM through [`AdsalaService::run_with`]:
-    /// `C ← α·A·B + β·C`, row-major, thread count ML-selected and clamped
-    /// to `host_max_threads` (v1 semantics: 0 executes on one thread).
-    /// Kept so v1 callers migrate mechanically.
-    #[allow(clippy::too_many_arguments)] // BLAS-style signature
-    pub fn sgemm(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: f32,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        beta: f32,
-        c: &mut [f32],
-        ldc: usize,
-        host_max_threads: u32,
-    ) -> Result<(PlanDecision, OpStats), AdsalaError> {
-        let mut req: OpRequest<'_, f32> =
-            GemmArgs::untransposed(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc).into();
-        self.run_with(&mut req, RunOptions::with_host_cap(host_max_threads.max(1)))
-    }
-
-    /// Double-precision GEMM through [`AdsalaService::run_with`] — the
-    /// `f64` twin of [`AdsalaService::sgemm`].
-    #[allow(clippy::too_many_arguments)] // BLAS-style signature
-    pub fn dgemm(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: f64,
-        a: &[f64],
-        lda: usize,
-        b: &[f64],
-        ldb: usize,
-        beta: f64,
-        c: &mut [f64],
-        ldc: usize,
-        host_max_threads: u32,
-    ) -> Result<(PlanDecision, OpStats), AdsalaError> {
-        let mut req: OpRequest<'_, f64> =
-            GemmArgs::untransposed(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc).into();
-        self.run_with(&mut req, RunOptions::with_host_cap(host_max_threads.max(1)))
-    }
-
-    /// Model sweeps performed so far (accurate under concurrency).
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot the decision-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Snapshot the pool's gang-reservation counters.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Rolling predicted-vs-measured error since the last swap.
-    pub fn prediction_stats(&self) -> PredictionErrorStats {
-        self.prediction.snapshot()
-    }
-
-    /// Drift-detector state (trip wire + per-routine rolling error).
-    pub fn drift_snapshot(&self) -> DriftSnapshot {
-        self.drift.snapshot()
     }
 
     /// Whether the drift detector is currently tripped.
@@ -732,7 +676,7 @@ impl AdsalaService {
         self.drift.is_drifted()
     }
 
-    /// Untrip the drift detector and zero its rolling errors without
+    /// Untrip the drift detector and zero its per-routine errors without
     /// swapping a bundle (an operator override; a swap resets it anyway).
     pub fn reset_drift(&self) {
         self.drift.reset();
@@ -743,35 +687,35 @@ impl AdsalaService {
         self.reservoir.drain()
     }
 
-    /// Bundle hot-swaps performed so far.
-    pub fn swaps(&self) -> u64 {
-        self.swaps.load(Ordering::Relaxed)
-    }
-
-    /// Current decision-cache generation (bumped once per swap).
-    pub fn generation(&self) -> u64 {
-        self.cache.generation()
-    }
-
-    /// Decisions served as conservative fallbacks while drifted.
-    pub fn drift_fallbacks(&self) -> u64 {
-        self.drift_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot every service-level counter at once.
+    /// Snapshot every service-level counter at once — the one way to ask.
+    ///
+    /// On a warm service, `workspace.allocations` stops moving while
+    /// `workspace.bytes_reused` keeps climbing: the observable form of the
+    /// zero-allocation hot path (the paper's Table VII "data copy"
+    /// component with the allocator taken out of it).
     pub fn stats(&self) -> ServiceStats {
+        let drift = self.drift.snapshot();
+        let (decisions, curves) = (self.cache.stats(), self.curves.stats());
         ServiceStats {
-            evaluations: self.evaluations(),
+            evaluations: self.evaluations.load(Ordering::Relaxed),
             plan_downgrades: self.plan_downgrades.load(Ordering::Relaxed),
-            swaps: self.swaps(),
-            generation: self.generation(),
-            drift_fallbacks: self.drift_fallbacks(),
-            prediction: self.prediction_stats(),
-            drift: self.drift_snapshot(),
+            swaps: self.swaps.load(Ordering::Relaxed),
+            generation: decisions.generation,
+            drift_fallbacks: self.drift_fallbacks.load(Ordering::Relaxed),
+            prediction: drift.prediction(),
+            drift,
             reservoir: self.reservoir.stats(),
-            cache: self.cache_stats(),
-            pool: self.pool_stats(),
-            workspace: self.workspace_stats(),
+            cache: CacheStats {
+                hits: decisions.hits + curves.hits,
+                misses: decisions.misses + curves.misses,
+                evictions: decisions.evictions + curves.evictions,
+                entries: decisions.entries + curves.entries,
+                capacity: decisions.capacity + curves.capacity,
+                shards: decisions.shards + curves.shards,
+                generation: decisions.generation,
+            },
+            pool: self.pool.stats(),
+            workspace: self.pool.workspace().arena_stats(),
             algorithms: AlgorithmMix {
                 blocked: self.algo_executed[0].load(Ordering::Relaxed),
                 strassen: self.algo_executed[1].load(Ordering::Relaxed),
@@ -784,10 +728,11 @@ impl AdsalaService {
         }
     }
 
-    /// Forget all memoised decisions (e.g. after a machine change). The
-    /// counters and the evaluation count are preserved.
+    /// Forget all memoised decisions and curves (e.g. after a machine
+    /// change). The counters and the evaluation count are preserved.
     pub fn clear_cache(&self) {
         self.cache.clear();
+        self.curves.clear();
     }
 }
 
@@ -821,7 +766,7 @@ const _: () = _assert_send_sync::<AdsalaService>();
 mod tests {
     use super::*;
     use crate::bundle::tests::quick_bundle;
-    use adsala_gemm::dispatch::{GemvArgs, Precision, Routine, SyrkArgs};
+    use adsala_gemm::dispatch::{GemmArgs, GemvArgs, Precision, Routine, SyrkArgs};
 
     /// The uncapped f32-GEMM decision for `(m, k, n)`.
     fn decide(svc: &AdsalaService, m: u64, k: u64, n: u64) -> PlanDecision {
@@ -843,8 +788,8 @@ mod tests {
         assert!(!first.memoised);
         assert!(second.memoised);
         assert_eq!(first.threads(), second.threads());
-        assert_eq!(svc.evaluations(), 1, "memo hit must not re-sweep");
-        let stats = svc.cache_stats();
+        assert_eq!(svc.stats().evaluations, 1, "memo hit must not re-sweep");
+        let stats = svc.stats().cache;
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
@@ -855,7 +800,9 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|i| (i % 7) as f32 - 3.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 * 0.5).collect();
         let mut c = vec![0.0f32; m * n];
-        let (decision, stats) = svc.sgemm(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, 4).unwrap();
+        let mut req: OpRequest<'_, f32> =
+            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+        let (decision, stats) = svc.run_with(&mut req, RunOptions::with_host_cap(4)).unwrap();
         assert!(svc.candidates().contains(&decision.threads()));
         assert_eq!(stats.routine, Routine::Gemm);
         assert_eq!(stats.precision, Precision::F32);
@@ -910,7 +857,7 @@ mod tests {
         assert_eq!((stats.routine, stats.precision), (Routine::Gemv, Precision::F32));
 
         // Three distinct (routine, precision, shape) keys were decided.
-        assert_eq!(svc.cache_stats().entries, 3);
+        assert_eq!(svc.stats().cache.entries, 3);
     }
 
     #[test]
@@ -926,21 +873,7 @@ mod tests {
             other => panic!("expected shape error, got {other:?}"),
         }
         assert!(c.iter().all(|&v| v == 9.0), "output must be untouched");
-        assert_eq!(svc.cache_stats().lookups(), 0, "invalid requests must not touch the memo");
-    }
-
-    #[test]
-    fn sgemm_zero_cap_keeps_v1_single_thread_semantics() {
-        // Pre-redesign, host_max_threads = 0 clamped execution to one
-        // thread; the compat wrappers must preserve that, while
-        // RunOptions itself treats 0 as "no cap".
-        let svc = service();
-        let (m, n, k) = (256usize, 256usize, 16usize);
-        let a = vec![1.0f32; m * k];
-        let b = vec![1.0f32; k * n];
-        let mut c = vec![0.0f32; m * n];
-        let (_, stats) = svc.sgemm(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, 0).unwrap();
-        assert_eq!(stats.exec.threads_used, 1, "v1 callers passing 0 pinned serial execution");
+        assert_eq!(svc.stats().cache.lookups(), 0, "invalid requests must not touch the memo");
     }
 
     #[test]
@@ -1019,8 +952,8 @@ mod tests {
 
         // Capped and uncapped decisions are distinct memo entries.
         let uncapped = svc.select_for_capped(shape, u32::MAX);
-        assert_eq!(svc.evaluations(), 2, "distinct caps must sweep separately");
-        assert_eq!(svc.cache_stats().entries, 2);
+        assert_eq!(svc.stats().evaluations, 2, "distinct caps must sweep separately");
+        assert_eq!(svc.stats().cache.entries, 2);
         assert!(uncapped.threads() >= capped.threads());
 
         // A cap at/above the grid's maximum is "no cap" and shares the
@@ -1028,7 +961,7 @@ mod tests {
         let wide = svc.select_for_capped(shape, u32::MAX - 1);
         assert!(wide.memoised);
         assert_eq!(wide.plan, uncapped.plan);
-        assert_eq!(svc.evaluations(), 2);
+        assert_eq!(svc.stats().evaluations, 2);
 
         // And the executed plan is the capped decision, not a clamp.
         let (m, n, k) = (512usize, 512usize, 64usize);
@@ -1046,15 +979,15 @@ mod tests {
     fn swap_bundle_bumps_generation_and_forces_reevaluation() {
         let svc = service();
         let before = decide(&svc, 128, 512, 128);
-        assert_eq!(svc.generation(), 0);
+        assert_eq!(svc.stats().generation, 0);
         let refreshed = svc.bundle().refreshed(svc.bundle().models.clone()).into_shared();
         let generation = svc.swap_bundle(refreshed);
         assert_eq!(generation, 1);
-        assert_eq!(svc.generation(), 1);
-        assert_eq!(svc.swaps(), 1);
+        assert_eq!(svc.stats().generation, 1);
+        assert_eq!(svc.stats().swaps, 1);
         let after = decide(&svc, 128, 512, 128);
         assert!(!after.memoised, "a swap must retire memoised decisions");
-        assert_eq!(svc.evaluations(), 2);
+        assert_eq!(svc.stats().evaluations, 2);
         // Identical models ⇒ identical decision, freshly swept.
         assert_eq!(after.plan, before.plan);
     }
@@ -1090,8 +1023,7 @@ mod tests {
             pool_workers: 4,
             online: OnlineConfig {
                 enabled: true,
-                drift: DriftConfig { min_samples: 4, alpha: 0.5, ..DriftConfig::default() },
-                ..OnlineConfig::default()
+                drift: DriftConfig { min_samples: 4, alpha: 0.5 },
             },
             ..ServiceConfig::default()
         };
@@ -1111,7 +1043,7 @@ mod tests {
             GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
         let cap = 2;
         let (decision, _) = svc.run_with(&mut req, RunOptions::with_host_cap(cap)).unwrap();
-        assert_eq!(svc.drift_fallbacks(), 1);
+        assert_eq!(svc.stats().drift_fallbacks, 1);
         assert!(!decision.memoised, "fallback decisions must not be memoised");
         assert_eq!(decision.plan, svc.bundle().conservative_op(shape, cap).plan);
         assert_eq!(decision.threads(), cap, "conservative = widest plan within the cap");
@@ -1121,7 +1053,7 @@ mod tests {
         let mut req: OpRequest<'_, f32> =
             GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
         svc.run_with(&mut req, RunOptions::with_host_cap(cap)).unwrap();
-        assert_eq!(svc.drift_fallbacks(), 1, "recovered service trusts the model again");
+        assert_eq!(svc.stats().drift_fallbacks, 1, "recovered service trusts the model again");
     }
 
     #[test]
@@ -1131,7 +1063,7 @@ mod tests {
         svc.clear_cache();
         let d = decide(&svc, 100, 100, 100);
         assert!(!d.memoised);
-        assert_eq!(svc.evaluations(), 2);
+        assert_eq!(svc.stats().evaluations, 2);
     }
 
     #[test]

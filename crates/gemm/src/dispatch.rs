@@ -297,6 +297,18 @@ impl<'a, T: Element> GemmArgs<'a, T> {
         OpShape::gemm(T::PRECISION, self.m as u64, self.k as u64, self.n as u64)
     }
 
+    /// The driver-level call these operands make under `plan`.
+    fn call(&self, plan: &ExecutionPlan) -> GemmCall {
+        GemmCall {
+            trans_a: self.trans_a,
+            trans_b: self.trans_b,
+            m: self.m,
+            n: self.n,
+            k: self.k,
+            plan: *plan,
+        }
+    }
+
     /// Check every operand against the described dimensions.
     pub fn validate(&self) -> Result<(), ShapeError> {
         let r = Routine::Gemm;
@@ -419,6 +431,12 @@ impl<T: Element> GemvArgs<'_, T> {
         check_vector(r, "x", self.n, self.x.len())?;
         check_vector(r, "y", self.m, self.y.len())
     }
+}
+
+/// Whether a GEMM executed something humbler than `plan` asked for: a
+/// pinned kernel ISA clamped, or the requested algorithm refused.
+fn gemm_plan_degraded(plan: &ExecutionPlan, exec: &GemmStats) -> bool {
+    plan.kernel_isa.is_some_and(|isa| exec.kernel_isa != isa) || plan.algorithm != exec.algorithm
 }
 
 /// Unified execution report: the kernel breakdown tagged with what ran.
@@ -586,19 +604,18 @@ impl<T: Element> OpRequest<'_, T> {
         let shape = self.shape();
         let threads = plan.threads.max(1) as usize;
         let exec = match self {
-            OpRequest::Gemm(g) => {
-                let call = GemmCall {
-                    trans_a: g.trans_a,
-                    trans_b: g.trans_b,
-                    m: g.m,
-                    n: g.n,
-                    k: g.k,
-                    plan: *plan,
-                };
-                gemm_with_stats_pooled(
-                    pool, &call, g.alpha, g.a, g.lda, g.b, g.ldb, g.beta, g.c, g.ldc,
-                )
-            }
+            OpRequest::Gemm(g) => gemm_with_stats_pooled(
+                pool,
+                &g.call(plan),
+                g.alpha,
+                g.a,
+                g.lda,
+                g.b,
+                g.ldb,
+                g.beta,
+                g.c,
+                g.ldc,
+            ),
             OpRequest::Syrk(s) => syrk_with_stats_pooled(
                 pool, s.m, s.k, s.alpha, s.a, s.lda, s.beta, s.c, s.ldc, threads,
             ),
@@ -607,10 +624,7 @@ impl<T: Element> OpRequest<'_, T> {
             ),
         };
         let plan_degraded = match shape.routine {
-            Routine::Gemm => {
-                plan.kernel_isa.is_some_and(|isa| exec.kernel_isa != isa)
-                    || plan.algorithm != exec.algorithm
-            }
+            Routine::Gemm => gemm_plan_degraded(plan, &exec),
             Routine::Syrk | Routine::Gemv => !plan.is_threads_only(),
         };
         OpStats {
@@ -671,18 +685,7 @@ impl<T: Element> OpRequest<'_, T> {
             "execute_fused_refs_validated: batch is not pairwise fusable"
         );
         let (call, b, ldb) = match &*reqs[0] {
-            OpRequest::Gemm(g) => (
-                GemmCall {
-                    trans_a: g.trans_a,
-                    trans_b: g.trans_b,
-                    m: g.m,
-                    n: g.n,
-                    k: g.k,
-                    plan: *plan,
-                },
-                g.b,
-                g.ldb,
-            ),
+            OpRequest::Gemm(g) => (g.call(plan), g.b, g.ldb),
             other => {
                 panic!("execute_fused_refs_validated: only GEMM fuses, got {}", other.routine())
             }
@@ -710,8 +713,7 @@ impl<T: Element> OpRequest<'_, T> {
                 plan: *plan,
                 // The fused driver is blocked-only, so a non-blocked
                 // algorithm request degrades (and is reported as such).
-                plan_degraded: plan.kernel_isa.is_some_and(|isa| exec.kernel_isa != isa)
-                    || plan.algorithm != exec.algorithm,
+                plan_degraded: gemm_plan_degraded(plan, &exec),
                 predicted_ns: 0,
                 exec,
             })

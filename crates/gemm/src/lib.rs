@@ -25,8 +25,8 @@
 //! typed [`OpRequest`] descriptors over all of them; each reports a
 //! [`GemmStats`] breakdown (bytes packed, kernel calls, the thread grid)
 //! so experiments can observe the same quantities the paper pulled out of
-//! Intel VTune. The BLAS-style `sgemm`/`dgemm` calls live on the serving
-//! layer (`adsala::AdsalaService`).
+//! Intel VTune. The model-decided entry point lives on the serving
+//! layer (`adsala::AdsalaService::run`).
 //!
 //! Matrices are dense, row-major, with an explicit leading (row) stride.
 //! Operands may be logically transposed via [`Transpose`]; packing handles
@@ -65,7 +65,7 @@ pub use plan::{
     FEATURE_REV_AXES, FEATURE_REV_LEGACY,
 };
 pub use pool::{Executor, PoolStats, ThreadPool};
-pub use stats::{GemmStats, PredictionErrorStats, PredictionMeter};
+pub use stats::{GemmStats, PredictionErrorStats};
 pub use syrk::{syrk_with_stats, syrk_with_stats_pooled};
 pub use threading::ThreadGrid;
 pub use workspace::{ArenaStats, PackArena, Workspace};

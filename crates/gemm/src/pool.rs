@@ -295,15 +295,7 @@ impl ThreadPool {
     /// count, every member of every gang eventually gets a worker
     /// (non-gang jobs never block indefinitely), so every barrier opens.
     pub fn try_reserve_gang(&self, n: usize) -> Option<GangReservation<'_>> {
-        let mut available = self.gang_capacity.lock();
-        if *available >= n {
-            *available -= n;
-            self.gang_reserved.fetch_add(1, Ordering::Relaxed);
-            Some(GangReservation { pool: self, n })
-        } else {
-            self.gang_refused.fetch_add(1, Ordering::Relaxed);
-            None
-        }
+        self.reserve_gang(n, 1)
     }
 
     /// [`ThreadPool::try_reserve_gang`] with bounded exponential backoff:
@@ -312,9 +304,14 @@ impl ThreadPool {
     /// caller to independent packing. A request larger than the pool can
     /// *ever* satisfy is refused immediately — backing off cannot help.
     pub fn reserve_gang_backoff(&self, n: usize) -> Option<GangReservation<'_>> {
-        const ATTEMPTS: u32 = 4;
+        self.reserve_gang(n, 4)
+    }
+
+    /// Up to `attempts` tries at taking `n` workers out of the gang
+    /// capacity, sleeping 50 µs, 100 µs, … between them.
+    fn reserve_gang(&self, n: usize, attempts: u32) -> Option<GangReservation<'_>> {
         const BASE: Duration = Duration::from_micros(50);
-        for attempt in 0..ATTEMPTS {
+        for attempt in 0..attempts {
             {
                 let mut available = self.gang_capacity.lock();
                 if *available >= n {
@@ -326,7 +323,7 @@ impl ThreadPool {
             if n > self.worker_count {
                 break; // permanent refusal: over the pool's total size
             }
-            if attempt + 1 < ATTEMPTS {
+            if attempt + 1 < attempts {
                 self.gang_backoff_retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(BASE * 2u32.pow(attempt));
             }

@@ -6,7 +6,7 @@
 //! data copies (packing), kernel calls — plus volume counters that the
 //! machine-model crate validates its analytic cost terms against.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::isa::KernelIsa;
 use crate::plan::Algorithm;
@@ -138,73 +138,8 @@ impl StatsCollector {
     }
 }
 
-/// Fixed-point scale for the prediction-error accumulators: log-ratios
-/// are stored in micro-nats so the meter stays a handful of relaxed
-/// atomics instead of a lock around floats.
-const LOG_FIXED: f64 = 1e6;
-/// Log-ratios are clamped to ±32 nats (a factor of ~8·10¹³) before
-/// accumulation so a single absurd prediction cannot wrap the counters.
-const LOG_CLAMP: f64 = 32.0;
-
-/// Lock-free accumulator of predicted-vs-measured runtime error.
-///
-/// The serving layer prices every plan before executing it; this meter
-/// folds each `(predicted seconds, measured wall ns)` pair into rolling
-/// log-space error sums. Log-space is the natural domain: the models are
-/// trained on `ln(runtime)` labels, and a symmetric ±x% miss contributes
-/// equally in either direction.
-#[derive(Debug, Default)]
-pub struct PredictionMeter {
-    samples: AtomicU64,
-    /// Σ |ln(measured / predicted)| in [`LOG_FIXED`] units.
-    sum_abs_log: AtomicU64,
-    /// Σ ln(measured / predicted) in [`LOG_FIXED`] units (signed: positive
-    /// means the model is optimistic — reality is slower than predicted).
-    sum_log: AtomicI64,
-    /// Calls where measured > predicted (the model undershot).
-    overshoots: AtomicU64,
-}
-
-impl PredictionMeter {
-    /// Fold in one executed op. Pairs without a model prediction
-    /// (`predicted_s <= 0`) or without a measurement are ignored.
-    pub fn record(&self, predicted_s: f64, wall_ns: u64) {
-        if !predicted_s.is_finite() || predicted_s <= 0.0 || wall_ns == 0 {
-            return;
-        }
-        let measured_s = wall_ns as f64 * 1e-9;
-        let log_ratio = (measured_s / predicted_s).ln().clamp(-LOG_CLAMP, LOG_CLAMP);
-        self.samples.fetch_add(1, Ordering::Relaxed);
-        self.sum_abs_log.fetch_add((log_ratio.abs() * LOG_FIXED) as u64, Ordering::Relaxed);
-        self.sum_log.fetch_add((log_ratio * LOG_FIXED) as i64, Ordering::Relaxed);
-        if log_ratio > 0.0 {
-            self.overshoots.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Consistent snapshot of the rolling error (racy only across calls,
-    /// never within a field).
-    pub fn snapshot(&self) -> PredictionErrorStats {
-        let samples = self.samples.load(Ordering::Relaxed);
-        let denom = samples.max(1) as f64;
-        PredictionErrorStats {
-            samples,
-            mean_abs_log_error: self.sum_abs_log.load(Ordering::Relaxed) as f64 / LOG_FIXED / denom,
-            mean_log_ratio: self.sum_log.load(Ordering::Relaxed) as f64 / LOG_FIXED / denom,
-            overshoot_fraction: self.overshoots.load(Ordering::Relaxed) as f64 / denom,
-        }
-    }
-
-    /// Zero every counter (used when a fresh model generation goes live).
-    pub fn reset(&self) {
-        self.samples.store(0, Ordering::Relaxed);
-        self.sum_abs_log.store(0, Ordering::Relaxed);
-        self.sum_log.store(0, Ordering::Relaxed);
-        self.overshoots.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of a [`PredictionMeter`].
+/// Predicted-vs-measured runtime error over a set of executed ops, in
+/// log space (the serving layer's feedback loop accumulates it).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PredictionErrorStats {
     /// Ops that carried both a prediction and a measurement.
@@ -276,35 +211,6 @@ mod tests {
         assert_eq!(s.kernel_ns, 275);
         // Slowest thread was busy 300 ns of the 1000 ns wall.
         assert_eq!(s.sync_ns, 700);
-    }
-
-    #[test]
-    fn prediction_meter_tracks_log_error() {
-        let m = PredictionMeter::default();
-        // Perfect prediction: 1 ms predicted, 1 ms measured.
-        m.record(1e-3, 1_000_000);
-        // 2× slower than predicted (model optimistic / overshoot).
-        m.record(1e-3, 2_000_000);
-        // 2× faster than predicted.
-        m.record(2e-3, 1_000_000);
-        let s = m.snapshot();
-        assert_eq!(s.samples, 3);
-        let ln2 = std::f64::consts::LN_2;
-        assert!((s.mean_abs_log_error - 2.0 * ln2 / 3.0).abs() < 1e-4, "{s:?}");
-        assert!(s.mean_log_ratio.abs() < 1e-4, "{s:?}");
-        assert!((s.overshoot_fraction - 1.0 / 3.0).abs() < 1e-12);
-        assert!(s.mean_abs_pct() > 0.0);
-        m.reset();
-        assert_eq!(m.snapshot(), PredictionErrorStats::default());
-    }
-
-    #[test]
-    fn prediction_meter_ignores_unpredicted_ops() {
-        let m = PredictionMeter::default();
-        m.record(0.0, 1_000_000);
-        m.record(-1.0, 1_000_000);
-        m.record(1e-3, 0);
-        assert_eq!(m.snapshot().samples, 0);
     }
 
     #[test]

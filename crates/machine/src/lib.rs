@@ -38,7 +38,7 @@ pub mod vendor;
 
 pub use cache::HostCaches;
 pub use cost::{CostBreakdown, MachineModel};
-pub use ops::{BlasOp, OpTimer};
+pub use ops::OpTimer;
 pub use presets::{gadi, setonix};
 pub use timer::{GemmTimer, HostTimer, SimTimer};
 pub use topology::{Affinity, NodeTopology, Placement};

@@ -14,35 +14,13 @@
 //!   core count.
 
 use adsala_gemm::plan::PlanPoint;
+use adsala_gemm::Routine;
 use adsala_sampling::GemmShape;
-use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostBreakdown, MachineModel};
 use crate::noise::{combine, lognormal_factor, spike_factor};
 use crate::timer::GemmTimer;
 use crate::topology::Placement;
-
-/// Which BLAS routine a timer models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BlasOp {
-    /// `C ← α·A·B + β·C`.
-    Gemm,
-    /// `C ← α·A·Aᵀ + β·C` (lower triangle).
-    Syrk,
-    /// `y ← α·A·x + β·y`.
-    Gemv,
-}
-
-impl BlasOp {
-    /// Routine name as in BLAS.
-    pub fn name(self) -> &'static str {
-        match self {
-            BlasOp::Gemm => "GEMM",
-            BlasOp::Syrk => "SYRK",
-            BlasOp::Gemv => "GEMV",
-        }
-    }
-}
 
 impl MachineModel {
     /// Noise-free expected cost of a SYRK with an `m×k` input at
@@ -107,11 +85,11 @@ impl MachineModel {
     }
 
     /// One noisy measurement of a non-GEMM routine.
-    pub fn measure_op(&self, op: BlasOp, d1: u64, d2: u64, threads: u32, rep: u32) -> f64 {
+    pub fn measure_op(&self, op: Routine, d1: u64, d2: u64, threads: u32, rep: u32) -> f64 {
         let expected = match op {
-            BlasOp::Gemm => self.expected(GemmShape::new(d1, d2, d1), threads).total(),
-            BlasOp::Syrk => self.expected_syrk(d1, d2, threads).total(),
-            BlasOp::Gemv => self.expected_gemv(d1, d2, threads).total(),
+            Routine::Gemm => self.expected(GemmShape::new(d1, d2, d1), threads).total(),
+            Routine::Syrk => self.expected_syrk(d1, d2, threads).total(),
+            Routine::Gemv => self.expected_gemv(d1, d2, threads).total(),
         };
         if self.noise_sigma == 0.0 && self.spike_prob == 0.0 {
             return expected;
@@ -132,12 +110,12 @@ const DIAG_WASTE: f64 = 0.08;
 #[derive(Debug, Clone)]
 pub struct OpTimer {
     pub model: MachineModel,
-    pub op: BlasOp,
+    pub op: Routine,
 }
 
 impl OpTimer {
     /// Wrap a machine model for one routine.
-    pub fn new(model: MachineModel, op: BlasOp) -> Self {
+    pub fn new(model: MachineModel, op: Routine) -> Self {
         Self { model, op }
     }
 }
@@ -147,13 +125,10 @@ impl GemmTimer for OpTimer {
     fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64 {
         let threads = point.threads;
         let reps = reps.max(1);
-        let (d1, d2) = match self.op {
-            BlasOp::Gemm => (shape.m, shape.k),
-            // SYRK reads (m, k) from the mapped GemmShape{m, k, n=m}.
-            BlasOp::Syrk => (shape.m, shape.k),
-            // GEMV reads (m, n) from the mapped GemmShape{m, k=n, n=1}.
-            BlasOp::Gemv => (shape.m, shape.k),
-        };
+        // Every routine's two dimensions sit in the mapped shape's `m` and
+        // `k`: SYRK's (m, k) in GemmShape{m, k, n=m}, GEMV's (m, n) in
+        // GemmShape{m, k=n, n=1}.
+        let (d1, d2) = (shape.m, shape.k);
         (0..reps).map(|r| self.model.measure_op(self.op, d1, d2, threads, r)).sum::<f64>()
             / reps as f64
     }
@@ -163,7 +138,7 @@ impl GemmTimer for OpTimer {
     }
 
     fn name(&self) -> String {
-        format!("{} {} (simulated)", self.model.topology.name, self.op.name())
+        format!("{} {} (simulated)", self.model.topology.name, self.op.as_str().to_uppercase())
     }
 }
 
@@ -221,7 +196,7 @@ mod tests {
 
     #[test]
     fn op_timer_is_deterministic() {
-        let t = OpTimer::new(MachineModel::setonix(), BlasOp::Syrk);
+        let t = OpTimer::new(MachineModel::setonix(), Routine::Syrk);
         let shape = GemmShape::new(800, 300, 800);
         assert_eq!(t.time(shape, 32, 5), t.time(shape, 32, 5));
         // A thread count is the default-axes point, bit for bit; the other
@@ -237,8 +212,8 @@ mod tests {
     #[test]
     fn measure_op_noise_behaves() {
         let model = MachineModel::gadi();
-        let a = model.measure_op(BlasOp::Gemv, 2000, 2000, 16, 0);
-        let b = model.measure_op(BlasOp::Gemv, 2000, 2000, 16, 1);
+        let a = model.measure_op(Routine::Gemv, 2000, 2000, 16, 0);
+        let b = model.measure_op(Routine::Gemv, 2000, 2000, 16, 1);
         assert_ne!(a, b);
         let expected = model.expected_gemv(2000, 2000, 16).total();
         assert!(a > 0.3 * expected && a < 30.0 * expected);

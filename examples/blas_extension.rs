@@ -11,13 +11,13 @@
 //! ```
 
 use adsala::install::{InstallConfig, Installation};
-use adsala::{OpShape, Precision};
-use adsala_machine::{BlasOp, GemmTimer, MachineModel, OpTimer};
+use adsala::{OpShape, Precision, Routine};
+use adsala_machine::{GemmTimer, MachineModel, OpTimer};
 use adsala_sampling::GemmShape;
 
 fn main() {
     let base = MachineModel::setonix();
-    for op in [BlasOp::Syrk, BlasOp::Gemv] {
+    for op in [Routine::Syrk, Routine::Gemv] {
         let timer = OpTimer::new(base.clone(), op);
         println!("=== {} ===", timer.name());
         let install = Installation::run(&timer, &InstallConfig::quick()).expect("install");
@@ -28,15 +28,15 @@ fn main() {
         // Probe shapes, given in each routine's own dimension convention
         // and mapped to the GEMM feature space as at training time.
         let probes: Vec<(String, GemmShape)> = match op {
-            BlasOp::Syrk => [(2000u64, 2000u64), (4000, 200), (200, 4000), (500, 500)]
+            Routine::Syrk => [(2000u64, 2000u64), (4000, 200), (200, 4000), (500, 500)]
                 .iter()
                 .map(|&(m, k)| (format!("SYRK m={m} k={k}"), GemmShape::new(m, k, m)))
                 .collect(),
-            BlasOp::Gemv => [(8000u64, 8000u64), (30_000, 500), (500, 30_000), (1000, 1000)]
+            Routine::Gemv => [(8000u64, 8000u64), (30_000, 500), (500, 30_000), (1000, 1000)]
                 .iter()
                 .map(|&(m, n)| (format!("GEMV m={m} n={n}"), GemmShape::new(m, n, 1)))
                 .collect(),
-            BlasOp::Gemm => unreachable!(),
+            Routine::Gemm => unreachable!(),
         };
 
         println!(

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use adsala::install::{InstallConfig, Installation};
-use adsala::{AdsalaService, ServiceConfig};
+use adsala::{AdsalaService, GemmArgs, OpRequest, RunOptions, ServiceConfig, ServiceStats};
 use adsala_machine::{MachineModel, SimTimer};
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
     );
     println!(
         "service up: {} pool workers, {} candidate thread counts",
-        service.pool_workers(),
+        service.stats().pool.workers,
         service.candidates().len()
     );
 
@@ -59,8 +59,10 @@ fn main() {
                     let a = vec![1.0f32; m * k];
                     let b = vec![0.5f32; k * n];
                     let mut c = vec![0.0f32; m * n];
+                    let mut req: OpRequest<'_, f32> =
+                        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
                     let (decision, stats) = service
-                        .sgemm(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, 8)
+                        .run_with(&mut req, RunOptions::with_host_cap(8))
                         .expect("well-formed sgemm");
                     assert!(
                         service.candidates().contains(&decision.threads()),
@@ -79,7 +81,7 @@ fn main() {
     println!("{} clients x {} GEMMs served and verified", n_clients, calls_per_client);
 
     // 4. Inspect the serving diagnostics.
-    let stats = service.cache_stats();
+    let ServiceStats { cache: stats, evaluations: sweeps, .. } = service.stats();
     println!(
         "cache: {} hits / {} misses ({:.0}% hit rate), {} evictions, {}/{} entries, {} shards",
         stats.hits,
@@ -90,7 +92,7 @@ fn main() {
         stats.capacity,
         stats.shards
     );
-    println!("model sweeps: {}", service.evaluations());
+    println!("model sweeps: {sweeps}");
     assert_eq!(stats.lookups(), n_clients * calls_per_client, "every call is one lookup");
     assert!(stats.hits > 0, "overlapping streams must hit the memo");
     println!("done.");

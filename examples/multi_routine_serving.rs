@@ -19,7 +19,7 @@
 use adsala::gather::{GatherConfig, TrainingData};
 use adsala::install::{InstallConfig, Installation};
 use adsala::prelude::*;
-use adsala_machine::{BlasOp, GemmTimer, MachineModel, OpTimer, SimTimer};
+use adsala_machine::{GemmTimer, MachineModel, OpTimer, SimTimer};
 use adsala_ml::data::Matrix;
 use adsala_ml::tune::ModelSpec;
 use adsala_ml::{AnyModel, Regressor};
@@ -31,7 +31,7 @@ use adsala_ml::{AnyModel, Regressor};
 fn train_routine_model(
     base_config: &adsala::PreprocessConfig,
     machine: MachineModel,
-    op: BlasOp,
+    op: Routine,
     seed: u64,
 ) -> AnyModel {
     let timer = OpTimer::new(machine, op);
@@ -64,8 +64,8 @@ fn main() {
 
     // 2. Dedicated per-routine selectors, sharing the bundle's config.
     println!("training dedicated SYRK and GEMV selectors ...");
-    let syrk_model = train_routine_model(&bundle.config, machine.clone(), BlasOp::Syrk, 11);
-    let gemv_model = train_routine_model(&bundle.config, machine, BlasOp::Gemv, 13);
+    let syrk_model = train_routine_model(&bundle.config, machine.clone(), Routine::Syrk, 11);
+    let gemv_model = train_routine_model(&bundle.config, machine, Routine::Gemv, 13);
     let bundle = bundle
         .with_routine_model(Routine::Syrk, syrk_model)
         .with_routine_model(Routine::Gemv, gemv_model);
@@ -132,8 +132,10 @@ fn main() {
             let b = vec![0.5f64; k * n];
             for _ in 0..rounds {
                 let mut c = vec![0.0f64; m * n];
+                let mut req: OpRequest<'_, f64> =
+                    GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
                 let (_, stats) =
-                    svc.dgemm(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, 8).expect("f64 gemm");
+                    svc.run_with(&mut req, RunOptions::with_host_cap(8)).expect("f64 gemm");
                 assert_eq!(stats.precision, Precision::F64);
                 let expected = k as f64 * 0.5;
                 assert!(c.iter().all(|&v| (v - expected).abs() <= 1e-9 * expected));
@@ -188,7 +190,7 @@ fn main() {
     }
 
     // 5. Serving diagnostics: one cache, keyed by (routine, precision, dims).
-    let stats = service.cache_stats();
+    let ServiceStats { cache: stats, evaluations: sweeps, .. } = service.stats();
     println!(
         "cache: {} hits / {} misses ({:.0}% hit rate), {} entries across {} shards",
         stats.hits,
@@ -199,7 +201,7 @@ fn main() {
     );
     assert_eq!(stats.entries, 4, "four distinct (routine, precision, shape) keys");
     assert!(stats.hits > 0);
-    println!("model sweeps: {}", service.evaluations());
+    println!("model sweeps: {sweeps}");
     std::fs::remove_file(&path).ok();
     println!("done.");
 }

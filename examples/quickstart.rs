@@ -6,7 +6,7 @@
 //! ```
 
 use adsala::install::{InstallConfig, Installation};
-use adsala::{OpShape, Precision};
+use adsala::{GemmArgs, OpRequest, OpShape, Precision, RunOptions};
 use adsala_machine::{MachineModel, SimTimer};
 
 fn main() {
@@ -59,9 +59,10 @@ fn main() {
     let a = vec![1.0f32; m * k];
     let b = vec![0.5f32; k * n];
     let mut c = vec![0.0f32; m * n];
-    let (decision, stats) = gemm
-        .sgemm(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, host_cores)
-        .expect("well-formed sgemm");
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+    let (decision, stats) =
+        gemm.run_with(&mut req, RunOptions::with_host_cap(host_cores)).expect("well-formed sgemm");
     println!(
         "host SGEMM {m}x{k}x{n}: ML chose {} threads, ran on {} ({} kernel calls, {:.2} MB packed)",
         decision.threads(),

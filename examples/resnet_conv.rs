@@ -69,7 +69,7 @@ fn main() {
         total_max * 1e3,
         total_ml * 1e3,
         total_max / total_ml,
-        gemm.evaluations(),
+        gemm.stats().evaluations,
         resnet_layer_shapes().len() * 100
     );
 }

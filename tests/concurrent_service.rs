@@ -88,13 +88,13 @@ fn concurrent_clients_get_deterministic_in_ladder_decisions() {
     }
 
     // Counter consistency: every select is exactly one cache lookup.
-    let stats = service.cache_stats();
+    let stats = service.stats().cache;
     let total_calls = n_clients * calls_per_client;
     assert_eq!(stats.lookups(), total_calls, "hits + misses must equal calls: {stats:?}");
     assert!(stats.hits > 0, "overlapping streams must produce memo hits");
     // Sweeps happen only on misses (racing misses may both sweep).
-    assert!(service.evaluations() >= shapes.len() as u64);
-    assert!(service.evaluations() <= stats.misses, "{stats:?}");
+    assert!(service.stats().evaluations >= shapes.len() as u64);
+    assert!(service.stats().evaluations <= stats.misses, "{stats:?}");
     assert!(stats.entries <= stats.capacity, "{stats:?}");
 }
 
@@ -125,7 +125,7 @@ fn cache_stays_bounded_under_adversarial_stream() {
             });
         }
     });
-    let stats = service.cache_stats();
+    let stats = service.stats().cache;
     assert!(stats.entries <= stats.capacity, "{stats:?}");
     assert!(stats.evictions > 0, "an adversarial stream must trigger evictions: {stats:?}");
     assert_eq!(stats.lookups(), 2000);
@@ -151,8 +151,11 @@ fn concurrent_sgemm_matches_spawn_path_bitwise() {
                 let b: Vec<f32> = (0..k * n).map(|i| (i % 11) as f32 * 0.25).collect();
                 for _ in 0..3 {
                     let mut c_pooled = vec![1.0f32; m * n];
+                    let mut req: OpRequest<'_, f32> =
+                        GemmArgs::untransposed(m, n, k, 1.5, &a, k, &b, n, 0.5, &mut c_pooled, n)
+                            .into();
                     let (decision, stats) = service
-                        .sgemm(m, n, k, 1.5, &a, k, &b, n, 0.5, &mut c_pooled, n, 4)
+                        .run_with(&mut req, RunOptions::with_host_cap(4))
                         .expect("well-formed sgemm");
                     assert!(stats.exec.threads_used >= 1);
 
@@ -214,8 +217,10 @@ fn mixed_routine_traffic_matches_direct_kernels_bitwise() {
             let b: Vec<f64> = (0..k * n).map(|i| (i % 7) as f64 * 0.5).collect();
             for _ in 0..rounds {
                 let mut c = vec![2.0f64; m * n];
+                let mut req: OpRequest<'_, f64> =
+                    GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, -0.5, &mut c, n).into();
                 let (d, stats) =
-                    svc.dgemm(m, n, k, 1.0, &a, k, &b, n, -0.5, &mut c, n, cap).expect("f64 gemm");
+                    svc.run_with(&mut req, RunOptions::with_host_cap(cap)).expect("f64 gemm");
                 assert_eq!((stats.routine, stats.precision), (Routine::Gemm, Precision::F64));
                 let threads = d.threads().clamp(1, cap) as usize;
                 let mut c_direct = vec![2.0f64; m * n];
@@ -267,7 +272,7 @@ fn mixed_routine_traffic_matches_direct_kernels_bitwise() {
 
     // Four distinct (routine, precision, shape) keys; every client's later
     // rounds hit the memo.
-    let stats = service.cache_stats();
+    let stats = service.stats().cache;
     assert_eq!(stats.lookups(), 4 * rounds as u64);
     assert_eq!(stats.entries, 4, "{stats:?}");
     assert!(stats.hits >= 4 * (rounds as u64 - 1), "{stats:?}");

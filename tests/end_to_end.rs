@@ -93,9 +93,9 @@ fn memoisation_counts_evaluations_once_per_shape_change() {
     for _ in 0..10 {
         decide(&runtime, 64, 3000, 64);
     }
-    assert_eq!(runtime.evaluations(), 1);
+    assert_eq!(runtime.stats().evaluations, 1);
     decide(&runtime, 65, 3000, 64);
-    assert_eq!(runtime.evaluations(), 2);
+    assert_eq!(runtime.stats().evaluations, 2);
 }
 
 #[test]

@@ -162,7 +162,7 @@ fn chaos_flood_isolates_injected_panics_from_every_client() {
     assert!(!post.plan_degraded, "post-recovery op should not be degraded");
     assert!(post.exec.threads_used >= 2, "healed pool did not execute in parallel: {post:?}");
     assert_close(&c, &c_ref, "post-recovery result");
-    assert_eq!(svc.pool_stats().workers, 4, "pool lost a worker permanently");
+    assert_eq!(svc.stats().pool.workers, 4, "pool lost a worker permanently");
 }
 
 /// After a panic is isolated and the worker respawned, the pool must
@@ -196,7 +196,7 @@ fn pool_serves_full_plan_grid_after_recovery() {
         assert_eq!(stats.exec.threads_used, threads as usize, "grid width {threads} unavailable");
         assert_close(&c, &c_ref, "pinned post-recovery result");
     }
-    let pool = svc.pool_stats();
+    let pool = svc.stats().pool;
     assert_eq!(pool.workers, 4);
     assert_eq!(pool.gang_available, 4, "gang capacity leaked across the panic: {pool:?}");
     assert_eq!(pool.workers_respawned, 1);
@@ -236,16 +236,16 @@ fn packing_arenas_stay_allocation_steady_after_a_panic() {
             svc.run_pinned(&mut req, &degraded).expect("caller-arena warm-up");
             continue;
         }
-        let before = svc.workspace_stats().allocations;
+        let before = svc.stats().workspace.allocations;
         svc.run(&mut req).expect("worker-arena warm-up");
         stable_calls =
-            if svc.workspace_stats().allocations == before { stable_calls + 1 } else { 0 };
+            if svc.stats().workspace.allocations == before { stable_calls + 1 } else { 0 };
         if stable_calls == 8 {
             break;
         }
     }
     assert_eq!(stable_calls, 8, "arena allocations never settled");
-    let pool_before = svc.workspace_stats();
+    let pool_before = svc.stats().workspace;
     let local_before = thread_arena_stats();
 
     fault::set_plan(Some(FaultPlan::parse("panic:where=worker:count=1").unwrap()));
@@ -263,7 +263,7 @@ fn packing_arenas_stay_allocation_steady_after_a_panic() {
         let _ = round;
         svc.run(&mut req).expect("post-recovery run");
     }
-    let pool_after = svc.workspace_stats();
+    let pool_after = svc.stats().workspace;
     let local_after = thread_arena_stats();
     assert_eq!(
         pool_after.allocations, pool_before.allocations,
@@ -453,7 +453,7 @@ fn injected_panic_reaches_syrk_bands_and_the_zorder_traversal() {
     assert_eq!(svc.stats().panics_recovered, 1);
 }
 
-/// `submit_within` under a stalled wave: an occupier holds the whole
+/// A deadlined `submit_with` under a stalled wave: an occupier holds the whole
 /// thread budget behind injected worker stalls, so a small op's
 /// deadline expires while it is still queued. It must come back as a
 /// clean `Timeout` with its output untouched and be counted as shed —
@@ -490,7 +490,8 @@ fn submit_within_times_out_under_a_stalled_wave() {
         let mut c = vec![7.0f32; m * n];
         let mut req: OpRequest<'_, f32> =
             GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-        match sched.submit_within(&mut req, Duration::from_millis(50)) {
+        let deadline = Instant::now() + Duration::from_millis(50);
+        match sched.submit_with(&mut req, RunOptions::default().with_deadline(deadline)) {
             Err(AdsalaError::Timeout(msg)) => {
                 assert!(msg.contains("shed"), "unexpected timeout message: {msg}")
             }
@@ -547,7 +548,6 @@ fn admission_gate_honors_the_configured_timeout() {
             thread_budget: 4,
             max_queue: 1,
             admission_timeout: Some(Duration::from_millis(50)),
-            ..SchedulerConfig::default()
         },
     );
 

@@ -8,7 +8,7 @@
 
 use adsala_repro::adsala::gather::{GatherConfig, ThreadLadder};
 use adsala_repro::adsala::install::{InstallConfig, Installation};
-use adsala_repro::adsala::{OpShape, Precision};
+use adsala_repro::adsala::{GemmArgs, OpRequest, OpShape, Precision, RunOptions};
 use adsala_repro::adsala_gemm::plan::PlanGrid;
 use adsala_repro::adsala_machine::{GemmTimer, HostTimer};
 use adsala_repro::adsala_ml::tune::ModelSpec;
@@ -68,8 +68,10 @@ fn pipeline_trains_against_real_host_gemm() {
     let a: Vec<f32> = (0..m * k).map(|i| (i % 11) as f32 - 5.0).collect();
     let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 * 0.25).collect();
     let mut c = vec![0.0f32; m * n];
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
     let (_, stats) = gemm
-        .sgemm(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n, host_threads)
+        .run_with(&mut req, RunOptions::with_host_cap(host_threads))
         .expect("well-formed sgemm");
     assert!(stats.exec.kernel_calls > 0);
 

@@ -177,8 +177,8 @@ fn drift_trips_retrain_swaps_and_error_recovers() {
             service.observe(shape, &d.plan, d.predicted_runtime_s, ns(baseline[&shape] * noise));
         }
     }
-    assert!(!service.is_drifted(), "healthy traffic must not trip: {:?}", service.drift_snapshot());
-    assert!(service.prediction_stats().mean_abs_log_error < 0.1);
+    assert!(!service.is_drifted(), "healthy traffic must not trip: {:?}", service.stats().drift);
+    assert!(service.stats().prediction.mean_abs_log_error < 0.1);
     // The retrainer should see only post-drift observations.
     let healthy = service.drain_observations();
     assert_eq!(healthy.len(), (ROUNDS as usize) * shapes.len());
@@ -192,11 +192,11 @@ fn drift_trips_retrain_swaps_and_error_recovers() {
             service.observe(shape, &d.plan, d.predicted_runtime_s, ns(baseline[&shape] * factor));
         }
     }
-    assert!(service.is_drifted(), "{:?}", service.drift_snapshot());
-    let snapshot = service.drift_snapshot();
+    assert!(service.is_drifted(), "{:?}", service.stats().drift);
+    let snapshot = service.stats().drift;
     assert_eq!(snapshot.trips, 1);
     assert!(snapshot.for_routine(Routine::Gemm).ewma_abs_log_error > 0.35, "{snapshot:?}");
-    let error_before = service.prediction_stats().mean_abs_log_error;
+    let error_before = service.stats().prediction.mean_abs_log_error;
     assert!(error_before > 0.35, "drifted error must be visible: {error_before}");
 
     // While tripped, real requests are served with the conservative
@@ -208,7 +208,7 @@ fn drift_trips_retrain_swaps_and_error_recovers() {
     let mut req: OpRequest<'_, f32> =
         GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
     let (fallback, _) = service.run_with(&mut req, RunOptions::with_host_cap(1)).unwrap();
-    assert_eq!(service.drift_fallbacks(), 1);
+    assert_eq!(service.stats().drift_fallbacks, 1);
     assert!(!fallback.memoised, "fallback decisions must not be memoised");
     assert_eq!(fallback.threads(), 1);
 
@@ -219,8 +219,8 @@ fn drift_trips_retrain_swaps_and_error_recovers() {
     assert_eq!(outcome.retrained, vec![Routine::Gemm]);
     assert!(outcome.observations >= (ROUNDS as usize) * shapes.len());
     assert_eq!(outcome.swap_generation, Some(1));
-    assert_eq!(service.generation(), 1);
-    assert_eq!(service.swaps(), 1);
+    assert_eq!(service.stats().generation, 1);
+    assert_eq!(service.stats().swaps, 1);
     assert!(!service.is_drifted(), "a swap resets the detector");
 
     // Phase 3 — recovery: the machine is STILL 3× slower, but the
@@ -233,23 +233,23 @@ fn drift_trips_retrain_swaps_and_error_recovers() {
             service.observe(shape, &d.plan, d.predicted_runtime_s, ns(baseline[&shape] * factor));
         }
     }
-    let after = service.prediction_stats();
+    let after = service.stats().prediction;
     assert_eq!(after.samples, ROUNDS * shapes.len() as u64);
     assert!(
         !service.is_drifted(),
         "retrained model must track the slowed machine: {:?}",
-        service.drift_snapshot()
+        service.stats().drift
     );
     assert!(
         after.mean_abs_log_error < 0.15,
         "post-retrain error must sit inside the recovery band: {after:?}"
     );
     assert!(after.mean_abs_log_error < error_before);
-    assert_eq!(service.drift_snapshot().trips, 1, "recovery must come from the swap, not re-trips");
+    assert_eq!(service.stats().drift.trips, 1, "recovery must come from the swap, not re-trips");
     // Model-trusting serving is restored: decisions memoise again.
     let d = service.select_for_capped(shapes[0], 1);
     assert!(d.memoised);
-    assert_eq!(service.drift_fallbacks(), 1);
+    assert_eq!(service.stats().drift_fallbacks, 1);
 }
 
 /// The background adapter closes the loop on its own thread: a tripped
@@ -292,17 +292,17 @@ fn online_adapter_retrains_and_swaps_in_background() {
         },
     );
     let deadline = Instant::now() + Duration::from_secs(60);
-    while service.swaps() == 0 && Instant::now() < deadline {
+    while service.stats().swaps == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(service.swaps() >= 1, "adapter never swapped: {:?}", adapter.last_outcome());
+    assert!(service.stats().swaps >= 1, "adapter never swapped: {:?}", adapter.last_outcome());
     assert!(adapter.retrain_passes() >= 1);
     assert_eq!(adapter.swaps(), 1);
     assert_eq!(adapter.errors(), 0);
     let outcome = adapter.last_outcome().expect("a completed pass records its outcome");
     assert!(outcome.swapped());
     assert_eq!(outcome.retrained, vec![Routine::Gemm]);
-    assert!(service.generation() >= 1);
+    assert!(service.stats().generation >= 1);
     assert!(!service.is_drifted(), "the swap resets the detector");
     adapter.shutdown();
 }
@@ -321,8 +321,7 @@ fn scheduled_requests_honour_the_drift_detector() {
             pool_workers: 4,
             online: OnlineConfig {
                 enabled: true,
-                drift: DriftConfig { min_samples: 4, alpha: 0.5, ..DriftConfig::default() },
-                ..OnlineConfig::default()
+                drift: DriftConfig { min_samples: 4, alpha: 0.5 },
             },
             ..ServiceConfig::default()
         },
@@ -347,7 +346,7 @@ fn scheduled_requests_honour_the_drift_detector() {
     // Healthy: the model keeps a tiny GEMM off the full budget.
     let learned = submit();
     assert!((learned.plan.threads as usize) < BUDGET, "{learned:?}");
-    assert_eq!(service.drift_fallbacks(), 0);
+    assert_eq!(service.stats().drift_fallbacks, 0);
 
     // Sustained 8× slowdown versus prediction: trips the detector.
     for _ in 0..16 {
@@ -362,12 +361,12 @@ fn scheduled_requests_honour_the_drift_detector() {
     assert!(run.plan.is_threads_only());
     assert!(!run.fused);
     assert_eq!(run.predicted_runtime_s.to_bits(), conservative.predicted_runtime_s.to_bits());
-    assert_eq!(service.drift_fallbacks(), 1);
+    assert_eq!(service.stats().drift_fallbacks, 1);
 
     // Recovery (here via the operator override) restores learned planning.
     service.reset_drift();
     let back = submit();
     assert_eq!(back.plan, learned.plan);
     assert_eq!(back.predicted_runtime_s.to_bits(), learned.predicted_runtime_s.to_bits());
-    assert_eq!(service.drift_fallbacks(), 1, "a recovered service trusts the model again");
+    assert_eq!(service.stats().drift_fallbacks, 1, "a recovered service trusts the model again");
 }

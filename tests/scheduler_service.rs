@@ -298,7 +298,10 @@ fn queued_same_shape_ops_fuse_and_never_lose_gangs() {
         stats.fused_ops >= 2,
         "followers queued behind a budget-filling blocker must fuse: {stats:?}"
     );
-    assert_eq!(stats.gang_fallbacks(), 0, "budgeted waves must never lose a gang: {stats:?}");
+    assert_eq!(
+        stats.service.pool.gang_refused, 0,
+        "budgeted waves must never lose a gang: {stats:?}"
+    );
 }
 
 /// The per-call host cap bounds an op's share of the joint assignment
@@ -340,4 +343,39 @@ fn host_cap_bounds_joint_share_under_concurrency() {
     });
     let stats = sched.stats();
     assert_eq!(stats.completed, 18);
+}
+
+/// A scheduled request's curve lives in the service's memo, not in one of
+/// the scheduler's own: its sweep is an `evaluation`, its replay a cache
+/// hit, and `clear_cache` / `swap_bundle` retire it like any decision.
+#[test]
+fn scheduled_decisions_live_in_the_service_memo() {
+    let sched = scheduler(2, SchedulerConfig::default());
+    let (m, n, k) = (48usize, 40usize, 24usize);
+    let (a, b) = (fill(m * k, 1), fill(k * n, 2));
+    let submit = || {
+        let mut c = vec![0.0f32; m * n];
+        let mut req: OpRequest<'_, f32> =
+            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+        sched.submit(&mut req).expect("scheduled gemm");
+        sched.service().stats()
+    };
+
+    let first = submit();
+    assert_eq!(first.evaluations, 1, "a scheduled sweep must be counted");
+    assert_eq!((first.cache.hits, first.cache.misses), (0, 1));
+
+    let second = submit();
+    assert_eq!(second.evaluations, 1, "a repeated shape must replay its curve");
+    assert_eq!((second.cache.hits, second.cache.misses), (1, 1));
+
+    sched.service().clear_cache();
+    assert_eq!(submit().evaluations, 2, "clear_cache must retire scheduled curves too");
+
+    let service = sched.service();
+    let generation =
+        service.swap_bundle(service.bundle().refreshed(service.bundle().models.clone()).into());
+    let swapped = submit();
+    assert_eq!(swapped.evaluations, 3, "a swap must retire scheduled curves");
+    assert_eq!((swapped.generation, swapped.cache.generation), (generation, generation));
 }

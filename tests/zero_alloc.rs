@@ -44,7 +44,7 @@ fn steady_state_service_traffic_allocates_nothing_on_the_packing_path() {
     // The packing path draws from two places: the pool workspace
     // (parallel grids) and the client thread's local arena (serial
     // decisions). Neither may allocate once warm.
-    let ws_before = svc.workspace_stats();
+    let ws_before = svc.stats().workspace;
     let tl_before = thread_arena_stats();
     for round in 0..10 {
         for &(m, n, k) in &shapes {
@@ -55,7 +55,7 @@ fn steady_state_service_traffic_allocates_nothing_on_the_packing_path() {
             );
         }
     }
-    let ws_after = svc.workspace_stats();
+    let ws_after = svc.stats().workspace;
     let tl_after = thread_arena_stats();
     assert_eq!(
         ws_after.allocations, ws_before.allocations,
@@ -93,12 +93,12 @@ fn mixed_routine_steady_state_stays_warm() {
     };
     run_all();
     run_all();
-    let ws_before = svc.workspace_stats();
+    let ws_before = svc.stats().workspace;
     let tl_before = thread_arena_stats();
     for _ in 0..8 {
         run_all();
     }
-    assert_eq!(svc.workspace_stats().allocations, ws_before.allocations);
+    assert_eq!(svc.stats().workspace.allocations, ws_before.allocations);
     assert_eq!(thread_arena_stats().allocations, tl_before.allocations);
 }
 
