@@ -23,6 +23,17 @@
 //!   shipped before ([`BlockSizes::for_f32`]/[`BlockSizes::for_f64`]),
 //!   snapped to the kernel's tile.
 //!
+//! The same L2 budget that sizes `MC` also decides whether a worker packs
+//! at all ([`reads_in_place`]): when its `ms×k` rows of `A` and `k×ns`
+//! columns of `B` together fit half of L2, every panel would be copied to
+//! be read a handful of times from the cache it already sits in, so the
+//! loop nest reads `A` in place, and `B` too unless the address range its
+//! re-reads sweep outgrows L2 ([`reads_b_in_place`]; see [`crate::pack`]).
+//! Above the budget — an `f32` n = 1024 square on one worker is 8 MiB —
+//! packing is what keeps the kernel fed, and nothing changes. Like
+//! `KC`/`MC`/`NC` it is a rule over the detected cache and the operands'
+//! shapes and strides, not a plan axis or an option.
+//!
 //! Per-machine blocking is exactly the layer of optimisation the paper
 //! delegates to the vendor library; deriving it here is what makes the
 //! learned thread-selection model's training data reflect real hardware
@@ -209,6 +220,43 @@ impl BlockSizes {
             && self.nc >= self.nr
             && self.mc.is_multiple_of(self.mr)
             && self.nc.is_multiple_of(self.nr)
+    }
+}
+
+/// The packing-free rule: `true` when a worker's `ms×k` rows of `A` and
+/// `k×ns` columns of `B` of element type `T` fit in half of L2 — the
+/// budget `MC`'s `A` block is sized to in [`BlockSizes::for_tile`] — so
+/// the blocked loop nest reads `A` in place instead of packing it, and
+/// `B` too where [`reads_b_in_place`] allows (see [`crate::pack`]). From
+/// the detected cache, like the blocks.
+pub fn reads_in_place<T: Element>(ms: usize, ns: usize, k: usize) -> bool {
+    ms.saturating_add(ns).saturating_mul(k).saturating_mul(T::BYTES) <= l2_bytes() / 2
+}
+
+/// The second half of the rule, for a `B` that [`reads_in_place`] lets
+/// the kernel read in place: `true` while the address range its rows
+/// sweep per rank update — `strips` row strips of `A`, each re-reading a
+/// `kc`-row strip of `B` spread over `kc·ldb` elements — fits L2. A packed
+/// strip is a few contiguous pages that stay in L1; a strip read in place
+/// drags a row stride per depth step through L1, L2 and the TLB on every
+/// re-read, so a `B` re-read often, or with wide rows, is cheaper copied
+/// once (measured: at the same size, 128³ gains 5 % from reading `B` in
+/// place and 256³ loses 7 %; a 107×388×108 `f64` with its 3 KiB rows
+/// loses 10 %).
+pub fn reads_b_in_place<T: Element>(strips: usize, kc: usize, ldb: usize) -> bool {
+    strips.saturating_mul(kc).saturating_mul(ldb).saturating_mul(T::BYTES) <= l2_bytes()
+}
+
+/// L2 as detected; without a probe, the 384 KiB whose half the fallback
+/// constants size `MC·KC` to (`MC·KC·bytes` = 192 KiB at either
+/// precision).
+fn l2_bytes() -> usize {
+    match CacheInfo::detected() {
+        Some(cache) => cache.l2,
+        None => {
+            let fallback = BlockSizes::for_f32();
+            2 * fallback.mc * fallback.kc * 4
+        }
     }
 }
 

@@ -405,10 +405,11 @@ pub fn current_plan() -> Option<Arc<FaultPlan>> {
 }
 
 /// Hook at the entry of a kernel subproblem: panics if an active panic
-/// fault matches, pool workers told apart from callers. Its one call
-/// site is the blocked loop nest's tile entry, which every worker of
+/// fault matches, pool workers told apart from callers. Its two call
+/// sites are the blocked loop nest's tile entry, which every worker of
 /// every GEMM algorithm and every SYRK band passes with its tile's
-/// `m×n×k` (GEMV packs nothing and has no hook).
+/// `m×n×k`, and the top of GEMV's row range, which every GEMV worker
+/// passes with its rows as an `m×1×n` product.
 #[inline]
 pub fn kernel_entry(isa: KernelIsa, m: usize, n: usize, k: usize) {
     if active() {

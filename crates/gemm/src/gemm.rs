@@ -18,7 +18,10 @@
 //!    `B` block comes from (`BSource`) and how an accumulator tile reaches
 //!    `C` (`Merge`, resolved statically: `Full` is the fused
 //!    `kernel.run`, SYRK's lower triangle a staged tile merged under a
-//!    row mask).
+//!    row mask). A worker whose operands fit L2
+//!    ([`crate::blocking::reads_in_place`]) packs only their ragged strips
+//!    and its kernel reads the rest where it lies (`Strips`; see
+//!    [`crate::pack`] for which operands qualify).
 //!
 //! [`gemm_with_stats`] (spawn-per-call) and [`gemm_with_stats_pooled`]
 //! (the serving path: persistent [`ThreadPool`] workers) differ only in
@@ -54,9 +57,9 @@
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use crate::blocking::BlockSizes;
+use crate::blocking::{reads_b_in_place, reads_in_place, BlockSizes};
 use crate::isa::{Kernel, KernelIsa, MAX_TILE_ELEMS};
-use crate::pack::{morton_decode, pack_a, pack_b, MatView};
+use crate::pack::{morton_decode, pack_a, MatView};
 use crate::plan::{Algorithm, ExecutionPlan, PackingStrategy};
 use crate::pool::{Executor, GangReservation, ThreadPool};
 use crate::stats::{GemmStats, StatsCollector, ThreadLocalStats};
@@ -360,6 +363,9 @@ fn zorder_with_stats<T: Element>(
     let (kernel, blocks) = (&pro.kernel, &pro.blocks);
     let BlockSizes { mc, kc, nc, nr, .. } = *blocks;
     let c = member.c.0;
+    // The packing-free rule over the whole call: it is the one worker.
+    let in_place = kernel.reads_in_place() && reads_in_place::<T>(m, n, k);
+    let b_in_place = in_place && b_reads_in_place(&b_view, m, blocks);
 
     let mut local = ThreadLocalStats::default();
     with_thread_arena(|arena| {
@@ -393,16 +399,19 @@ fn zorder_with_stats<T: Element>(
                 let ncur = (n - jc).min(nc);
                 let ic = bi * mc;
                 let mcur = (m - ic).min(mc);
-                // Pack `B` only when the column block changes between
+                // Stage `B` only when the column block changes between
                 // consecutive live steps.
+                let b_block = b_view.sub(pc, jc, kcur, ncur).t();
                 if packed_bj != bj {
-                    pack_b_block(&b_view.sub(pc, jc, kcur, ncur), nr, b_buf, &mut local);
+                    let ThreadLocalStats { b_packed_bytes, pack_ns, .. } = &mut local;
+                    stage(&b_block, nr, b_in_place, b_buf, b_packed_bytes, pack_ns);
                     packed_bj = bj;
                 }
+                let b = Strips { lines: b_block, packed: b_buf, in_place: b_in_place, width: nr };
                 let a_rows = a_view.sub(ic, 0, mcur, k);
                 // SAFETY: as above; the sweep covers rows `ic..ic + mcur`,
-                // columns `jc..jc + ncur` of `C`, and `b_buf` holds that
-                // column block's packed panel.
+                // columns `jc..jc + ncur` of `C`, and `b_buf` holds what
+                // that column block needs staged.
                 unsafe {
                     row_panel_sweep::<T, Full>(
                         kernel,
@@ -413,12 +422,11 @@ fn zorder_with_stats<T: Element>(
                         mcur,
                         jc,
                         pc,
-                        ncur,
-                        kcur,
                         alpha,
                         beta_eff,
                         blocks,
-                        b_buf,
+                        in_place,
+                        b,
                         a_buf,
                         &mut local,
                     );
@@ -762,16 +770,66 @@ enum BSource<'b, T> {
     Shared { region: *mut T, barrier: &'b PanelBarrier, rank: usize, ranks: usize },
 }
 
-/// Pack one `kc×nc` block of `B` into `buf`, on the copy clock.
-fn pack_b_block<T: Element>(
-    block: &MatView<'_, T>,
-    nr: usize,
+/// One operand block as the micro-kernel reads it, in strips of `width`
+/// lines (`A`'s rows, `B`'s columns): all from their packed panels, or —
+/// `in_place` — every full strip where it lies and only the ragged last
+/// one from the panels, at the slot [`stage`] packed it to.
+#[derive(Clone, Copy)]
+struct Strips<'p, T> {
+    /// The block with its strip axis as rows: `A`'s block itself, `B`'s
+    /// transposed (packing `B` is packing its transpose, see
+    /// [`crate::pack`]).
+    lines: MatView<'p, T>,
+    packed: &'p [T],
+    in_place: bool,
+    width: usize,
+}
+
+impl<T: Element> Strips<'_, T> {
+    /// Strip `s` as [`crate::isa::InPlaceFn`] reads it: its origin, the
+    /// step between its lines and the step between its depth steps.
+    #[inline(always)]
+    fn strip(&self, s: usize) -> (*const T, usize, usize) {
+        let (width, depth) = (self.width, self.lines.cols());
+        if self.in_place && (s + 1) * width <= self.lines.rows() {
+            let (origin, line_step, depth_step) = self.lines.raw_parts();
+            (origin.wrapping_add(s * width * line_step), line_step, depth_step)
+        } else {
+            (self.packed[s * width * depth..][..width * depth].as_ptr(), 1, width)
+        }
+    }
+}
+
+/// Copy what the micro-kernel will not read of `lines` in place into
+/// `buf`, on the copy clock: every strip, or — `in_place` — only a ragged
+/// last strip, to its usual slot and zero-padded as usual. `copied` is
+/// the operand's packed-bytes counter.
+fn stage<T: Element>(
+    lines: &MatView<'_, T>,
+    width: usize,
+    in_place: bool,
     buf: &mut [T],
-    stats: &mut ThreadLocalStats,
+    copied: &mut u64,
+    pack_ns: &mut u64,
 ) {
-    let t0 = Instant::now();
-    stats.b_packed_bytes += pack_b(block, nr, buf);
-    stats.pack_ns += t0.elapsed().as_nanos() as u64;
+    let (rows, depth) = (lines.rows(), lines.cols());
+    let first = if in_place { rows / width * width } else { 0 };
+    if first < rows {
+        let t0 = Instant::now();
+        // `pack_b` is `pack_a` of the transpose: the lines are both.
+        *copied +=
+            pack_a(&lines.sub(first, 0, rows - first, depth), width, &mut buf[first * depth..]);
+        *pack_ns += t0.elapsed().as_nanos() as u64;
+    }
+}
+
+/// Whether a worker whose operands pass [`reads_in_place`] may read this
+/// `B` in place too: its rows' columns must be adjacent (a row-major `B`)
+/// for the kernel's vector loads, and the `ms.div_ceil(mr)` row strips
+/// re-reading each `B` strip must pass [`reads_b_in_place`].
+fn b_reads_in_place<T: Element>(b: &MatView<'_, T>, ms: usize, blocks: &BlockSizes) -> bool {
+    let (_, ldb, col_step) = b.raw_parts();
+    col_step == 1 && reads_b_in_place::<T>(ms.div_ceil(blocks.mr), blocks.kc, ldb)
 }
 
 /// The entry of every worker's tile, whichever traversal follows: the
@@ -810,6 +868,11 @@ unsafe fn enter_tile<T: Element, M: Merge>(
 /// shared `B` run the same loop in the same order, which is what keeps
 /// their per-tile FLOP order — and results — bitwise identical.
 ///
+/// Whether the tile reads its operands in place is decided once, by the
+/// packing-free rule ([`reads_in_place`]) on its `ms×ns×k`: then `A` is
+/// read in place, and so is a private `B` that `b_reads_in_place` allows;
+/// SYRK's masked merge and a shared `B` keep their packed panels.
+///
 /// # Safety
 /// As for [`enter_tile`], with `ms, ns ≥ 1`. `blocks.mr`/`blocks.nr` must
 /// equal `kernel.mr`/`kernel.nr` (a [`Prologue`] derives one from the
@@ -846,6 +909,9 @@ unsafe fn tile_loop<T: Element, M: Merge>(
         return;
     }
     let BlockSizes { kc, nc, nr, .. } = *blocks;
+    let in_place = M::FULL && kernel.reads_in_place() && reads_in_place::<T>(ms, ns, k);
+    let b_in_place =
+        in_place && matches!(b_src, BSource::Private(_)) && b_reads_in_place(b, ms, blocks);
 
     let mut block_idx = 0usize;
     let mut jc = 0;
@@ -857,12 +923,13 @@ unsafe fn tile_loop<T: Element, M: Merge>(
             // First rank update of a tile applies the caller's β; later
             // updates accumulate.
             let beta_eff = if pc == 0 { beta } else { T::ONE };
-            let b_block = b.sub(pc, jc, kcur, ncur);
+            let b_block = b.sub(pc, jc, kcur, ncur).t();
+            let ThreadLocalStats { b_packed_bytes, pack_ns, b_pack_shared, .. } = stats;
 
-            let b_buf: &[T] = match &mut b_src {
+            let b_strips = match &mut b_src {
                 BSource::Private(buf) => {
-                    pack_b_block(&b_block, nr, buf, stats);
-                    &buf[..]
+                    stage(&b_block, nr, b_in_place, buf, b_packed_bytes, pack_ns);
+                    Strips { lines: b_block, packed: buf, in_place: b_in_place, width: nr }
                 }
                 BSource::Shared { region, barrier, rank, ranks } => {
                     let b_needed = kcur * ncur.div_ceil(nr) * nr;
@@ -870,19 +937,20 @@ unsafe fn tile_loop<T: Element, M: Merge>(
                         // SAFETY: exclusive write access between barrier
                         // generations by the group protocol (see above).
                         let buf = std::slice::from_raw_parts_mut(*region, b_needed);
-                        pack_b_block(&b_block, nr, buf, stats);
+                        stage(&b_block, nr, false, buf, b_packed_bytes, pack_ns);
                     } else {
                         // Copy volume this worker did NOT pay thanks to
                         // sharing.
-                        stats.b_pack_shared += (b_needed * T::BYTES) as u64;
+                        *b_pack_shared += (b_needed * T::BYTES) as u64;
                     }
                     // Publish: the packed panel is visible to the group.
                     barrier.wait();
-                    std::slice::from_raw_parts(*region, b_needed)
+                    let packed = std::slice::from_raw_parts(*region, b_needed);
+                    Strips { lines: b_block, packed, in_place: false, width: nr }
                 }
             };
             row_panel_sweep::<T, M>(
-                kernel, a, c, ldc, row0, ms, jc, pc, ncur, kcur, alpha, beta_eff, blocks, b_buf,
+                kernel, a, c, ldc, row0, ms, jc, pc, alpha, beta_eff, blocks, in_place, b_strips,
                 a_buf, stats,
             );
             if let BSource::Shared { barrier, .. } = &b_src {
@@ -898,14 +966,18 @@ unsafe fn tile_loop<T: Element, M: Merge>(
     }
 }
 
-/// The `A`-panel sweep for one packed B block — `ic → jr → ir`: pack each
-/// `mc×kc` A block of the worker's rows, run the micro-kernels against
-/// `b_buf` and merge each tile as `M` says. Every traversal (blocked,
-/// Z-order) and every `B` source ends here.
+/// The `A`-panel sweep for one `B` block — `ic → jr → ir`: stage each
+/// `mc×kc` A block of the worker's rows (all of it, or its ragged strip
+/// when `a_in_place`), run the micro-kernels against `b`'s strips and
+/// merge each tile as `M` says. Every traversal (blocked, Z-order) and
+/// every `B` source ends here.
 ///
 /// # Safety
-/// As for [`tile_loop`]; `b_buf` must hold the packed `kcur×ncur` block of
-/// columns `jc..jc + ncur`.
+/// As for [`tile_loop`]; `b` must be the `kcur×ncur` block of columns
+/// `jc..jc + ncur` (as its transpose) with what it does not read in place
+/// staged in its `packed` slots, its lines adjacent (`B`'s columns) when
+/// it is read in place, and with `a_in_place` or `b.in_place` `M` must be
+/// [`Full`] and `kernel` must read in place.
 #[allow(clippy::too_many_arguments)]
 unsafe fn row_panel_sweep<T: Element, M: Merge>(
     kernel: &Kernel<T>,
@@ -916,16 +988,16 @@ unsafe fn row_panel_sweep<T: Element, M: Merge>(
     ms: usize,
     jc: usize,
     pc: usize,
-    ncur: usize,
-    kcur: usize,
     alpha: T,
     beta_eff: T,
     blocks: &BlockSizes,
-    b_buf: &[T],
+    a_in_place: bool,
+    b: Strips<'_, T>,
     a_buf: &mut [T],
     stats: &mut ThreadLocalStats,
 ) {
     let BlockSizes { mc, mr, nr, .. } = *blocks;
+    let (ncur, kcur) = (b.lines.rows(), b.lines.cols());
     // The register tile staged in memory for a masked merge;
     // MAX_TILE_ELEMS is the maximum over the table `kernel` came from.
     let mut tile = [T::ZERO; MAX_TILE_ELEMS];
@@ -938,10 +1010,10 @@ unsafe fn row_panel_sweep<T: Element, M: Merge>(
     let mut ic = 0;
     while ic < ms {
         let mcur = (ms - ic).min(mc);
-        let t0 = Instant::now();
         let a_block = a.sub(ic, pc, mcur, kcur);
-        stats.a_packed_bytes += pack_a(&a_block, mr, a_buf);
-        stats.pack_ns += t0.elapsed().as_nanos() as u64;
+        let ThreadLocalStats { a_packed_bytes, pack_ns, .. } = stats;
+        stage(&a_block, mr, a_in_place, a_buf, a_packed_bytes, pack_ns);
+        let a_strips = Strips { lines: a_block, packed: a_buf, in_place: a_in_place, width: mr };
 
         let t0 = Instant::now();
         let m_strips = mcur.div_ceil(mr);
@@ -949,22 +1021,25 @@ unsafe fn row_panel_sweep<T: Element, M: Merge>(
         for jr in 0..n_strips {
             let j0 = jc + jr * nr;
             let live_n = (ncur - jr * nr).min(nr);
-            let b_panel = &b_buf[jr * nr * kcur..(jr + 1) * nr * kcur];
+            let (b_strip, b_line_step, b_ks) = b.strip(jr);
+            debug_assert_eq!(b_line_step, 1, "a B row's columns must be adjacent");
             for ir in 0..m_strips {
                 let i0 = ic + ir * mr;
                 let live_m = (mcur - ir * mr).min(mr);
-                let a_panel = &a_buf[ir * mr * kcur..(ir + 1) * mr * kcur];
+                let a_strip = a_strips.strip(ir);
                 // SAFETY: the tile origin stays inside this worker's C
-                // region by construction of the loop bounds; the packed
-                // panels hold kcur·mr / kcur·nr elements (zero padded),
-                // mr/nr are the kernel's own tile and the staged tile
-                // holds mr·nr (≤ MAX_TILE_ELEMS).
+                // region by construction of the loop bounds; a strip read
+                // in place is a full one, inside its operand's view, and a
+                // packed one holds kcur·mr / kcur·nr elements (zero
+                // padded); mr/nr are the kernel's own tile, it reads in
+                // place when a strip is (the contract) and the staged
+                // tile holds mr·nr (≤ MAX_TILE_ELEMS).
                 let c_tile = c.add(i0 * ldc + j0);
                 if M::FULL {
-                    kernel.run(
+                    kernel.run_strided(
                         kcur,
-                        a_panel.as_ptr(),
-                        b_panel.as_ptr(),
+                        a_strip,
+                        (b_strip, b_ks),
                         c_tile,
                         ldc,
                         live_m,
@@ -979,7 +1054,8 @@ unsafe fn row_panel_sweep<T: Element, M: Merge>(
                     if M::live_cols(row0 + i0 + live_m - 1, j0 + live_n) <= j0 {
                         continue;
                     }
-                    kernel.acc(kcur, a_panel.as_ptr(), b_panel.as_ptr(), tile.as_mut_ptr());
+                    // Packed strips (the contract), so the panels.
+                    kernel.acc(kcur, a_strip.0, b_strip, tile.as_mut_ptr());
                     for di in 0..live_m {
                         let cols = M::live_cols(row0 + i0 + di, j0 + live_n).saturating_sub(j0);
                         let acc_row = &tile[di * nr..di * nr + cols];
@@ -1026,6 +1102,17 @@ mod tests {
         for (i, (a, e)) in actual.iter().zip(expected).enumerate() {
             assert!((a - e).abs() <= tol * (1.0 + e.abs()), "mismatch at {i}: {a} vs {e}");
         }
+    }
+
+    /// The least depth from `k` up at which every worker of an `m×n` `f64`
+    /// call on `threads` is above the packing-free rule, so the call packs
+    /// all it reads: a test pinning the packed path's copy volume runs
+    /// there, whatever this host's L2.
+    fn packed_depth(m: usize, n: usize, threads: usize, k: usize) -> usize {
+        let kernel = Kernel::<f64>::dispatched();
+        let grid = ThreadGrid::choose(threads, m, n, kernel.mr, kernel.nr);
+        let (ms, ns) = (m / grid.rows, n / grid.cols); // the smallest worker tile
+        (k..).step_by(16).find(|&k| !reads_in_place::<f64>(ms, ns, k)).expect("a deep enough k")
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the BLAS-style call
@@ -1139,7 +1226,7 @@ mod tests {
     fn stats_report_threads_and_work() {
         let m = 256;
         let n = 256;
-        let k = 64;
+        let k = packed_depth(m, n, 4, 64);
         let a = fill(m * k, 4);
         let b = fill(k * n, 5);
         let mut c = vec![0.0f64; m * n];
@@ -1157,6 +1244,87 @@ mod tests {
     }
 
     #[test]
+    fn under_the_rule_only_the_edge_strip_and_edge_panel_are_copied() {
+        let kernel = Kernel::<f64>::dispatched();
+        if !kernel.reads_in_place() {
+            eprintln!("skipped: the {} kernel packs always", kernel.isa);
+            return;
+        }
+        let (mr, nr, bytes) = (kernel.mr, kernel.nr, 8u64);
+        // Ragged in both tile dimensions, several KC blocks deep; then a
+        // whole number of tiles, which copies nothing at all.
+        let k = 2 * BlockSizes::dispatched::<f64>().kc + 5;
+        for (m, n, edge_rows, edge_cols) in [(3 * mr + 1, 2 * nr + 3, 1, 1), (2 * mr, nr, 0, 0)] {
+            assert!(
+                reads_in_place::<f64>(m, n, k),
+                "test shape {m}x{n}x{k} must be under the rule"
+            );
+            let a = fill(m * k, 151);
+            let b = fill(k * n, 152);
+            let serial = GemmCall::new(m, n, k, 1);
+            let zorder = serial.with_plan(serial.plan.with_algorithm(Algorithm::ZOrder));
+            let transposed_b = GemmCall { trans_b: Transpose::Yes, ..serial };
+            for (call, b_copied) in [
+                (serial, edge_cols * nr * k),
+                (zorder, edge_cols * nr * k),
+                // A transposed B is packed whole.
+                (transposed_b, n.div_ceil(nr) * nr * k),
+            ] {
+                let (mut c, mut c_ref) = (vec![0.0; m * n], vec![0.0; m * n]);
+                let ldb = if call.trans_b.is_transposed() { k } else { n };
+                let s = gemm_with_stats(&call, 1.5, &a, k, &b, ldb, 0.0, &mut c, n);
+                let what = format!("{m}x{n}x{k} {:?} trans_b={:?}", s.algorithm, call.trans_b);
+                assert_eq!(s.a_packed_bytes, (edge_rows * mr * k) as u64 * bytes, "{what}");
+                assert_eq!(s.b_packed_bytes, b_copied as u64 * bytes, "{what}");
+                if s.a_packed_bytes + s.b_packed_bytes == 0 {
+                    assert_eq!(s.pack_ns, 0, "{what}: nothing copied, nothing timed");
+                }
+                naive_gemm(
+                    Transpose::No,
+                    call.trans_b,
+                    m,
+                    n,
+                    k,
+                    1.5,
+                    &a,
+                    k,
+                    &b,
+                    ldb,
+                    0.0,
+                    &mut c_ref,
+                    n,
+                );
+                assert_close(&c, &c_ref, 1e-10);
+            }
+        }
+    }
+
+    #[test]
+    fn a_b_whose_re_reads_sweep_past_l2_is_packed_while_a_is_read_in_place() {
+        let kernel = Kernel::<f64>::dispatched();
+        if !kernel.reads_in_place() {
+            eprintln!("skipped: the {} kernel packs always", kernel.isa);
+            return;
+        }
+        let blocks = BlockSizes::dispatched::<f64>();
+        let (mr, nr, bytes) = (kernel.mr, kernel.nr, 8u64);
+        let (m, n, k) = (3 * mr + 1, 2 * nr + 3, blocks.kc);
+        assert!(reads_in_place::<f64>(m, n, k), "test shape {m}x{n}x{k} must be under the rule");
+        // B's rows padded until the four row strips' re-reads of a strip
+        // sweep more than L2.
+        let ldb = (n..).find(|&ld| !reads_b_in_place::<f64>(4, k, ld)).expect("a wide enough ldb");
+        let a = fill(m * k, 161);
+        let b = fill(k * ldb, 162);
+        let (mut c, mut c_ref) = (vec![0.0; m * n], vec![0.0; m * n]);
+        let s = gemm_with_stats(&GemmCall::new(m, n, k, 1), 1.0, &a, k, &b, ldb, 0.0, &mut c, n);
+        assert_eq!(s.a_packed_bytes, (mr * k) as u64 * bytes, "A: only its edge strip");
+        assert_eq!(s.b_packed_bytes, (k * n.div_ceil(nr) * nr) as u64 * bytes, "B: all of it");
+        let no = Transpose::No;
+        naive_gemm(no, no, m, n, k, 1.0, &a, k, &b, ldb, 0.0, &mut c_ref, n);
+        assert_close(&c, &c_ref, 1e-10);
+    }
+
+    #[test]
     fn more_threads_pack_more_b_panels() {
         // With a row-split grid each scoped row group packs its own copy
         // of B — the duplicated-copy effect the paper's Table VII
@@ -1164,7 +1332,7 @@ mod tests {
         // `pooled_row_groups_share_b_panels`.
         let m = 512;
         let n = 64;
-        let k = 256;
+        let k = packed_depth(m, n, 8, 256);
         let a = fill(m * k, 6);
         let b = fill(k * n, 7);
         let run = |threads: usize| {
@@ -1191,7 +1359,7 @@ mod tests {
         let pool = crate::pool::ThreadPool::new(8);
         let m = 512;
         let n = 64;
-        let k = 256;
+        let k = packed_depth(m, n, 8, 256);
         let a = fill(m * k, 6);
         let b = fill(k * n, 7);
         let run = |threads: usize| {
@@ -1228,7 +1396,8 @@ mod tests {
         // duplicated driver's packed volume: sharing moves bytes between
         // counters, it does not lose track of them.
         let pool = crate::pool::ThreadPool::new(8);
-        let (m, n, k, threads) = (384usize, 96usize, 192usize, 6usize);
+        let (m, n, threads) = (384usize, 96usize, 6usize);
+        let k = packed_depth(m, n, threads, 192);
         let a = fill(m * k, 31);
         let b = fill(k * n, 32);
         let call = GemmCall::new(m, n, k, threads);
@@ -1256,6 +1425,7 @@ mod tests {
         let shapes = [(256usize, 40usize, 96usize, 8usize), (200, 200, 64, 4), (97, 33, 131, 6)];
         let flags = [Transpose::No, Transpose::Yes];
         for &(m, n, k, threads) in &shapes {
+            let k = packed_depth(m, n, threads, k);
             for ta in flags {
                 for tb in flags {
                     let (ar, ac) = if ta.is_transposed() { (k, m) } else { (m, k) };
@@ -1403,6 +1573,7 @@ mod tests {
         for &(m, n, k, threads) in
             &[(64usize, 64usize, 64usize, 4usize), (150, 90, 130, 8), (33, 7, 129, 3)]
         {
+            let k = packed_depth(m, n, threads, k);
             let a = fill(m * k, 21);
             let b = fill(k * n, 22);
             let mut c1 = fill(m * n, 23);

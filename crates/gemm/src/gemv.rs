@@ -129,7 +129,9 @@ fn drive<T: Element>(
 }
 
 /// Dot-product rows `[r0, r1)` into `y`. `y` may be a raw shared pointer;
-/// row ranges are disjoint across workers.
+/// row ranges are disjoint across workers. Every worker enters here, so
+/// the fault-injection hook sits at the top, with the rows as the
+/// `m×1×n` product they are.
 #[allow(clippy::too_many_arguments)]
 fn row_range<T: Element>(
     a: &[T],
@@ -143,6 +145,7 @@ fn row_range<T: Element>(
     beta: T,
     stats: &mut ThreadLocalStats,
 ) {
+    crate::fault::kernel_entry(GEMV_KERNEL.0, r1 - r0, 1, n);
     let t0 = Instant::now();
     for i in r0..r1 {
         // n = 0 leaves `a` conceptually empty; never index into it then.

@@ -28,13 +28,18 @@
 //! reaches `microkernel.peak_share_f32` 0.90–0.95 and the AVX-512 kernel
 //! 1.2–1.8 of that same 256-bit peak (its probe panels only just fit L1).
 //!
-//! A [`Kernel`] is a table row: the tile geometry and four function
+//! A [`Kernel`] is a table row: the tile geometry and the function
 //! pointers behind the contract the scalar
 //! [`crate::microkernel::accumulate`] / [`crate::microkernel::merge_into_raw`]
 //! pair established — panels packed zero-padded to the full tile, the full
 //! tile always accumulated, only the write-back masked to `live_m × live_n`
-//! with the β = 0 (never read `C`) and α = 1 specialisations. Two pointers
-//! are the kernel (fused `run`, accumulate-only `acc`); two are the
+//! with the β = 0 (never read `C`) and α = 1 specialisations. Three
+//! pointers are the kernel: fused `run`, accumulate-only `acc`, and — for
+//! every ISA but NEON — `run_in_place`, the fused kernel reading operands
+//! where they lie through runtime strides ([`InPlaceFn`]; the blocked loop
+//! nest's packing-free path for operands that fit L2). `run` and
+//! `run_in_place` are one template body: the packed entry passes the
+//! panels' strides `(1, MR, NR)` as constants. Two pointers are the
 //! **panel-packing primitives** the one packing routine ([`crate::pack`])
 //! is built on, a strided-row *transpose* and a row *copy* ([`PanelFn`]):
 //! pure data movement, the same bytes from every ISA. Both x86 ISAs pack
@@ -48,7 +53,7 @@
 use std::sync::OnceLock;
 
 use crate::blocking::{MR, NR};
-use crate::microkernel::{accumulate, merge_into_raw};
+use crate::microkernel::{accumulate, accumulate_strided, merge_into_raw};
 use crate::Element;
 use serde::{Deserialize, Serialize};
 
@@ -184,6 +189,30 @@ pub type MicroFn<T> = unsafe fn(
     beta: T,
 );
 
+/// In-place micro-kernel: [`MicroFn`] with its operands read where they
+/// lie instead of from packed panels — `A(i, l)` at `a[i·a_rs + l·a_ks]`,
+/// `B(l, j)` at `b[l·b_ks + j]` (a `B` row's columns are adjacent). The
+/// packed panels are the strides `(1, mr)` and `nr`.
+///
+/// Safety contract: [`MicroFn`]'s, with the panel clauses replaced by:
+/// every `A(i, l)` for `i < mr`, `l < kc` and every `B(l, j)` for
+/// `j < nr`, `l < kc` is readable. Nothing else of `a` or `b` is read.
+#[allow(clippy::type_complexity)]
+pub type InPlaceFn<T> = unsafe fn(
+    kc: usize,
+    a: *const T,
+    a_rs: usize,
+    a_ks: usize,
+    b: *const T,
+    b_ks: usize,
+    c: *mut T,
+    ldc: usize,
+    live_m: usize,
+    live_n: usize,
+    alpha: T,
+    beta: T,
+);
+
 /// Accumulate-only micro-kernel: compute the full `mr×nr` tile of
 /// `A_panel · B_panel` into `tile` (row-major, `nr` stride), overwriting
 /// it. Used by consumers that need a custom masked merge (SYRK's
@@ -221,6 +250,8 @@ pub struct Kernel<T> {
     /// Register-tile columns.
     pub nr: usize,
     run: MicroFn<T>,
+    /// `None` for NEON, which is not on the template yet and packs always.
+    run_in_place: Option<InPlaceFn<T>>,
     acc: AccFn<T>,
     pack_transpose: PanelFn<T>,
     pack_copy: PanelFn<T>,
@@ -280,6 +311,44 @@ impl<T: Element> Kernel<T> {
         beta: T,
     ) {
         (self.run)(kc, a_panel, b_panel, c, ldc, live_m, live_n, alpha, beta)
+    }
+
+    /// `true` if this kernel can read operands in place (see
+    /// [`InPlaceFn`]): every ISA but NEON.
+    pub(crate) fn reads_in_place(&self) -> bool {
+        self.run_in_place.is_some()
+    }
+
+    /// Run the fused micro-kernel on operands read through strides (see
+    /// [`InPlaceFn`]). At the packed panels' strides `(1, mr)` and `nr`
+    /// this is [`Kernel::run`], the instantiation with those strides as
+    /// constants; any other strides take the in-place entry.
+    ///
+    /// # Safety
+    /// [`InPlaceFn`]'s contract.
+    ///
+    /// # Panics
+    /// If the strides are not the packed ones and the kernel has no
+    /// in-place entry ([`Kernel::reads_in_place`]).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(crate) unsafe fn run_strided(
+        &self,
+        kc: usize,
+        (a, a_rs, a_ks): (*const T, usize, usize),
+        (b, b_ks): (*const T, usize),
+        c: *mut T,
+        ldc: usize,
+        live_m: usize,
+        live_n: usize,
+        alpha: T,
+        beta: T,
+    ) {
+        if (a_rs, a_ks, b_ks) == (1, self.mr, self.nr) {
+            return self.run(kc, a, b, c, ldc, live_m, live_n, alpha, beta);
+        }
+        let run_in_place = self.run_in_place.expect("in-place strides for a packing-only kernel");
+        run_in_place(kc, a, a_rs, a_ks, b, b_ks, c, ldc, live_m, live_n, alpha, beta)
     }
 
     /// Compute the full `mr×nr` accumulator tile into `tile` (row-major),
@@ -347,6 +416,7 @@ pub const fn kernel_f32(isa: KernelIsa) -> Kernel<f32> {
             mr: neon::MR_F32,
             nr: neon::NR_F32,
             run: neon::run_f32,
+            run_in_place: None,
             acc: neon::acc_f32,
             pack_transpose: neon::pack_transpose_f32,
             pack_copy: pack_copy_scalar::<f32>,
@@ -368,6 +438,7 @@ pub const fn kernel_f64(isa: KernelIsa) -> Kernel<f64> {
             mr: neon::MR_F64,
             nr: neon::NR_F64,
             run: neon::run_f64,
+            run_in_place: None,
             acc: neon::acc_f64,
             pack_transpose: neon::pack_transpose_f64,
             pack_copy: pack_copy_scalar::<f64>,
@@ -384,13 +455,15 @@ const fn scalar_kernel<T: Element>() -> Kernel<T> {
         mr: MR,
         nr: NR,
         run: scalar_run::<T>,
+        run_in_place: Some(scalar_run_in_place::<T>),
         acc: scalar_acc::<T>,
         pack_transpose: pack_transpose_scalar::<T>,
         pack_copy: pack_copy_scalar::<T>,
     }
 }
 
-/// Scalar fused kernel. Safety: see [`MicroFn`].
+/// Scalar fused kernel: [`scalar_run_in_place`] at the packed panels'
+/// strides. Safety: see [`MicroFn`].
 #[allow(clippy::too_many_arguments)]
 unsafe fn scalar_run<T: Element>(
     kc: usize,
@@ -403,11 +476,29 @@ unsafe fn scalar_run<T: Element>(
     alpha: T,
     beta: T,
 ) {
-    // SAFETY: the contract guarantees kc·MR / kc·NR packed elements.
-    let a_panel = std::slice::from_raw_parts(a_panel, kc * MR);
-    let b_panel = std::slice::from_raw_parts(b_panel, kc * NR);
-    let acc = accumulate(kc, a_panel, b_panel);
-    // SAFETY: forwarded from the caller's contract.
+    // SAFETY: the packed panels are these strides (MicroFn's contract).
+    scalar_run_in_place(kc, a_panel, 1, MR, b_panel, NR, c, ldc, live_m, live_n, alpha, beta)
+}
+
+/// Scalar in-place kernel. Safety: see [`InPlaceFn`].
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn scalar_run_in_place<T: Element>(
+    kc: usize,
+    a: *const T,
+    a_rs: usize,
+    a_ks: usize,
+    b: *const T,
+    b_ks: usize,
+    c: *mut T,
+    ldc: usize,
+    live_m: usize,
+    live_n: usize,
+    alpha: T,
+    beta: T,
+) {
+    // SAFETY: both forwarded from the caller's contract.
+    let acc = accumulate_strided(kc, a, a_rs, a_ks, b, b_ks);
     merge_into_raw(&acc, c, ldc, live_m, live_n, alpha, beta);
 }
 
@@ -605,38 +696,79 @@ mod tile {
     /// The accumulators of one `MR × NV·LANES` tile, row `i` in `tile[i]`.
     type Tile<V, const MR: usize, const NV: usize> = [[V; NV]; MR];
 
-    /// Accumulate the full tile of `A_panel · B_panel`: per depth step
-    /// `NV` loads of `B`, then `MR` broadcasts of `A` each feeding `NV`
-    /// FMAs — `MR·NV` accumulators, `NV` `B` vectors and one broadcast
-    /// live at once. The trip counts are constants: LLVM unrolls both
-    /// inner loops and keeps every accumulator in a register.
+    /// How far ahead, in depth steps, the kernel asks for what it reads in
+    /// place, which may still be in L3 on first touch (packed panels were
+    /// just written, and are not prefetched). A `B` row is a line or two,
+    /// read once: eight steps cover the latency. An `A` line holds 8–16
+    /// steps of one row, and the rows take turns at one prefetch a step:
+    /// 32 steps is two to four lines ahead. Both measured on perfbench's
+    /// `small_repeat`, whose operands come from L3.
+    const B_AHEAD: usize = 8;
+    const A_AHEAD: usize = 32;
+
+    /// Hint the `bytes` at `p` into L1, a cache line at a time.
+    #[inline(always)]
+    fn prefetch(p: *const i8, bytes: usize) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        for line in (0..bytes).step_by(64) {
+            // SAFETY: a prefetch is a hint and never faults, whatever the
+            // address; SSE is part of the x86-64 baseline.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(line)) }
+        }
+    }
+
+    /// Accumulate the full tile of `A · B`: per depth step `NV` loads of
+    /// `B`, then `MR` broadcasts of `A` each feeding `NV` FMAs — `MR·NV`
+    /// accumulators, `NV` `B` vectors and one broadcast live at once. The
+    /// trip counts are constants: LLVM unrolls both inner loops and keeps
+    /// every accumulator in a register. `A(i, l)` is `a[i·a_rs + l·a_ks]`
+    /// and `B(l, j)` is `b[l·b_ks + j]` ([`super::InPlaceFn`]): the packed
+    /// entry passes its panels' `(1, MR, NV·LANES)` as constants, which
+    /// inline to the unit-stride panel loop.
     ///
     /// # Safety
-    /// [`Vector`]'s CPU requirement; `a` points at `kc·MR` packed
-    /// elements, `b` at `kc·NV·LANES`.
+    /// [`Vector`]'s CPU requirement; every `A(i, l)` for `i < MR`,
+    /// `l < kc` and every `B(l, j)` for `j < NV·LANES`, `l < kc` is
+    /// readable.
     #[inline(always)]
     pub unsafe fn accumulate<V: Vector, const MR: usize, const NV: usize>(
         kc: usize,
         a: *const V::Elem,
+        a_rs: usize,
+        a_ks: usize,
         b: *const V::Elem,
+        b_ks: usize,
     ) -> Tile<V, MR, NV> {
         let mut acc = [[V::zero(); NV]; MR];
         let (mut ap, mut bp) = (a, b);
+        // The packed entry's constant strides compile the prefetches out.
+        let (packed_a, packed_b) = ((a_rs, a_ks) == (1, MR), b_ks == NV * V::LANES);
+        let mut row = 0; // the offset of the `A` row whose turn it is
         for _ in 0..kc {
-            // SAFETY: step l reads a[l·MR..][..MR] and b[l·NR..][..NR],
-            // inside the panels per the function contract.
+            if !packed_a {
+                prefetch(ap.wrapping_add(row + A_AHEAD * a_ks).cast(), 1);
+                row = if row + a_rs == MR * a_rs { 0 } else { row + a_rs };
+            }
+            if !packed_b {
+                let row_bytes = NV * V::LANES * std::mem::size_of::<V::Elem>();
+                prefetch(bp.wrapping_add(B_AHEAD * b_ks).cast(), row_bytes);
+            }
+            // SAFETY: at step l, `ap` is A(0, l) and `bp` B(l, 0); the
+            // function contract makes A(i, l) and B(l, j) readable.
             let mut bv = [V::zero(); NV];
             for (j, v) in bv.iter_mut().enumerate() {
                 *v = V::load(bp.add(j * V::LANES));
             }
             for (i, row) in acc.iter_mut().enumerate() {
-                let ai = V::splat(*ap.add(i));
+                let ai = V::splat(*ap.add(i * a_rs));
                 for (c, &bj) in row.iter_mut().zip(&bv) {
                     *c = ai.fma(bj, *c);
                 }
             }
-            ap = ap.add(MR);
-            bp = bp.add(NV * V::LANES);
+            // Wrapping: after the last step these point one depth step
+            // past the operand, which may leave its allocation.
+            ap = ap.wrapping_add(a_ks);
+            bp = bp.wrapping_add(b_ks);
         }
         acc
     }
@@ -660,20 +792,23 @@ mod tile {
         }
     }
 
-    /// Fused kernel body ([`super::MicroFn`]): a full tile is written
-    /// back in vectors (`α = 1` skips the scale, `β = 0` never reads
-    /// `C`); an edge tile is staged on the stack and merged by the scalar
-    /// masked merge.
+    /// Fused kernel body ([`super::InPlaceFn`], and [`super::MicroFn`] at
+    /// the packed strides): a full tile is written back in vectors
+    /// (`α = 1` skips the scale, `β = 0` never reads `C`); an edge tile is
+    /// staged on the stack and merged by the scalar masked merge.
     ///
     /// # Safety
-    /// [`Vector`]'s CPU requirement plus the [`super::MicroFn`] contract
+    /// [`Vector`]'s CPU requirement plus the [`super::InPlaceFn`] contract
     /// at `mr = MR`, `nr = NV·LANES`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     pub unsafe fn run<V: Vector, const MR: usize, const NV: usize>(
         kc: usize,
-        a_panel: *const V::Elem,
-        b_panel: *const V::Elem,
+        a: *const V::Elem,
+        a_rs: usize,
+        a_ks: usize,
+        b: *const V::Elem,
+        b_ks: usize,
         c: *mut V::Elem,
         ldc: usize,
         live_m: usize,
@@ -681,7 +816,7 @@ mod tile {
         alpha: V::Elem,
         beta: V::Elem,
     ) {
-        let acc = accumulate::<V, MR, NV>(kc, a_panel, b_panel);
+        let acc = accumulate::<V, MR, NV>(kc, a, a_rs, a_ks, b, b_ks);
         let nr = NV * V::LANES;
         if live_m == MR && live_n == nr {
             let (va, vb) = (V::splat(alpha), V::splat(beta));
@@ -769,12 +904,14 @@ mod x86 {
     }
 
     /// One row of the kernel table: the template at `$mr` rows of `$nv`
-    /// `$V` registers, compiled with `$features` enabled. The two shims
+    /// `$V` registers, compiled with `$features` enabled. The three shims
     /// are the only per-ISA kernel code — a `#[target_feature]` frame for
-    /// the template to inline into, coercible to the table's fn pointers.
+    /// the template to inline into, coercible to the table's fn pointers;
+    /// the packed two pass their panels' strides as constants.
     macro_rules! kernel {
         ($isa:ident, $features:literal, $V:ty, $mr:literal, $nv:literal, $transpose:ident) => {{
             type E = <$V as Vector>::Elem;
+            const NR: usize = $nv * <$V as Vector>::LANES;
             /// # Safety
             /// See [`super::MicroFn`]; dispatch installs this pointer
             /// only where `$features` are detected.
@@ -791,19 +928,45 @@ mod x86 {
                 alpha: E,
                 beta: E,
             ) {
-                tile::run::<$V, $mr, $nv>(kc, a_panel, b_panel, c, ldc, live_m, live_n, alpha, beta)
+                tile::run::<$V, $mr, $nv>(
+                    kc, a_panel, 1, $mr, b_panel, NR, c, ldc, live_m, live_n, alpha, beta,
+                )
+            }
+            /// # Safety
+            /// See [`super::InPlaceFn`]; dispatch as for `run`.
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = $features)]
+            unsafe fn run_in_place(
+                kc: usize,
+                a: *const E,
+                a_rs: usize,
+                a_ks: usize,
+                b: *const E,
+                b_ks: usize,
+                c: *mut E,
+                ldc: usize,
+                live_m: usize,
+                live_n: usize,
+                alpha: E,
+                beta: E,
+            ) {
+                tile::run::<$V, $mr, $nv>(
+                    kc, a, a_rs, a_ks, b, b_ks, c, ldc, live_m, live_n, alpha, beta,
+                )
             }
             /// # Safety
             /// See [`super::AccFn`]; dispatch as for `run`.
             #[target_feature(enable = $features)]
             unsafe fn acc(kc: usize, a_panel: *const E, b_panel: *const E, tile: *mut E) {
-                tile::store_tile(&tile::accumulate::<$V, $mr, $nv>(kc, a_panel, b_panel), tile)
+                let acc = tile::accumulate::<$V, $mr, $nv>(kc, a_panel, 1, $mr, b_panel, NR);
+                tile::store_tile(&acc, tile)
             }
             Kernel {
                 isa: KernelIsa::$isa,
                 mr: $mr,
-                nr: $nv * <$V as Vector>::LANES,
+                nr: NR,
                 run,
+                run_in_place: Some(run_in_place),
                 acc,
                 pack_transpose: $transpose,
                 pack_copy: pack_copy::<E>,
@@ -1353,6 +1516,7 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::MatView;
 
     /// Pack a dense row-major `mr×kc` A block / `kc×nr` B block the way
     /// the real pack routines would (one full strip each).
@@ -1482,6 +1646,104 @@ mod tests {
             // α = 1, β = 0 merge adds `+ 0.0`, which is an exact no-op
             // for these finite values: the two paths agree bitwise.
             assert_eq!(via_run, via_acc, "{isa:?}");
+        }
+    }
+
+    /// The in-place entry reads its operands' `mr×kc` and `kc×nr` elements
+    /// and nothing else. Each operand is stored at a padded leading
+    /// dimension between NaN guards, and its view is built on a slice that
+    /// ends at its last element: a read before or past the view leaves the
+    /// slice (Miri reports it — CI runs this test under Miri), a read of
+    /// the padding between its lines puts a NaN into the tile. The result
+    /// must be the packed entry's, bit for bit, for `A` row-major and
+    /// transposed, β = 0 over a NaN `C` and a general β, and a masked tile.
+    #[test]
+    fn in_place_entry_reads_only_inside_its_views() {
+        in_place_reads_inside_views::<f32>();
+        in_place_reads_inside_views::<f64>();
+    }
+
+    #[allow(clippy::eq_op)] // NaN is the one value unequal to itself
+    fn is_nan<T: PartialEq>(x: T) -> bool {
+        x != x
+    }
+
+    fn in_place_reads_inside_views<T: Element + From<f32>>() {
+        const GUARD: usize = 16;
+        let nan = T::ZERO * T::from(f32::INFINITY);
+        let value = |i: usize| T::from(((i * 7 % 19) as f32 - 9.0) * 0.25);
+        // `rows×cols` values `at(r, c)` at leading dimension `cols + 3`,
+        // NaN everywhere else including before and after.
+        let stored = |rows: usize, cols: usize, at: &dyn Fn(usize, usize) -> T| {
+            let ld = cols + 3;
+            let mut buf = vec![nan; GUARD + (rows - 1) * ld + cols + GUARD];
+            for r in 0..rows {
+                for c in 0..cols {
+                    buf[GUARD + r * ld + c] = at(r, c);
+                }
+            }
+            (buf, ld)
+        };
+        for kern in runnable_kernels::<T>().into_iter().filter(|k| k.reads_in_place()) {
+            let (mr, nr) = (kern.mr, kern.nr);
+            for kc in [1usize, 5, 17] {
+                let a_at = |i: usize, l: usize| value(i * kc + l);
+                let b_at = |l: usize, j: usize| value(3 + l * nr + j);
+                let mut ap = vec![T::ZERO; kc * mr];
+                let mut bp = vec![T::ZERO; kc * nr];
+                for l in 0..kc {
+                    (0..mr).for_each(|i| ap[l * mr + i] = a_at(i, l));
+                    (0..nr).for_each(|j| bp[l * nr + j] = b_at(l, j));
+                }
+                let (b_buf, ldb) = stored(kc, nr, &b_at);
+                let b_data = &b_buf[GUARD..GUARD + (kc - 1) * ldb + nr];
+                let (b, b_ks, _) = MatView::row_major(b_data, kc, nr, ldb).raw_parts();
+                for a_transposed in [false, true] {
+                    let (a_buf, lda) = if a_transposed {
+                        stored(kc, mr, &|l, i| a_at(i, l))
+                    } else {
+                        stored(mr, kc, &a_at)
+                    };
+                    let a_view = if a_transposed {
+                        let data = &a_buf[GUARD..GUARD + (kc - 1) * lda + mr];
+                        MatView::row_major(data, kc, mr, lda).t()
+                    } else {
+                        MatView::row_major(&a_buf[GUARD..GUARD + (mr - 1) * lda + kc], mr, kc, lda)
+                    };
+                    let (a, a_rs, a_ks) = a_view.raw_parts();
+                    for (beta, live_m, live_n) in
+                        [(T::ZERO, mr, nr), (T::from(0.5), mr, nr), (T::ZERO, mr - 1, nr - 1)]
+                    {
+                        let c0 = if beta == T::ZERO { nan } else { value(5) };
+                        let (mut want, mut got) = (vec![c0; mr * nr], vec![c0; mr * nr]);
+                        let alpha = T::from(1.5);
+                        // SAFETY: packed panels of kc·mr / kc·nr; the views
+                        // cover A(i, l) and B(l, j) for the whole tile; both
+                        // C tiles hold mr·nr elements at stride nr.
+                        unsafe {
+                            let (want, got) = (want.as_mut_ptr(), got.as_mut_ptr());
+                            let (p, q) = (ap.as_ptr(), bp.as_ptr());
+                            kern.run(kc, p, q, want, nr, live_m, live_n, alpha, beta);
+                            let in_place = kern.run_in_place.expect("filtered on reads_in_place");
+                            in_place(
+                                kc, a, a_rs, a_ks, b, b_ks, got, nr, live_m, live_n, alpha, beta,
+                            );
+                        }
+                        let what = format!("{} kc={kc} a_transposed={a_transposed}", kern.isa);
+                        for (x, y) in got.iter().zip(&want) {
+                            let same = x == y || (is_nan(*x) && is_nan(*y));
+                            assert!(
+                                same,
+                                "{what} β={beta:?} live {live_m}x{live_n}: {x:?} vs {y:?}"
+                            );
+                        }
+                        assert!(
+                            got.iter().take(live_m * nr).step_by(nr).all(|&v| !is_nan(v)),
+                            "{what}: a NaN was read"
+                        );
+                    }
+                }
+            }
         }
     }
 

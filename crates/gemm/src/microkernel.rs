@@ -15,9 +15,10 @@
 //!
 //! The accumulator is a fixed-size 2-D array so LLVM keeps it entirely in
 //! vector registers and unrolls the `MR×NR` update; the packed operands are
-//! read with unit stride. Edge tiles (fewer than `MR` rows or `NR` columns
-//! live in `C`) run the same arithmetic — the packed panels are zero padded
-//! — and only the write-back is masked.
+//! read with unit stride, operands read in place through their own strides
+//! — one depth loop, `accumulate_strided`, takes both. Edge tiles (fewer
+//! than `MR` rows or `NR` columns live in `C`) run the same arithmetic —
+//! the packed panels are zero padded — and only the write-back is masked.
 
 use crate::blocking::{MR, NR};
 use crate::Element;
@@ -56,43 +57,62 @@ pub fn microkernel<T: Element>(
     unsafe { merge_into_raw(&acc, c.as_mut_ptr(), ldc, live_m, live_n, alpha, beta) }
 }
 
-/// One rank-1 update of the register tile from a packed `A` column and
-/// `B` row.
+/// Compute the `MR×NR` accumulator tile for one packed micro-panel pair:
+/// the in-place kernel's depth loop at the panels' strides.
+///
+/// # Panics
+/// If a panel holds fewer than `kc` steps.
 #[inline(always)]
-fn rank1_update<T: Element>(acc: &mut [[T; NR]; MR], a_col: &[T], b_row: &[T]) {
-    for i in 0..MR {
-        let ai = a_col[i];
-        for j in 0..NR {
-            acc[i][j] = ai.mul_add_e(b_row[j], acc[i][j]);
-        }
-    }
+pub fn accumulate<T: Element>(kc: usize, a_panel: &[T], b_panel: &[T]) -> [[T; NR]; MR] {
+    assert!(a_panel.len() >= kc * MR && b_panel.len() >= kc * NR, "panel shorter than kc steps");
+    // SAFETY: by the assert, every step l < kc reads inside both panels.
+    unsafe { accumulate_strided(kc, a_panel.as_ptr(), 1, MR, b_panel.as_ptr(), NR) }
 }
 
-/// Compute the `MR×NR` accumulator tile for one packed micro-panel pair.
+/// The accumulator tile of `A·B` over `kc` depth steps, `A(i, l)` at
+/// `a[i·a_rs + l·a_ks]` and `B(l, j)` at `b[l·b_ks + j]`: packed panels
+/// ([`accumulate`]) or operands read in place (see [`crate::isa::Kernel`]),
+/// one rank-1 update a step.
 ///
 /// The depth loop is 4-way unrolled with *sequential* accumulation —
 /// the same single accumulator tile is updated in the same `l` order as
-/// the plain loop, so results are bitwise identical; the unroll only
-/// removes loop overhead and gives LLVM longer straight-line stretches
-/// to keep the tile in vector registers.
+/// the plain loop, so results are bitwise identical whatever the strides;
+/// the unroll only removes loop overhead and gives LLVM longer
+/// straight-line stretches to keep the tile in vector registers.
+///
+/// # Safety
+/// Every `A(i, l)` for `i < MR`, `l < kc` and every `B(l, j)` for
+/// `j < NR`, `l < kc` must be readable.
 #[inline(always)]
-pub fn accumulate<T: Element>(kc: usize, a_panel: &[T], b_panel: &[T]) -> [[T; NR]; MR] {
-    debug_assert!(a_panel.len() >= kc * MR);
-    debug_assert!(b_panel.len() >= kc * NR);
+pub(crate) unsafe fn accumulate_strided<T: Element>(
+    kc: usize,
+    a: *const T,
+    a_rs: usize,
+    a_ks: usize,
+    b: *const T,
+    b_ks: usize,
+) -> [[T; NR]; MR] {
     let mut acc = [[T::ZERO; NR]; MR];
+    let rank1_update = |acc: &mut [[T; NR]; MR], l: usize| {
+        // SAFETY: A(·, l) and B(l, ·) are readable by the contract.
+        let b_row = unsafe { std::slice::from_raw_parts(b.add(l * b_ks), NR) };
+        for (i, acc_row) in acc.iter_mut().enumerate() {
+            let ai = unsafe { *a.add(i * a_rs + l * a_ks) };
+            for (out, &bj) in acc_row.iter_mut().zip(b_row) {
+                *out = ai.mul_add_e(bj, *out);
+            }
+        }
+    };
     let mut l = 0;
     while l + 4 <= kc {
-        rank1_update(&mut acc, &a_panel[l * MR..(l + 1) * MR], &b_panel[l * NR..(l + 1) * NR]);
-        let l1 = l + 1;
-        rank1_update(&mut acc, &a_panel[l1 * MR..(l1 + 1) * MR], &b_panel[l1 * NR..(l1 + 1) * NR]);
-        let l2 = l + 2;
-        rank1_update(&mut acc, &a_panel[l2 * MR..(l2 + 1) * MR], &b_panel[l2 * NR..(l2 + 1) * NR]);
-        let l3 = l + 3;
-        rank1_update(&mut acc, &a_panel[l3 * MR..(l3 + 1) * MR], &b_panel[l3 * NR..(l3 + 1) * NR]);
+        rank1_update(&mut acc, l);
+        rank1_update(&mut acc, l + 1);
+        rank1_update(&mut acc, l + 2);
+        rank1_update(&mut acc, l + 3);
         l += 4;
     }
     while l < kc {
-        rank1_update(&mut acc, &a_panel[l * MR..(l + 1) * MR], &b_panel[l * NR..(l + 1) * NR]);
+        rank1_update(&mut acc, l);
         l += 1;
     }
     acc

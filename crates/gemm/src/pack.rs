@@ -2,7 +2,8 @@
 //!
 //! Before any floating-point work, blocks of `A` and `B` are copied into
 //! thread-local buffers laid out so the micro-kernel reads them with unit
-//! stride:
+//! stride — unless they already fit L2 (see *When nothing is copied*
+//! below):
 //!
 //! * `A` blocks (`mc×kc`) become a sequence of `MR`-row *micro-panels*,
 //!   each stored column-by-column (`kc` steps of `MR` contiguous values),
@@ -14,6 +15,27 @@
 //! contribute nothing. This padding is also a real cost: vendor libraries
 //! pay it too, and it is one reason many threads on a tiny matrix spend
 //! almost all their time copying (paper §VI-D, Table VII).
+//!
+//! # When nothing is copied
+//!
+//! A copy pays for itself when a block is reused enough to amortise it,
+//! or when its source would otherwise be re-fetched from beyond L2. When
+//! a worker's operands already sit in L2 — its `ms×k` rows of `A` and
+//! `k×ns` columns of `B` fit the half of L2 that `MC` is sized to
+//! ([`crate::blocking::reads_in_place`]) — the blocked loop nest does not
+//! copy them and its micro-kernel reads them where they lie, through
+//! [`MatView::raw_parts`]: `A` in either layout (one of its strides is
+//! always 1), and `B` when it is row-major (a `B` row's columns must be
+//! adjacent for the kernel's vector loads) and its re-reads stay within
+//! L2 ([`crate::blocking::reads_b_in_place`]: every row strip of `A`
+//! re-reads a `B` strip one row stride at a time, where a packed strip is
+//! a few contiguous pages). Only the ragged parts are still packed, into
+//! their usual slots with the usual zero padding: the last `m % MR` rows
+//! of `A` and the last `n % NR` columns of `B`. A transposed `B`, a `B`
+//! shared by a gang of workers (the shared region is why the gang
+//! exists), SYRK's masked merge and NEON (no in-place kernel yet) pack as
+//! before. The FMAs run in the same order either way, so the results are
+//! the same bits.
 //!
 //! # One routine, two primitives
 //!
@@ -84,8 +106,12 @@ impl<'a, T: Element> MatView<'a, T> {
     }
 
     /// Sub-view of `height×width` starting at `(r, c)`.
+    ///
+    /// # Panics
+    /// If the sub-view leaves this one: every view's elements lie inside
+    /// its slice, which is what [`MatView::raw_parts`] readers rely on.
     pub fn sub(self, r: usize, c: usize, height: usize, width: usize) -> Self {
-        debug_assert!(r + height <= self.rows && c + width <= self.cols);
+        assert!(r + height <= self.rows && c + width <= self.cols, "sub-view out of bounds");
         Self {
             data: self.data,
             offset: self.offset + r * self.rs + c * self.cs,
@@ -110,6 +136,16 @@ impl<'a, T: Element> MatView<'a, T> {
     #[inline(always)]
     pub fn at(&self, i: usize, j: usize) -> T {
         self.data[self.offset + i * self.rs + j * self.cs]
+    }
+
+    /// The view's origin and its row and column strides, for a kernel that
+    /// reads it where it lies: `at(i, j)` is `*origin.add(i·rs + j·cs)`,
+    /// and for `i < rows`, `j < cols` that element is inside the slice the
+    /// view was built on (its constructors check it), so the pointer may be
+    /// read there and nowhere else.
+    #[inline(always)]
+    pub fn raw_parts(&self) -> (*const T, usize, usize) {
+        (self.data.as_ptr().wrapping_add(self.offset), self.rs, self.cs)
     }
 }
 

@@ -36,9 +36,12 @@ pub struct GemmStats {
     /// Thread-grid columns (partition of `C`'s column dimension).
     pub grid_cols: usize,
     /// Bytes written while packing `A` micro-panels (padding included),
-    /// summed over threads.
+    /// summed over threads — only what was copied: a worker whose operands
+    /// fit L2 reads them in place and copies only its ragged strips (see
+    /// [`crate::pack`]), so this is not the volume the kernels read.
     pub a_packed_bytes: u64,
-    /// Bytes written while packing `B` micro-panels, summed over threads.
+    /// Bytes written while packing `B` micro-panels, summed over threads;
+    /// like `a_packed_bytes`, only what was copied.
     pub b_packed_bytes: u64,
     /// Bytes of packed `B` consumed from a groupmate's shared panel
     /// instead of being re-packed locally — the duplicated-copy traffic
@@ -51,7 +54,9 @@ pub struct GemmStats {
     pub arena_bytes_reused: u64,
     /// Micro-kernel invocations, summed over threads.
     pub kernel_calls: u64,
-    /// Nanoseconds spent packing, summed over threads.
+    /// Nanoseconds spent packing, summed over threads: the copies counted
+    /// in `a_packed_bytes` / `b_packed_bytes` and nothing else (a call that
+    /// copies nothing reports 0).
     pub pack_ns: u64,
     /// Nanoseconds spent inside micro-kernels, summed over threads.
     pub kernel_ns: u64,

@@ -16,6 +16,7 @@ use adsala::bundle::quick_test_bundle as quick_bundle;
 use adsala::prelude::*;
 use adsala_gemm::fault::{self, FaultPlan};
 use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
+use adsala_gemm::gemv::naive_gemv;
 use adsala_gemm::isa::KernelIsa;
 use adsala_gemm::plan::Algorithm;
 use adsala_gemm::syrk::naive_syrk;
@@ -451,6 +452,36 @@ fn injected_panic_reaches_syrk_bands_and_the_zorder_traversal() {
     assert_eq!(stats.exec.algorithm, Algorithm::ZOrder);
     assert_eq!(c, c_ref, "Z-order is bitwise the serial blocked driver");
     assert_eq!(svc.stats().panics_recovered, 1);
+}
+
+/// GEMV's packing-free driver has no tile loop, so its hook sits at the top
+/// of its row range, which every GEMV worker passes. An injected panic
+/// there is isolated at the service boundary and booked once, and the
+/// request (β = 0 over a NaN `y`, so a rerun is sound) is retried degraded
+/// to a correct result.
+#[test]
+fn injected_panic_reaches_gemv_rows() {
+    let _lock = hold_fault_lock();
+    let (m, n, alpha) = (300usize, 200usize, 1.25f32);
+    let a = fill(m * n, 91);
+    let x = fill(n, 92);
+    let mut y_ref = vec![0.0f32; m];
+    naive_gemv(m, n, alpha, &a, n, &x, 0.0, &mut y_ref);
+    let (_guard, plan) = arm("panic:count=1");
+    let svc = service(2);
+    let mut y = vec![f32::NAN; m];
+    let mut req: OpRequest<'_, f32> =
+        GemvArgs { m, n, alpha, a: &a, lda: n, x: &x, beta: 0.0, y: &mut y }.into();
+    let (_, stats) = svc.run(&mut req).expect("a panicked GEMV must recover");
+    assert!(stats.plan_degraded, "{stats:?}");
+    assert_eq!(plan.injected_panics(), 1, "no GEMV worker reached the fault hook");
+    assert_close(&y, &y_ref, "recovered GEMV");
+    let booked = svc.stats();
+    assert_eq!(
+        (booked.panics_recovered, booked.degraded_retries, booked.execution_failures),
+        (1, 1, 0),
+        "{booked:?}"
+    );
 }
 
 /// A deadlined `submit_with` under a stalled wave: an occupier holds the whole

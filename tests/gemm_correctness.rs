@@ -3,12 +3,13 @@
 //! triple loop for arbitrary shapes, strides, scalars, transposes and
 //! thread counts.
 
+use adsala_repro::adsala_gemm::blocking::reads_in_place;
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
 use adsala_repro::adsala_gemm::gemv::{gemv_with_stats, naive_gemv};
 use adsala_repro::adsala_gemm::naive::naive_gemm;
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::syrk::{naive_syrk, syrk_with_stats, syrk_with_stats_pooled};
-use adsala_repro::adsala_gemm::{BlockSizes, Element, Transpose};
+use adsala_repro::adsala_gemm::{BlockSizes, Element, Kernel, ThreadGrid, Transpose};
 use proptest::prelude::*;
 
 fn fill(n: usize, seed: u64) -> Vec<f64> {
@@ -246,6 +247,12 @@ proptest! {
         n in 8usize..80,
         k in 8usize..60,
     ) {
+        // The packed path's volume: deep enough that both workers' operands
+        // are above the L2 rule under which the kernel reads them in place.
+        let kernel = Kernel::<f64>::dispatched();
+        let grid = ThreadGrid::choose(2, m, n, kernel.mr, kernel.nr);
+        let (ms, ns) = (m / grid.rows, n / grid.cols);
+        let k = (k..).step_by(16).find(|&k| !reads_in_place::<f64>(ms, ns, k)).unwrap();
         let a = fill(m * k, 13);
         let b = fill(k * n, 14);
         let mut c = vec![0.0f64; m * n];

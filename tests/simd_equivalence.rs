@@ -26,10 +26,11 @@
 
 use adsala_repro::adsala::bundle::quick_test_bundle;
 use adsala_repro::adsala::{AdsalaService, ServiceConfig};
-use adsala_repro::adsala_gemm::blocking::BlockSizes;
+use adsala_repro::adsala_gemm::blocking::{reads_in_place, BlockSizes};
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
 use adsala_repro::adsala_gemm::isa::{Kernel, KernelIsa};
 use adsala_repro::adsala_gemm::microkernel::{accumulate, merge_into_raw};
+use adsala_repro::adsala_gemm::pack::{pack_a, pack_b, MatView};
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::{
     gemv_with_stats, gemv_with_stats_pooled, syrk_with_stats, syrk_with_stats_pooled, Algorithm,
@@ -457,14 +458,60 @@ fn pooled_and_scoped_agree_bitwise_under_dispatch() {
     assert_eq!(s1.kernel_isa, KernelIsa::dispatched());
 }
 
+/// The blocked loop nest on one thread with every block packed — what the
+/// drivers ran for every shape before they read operands that fit L2 in
+/// place — rebuilt from the public pack routines at `blocks` (clamped to
+/// the shape). `tile(kcur, a_panel, b_panel, (row, col), (live_m, live_n),
+/// beta_eff)` merges one register tile whose origin is `C`'s `(row, col)`.
+fn packed_loop_nest<T: Element>(
+    blocks: BlockSizes,
+    a: MatView<'_, T>,
+    b: MatView<'_, T>,
+    beta: T,
+    mut tile: impl FnMut(usize, &[T], &[T], (usize, usize), (usize, usize), T),
+) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let BlockSizes { mc, kc, nc, mr, nr } = blocks.clamped(m, n, k);
+    let mut a_buf = vec![T::ZERO; mc.div_ceil(mr) * mr * kc];
+    let mut b_buf = vec![T::ZERO; kc * nc.div_ceil(nr) * nr];
+    let mut jc = 0;
+    while jc < n {
+        let ncur = (n - jc).min(nc);
+        let mut pc = 0;
+        while pc < k {
+            let kcur = (k - pc).min(kc);
+            let beta_eff = if pc == 0 { beta } else { T::ONE };
+            pack_b(&b.sub(pc, jc, kcur, ncur), nr, &mut b_buf);
+            let mut ic = 0;
+            while ic < m {
+                let mcur = (m - ic).min(mc);
+                pack_a(&a.sub(ic, pc, mcur, kcur), mr, &mut a_buf);
+                for jr in 0..ncur.div_ceil(nr) {
+                    let j0 = jr * nr;
+                    let live_n = (ncur - j0).min(nr);
+                    let b_panel = &b_buf[jr * nr * kcur..(jr + 1) * nr * kcur];
+                    for ir in 0..mcur.div_ceil(mr) {
+                        let i0 = ir * mr;
+                        let live_m = (mcur - i0).min(mr);
+                        let a_panel = &a_buf[ir * mr * kcur..(ir + 1) * mr * kcur];
+                        let origin = (ic + i0, jc + j0);
+                        tile(kcur, a_panel, b_panel, origin, (live_m, live_n), beta_eff);
+                    }
+                }
+                ic += mcur;
+            }
+            pc += kcur;
+        }
+        jc += ncur;
+    }
+}
+
 #[test]
 fn scalar_path_is_bitwise_identical_to_pr4_reference() {
     // Reconstruct the pre-dispatch (PR 4) driver inline from the public
     // scalar micro-kernel contract — same blocking constants, same pack
     // layout, same per-tile accumulate + merge order — and require the
     // forced-scalar driver to reproduce it bit for bit.
-    use adsala_repro::adsala_gemm::pack::{pack_a, pack_b, MatView};
-
     let (m, n, k) = (100usize, 73usize, 65usize);
     let a = fill_f64(m * k, 91);
     let b = fill_f64(k * n, 92);
@@ -480,56 +527,159 @@ fn scalar_path_is_bitwise_identical_to_pr4_reference() {
     assert_eq!((stats.mr, stats.nr), (blocks.mr, blocks.nr));
 
     // The PR 4 loop nest, re-derived from the public contract.
-    let blocks = blocks.clamped(m, n, k);
-    let (mc, kc, nc, mr, nr) = (blocks.mc, blocks.kc, blocks.nc, blocks.mr, blocks.nr);
     let a_view = MatView::row_major(&a, m, k, k);
     let b_view = MatView::row_major(&b, k, n, n);
     let mut c_ref = c0;
-    let mut a_buf = vec![0.0f64; mc.div_ceil(mr) * mr * kc];
-    let mut b_buf = vec![0.0f64; kc * nc.div_ceil(nr) * nr];
-    let mut jc = 0;
-    while jc < n {
-        let ncur = (n - jc).min(nc);
-        let mut pc = 0;
-        while pc < k {
-            let kcur = (k - pc).min(kc);
-            let beta_eff = if pc == 0 { beta } else { 1.0 };
-            pack_b(&b_view.sub(pc, jc, kcur, ncur), nr, &mut b_buf);
-            let mut ic = 0;
-            while ic < m {
-                let mcur = (m - ic).min(mc);
-                pack_a(&a_view.sub(ic, pc, mcur, kcur), mr, &mut a_buf);
-                for jr in 0..ncur.div_ceil(nr) {
-                    let j0 = jr * nr;
-                    let live_n = (ncur - j0).min(nr);
-                    let b_panel = &b_buf[jr * nr * kcur..(jr + 1) * nr * kcur];
-                    for ir in 0..mcur.div_ceil(mr) {
-                        let i0 = ir * mr;
-                        let live_m = (mcur - i0).min(mr);
-                        let a_panel = &a_buf[ir * mr * kcur..(ir + 1) * mr * kcur];
-                        let acc = accumulate(kcur, a_panel, b_panel);
-                        // SAFETY: the tile origin and live region lie
-                        // inside the m×n C buffer by loop construction.
-                        unsafe {
-                            merge_into_raw(
-                                &acc,
-                                c_ref.as_mut_ptr().add((ic + i0) * n + jc + j0),
-                                n,
-                                live_m,
-                                live_n,
-                                alpha,
-                                beta_eff,
-                            );
-                        }
+    packed_loop_nest(blocks, a_view, b_view, beta, |kcur, ap, bp, (i, j), (lm, ln), beta_eff| {
+        let acc = accumulate(kcur, ap, bp);
+        // SAFETY: the tile origin and live region lie inside the m×n C
+        // buffer by loop construction.
+        unsafe { merge_into_raw(&acc, c_ref[i * n + j..].as_mut_ptr(), n, lm, ln, alpha, beta_eff) }
+    });
+    assert_eq!(c_driver, c_ref, "forced-scalar driver must match the PR 4 loop nest bitwise");
+}
+
+/// The logical `rows×cols` operand stored at `ld`, transposed or not.
+fn operand<T: Element>(data: &[T], rows: usize, cols: usize, ld: usize, t: bool) -> MatView<'_, T> {
+    if t {
+        MatView::row_major(data, cols, rows, ld).t()
+    } else {
+        MatView::row_major(data, rows, cols, ld)
+    }
+}
+
+/// `x` and `y` are the same value, NaN included (a NaN cell of `C` that
+/// nothing may write stays NaN on both sides).
+fn same<T: PartialEq>(x: T, y: T) -> bool {
+    #[allow(clippy::eq_op)]
+    let both_nan = x != x && y != y;
+    x == y || both_nan
+}
+
+/// Operands that fit L2 are read in place and only their ragged strips
+/// packed: for every ISA this host runs, the blocked and Z-order drivers
+/// must give the packed loop nest's bits — row-major and transposed `A`
+/// and `B` (a transposed `B` is packed), padded leading dimensions, ragged
+/// `m` and `n`, `k = 1` and several `KC` blocks, α ∈ {1, general},
+/// β ∈ {0 over a NaN `C`, 1, general} — on shapes under the rule and one
+/// above it (packed on both sides). Under the rule the shared-B pooled
+/// driver (its `B` packed, its `A` in place) must also give the scoped
+/// driver's bits.
+fn in_place_reads_match_packed<T: Element + From<f32>>() {
+    let nan = T::ZERO * T::from(f32::INFINITY);
+    let fill = |len: usize, seed: u64| -> Vec<T> {
+        fill_f32(len, seed).into_iter().map(T::from).collect::<Vec<T>>()
+    };
+    let pool = ThreadPool::new(2);
+    let pad = 3;
+    for isa in KernelIsa::supported() {
+        let kernel = Kernel::<T>::for_isa(isa);
+        if kernel.isa != isa {
+            continue; // ADSALA_FORCE_SCALAR: the scalar row comes last
+        }
+        let blocks = BlockSizes::for_isa::<T>(isa);
+        let (mr, nr) = (kernel.mr, kernel.nr);
+        // Above the rule at the least work: two rows, one ragged B strip.
+        let above = (1..).map(|k| k * 64).find(|&k| !reads_in_place::<T>(2, nr + 1, k)).unwrap();
+        let shapes = [
+            (3 * mr + 2, 2 * nr + 3, 2 * blocks.kc + 5),
+            (mr + 1, nr + 1, 1),
+            (2 * mr, nr, 37),
+            (2, nr + 1, above),
+        ];
+        assert!(reads_in_place::<T>(mr + 1, nr + 1, 1) && reads_in_place::<T>(2 * mr, nr, 37));
+        for (m, n, k) in shapes {
+            let under = reads_in_place::<T>(m, n, k);
+            let one = T::ONE;
+            let (alpha, beta) = (T::from(1.25), T::from(-0.75));
+            let transposes = [(false, false), (true, true), (true, false), (false, true)];
+            let scalars = [
+                (alpha, T::ZERO),
+                (one, beta),
+                (one, T::ZERO),
+                (one, one),
+                (alpha, one),
+                (alpha, beta),
+            ];
+            // Fewer cases where they cost the most: deep, and above the rule.
+            let (transposes, scalars) = if !under {
+                (&transposes[..2], &scalars[5..])
+            } else if k > 2 * blocks.kc {
+                (&transposes[..], &scalars[..2])
+            } else {
+                (&transposes[..], &scalars[..])
+            };
+            for &(ta, tb) in transposes {
+                let (lda, ldb, ldc) =
+                    (if ta { m } else { k } + pad, if tb { k } else { n } + pad, n + pad);
+                let a = fill(if ta { k } else { m } * lda, 81);
+                let b = fill(if tb { n } else { k } * ldb, 82);
+                let (a_view, b_view) = (operand(&a, m, k, lda, ta), operand(&b, k, n, ldb, tb));
+                let flag = |t| if t { Transpose::Yes } else { Transpose::No };
+                let serial =
+                    GemmCall { trans_a: flag(ta), trans_b: flag(tb), ..GemmCall::new(m, n, k, 1) }
+                        .with_isa(isa);
+                let zorder = serial.with_plan(serial.plan.with_algorithm(Algorithm::ZOrder));
+                for &(alpha, beta) in scalars {
+                    let c0 = if beta == T::ZERO { vec![nan; m * ldc] } else { fill(m * ldc, 83) };
+                    let mut want = c0.clone();
+                    packed_loop_nest(
+                        blocks,
+                        a_view,
+                        b_view,
+                        beta,
+                        |kc, ap, bp, (i, j), (lm, ln), be| {
+                            let c = want[i * ldc + j..].as_mut_ptr();
+                            // SAFETY: panels packed for this kernel's tile; the
+                            // live region lies inside C by loop construction.
+                            unsafe {
+                                kernel.run(kc, ap.as_ptr(), bp.as_ptr(), c, ldc, lm, ln, alpha, be)
+                            }
+                        },
+                    );
+                    let what = format!("{isa} {m}x{n}x{k} ta={ta} tb={tb} α={alpha:?} β={beta:?}");
+                    for call in [serial, zorder] {
+                        let mut got = c0.clone();
+                        let s =
+                            gemm_with_stats(&call, alpha, &a, lda, &b, ldb, beta, &mut got, ldc);
+                        assert_eq!(s.kernel_isa, kernel.isa, "{what}");
+                        let differs = got.iter().zip(&want).position(|(&x, &y)| !same(x, y));
+                        assert_eq!(
+                            differs, None,
+                            "{what} {:?}: in place differs from packed",
+                            s.algorithm
+                        );
+                    }
+                    if under {
+                        let threads = GemmCall::new(m, n, k, 2).with_isa(isa);
+                        let call = GemmCall { trans_a: flag(ta), trans_b: flag(tb), ..threads };
+                        let (mut scoped, mut pooled) = (c0.clone(), c0.clone());
+                        gemm_with_stats(&call, alpha, &a, lda, &b, ldb, beta, &mut scoped, ldc);
+                        gemm_with_stats_pooled(
+                            &pool,
+                            &call,
+                            alpha,
+                            &a,
+                            lda,
+                            &b,
+                            ldb,
+                            beta,
+                            &mut pooled,
+                            ldc,
+                        );
+                        let differs = scoped.iter().zip(&pooled).position(|(&x, &y)| !same(x, y));
+                        assert_eq!(differs, None, "{what}: pooled differs from scoped");
                     }
                 }
-                ic += mcur;
             }
-            pc += kcur;
         }
-        jc += ncur;
     }
-    assert_eq!(c_driver, c_ref, "forced-scalar driver must match the PR 4 loop nest bitwise");
+}
+
+#[test]
+fn in_place_reads_are_bitwise_the_packed_loop_nest() {
+    in_place_reads_match_packed::<f32>();
+    in_place_reads_match_packed::<f64>();
 }
 
 /// Panels holding one live line each, built element by element with no
