@@ -28,7 +28,7 @@ fn bench_predict_row(c: &mut Criterion) {
     let (x, y) = dataset(800);
     let probe: Vec<f64> = x.row(17).to_vec();
     let mut group = c.benchmark_group("model_eval/predict_row");
-    for kind in ModelKind::all() {
+    for kind in ModelKind::table_candidates() {
         let mut model = AnyModel::default_for(kind);
         model.fit(&x, &y).expect("fit");
         group.bench_with_input(BenchmarkId::from_parameter(kind.name()), &model, |b, m| {

@@ -638,6 +638,24 @@ mod tests {
     }
 
     #[test]
+    fn model_of_a_deleted_family_is_refused_at_load() {
+        // Earlier builds had SVR and k-NN model variants. A document naming
+        // one must be refused with a typed error, not panic a loader.
+        let json = artifact().to_json().unwrap();
+        let tree = "\"gemm\":{\"DecisionTree\":";
+        assert!(json.contains(tree));
+        for family in ["Svr", "Knn"] {
+            let doc = json.replace(tree, &format!("\"gemm\":{{\"{family}\":"));
+            match Artifact::from_json(&doc) {
+                Err(AdsalaError::Artifact(msg)) => {
+                    assert!(msg.contains("unknown variant") && msg.contains(family), "{msg}")
+                }
+                other => panic!("{family}: expected Artifact error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn unsorted_thread_ladder_rejected() {
         let mut art = artifact();
         art.grid.threads = vec![4, 2, 8];

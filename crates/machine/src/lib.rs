@@ -27,6 +27,8 @@
 //! [`timer::HostTimer`] runs the real blocked GEMM from `adsala-gemm` on
 //! the host — the same interface the ADSALA installation workflow consumes.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod cost;
 pub mod noise;

@@ -1,17 +1,15 @@
 //! From-scratch regression ML substrate for the ADSALA reproduction.
 //!
 //! The paper's installation workflow trains and compares eight regression
-//! families (plus SVR and kNN, which its Table I screens out) using a
-//! scikit-learn/XGBoost/LightGBM stack. No such stack exists in the
-//! sanctioned offline crate set, so this crate implements the required
-//! algorithms directly:
+//! families using a scikit-learn/XGBoost/LightGBM stack. No such stack
+//! exists in the sanctioned offline crate set, so this crate implements
+//! the required algorithms directly:
 //!
 //! * **Linear family** — ordinary least squares, ElasticNet (coordinate
 //!   descent), Bayesian ridge (evidence maximisation).
 //! * **Tree family** — CART regression tree, random forest, AdaBoost.R2,
 //!   second-order gradient boosting (XGBoost-style exact greedy splits),
 //!   histogram gradient boosting (LightGBM-style leaf-wise growth).
-//! * **Other** — ε-SVR (SMO) and k-nearest-neighbours (k-d tree).
 //! * **Preprocessing** — Yeo-Johnson power transform with MLE-estimated λ,
 //!   standardisation, Local Outlier Factor removal, correlation pruning.
 //! * **Model selection** — stratified train/test splitting, k-fold cross
@@ -20,6 +18,8 @@
 //! Everything is deterministic given a seed, serialisable with `serde`
 //! (the trained model is one of the two artefacts ADSALA stores at install
 //! time), and dependency-free beyond `rand`/`serde`.
+
+#![forbid(unsafe_code)]
 
 pub mod data;
 pub mod linalg;

@@ -1,10 +1,10 @@
-//! Regression models: the paper's Table I candidates.
+//! Regression models: the eight families the paper compares in its
+//! Tables III/IV.
 //!
 //! | Family | Models |
 //! |---|---|
 //! | Linear | [`LinearRegression`], [`ElasticNet`], [`BayesianRidge`] |
 //! | Tree   | [`DecisionTree`], [`RandomForest`], [`AdaBoostR2`], [`GradientBoosting`] (XGBoost-style), [`HistGradientBoosting`] (LightGBM-style) |
-//! | Other  | [`SvrRegressor`], [`KnnRegressor`] |
 //!
 //! All models implement [`Regressor`] and are wrapped by [`AnyModel`] for
 //! uniform storage, serde round-tripping (the trained model is an ADSALA
@@ -16,9 +16,7 @@ pub mod elastic_net;
 pub mod forest;
 pub mod gbt;
 pub mod hist_gbt;
-pub mod knn;
 pub mod linear;
-pub mod svr;
 pub mod tree;
 
 pub use adaboost::AdaBoostR2;
@@ -27,9 +25,7 @@ pub use elastic_net::ElasticNet;
 pub use forest::RandomForest;
 pub use gbt::GradientBoosting;
 pub use hist_gbt::HistGradientBoosting;
-pub use knn::KnnRegressor;
 pub use linear::LinearRegression;
-pub use svr::SvrRegressor;
 pub use tree::DecisionTree;
 
 use serde::{Deserialize, Serialize};
@@ -72,7 +68,7 @@ pub trait Regressor {
 }
 
 /// Identifier for each model family, in the display order of the paper's
-/// Tables III/IV (the two screened-out families last).
+/// Tables III/IV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ModelKind {
     LinearRegression,
@@ -83,12 +79,11 @@ pub enum ModelKind {
     AdaBoost,
     XgBoost,
     LightGbm,
-    Svr,
-    Knn,
 }
 
 impl ModelKind {
-    /// The eight families compared in Tables III/IV.
+    /// The eight families compared in Tables III/IV: every implemented
+    /// family, in table order.
     pub fn table_candidates() -> [ModelKind; 8] {
         [
             ModelKind::LinearRegression,
@@ -99,22 +94,6 @@ impl ModelKind {
             ModelKind::AdaBoost,
             ModelKind::XgBoost,
             ModelKind::LightGbm,
-        ]
-    }
-
-    /// All ten implemented families.
-    pub fn all() -> [ModelKind; 10] {
-        [
-            ModelKind::LinearRegression,
-            ModelKind::ElasticNet,
-            ModelKind::BayesianRidge,
-            ModelKind::DecisionTree,
-            ModelKind::RandomForest,
-            ModelKind::AdaBoost,
-            ModelKind::XgBoost,
-            ModelKind::LightGbm,
-            ModelKind::Svr,
-            ModelKind::Knn,
         ]
     }
 
@@ -129,8 +108,6 @@ impl ModelKind {
             ModelKind::AdaBoost => "AdaBoost",
             ModelKind::XgBoost => "XGBoost",
             ModelKind::LightGbm => "LightGBM",
-            ModelKind::Svr => "SVM Regressor",
-            ModelKind::Knn => "KNN Regressor",
         }
     }
 }
@@ -146,8 +123,6 @@ pub enum AnyModel {
     AdaBoost(AdaBoostR2),
     XgBoost(GradientBoosting),
     LightGbm(HistGradientBoosting),
-    Svr(SvrRegressor),
-    Knn(KnnRegressor),
 }
 
 impl AnyModel {
@@ -162,8 +137,6 @@ impl AnyModel {
             ModelKind::AdaBoost => AnyModel::AdaBoost(AdaBoostR2::default()),
             ModelKind::XgBoost => AnyModel::XgBoost(GradientBoosting::default()),
             ModelKind::LightGbm => AnyModel::LightGbm(HistGradientBoosting::default()),
-            ModelKind::Svr => AnyModel::Svr(SvrRegressor::default()),
-            ModelKind::Knn => AnyModel::Knn(KnnRegressor::default()),
         }
     }
 
@@ -178,8 +151,6 @@ impl AnyModel {
             AnyModel::AdaBoost(_) => ModelKind::AdaBoost,
             AnyModel::XgBoost(_) => ModelKind::XgBoost,
             AnyModel::LightGbm(_) => ModelKind::LightGbm,
-            AnyModel::Svr(_) => ModelKind::Svr,
-            AnyModel::Knn(_) => ModelKind::Knn,
         }
     }
 }
@@ -195,8 +166,6 @@ macro_rules! dispatch {
             AnyModel::AdaBoost($inner) => $body,
             AnyModel::XgBoost($inner) => $body,
             AnyModel::LightGbm($inner) => $body,
-            AnyModel::Svr($inner) => $body,
-            AnyModel::Knn($inner) => $body,
         }
     };
 }
@@ -267,7 +236,7 @@ mod tests {
 
     #[test]
     fn default_models_report_their_kind() {
-        for kind in ModelKind::all() {
+        for kind in ModelKind::table_candidates() {
             let m = AnyModel::default_for(kind);
             assert_eq!(m.kind(), kind);
             assert!(!m.is_fitted());
@@ -295,7 +264,7 @@ mod tests {
     #[test]
     fn every_model_fits_and_predicts() {
         let (x, y) = test_support::nonlinear_dataset(120, 0);
-        for kind in ModelKind::all() {
+        for kind in ModelKind::table_candidates() {
             let mut m = AnyModel::default_for(kind);
             m.fit(&x, &y).unwrap_or_else(|e| panic!("{kind:?} failed to fit: {e}"));
             assert!(m.is_fitted(), "{kind:?} not fitted after fit");
@@ -314,7 +283,7 @@ mod tests {
         // A 54-row batch: the size of a widened-grid decision sweep.
         let (batch, _) = test_support::nonlinear_dataset(54, 3);
         let rows: Vec<f64> = batch.row_iter().flatten().copied().collect();
-        for kind in ModelKind::all() {
+        for kind in ModelKind::table_candidates() {
             let mut m = AnyModel::default_for(kind);
             m.fit(&x, &y).unwrap();
             let mut out = vec![f64::NAN; batch.rows()];
@@ -328,7 +297,7 @@ mod tests {
     #[test]
     fn serde_roundtrip_preserves_predictions() {
         let (x, y) = test_support::nonlinear_dataset(100, 1);
-        for kind in ModelKind::all() {
+        for kind in ModelKind::table_candidates() {
             let mut m = AnyModel::default_for(kind);
             m.fit(&x, &y).unwrap();
             let json = serde_json::to_string(&m).unwrap();

@@ -13,8 +13,7 @@ use crate::data::{Dataset, KFold};
 use crate::metrics::rmse;
 use crate::models::{
     AdaBoostR2, AnyModel, BayesianRidge, DecisionTree, ElasticNet, GradientBoosting,
-    HistGradientBoosting, KnnRegressor, LinearRegression, ModelKind, RandomForest, Regressor,
-    SvrRegressor,
+    HistGradientBoosting, LinearRegression, ModelKind, RandomForest, Regressor,
 };
 use crate::MlError;
 
@@ -29,8 +28,6 @@ pub enum ModelSpec {
     AdaBoost { n_rounds: usize, max_depth: usize },
     XgBoost { n_rounds: usize, max_depth: usize, eta: f64, lambda: f64 },
     LightGbm { n_rounds: usize, max_leaves: usize, eta: f64 },
-    Svr { c: f64, epsilon: f64, gamma: f64 },
-    Knn { k: usize, weighted: bool },
 }
 
 impl ModelSpec {
@@ -45,8 +42,6 @@ impl ModelSpec {
             ModelSpec::AdaBoost { .. } => ModelKind::AdaBoost,
             ModelSpec::XgBoost { .. } => ModelKind::XgBoost,
             ModelSpec::LightGbm { .. } => ModelKind::LightGbm,
-            ModelSpec::Svr { .. } => ModelKind::Svr,
-            ModelSpec::Knn { .. } => ModelKind::Knn,
         }
     }
 
@@ -99,10 +94,6 @@ impl ModelSpec {
                     ..HistGradientBoosting::default()
                 })
             }
-            ModelSpec::Svr { c, epsilon, gamma } => {
-                AnyModel::Svr(SvrRegressor::new(c, epsilon, gamma))
-            }
-            ModelSpec::Knn { k, weighted } => AnyModel::Knn(KnnRegressor::new(k, weighted)),
         }
     }
 
@@ -163,18 +154,6 @@ impl ModelSpec {
                         max_leaves,
                         eta: 0.1,
                     })
-                })
-                .collect(),
-            ModelKind::Svr => [1.0, 10.0]
-                .iter()
-                .flat_map(|&c| {
-                    [0.1, 0.5].iter().map(move |&gamma| ModelSpec::Svr { c, epsilon: 0.05, gamma })
-                })
-                .collect(),
-            ModelKind::Knn => [3, 5, 9]
-                .iter()
-                .flat_map(|&k| {
-                    [false, true].iter().map(move |&weighted| ModelSpec::Knn { k, weighted })
                 })
                 .collect(),
         }
@@ -268,7 +247,7 @@ mod tests {
 
     #[test]
     fn every_family_has_a_grid() {
-        for kind in ModelKind::all() {
+        for kind in ModelKind::table_candidates() {
             let grid = ModelSpec::default_grid(kind);
             assert!(!grid.is_empty(), "{kind:?} grid empty");
             assert!(grid.iter().all(|s| s.kind() == kind));
@@ -277,7 +256,7 @@ mod tests {
 
     #[test]
     fn spec_build_matches_kind() {
-        for kind in ModelKind::all() {
+        for kind in ModelKind::table_candidates() {
             for spec in ModelSpec::default_grid(kind) {
                 assert_eq!(spec.build(0).kind(), kind);
             }

@@ -15,6 +15,8 @@
 //!   under a memory cap, plus the pre-designed benchmark grids used by the
 //!   paper's Figs. 13/14.
 
+#![forbid(unsafe_code)]
+
 pub mod domain;
 pub mod halton;
 

@@ -125,7 +125,7 @@ proptest! {
         let y: Vec<f64> = rows.iter().map(|r| r[0] * r[1]).collect();
         let x = Matrix::from_rows(&rows);
         let (lo, hi) = y.iter().fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
-        for kind in [ModelKind::DecisionTree, ModelKind::RandomForest, ModelKind::Knn] {
+        for kind in [ModelKind::DecisionTree, ModelKind::RandomForest, ModelKind::AdaBoost] {
             let mut model = AnyModel::default_for(kind);
             model.fit(&x, &y).unwrap();
             for probe in x.row_iter().take(20) {
