@@ -2,11 +2,10 @@
 //! register-tile micro-kernel of every ISA the host executes, blocked vs
 //! naive kernels, packing cost, and thread scaling.
 
-use adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
+use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
 use adsala_gemm::gemv::gemv_with_stats;
 use adsala_gemm::naive::naive_gemm;
 use adsala_gemm::pack::{pack_a, pack_b, MatView};
-use adsala_gemm::pool::ThreadPool;
 use adsala_gemm::syrk::syrk_with_stats;
 use adsala_gemm::{Element, Kernel, KernelIsa, Transpose};
 use criterion::{
@@ -155,30 +154,6 @@ fn bench_packing(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pool_vs_spawn(c: &mut Criterion) {
-    // The spawn-per-call overhead is material for exactly the small GEMMs
-    // the paper targets; the pooled driver amortises it.
-    let mut group = c.benchmark_group("gemm/pool_vs_spawn_128");
-    let d = 128usize;
-    let a = fill(d * d, 6);
-    let b = fill(d * d, 7);
-    let threads = 4.min(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-    let call = GemmCall::new(d, d, d, threads);
-    group.throughput(Throughput::Elements((2 * d * d * d) as u64));
-    group.bench_function("spawn_per_call", |bench| {
-        let mut out = vec![0.0f32; d * d];
-        bench.iter(|| gemm_with_stats(&call, 1.0, &a, d, &b, d, 0.0, black_box(&mut out), d));
-    });
-    group.bench_function("persistent_pool", |bench| {
-        let pool = ThreadPool::new(threads);
-        let mut out = vec![0.0f32; d * d];
-        bench.iter(|| {
-            gemm_with_stats_pooled(&pool, &call, 1.0, &a, d, &b, d, 0.0, black_box(&mut out), d)
-        });
-    });
-    group.finish();
-}
-
 fn bench_extension_routines(c: &mut Criterion) {
     let mut group = c.benchmark_group("blas_ext");
     let m = 256usize;
@@ -206,7 +181,6 @@ criterion_group!(
     bench_blocked_vs_naive,
     bench_thread_scaling,
     bench_packing,
-    bench_pool_vs_spawn,
     bench_extension_routines
 );
 criterion_main!(benches);

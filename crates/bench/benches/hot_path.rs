@@ -50,8 +50,8 @@ fn bench_alloc_vs_arena(c: &mut Criterion) {
 }
 
 fn bench_b_packing(c: &mut Criterion) {
-    // Tall-and-narrow forces a row-split grid: the shape where the scoped
-    // driver packs grid_rows duplicated copies of B.
+    // Tall-and-narrow forces a row-split grid: the shape where independent
+    // packing makes grid_rows duplicated copies of B.
     let (m, n, k) = (256usize, 64usize, 256usize);
     let threads = 4.min(std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
     let a = fill(m * k, 3);

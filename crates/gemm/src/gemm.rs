@@ -23,12 +23,12 @@
 //!    and its kernel reads the rest where it lies (`Strips`; see
 //!    [`crate::pack`] for which operands qualify).
 //!
-//! [`gemm_with_stats`] (spawn-per-call) and [`gemm_with_stats_pooled`]
-//! (the serving path: persistent [`ThreadPool`] workers) differ only in
-//! the [`Executor`] they hand the builder; Z-order keeps its own Morton
-//! traversal between the prologue and `row_panel_sweep`. Every worker
-//! enters its tile through `enter_tile`, the fault-injection hook's one
-//! site.
+//! Every worker runs on a persistent [`ThreadPool`]: the caller's (the
+//! serving path, [`gemm_with_stats_pooled`]) or the process-wide
+//! [`ThreadPool::global`] ([`gemm_with_stats`]). Z-order keeps its own
+//! Morton traversal between the prologue and `row_panel_sweep`. Every
+//! worker enters its tile through `enter_tile`, the fault-injection hook's
+//! one site.
 //!
 //! ## Packing workspace
 //!
@@ -43,13 +43,13 @@
 //! With a row-split grid and private `B`, every row group packs its own
 //! copy of the same `kc×nc` block — the duplicated-copy effect the
 //! paper's Table VII exposes (`more_threads_pack_more_b_panels` pins it).
-//! When the plan's [`PackingStrategy`] allows it and the executor is a
-//! pool, the builder instead gives each grid column group one shared arena
-//! region and one [`PanelBarrier`] spanning every member's row groups: a
-//! rotating rank packs each block **once**, the barrier publishes it to
-//! the rest. `b_packed_bytes` drops from `O(ranks · k·n)` to `O(k·n)` while
-//! per-tile FLOP order — and therefore every result bit — is the private
-//! case's. A shared batch is gang-reserved on the pool
+//! When the plan's [`PackingStrategy`] allows it, the builder instead
+//! gives each grid column group one shared arena region and one
+//! [`PanelBarrier`] spanning every member's row groups: a rotating rank
+//! packs each block **once**, the barrier publishes it to the rest.
+//! `b_packed_bytes` drops from `O(ranks · k·n)` to `O(k·n)` while per-tile
+//! FLOP order — and therefore every result bit — is the private case's. A
+//! shared batch is gang-reserved on the pool
 //! ([`ThreadPool::try_reserve_gang`]); when the pool cannot spare the
 //! workers the call packs privately rather than risk parking a barrier
 //! group behind its own queued members.
@@ -61,7 +61,7 @@ use crate::blocking::{reads_b_in_place, reads_in_place, BlockSizes};
 use crate::isa::{Kernel, KernelIsa, MAX_TILE_ELEMS};
 use crate::pack::{morton_decode, pack_a, MatView};
 use crate::plan::{Algorithm, ExecutionPlan, PackingStrategy};
-use crate::pool::{Executor, GangReservation, ThreadPool};
+use crate::pool::{GangReservation, ThreadPool};
 use crate::stats::{GemmStats, StatsCollector, ThreadLocalStats};
 use crate::threading::{SendMutPtr, ThreadGrid};
 use crate::workspace::{
@@ -135,9 +135,9 @@ impl GemmCall {
 /// `C ← α·op(A)·op(B) + β·C`, returning the execution breakdown.
 ///
 /// Matrices are row-major; `lda`/`ldb` are the row strides of the *stored*
-/// operands, `ldc` the row stride of `C`. Workers are spawned per call
-/// (the paper's baseline synchronisation cost); serving paths should use
-/// [`gemm_with_stats_pooled`].
+/// operands, `ldc` the row stride of `C`. Workers run on the process-wide
+/// pool ([`ThreadPool::global`]); [`gemm_with_stats_pooled`] runs the same
+/// driver on a pool the caller owns.
 ///
 /// # Panics
 /// Panics if a buffer is too small for its described shape.
@@ -153,38 +153,22 @@ pub fn gemm_with_stats<T: Element>(
     c: &mut [T],
     ldc: usize,
 ) -> GemmStats {
-    run_planned(Executor::Scoped, call, alpha, a, lda, b, ldb, beta, c, ldc)
+    gemm_with_stats_pooled(ThreadPool::global(), call, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-/// Like [`gemm_with_stats`], but running the workers on a persistent
-/// [`ThreadPool`] — no per-call OS-thread spawn, warm packing arenas, and
-/// shared-B packing for row-split grids (see the module docs). Results
-/// are bitwise identical to the scoped driver; only the copy-volume
-/// counters differ.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_with_stats_pooled<T: Element>(
-    pool: &ThreadPool,
-    call: &GemmCall,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) -> GemmStats {
-    run_planned(Executor::Pool(pool), call, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-/// Algorithm dispatch in front of the blocked driver: route the call to
-/// the plan's algorithm when the shape is eligible, degrade to the
+/// [`gemm_with_stats`] on `pool`: its workers' warm packing arenas, and
+/// shared-B packing for the row-split grids it can gang-reserve (see the
+/// module docs). Results are bitwise identical on every pool; only the
+/// copy-volume counters depend on the workers it can spare.
+///
+/// Algorithm dispatch sits in front of the blocked driver: the call goes to
+/// the plan's algorithm when the shape is eligible and degrades to the
 /// blocked loop nest otherwise. The *executed* algorithm is reported in
 /// [`GemmStats::algorithm`], so telemetry can count downgrades (a
 /// Strassen plan refused below its cutoff reports `Blocked`).
 #[allow(clippy::too_many_arguments)]
-fn run_planned<T: Element>(
-    exec: Executor<'_>,
+pub fn gemm_with_stats_pooled<T: Element>(
+    pool: &ThreadPool,
     call: &GemmCall,
     alpha: T,
     a: &[T],
@@ -200,11 +184,11 @@ fn run_planned<T: Element>(
             if crate::strassen::applicable(call.m, call.n, call.k, cutoff) =>
         {
             crate::strassen::strassen_with_stats(
-                exec, call, cutoff, alpha, a, lda, b, ldb, beta, c, ldc,
+                pool, call, cutoff, alpha, a, lda, b, ldb, beta, c, ldc,
             )
         }
         Algorithm::ZOrder => zorder_with_stats(call, alpha, a, lda, b, ldb, beta, c, ldc),
-        _ => drive(exec, call, alpha, a, lda, b, ldb, beta, c, ldc),
+        _ => drive(pool, call, alpha, a, lda, b, ldb, beta, c, ldc),
     }
 }
 
@@ -260,7 +244,6 @@ pub fn gemm_fused_with_stats_pooled<T: Element>(
         return Vec::new();
     }
     let (m, n, k) = (call.m, call.n, call.k);
-    let exec = Executor::Pool(pool);
     // The batch splits the plan's thread budget evenly; every member uses
     // the same grid, so their barrier sequences line up.
     let per_item_threads = (call.threads() / items.len()).max(1);
@@ -269,13 +252,13 @@ pub fn gemm_fused_with_stats_pooled<T: Element>(
     let grid = ThreadGrid::choose(per_item_threads, m, n, pro.blocks.mr, pro.blocks.nr);
 
     let ranks = if m == 0 || n == 0 { 0 } else { grid.rows * items.len() };
-    let Some(_reservation) = reserve_gang(exec, &call.plan, ranks, grid.cols) else {
+    let Some(_reservation) = reserve_gang(pool, &call.plan, ranks, grid.cols) else {
         // Degraded path: same results, one member at a time, each free to
         // gang-reserve (or not) on its own.
         return items
             .iter_mut()
             .map(|it| {
-                drive(exec, &item_call, it.alpha, it.a, it.lda, b, ldb, it.beta, it.c, it.ldc)
+                drive(pool, &item_call, it.alpha, it.a, it.lda, b, ldb, it.beta, it.c, it.ldc)
             })
             .collect();
     };
@@ -292,7 +275,7 @@ pub fn gemm_fused_with_stats_pooled<T: Element>(
     // SAFETY: every member was checked for this `m×n`, the grid's row
     // ranges partition `0..m`, and the reservation above covers every
     // rank of every column group.
-    unsafe { run_tiles::<T, Full>(exec, &pro, &b_view, &members, grid, rows, true) };
+    unsafe { run_tiles::<T, Full>(pool, &pro, &b_view, &members, grid, rows, true) };
     members.iter().map(|member| pro.finish(&member.stats, grid)).collect()
 }
 
@@ -302,7 +285,7 @@ pub fn gemm_fused_with_stats_pooled<T: Element>(
 /// one-member batch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<T: Element>(
-    exec: Executor<'_>,
+    pool: &ThreadPool,
     call: &GemmCall,
     alpha: T,
     a: &[T],
@@ -322,11 +305,11 @@ pub(crate) fn drive<T: Element>(
         return pro.empty_stats();
     }
     let grid = ThreadGrid::choose(call.threads(), m, n, pro.blocks.mr, pro.blocks.nr);
-    let gang = reserve_gang(exec, &call.plan, grid.rows, grid.cols);
+    let gang = reserve_gang(pool, &call.plan, grid.rows, grid.cols);
     let (members, rows) = (std::slice::from_ref(&member), |r| grid.row_range(r, m));
     // SAFETY: `member` was checked for this `m×n`, the grid's row ranges
     // partition `0..m`, and `gang` (when held) covers the whole grid.
-    unsafe { run_tiles::<T, Full>(exec, &pro, &b_view, members, grid, rows, gang.is_some()) };
+    unsafe { run_tiles::<T, Full>(pool, &pro, &b_view, members, grid, rows, gang.is_some()) };
     pro.finish(&member.stats, grid)
 }
 
@@ -575,10 +558,9 @@ impl Merge for Full {
 /// Reserve the gang a shared-B batch needs — all `ranks` of each of its
 /// `cols` column groups running at once — or `None`, and private packing,
 /// when the plan packs independently, a lone rank has nobody to share
-/// with, the executor has no pool to reserve on, or the pool cannot spare
-/// the workers.
+/// with, or the pool cannot spare the workers.
 fn reserve_gang<'p>(
-    exec: Executor<'p>,
+    pool: &'p ThreadPool,
     plan: &ExecutionPlan,
     ranks: usize,
     cols: usize,
@@ -586,7 +568,7 @@ fn reserve_gang<'p>(
     if plan.packing != PackingStrategy::SharedB || ranks < 2 {
         return None;
     }
-    exec.pool()?.reserve_gang_backoff(ranks * cols)
+    pool.reserve_gang_backoff(ranks * cols)
 }
 
 /// The one task builder: run a worker for every *member × grid row × grid
@@ -604,12 +586,12 @@ fn reserve_gang<'p>(
 /// Every member's `C` must have been checked by [`Member::new`] for the
 /// `m×n` of its `A` view's rows and `b`'s columns, and `rows(r)` for `r`
 /// in `0..grid.rows` must be pairwise disjoint, non-empty sub-ranges of
-/// `0..m`, the same on every call. With `share_b`, `exec` must be a pool
-/// on which the reservation covers `members.len() · grid.count()` workers
-/// (else a barrier group can park behind its own queued members), and `M`
-/// must leave every worker of a column group the same live columns.
+/// `0..m`, the same on every call. With `share_b`, the reservation on
+/// `pool` must cover `members.len() · grid.count()` workers (else a
+/// barrier group can park behind its own queued members), and `M` must
+/// leave every worker of a column group the same live columns.
 pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
-    exec: Executor<'_>,
+    pool: &ThreadPool,
     pro: &Prologue<T>,
     b: &MatView<'_, T>,
     members: &[Member<'_, T>],
@@ -658,13 +640,13 @@ pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
         // lies inside the `C` that `Member::new` checked and is disjoint
         // from every other worker's — across members because each `C` is
         // its own `&mut` buffer, within one because the row and column
-        // ranges partition it — and the executor blocks until every
-        // worker returns, keeping the borrows alive. A shared region is written only by the block's
-        // packing rank between barrier generations and read by its group
-        // only after the publish barrier; groups use disjoint, padded
-        // regions of an arena that outlives the run; and all `ranks` of a
-        // group share one `b` view, `ns` and `k`, so their barrier
-        // sequences are identical.
+        // ranges partition it — and the pool blocks until every worker
+        // returns, keeping the borrows alive. A shared region is written
+        // only by the block's packing rank between barrier generations and
+        // read by its group only after the publish barrier; groups use
+        // disjoint, padded regions of an arena that outlives the run; and
+        // all `ranks` of a group share one `b` view, `ns` and `k`, so their
+        // barrier sequences are identical.
         unsafe {
             tile_loop::<T, M>(
                 kernel,
@@ -698,10 +680,9 @@ pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
     // dropping it — which would lose its counters and make the next
     // shared-B call allocate. Its heap buffer is address-stable inside the
     // guard, so `base` stays valid for the whole batch.
-    let mut shared_return = share_b.then(|| {
-        let ws = exec.pool().expect("a gang is reserved on a pool").workspace();
-        RestoreSharedOnDrop { ws, arena: Some(ws.checkout_shared()) }
-    });
+    let ws = pool.workspace();
+    let mut shared_return =
+        share_b.then(|| RestoreSharedOnDrop { ws, arena: Some(ws.checkout_shared()) });
     // With it go one barrier per column group, each spanning ALL members'
     // row groups: rank `idx·rows + r` packs the blocks whose index lands
     // on it, so the whole batch shares one packed-B stream per column.
@@ -723,12 +704,12 @@ pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
                     .map(|(base, barriers)| (*base, &barriers[col], idx * grid.rows + r));
                 let worker = &worker;
                 tasks.push(Box::new(move || {
-                    exec.with_arena(|arena| worker(member, r, col, shared, arena));
+                    ws.with_arena(|arena| worker(member, r, col, shared, arena));
                 }));
             }
         }
     }
-    exec.run(tasks);
+    pool.scope_execute(tasks);
 }
 
 /// Returns a checked-out shared-B arena to its workspace's free list on
@@ -1115,6 +1096,13 @@ mod tests {
         (k..).step_by(16).find(|&k| !reads_in_place::<f64>(ms, ns, k)).expect("a deep enough k")
     }
 
+    /// `call` packing `B` privately on every worker: the copy volume a
+    /// test pins then does not depend on how many workers the process pool
+    /// (sized to the host) can gang.
+    fn independent(call: GemmCall) -> GemmCall {
+        call.with_plan(call.plan.with_packing(PackingStrategy::Independent))
+    }
+
     #[allow(clippy::too_many_arguments)] // mirrors the BLAS-style call
     fn check_against_naive(
         m: usize,
@@ -1210,10 +1198,10 @@ mod tests {
         for (m, n) in [(0usize, 8usize), (8, 0)] {
             let call = GemmCall::new(m, n, 8, 4);
             let mut c = vec![0.0f64; 64];
-            let scoped = gemm_with_stats(&call, 1.0, &a, 8, &b, 8.max(n), 0.0, &mut c, 8);
+            let global = gemm_with_stats(&call, 1.0, &a, 8, &b, 8.max(n), 0.0, &mut c, 8);
             let pooled =
                 gemm_with_stats_pooled(&pool, &call, 1.0, &a, 8, &b, 8.max(n), 0.0, &mut c, 8);
-            for s in [scoped, pooled] {
+            for s in [global, pooled] {
                 assert!(s.wall_ns > 0, "degenerate ({m},{n}) must report wall time: {s:?}");
                 assert_eq!(s.threads_used, 0);
                 assert_eq!((s.grid_rows, s.grid_cols), (0, 0));
@@ -1230,7 +1218,7 @@ mod tests {
         let a = fill(m * k, 4);
         let b = fill(k * n, 5);
         let mut c = vec![0.0f64; m * n];
-        let call = GemmCall::new(m, n, k, 4);
+        let call = independent(GemmCall::new(m, n, k, 4));
         let stats = gemm_with_stats(&call, 1.0, &a, k, &b, n, 0.0, &mut c, n);
         assert_eq!(stats.threads_used, 4);
         assert_eq!(stats.grid_rows * stats.grid_cols, 4);
@@ -1239,7 +1227,7 @@ mod tests {
         assert!(stats.a_packed_bytes >= (m * k * 8) as u64);
         assert!(stats.b_packed_bytes >= (k * n * 8) as u64);
         assert!(stats.wall_ns > 0);
-        // Scoped workers never share packed B.
+        // Independent packing never shares packed B.
         assert_eq!(stats.b_pack_shared, 0);
     }
 
@@ -1326,9 +1314,9 @@ mod tests {
 
     #[test]
     fn more_threads_pack_more_b_panels() {
-        // With a row-split grid each scoped row group packs its own copy
-        // of B — the duplicated-copy effect the paper's Table VII
-        // exposes. The pooled shared-B driver inverts this; see
+        // With a row-split grid and independent packing each row group
+        // packs its own copy of B — the duplicated-copy effect the paper's
+        // Table VII exposes. Shared-B packing inverts this; see
         // `pooled_row_groups_share_b_panels`.
         let m = 512;
         let n = 64;
@@ -1337,7 +1325,7 @@ mod tests {
         let b = fill(k * n, 7);
         let run = |threads: usize| {
             let mut c = vec![0.0f64; m * n];
-            let call = GemmCall::new(m, n, k, threads);
+            let call = independent(GemmCall::new(m, n, k, threads));
             gemm_with_stats(&call, 1.0, &a, k, &b, n, 0.0, &mut c, n)
         };
         let s1 = run(1);
@@ -1419,6 +1407,9 @@ mod tests {
         assert_eq!(s_shared.kernel_calls, s_dup.kernel_calls);
     }
 
+    /// Shared-B packing on a private pool of 8 workers against independent
+    /// packing on the process pool (sized to the host): the same bits, and
+    /// the copy volume moved between counters, not lost.
     #[test]
     fn shared_b_bitwise_equal_across_transposes_and_skewed_shapes() {
         let pool = crate::pool::ThreadPool::new(8);
@@ -1432,11 +1423,12 @@ mod tests {
                     let (br, bc) = if tb.is_transposed() { (n, k) } else { (k, n) };
                     let a = fill(ar * ac, 41);
                     let b = fill(br * bc, 42);
-                    let mut c_scoped = fill(m * n, 43);
-                    let mut c_pooled = c_scoped.clone();
+                    let mut c_private = fill(m * n, 43);
+                    let mut c_shared = c_private.clone();
                     let call =
                         GemmCall { trans_a: ta, trans_b: tb, ..GemmCall::new(m, n, k, threads) };
-                    let s1 = gemm_with_stats(&call, 1.3, &a, ac, &b, bc, 0.6, &mut c_scoped, n);
+                    let private = independent(call);
+                    let s1 = gemm_with_stats(&private, 1.3, &a, ac, &b, bc, 0.6, &mut c_private, n);
                     let s2 = gemm_with_stats_pooled(
                         &pool,
                         &call,
@@ -1446,11 +1438,11 @@ mod tests {
                         &b,
                         bc,
                         0.6,
-                        &mut c_pooled,
+                        &mut c_shared,
                         n,
                     );
                     assert_eq!(
-                        c_scoped, c_pooled,
+                        c_private, c_shared,
                         "shared-B differs at {m}x{n}x{k} t{threads} {ta:?}/{tb:?}"
                     );
                     assert_eq!(s1.kernel_calls, s2.kernel_calls);
@@ -1465,22 +1457,24 @@ mod tests {
         }
     }
 
+    /// A shared-B call on a private pool of 2 workers against an
+    /// independent one on the process pool (sized to the host).
     #[test]
     fn oversubscribed_pool_falls_back_to_independent_packing() {
         // More grid tasks than pool workers: the gang reservation fails
         // and the driver must fall back to duplicated (barrier-free)
-        // packing — same results, scoped-style counters.
+        // packing — same results, independent packing's counters.
         let pool = crate::pool::ThreadPool::new(2);
         let (m, n, k, threads) = (512usize, 64usize, 128usize, 8usize);
         let a = fill(m * k, 51);
         let b = fill(k * n, 52);
         let call = GemmCall::new(m, n, k, threads);
-        let mut c_scoped = fill(m * n, 53);
-        let mut c_pooled = c_scoped.clone();
-        let s1 = gemm_with_stats(&call, 1.0, &a, k, &b, n, 0.25, &mut c_scoped, n);
+        let mut c_private = fill(m * n, 53);
+        let mut c_pooled = c_private.clone();
+        let s1 = gemm_with_stats(&independent(call), 1.0, &a, k, &b, n, 0.25, &mut c_private, n);
         let s2 = gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.25, &mut c_pooled, n);
         assert!(s1.grid_rows * s1.grid_cols > pool.workers());
-        assert_eq!(c_scoped, c_pooled);
+        assert_eq!(c_private, c_pooled);
         assert_eq!(s2.b_pack_shared, 0, "fallback must not claim sharing");
         assert_eq!(s2.b_packed_bytes, s1.b_packed_bytes);
     }
@@ -1567,6 +1561,8 @@ mod tests {
         check_against_naive(16, 16, 16, 1000, Transpose::No, Transpose::No, 1.0, 0.0);
     }
 
+    /// The process pool (sized to the host), packing independently,
+    /// against a private pool of 4 workers free to share `B`.
     #[test]
     fn pooled_driver_matches_scoped_driver() {
         let pool = crate::pool::ThreadPool::new(4);
@@ -1579,13 +1575,13 @@ mod tests {
             let mut c1 = fill(m * n, 23);
             let mut c2 = c1.clone();
             let call = GemmCall::new(m, n, k, threads);
-            let s1 = gemm_with_stats(&call, 1.5, &a, k, &b, n, 0.5, &mut c1, n);
+            let s1 = gemm_with_stats(&independent(call), 1.5, &a, k, &b, n, 0.5, &mut c1, n);
             let s2 = gemm_with_stats_pooled(&pool, &call, 1.5, &a, k, &b, n, 0.5, &mut c2, n);
             assert_eq!(c1, c2, "pooled result differs at {m}x{n}x{k}");
             assert_eq!(s1.kernel_calls, s2.kernel_calls);
             assert_eq!(s1.a_packed_bytes, s2.a_packed_bytes);
-            // The pooled driver may share B panels; packed + shared is
-            // always the scoped (duplicated) volume.
+            // The private pool may share B panels; packed + shared is
+            // always the independent (duplicated) volume.
             assert_eq!(s2.b_packed_bytes + s2.b_pack_shared, s1.b_packed_bytes);
             assert_eq!(s1.threads_used, s2.threads_used);
         }

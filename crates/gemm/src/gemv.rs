@@ -8,7 +8,7 @@
 //! ML thread selection is interesting.
 
 use crate::isa::KernelIsa;
-use crate::pool::Executor;
+use crate::pool::ThreadPool;
 use crate::stats::{GemmStats, StatsCollector, ThreadLocalStats};
 use crate::threading::SendMutPtr;
 use crate::{beta_scaled, Element};
@@ -20,7 +20,8 @@ use std::time::Instant;
 const GEMV_KERNEL: (KernelIsa, usize, usize) = (KernelIsa::Scalar, 1, 1);
 
 /// `y ← α·A·x + β·y` for row-major `A` (`m×n`, row stride `lda`) on up to
-/// `threads` worker threads (row-partitioned).
+/// `threads` worker threads (row-partitioned) of the process-wide pool
+/// ([`ThreadPool::global`]).
 ///
 /// Returns execution statistics (no packing, so only kernel counters are
 /// populated; `kernel_calls` counts row-block dot products).
@@ -36,36 +37,15 @@ pub fn gemv_with_stats<T: Element>(
     y: &mut [T],
     threads: usize,
 ) -> GemmStats {
-    drive(Executor::Scoped, m, n, alpha, a, lda, x, beta, y, threads)
+    gemv_with_stats_pooled(ThreadPool::global(), m, n, alpha, a, lda, x, beta, y, threads)
 }
 
-/// Like [`gemv_with_stats`], but running the row-range workers on a
-/// persistent [`crate::pool::ThreadPool`] instead of spawning OS threads
-/// per call — material for a bandwidth-bound kernel whose total runtime is
-/// itself tens of microseconds. Row partitioning and per-row arithmetic
-/// are identical, so results are bitwise-equal to the scoped driver.
+/// [`gemv_with_stats`] on `pool`. Level-2 BLAS packs nothing, so there is
+/// no arena traffic here. Row partitioning and per-row arithmetic do not
+/// depend on the pool, so results are bitwise-equal on every pool.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub fn gemv_with_stats_pooled<T: Element>(
-    pool: &crate::pool::ThreadPool,
-    m: usize,
-    n: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    x: &[T],
-    beta: T,
-    y: &mut [T],
-    threads: usize,
-) -> GemmStats {
-    drive(Executor::Pool(pool), m, n, alpha, a, lda, x, beta, y, threads)
-}
-
-/// The one row-partitioned GEMV driver behind both public entry points.
-/// Level-2 BLAS packs nothing, so there is no arena traffic here — the
-/// executor only decides spawn-per-call vs pooled workers.
-#[allow(clippy::too_many_arguments)]
-fn drive<T: Element>(
-    exec: Executor<'_>,
+    pool: &ThreadPool,
     m: usize,
     n: usize,
     alpha: T,
@@ -122,7 +102,7 @@ fn drive<T: Element>(
             }));
             r0 = r1;
         }
-        exec.run(tasks);
+        pool.scope_execute(tasks);
     }
     let wall_ns = start.elapsed().as_nanos() as u64;
     collector.finish(threads, threads, 1, wall_ns, GEMV_KERNEL)
@@ -252,6 +232,7 @@ mod tests {
         assert!(y.iter().all(|&v| v == 1.0));
     }
 
+    /// The process pool (sized to the host) against a private pool of 4.
     #[test]
     fn pooled_driver_matches_scoped_driver_bitwise() {
         let pool = crate::pool::ThreadPool::new(4);

@@ -6,7 +6,8 @@
 //! equivalent box with the same internal cost anatomy the paper's profiler
 //! analysis (§VI-D) identifies:
 //!
-//! 1. **thread synchronisation** — spawn/join and per-panel coordination,
+//! 1. **thread synchronisation** — pool dispatch/join and per-panel
+//!    coordination,
 //! 2. **data copies** — packing of `A` into `MC×KC` row panels and `B` into
 //!    `KC×NC` column panels, laid out so the micro-kernel streams
 //!    contiguously,
@@ -19,11 +20,12 @@
 //! packed `B` block comes from and by a statically dispatched merge — and
 //! GEMM, the fused same-`B` batch, Strassen's base case, Z-order and SYRK
 //! are entry points over it (GEMV, which packs nothing, has its own
-//! driver). The public entry points are [`gemm_with_stats`]
-//! (spawn-per-call), [`gemm_with_stats_pooled`] (persistent pool) and
-//! [`gemm_fused_with_stats_pooled`], their SYRK/GEMV siblings, and the
-//! typed [`OpRequest`] descriptors over all of them; each reports a
-//! [`GemmStats`] breakdown (bytes packed, kernel calls, the thread grid)
+//! driver). Every threaded call runs on a persistent [`ThreadPool`]. The
+//! public entry points are [`gemm_with_stats`] (the process-wide
+//! [`ThreadPool::global`]), [`gemm_with_stats_pooled`] (a pool the caller
+//! owns) and [`gemm_fused_with_stats_pooled`], their SYRK/GEMV siblings,
+//! and the typed [`OpRequest`] descriptors over all of them; each reports
+//! a [`GemmStats`] breakdown (bytes packed, kernel calls, the thread grid)
 //! so experiments can observe the same quantities the paper pulled out of
 //! Intel VTune. The model-decided entry point lives on the serving
 //! layer (`adsala::AdsalaService::run`).
@@ -64,7 +66,7 @@ pub use plan::{
     Algorithm, BlockScale, ExecutionPlan, IsaChoice, PackingStrategy, PlanGrid, PlanPoint,
     FEATURE_REV_AXES, FEATURE_REV_LEGACY,
 };
-pub use pool::{Executor, PoolStats, ThreadPool};
+pub use pool::{PoolStats, ThreadPool};
 pub use stats::{GemmStats, PredictionErrorStats};
 pub use syrk::{syrk_with_stats, syrk_with_stats_pooled};
 pub use threading::ThreadGrid;

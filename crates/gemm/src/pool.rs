@@ -1,10 +1,12 @@
-//! A persistent worker pool with scoped execution.
+//! The persistent worker pool every threaded kernel call runs on.
 //!
-//! `crossbeam::scope` spawns fresh OS threads on every GEMM call — tens of
-//! microseconds of overhead, which is material for exactly the small
-//! matrices the paper targets. [`ThreadPool`] keeps workers parked on a
-//! channel and offers [`ThreadPool::scope_execute`]: run a batch of
-//! *borrowing* closures and block until all of them finish.
+//! Spawning OS threads per call costs tens of microseconds and hands the
+//! workers cold packing arenas — material for exactly the small matrices
+//! the paper targets. [`ThreadPool`] keeps workers parked on a channel and
+//! offers [`ThreadPool::scope_execute`]: run a batch of *borrowing*
+//! closures and block until all of them finish. A service owns its pool;
+//! the entry points that take none run on the process-wide
+//! [`ThreadPool::global`].
 //!
 //! Soundness of the lifetime erasure: the closures may borrow from the
 //! caller's stack (`'env`), and are transmuted to `'static` to cross the
@@ -27,12 +29,12 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::fault;
-use crate::workspace::{with_thread_arena, PackArena, Workspace};
+use crate::workspace::Workspace;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -219,6 +221,19 @@ impl ThreadPool {
     /// size for a pool that serves this host's GEMM traffic.
     pub fn with_host_parallelism() -> Self {
         Self::new(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+    }
+
+    /// The process-wide pool: [`ThreadPool::with_host_parallelism`], built
+    /// on first use and never dropped — the one persistent thread team per
+    /// process a vendor BLAS keeps. [`crate::gemm_with_stats`],
+    /// [`crate::syrk_with_stats`] and [`crate::gemv_with_stats`] run on it.
+    ///
+    /// Its one precondition is every [`ThreadPool::scope_execute`]'s: a
+    /// task running on this pool must not call it at more than one thread,
+    /// or the call can wait on workers that are all waiting on it.
+    pub fn global() -> &'static ThreadPool {
+        static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
+        GLOBAL.get_or_init(ThreadPool::with_host_parallelism)
     }
 
     /// Number of worker threads.
@@ -423,58 +438,6 @@ impl Drop for GangReservation<'_> {
     }
 }
 
-/// How a kernel driver runs its worker closures: OS threads spawned per
-/// call (`crossbeam::scope`) or the persistent pool.
-///
-/// The GEMM/SYRK/GEMV drivers are each written once against this enum —
-/// the scoped and pooled public entry points are thin wrappers selecting
-/// a variant — so packing, statistics, and (for GEMM) the cooperative
-/// shared-B logic live in exactly one place.
-#[derive(Clone, Copy, Debug)]
-pub enum Executor<'p> {
-    /// Spawn one OS thread per task and join them (the paper's baseline
-    /// cost model: spawn/join is the synchronisation overhead).
-    Scoped,
-    /// Run the tasks on a persistent [`ThreadPool`].
-    Pool(&'p ThreadPool),
-}
-
-impl<'p> Executor<'p> {
-    /// Run a batch of borrowing tasks to completion.
-    pub fn run<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        match self {
-            Executor::Scoped => {
-                crossbeam::scope(|scope| {
-                    for task in tasks {
-                        scope.spawn(move |_| task());
-                    }
-                })
-                .expect("scoped worker panicked");
-            }
-            Executor::Pool(pool) => pool.scope_execute(tasks),
-        }
-    }
-
-    /// Run `f` with the right scratch arena for the calling thread under
-    /// this executor: pool workers use their stable workspace slot,
-    /// everything else (serial path, scoped spawn-per-call workers) the
-    /// thread-local arena.
-    pub fn with_arena<R>(&self, f: impl FnOnce(&mut PackArena) -> R) -> R {
-        match self {
-            Executor::Scoped => with_thread_arena(f),
-            Executor::Pool(pool) => pool.workspace.with_arena(f),
-        }
-    }
-
-    /// The pool behind this executor, if any.
-    pub fn pool(&self) -> Option<&'p ThreadPool> {
-        match self {
-            Executor::Scoped => None,
-            Executor::Pool(pool) => Some(pool),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,6 +630,13 @@ mod tests {
     }
 
     #[test]
+    fn global_is_one_pool_sized_to_the_host() {
+        let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert!(std::ptr::eq(ThreadPool::global(), ThreadPool::global()));
+        assert_eq!(ThreadPool::global().workers(), host);
+    }
+
+    #[test]
     fn zero_workers_clamps_to_one() {
         let pool = ThreadPool::new(0);
         assert_eq!(pool.workers(), 1);
@@ -723,22 +693,5 @@ mod tests {
         assert!((stats.refusal_rate() - 0.5).abs() < 1e-12);
         drop(held);
         assert_eq!(pool.stats().gang_available, 4, "drop returns capacity");
-    }
-
-    #[test]
-    fn executor_runs_tasks_on_both_backends() {
-        let pool = ThreadPool::new(2);
-        for exec in [Executor::Scoped, Executor::Pool(&pool)] {
-            let counter = AtomicUsize::new(0);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..6)
-                .map(|_| {
-                    Box::new(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            exec.run(tasks);
-            assert_eq!(counter.load(Ordering::Relaxed), 6);
-        }
     }
 }

@@ -46,7 +46,7 @@ pub struct GemmStats {
     /// Bytes of packed `B` consumed from a groupmate's shared panel
     /// instead of being re-packed locally — the duplicated-copy traffic
     /// (paper Table VII's "data copy" column) the cooperative driver
-    /// eliminates. Always 0 for the scoped and serial drivers.
+    /// eliminates. Always 0 for independent packing and one-worker grids.
     pub b_pack_shared: u64,
     /// Packing-scratch bytes served from a warm arena without touching
     /// the allocator, summed over threads. On a steady-state serving
@@ -60,7 +60,7 @@ pub struct GemmStats {
     pub pack_ns: u64,
     /// Nanoseconds spent inside micro-kernels, summed over threads.
     pub kernel_ns: u64,
-    /// Nanoseconds of spawn/join overhead observed by the caller: wall
+    /// Nanoseconds of dispatch/join overhead observed by the caller: wall
     /// time minus the slowest thread's busy time.
     pub sync_ns: u64,
     /// End-to-end wall time of the call in nanoseconds.

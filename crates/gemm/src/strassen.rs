@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use crate::gemm::{drive, scale_row_by_beta, GemmCall};
 use crate::plan::{Algorithm, ExecutionPlan};
-use crate::pool::Executor;
+use crate::pool::ThreadPool;
 use crate::stats::GemmStats;
 use crate::workspace::PackArena;
 use crate::{Element, Transpose};
@@ -144,7 +144,7 @@ impl<'a, T: Element> Quad<'a, T> {
 
 /// Everything the recursion threads through unchanged.
 struct Ctx<'p> {
-    exec: Executor<'p>,
+    pool: &'p ThreadPool,
     /// The caller's plan with the algorithm forced back to blocked — the
     /// base case must not re-enter the Strassen dispatch.
     base_plan: ExecutionPlan,
@@ -241,7 +241,7 @@ fn accumulate<T: Element>(
             k,
             plan: ctx.base_plan,
         };
-        let s = drive(ctx.exec, &call, alpha, a.slice(), a.ld, b.slice(), b.ld, T::ONE, c, ldc);
+        let s = drive(ctx.pool, &call, alpha, a.slice(), a.ld, b.slice(), b.ld, T::ONE, c, ldc);
         ctx.absorb(&s);
         return;
     }
@@ -309,11 +309,11 @@ fn accumulate<T: Element>(
 }
 
 /// The Strassen driver behind the dispatch layer: `C ← α·op(A)·op(B) +
-/// β·C` for a shape [`applicable`] already accepted. `exec` carries the
-/// scoped-vs-pooled base-case choice, mirroring [`crate::gemm`]'s driver.
+/// β·C` for a shape [`applicable`] already accepted. Every base case runs
+/// on `pool`, like [`crate::gemm`]'s driver.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn strassen_with_stats<T: Element>(
-    exec: Executor<'_>,
+    pool: &ThreadPool,
     call: &GemmCall,
     cutoff: u32,
     alpha: T,
@@ -341,7 +341,7 @@ pub(crate) fn strassen_with_stats<T: Element>(
 
     let cut = cutoff.max(MIN_CUTOFF) as usize;
     let mut ctx = Ctx {
-        exec,
+        pool,
         base_plan: call.plan.with_algorithm(Algorithm::Blocked),
         cut,
         agg: GemmStats::default(),

@@ -19,7 +19,7 @@
 use crate::gemm::{run_tiles, Member, Merge, Prologue};
 use crate::pack::MatView;
 use crate::plan::ExecutionPlan;
-use crate::pool::Executor;
+use crate::pool::ThreadPool;
 use crate::stats::GemmStats;
 use crate::threading::ThreadGrid;
 use crate::{beta_scaled, Element};
@@ -27,8 +27,10 @@ use crate::{beta_scaled, Element};
 /// `C ← α·A·Aᵀ + β·C`, updating only the lower triangle (row-major, `A` is
 /// `m×k` with row stride `lda`, `C` is `m×m` with row stride `ldc`).
 ///
-/// Returns the same execution statistics as the GEMM driver. Workers are
-/// spawned per call; serving paths should use [`syrk_with_stats_pooled`].
+/// Returns the same execution statistics as the GEMM driver. Workers run
+/// on the process-wide pool ([`ThreadPool::global`]);
+/// [`syrk_with_stats_pooled`] runs the same driver on a pool the caller
+/// owns.
 ///
 /// # Panics
 /// Panics if a buffer is too small for its described shape.
@@ -44,38 +46,20 @@ pub fn syrk_with_stats<T: Element>(
     ldc: usize,
     threads: usize,
 ) -> GemmStats {
-    drive(Executor::Scoped, m, k, alpha, a, lda, beta, c, ldc, threads)
+    syrk_with_stats_pooled(ThreadPool::global(), m, k, alpha, a, lda, beta, c, ldc, threads)
 }
 
-/// Like [`syrk_with_stats`], but running the band workers on a persistent
-/// [`crate::pool::ThreadPool`] with warm per-worker packing arenas — the
-/// dispatch layer's serving path. Band partitioning and per-band
-/// arithmetic are identical, so results are bitwise-equal to the scoped
-/// driver.
+/// [`syrk_with_stats`] on `pool`, its band workers drawing on their warm
+/// packing arenas — the dispatch layer's serving path: the one-member
+/// batch `A·Aᵀ` on a `bands×1` grid under the lower-triangle merge. Band
+/// partitioning and per-band arithmetic do not depend on the pool, so
+/// results are bitwise-equal on every pool.
 ///
 /// # Panics
 /// Panics if a buffer is too small for its described shape.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub fn syrk_with_stats_pooled<T: Element>(
-    pool: &crate::pool::ThreadPool,
-    m: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-    threads: usize,
-) -> GemmStats {
-    drive(Executor::Pool(pool), m, k, alpha, a, lda, beta, c, ldc, threads)
-}
-
-/// The one banded SYRK driver behind both public entry points: the
-/// one-member batch `A·Aᵀ` on a `bands×1` grid under [`LowerTriangle`].
-#[allow(clippy::too_many_arguments)]
-fn drive<T: Element>(
-    exec: Executor<'_>,
+    pool: &ThreadPool,
     m: usize,
     k: usize,
     alpha: T,
@@ -99,7 +83,7 @@ fn drive<T: Element>(
     let members = std::slice::from_ref(&member);
     // SAFETY: `member` was checked for this `m×m`, and `band_edges` ascend
     // strictly from 0 to `m`, so the bands partition the rows.
-    unsafe { run_tiles::<T, LowerTriangle>(exec, &pro, &a_view.t(), members, grid, rows, false) };
+    unsafe { run_tiles::<T, LowerTriangle>(pool, &pro, &a_view.t(), members, grid, rows, false) };
     pro.finish(&member.stats, grid)
 }
 
@@ -281,6 +265,7 @@ mod tests {
         assert!(stats.a_packed_bytes > 0 && stats.b_packed_bytes > 0);
     }
 
+    /// The process pool (sized to the host) against a private pool of 4.
     #[test]
     fn pooled_driver_matches_scoped_driver_bitwise() {
         let pool = crate::pool::ThreadPool::new(4);

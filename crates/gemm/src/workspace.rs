@@ -13,9 +13,9 @@
 //!   pointer math: **zero heap allocations** on a warm arena. Counters
 //!   record growth events and warm bytes served so tests can *prove* the
 //!   steady state allocates nothing.
-//! * a **thread-local arena** ([`with_thread_arena`]) — the fallback used
-//!   by the serial path and by scoped (spawn-per-call) workers. Persistent
-//!   threads (service client threads, pool workers) keep their arena warm
+//! * a **thread-local arena** ([`with_thread_arena`]) — the scratch of a
+//!   call that runs inline on its caller's thread (a one-worker grid,
+//!   Z-order). Long-lived callers (service client threads) keep it warm
 //!   across calls.
 //! * [`Workspace`] — the [`crate::pool::ThreadPool`]-owned set of
 //!   per-worker slots (cache-line padded so neighbouring workers never
@@ -244,9 +244,9 @@ thread_local! {
     static THREAD_ARENA: RefCell<PackArena> = const { RefCell::new(PackArena::new()) };
 }
 
-/// Run `f` with the calling thread's persistent arena. This is the
-/// fallback scratch for the serial driver and for scoped (spawn-per-call)
-/// workers; on a long-lived thread the arena stays warm across calls.
+/// Run `f` with the calling thread's persistent arena: the scratch of a
+/// call that runs inline on its caller's thread (a one-worker grid,
+/// Z-order). On a long-lived thread it stays warm across calls.
 pub fn with_thread_arena<R>(f: impl FnOnce(&mut PackArena) -> R) -> R {
     THREAD_ARENA.with(|arena| f(&mut arena.borrow_mut()))
 }

@@ -70,8 +70,11 @@ impl GemmTimer for SimTimer {
 
 /// Timer that runs the real `adsala-gemm` SGEMM on the host.
 ///
-/// Operand buffers are reused across repetitions (like the paper's loop of
-/// ten same-size GEMMs) and filled with a cheap deterministic pattern.
+/// It times warm execution on a persistent pool, the executor a service
+/// serves on: the process-wide `ThreadPool::global()`, whose workers keep
+/// their packing arenas across calls. Operand buffers are reused across
+/// repetitions (like the paper's loop of ten same-size GEMMs) and filled
+/// with a cheap deterministic pattern.
 #[derive(Debug, Clone)]
 pub struct HostTimer {
     /// Upper bound on threads (defaults to available host parallelism).

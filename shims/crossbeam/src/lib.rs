@@ -1,45 +1,7 @@
 //! Offline stand-in for `crossbeam`, used because crates.io is unreachable
-//! in this build environment.
-//!
-//! * [`scope`] wraps `std::thread::scope` behind crossbeam's
-//!   `Result`-returning API (child panics surface as `Err`, not a direct
-//!   unwind through the caller).
-//! * [`channel::unbounded`] is an MPMC channel built from `std::sync::mpsc`
-//!   with a mutex-shared receiver — the textbook worker-pool construction.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Handle passed to the [`scope`] closure; spawns borrowing threads.
-#[derive(Clone, Copy)]
-pub struct Scope<'scope, 'env> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a scoped thread. Mirrors crossbeam by handing the closure a
-    /// scope reference (commonly ignored as `|_|`). The join handle is
-    /// managed by the scope itself, so none is returned.
-    pub fn spawn<F, T>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let scope = *self;
-        self.inner.spawn(move || {
-            f(&scope);
-        });
-    }
-}
-
-/// Create a scope for spawning threads that borrow from the caller's stack.
-/// All spawned threads are joined before this returns; a panicking child
-/// turns into `Err(payload)` like crossbeam's version.
-pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-where
-    F: for<'scope> FnOnce(Scope<'scope, 'env>) -> R,
-{
-    catch_unwind(AssertUnwindSafe(|| std::thread::scope(|s| f(Scope { inner: s }))))
-}
+//! in this build environment: [`channel::unbounded`] is an MPMC channel
+//! built from `std::sync::mpsc` with a mutex-shared receiver — the
+//! textbook worker-pool construction.
 
 pub mod channel {
     use std::sync::{mpsc, Arc, Mutex};
@@ -119,27 +81,6 @@ pub mod channel {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scope_joins_and_borrows() {
-        let mut data = vec![0u32; 4];
-        let chunks: Vec<&mut u32> = data.iter_mut().collect();
-        super::scope(|s| {
-            for (i, slot) in chunks.into_iter().enumerate() {
-                s.spawn(move |_| *slot = i as u32 + 1);
-            }
-        })
-        .unwrap();
-        assert_eq!(data, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn scope_reports_child_panic_as_err() {
-        let result = super::scope(|s| {
-            s.spawn(|_| panic!("child failure"));
-        });
-        assert!(result.is_err());
-    }
 
     #[test]
     fn channel_fans_out_to_competing_consumers() {

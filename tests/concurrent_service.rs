@@ -1,6 +1,6 @@
 //! Concurrency tests for the shared ADSALA serving layer: N client
 //! threads hammering one `AdsalaService` through `&self`, the
-//! pooled-vs-spawn execution equivalence the runtime path relies on, and
+//! shared-vs-private packing equivalence the runtime path relies on, and
 //! mixed-routine/mixed-precision traffic through the generic `run`
 //! entry point.
 
@@ -10,8 +10,18 @@ use std::sync::Arc;
 use adsala::bundle::quick_test_bundle as quick_bundle;
 use adsala::prelude::*;
 use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
+use adsala_gemm::PackingStrategy;
 
 type ShapeKey = (u64, u64, u64);
+
+/// A direct call with private `B` panels: the process pool is sized to the
+/// host, so without this a reference could share `B` exactly as the
+/// service does, and the comparison would not check shared-B packing
+/// against private packing.
+fn private_b(m: usize, n: usize, k: usize, threads: usize) -> GemmCall {
+    let call = GemmCall::new(m, n, k, threads);
+    call.with_plan(call.plan.with_packing(PackingStrategy::Independent))
+}
 
 #[test]
 fn service_is_send_and_sync() {
@@ -132,8 +142,8 @@ fn cache_stays_bounded_under_adversarial_stream() {
 }
 
 /// Concurrent `sgemm` calls through one shared service must all be
-/// correct, and the pooled execution path must produce bitwise-identical
-/// output to the spawn-per-call driver.
+/// correct, and the service's pool (shared `B`) must produce
+/// bitwise-identical output to private packing on the process pool.
 #[test]
 fn concurrent_sgemm_matches_spawn_path_bitwise() {
     let service = AdsalaService::with_config(
@@ -159,14 +169,14 @@ fn concurrent_sgemm_matches_spawn_path_bitwise() {
                         .expect("well-formed sgemm");
                     assert!(stats.exec.threads_used >= 1);
 
-                    // Same thread request through the spawn-per-call driver.
+                    // Same thread request on the process pool.
                     let threads = decision.threads().clamp(1, 4) as usize;
-                    let mut c_spawn = vec![1.0f32; m * n];
-                    let call = GemmCall::new(m, n, k, threads);
-                    gemm_with_stats(&call, 1.5, &a, k, &b, n, 0.5, &mut c_spawn, n);
+                    let mut c_global = vec![1.0f32; m * n];
+                    let call = private_b(m, n, k, threads);
+                    gemm_with_stats(&call, 1.5, &a, k, &b, n, 0.5, &mut c_global, n);
                     assert_eq!(
-                        c_pooled, c_spawn,
-                        "pooled and spawn paths diverged for {m}x{k}x{n}"
+                        c_pooled, c_global,
+                        "the service's pool and the process pool diverged for {m}x{k}x{n}"
                     );
                 }
             });
@@ -204,7 +214,7 @@ fn mixed_routine_traffic_matches_direct_kernels_bitwise() {
                 assert_eq!((stats.routine, stats.precision), (Routine::Gemm, Precision::F32));
                 let threads = d.threads().clamp(1, cap) as usize;
                 let mut c_direct = vec![1.0f32; m * n];
-                let call = GemmCall::new(m, n, k, threads);
+                let call = private_b(m, n, k, threads);
                 gemm_with_stats(&call, 1.5, &a, k, &b, n, 0.5, &mut c_direct, n);
                 assert_eq!(c, c_direct, "f32 GEMM diverged from direct kernel");
             }
@@ -224,7 +234,7 @@ fn mixed_routine_traffic_matches_direct_kernels_bitwise() {
                 assert_eq!((stats.routine, stats.precision), (Routine::Gemm, Precision::F64));
                 let threads = d.threads().clamp(1, cap) as usize;
                 let mut c_direct = vec![2.0f64; m * n];
-                let call = GemmCall::new(m, n, k, threads);
+                let call = private_b(m, n, k, threads);
                 gemm_with_stats(&call, 1.0, &a, k, &b, n, -0.5, &mut c_direct, n);
                 assert_eq!(c, c_direct, "f64 GEMM diverged from direct kernel");
             }

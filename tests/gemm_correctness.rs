@@ -9,7 +9,9 @@ use adsala_repro::adsala_gemm::gemv::{gemv_with_stats, naive_gemv};
 use adsala_repro::adsala_gemm::naive::naive_gemm;
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::syrk::{naive_syrk, syrk_with_stats, syrk_with_stats_pooled};
-use adsala_repro::adsala_gemm::{BlockSizes, Element, Kernel, ThreadGrid, Transpose};
+use adsala_repro::adsala_gemm::{
+    BlockSizes, Element, Kernel, PackingStrategy, ThreadGrid, Transpose,
+};
 use proptest::prelude::*;
 
 fn fill(n: usize, seed: u64) -> Vec<f64> {
@@ -69,8 +71,8 @@ impl Scalar for f64 {
 /// triangle must match `naive_syrk`, the strict upper triangle and every
 /// padding cell (NaN sentinels, `A`'s included, and with β = 0 the lower
 /// triangle's old contents too) must be neither written nor read, and the
-/// whole buffer must be bitwise the serial scoped result for every thread
-/// count, scoped and pooled.
+/// whole buffer must be bitwise the serial result for every thread count,
+/// on the process pool (sized to the host) and on a private pool.
 #[allow(clippy::too_many_arguments)]
 fn syrk_padded_case<T: Scalar>(
     pool: &ThreadPool,
@@ -134,11 +136,11 @@ fn syrk_padded_case<T: Scalar>(
 
     let serial_bits: Vec<u64> = serial.iter().map(|v| v.bits()).collect();
     for threads in 1..=4 {
-        let mut scoped = c0.clone();
-        syrk_with_stats(m, k, alpha, &a, lda, beta, &mut scoped, ldc, threads);
+        let mut global = c0.clone();
+        syrk_with_stats(m, k, alpha, &a, lda, beta, &mut global, ldc, threads);
         let mut pooled = c0.clone();
         syrk_with_stats_pooled(pool, m, k, alpha, &a, lda, beta, &mut pooled, ldc, threads);
-        for (what, c) in [("scoped", &scoped), ("pooled", &pooled)] {
+        for (what, c) in [("process pool", &global), ("private pool", &pooled)] {
             let bits: Vec<u64> = c.iter().map(|v| v.bits()).collect();
             prop_assert!(
                 bits == serial_bits,
@@ -314,6 +316,8 @@ proptest! {
     // The pooled driver spawns a pool per case; keep the case count low.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    // Independent packing on the process pool (sized to the host) against
+    // shared-B packing on a private pool of 4.
     #[test]
     fn pooled_gemm_bit_matches_scoped_gemm(
         m in 1usize..80,
@@ -328,7 +332,8 @@ proptest! {
         let mut c1 = fill(m * n, seed + 2);
         let mut c2 = c1.clone();
         let call = GemmCall::new(m, n, k, threads);
-        gemm_with_stats(&call, 1.0, &a, k, &b, n, 0.5, &mut c1, n);
+        let private = call.with_plan(call.plan.with_packing(PackingStrategy::Independent));
+        gemm_with_stats(&private, 1.0, &a, k, &b, n, 0.5, &mut c1, n);
         gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.5, &mut c2, n);
         prop_assert_eq!(c1, c2);
     }

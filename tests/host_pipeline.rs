@@ -1,6 +1,8 @@
 //! End-to-end against real hardware: the same installation pipeline that
 //! runs on the simulated nodes, driven by `HostTimer` — which times the
-//! actual blocked GEMM from `adsala-gemm` on this machine's cores.
+//! actual blocked GEMM from `adsala-gemm` on this machine's cores, warm on
+//! a persistent pool (the process-wide one): the executor the service
+//! serves on.
 //!
 //! Kept deliberately tiny (small shapes, few reps) so it stays in CI
 //! territory; the point is that nothing in the pipeline is

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 use adsala::bundle::quick_test_bundle as quick_bundle;
 use adsala::prelude::*;
 use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
+use adsala_gemm::PackingStrategy;
 use adsala_repro::adsala_machine::noise::{combine, drift_slowdown, lognormal_factor};
 
 /// Seconds → the integer-nanosecond wall measurements the loop consumes.
@@ -47,9 +48,10 @@ fn hot_swap_mid_flood_keeps_results_bitwise_stable() {
                 let (m, n, k) = SHAPES[client % SHAPES.len()];
                 let a: Vec<f32> = (0..m * k).map(|i| (i % 13) as f32 - 6.0).collect();
                 let b: Vec<f32> = (0..k * n).map(|i| (i % 11) as f32 * 0.25).collect();
-                // Reference output per decided thread count, computed
-                // through the spawn-per-call driver the pooled path must
-                // match bitwise (plan equivalence), lazily per client.
+                // Reference output per decided thread count, computed with
+                // private `B` panels on the process pool, which the
+                // service's shared-B pool must match bitwise (plan
+                // equivalence), lazily per client.
                 let mut references: HashMap<u32, Vec<f32>> = HashMap::new();
                 let mut serve = |epoch_tail: bool| {
                     let mut c = vec![1.0f32; m * n];
@@ -64,6 +66,8 @@ fn hot_swap_mid_flood_keeps_results_bitwise_stable() {
                     let reference = references.entry(threads).or_insert_with(|| {
                         let mut c_ref = vec![1.0f32; m * n];
                         let call = GemmCall::new(m, n, k, threads as usize);
+                        let private = PackingStrategy::Independent;
+                        let call = call.with_plan(call.plan.with_packing(private));
                         gemm_with_stats(&call, 1.5, &a, k, &b, n, 0.5, &mut c_ref, n);
                         c_ref
                     });

@@ -1,9 +1,9 @@
 //! Plan-equivalence coverage: every plan the candidate grid can emit —
 //! each combination of thread count, ISA choice, block scale, and packing
 //! strategy — must compute the correct product across transpose combos
-//! and skewed shapes, match the scoped driver bitwise when executed on
-//! the persistent pool, and (for scalar-ISA plans) be invariant to the
-//! thread count and packing strategy.
+//! and skewed shapes, give the same bits on a private pool as with
+//! independent packing on the process pool (sized to the host), and (for
+//! scalar-ISA plans) be invariant to the thread count and packing strategy.
 
 use adsala_repro::adsala_gemm::dispatch::Precision;
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
@@ -68,21 +68,24 @@ macro_rules! grid_plans_are_correct_and_pool_invariant {
                     let seed = idx as u64 * 31 + m as u64;
                     let a: Vec<$t> = fill(a_len.max(1), seed);
                     let b: Vec<$t> = fill(b_len.max(1), seed + 1);
-                    let mut c_scoped: Vec<$t> = fill(m * n, seed + 2);
-                    let mut c_pooled = c_scoped.clone();
-                    let mut c_ref = c_scoped.clone();
+                    let mut c_global: Vec<$t> = fill(m * n, seed + 2);
+                    let mut c_pooled = c_global.clone();
+                    let mut c_ref = c_global.clone();
                     let alpha = <$t>::from(1.25f32);
                     let beta = <$t>::from(-0.5f32);
 
                     let call = GemmCall { trans_a: ta, trans_b: tb, ..GemmCall::new(m, n, k, 1) }
                         .with_plan(plan);
-                    gemm_with_stats(&call, alpha, &a, lda, &b, ldb, beta, &mut c_scoped, n);
+                    // Private `B` on the process pool, so a shared-B plan on
+                    // the private pool is checked against private packing.
+                    let private = call.with_plan(plan.with_packing(PackingStrategy::Independent));
+                    gemm_with_stats(&private, alpha, &a, lda, &b, ldb, beta, &mut c_global, n);
                     gemm_with_stats_pooled(
                         &pool, &call, alpha, &a, lda, &b, ldb, beta, &mut c_pooled, n,
                     );
                     naive_gemm(ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_ref, n);
 
-                    for (i, (x, y)) in c_scoped.iter().zip(&c_ref).enumerate() {
+                    for (i, (x, y)) in c_global.iter().zip(&c_ref).enumerate() {
                         let (x, y) = (f64::from(*x), f64::from(*y));
                         assert!(
                             (x - y).abs() <= $tol * (1.0 + y.abs()),
@@ -91,9 +94,9 @@ macro_rules! grid_plans_are_correct_and_pool_invariant {
                         );
                     }
                     assert_eq!(
-                        c_scoped,
+                        c_global,
                         c_pooled,
-                        "pooled execution drifted from the scoped driver for plan [{}] \
+                        "a private pool drifted from the process pool for plan [{}] \
                          on {m}x{n}x{k} ta={ta:?} tb={tb:?}",
                         plan.describe()
                     );

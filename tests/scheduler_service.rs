@@ -60,7 +60,7 @@ fn scheduler_is_send_and_sync() {
 
 /// The headline stress test: 8 clients, overlapping mixed-shape streams,
 /// every scheduled result bitwise-identical to the unscheduled serial
-/// (1-thread spawn-driver) execution of the same op, counters consistent,
+/// (1-thread, inline on the caller) execution of the same op, counters consistent,
 /// and the joint assignment never exceeding the budget.
 #[test]
 fn mixed_shape_stress_matches_unscheduled_serial_bitwise() {
@@ -132,7 +132,7 @@ fn mixed_shape_stress_matches_unscheduled_serial_bitwise() {
 }
 
 /// Mixed precisions share one queue: an f32 and an f64 stream served
-/// concurrently, each bitwise-equal to its direct spawn-driver kernel.
+/// concurrently, each bitwise-equal to its direct 1-thread kernel.
 #[test]
 fn mixed_precision_streams_serve_concurrently() {
     let sched = Arc::new(scheduler(4, SchedulerConfig::default()));

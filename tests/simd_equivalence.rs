@@ -34,7 +34,7 @@ use adsala_repro::adsala_gemm::pack::{pack_a, pack_b, MatView};
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::{
     gemv_with_stats, gemv_with_stats_pooled, syrk_with_stats, syrk_with_stats_pooled, Algorithm,
-    Element, ExecutionPlan, GemvArgs, OpRequest, SyrkArgs, Transpose,
+    Element, ExecutionPlan, GemvArgs, OpRequest, PackingStrategy, SyrkArgs, Transpose,
 };
 
 fn fill_f32(n: usize, seed: u64) -> Vec<f32> {
@@ -403,10 +403,10 @@ fn beta_zero_overwrites_nan<T: Element + From<f32>>(
             );
         }
     };
-    check("syrk scoped", m * m, &lower, &|c| {
+    check("syrk process pool", m * m, &lower, &|c| {
         syrk_with_stats(m, k, alpha, &a, k, zero, c, m, 3);
     });
-    check("syrk pooled", m * m, &lower, &|c| {
+    check("syrk private pool", m * m, &lower, &|c| {
         syrk_with_stats_pooled(pool, m, k, alpha, &a, k, zero, c, m, 3);
     });
     check("syrk k=0", m * m, &lower, &|c| {
@@ -417,10 +417,10 @@ fn beta_zero_overwrites_nan<T: Element + From<f32>>(
             SyrkArgs { m, k, alpha, a: &a, lda: k, beta: zero, c, ldc: m }.into();
         service.run(&mut req).expect("valid SYRK");
     });
-    check("gemv scoped", m, &all, &|y| {
+    check("gemv process pool", m, &all, &|y| {
         gemv_with_stats(m, n, alpha, &a, n, &b, zero, y, 3);
     });
-    check("gemv pooled", m, &all, &|y| {
+    check("gemv private pool", m, &all, &|y| {
         gemv_with_stats_pooled(pool, m, n, alpha, &a, n, &b, zero, y, 3);
     });
     check("gemv service", m, &all, &|y| {
@@ -437,10 +437,12 @@ fn beta_zero_overwrites_nan<T: Element + From<f32>>(
     });
 }
 
+/// Independent packing on the process pool (sized to the host) against
+/// shared-B packing on a private pool of 4.
 #[test]
 fn pooled_and_scoped_agree_bitwise_under_dispatch() {
     // The shared-B cooperative driver keeps per-tile FLOP order, so its
-    // results must stay bitwise identical to the scoped driver under the
+    // results must stay bitwise identical to private packing under the
     // SIMD kernels too, not just scalar.
     let pool = ThreadPool::new(4);
     let (m, n, k) = (192, 56, 144);
@@ -448,11 +450,12 @@ fn pooled_and_scoped_agree_bitwise_under_dispatch() {
     let b = fill_f64(k * n, 14);
     let c0 = fill_f64(m * n, 15);
     let call = GemmCall::new(m, n, k, 4);
-    let mut c_scoped = c0.clone();
+    let private = call.with_plan(call.plan.with_packing(PackingStrategy::Independent));
+    let mut c_private = c0.clone();
     let mut c_pooled = c0;
-    let s1 = gemm_with_stats(&call, 1.1, &a, k, &b, n, 0.3, &mut c_scoped, n);
+    let s1 = gemm_with_stats(&private, 1.1, &a, k, &b, n, 0.3, &mut c_private, n);
     let s2 = gemm_with_stats_pooled(&pool, &call, 1.1, &a, k, &b, n, 0.3, &mut c_pooled, n);
-    assert_eq!(c_scoped, c_pooled);
+    assert_eq!(c_private, c_pooled);
     assert_eq!(s1.kernel_isa, s2.kernel_isa);
     assert_eq!((s1.mr, s1.nr), (s2.mr, s2.nr));
     assert_eq!(s1.kernel_isa, KernelIsa::dispatched());
@@ -562,9 +565,9 @@ fn same<T: PartialEq>(x: T, y: T) -> bool {
 /// and `B` (a transposed `B` is packed), padded leading dimensions, ragged
 /// `m` and `n`, `k = 1` and several `KC` blocks, α ∈ {1, general},
 /// β ∈ {0 over a NaN `C`, 1, general} — on shapes under the rule and one
-/// above it (packed on both sides). Under the rule the shared-B pooled
-/// driver (its `B` packed, its `A` in place) must also give the scoped
-/// driver's bits.
+/// above it (packed on both sides). Under the rule shared-B packing on a
+/// private pool (its `B` packed, its `A` in place) must also give the bits
+/// of independent packing on the process pool.
 fn in_place_reads_match_packed<T: Element + From<f32>>() {
     let nan = T::ZERO * T::from(f32::INFINITY);
     let fill = |len: usize, seed: u64| -> Vec<T> {
@@ -653,8 +656,20 @@ fn in_place_reads_match_packed<T: Element + From<f32>>() {
                     if under {
                         let threads = GemmCall::new(m, n, k, 2).with_isa(isa);
                         let call = GemmCall { trans_a: flag(ta), trans_b: flag(tb), ..threads };
-                        let (mut scoped, mut pooled) = (c0.clone(), c0.clone());
-                        gemm_with_stats(&call, alpha, &a, lda, &b, ldb, beta, &mut scoped, ldc);
+                        let private =
+                            call.with_plan(call.plan.with_packing(PackingStrategy::Independent));
+                        let (mut unshared, mut pooled) = (c0.clone(), c0.clone());
+                        gemm_with_stats(
+                            &private,
+                            alpha,
+                            &a,
+                            lda,
+                            &b,
+                            ldb,
+                            beta,
+                            &mut unshared,
+                            ldc,
+                        );
                         gemm_with_stats_pooled(
                             &pool,
                             &call,
@@ -667,8 +682,8 @@ fn in_place_reads_match_packed<T: Element + From<f32>>() {
                             &mut pooled,
                             ldc,
                         );
-                        let differs = scoped.iter().zip(&pooled).position(|(&x, &y)| !same(x, y));
-                        assert_eq!(differs, None, "{what}: pooled differs from scoped");
+                        let differs = unshared.iter().zip(&pooled).position(|(&x, &y)| !same(x, y));
+                        assert_eq!(differs, None, "{what}: shared B differs from private");
                     }
                 }
             }

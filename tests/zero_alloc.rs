@@ -10,7 +10,12 @@
 
 use adsala::bundle::quick_test_bundle;
 use adsala::prelude::*;
+use adsala_gemm::blocking::reads_in_place;
+use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
 use adsala_gemm::workspace::thread_arena_stats;
+use adsala_gemm::{syrk_with_stats, BlockSizes, GemmStats, PackingStrategy, ThreadPool};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 fn service() -> AdsalaService {
     AdsalaService::with_config(
@@ -100,6 +105,67 @@ fn mixed_routine_steady_state_stays_warm() {
     }
     assert_eq!(svc.stats().workspace.allocations, ws_before.allocations);
     assert_eq!(thread_arena_stats().allocations, tl_before.allocations);
+}
+
+/// The entry points that take no pool run on the process pool, whose
+/// workers keep their arenas: once every worker's arena is warm, each call
+/// whose grid splits is served its whole packing workspace warm and the
+/// pool allocates nothing. The pool's counter is process-wide, so nothing
+/// else in this binary may use the process pool.
+#[test]
+fn unpooled_calls_reuse_the_process_pool() {
+    // A depth at which either 96-wide half of the grid packs what it reads.
+    let m = 192usize;
+    let k = (64..).step_by(16).find(|&k| !reads_in_place::<f64>(m / 2, m, k)).expect("deep k");
+    let a: Vec<f64> = (0..m * k).map(|i| (i % 7) as f64).collect();
+    let call = GemmCall::new(m, m, k, 2);
+    let call = call.with_plan(call.plan.with_packing(PackingStrategy::Independent));
+    let gemm = || {
+        let mut c = vec![0.0f64; m * m];
+        gemm_with_stats(&call, 1.0, &a, k, &a, m, 0.0, &mut c, m)
+    };
+    let syrk = || {
+        let mut c = vec![0.0f64; m * m];
+        syrk_with_stats(m, k, 1.0, &a, k, 0.0, &mut c, m, 2)
+    };
+
+    // Warm every worker with the packing pair both calls check out (the
+    // default blocks on `m×m×k`): one task per worker, held on a barrier
+    // until all have started so no worker takes two, under a gang
+    // reservation of the whole pool, as a batch whose tasks wait on each
+    // other must hold. A second checkout reports the pair's size.
+    let pool = ThreadPool::global();
+    let blocks = BlockSizes::dispatched::<f64>().clamped(m, m, k);
+    let workers = pool.workers();
+    let gang = pool.try_reserve_gang(workers).expect("nothing else uses the process pool");
+    let (barrier, pair) = (Barrier::new(workers), AtomicU64::new(0));
+    let (ws, barrier, pair) = (pool.workspace(), &barrier, &pair);
+    let tasks = (0..workers)
+        .map(|_| {
+            Box::new(move || {
+                barrier.wait();
+                ws.with_arena(|arena| {
+                    arena.checkout_pair::<f64>(&blocks);
+                    pair.store(arena.checkout_pair::<f64>(&blocks).2, Ordering::Relaxed);
+                });
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool.scope_execute(tasks);
+    drop(gang);
+
+    let pair = pair.load(Ordering::Relaxed);
+    let before = pool.workspace().arena_stats();
+    for (what, run) in [("gemm", &gemm as &dyn Fn() -> GemmStats), ("syrk", &syrk)] {
+        for _ in 0..10 {
+            let s = run();
+            let tasks = (s.grid_rows * s.grid_cols) as u64;
+            assert!(tasks > 1, "{what}: the grid must split: {s:?}");
+            assert_eq!(s.arena_bytes_reused, tasks * pair, "{what}: a checkout allocated");
+        }
+    }
+    let after = pool.workspace().arena_stats();
+    assert_eq!(after.allocations, before.allocations, "{before:?} -> {after:?}");
 }
 
 #[test]
