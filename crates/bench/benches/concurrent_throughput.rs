@@ -214,10 +214,10 @@ fn bench_routine_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The co-scheduling payoff: 8 clients of same-shape shared-`B` traffic
-/// racing `service.run` independently (gang collisions settled after the
-/// fact) vs the same traffic through `ServiceScheduler::submit`
-/// (admission wave → joint plan → fused firm-gang dispatch).
+/// The admission gate's cost: 8 clients of same-shape shared-`B` traffic
+/// calling `service.run` independently vs the same traffic through
+/// `ServiceScheduler::submit` (admission gate → `run_with` under the
+/// thread budget).
 fn bench_scheduled_vs_unscheduled(c: &mut Criterion) {
     use adsala::prelude::*;
     use std::sync::Arc;

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::artifact::{Artifact, ModelTable};
 use crate::preprocess::PreprocessConfig;
-use crate::select::{predict_at_point, predict_curve_for_op, predict_point_for_op_capped};
+use crate::select::{predict_at_point, predict_point_for_op_capped};
 use crate::AdsalaError;
 
 /// The outcome of a plan selection: the full learned execution plan plus
@@ -121,19 +121,6 @@ impl ArtifactBundle {
             predicted_runtime_s,
             memoised: false,
         }
-    }
-
-    /// The predicted-runtime curve a joint scheduler optimises over: for
-    /// each distinct thread count ≤ `cap` in the grid, the best
-    /// materialised plan at that count and its predicted runtime in
-    /// seconds, ascending by thread count. The curve's global minimum is
-    /// the [`ArtifactBundle::decide_op_capped`] decision.
-    pub fn decide_op_curve(&self, shape: OpShape, cap: u32) -> Vec<(ExecutionPlan, f64)> {
-        let model = self.models.for_routine(shape.routine);
-        predict_curve_for_op(model, &self.config, &self.grid, shape, cap)
-            .into_iter()
-            .map(|(point, runtime_s)| (point.materialise(shape.precision), runtime_s))
-            .collect()
     }
 
     /// The largest candidate thread count in the grid — the widest plan

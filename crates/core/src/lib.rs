@@ -39,9 +39,9 @@
 //!    hot-swaps the bundle under live traffic with zero downtime.
 //!
 //! There is one decision path ([`select`]'s single pricing sweep, folded
-//! into an argmin or a per-thread-count curve) and one serving path (the
-//! service's execute → observe → recover stage, which the
-//! [`scheduler`] also executes through). The paper's single-threaded
+//! into its argmin) and one serving path (the service's execute → observe
+//! → recover stage; the [`scheduler`] is an admission gate in front of
+//! it). The paper's single-threaded
 //! runtime class (Fig. 3) is a service used from one thread: its §III-C
 //! "same shape as the previous call" memo is the cache's per-shard
 //! last-shape fast path.
@@ -57,6 +57,8 @@
 //! let decision = service.select_for_capped(shape, u32::MAX);
 //! assert!(decision.threads() >= 1);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod artifact;
 pub mod bundle;
@@ -86,9 +88,7 @@ pub use preprocess::{
     fit_preprocess, fit_preprocess_with, PreprocessConfig, PreprocessOptions, PreprocessReport,
 };
 pub use scheduler::{ScheduledRun, SchedulerConfig, SchedulerStats, ServiceScheduler};
-pub use select::{
-    estimate_speedups, predict_curve_for_op, predict_point_for_op_capped, SpeedupEstimate,
-};
+pub use select::{estimate_speedups, predict_point_for_op_capped, SpeedupEstimate};
 pub use service::{AdsalaService, AlgorithmMix, RunOptions, ServiceConfig, ServiceStats};
 pub use speedup::SpeedupStats;
 pub use train::{train_all_families, ModelReport, TrainedCandidate};
@@ -163,8 +163,8 @@ pub enum AdsalaError {
     },
     /// A deadline expired before the operation ran: the caller's
     /// [`service::RunOptions::deadline`] passed, or a scheduler admission
-    /// wait exceeded its timeout and the request was shed while queued.
-    /// The output buffer is untouched.
+    /// wait exceeded its timeout, and the request was refused before it
+    /// started. The output buffer is untouched.
     Timeout(String),
 }
 

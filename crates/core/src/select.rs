@@ -14,9 +14,8 @@
 //! speedup wins.
 //!
 //! Every decision is one sweep (`priced_points`: clamp the thread axis
-//! to the cap, skip aliased rungs, price the rest) under one of two
-//! folds: the argmin ([`predict_point_for_op_capped`]) and the
-//! per-thread-count curve ([`predict_curve_for_op`]). An uncapped sweep is
+//! to the cap, skip aliased rungs, price the rest) folded into its argmin
+//! ([`predict_point_for_op_capped`]). An uncapped sweep is
 //! `cap = u32::MAX`; the paper's thread ladder is a
 //! [`PlanGrid::threads_only`] grid.
 //!
@@ -256,43 +255,6 @@ pub fn predict_point_for_op_capped(
         }
     });
     (best.0, config.runtime_from_prediction(best.1))
-}
-
-/// The full predicted-runtime curve a joint scheduler optimises over: for
-/// each distinct capped thread count in the grid, the best point at that
-/// count (argmin over the non-thread axes) and its predicted runtime in
-/// seconds, sorted by ascending thread count.
-///
-/// The curve's global minimum is exactly the
-/// [`predict_point_for_op_capped`] decision; the other rows price what
-/// running narrower costs, which is what lets a co-scheduler trade one
-/// op's threads for another's.
-pub fn predict_curve_for_op(
-    model: &AnyModel,
-    config: &PreprocessConfig,
-    grid: &PlanGrid,
-    shape: adsala_gemm::OpShape,
-    cap: u32,
-) -> Vec<(PlanPoint, f64)> {
-    // Best (point, raw prediction) per thread count, in first-seen order.
-    let mut per_count: Vec<(PlanPoint, f64)> = Vec::new();
-    priced_points(model, config, grid, shape, cap, |points, preds| {
-        for (&point, &pred) in points.iter().zip(preds) {
-            match per_count.iter_mut().find(|(best, _)| best.threads == point.threads) {
-                Some(entry) => {
-                    if pred < entry.1 {
-                        *entry = (point, pred);
-                    }
-                }
-                None => per_count.push((point, pred)),
-            }
-        }
-    });
-    per_count.sort_by_key(|(point, _)| point.threads);
-    for (_, pred) in &mut per_count {
-        *pred = config.runtime_from_prediction(*pred);
-    }
-    per_count
 }
 
 /// Estimate ideal and evaluation-inclusive speedups of `model` over
@@ -550,33 +512,6 @@ mod tests {
                     assert_eq!(decision.predicted_runtime_s.to_bits(), bits, "{context}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn curve_minimum_is_the_capped_decision() {
-        let (_, config, model, grid) = setup();
-        for (op, cap) in
-            [(gemm(64, 64, 64), u32::MAX), (gemm(128, 512, 128), 3), (gemm(2000, 64, 2000), 8)]
-        {
-            let curve = predict_curve_for_op(&model, &config, &grid, op, cap);
-            // One row per distinct clamped thread count, ascending.
-            let counts: Vec<u32> = curve.iter().map(|(p, _)| p.threads).collect();
-            let mut expected: Vec<u32> = grid.threads.iter().map(|&t| t.min(cap)).collect();
-            expected.sort_unstable();
-            expected.dedup();
-            assert_eq!(counts, expected);
-            assert!(curve.iter().all(|&(_, rt)| rt > 0.0));
-
-            // The curve's argmin row is exactly the capped decision.
-            let (best_point, best_rt) =
-                predict_point_for_op_capped(&model, &config, &grid, op, cap);
-            let min = curve
-                .iter()
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .expect("curve is non-empty");
-            assert_eq!(min.0, best_point);
-            assert_eq!(min.1.to_bits(), best_rt.to_bits());
         }
     }
 

@@ -6,9 +6,7 @@
 //! reference. It composes the two layers below it —
 //!
 //! * an `Arc`-shared immutable [`ArtifactBundle`] for model sweeps,
-//! * a lock-striped [`DecisionCache`] for memoisation (one instance of
-//!   decisions for `run`, one of per-thread-count curves for the
-//!   co-scheduler, both behind the same swap protocol) —
+//! * a lock-striped [`DecisionCache`] for memoisation —
 //!
 //! and owns one persistent [`ThreadPool`]. Every request executes through
 //! the pooled kernel drivers on that pool, so the service path never pays
@@ -38,7 +36,7 @@
 //! lock-cheap accounting),
 //! and [`AdsalaService::swap_bundle`] publishes a retrained bundle under
 //! live traffic. The swap is two ordered steps — install the new `Arc`
-//! under the bundle `RwLock`, then bump both memos' generation —
+//! under the bundle `RwLock`, then bump the memo's generation —
 //! while serving threads read the generation *before* loading the
 //! bundle and publish decisions through `insert_if_generation`, so a
 //! decision computed against the retired bundle can never outlive the
@@ -83,9 +81,7 @@ use adsala_gemm::{ArenaStats, Element, PoolStats, PredictionErrorStats, ThreadPo
 use parking_lot::RwLock;
 
 use crate::bundle::{ArtifactBundle, PlanDecision};
-use crate::cache::{
-    CacheStats, DecisionCache, MemoValue, PlanCurve, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
-};
+use crate::cache::{CacheStats, DecisionCache, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS};
 use crate::online::{
     DriftDetector, DriftSnapshot, Observation, ObservationReservoir, OnlineConfig, ReservoirStats,
 };
@@ -97,9 +93,9 @@ pub struct ServiceConfig {
     /// Worker threads in the persistent GEMM pool; 0 means one per
     /// available hardware thread.
     pub pool_workers: usize,
-    /// Lock stripes in each memo (decisions, curves).
+    /// Lock stripes in the decision memo.
     pub cache_shards: usize,
-    /// Maximum resident entries of each memo across all its stripes.
+    /// Maximum resident decisions across all the memo's stripes.
     pub cache_capacity: usize,
     /// Online-adaptation knobs (whether drift changes behaviour, and how
     /// fast the detector moves).
@@ -151,7 +147,7 @@ impl RunOptions {
     /// predicted runtime of the configuration that actually runs. (The
     /// old decide-then-clamp behaviour executed `cap` threads while
     /// reporting the uncapped winner's prediction — and let a scheduler's
-    /// joint budget be silently exceeded at decision time.)
+    /// thread budget be silently exceeded at decision time.)
     pub fn thread_cap(&self) -> u32 {
         if self.host_max_threads == 0 {
             u32::MAX
@@ -176,9 +172,6 @@ pub struct AdsalaService {
     /// vice versa). Caps at or above the grid's maximum candidate
     /// normalise to the same key as "no cap", sharing one entry.
     cache: DecisionCache<(OpShape, u32)>,
-    /// The co-scheduler's predicted-runtime curves, keyed and retired
-    /// exactly like `cache` (see [`AdsalaService::memoised`]).
-    curves: DecisionCache<(OpShape, u32), PlanCurve>,
     pool: ThreadPool,
     /// Model sweeps performed (memo hits don't count).
     evaluations: AtomicU64,
@@ -248,8 +241,7 @@ pub struct ServiceStats {
     pub drift: DriftSnapshot,
     /// Observation-reservoir occupancy and traffic.
     pub reservoir: ReservoirStats,
-    /// Memo counters, summed over the decision memo and the
-    /// co-scheduler's curve memo.
+    /// Decision-memo counters.
     pub cache: CacheStats,
     /// Execution-pool gang-reservation counters.
     pub pool: PoolStats,
@@ -283,7 +275,6 @@ impl AdsalaService {
         Self {
             bundle: RwLock::new(bundle),
             cache: DecisionCache::new(cfg.cache_shards, cfg.cache_capacity),
-            curves: DecisionCache::new(cfg.cache_shards, cfg.cache_capacity),
             pool,
             evaluations: AtomicU64::new(0),
             plan_downgrades: AtomicU64::new(0),
@@ -308,22 +299,21 @@ impl AdsalaService {
     }
 
     /// Atomically publish a new artefact bundle and retire every memoised
-    /// decision and curve, without blocking or invalidating in-flight
-    /// requests: first the bundle slot is replaced (one brief write lock),
-    /// then both memos' generation is bumped so pre-swap entries die.
+    /// decision, without blocking or invalidating in-flight requests:
+    /// first the bundle slot is replaced (one brief write lock), then the
+    /// memo's generation is bumped so pre-swap entries die.
     /// Requests already executing finish under the plan they decided with
     /// — the old `Arc` keeps their artefacts alive. Also resets the drift
     /// detector (its errors measured the retiring model). Returns the new
     /// memo generation.
     pub fn swap_bundle(&self, bundle: Arc<ArtifactBundle>) -> u64 {
         *self.bundle.write() = bundle;
-        // Order matters: the generation bumps must follow the publish, so
+        // Order matters: the generation bump must follow the publish, so
         // any reader who saw the old generation either decided with the
         // old bundle (entry dies now) or the new one (entry is refused by
         // insert_if_generation and re-decided — conservative but never
         // stale).
         let generation = self.cache.bump_generation();
-        self.curves.bump_generation();
         self.swaps.fetch_add(1, Ordering::Relaxed);
         self.drift.reset();
         generation
@@ -348,69 +338,29 @@ impl AdsalaService {
         cap.clamp(1, self.bundle().max_candidate_threads())
     }
 
-    /// What every front door does before it asks the model: normalise the
-    /// request's thread cap, and — when [`OnlineConfig::enabled`] is set and
-    /// the drift detector is tripped, i.e. the measurements have disowned
-    /// the model — decide conservatively instead
-    /// ([`ArtifactBundle::conservative_op`] within the cap, counted in
-    /// `drift_fallbacks`). A fallback enters neither memo: it must vanish
-    /// the moment the detector recovers.
-    pub(crate) fn decision_gate(&self, shape: OpShape, cap: u32) -> (u32, Option<PlanDecision>) {
-        let cap = self.normalised_cap(cap);
-        if !(self.online.enabled && self.drift.is_drifted()) {
-            return (cap, None);
-        }
-        self.drift_fallbacks.fetch_add(1, Ordering::Relaxed);
-        (cap, Some(self.bundle().conservative_op(shape, cap)))
-    }
-
     /// Pick the execution plan for any operation among the plans with at
     /// most `cap` threads (`u32::MAX`: no cap): memo first, model sweep on
     /// a miss. Candidates above the cap are clamped onto it before the
     /// model prices them, so the returned decision's predicted runtime
     /// describes the plan that will actually execute. Memoised per
-    /// `(shape, normalised cap)`. Callable concurrently through `&self`;
-    /// equal inputs always yield equal plans because both the cache and the
-    /// bundle are deterministic.
+    /// `(shape, normalised cap)`; a sweep counts in `evaluations`.
+    /// Callable concurrently through `&self`; equal inputs always yield
+    /// equal plans because both the cache and the bundle are
+    /// deterministic.
     pub fn select_for_capped(&self, shape: OpShape, cap: u32) -> PlanDecision {
-        self.memoised(&self.cache, shape, cap, |bundle, cap| bundle.decide_op_capped(shape, cap))
-    }
-
-    /// [`AdsalaService::select_for_capped`] for the co-scheduler: the whole
-    /// predicted-runtime curve ([`ArtifactBundle::decide_op_curve`]) among
-    /// the plans with at most `cap` threads, from the curve memo or one
-    /// sweep.
-    pub(crate) fn curve_for_capped(&self, shape: OpShape, cap: u32) -> PlanCurve {
-        self.memoised(&self.curves, shape, cap, |bundle, cap| {
-            let curve = bundle.decide_op_curve(shape, cap);
-            assert!(!curve.is_empty(), "plan grids always hold at least one thread count");
-            Arc::new(curve)
-        })
-    }
-
-    /// The one memo lookup: replay `(shape, normalised cap)` from `memo`,
-    /// or run `sweep` on the current bundle under that cap, count it in
-    /// `evaluations` and publish the result.
-    fn memoised<V: MemoValue>(
-        &self,
-        memo: &DecisionCache<(OpShape, u32), V>,
-        shape: OpShape,
-        cap: u32,
-        sweep: impl FnOnce(&ArtifactBundle, u32) -> V,
-    ) -> V {
         let cap = self.normalised_cap(cap);
         // Generation before bundle: if a swap lands in between, this
-        // value is refused below and the next caller re-decides under the
-        // new epoch — nothing can enter a younger memo than the bundle it
-        // came from.
-        let generation = memo.generation();
-        if let Some(hit) = memo.get((shape, cap)) {
+        // decision is refused below and the next caller re-decides under
+        // the new epoch — nothing can enter a younger memo than the bundle
+        // it came from.
+        let generation = self.cache.generation();
+        if let Some(hit) = self.cache.get((shape, cap)) {
             return hit;
         }
-        let value = sweep(&self.bundle(), cap);
+        let decision = self.bundle().decide_op_capped(shape, cap);
         self.evaluations.fetch_add(1, Ordering::Relaxed);
-        memo.insert_if_generation((shape, cap), value.clone(), generation);
-        value
+        self.cache.insert_if_generation((shape, cap), decision, generation);
+        decision
     }
 
     /// Serve one operation with default options: validate the operands,
@@ -460,8 +410,15 @@ impl AdsalaService {
             )));
         }
         let shape = req.shape();
-        let (cap, fallback) = self.decision_gate(shape, opts.thread_cap());
-        let decision = fallback.unwrap_or_else(|| self.select_for_capped(shape, cap));
+        let decision = if self.online.enabled && self.drift.is_drifted() {
+            // The measurements have disowned the model: decide
+            // conservatively within the cap. The fallback never enters the
+            // memo, so it vanishes the moment the detector recovers.
+            self.drift_fallbacks.fetch_add(1, Ordering::Relaxed);
+            self.bundle().conservative_op(shape, self.normalised_cap(opts.thread_cap()))
+        } else {
+            self.select_for_capped(shape, opts.thread_cap())
+        };
         // The cap bounded the sweep, so the decision *is* the executed
         // plan — no post-hoc clamp that would desynchronise the reported
         // prediction from the configuration that runs.
@@ -471,15 +428,15 @@ impl AdsalaService {
     }
 
     /// The one execute → observe → recover stage behind
-    /// [`AdsalaService::run_with`], [`AdsalaService::run_pinned`] and the
-    /// co-scheduler's solo dispatch: run a validated request under `plan`
+    /// [`AdsalaService::run_with`] and [`AdsalaService::run_pinned`]: run a
+    /// validated request under `plan`
     /// inside the panic boundary, book the outcome, and on a kernel panic
     /// isolate it and (when `allow_retry`) retry once on the degraded plan.
     ///
     /// `predicted_s` is the model's prediction for `plan`; `None` (a
     /// caller-pinned plan) skips the prediction stamp and the feedback
     /// loop. `deadline` is re-checked before a retry.
-    pub(crate) fn serve<T: Element>(
+    fn serve<T: Element>(
         &self,
         req: &mut OpRequest<'_, T>,
         plan: &ExecutionPlan,
@@ -492,36 +449,6 @@ impl AdsalaService {
             Err(detail) => {
                 self.isolate_panic();
                 self.retry_degraded(req, &detail, deadline, allow_retry)
-            }
-        }
-    }
-
-    /// [`AdsalaService::serve`] for a fused same-shape batch (see
-    /// [`OpRequest::execute_fused_refs_validated`]): the batch executes
-    /// once under `plan`, every member is booked like a solo op, and a gang
-    /// panic — the whole batch unwinds together — is counted once, after
-    /// which each member gets the same degraded retry a solo op would,
-    /// inline on this thread with nothing shared left to poison a second
-    /// time. Members were admitted together, so no deadline applies.
-    pub(crate) fn serve_fused<T: Element>(
-        &self,
-        reqs: &mut [&mut OpRequest<'_, T>],
-        plan: &ExecutionPlan,
-        predicted_s: f64,
-    ) -> Vec<Result<OpStats, AdsalaError>> {
-        let Some(shape) = reqs.first().map(|r| r.shape()) else { return Vec::new() };
-        let batch = catch_unwind(AssertUnwindSafe(|| {
-            OpRequest::execute_fused_refs_validated(reqs, &self.pool, plan)
-        }));
-        match batch {
-            Ok(all) => all
-                .into_iter()
-                .map(|stats| Ok(self.settle(shape, plan, Some(predicted_s), stats)))
-                .collect(),
-            Err(payload) => {
-                let detail = panic_message(payload);
-                self.isolate_panic();
-                reqs.iter_mut().map(|r| self.retry_degraded(r, &detail, None, true)).collect()
             }
         }
     }
@@ -657,9 +584,8 @@ impl AdsalaService {
 
     /// Feed one executed op into the feedback loop: the per-routine error
     /// recorder (with its drift trip wire) and the observation reservoir.
-    /// The serve stage calls this for every model-decided op (served
-    /// directly or through the co-scheduler). Lock-cheap and never
-    /// blocking.
+    /// The serve stage calls this for every model-decided op. Lock-cheap
+    /// and never blocking.
     pub fn observe(
         &self,
         shape: OpShape,
@@ -695,25 +621,17 @@ impl AdsalaService {
     /// component with the allocator taken out of it).
     pub fn stats(&self) -> ServiceStats {
         let drift = self.drift.snapshot();
-        let (decisions, curves) = (self.cache.stats(), self.curves.stats());
+        let cache = self.cache.stats();
         ServiceStats {
             evaluations: self.evaluations.load(Ordering::Relaxed),
             plan_downgrades: self.plan_downgrades.load(Ordering::Relaxed),
             swaps: self.swaps.load(Ordering::Relaxed),
-            generation: decisions.generation,
+            generation: cache.generation,
             drift_fallbacks: self.drift_fallbacks.load(Ordering::Relaxed),
             prediction: drift.prediction(),
             drift,
             reservoir: self.reservoir.stats(),
-            cache: CacheStats {
-                hits: decisions.hits + curves.hits,
-                misses: decisions.misses + curves.misses,
-                evictions: decisions.evictions + curves.evictions,
-                entries: decisions.entries + curves.entries,
-                capacity: decisions.capacity + curves.capacity,
-                shards: decisions.shards + curves.shards,
-                generation: decisions.generation,
-            },
+            cache,
             pool: self.pool.stats(),
             workspace: self.pool.workspace().arena_stats(),
             algorithms: AlgorithmMix {
@@ -728,17 +646,16 @@ impl AdsalaService {
         }
     }
 
-    /// Forget all memoised decisions and curves (e.g. after a machine
-    /// change). The counters and the evaluation count are preserved.
+    /// Forget all memoised decisions (e.g. after a machine change). The
+    /// counters and the evaluation count are preserved.
     pub fn clear_cache(&self) {
         self.cache.clear();
-        self.curves.clear();
     }
 }
 
 /// Render a caught panic payload as a message for
 /// [`AdsalaError::Execution`] details.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -750,7 +667,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// A model prediction in seconds as integer nanoseconds for
 /// [`OpStats::predicted_ns`] (0 for absent/absurd predictions).
-pub(crate) fn predicted_ns(predicted_runtime_s: f64) -> u64 {
+fn predicted_ns(predicted_runtime_s: f64) -> u64 {
     if predicted_runtime_s > 0.0 && predicted_runtime_s.is_finite() {
         (predicted_runtime_s * 1e9).round().max(0.0) as u64
     } else {

@@ -32,7 +32,7 @@
 //! (see [`crate::gemm`]'s module docs) — so a warm serving path performs
 //! zero packing-path heap allocations per request.
 
-use crate::gemm::{gemm_fused_with_stats_pooled, gemm_with_stats_pooled, FusedGemm, GemmCall};
+use crate::gemm::{gemm_with_stats_pooled, GemmCall};
 use crate::gemv::gemv_with_stats_pooled;
 use crate::plan::ExecutionPlan;
 use crate::pool::ThreadPool;
@@ -320,46 +320,6 @@ impl<'a, T: Element> GemmArgs<'a, T> {
         check_operand(r, "b", br, bc, self.ldb, self.b.len())?;
         check_operand(r, "c", self.m, self.n, self.ldc, self.c.len())
     }
-
-    /// `true` when `self` and `other` can execute as one fused dispatch:
-    /// identical shape and transposition, and literally the same stored
-    /// `B` operand (same buffer, same stride).
-    pub fn fusable_with(&self, other: &Self) -> bool {
-        self.fuse_key() == other.fuse_key()
-    }
-
-    /// This call's fusability class (see [`FuseKey`]).
-    pub fn fuse_key(&self) -> FuseKey {
-        FuseKey {
-            precision: T::PRECISION,
-            trans_a: self.trans_a,
-            trans_b: self.trans_b,
-            m: self.m,
-            n: self.n,
-            k: self.k,
-            ldb: self.ldb,
-            b_ptr: self.b.as_ptr() as usize,
-            b_len: self.b.len(),
-        }
-    }
-}
-
-/// The fusability class of a GEMM request: two requests with equal keys
-/// are [`GemmArgs::fusable_with`] each other, so a scheduler can group
-/// candidates by hashing this key instead of holding the requests
-/// themselves. The shared `B` operand is identified by address, so a key
-/// is only meaningful while that buffer is alive and in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FuseKey {
-    precision: Precision,
-    trans_a: Transpose,
-    trans_b: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    ldb: usize,
-    b_ptr: usize,
-    b_len: usize,
 }
 
 /// Operands of a SYRK call: `C ← α·A·Aᵀ + β·C`, lower triangle, row-major.
@@ -636,89 +596,6 @@ impl<T: Element> OpRequest<'_, T> {
             exec,
         }
     }
-
-    /// `true` when two validated requests can run as one fused dispatch:
-    /// both GEMMs of identical shape and transposition sharing one stored
-    /// `B` operand (see [`GemmArgs::fusable_with`]).
-    pub fn fusable_with(&self, other: &Self) -> bool {
-        match (self, other) {
-            (OpRequest::Gemm(x), OpRequest::Gemm(y)) => x.fusable_with(y),
-            _ => false,
-        }
-    }
-
-    /// This request's fusability class, or `None` for routines that never
-    /// fuse. Requests with equal `Some` keys are pairwise
-    /// [`OpRequest::fusable_with`].
-    pub fn fuse_key(&self) -> Option<FuseKey> {
-        match self {
-            OpRequest::Gemm(g) => Some(g.fuse_key()),
-            _ => None,
-        }
-    }
-
-    /// Execute a batch of validated, pairwise-fusable GEMM requests as
-    /// one fused pooled dispatch under a single plan: one decision, one
-    /// packed-B stream, N executes (see
-    /// [`crate::gemm::gemm_fused_with_stats_pooled`]). `plan.threads` is
-    /// the budget for the whole batch. Returns one [`OpStats`] per
-    /// request, in order; results are bitwise identical to executing the
-    /// requests one at a time.
-    ///
-    /// The batch is a slice of mutable references because the fused
-    /// requests of a scheduler live in different clients' frames rather
-    /// than one contiguous buffer.
-    ///
-    /// # Panics
-    /// Panics if the batch is not pairwise [`OpRequest::fusable_with`]
-    /// (callers group requests before dispatching).
-    pub fn execute_fused_refs_validated(
-        reqs: &mut [&mut Self],
-        pool: &ThreadPool,
-        plan: &ExecutionPlan,
-    ) -> Vec<OpStats> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        assert!(
-            reqs.windows(2).all(|w| w[0].fusable_with(w[1])),
-            "execute_fused_refs_validated: batch is not pairwise fusable"
-        );
-        let (call, b, ldb) = match &*reqs[0] {
-            OpRequest::Gemm(g) => (g.call(plan), g.b, g.ldb),
-            other => {
-                panic!("execute_fused_refs_validated: only GEMM fuses, got {}", other.routine())
-            }
-        };
-        let mut items: Vec<FusedGemm<'_, T>> = reqs
-            .iter_mut()
-            .map(|r| match &mut **r {
-                OpRequest::Gemm(g) => FusedGemm {
-                    alpha: g.alpha,
-                    a: g.a,
-                    lda: g.lda,
-                    beta: g.beta,
-                    c: &mut *g.c,
-                    ldc: g.ldc,
-                },
-                _ => unreachable!("batch checked Gemm-only above"),
-            })
-            .collect();
-        let execs = gemm_fused_with_stats_pooled(pool, &call, b, ldb, &mut items);
-        execs
-            .into_iter()
-            .map(|exec| OpStats {
-                routine: Routine::Gemm,
-                precision: T::PRECISION,
-                plan: *plan,
-                // The fused driver is blocked-only, so a non-blocked
-                // algorithm request degrades (and is reported as such).
-                plan_degraded: gemm_plan_degraded(plan, &exec),
-                predicted_ns: 0,
-                exec,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -881,63 +758,6 @@ mod tests {
         let stats = req.execute(&pool, &zplan).unwrap();
         assert_eq!(stats.exec.algorithm, Algorithm::ZOrder);
         assert!(!stats.plan_degraded);
-    }
-
-    #[test]
-    fn fused_requests_match_sequential_execution() {
-        let pool = ThreadPool::new(4);
-        let (m, n, k) = (48, 32, 24);
-        let b = fill(k * n, 20);
-        let a0 = fill(m * k, 21);
-        let a1 = fill(m * k, 22);
-        let plan = ExecutionPlan::with_threads(4);
-
-        let mut c0_ref = fill(m * n, 23);
-        let mut c1_ref = fill(m * n, 24);
-        let mut c0 = c0_ref.clone();
-        let mut c1 = c1_ref.clone();
-        // Fused batches split the budget evenly; match it per-op here.
-        let per_item = ExecutionPlan::with_threads(2);
-        OpRequest::from(GemmArgs::untransposed(m, n, k, 1.0, &a0, k, &b, n, 0.5, &mut c0_ref, n))
-            .execute(&pool, &per_item)
-            .unwrap();
-        OpRequest::from(GemmArgs::untransposed(m, n, k, 1.0, &a1, k, &b, n, 0.5, &mut c1_ref, n))
-            .execute(&pool, &per_item)
-            .unwrap();
-
-        let mut reqs: Vec<OpRequest<'_, f64>> = vec![
-            GemmArgs::untransposed(m, n, k, 1.0, &a0, k, &b, n, 0.5, &mut c0, n).into(),
-            GemmArgs::untransposed(m, n, k, 1.0, &a1, k, &b, n, 0.5, &mut c1, n).into(),
-        ];
-        assert!(reqs[0].fusable_with(&reqs[1]));
-        for r in &reqs {
-            r.validate().unwrap();
-        }
-        let mut refs: Vec<&mut OpRequest<'_, f64>> = reqs.iter_mut().collect();
-        let stats = OpRequest::execute_fused_refs_validated(&mut refs, &pool, &plan);
-        assert_eq!(stats.len(), 2);
-        assert!(stats.iter().all(|s| s.routine == Routine::Gemm && !s.plan_degraded));
-        drop(reqs);
-        assert_eq!(c0, c0_ref, "fused result 0 must match sequential execution");
-        assert_eq!(c1, c1_ref, "fused result 1 must match sequential execution");
-    }
-
-    #[test]
-    fn fusability_requires_same_shape_and_shared_b() {
-        let b = fill(64, 30);
-        let b_other = b.clone();
-        let a = fill(64, 31);
-        let mut c0 = vec![0.0f64; 64];
-        let mut c1 = vec![0.0f64; 64];
-        let mut c2 = vec![0.0f64; 64];
-        let r0: OpRequest<'_, f64> =
-            GemmArgs::untransposed(8, 8, 8, 1.0, &a, 8, &b, 8, 0.0, &mut c0, 8).into();
-        let same_b: OpRequest<'_, f64> =
-            GemmArgs::untransposed(8, 8, 8, 2.0, &a, 8, &b, 8, 1.0, &mut c1, 8).into();
-        let other_b: OpRequest<'_, f64> =
-            GemmArgs::untransposed(8, 8, 8, 1.0, &a, 8, &b_other, 8, 0.0, &mut c2, 8).into();
-        assert!(r0.fusable_with(&same_b), "scalars may differ across members");
-        assert!(!r0.fusable_with(&other_b), "distinct B buffers must not fuse");
     }
 
     #[test]

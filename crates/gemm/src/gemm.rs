@@ -1,18 +1,18 @@
 //! The blocked, packed, threaded loop nest — one copy of it — and the GEMM
 //! entry points over it.
 //!
-//! Every FLOP of GEMM, the fused batch, Z-order, Strassen's base case and
-//! SYRK goes through the same three stages:
+//! Every FLOP of GEMM, Z-order, Strassen's base case and SYRK goes through
+//! the same three stages:
 //!
 //! 1. **Prologue** (`Prologue::resolve`, `Member::new`): the plan's
 //!    micro-kernel, the cache blocks at that kernel's register tile clamped
 //!    to the shape, the wall clock, the operand views, the `C` bounds
 //!    asserts and the empty-shape [`GemmStats`].
-//! 2. **Task builder** (`run_tiles`): one worker per *member × grid row
-//!    × grid column*. A plain call is the one-member batch; one member on
-//!    a `1×1` grid runs inline on the caller's thread with nothing boxed.
-//!    The requested thread count is a *maximum*: like vendor BLAS, tiny
-//!    problems run on fewer threads (see [`ThreadGrid::choose`]).
+//! 2. **Task builder** (`run_tiles`): one worker per *grid row × grid
+//!    column*; a `1×1` grid runs inline on the caller's thread with
+//!    nothing boxed. The requested thread count is a *maximum*: like
+//!    vendor BLAS, tiny problems run on fewer threads (see
+//!    [`ThreadGrid::choose`]).
 //! 3. **Tile loop** (`tile_loop` → `row_panel_sweep`): `jc → pc → ic → jr
 //!    → ir` over a worker's tile of `C`, parameterised by where the packed
 //!    `B` block comes from (`BSource`) and how an accumulator tile reaches
@@ -45,14 +45,14 @@
 //! paper's Table VII exposes (`more_threads_pack_more_b_panels` pins it).
 //! When the plan's [`PackingStrategy`] allows it, the builder instead
 //! gives each grid column group one shared arena region and one
-//! [`PanelBarrier`] spanning every member's row groups: a rotating rank
-//! packs each block **once**, the barrier publishes it to the rest.
+//! [`PanelBarrier`] spanning its row groups: a rotating rank packs each
+//! block **once**, the barrier publishes it to the rest.
 //! `b_packed_bytes` drops from `O(ranks · k·n)` to `O(k·n)` while per-tile
 //! FLOP order — and therefore every result bit — is the private case's. A
-//! shared batch is gang-reserved on the pool
+//! shared grid is gang-reserved on the pool
 //! ([`ThreadPool::try_reserve_gang`]); when the pool cannot spare the
 //! workers the call packs privately rather than risk parking a barrier
-//! group behind its own queued members.
+//! group behind its own queued ranks.
 
 use std::marker::PhantomData;
 use std::time::Instant;
@@ -192,97 +192,9 @@ pub fn gemm_with_stats_pooled<T: Element>(
     }
 }
 
-/// One member of a fused same-shape batch: its own `A` and `C` operands
-/// (and scalars) for the `B` operand every member shares.
-///
-/// See [`gemm_fused_with_stats_pooled`].
-#[derive(Debug)]
-pub struct FusedGemm<'a, T: Element> {
-    /// Scale on the product.
-    pub alpha: T,
-    /// Stored `A` for this member.
-    pub a: &'a [T],
-    /// Row stride of stored `A`.
-    pub lda: usize,
-    /// Scale on the existing `C`.
-    pub beta: T,
-    /// Output `C` (`m×n`) for this member.
-    pub c: &'a mut [T],
-    /// Row stride of `C`.
-    pub ldc: usize,
-}
-
-/// Execute N same-shape GEMMs that share one stored `B` operand as a
-/// single gang-reserved pooled dispatch: one plan, one packed-B stream,
-/// N result matrices.
-///
-/// Every member becomes a rank in one barrier group per grid column, so
-/// each `kc×nc` B block is packed **once** for the whole batch instead of
-/// once per member — the co-scheduling layer uses this to collapse a
-/// flood of small same-shape ops into one decision and one copy of B
-/// traffic. `call` describes the shared shape/flags/plan;
-/// `call.plan.threads` is the budget for the *whole batch* (each member
-/// runs on `max(1, threads / N)` workers). Results are bitwise identical
-/// to running each member through [`gemm_with_stats_pooled`] on its own.
-///
-/// When the batch cannot gang-reserve enough workers (or the plan asks
-/// for independent packing) it degrades to executing the members
-/// sequentially through the ordinary pooled driver — identical results,
-/// counted in [`crate::PoolStats::gang_refused`]. A batch of one *is* the
-/// ordinary pooled driver.
-///
-/// # Panics
-/// Panics if a member's `C` buffer is too small for its described shape.
-pub fn gemm_fused_with_stats_pooled<T: Element>(
-    pool: &ThreadPool,
-    call: &GemmCall,
-    b: &[T],
-    ldb: usize,
-    items: &mut [FusedGemm<'_, T>],
-) -> Vec<GemmStats> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let (m, n, k) = (call.m, call.n, call.k);
-    // The batch splits the plan's thread budget evenly; every member uses
-    // the same grid, so their barrier sequences line up.
-    let per_item_threads = (call.threads() / items.len()).max(1);
-    let item_call = GemmCall { plan: call.plan.with_thread_count(per_item_threads), ..*call };
-    let pro = Prologue::<T>::resolve(&call.plan, m, n, k);
-    let grid = ThreadGrid::choose(per_item_threads, m, n, pro.blocks.mr, pro.blocks.nr);
-
-    let ranks = if m == 0 || n == 0 { 0 } else { grid.rows * items.len() };
-    let Some(_reservation) = reserve_gang(pool, &call.plan, ranks, grid.cols) else {
-        // Degraded path: same results, one member at a time, each free to
-        // gang-reserve (or not) on its own.
-        return items
-            .iter_mut()
-            .map(|it| {
-                drive(pool, &item_call, it.alpha, it.a, it.lda, b, ldb, it.beta, it.c, it.ldc)
-            })
-            .collect();
-    };
-
-    let b_view = operand_view(call.trans_b, b, k, n, ldb);
-    let members: Vec<Member<'_, T>> = items
-        .iter_mut()
-        .map(|it| {
-            let a_view = operand_view(call.trans_a, it.a, m, k, it.lda);
-            Member::new(a_view, m, n, it.alpha, it.beta, it.c, it.ldc)
-        })
-        .collect();
-    let rows = |r| grid.row_range(r, m);
-    // SAFETY: every member was checked for this `m×n`, the grid's row
-    // ranges partition `0..m`, and the reservation above covers every
-    // rank of every column group.
-    unsafe { run_tiles::<T, Full>(pool, &pro, &b_view, &members, grid, rows, true) };
-    members.iter().map(|member| pro.finish(&member.stats, grid)).collect()
-}
-
 /// The one blocked GEMM driver behind every public entry point (and the
 /// Strassen recursion's base case, which re-enters it directly so a base
-/// sub-problem can never re-dispatch on the algorithm axis): the
-/// one-member batch.
+/// sub-problem can never re-dispatch on the algorithm axis).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<T: Element>(
     pool: &ThreadPool,
@@ -306,10 +218,10 @@ pub(crate) fn drive<T: Element>(
     }
     let grid = ThreadGrid::choose(call.threads(), m, n, pro.blocks.mr, pro.blocks.nr);
     let gang = reserve_gang(pool, &call.plan, grid.rows, grid.cols);
-    let (members, rows) = (std::slice::from_ref(&member), |r| grid.row_range(r, m));
+    let rows = |r| grid.row_range(r, m);
     // SAFETY: `member` was checked for this `m×n`, the grid's row ranges
     // partition `0..m`, and `gang` (when held) covers the whole grid.
-    unsafe { run_tiles::<T, Full>(pool, &pro, &b_view, members, grid, rows, gang.is_some()) };
+    unsafe { run_tiles::<T, Full>(pool, &pro, &b_view, &member, grid, rows, gang.is_some()) };
     pro.finish(&member.stats, grid)
 }
 
@@ -438,8 +350,8 @@ fn operand_view<T: Element>(
     }
 }
 
-/// What every blocked entry point — GEMM, the fused batch, Z-order, SYRK
-/// — resolves from its plan before the first tile: the micro-kernel, the
+/// What every blocked entry point — GEMM, Z-order, SYRK — resolves from
+/// its plan before the first tile: the micro-kernel, the
 /// cache blocks at that kernel's register tile clamped to the shape, and
 /// the wall clock.
 pub(crate) struct Prologue<T> {
@@ -483,7 +395,7 @@ impl<T: Element> Prologue<T> {
         }
     }
 
-    /// One member's stats once its workers have been absorbed.
+    /// The call's stats once its workers have been absorbed.
     pub(crate) fn finish(&self, collector: &StatsCollector, grid: ThreadGrid) -> GemmStats {
         let wall_ns = self.start.elapsed().as_nanos() as u64;
         let kernel_stat = (self.kernel.isa, self.kernel.mr, self.kernel.nr);
@@ -491,9 +403,9 @@ impl<T: Element> Prologue<T> {
     }
 }
 
-/// One member of a blocked batch as its workers see it: the logical `A`
+/// A blocked call's operands as its workers see them: the logical `A`
 /// view, the checked `C` and the scalars, plus the collector its workers
-/// report into. A plain GEMM or SYRK call is a batch of one.
+/// report into.
 pub(crate) struct Member<'v, T: Element> {
     a: MatView<'v, T>,
     c: SendMutPtr<T>,
@@ -507,7 +419,7 @@ pub(crate) struct Member<'v, T: Element> {
 
 impl<'v, T: Element> Member<'v, T> {
     /// Check that `c` holds an `m×n` matrix at row stride `ldc` and take
-    /// it for the batch's lifetime.
+    /// it for the call's lifetime.
     ///
     /// # Panics
     /// Panics if `ldc < n` or the buffer is too small.
@@ -555,7 +467,7 @@ impl Merge for Full {
     }
 }
 
-/// Reserve the gang a shared-B batch needs — all `ranks` of each of its
+/// Reserve the gang a shared-B grid needs — all `ranks` of each of its
 /// `cols` column groups running at once — or `None`, and private packing,
 /// when the plan packs independently, a lone rank has nobody to share
 /// with, or the pool cannot spare the workers.
@@ -571,37 +483,36 @@ fn reserve_gang<'p>(
     pool.reserve_gang_backoff(ranks * cols)
 }
 
-/// The one task builder: run a worker for every *member × grid row × grid
-/// column*, each on its tile of its member's `C` — rows `rows(r)`, columns
-/// `grid.col_range(col, n)` — against the matching panels of `A` and of
-/// the `B` every member shares.
+/// The one task builder: run a worker for every *grid row × grid column*,
+/// each on its tile of `member`'s `C` — rows `rows(r)`, columns
+/// `grid.col_range(col, n)` — against the matching panels of `A` and `B`.
 ///
 /// `share_b` says the caller holds a [`reserve_gang`] reservation for
 /// exactly these workers; with it, each column group's `B` blocks are
 /// packed once into a shared region (module docs), without it every
-/// worker packs its own. One member on a `1×1` grid runs inline on the
-/// caller's thread and its thread-local arena, nothing boxed.
+/// worker packs its own. A `1×1` grid runs inline on the caller's thread
+/// and its thread-local arena, nothing boxed.
 ///
 /// # Safety
-/// Every member's `C` must have been checked by [`Member::new`] for the
-/// `m×n` of its `A` view's rows and `b`'s columns, and `rows(r)` for `r`
-/// in `0..grid.rows` must be pairwise disjoint, non-empty sub-ranges of
+/// `member`'s `C` must have been checked by [`Member::new`] for the `m×n`
+/// of its `A` view's rows and `b`'s columns, and `rows(r)` for `r` in
+/// `0..grid.rows` must be pairwise disjoint, non-empty sub-ranges of
 /// `0..m`, the same on every call. With `share_b`, the reservation on
-/// `pool` must cover `members.len() · grid.count()` workers (else a
-/// barrier group can park behind its own queued members), and `M` must
-/// leave every worker of a column group the same live columns.
+/// `pool` must cover `grid.count()` workers (else a barrier group can park
+/// behind its own queued ranks), and `M` must leave every worker of a
+/// column group the same live columns.
 pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
     pool: &ThreadPool,
     pro: &Prologue<T>,
     b: &MatView<'_, T>,
-    members: &[Member<'_, T>],
+    member: &Member<'_, T>,
     grid: ThreadGrid,
     rows: impl Fn(usize) -> (usize, usize) + Sync,
     share_b: bool,
 ) {
     let Prologue { kernel, blocks, .. } = pro;
     let (k, n) = (b.rows(), b.cols());
-    let ranks = grid.rows * members.len();
+    let ranks = grid.rows;
     let (a_len, b_len) = pack_buffer_lens(blocks);
     // Pad each column group's region to cache lines so groups never
     // false-share while one packs and another computes.
@@ -610,8 +521,7 @@ pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
 
     // One worker: `shared` is its column group's region base, barrier and
     // rank, or `None` to pack B privately.
-    let worker = |member: &Member<'_, T>,
-                  r: usize,
+    let worker = |r: usize,
                   col: usize,
                   shared: Option<(SendMutPtr<T>, &PanelBarrier, usize)>,
                   arena: &mut PackArena| {
@@ -638,14 +548,13 @@ pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
         let (c0, c1) = grid.col_range(col, n);
         // SAFETY: by this function's contract the tile (r0..r1) × (c0..c1)
         // lies inside the `C` that `Member::new` checked and is disjoint
-        // from every other worker's — across members because each `C` is
-        // its own `&mut` buffer, within one because the row and column
-        // ranges partition it — and the pool blocks until every worker
-        // returns, keeping the borrows alive. A shared region is written
-        // only by the block's packing rank between barrier generations and
-        // read by its group only after the publish barrier; groups use
-        // disjoint, padded regions of an arena that outlives the run; and
-        // all `ranks` of a group share one `b` view, `ns` and `k`, so their
+        // from every other worker's, because the row and column ranges
+        // partition it, and the pool blocks until every worker returns,
+        // keeping the borrows alive. A shared region is written only by
+        // the block's packing rank between barrier generations and read by
+        // its group only after the publish barrier; groups use disjoint,
+        // padded regions of an arena that outlives the run; and all
+        // `ranks` of a group share one `b` view, `ns` and `k`, so their
         // barrier sequences are identical.
         unsafe {
             tile_loop::<T, M>(
@@ -669,8 +578,8 @@ pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
         member.stats.absorb(&local);
     };
 
-    if ranks * grid.cols == 1 {
-        with_thread_arena(|arena| worker(&members[0], 0, 0, None, arena));
+    if grid.count() == 1 {
+        with_thread_arena(|arena| worker(0, 0, None, arena));
         return;
     }
 
@@ -683,30 +592,23 @@ pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
     let ws = pool.workspace();
     let mut shared_return =
         share_b.then(|| RestoreSharedOnDrop { ws, arena: Some(ws.checkout_shared()) });
-    // With it go one barrier per column group, each spanning ALL members'
-    // row groups: rank `idx·rows + r` packs the blocks whose index lands
-    // on it, so the whole batch shares one packed-B stream per column.
+    // With it go one barrier per column group, spanning its row groups:
+    // rank `r` packs the blocks whose index lands on it.
     let shared = shared_return.as_mut().map(|guard| {
         let (all, reused) = guard.arena_mut().checkout_elems::<T>(region_elems * grid.cols);
         let warm = ThreadLocalStats { arena_bytes_reused: reused, ..Default::default() };
-        members[0].stats.absorb(&warm);
+        member.stats.absorb(&warm);
         let barriers: Vec<PanelBarrier> =
             (0..grid.cols).map(|_| PanelBarrier::new(ranks)).collect();
         (SendMutPtr(all.as_mut_ptr()), barriers)
     });
 
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranks * grid.cols);
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(grid.count());
     for col in 0..grid.cols {
-        for (idx, member) in members.iter().enumerate() {
-            for r in 0..grid.rows {
-                let shared = shared
-                    .as_ref()
-                    .map(|(base, barriers)| (*base, &barriers[col], idx * grid.rows + r));
-                let worker = &worker;
-                tasks.push(Box::new(move || {
-                    ws.with_arena(|arena| worker(member, r, col, shared, arena));
-                }));
-            }
+        for r in 0..grid.rows {
+            let shared = shared.as_ref().map(|(base, barriers)| (*base, &barriers[col], r));
+            let worker = &worker;
+            tasks.push(Box::new(move || ws.with_arena(|arena| worker(r, col, shared, arena))));
         }
     }
     pool.scope_execute(tasks);
@@ -1601,99 +1503,6 @@ mod tests {
             gemm_with_stats_pooled(&pool, &call, 1.0, &a, m, &b, m, 0.0, &mut c, m);
             assert_eq!(c, first);
         }
-    }
-
-    #[test]
-    fn fused_batch_matches_per_item_execution_bitwise() {
-        let pool = crate::pool::ThreadPool::new(8);
-        let (m, n, k) = (96usize, 64usize, 80usize);
-        let b = fill(k * n, 90);
-        let n_items = 4;
-        let a_mats: Vec<Vec<f64>> = (0..n_items).map(|i| fill(m * k, 91 + i as u64)).collect();
-        let c_init: Vec<Vec<f64>> = (0..n_items).map(|i| fill(m * n, 95 + i as u64)).collect();
-
-        // Reference: each op through the ordinary pooled driver at the
-        // same per-item thread count the fused batch will use.
-        let call = GemmCall::new(m, n, k, 8);
-        let item_call = GemmCall::new(m, n, k, 2); // 8 threads / 4 items
-        let mut reference = c_init.clone();
-        let mut ref_stats = Vec::new();
-        for (a, c) in a_mats.iter().zip(reference.iter_mut()) {
-            ref_stats.push(gemm_with_stats_pooled(&pool, &item_call, 1.25, a, k, &b, n, 0.5, c, n));
-        }
-
-        let mut fused_c = c_init.clone();
-        let mut items: Vec<FusedGemm<'_, f64>> = a_mats
-            .iter()
-            .zip(fused_c.iter_mut())
-            .map(|(a, c)| FusedGemm { alpha: 1.25, a, lda: k, beta: 0.5, c, ldc: n })
-            .collect();
-        let stats = gemm_fused_with_stats_pooled(&pool, &call, &b, n, &mut items);
-        assert_eq!(stats.len(), n_items);
-        assert_eq!(fused_c, reference, "fusion must not change results");
-
-        // The whole batch shares one packed-B stream: total packed B
-        // equals ONE op's worth (at the same grid), and every other
-        // member accounts the copies it skipped.
-        let packed: u64 = stats.iter().map(|s| s.b_packed_bytes).sum();
-        let shared: u64 = stats.iter().map(|s| s.b_pack_shared).sum();
-        let single = &ref_stats[0];
-        assert_eq!(packed, single.b_packed_bytes, "B must be packed once for the whole batch");
-        assert_eq!(
-            packed + shared,
-            (single.b_packed_bytes + single.b_pack_shared) * n_items as u64,
-            "copy volume must be conserved across the batch"
-        );
-    }
-
-    #[test]
-    fn fused_batch_falls_back_when_gang_unavailable() {
-        // A 2-worker pool cannot gang 4 members: the fused driver must
-        // degrade to sequential per-item execution with equal results.
-        let pool = crate::pool::ThreadPool::new(2);
-        let _hold = pool.try_reserve_gang(1).expect("shrink the gang capacity");
-        let (m, n, k) = (64usize, 48usize, 32usize);
-        let b = fill(k * n, 70);
-        let a_mats: Vec<Vec<f64>> = (0..4).map(|i| fill(m * k, 71 + i as u64)).collect();
-        let mut reference: Vec<Vec<f64>> = (0..4).map(|_| vec![0.0f64; m * n]).collect();
-        for (a, c) in a_mats.iter().zip(reference.iter_mut()) {
-            gemm_with_stats_pooled(&pool, &GemmCall::new(m, n, k, 1), 1.0, a, k, &b, n, 0.0, c, n);
-        }
-        let refused_before = pool.stats().gang_refused;
-        let mut fused_c: Vec<Vec<f64>> = (0..4).map(|_| vec![0.0f64; m * n]).collect();
-        let mut items: Vec<FusedGemm<'_, f64>> = a_mats
-            .iter()
-            .zip(fused_c.iter_mut())
-            .map(|(a, c)| FusedGemm { alpha: 1.0, a, lda: k, beta: 0.0, c, ldc: n })
-            .collect();
-        let stats =
-            gemm_fused_with_stats_pooled(&pool, &GemmCall::new(m, n, k, 4), &b, n, &mut items);
-        assert_eq!(stats.len(), 4);
-        assert_eq!(fused_c, reference, "fallback must not change results");
-        assert!(pool.stats().gang_refused > refused_before, "the refusal must be counted");
-    }
-
-    #[test]
-    fn fused_single_item_matches_plain_pooled_driver() {
-        let pool = crate::pool::ThreadPool::new(4);
-        let (m, n, k) = (128usize, 96usize, 64usize);
-        let a = fill(m * k, 11);
-        let b = fill(k * n, 12);
-        let mut c_plain = fill(m * n, 13);
-        let mut c_fused = c_plain.clone();
-        let call = GemmCall::new(m, n, k, 4);
-        let plain = gemm_with_stats_pooled(&pool, &call, 2.0, &a, k, &b, n, -0.5, &mut c_plain, n);
-        let mut items =
-            vec![FusedGemm { alpha: 2.0, a: &a, lda: k, beta: -0.5, c: &mut c_fused, ldc: n }];
-        // One item keeps the whole thread budget: a batch of one is the
-        // plain driver, down to its grid and copy-volume counters.
-        let fused = gemm_fused_with_stats_pooled(&pool, &call, &b, n, &mut items);
-        assert_eq!(c_fused, c_plain);
-        assert_eq!(fused.len(), 1);
-        assert_eq!(fused[0].b_packed_bytes, plain.b_packed_bytes);
-        assert_eq!(fused[0].b_pack_shared, plain.b_pack_shared);
-        assert_eq!(fused[0].threads_used, plain.threads_used);
-        assert_eq!((fused[0].grid_rows, fused[0].grid_cols), (plain.grid_rows, plain.grid_cols));
     }
 
     #[test]

@@ -16,14 +16,13 @@
 //!
 //! That anatomy exists once: [`gemm`] holds the one blocked loop nest —
 //! a prologue (kernel, blocks, views, bounds checks), a task builder over
-//! *members × thread grid*, and a tile loop parameterised by where the
-//! packed `B` block comes from and by a statically dispatched merge — and
-//! GEMM, the fused same-`B` batch, Strassen's base case, Z-order and SYRK
-//! are entry points over it (GEMV, which packs nothing, has its own
+//! the thread grid, and a tile loop parameterised by where the packed `B`
+//! block comes from and by a statically dispatched merge — and GEMM,
+//! Strassen's base case, Z-order and SYRK are entry points over it (GEMV, which packs nothing, has its own
 //! driver). Every threaded call runs on a persistent [`ThreadPool`]. The
 //! public entry points are [`gemm_with_stats`] (the process-wide
 //! [`ThreadPool::global`]), [`gemm_with_stats_pooled`] (a pool the caller
-//! owns) and [`gemm_fused_with_stats_pooled`], their SYRK/GEMV siblings,
+//! owns), their SYRK/GEMV siblings,
 //! and the typed [`OpRequest`] descriptors over all of them; each reports
 //! a [`GemmStats`] breakdown (bytes packed, kernel calls, the thread grid)
 //! so experiments can observe the same quantities the paper pulled out of
@@ -53,13 +52,10 @@ pub mod workspace;
 
 pub use blocking::{BlockSizes, CacheInfo};
 pub use dispatch::{
-    FuseKey, GemmArgs, GemvArgs, OpRequest, OpShape, OpStats, Precision, Routine, ShapeError,
-    SyrkArgs,
+    GemmArgs, GemvArgs, OpRequest, OpShape, OpStats, Precision, Routine, ShapeError, SyrkArgs,
 };
 pub use fault::FaultPlan;
-pub use gemm::{
-    gemm_fused_with_stats_pooled, gemm_with_stats, gemm_with_stats_pooled, FusedGemm, GemmCall,
-};
+pub use gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
 pub use gemv::{gemv_with_stats, gemv_with_stats_pooled};
 pub use isa::{Kernel, KernelIsa};
 pub use plan::{

@@ -40,10 +40,10 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Counter snapshot of one [`ThreadPool`]'s gang-reservation traffic.
 ///
-/// `gang_refused` is the silent-degradation signal the co-scheduling
-/// layer exists to eliminate: every refusal means a barrier-using batch
-/// fell back to independent (duplicated) B packing because concurrent
-/// callers had already reserved the workers it wanted.
+/// `gang_refused` is the silent-degradation signal: every refusal means a
+/// barrier-using batch fell back to independent (duplicated) B packing
+/// because concurrent callers had already reserved the workers it
+/// wanted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Worker threads in the pool.

@@ -80,10 +80,9 @@ pub fn syrk_with_stats_pooled<T: Element>(
     let bands = band_edges(m, threads.max(1), pro.blocks.mr);
     let grid = ThreadGrid { rows: bands.len() - 1, cols: 1 };
     let rows = |band: usize| (bands[band], bands[band + 1]);
-    let members = std::slice::from_ref(&member);
     // SAFETY: `member` was checked for this `m×m`, and `band_edges` ascend
     // strictly from 0 to `m`, so the bands partition the rows.
-    unsafe { run_tiles::<T, LowerTriangle>(pool, &pro, &a_view.t(), members, grid, rows, false) };
+    unsafe { run_tiles::<T, LowerTriangle>(pool, &pro, &a_view.t(), &member, grid, rows, false) };
     pro.finish(&member.stats, grid)
 }
 

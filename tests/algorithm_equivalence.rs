@@ -10,7 +10,7 @@
 //!   blocked driver bitwise (same kernels, same per-tile update order).
 //! * Plan-pinned algorithm execution flows through the serving stack:
 //!   `AdsalaService::run_pinned` honours an eligible Strassen plan, and
-//!   the co-scheduler reports executed algorithms into the service mix.
+//!   the scheduler reports executed algorithms into the service mix.
 //! * The committed v3 artefact fixture (uniform block scales, no
 //!   algorithm axis) must migrate to schema v4 and decide bit-for-bit
 //!   like the build that wrote it.
@@ -253,9 +253,9 @@ fn learned_non_blocked_decision_executes_as_decided() {
     }
 }
 
-/// Ops routed through the co-scheduler report their executed algorithm
-/// into the wrapped service's mix (the scheduler executes on the pool
-/// directly, so it must feed the telemetry itself).
+/// Ops routed through the scheduler report their executed algorithm into
+/// the wrapped service's mix (each is a `run_with` call, so it feeds the
+/// same telemetry).
 #[test]
 fn scheduler_reports_executed_algorithms_into_the_service_mix() {
     let svc = Arc::new(fixture_service());

@@ -1,8 +1,8 @@
 //! Chaos and deadline tests for the fault-tolerance layer: injected
 //! kernel panics must never escape to a client, the pool must respawn
-//! dead workers and keep its packing arenas allocation-steady, expired
-//! deadlines must shed queued work with an honest `Timeout`, and a
-//! corrupted artifact must be refused at load.
+//! dead workers and keep its packing arenas allocation-steady, an op
+//! whose deadline passes before it starts must be refused with an honest
+//! `Timeout`, and a corrupted artifact must be refused at load.
 //!
 //! Fault state (`adsala_gemm::fault::set_plan`) is process-global, so
 //! every test that installs a plan serializes on one mutex and clears
@@ -277,18 +277,16 @@ fn packing_arenas_stay_allocation_steady_after_a_panic() {
     assert!(pool_after.bytes_reused > pool_before.bytes_reused, "steady state never reused");
 }
 
-/// One injected kernel panic must be booked identically whichever path
-/// serves the op: `service.run`, a solo scheduler dispatch, or a fused
-/// pair (where the gang unwinds together: one panic per dispatch, then
-/// one degraded retry — and so one plan downgrade and one blocked-mix
-/// tally — per op).
+/// One injected kernel panic must be booked identically whichever front
+/// door serves the op: `service.run` or the scheduler, which admits the op
+/// and hands it to the same serve stage.
 #[test]
 fn injected_panic_is_booked_identically_by_service_and_scheduler() {
     let _lock = hold_fault_lock();
     let (m, n, k) = (64usize, 48usize, 32usize);
     let b = fill(k * n, 72);
-    let a_mats = [fill(m * k, 70), fill(m * k, 71)];
-    let c_refs: Vec<Vec<f32>> = a_mats.iter().map(|a| serial_reference(m, n, k, a, &b)).collect();
+    let a = fill(m * k, 70);
+    let c_ref = serial_reference(m, n, k, &a, &b);
     // (panics_recovered, degraded_retries, plan_downgrades, blocked ops)
     let booked = |s: &ServiceStats| {
         assert_eq!((s.algorithms.strassen, s.algorithms.zorder, s.execution_failures), (0, 0, 0));
@@ -303,79 +301,26 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
         let svc = service(2);
         let mut c = vec![f32::NAN; m * n];
         let mut req: OpRequest<'_, f32> =
-            GemmArgs::untransposed(m, n, k, 1.0, &a_mats[0], k, &b, n, 0.0, &mut c, n).into();
+            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
         let (_, stats) = svc.run(&mut req).expect("service.run must recover");
         assert!(stats.plan_degraded);
-        assert_close(&c, &c_refs[0], "service.run recovered result");
+        assert_close(&c, &c_ref, "service.run recovered result");
         assert_eq!(plan.injected_panics(), 1);
         let per_op = booked(&svc.stats());
         assert_eq!(per_op, (1, 1, 1, 1));
         per_op
     };
 
-    {
-        let (_guard, plan) = arm(spec);
-        let sched = ServiceScheduler::new(Arc::new(service(2)));
-        let mut c = vec![f32::NAN; m * n];
-        let mut req: OpRequest<'_, f32> =
-            GemmArgs::untransposed(m, n, k, 1.0, &a_mats[0], k, &b, n, 0.0, &mut c, n).into();
-        let run = sched.submit(&mut req).expect("solo submit must recover");
-        assert!(!run.fused && run.stats.plan_degraded);
-        assert_close(&c, &c_refs[0], "solo recovered result");
-        assert_eq!(plan.injected_panics(), 1);
-        assert_eq!(booked(&sched.stats().service), per_op, "solo dispatch books differently");
-    }
-
-    // Fused pair: a SYRK blocker (its `k` is below the fault's threshold,
-    // the pair's is not) fills the 2-thread budget while both same-shape
-    // shared-B GEMMs queue behind it, so they are admitted as one fused
-    // unit. The blocker's pool jobs wait behind a stall that is released
-    // once the pair is queued, so the interleaving does not depend on how
-    // long a SYRK takes.
-    let (_guard, plan) = arm("panic:k>=32:count=1,stall:ms=30000");
-    let sched = ServiceScheduler::with_config(
-        Arc::new(service(2)),
-        SchedulerConfig { thread_budget: 2, ..SchedulerConfig::default() },
-    );
-    let (bm, bk) = (1024usize, 16usize);
-    let blocker_a: Vec<f64> = (0..bm * bk).map(|i| (i % 13) as f64 - 6.0).collect();
-    std::thread::scope(|scope| {
-        let (sched, blocker_a, b) = (&sched, &blocker_a, &b);
-        scope.spawn(move || {
-            let mut c = vec![0.0f64; bm * bm];
-            let mut req: OpRequest<'_, f64> = SyrkArgs {
-                m: bm,
-                k: bk,
-                alpha: 1.0,
-                a: blocker_a,
-                lda: bk,
-                beta: 0.0,
-                c: &mut c,
-                ldc: bm,
-            }
-            .into();
-            let run = sched.submit(&mut req).expect("blocker syrk");
-            assert_eq!(run.plan.threads, 2, "test precondition: the blocker must fill the budget");
-        });
-        wait_for("the blocker to hold the budget", || sched.stats().in_flight_threads == 2);
-        for (a, c_ref) in a_mats.iter().zip(&c_refs) {
-            scope.spawn(move || {
-                let mut c = vec![f32::NAN; m * n];
-                let mut req: OpRequest<'_, f32> =
-                    GemmArgs::untransposed(m, n, k, 1.0, a, k, b, n, 0.0, &mut c, n).into();
-                let run = sched.submit(&mut req).expect("fused member must recover");
-                assert!(run.fused && run.stats.plan_degraded, "{run:?}");
-                assert_close(&c, c_ref, "fused recovered result");
-            });
-        }
-        wait_for("the pair to queue", || sched.stats().queue_depth == a_mats.len());
-        plan.release_stalls();
-    });
+    let (_guard, plan) = arm(spec);
+    let sched = ServiceScheduler::new(Arc::new(service(2)));
+    let mut c = vec![f32::NAN; m * n];
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+    let run = sched.submit(&mut req).expect("scheduled submit must recover");
+    assert!(!run.fused && run.stats.plan_degraded);
+    assert_close(&c, &c_ref, "scheduled recovered result");
     assert_eq!(plan.injected_panics(), 1);
-    let (panics, retries, downgrades, blocked) = booked(&sched.stats().service);
-    assert_eq!(panics, per_op.0, "a gang panic is one panic");
-    // Two recovered members, plus the blocker's clean blocked run.
-    assert_eq!((retries, downgrades, blocked), (2 * per_op.1, 2 * per_op.2, 2 * per_op.3 + 1));
+    assert_eq!(booked(&sched.stats().service), per_op, "the scheduler books differently");
 }
 
 /// The blocked loop nest exists once, so its fault hook covers what used
@@ -484,37 +429,40 @@ fn injected_panic_reaches_gemv_rows() {
     );
 }
 
-/// A deadlined `submit_with` under a stalled wave: an occupier holds the whole
-/// thread budget behind injected worker stalls, so a small op's
-/// deadline expires while it is still queued. It must come back as a
-/// clean `Timeout` with its output untouched and be counted as shed —
-/// and the occupier itself must still complete.
+/// The occupier of the gate tests' stall set-up: a 256³ GEMM capped at 4
+/// threads, submitted first, whose pool jobs stall behind the installed
+/// plan and so hold the 4-worker service's workers.
+fn occupier(sched: &ServiceScheduler, seed: u64) -> ScheduledRun {
+    let (m, n, k) = (256usize, 256usize, 256usize);
+    let a = fill(m * k, seed);
+    let b = fill(k * n, seed + 1);
+    let mut c = vec![0.0f32; m * n];
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+    sched
+        .submit_with(&mut req, RunOptions::with_host_cap(4))
+        .expect("stalled occupier must still complete")
+}
+
+/// A deadlined `submit_with` at a full gate: an occupier holds the only
+/// admission slot (`max_queue: 1`) behind injected worker stalls, so a
+/// small op's deadline expires while it waits at the gate. It must come
+/// back as a clean `Timeout` with its output untouched and be counted as
+/// shed — and the occupier itself must still complete.
 #[test]
 fn submit_within_times_out_under_a_stalled_wave() {
     let (_lock, _guard, plan) = install("stall:ms=300:count=4");
     let svc = Arc::new(service(4));
     let sched = ServiceScheduler::with_config(
         Arc::clone(&svc),
-        SchedulerConfig { thread_budget: 4, ..SchedulerConfig::default() },
+        SchedulerConfig { thread_budget: 4, max_queue: 1, ..SchedulerConfig::default() },
     );
 
     std::thread::scope(|scope| {
         let sched = &sched;
-        let occupier = scope.spawn(move || {
-            let (m, n, k) = (256usize, 256usize, 256usize);
-            let a = fill(m * k, 31);
-            let b = fill(k * n, 32);
-            let mut c = vec![0.0f32; m * n];
-            let mut req: OpRequest<'_, f32> =
-                GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-            sched
-                .submit_with(&mut req, RunOptions::with_host_cap(4))
-                .expect("stalled occupier must still complete")
-        });
+        let occupier = scope.spawn(move || occupier(sched, 31));
+        wait_for("the occupier to stall on the workers", || plan.injected_stalls() >= 1);
 
-        // Let the occupier get admitted and hit the worker stalls, then
-        // ask for a slice of budget it cannot get within 50 ms.
-        std::thread::sleep(Duration::from_millis(100));
         let (m, n, k) = (48usize, 48usize, 64usize);
         let a = fill(m * k, 33);
         let b = fill(k * n, 34);
@@ -526,7 +474,7 @@ fn submit_within_times_out_under_a_stalled_wave() {
             Err(AdsalaError::Timeout(msg)) => {
                 assert!(msg.contains("shed"), "unexpected timeout message: {msg}")
             }
-            other => panic!("expected Timeout for the queued op, got {other:?}"),
+            other => panic!("expected Timeout at the full gate, got {other:?}"),
         }
         assert!(c.iter().all(|&x| x == 7.0), "shed op touched its output");
 
@@ -534,15 +482,59 @@ fn submit_within_times_out_under_a_stalled_wave() {
         assert!(run.stats.exec.threads_used >= 2, "occupier never occupied the workers");
     });
 
-    assert!(plan.injected_stalls() >= 1, "no stall was injected");
     let stats = sched.stats();
-    assert!(stats.shed_expired >= 1, "shed op not counted: {stats:?}");
+    assert_eq!(
+        (stats.admission_waits, stats.shed_expired),
+        (1, 1),
+        "shed op not counted: {stats:?}"
+    );
     assert_eq!(stats.completed, 1, "occupier not completed: {stats:?}");
 }
 
-/// A queued op whose deadline has already passed is shed by the wave
-/// planner's sweep before any planning happens — deterministically, no
-/// faults required — and the shed is counted, not silent.
+/// The gate counts ops, not threads: on the same stall set-up, with the
+/// occupier holding every worker, a small op capped at one thread is
+/// admitted at once, runs inline on its caller well inside a 50 ms
+/// deadline and returns the serial reference's result.
+#[test]
+fn small_op_is_not_held_behind_an_occupier() {
+    let (_lock, _guard, plan) = install("stall:ms=300:count=4");
+    let svc = Arc::new(service(4));
+    let sched = ServiceScheduler::with_config(
+        Arc::clone(&svc),
+        SchedulerConfig { thread_budget: 4, ..SchedulerConfig::default() },
+    );
+
+    std::thread::scope(|scope| {
+        let sched = &sched;
+        let occupier = scope.spawn(move || occupier(sched, 31));
+        wait_for("the occupier to stall on the workers", || plan.injected_stalls() >= 1);
+
+        let (m, n, k) = (48usize, 48usize, 64usize);
+        let a = fill(m * k, 33);
+        let b = fill(k * n, 34);
+        let c_ref = serial_reference(m, n, k, &a, &b);
+        let mut c = vec![7.0f32; m * n];
+        let mut req: OpRequest<'_, f32> =
+            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+        let deadline = Instant::now() + Duration::from_millis(50);
+        let opts = RunOptions::with_host_cap(1).with_deadline(deadline);
+        let run = sched.submit_with(&mut req, opts).expect("small op held behind the occupier");
+        assert_eq!(run.stats.exec.threads_used, 1, "{run:?}");
+        assert_close(&c, &c_ref, "small op result");
+
+        let run = occupier.join().expect("occupier thread");
+        assert!(run.stats.exec.threads_used >= 2, "occupier never occupied the workers");
+    });
+
+    let stats = sched.stats();
+    assert_eq!((stats.admission_waits, stats.shed_expired), (0, 0), "{stats:?}");
+    assert_eq!(stats.completed, 2, "{stats:?}");
+}
+
+/// An op whose deadline has already passed is refused before it starts —
+/// deterministically, no faults required. The gate is open, so the op is
+/// admitted and `run_with` refuses it: counted as the service's deadline
+/// miss, not silent, with its output untouched.
 #[test]
 fn expired_deadline_is_shed_by_the_wave_planner() {
     let svc = Arc::new(service(2));
@@ -558,20 +550,20 @@ fn expired_deadline_is_shed_by_the_wave_planner() {
         Err(AdsalaError::Timeout(_)) => {}
         other => panic!("expected Timeout for the expired op, got {other:?}"),
     }
-    assert!(c.iter().all(|&x| x == 7.0), "shed op touched its output");
+    assert!(c.iter().all(|&x| x == 7.0), "refused op touched its output");
     let stats = sched.stats();
-    assert_eq!(stats.shed_expired, 1);
+    assert_eq!((stats.service.deadline_misses, stats.shed_expired), (1, 0), "{stats:?}");
     assert_eq!(stats.completed, 0);
-    assert_eq!(stats.queue_depth, 0, "shed ticket still queued: {stats:?}");
+    assert_eq!(stats.queue_depth, 0, "refused op still waiting: {stats:?}");
 }
 
-/// `SchedulerConfig::admission_timeout` bounds the wait at a full
-/// admission queue: while a stalled occupier pins the budget and a
-/// second op fills the queue, a plain `submit` must give up after the
-/// configured timeout instead of blocking forever.
+/// `SchedulerConfig::admission_timeout` bounds the wait at a full gate:
+/// while a stalled occupier holds the only admission slot, each plain
+/// `submit` behind it must give up after the configured timeout instead
+/// of blocking until the stalls release.
 #[test]
 fn admission_gate_honors_the_configured_timeout() {
-    let (_lock, _guard, _plan) = install("stall:ms=300:count=8");
+    let (_lock, _guard, plan) = install("stall:ms=300:count=8");
     let svc = Arc::new(service(4));
     let sched = ServiceScheduler::with_config(
         Arc::clone(&svc),
@@ -584,50 +576,32 @@ fn admission_gate_honors_the_configured_timeout() {
 
     std::thread::scope(|scope| {
         let sched = &sched;
-        let occupier = scope.spawn(move || {
-            let (m, n, k) = (256usize, 256usize, 256usize);
-            let a = fill(m * k, 51);
-            let b = fill(k * n, 52);
-            let mut c = vec![0.0f32; m * n];
-            let mut req: OpRequest<'_, f32> =
-                GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-            sched.submit_with(&mut req, RunOptions::with_host_cap(4)).expect("occupier")
-        });
-        std::thread::sleep(Duration::from_millis(60));
-        let filler = scope.spawn(move || {
-            let (m, n, k) = (96usize, 96usize, 96usize);
-            let a = fill(m * k, 53);
-            let b = fill(k * n, 54);
-            let mut c = vec![0.0f32; m * n];
-            let mut req: OpRequest<'_, f32> =
-                GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-            sched.submit(&mut req).expect("queued filler must eventually run")
-        });
-        std::thread::sleep(Duration::from_millis(60));
+        let occupier = scope.spawn(move || occupier(sched, 51));
+        wait_for("the occupier to stall on the workers", || plan.injected_stalls() >= 1);
 
-        // Queue is full (the filler) and the budget is pinned (the
-        // occupier): the gate must refuse after ~50 ms, long before the
-        // 300 ms stalls release anything.
-        let (m, n, k) = (64usize, 64usize, 64usize);
-        let a = fill(m * k, 55);
-        let b = fill(k * n, 56);
-        let mut c = vec![0.0f32; m * n];
-        let mut req: OpRequest<'_, f32> =
-            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-        match sched.submit(&mut req) {
-            Err(AdsalaError::Timeout(msg)) => {
-                assert!(msg.contains("admission"), "unexpected timeout message: {msg}")
+        // Two submits in turn, each refused after ~50 ms, long before the
+        // 300 ms stalls release the slot.
+        for (seed, (m, n, k)) in [(53, (96usize, 96usize, 96usize)), (55, (64, 64, 64))] {
+            let a = fill(m * k, seed);
+            let b = fill(k * n, seed + 1);
+            let mut c = vec![0.0f32; m * n];
+            let mut req: OpRequest<'_, f32> =
+                GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+            match sched.submit(&mut req) {
+                Err(AdsalaError::Timeout(msg)) => {
+                    assert!(msg.contains("admission"), "unexpected timeout message: {msg}")
+                }
+                other => panic!("expected Timeout at the admission gate, got {other:?}"),
             }
-            other => panic!("expected Timeout at the admission gate, got {other:?}"),
         }
 
         occupier.join().expect("occupier thread");
-        filler.join().expect("filler thread");
     });
 
     let stats = sched.stats();
-    assert_eq!(stats.admission_timeouts, 1, "gate timeout not counted: {stats:?}");
-    assert_eq!(stats.completed, 2, "occupier/filler lost: {stats:?}");
+    assert_eq!(stats.admission_timeouts, 2, "gate timeouts not counted: {stats:?}");
+    assert_eq!(stats.shed_expired, 0, "{stats:?}");
+    assert_eq!(stats.completed, 1, "occupier lost: {stats:?}");
 }
 
 /// Service-level deadline: a call whose deadline has already passed is

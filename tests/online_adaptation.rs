@@ -311,11 +311,10 @@ fn online_adapter_retrains_and_swaps_in_background() {
     adapter.shutdown();
 }
 
-/// The co-scheduler is a front door too: while the detector is tripped a
-/// scheduled request is planned from the conservative row alone — the
-/// widest threads-only plan inside the thread budget, never fused, counted
-/// as a drift fallback — and the learned plan is back the moment the
-/// detector is reset.
+/// The scheduler is a front door too: while the detector is tripped a
+/// scheduled request runs the conservative plan — the widest threads-only
+/// plan inside the thread budget, counted as a drift fallback — and the
+/// learned plan is back the moment the detector is reset.
 #[test]
 fn scheduled_requests_honour_the_drift_detector() {
     const BUDGET: usize = 3;
@@ -363,7 +362,6 @@ fn scheduled_requests_honour_the_drift_detector() {
     assert_eq!(run.plan, ExecutionPlan::with_threads(widest));
     assert_eq!(run.plan, conservative.plan);
     assert!(run.plan.is_threads_only());
-    assert!(!run.fused);
     assert_eq!(run.predicted_runtime_s.to_bits(), conservative.predicted_runtime_s.to_bits());
     assert_eq!(service.stats().drift_fallbacks, 1);
 
