@@ -12,7 +12,9 @@
 //!    [`SchedulerConfig::thread_budget`]. It decides, executes, observes
 //!    and recovers exactly like a direct `run_with`: the same memo, the
 //!    same drift gate and the same panic boundary, so the scheduler adds
-//!    no serving path of its own.
+//!    no serving path of its own. The budget is each op's ceiling; while
+//!    other ops are in flight, `run_with` lowers it further to the op's
+//!    share of the pool, as it does for a direct call.
 //!
 //! The gate counts ops, not threads. Admitting by the threads of each
 //! op's plan would park a small op until a wide one's threads came back,
@@ -46,7 +48,8 @@ pub struct SchedulerConfig {
     /// order. Must be ≥ 1.
     pub max_queue: usize,
     /// Cap on each admitted op's threads; 0 means the service pool's
-    /// worker count. The cap applies per op and does not sum across ops.
+    /// worker count. The cap applies per op and does not sum across ops;
+    /// under load the op's share of the pool lowers it further.
     pub thread_budget: usize,
     /// Upper bound on any submit's wait at the gate, regardless of the
     /// call's own deadline. `None` lets a submit wait as long as its

@@ -68,9 +68,25 @@
 //! honor deadlines too. The counters (`panics_recovered`,
 //! `degraded_retries`, `execution_failures`, `deadline_misses`) land in
 //! [`ServiceStats`].
+//!
+//! **Sharing the pool.** The model prices each plan for a node the call
+//! has to itself, as the paper's install does. Under concurrency it does
+//! not: an op that asks for every worker while others hold them spends
+//! its time waiting at the pool — the synchronisation cost §VI-D puts
+//! small-GEMM losses in. So the service counts the ops in flight (a
+//! `run_with` past its validate and deadline checks, and a `run_pinned`,
+//! which occupies cores too), and an op that arrives while `n - 1` others
+//! are in flight decides within its share of the workers: the largest
+//! rung of the thread axis at most `max(1, workers / n)` (1 if no rung is
+//! that small) lowers the caller's cap. The share goes into the sweep like
+//! any other cap, so the decision's prediction describes the plan that
+//! runs, and it stays on the ladder; the memo grows by at most one entry
+//! per rung per shape. A lone op decides exactly as before, and so do
+//! [`AdsalaService::select_for_capped`] and the bundle-level decisions.
+//! [`ServiceStats::share_capped`] counts the calls the share lowered.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -117,7 +133,8 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Upper bound on the executed thread count (the host's core budget
-    /// for this call); 0 means no cap beyond the model's choice.
+    /// for this call); 0 means no cap beyond the model's choice and the
+    /// op's share of the pool while other ops are in flight.
     pub host_max_threads: u32,
     /// Refuse the call with [`AdsalaError::Timeout`] if this instant has
     /// passed before execution starts (also re-checked before a degraded
@@ -203,6 +220,12 @@ pub struct AdsalaService {
     /// Calls refused with [`AdsalaError::Timeout`] because their deadline
     /// had passed.
     deadline_misses: AtomicU64,
+    /// Ops in `run_with` (past its validate and deadline checks) or in
+    /// `run_pinned` right now: the load an arriving op's share is
+    /// computed from.
+    in_flight: AtomicUsize,
+    /// `run_with` calls whose thread cap the pool share lowered.
+    share_capped: AtomicU64,
 }
 
 /// Executed-algorithm mix of a service — the `[service]` plan-mix line.
@@ -257,6 +280,9 @@ pub struct ServiceStats {
     pub execution_failures: u64,
     /// Calls refused with [`AdsalaError::Timeout`] (expired deadline).
     pub deadline_misses: u64,
+    /// `run_with` calls whose thread cap their share of the pool lowered,
+    /// because other ops were in flight.
+    pub share_capped: u64,
 }
 
 impl AdsalaService {
@@ -288,6 +314,8 @@ impl AdsalaService {
             degraded_retries: AtomicU64::new(0),
             execution_failures: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
+            in_flight: AtomicUsize::new(0),
+            share_capped: AtomicU64::new(0),
         }
     }
 
@@ -330,12 +358,33 @@ impl AdsalaService {
         self.pool.workers()
     }
 
-    /// Normalise a thread cap into the memo key space: caps at or above
-    /// the grid's largest candidate are equivalent to "no cap" (the sweep
-    /// is identical), so they share one entry per shape. (Swap-safe: a
-    /// refreshed bundle keeps its grid, so the bound is epoch-invariant.)
-    fn normalised_cap(&self, cap: u32) -> u32 {
-        cap.clamp(1, self.bundle().max_candidate_threads())
+    /// Enter the in-flight count. Returns the slot, which leaves the
+    /// count when dropped, and the count with this op in it.
+    fn enter(&self) -> (InFlight<'_>, usize) {
+        let in_flight = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        (InFlight(&self.in_flight), in_flight)
+    }
+
+    /// The memo-then-sweep decision for `shape` under `cap`, a cap already
+    /// normalised on `bundle`'s grid. `bundle` must have been loaded after
+    /// `generation` was read: if a swap lands in between, this decision is
+    /// refused by the memo and the next caller re-decides under the new
+    /// epoch — nothing can enter a younger memo than the bundle it came
+    /// from. A sweep counts in `evaluations`.
+    fn decide(
+        &self,
+        bundle: &ArtifactBundle,
+        generation: u64,
+        shape: OpShape,
+        cap: u32,
+    ) -> PlanDecision {
+        if let Some(hit) = self.cache.get((shape, cap)) {
+            return hit;
+        }
+        let decision = bundle.decide_op_capped(shape, cap);
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        self.cache.insert_if_generation((shape, cap), decision, generation);
+        decision
     }
 
     /// Pick the execution plan for any operation among the plans with at
@@ -346,21 +395,12 @@ impl AdsalaService {
     /// `(shape, normalised cap)`; a sweep counts in `evaluations`.
     /// Callable concurrently through `&self`; equal inputs always yield
     /// equal plans because both the cache and the bundle are
-    /// deterministic.
+    /// deterministic. The load on the pool plays no part here: only
+    /// [`AdsalaService::run_with`] lowers a cap to the op's share.
     pub fn select_for_capped(&self, shape: OpShape, cap: u32) -> PlanDecision {
-        let cap = self.normalised_cap(cap);
-        // Generation before bundle: if a swap lands in between, this
-        // decision is refused below and the next caller re-decides under
-        // the new epoch — nothing can enter a younger memo than the bundle
-        // it came from.
         let generation = self.cache.generation();
-        if let Some(hit) = self.cache.get((shape, cap)) {
-            return hit;
-        }
-        let decision = self.bundle().decide_op_capped(shape, cap);
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.cache.insert_if_generation((shape, cap), decision, generation);
-        decision
+        let bundle = self.bundle();
+        self.decide(&bundle, generation, shape, normalised_cap(&bundle, cap))
     }
 
     /// Serve one operation with default options: validate the operands,
@@ -391,7 +431,8 @@ impl AdsalaService {
     }
 
     /// Like [`AdsalaService::run`] with per-call options (host thread
-    /// cap, deadline).
+    /// cap, deadline). While other ops are in flight, the cap is lowered
+    /// further to this op's share of the pool (see the module docs).
     pub fn run_with<T: Element>(
         &self,
         req: &mut OpRequest<'_, T>,
@@ -409,15 +450,29 @@ impl AdsalaService {
                 req.routine()
             )));
         }
+        let (_slot, in_flight) = self.enter();
         let shape = req.shape();
+        // One bundle load per call, after the generation read `decide`
+        // needs: the cap, the share and the decision all come from this
+        // snapshot, so the share is rounded on the grid that decides.
+        let generation = self.cache.generation();
+        let bundle = self.bundle();
+        let mut cap = normalised_cap(&bundle, opts.thread_cap());
+        if in_flight >= 2 {
+            let share = pool_share(bundle.candidates(), self.pool.workers(), in_flight);
+            if share < cap {
+                self.share_capped.fetch_add(1, Ordering::Relaxed);
+                cap = share;
+            }
+        }
         let decision = if self.online.enabled && self.drift.is_drifted() {
             // The measurements have disowned the model: decide
             // conservatively within the cap. The fallback never enters the
             // memo, so it vanishes the moment the detector recovers.
             self.drift_fallbacks.fetch_add(1, Ordering::Relaxed);
-            self.bundle().conservative_op(shape, self.normalised_cap(opts.thread_cap()))
+            bundle.conservative_op(shape, cap)
         } else {
-            self.select_for_capped(shape, opts.thread_cap())
+            self.decide(&bundle, generation, shape, cap)
         };
         // The cap bounded the sweep, so the decision *is* the executed
         // plan — no post-hoc clamp that would desynchronise the reported
@@ -572,13 +627,16 @@ impl AdsalaService {
     /// and algorithm-mix telemetry still apply; the error recorder and its
     /// drift detector do not (a pinned run carries no prediction to
     /// compare against), and a kernel panic is isolated but never retried
-    /// on a different plan.
+    /// on a different plan. The op counts as in flight while it runs, so
+    /// ops arriving meanwhile decide within their share of the pool; its
+    /// own plan is never capped.
     pub fn run_pinned<T: Element>(
         &self,
         req: &mut OpRequest<'_, T>,
         plan: &ExecutionPlan,
     ) -> Result<OpStats, AdsalaError> {
         req.validate()?;
+        let (_slot, _) = self.enter();
         self.serve(req, plan, None, None, false)
     }
 
@@ -643,6 +701,7 @@ impl AdsalaService {
             degraded_retries: self.degraded_retries.load(Ordering::Relaxed),
             execution_failures: self.execution_failures.load(Ordering::Relaxed),
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
+            share_capped: self.share_capped.load(Ordering::Relaxed),
         }
     }
 
@@ -651,6 +710,34 @@ impl AdsalaService {
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
+}
+
+/// An op's place in [`AdsalaService`]'s in-flight count, handed back on
+/// drop — on every exit path, an unwinding one included.
+struct InFlight<'s>(&'s AtomicUsize);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Normalise a thread cap into the memo key space of `bundle`'s grid:
+/// caps at or above its largest candidate are equivalent to "no cap" (the
+/// sweep is identical), so they share one entry per shape. The bound is
+/// the grid's, and a swapped-in bundle may have another grid, so callers
+/// normalise on the snapshot that decides.
+fn normalised_cap(bundle: &ArtifactBundle, cap: u32) -> u32 {
+    cap.clamp(1, bundle.max_candidate_threads())
+}
+
+/// An op's share of a `workers`-wide pool while `in_flight` ops hold it
+/// (itself included), rounded down onto the thread axis `rungs`: the
+/// largest rung at most `max(1, workers / in_flight)`, or 1 when no rung
+/// is that small.
+fn pool_share(rungs: &[u32], workers: usize, in_flight: usize) -> u32 {
+    let fair = (workers / in_flight).max(1);
+    rungs.iter().copied().filter(|&t| t as usize <= fair).max().unwrap_or(1)
 }
 
 /// Render a caught panic payload as a message for
@@ -804,6 +891,17 @@ mod tests {
             GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
         let (_, stats) = svc.run_with(&mut req, RunOptions::with_host_cap(2)).unwrap();
         assert!(stats.exec.threads_used <= 2, "{stats:?}");
+    }
+
+    #[test]
+    fn pool_share_rounds_down_onto_the_ladder() {
+        let rungs = [1, 2, 4, 8];
+        assert_eq!(pool_share(&rungs, 8, 2), 4);
+        assert_eq!(pool_share(&rungs, 8, 3), 2);
+        assert_eq!(pool_share(&rungs, 6, 2), 2, "3 workers each is not a rung");
+        assert_eq!(pool_share(&rungs, 2, 2), 1);
+        assert_eq!(pool_share(&rungs, 2, 5), 1, "at least one worker each");
+        assert_eq!(pool_share(&[2, 4], 2, 2), 1, "no rung that small");
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn main() {
     println!("{} clients x {} GEMMs served and verified", n_clients, calls_per_client);
 
     // 4. Inspect the serving diagnostics.
-    let ServiceStats { cache: stats, evaluations: sweeps, .. } = service.stats();
+    let ServiceStats { cache: stats, evaluations: sweeps, share_capped, .. } = service.stats();
     println!(
         "cache: {} hits / {} misses ({:.0}% hit rate), {} evictions, {}/{} entries, {} shards",
         stats.hits,
@@ -93,6 +93,9 @@ fn main() {
         stats.shards
     );
     println!("model sweeps: {sweeps}");
+    // Calls that arrived while other clients held the pool decided within
+    // their share of its workers.
+    println!("calls capped to their pool share: {share_capped}");
     assert_eq!(stats.lookups(), n_clients * calls_per_client, "every call is one lookup");
     assert!(stats.hits > 0, "overlapping streams must hit the memo");
     println!("done.");

@@ -199,8 +199,11 @@ fn main() {
         stats.entries,
         stats.shards
     );
-    assert_eq!(stats.entries, 4, "four distinct (routine, precision, shape) keys");
-    assert!(stats.hits > 0);
+    // Four distinct (routine, precision, shape) keys; a call made while
+    // other clients were in flight decided under its share of the pool,
+    // a thread-ladder rung, so each key holds at most one entry per rung.
+    let rungs = service.candidates().len() as u64;
+    assert!((4..=4 * rungs).contains(&stats.entries), "{stats:?}");
     println!("model sweeps: {sweeps}");
     std::fs::remove_file(&path).ok();
     println!("done.");

@@ -280,12 +280,14 @@ fn mixed_routine_traffic_matches_direct_kernels_bitwise() {
         });
     });
 
-    // Four distinct (routine, precision, shape) keys; every client's later
-    // rounds hit the memo.
+    // Four distinct (routine, precision, shape) keys, each decided under
+    // its caller's cap or, while other clients were in flight, under the
+    // op's share of the pool: one memo entry per shape and cap, and every
+    // cap is a rung.
     let stats = service.stats().cache;
     assert_eq!(stats.lookups(), 4 * rounds as u64);
-    assert_eq!(stats.entries, 4, "{stats:?}");
-    assert!(stats.hits >= 4 * (rounds as u64 - 1), "{stats:?}");
+    let rungs = service.candidates().len() as u64;
+    assert!((4..=4 * rungs).contains(&stats.entries), "{stats:?}");
 }
 
 /// Malformed requests racing well-formed ones: the bad ones all error,

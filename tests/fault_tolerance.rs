@@ -531,6 +531,138 @@ fn small_op_is_not_held_behind_an_occupier() {
     assert_eq!(stats.completed, 2, "{stats:?}");
 }
 
+/// The GEMM both share tests run: a shape whose lone decision on the
+/// quick bundle is wider than 2 threads, so a share of 2 must move it.
+const SHARE_DIMS: (usize, usize, usize) = (256, 256, 256);
+
+fn share_shape() -> OpShape {
+    let (m, n, k) = SHARE_DIMS;
+    OpShape::gemm(Precision::F32, m as u64, k as u64, n as u64)
+}
+
+/// An op that arrives while another is in flight decides within its
+/// share of the pool. On the stall set-up, with the occupier holding the
+/// 4-worker pool, an uncapped op whose lone decision is wider than 2
+/// threads decides at most 2: by the very sweep a cap of 2 runs, so its
+/// prediction describes the plan that executes. Its result is the serial
+/// reference's.
+#[test]
+fn op_arriving_under_load_decides_within_its_share() {
+    let (_lock, _guard, plan) = install("stall:ms=300:count=4");
+    let svc = Arc::new(service(4));
+    let sched = ServiceScheduler::with_config(
+        Arc::clone(&svc),
+        SchedulerConfig { thread_budget: 4, ..SchedulerConfig::default() },
+    );
+    let shape = share_shape();
+    let lone = svc.bundle().decide_op_capped(shape, u32::MAX);
+    assert!(lone.threads() > 2, "the share would not move this op: {lone:?}");
+    let shared = svc.bundle().decide_op_capped(shape, 2);
+
+    std::thread::scope(|scope| {
+        let sched = &sched;
+        let occupier = scope.spawn(move || occupier(sched, 35));
+        wait_for("the occupier to stall on the workers", || plan.injected_stalls() >= 1);
+
+        let (m, n, k) = SHARE_DIMS;
+        let a = fill(m * k, 36);
+        let b = fill(k * n, 37);
+        let c_ref = serial_reference(m, n, k, &a, &b);
+        let mut c = vec![7.0f32; m * n];
+        let mut req: OpRequest<'_, f32> =
+            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+        let (decision, _) = svc.run(&mut req).expect("op under load");
+        assert!(decision.threads() <= 2, "decided past its share: {decision:?}");
+        assert_eq!(decision.plan, shared.plan);
+        assert_eq!(decision.predicted_runtime_s.to_bits(), shared.predicted_runtime_s.to_bits());
+        assert_close(&c, &c_ref, "op under load");
+
+        occupier.join().expect("occupier thread");
+    });
+    assert_eq!(svc.stats().share_capped, 1, "{:?}", svc.stats());
+}
+
+/// The in-flight slot is handed back on every exit path. After an `Ok`
+/// op, a `Shape` error, an expired-deadline refusal, an injected panic
+/// with its degraded retry, an `Execution` failure and a pinned op, a
+/// lone op still decides exactly as uncapped; one leaked slot would
+/// count as an op in flight and halve its share.
+#[test]
+fn in_flight_slot_is_released_on_every_exit_path() {
+    let _lock = hold_fault_lock();
+    let _guard = PlanGuard;
+    fault::set_plan(None);
+    let svc = service(4);
+    let shape = share_shape();
+    let lone = svc.bundle().decide_op_capped(shape, u32::MAX);
+    assert!(lone.threads() > 2, "the share would not move this op: {lone:?}");
+
+    let (m, n, k) = SHARE_DIMS;
+    let a = fill(m * k, 81);
+    let b = fill(k * n, 82);
+    let c_ref = serial_reference(m, n, k, &a, &b);
+    let run = |beta: f32, c: &mut [f32], opts: RunOptions| {
+        let mut req: OpRequest<'_, f32> =
+            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, beta, c, n).into();
+        svc.run_with(&mut req, opts)
+    };
+    let same_as_lone = |d: &PlanDecision| {
+        assert_eq!(d.plan, lone.plan);
+        assert_eq!(d.predicted_runtime_s.to_bits(), lone.predicted_runtime_s.to_bits());
+    };
+
+    // Ok.
+    let mut c = vec![0.0f32; m * n];
+    let (decision, _) = run(0.0, &mut c, RunOptions::default()).expect("ok op");
+    same_as_lone(&decision);
+    assert_close(&c, &c_ref, "ok op");
+
+    // Shape error.
+    let mut short = vec![0.0f32; m];
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut short, n).into();
+    assert!(matches!(svc.run(&mut req), Err(AdsalaError::Shape(_))));
+
+    // Expired deadline.
+    let expired = RunOptions::default().with_deadline(Instant::now() - Duration::from_millis(1));
+    assert!(matches!(run(0.0, &mut c, expired), Err(AdsalaError::Timeout(_))));
+
+    // Injected panic, recovered by the degraded retry (β = 0).
+    {
+        let (_guard, plan) = arm("panic:count=1");
+        let mut c = vec![f32::NAN; m * n];
+        let (_, stats) = run(0.0, &mut c, RunOptions::default()).expect("degraded retry");
+        assert!(stats.plan_degraded);
+        assert_eq!(plan.injected_panics(), 1);
+        assert_close(&c, &c_ref, "degraded retry");
+    }
+
+    // Injected panic that cannot be retried (β ≠ 0): an Execution failure.
+    {
+        let (_guard, plan) = arm("panic:count=1");
+        let mut c = vec![0.0f32; m * n];
+        assert!(matches!(
+            run(1.0, &mut c, RunOptions::default()),
+            Err(AdsalaError::Execution { .. })
+        ));
+        assert_eq!(plan.injected_panics(), 1);
+    }
+
+    // A pinned op holds a slot too while it runs.
+    let mut c = vec![0.0f32; m * n];
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+    svc.run_pinned(&mut req, &ExecutionPlan::with_threads(4)).expect("pinned op");
+    assert_close(&c, &c_ref, "pinned op");
+
+    let mut c = vec![0.0f32; m * n];
+    let (decision, _) = run(0.0, &mut c, RunOptions::default()).expect("lone op");
+    same_as_lone(&decision);
+    let stats = svc.stats();
+    assert_eq!(stats.share_capped, 0, "{stats:?}");
+    assert_eq!((stats.panics_recovered, stats.execution_failures), (2, 1), "{stats:?}");
+}
+
 /// An op whose deadline has already passed is refused before it starts —
 /// deterministically, no faults required. The gate is open, so the op is
 /// admitted and `run_with` refuses it: counted as the service's deadline
