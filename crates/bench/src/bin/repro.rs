@@ -869,19 +869,19 @@ fn learning_curve() {
 
 /// The paper's future-work extension: per-routine thread selectors for
 /// SYRK and GEMV, trained by the unchanged pipeline via dimension-space
-/// mapping (see `adsala_machine::ops`).
+/// mapping (see `adsala::OpShape::gemm_equivalent`).
 fn ops_extension() {
     banner("Future work — ML thread selection for SYRK and GEMV (Setonix model)");
     use adsala::Routine;
-    use adsala_machine::OpTimer;
+    use adsala_machine::SimTimer;
     for op in [Routine::Syrk, Routine::Gemv] {
         let name = op.as_str().to_uppercase();
-        let timer = OpTimer::new(Machine::Setonix.model(true), op);
+        let timer = SimTimer::for_routine(Machine::Setonix.model(true), op);
         let mut cfg = InstallConfig::quick();
         cfg.families = vec![ModelKind::DecisionTree, ModelKind::XgBoost];
         cfg.gather.n_shapes = 250;
-        // SYRK's output is m×m: keep m small enough that C itself obeys
-        // the 500 MB cap, for training and probing alike.
+        // SYRK's m×m output confines the shapes the 500 MB cap admits to
+        // m below ~11 000: bound the domain so few draws are rejected.
         if op == Routine::Syrk {
             cfg.gather.max_dim = Some(8000);
         }
@@ -889,21 +889,11 @@ fn ops_extension() {
         let p_max = timer.max_threads();
         let selected = install.selected;
         let runtime = install.into_service();
-        // Fresh Halton shapes from the same domain, restricted to the
-        // routine's live dimensions.
-        let mut sampler = DomainSampler::new(MemoryCap::paper_training(), Precision::F32, 0x0B5);
-        if let Some(max_dim) = cfg.gather.max_dim {
-            sampler = sampler.with_dim_bounds(1, max_dim);
-        }
-        let shapes: Vec<GemmShape> = sampler
-            .sample(200)
+        // Fresh Halton shapes from the training domain, drawn as a
+        // gather for the routine draws them.
+        let shapes: Vec<GemmShape> = GatherConfig { n_shapes: 200, seed: 0x0B5, ..cfg.gather }
+            .sample_shapes(op)
             .into_iter()
-            .map(|s| match op {
-                Routine::Syrk => GemmShape::new(s.m, s.k, s.m),
-                Routine::Gemv => GemmShape::new(s.m, s.k, 1),
-                Routine::Gemm => s,
-            })
-            .filter(|s| s.memory_bytes(Precision::F32) <= MemoryCap::paper_training().bytes)
             // Degenerate inputs (a handful of elements) trivially favour
             // one thread by enormous factors; exclude them as
             // uninteresting rather than let them dominate the mean.

@@ -10,6 +10,7 @@
 //! `(shape, plan point)`.
 
 use adsala_gemm::plan::{PlanGrid, PlanPoint};
+use adsala_gemm::{OpShape, Routine};
 use adsala_machine::GemmTimer;
 use adsala_sampling::{DomainSampler, GemmShape, MemoryCap, Precision};
 use serde::{Deserialize, Serialize};
@@ -113,6 +114,28 @@ impl GatherConfig {
     pub fn quick() -> Self {
         Self { n_shapes: 160, reps: 3, ..Self::paper() }
     }
+
+    /// The `n_shapes` shapes a gather for `routine` times: Halton draws
+    /// projected onto the GEMM equivalents of the routine's calls
+    /// ([`OpShape::project`]), the shapes serving prices them at (a SYRK
+    /// row is `(m, k, m)`, a GEMV row `(m, n, 1)`). A projection over the
+    /// memory cap is dropped and another drawn; GEMM draws pass through.
+    pub fn sample_shapes(&self, routine: Routine) -> Vec<GemmShape> {
+        let mut sampler = DomainSampler::new(self.cap, self.precision, self.seed);
+        if let Some(max_dim) = self.max_dim {
+            sampler = sampler.with_dim_bounds(1, max_dim);
+        }
+        let mut shapes = Vec::with_capacity(self.n_shapes);
+        while shapes.len() < self.n_shapes {
+            let s = sampler.next_shape();
+            let (m, k, n) = OpShape::project(routine, (s.m, s.k, s.n));
+            let shape = GemmShape::new(m, k, n);
+            if shape.memory_bytes(self.precision) <= self.cap.bytes {
+                shapes.push(shape);
+            }
+        }
+        shapes
+    }
 }
 
 /// The gathered training set plus its provenance.
@@ -128,17 +151,14 @@ pub struct TrainingData {
 }
 
 impl TrainingData {
-    /// Gather timings for `config` from `timer`: every sampled shape is
-    /// timed at every point of the candidate grid.
+    /// Gather timings for `config` from `timer`: every sampled shape, as
+    /// the GEMM equivalent of a call to the timer's routine, is timed at
+    /// every point of the candidate grid.
     pub fn gather<T: GemmTimer + ?Sized>(timer: &T, config: &GatherConfig) -> TrainingData {
         let grid = config.grid.clone().unwrap_or_else(|| {
             PlanGrid::threads_only(ThreadLadder::geometric(timer.max_threads()).counts)
         });
-        let mut sampler = DomainSampler::new(config.cap, config.precision, config.seed);
-        if let Some(max_dim) = config.max_dim {
-            sampler = sampler.with_dim_bounds(1, max_dim);
-        }
-        let shapes = sampler.sample(config.n_shapes);
+        let shapes = config.sample_shapes(timer.routine());
         let mut records = Vec::with_capacity(shapes.len() * grid.len());
         for &shape in &shapes {
             for point in grid.points() {
@@ -286,6 +306,26 @@ mod tests {
             })
             .unwrap();
         assert_ne!(scalar.runtime_s, base.runtime_s);
+    }
+
+    #[test]
+    fn routine_gathers_record_the_shapes_serving_prices() {
+        // SYRK's (m, k, m) can be far over the cap its GEMM draw met:
+        // large m with small k and n is common in the paper's domain.
+        let config = GatherConfig { reps: 1, ..GatherConfig::quick() };
+        for routine in [Routine::Syrk, Routine::Gemv] {
+            let timer = SimTimer::for_routine(MachineModel::gadi(), routine);
+            let data = TrainingData::gather(&timer, &config);
+            assert_eq!(data.shapes.len(), config.n_shapes);
+            for shape in data.records.iter().map(|r| r.shape).chain(data.shapes.iter().copied()) {
+                let n = if routine == Routine::Syrk { shape.m } else { 1 };
+                assert_eq!(shape.n, n, "{routine} row {shape:?}");
+                assert!(shape.memory_bytes(config.precision) <= config.cap.bytes, "{shape:?}");
+            }
+        }
+        // GEMM draws pass through: the sampler's own shapes, in order.
+        let mut sampler = DomainSampler::new(config.cap, config.precision, config.seed);
+        assert_eq!(config.sample_shapes(Routine::Gemm), sampler.sample(config.n_shapes));
     }
 
     #[test]

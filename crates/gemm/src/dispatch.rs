@@ -16,7 +16,8 @@
 //!   blocked kernels on a persistent [`ThreadPool`],
 //! * [`OpShape`] — the routine/precision/dimension key, and its
 //!   [`OpShape::gemm_equivalent`] mapping into the paper's §III-A GEMM
-//!   feature space,
+//!   feature space (and back, [`OpShape::from_gemm_equivalent`];
+//!   [`OpShape::project`] is the round trip),
 //! * [`OpStats`] — the unified execution report ([`GemmStats`] tagged
 //!   with what ran).
 //!
@@ -163,6 +164,30 @@ impl OpShape {
             Routine::Syrk => (a, b, a),
             Routine::Gemv => (a, b, 1),
         }
+    }
+
+    /// The inverse of [`OpShape::gemm_equivalent`]: the `routine` call
+    /// whose GEMM equivalent is `(m, k, n)`. SYRK reads its `(m, k)` and
+    /// GEMV its `(m, n)` from the triple's `m` and `k`; the `n` a routine
+    /// does not have is dropped ([`OpShape::project`] is the round trip).
+    pub fn from_gemm_equivalent(
+        routine: Routine,
+        precision: Precision,
+        (m, k, n): (u64, u64, u64),
+    ) -> Self {
+        match routine {
+            Routine::Gemm => Self::gemm(precision, m, k, n),
+            Routine::Syrk => Self::syrk(precision, m, k),
+            Routine::Gemv => Self::gemv(precision, m, k),
+        }
+    }
+
+    /// Project any GEMM triple onto the GEMM equivalents of `routine`'s
+    /// calls, the shapes a timer of that routine is given: SYRK's
+    /// `(m, k, m)`, GEMV's `(m, k, 1)`, GEMM's triple itself. The map is
+    /// precision-free.
+    pub fn project(routine: Routine, gemm: (u64, u64, u64)) -> (u64, u64, u64) {
+        Self::from_gemm_equivalent(routine, Precision::F32, gemm).gemm_equivalent()
     }
 }
 
@@ -622,6 +647,22 @@ mod tests {
         assert_eq!(OpShape::gemm(Precision::F32, 5, 6, 7).gemm_equivalent(), (5, 6, 7));
         assert_eq!(OpShape::syrk(Precision::F64, 100, 30).gemm_equivalent(), (100, 30, 100));
         assert_eq!(OpShape::gemv(Precision::F32, 200, 50).gemm_equivalent(), (200, 50, 1));
+        for shape in [
+            OpShape::gemm(Precision::F32, 5, 6, 7),
+            OpShape::syrk(Precision::F64, 100, 30),
+            OpShape::gemv(Precision::F32, 200, 50),
+        ] {
+            let back = OpShape::from_gemm_equivalent(
+                shape.routine,
+                shape.precision,
+                shape.gemm_equivalent(),
+            );
+            assert_eq!(back, shape);
+        }
+        // Any GEMM triple projects onto the routine's own shapes.
+        assert_eq!(OpShape::project(Routine::Gemm, (9, 4, 70)), (9, 4, 70));
+        assert_eq!(OpShape::project(Routine::Syrk, (9, 4, 70)), (9, 4, 9));
+        assert_eq!(OpShape::project(Routine::Gemv, (9, 4, 70)), (9, 4, 1));
     }
 
     #[test]

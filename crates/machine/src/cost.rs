@@ -303,9 +303,6 @@ impl MachineModel {
     /// distinct plans scatter independently.
     pub fn measure_point(&self, shape: GemmShape, point: &PlanPoint, rep: u32) -> f64 {
         let expected = self.expected_point(shape, point).total();
-        if self.noise_sigma == 0.0 && self.spike_prob == 0.0 {
-            return expected;
-        }
         let words = [
             self.seed,
             shape.m,
@@ -327,8 +324,12 @@ impl MachineModel {
             },
         ];
         const LEGACY_WORDS: usize = 7;
-        let seed =
-            combine(if point.is_default_axes() { &words[..LEGACY_WORDS] } else { &words[..] });
+        self.noisy(expected, if point.is_default_axes() { &words[..LEGACY_WORDS] } else { &words })
+    }
+
+    /// `expected` under the measurement noise drawn from seed `words`.
+    pub(crate) fn noisy(&self, expected: f64, words: &[u64]) -> f64 {
+        let seed = combine(words);
         expected
             * lognormal_factor(seed, self.noise_sigma)
             * spike_factor(seed, self.spike_prob, self.spike_scale)

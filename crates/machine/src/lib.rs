@@ -22,10 +22,10 @@
 //! reproduces run-to-run variance, so every paper figure regenerates
 //! bit-identically.
 //!
-//! [`timer::GemmTimer`] abstracts "run a GEMM of shape s on t threads and
-//! time it": [`timer::SimTimer`] queries this model, while
-//! [`timer::HostTimer`] runs the real blocked GEMM from `adsala-gemm` on
-//! the host — the same interface the ADSALA installation workflow consumes.
+//! [`timer::GemmTimer`] abstracts "run GEMM, SYRK or GEMV at shape s on t
+//! threads and time it": [`timer::SimTimer`] queries this model, while
+//! [`timer::HostTimer`] runs the real kernel from `adsala-gemm` on the
+//! host — the same interface the ADSALA installation workflow consumes.
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +40,6 @@ pub mod vendor;
 
 pub use cache::HostCaches;
 pub use cost::{CostBreakdown, MachineModel};
-pub use ops::OpTimer;
 pub use presets::{gadi, setonix};
 pub use timer::{GemmTimer, HostTimer, SimTimer};
 pub use topology::{Affinity, NodeTopology, Placement};

@@ -1,9 +1,10 @@
-//! Cost models and timers for BLAS routines beyond GEMM — the paper's
-//! stated future work ("extend our ML-driven runtime thread selection
-//! approach to other BLAS operations").
+//! Cost models for BLAS routines beyond GEMM — the paper's stated future
+//! work ("extend our ML-driven runtime thread selection approach to other
+//! BLAS operations"), timed by [`crate::SimTimer::for_routine`].
 //!
-//! Each routine maps its dimension tuple into a [`GemmShape`] so the whole
-//! ADSALA pipeline (Table II features, preprocessing, model zoo, runtime
+//! Each routine maps its dimension tuple into a GEMM shape
+//! ([`adsala_gemm::OpShape::gemm_equivalent`]) so the whole ADSALA
+//! pipeline (Table II features, preprocessing, model zoo, runtime
 //! selection) applies unchanged:
 //!
 //! * **SYRK** `C ← α·A·Aᵀ + β·C` (`A` is `m×k`) ↦ `GemmShape{m, k, n: m}`
@@ -13,13 +14,10 @@
 //!   optimal thread count saturates at the bandwidth knee instead of the
 //!   core count.
 
-use adsala_gemm::plan::PlanPoint;
 use adsala_gemm::Routine;
 use adsala_sampling::GemmShape;
 
 use crate::cost::{CostBreakdown, MachineModel};
-use crate::noise::{combine, lognormal_factor, spike_factor};
-use crate::timer::GemmTimer;
 use crate::topology::Placement;
 
 impl MachineModel {
@@ -84,63 +82,20 @@ impl MachineModel {
         CostBreakdown { spawn_s, sync_s, copy_s: 0.0, kernel_s: stream_s.max(flop_s) }
     }
 
-    /// One noisy measurement of a non-GEMM routine.
-    pub fn measure_op(&self, op: Routine, d1: u64, d2: u64, threads: u32, rep: u32) -> f64 {
+    /// One noisy measurement of a SYRK `(m, k)` or GEMV `(m, n)`.
+    /// Panics on GEMM, which [`MachineModel::measure_point`] prices.
+    pub(crate) fn measure_op(&self, op: Routine, d1: u64, d2: u64, threads: u32, rep: u32) -> f64 {
         let expected = match op {
-            Routine::Gemm => self.expected(GemmShape::new(d1, d2, d1), threads).total(),
+            Routine::Gemm => panic!("GEMM is priced by measure_point"),
             Routine::Syrk => self.expected_syrk(d1, d2, threads).total(),
             Routine::Gemv => self.expected_gemv(d1, d2, threads).total(),
         };
-        if self.noise_sigma == 0.0 && self.spike_prob == 0.0 {
-            return expected;
-        }
-        let seed = combine(&[self.seed, op as u64 + 101, d1, d2, threads as u64, rep as u64]);
-        expected
-            * lognormal_factor(seed, self.noise_sigma)
-            * spike_factor(seed, self.spike_prob, self.spike_scale)
+        self.noisy(expected, &[self.seed, op as u64 + 101, d1, d2, threads as u64, rep as u64])
     }
 }
 
 /// Fraction of diagonal-tile work wasted computing the masked upper part.
 const DIAG_WASTE: f64 = 0.08;
-
-/// A [`GemmTimer`] that models a non-GEMM routine, translating the GEMM
-/// shape convention back to the routine's dimensions so the unchanged
-/// ADSALA pipeline can train a thread selector for it.
-#[derive(Debug, Clone)]
-pub struct OpTimer {
-    pub model: MachineModel,
-    pub op: Routine,
-}
-
-impl OpTimer {
-    /// Wrap a machine model for one routine.
-    pub fn new(model: MachineModel, op: Routine) -> Self {
-        Self { model, op }
-    }
-}
-
-impl GemmTimer for OpTimer {
-    /// The routine models price the thread axis alone.
-    fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64 {
-        let threads = point.threads;
-        let reps = reps.max(1);
-        // Every routine's two dimensions sit in the mapped shape's `m` and
-        // `k`: SYRK's (m, k) in GemmShape{m, k, n=m}, GEMV's (m, n) in
-        // GemmShape{m, k=n, n=1}.
-        let (d1, d2) = (shape.m, shape.k);
-        (0..reps).map(|r| self.model.measure_op(self.op, d1, d2, threads, r)).sum::<f64>()
-            / reps as f64
-    }
-
-    fn max_threads(&self) -> u32 {
-        self.model.max_threads()
-    }
-
-    fn name(&self) -> String {
-        format!("{} {} (simulated)", self.model.topology.name, self.op.as_str().to_uppercase())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -192,21 +147,6 @@ mod tests {
             (4..=64).contains(&best),
             "GEMV optimum {best} should sit at the bandwidth knee, not the extremes"
         );
-    }
-
-    #[test]
-    fn op_timer_is_deterministic() {
-        let t = OpTimer::new(MachineModel::setonix(), Routine::Syrk);
-        let shape = GemmShape::new(800, 300, 800);
-        assert_eq!(t.time(shape, 32, 5), t.time(shape, 32, 5));
-        // A thread count is the default-axes point, bit for bit; the other
-        // axes do not enter a routine model.
-        let point = PlanPoint::threads_only(32);
-        assert_eq!(t.time(shape, 32, 5).to_bits(), t.time_plan(shape, &point, 5).to_bits());
-        let scalar = PlanPoint { isa: adsala_gemm::plan::IsaChoice::Scalar, ..point };
-        assert_eq!(t.time_plan(shape, &scalar, 5), t.time_plan(shape, &point, 5));
-        assert!(t.name().contains("SYRK"));
-        assert_eq!(t.max_threads(), 256);
     }
 
     #[test]

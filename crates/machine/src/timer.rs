@@ -1,29 +1,29 @@
 //! The timing interface the ADSALA installation workflow consumes.
 //!
-//! `GemmTimer` answers "run a GEMM of this shape on `t` threads and tell
-//! me how long it took" — the only thing the paper's data-gathering stage
-//! needs from a machine. Two implementations:
+//! `GemmTimer` answers "run this routine at this GEMM-equivalent shape
+//! ([`OpShape::gemm_equivalent`]) on `t` threads and tell me how long it
+//! took" — the only thing the paper's data-gathering stage needs from a
+//! machine. Two implementations, each timing one [`Routine`]:
 //!
 //! * [`SimTimer`] — queries the analytic [`MachineModel`] (the paper-scale
 //!   experiments: 96–256 thread nodes we do not physically have);
-//! * [`HostTimer`] — runs the real blocked GEMM from `adsala-gemm` on the
-//!   host CPU and measures wall time, demonstrating that the entire
-//!   pipeline also works against genuine hardware.
+//! * [`HostTimer`] — runs the routine's [`OpRequest`] on the host CPU, as
+//!   the service does, and measures wall time.
 
 use std::time::Instant;
 
-use adsala_gemm::dispatch::Precision;
-use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
+use adsala_gemm::dispatch::{GemmArgs, GemvArgs, OpRequest, OpShape, Precision, SyrkArgs};
 use adsala_gemm::plan::PlanPoint;
+use adsala_gemm::{Routine, ThreadPool};
 use adsala_sampling::GemmShape;
 
 use crate::cost::MachineModel;
 
-/// Source of GEMM timings for a machine with an execution-plan knob.
+/// Source of timings for a machine with an execution-plan knob.
 pub trait GemmTimer {
-    /// Mean wall time (seconds) of `reps` runs of `shape` under a plan-grid
-    /// point. A timer whose machine has only the thread knob honours the
-    /// point's thread axis alone.
+    /// Mean wall time (seconds) of `reps` runs of the routine at `shape`
+    /// under a plan-grid point. A timer whose machine has only the thread
+    /// knob honours the point's thread axis alone.
     fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64;
 
     /// Mean wall time (seconds) of `reps` runs of `shape` on `threads`: the
@@ -31,6 +31,9 @@ pub trait GemmTimer {
     fn time(&self, shape: GemmShape, threads: u32, reps: u32) -> f64 {
         self.time_plan(shape, &PlanPoint::threads_only(threads), reps)
     }
+
+    /// The routine this timer times.
+    fn routine(&self) -> Routine;
 
     /// The machine's maximum thread count (the paper's baseline setting).
     fn max_threads(&self) -> u32;
@@ -43,12 +46,19 @@ pub trait GemmTimer {
 #[derive(Debug, Clone)]
 pub struct SimTimer {
     pub model: MachineModel,
+    /// The routine timed.
+    pub routine: Routine,
 }
 
 impl SimTimer {
-    /// Wrap a machine model.
+    /// Wrap a machine model to time GEMM.
     pub fn new(model: MachineModel) -> Self {
-        Self { model }
+        Self::for_routine(model, Routine::Gemm)
+    }
+
+    /// Wrap a machine model to time `routine`.
+    pub fn for_routine(model: MachineModel, routine: Routine) -> Self {
+        Self { model, routine }
     }
 }
 
@@ -56,7 +66,20 @@ impl GemmTimer for SimTimer {
     fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64 {
         // The paper times ten iterations of each configuration (§V-B-3).
         let reps = reps.max(1);
-        (0..reps).map(|r| self.model.measure_point(shape, point, r)).sum::<f64>() / reps as f64
+        let total: f64 = match self.routine {
+            Routine::Gemm => (0..reps).map(|r| self.model.measure_point(shape, point, r)).sum(),
+            // Routine models price the thread axis alone, at their own precision.
+            routine => {
+                let gemm = (shape.m, shape.k, shape.n);
+                let [d1, d2, _] = OpShape::from_gemm_equivalent(routine, Precision::F32, gemm).dims;
+                (0..reps).map(|r| self.model.measure_op(routine, d1, d2, point.threads, r)).sum()
+            }
+        };
+        total / reps as f64
+    }
+
+    fn routine(&self) -> Routine {
+        self.routine
     }
 
     fn max_threads(&self) -> u32 {
@@ -64,34 +87,43 @@ impl GemmTimer for SimTimer {
     }
 
     fn name(&self) -> String {
-        format!("{} (simulated)", self.model.topology.name)
+        format!("{}{} (simulated)", self.model.topology.name, routine_tag(self.routine))
     }
 }
 
-/// Timer that runs the real `adsala-gemm` SGEMM on the host.
+/// The name tag of a timer's routine (" SYRK"); GEMM, the paper's
+/// routine, goes untagged.
+fn routine_tag(routine: Routine) -> String {
+    match routine {
+        Routine::Gemm => String::new(),
+        routine => format!(" {}", routine.as_str().to_uppercase()),
+    }
+}
+
+/// Timer that runs one `adsala-gemm` routine in `f32` on the host.
 ///
-/// It times warm execution on a persistent pool, the executor a service
-/// serves on: the process-wide `ThreadPool::global()`, whose workers keep
-/// their packing arenas across calls. Operand buffers are reused across
-/// repetitions (like the paper's loop of ten same-size GEMMs) and filled
-/// with a cheap deterministic pattern.
+/// It times warm execution of an [`OpRequest`] on a persistent pool, the
+/// request and executor a service serves with: the process-wide
+/// `ThreadPool::global()`, whose workers keep their packing arenas across
+/// calls. Operand buffers are reused across repetitions (like the paper's
+/// loop of ten same-size GEMMs).
 #[derive(Debug, Clone)]
 pub struct HostTimer {
-    /// Upper bound on threads (defaults to available host parallelism).
+    /// Upper bound on threads.
     pub max_threads: u32,
-}
-
-impl Default for HostTimer {
-    fn default() -> Self {
-        let available = std::thread::available_parallelism().map(|n| n.get() as u32).unwrap_or(1);
-        Self { max_threads: available }
-    }
+    /// The routine timed.
+    pub routine: Routine,
 }
 
 impl HostTimer {
-    /// Timer with an explicit thread cap.
+    /// GEMM timer with an explicit thread cap.
     pub fn with_max_threads(max_threads: u32) -> Self {
-        Self { max_threads: max_threads.max(1) }
+        Self::for_routine(max_threads, Routine::Gemm)
+    }
+
+    /// Timer of `routine` with an explicit thread cap.
+    pub fn for_routine(max_threads: u32, routine: Routine) -> Self {
+        Self { max_threads: max_threads.max(1), routine }
     }
 }
 
@@ -99,29 +131,40 @@ impl GemmTimer for HostTimer {
     /// Times `reps` runs after one warm-up run (first-touch, page faults)
     /// kept out of the timing, mirroring standard benchmark practice.
     fn time_plan(&self, shape: GemmShape, point: &PlanPoint, reps: u32) -> f64 {
-        let (m, n, k) = (shape.m as usize, shape.n as usize, shape.k as usize);
         let mut plan = point.materialise(Precision::F32);
         plan.threads = plan.threads.clamp(1, self.max_threads);
-        let call = GemmCall::new(m, n, k, plan.threads as usize).with_plan(plan);
-        let fill = |len: usize, seed: u32| -> Vec<f32> {
-            (0..len)
-                .map(|i| {
-                    ((i as u32).wrapping_mul(2654435761).wrapping_add(seed) % 1000) as f32 / 500.0
-                        - 1.0
-                })
-                .collect()
-        };
-        let a = fill(m * k, 1);
-        let b = fill(k * n, 2);
+        // Every routine's operands are its GEMM equivalent's (`A` m×k, `B`
+        // k×n, `C` m×n); kernel time does not depend on their values.
+        let (m, k, n) = OpShape::project(self.routine, (shape.m, shape.k, shape.n));
+        let (m, k, n) = (m as usize, k as usize, n as usize);
+        let (lda, ldc) = (k.max(1), n.max(1));
+        let a = vec![0.5f32; m * k];
+        let b = if self.routine == Routine::Syrk { Vec::new() } else { vec![-0.25f32; k * n] };
         let mut c = vec![0.0f32; m * n];
+        let mut request: OpRequest<'_, f32> = match self.routine {
+            Routine::Gemm => {
+                GemmArgs::untransposed(m, n, k, 1.0, &a, lda, &b, ldc, 0.0, &mut c, ldc).into()
+            }
+            Routine::Syrk => {
+                SyrkArgs { m, k, alpha: 1.0, a: &a, lda, beta: 0.0, c: &mut c, ldc }.into()
+            }
+            Routine::Gemv => {
+                GemvArgs { m, n: k, alpha: 1.0, a: &a, lda, x: &b, beta: 0.0, y: &mut c }.into()
+            }
+        };
 
-        gemm_with_stats(&call, 1.0, &a, k.max(1), &b, n.max(1), 0.0, &mut c, n.max(1));
+        let pool = ThreadPool::global();
+        request.execute_validated(pool, &plan);
         let reps = reps.max(1);
         let start = Instant::now();
         for _ in 0..reps {
-            gemm_with_stats(&call, 1.0, &a, k.max(1), &b, n.max(1), 0.0, &mut c, n.max(1));
+            request.execute_validated(pool, &plan);
         }
         start.elapsed().as_secs_f64() / reps as f64
+    }
+
+    fn routine(&self) -> Routine {
+        self.routine
     }
 
     fn max_threads(&self) -> u32 {
@@ -129,7 +172,7 @@ impl GemmTimer for HostTimer {
     }
 
     fn name(&self) -> String {
-        format!("host ({} threads)", self.max_threads)
+        format!("host{} ({} threads)", routine_tag(self.routine), self.max_threads)
     }
 }
 
@@ -147,6 +190,45 @@ mod tests {
         assert_eq!(timer.time(shape, 32, 10), mean);
         assert_eq!(timer.max_threads(), 256);
         assert!(timer.name().contains("setonix"));
+    }
+
+    #[test]
+    fn sim_timer_for_routine_keeps_recorded_bits() {
+        // Mean times of SYRK and GEMV at a few (shape, threads, reps)
+        // points, recorded before SYRK and GEMV timing moved into
+        // `SimTimer`: the routine models' noise streams must not move.
+        let cases = [
+            ("setonix", Routine::Syrk, (800, 300), 32, 5, 0x3f2dfedd4e61928d),
+            ("setonix", Routine::Gemv, (800, 300), 32, 5, 0x3ef1016984e3a972),
+            ("setonix", Routine::Syrk, (2000, 2000), 1, 3, 0x3fc236dea74d16e9),
+            ("setonix", Routine::Gemv, (100, 4000), 256, 1, 0x3f13d468222a0836),
+            ("gadi", Routine::Syrk, (100, 4000), 256, 1, 0x3fc558a1e3630ddf),
+            ("gadi", Routine::Gemv, (2000, 2000), 1, 3, 0x3f5769812b4df0cd),
+            ("gadi", Routine::Syrk, (4000, 200), 7, 10, 0x3f758eecc6845645),
+            ("gadi", Routine::Gemv, (4000, 200), 7, 10, 0x3f07e4a04751ec5b),
+        ];
+        for (machine, routine, (d1, d2), threads, reps, bits) in cases {
+            let model =
+                if machine == "gadi" { MachineModel::gadi() } else { MachineModel::setonix() };
+            let timer = SimTimer::for_routine(model, routine);
+            let (m, k, n) = OpShape::project(routine, (d1, d2, 0));
+            let shape = GemmShape::new(m, k, n);
+            let t = timer.time(shape, threads, reps);
+            assert_eq!(t.to_bits(), bits, "{machine} {routine} {shape:?} t={threads} reps={reps}");
+            // A thread count is the default-axes point, bit for bit; the
+            // other axes, and a GEMM-equivalent `n` the routine does not
+            // have, do not enter a routine model.
+            let point = PlanPoint::threads_only(threads);
+            assert_eq!(timer.time_plan(shape, &point, reps).to_bits(), bits);
+            let scalar = PlanPoint { isa: adsala_gemm::plan::IsaChoice::Scalar, ..point };
+            assert_eq!(timer.time_plan(shape, &scalar, reps).to_bits(), bits);
+            let unprojected = GemmShape::new(d1, d2, 77);
+            assert_eq!(timer.time_plan(unprojected, &point, reps).to_bits(), bits);
+        }
+        let syrk = SimTimer::for_routine(MachineModel::setonix(), Routine::Syrk);
+        assert_eq!(syrk.routine(), Routine::Syrk);
+        assert!(syrk.name().contains("SYRK"));
+        assert_eq!(syrk.max_threads(), 256);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use adsala::gather::{GatherConfig, TrainingData};
 use adsala::install::{InstallConfig, Installation};
 use adsala::prelude::*;
-use adsala_machine::{GemmTimer, MachineModel, OpTimer, SimTimer};
+use adsala_machine::{GemmTimer, MachineModel, SimTimer};
 use adsala_ml::data::Matrix;
 use adsala_ml::tune::ModelSpec;
 use adsala_ml::{AnyModel, Regressor};
@@ -34,7 +34,7 @@ fn train_routine_model(
     op: Routine,
     seed: u64,
 ) -> AnyModel {
-    let timer = OpTimer::new(machine, op);
+    let timer = SimTimer::for_routine(machine, op);
     let gather = GatherConfig { n_shapes: 60, reps: 2, ..GatherConfig::quick() };
     let data = TrainingData::gather(&timer, &gather);
     let rows: Vec<Vec<f64>> = data

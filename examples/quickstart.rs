@@ -12,7 +12,7 @@ use adsala_machine::{MachineModel, SimTimer};
 fn main() {
     // 1. Pick a machine. The simulated Gadi node (2× Cascade Lake, 96
     //    hardware threads, Intel-MKL-like BLAS behaviour) stands in for
-    //    the paper's testbed; swap in `HostTimer::default()` to gather
+    //    the paper's testbed; swap in `HostTimer::with_max_threads(n)` to gather
     //    timings from this machine's real cores instead.
     let timer = SimTimer::new(MachineModel::gadi());
     println!("machine: {}", adsala_machine::GemmTimer::name(&timer));

@@ -1,8 +1,8 @@
 //! End-to-end against real hardware: the same installation pipeline that
 //! runs on the simulated nodes, driven by `HostTimer` — which times the
-//! actual blocked GEMM from `adsala-gemm` on this machine's cores, warm on
-//! a persistent pool (the process-wide one): the executor the service
-//! serves on.
+//! actual blocked GEMM, SYRK or GEMV from `adsala-gemm` on this machine's
+//! cores through the service's `OpRequest` dispatch, warm on a persistent
+//! pool (the process-wide one): the executor the service serves on.
 //!
 //! Kept deliberately tiny (small shapes, few reps) so it stays in CI
 //! territory; the point is that nothing in the pipeline is
@@ -10,8 +10,12 @@
 
 use adsala_repro::adsala::gather::{GatherConfig, ThreadLadder};
 use adsala_repro::adsala::install::{InstallConfig, Installation};
-use adsala_repro::adsala::{GemmArgs, OpRequest, OpShape, Precision, RunOptions};
+use adsala_repro::adsala::{
+    GemmArgs, GemvArgs, OpRequest, OpShape, Precision, Routine, RunOptions, SyrkArgs,
+};
+use adsala_repro::adsala_gemm::gemv::naive_gemv;
 use adsala_repro::adsala_gemm::plan::PlanGrid;
+use adsala_repro::adsala_gemm::syrk::naive_syrk;
 use adsala_repro::adsala_machine::{GemmTimer, HostTimer};
 use adsala_repro::adsala_ml::tune::ModelSpec;
 use adsala_repro::adsala_ml::ModelKind;
@@ -95,6 +99,62 @@ fn pipeline_trains_against_real_host_gemm() {
     );
     for (x, y) in c.iter().zip(&c_ref) {
         assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()));
+    }
+}
+
+#[test]
+fn pipeline_trains_syrk_and_gemv_tables_on_the_host() {
+    let host_threads =
+        std::thread::available_parallelism().map(|n| n.get() as u32).unwrap_or(2).min(8);
+    let ladder = ThreadLadder::geometric(host_threads).counts;
+    let (m, k) = (40usize, 24usize);
+    let a: Vec<f32> = (0..m * k).map(|i| (i % 13) as f32 * 0.5 - 3.0).collect();
+    for routine in [Routine::Syrk, Routine::Gemv] {
+        let timer = HostTimer::for_routine(host_threads, routine);
+        let install = Installation::run(&timer, &tiny_host_config(host_threads))
+            .unwrap_or_else(|e| panic!("host {routine} install: {e}"));
+        assert!(install.machine.contains(&routine.as_str().to_uppercase()));
+        let service = install.into_service();
+        let opts = RunOptions::with_host_cap(host_threads);
+        // One op of the routine, served through its table, against the
+        // naive reference.
+        let (decision, stats) = match routine {
+            Routine::Syrk => {
+                let mut c = vec![0.0f32; m * m];
+                let mut req: OpRequest<'_, f32> =
+                    SyrkArgs { m, k, alpha: 1.0, a: &a, lda: k, beta: 0.0, c: &mut c, ldc: m }
+                        .into();
+                let served = service.run_with(&mut req, opts).expect("well-formed ssyrk");
+                let mut c_ref = vec![0.0f32; m * m];
+                naive_syrk(m, k, 1.0, &a, k, 0.0, &mut c_ref, m);
+                for i in 0..m {
+                    for j in 0..=i {
+                        let (x, y) = (c[i * m + j], c_ref[i * m + j]);
+                        assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()), "c[{i},{j}] {x} vs {y}");
+                    }
+                }
+                served
+            }
+            _ => {
+                let x: Vec<f32> = (0..k).map(|i| (i % 5) as f32 - 2.0).collect();
+                let mut y = vec![0.0f32; m];
+                let mut req: OpRequest<'_, f32> =
+                    GemvArgs { m, n: k, alpha: 1.0, a: &a, lda: k, x: &x, beta: 0.0, y: &mut y }
+                        .into();
+                let served = service.run_with(&mut req, opts).expect("well-formed sgemv");
+                let mut y_ref = vec![0.0f32; m];
+                naive_gemv(m, k, 1.0, &a, k, &x, 0.0, &mut y_ref);
+                for (x, y) in y.iter().zip(&y_ref) {
+                    assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()), "{x} vs {y}");
+                }
+                served
+            }
+        };
+        assert_eq!(stats.routine, routine);
+        assert!(ladder.contains(&decision.threads()), "{routine} decided {decision:?}");
+        let probe = OpShape::from_gemm_equivalent(routine, Precision::F32, (96, 96, 96));
+        let d = service.select_for_capped(probe, u32::MAX);
+        assert!(ladder.contains(&d.threads()), "{routine} decided {d:?}");
     }
 }
 
