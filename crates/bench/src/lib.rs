@@ -1,5 +1,5 @@
-//! Shared harness for the paper-reproduction binary and the criterion
-//! benches: cached installations, result-file output, table formatting.
+//! Harness of the paper-reproduction binary (`repro`): cached
+//! installations, result-file output, table formatting.
 //!
 //! Trained installations are cached under `results/` so that each figure
 //! command does not re-run the (minutes-long) training pipeline; delete

@@ -266,11 +266,6 @@ impl Installation {
         AdsalaService::new(self.into_bundle().into_shared())
     }
 
-    /// Like [`Installation::into_service`] with explicit tunables.
-    pub fn into_service_with(self, cfg: crate::service::ServiceConfig) -> AdsalaService {
-        AdsalaService::with_config(self.into_bundle().into_shared(), cfg)
-    }
-
     /// Bundle into a saveable artefact (schema v4, carrying the grid).
     pub fn to_artifact(&self) -> Artifact {
         Artifact::from_table(

@@ -96,8 +96,6 @@ pub struct ReservoirStats {
     /// Observations dropped because a stripe was contended (`try_lock`
     /// failed) — the price of never blocking the hot path.
     pub contended_drops: u64,
-    /// Observations skipped by the sampling rate.
-    pub sampled_out: u64,
 }
 
 struct Stripe {
@@ -108,7 +106,7 @@ struct Stripe {
 
 /// A bounded, striped, never-blocking sink of [`Observation`]s.
 ///
-/// Writers pay a relaxed fetch-add (sampling), one `try_lock`, and a
+/// Writers pay a relaxed fetch-add (stripe rotation), one `try_lock`, and a
 /// `Vec` write into preallocated storage. A contended stripe drops the
 /// observation; a full stripe overwrites its oldest resident — both are
 /// fine for a statistical training set, and neither can stall a serving
@@ -117,11 +115,9 @@ pub struct ObservationReservoir {
     stripes: Box<[Mutex<Stripe>]>,
     stripe_mask: usize,
     per_stripe_capacity: usize,
-    sample_every: u32,
     calls: AtomicU64,
     recorded: AtomicU64,
     contended_drops: AtomicU64,
-    sampled_out: AtomicU64,
 }
 
 impl std::fmt::Debug for ObservationReservoir {
@@ -138,14 +134,13 @@ impl ObservationReservoir {
     /// The service's reservoir: 4096 observations over 8 stripes, every
     /// observation kept.
     pub(crate) fn for_service() -> Self {
-        Self::new(8, 4096, 1)
+        Self::new(8, 4096)
     }
 
     /// Build a reservoir with `stripes` lock stripes (rounded up to a
-    /// power of two, at least 1) sharing `capacity` total slots, keeping
-    /// every `sample_every`-th observation. All storage is allocated up
-    /// front.
-    pub fn new(stripes: usize, capacity: usize, sample_every: u32) -> Self {
+    /// power of two, at least 1) sharing `capacity` total slots. All
+    /// storage is allocated up front.
+    pub(crate) fn new(stripes: usize, capacity: usize) -> Self {
         let stripes = stripes.max(1).next_power_of_two();
         let per_stripe_capacity = capacity.div_ceil(stripes).max(1);
         Self {
@@ -156,23 +151,17 @@ impl ObservationReservoir {
                 .collect(),
             stripe_mask: stripes - 1,
             per_stripe_capacity,
-            sample_every: sample_every.max(1),
             calls: AtomicU64::new(0),
             recorded: AtomicU64::new(0),
             contended_drops: AtomicU64::new(0),
-            sampled_out: AtomicU64::new(0),
         }
     }
 
-    /// Offer one observation. Never blocks and never allocates: sampled
-    /// out, dropped on stripe contention, or copied into the ring.
-    /// Returns `true` only if the observation is now resident.
+    /// Offer one observation. Never blocks and never allocates: dropped
+    /// on stripe contention, or copied into the ring. Returns `true` only
+    /// if the observation is now resident.
     pub fn record(&self, obs: Observation) -> bool {
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        if self.sample_every > 1 && !call.is_multiple_of(self.sample_every as u64) {
-            self.sampled_out.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
         // Rotate stripes by arrival order so concurrent writers spread out.
         let stripe = &self.stripes[(call as usize) & self.stripe_mask];
         let Some(mut guard) = stripe.try_lock() else {
@@ -225,7 +214,6 @@ impl ObservationReservoir {
             resident: self.len() as u64,
             recorded: self.recorded.load(Ordering::Relaxed),
             contended_drops: self.contended_drops.load(Ordering::Relaxed),
-            sampled_out: self.sampled_out.load(Ordering::Relaxed),
         }
     }
 }
@@ -365,11 +353,6 @@ impl DriftDetector {
             drifted: AtomicBool::new(false),
             trips: AtomicU64::new(0),
         }
-    }
-
-    /// The configured band.
-    pub fn config(&self) -> DriftConfig {
-        self.config
     }
 
     /// Fold in one executed op. Pairs without a prediction or a
@@ -753,7 +736,7 @@ mod tests {
 
     #[test]
     fn reservoir_records_and_drains() {
-        let r = ObservationReservoir::new(2, 16, 1);
+        let r = ObservationReservoir::new(2, 16);
         assert!(r.is_empty());
         for i in 0..10 {
             assert!(r.record(obs(i)));
@@ -772,7 +755,7 @@ mod tests {
 
     #[test]
     fn reservoir_is_bounded_and_overwrites_oldest() {
-        let r = ObservationReservoir::new(1, 4, 1);
+        let r = ObservationReservoir::new(1, 4);
         assert_eq!(r.capacity(), 4);
         for i in 0..10 {
             r.record(obs(i));
@@ -786,18 +769,8 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_sampling_thins_the_stream() {
-        let r = ObservationReservoir::new(1, 100, 4);
-        for i in 0..40 {
-            r.record(obs(i));
-        }
-        assert_eq!(r.len(), 10, "every 4th call is kept");
-        assert_eq!(r.stats().sampled_out, 30);
-    }
-
-    #[test]
     fn reservoir_drops_on_contention_instead_of_blocking() {
-        let r = ObservationReservoir::new(1, 8, 1);
+        let r = ObservationReservoir::new(1, 8);
         // Hold the only stripe hostage; the writer must drop, not block.
         let guard = r.stripes[0].lock();
         let start = Instant::now();

@@ -172,8 +172,7 @@ impl PackArena {
     }
 
     /// Drop the backing allocation (counters are kept). The next checkout
-    /// allocates again — benchmarks use this to simulate the old
-    /// allocate-per-call drivers.
+    /// allocates again.
     pub fn reset(&mut self) {
         self.buf.release();
     }
@@ -254,13 +253,6 @@ pub fn with_thread_arena<R>(f: impl FnOnce(&mut PackArena) -> R) -> R {
 /// Counter snapshot of the calling thread's arena.
 pub fn thread_arena_stats() -> ArenaStats {
     THREAD_ARENA.with(|arena| arena.borrow().stats())
-}
-
-/// Drop the calling thread's arena allocation (counters kept). The next
-/// packing call on this thread allocates again — the benchmark knob for
-/// measuring the old allocate-per-call behaviour.
-pub fn reset_thread_arena() {
-    THREAD_ARENA.with(|arena| arena.borrow_mut().reset());
 }
 
 /// `true` when the calling thread is a registered pool worker (of any
@@ -362,18 +354,6 @@ impl Workspace {
             total.merge(&arena.stats());
         }
         total
-    }
-
-    /// Drop every parked allocation (worker slots and the shared free
-    /// list), keeping counters. Benchmarks use this to model the old
-    /// allocate-per-call drivers.
-    pub fn reset(&self) {
-        for slot in &self.slots {
-            slot.0.lock().reset();
-        }
-        for arena in self.shared.lock().iter_mut() {
-            arena.reset();
-        }
     }
 }
 
