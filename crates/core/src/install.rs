@@ -322,6 +322,57 @@ mod tests {
         assert!((1..=96).contains(&d.threads()));
     }
 
+    /// A small widened-grid install, gather to refit: Yeo–Johnson, LOF,
+    /// pruning, two-fold CV and both refits all feed its artefact.
+    fn small_widened_install() -> Installation {
+        let cfg = InstallConfig {
+            gather: GatherConfig {
+                n_shapes: 20,
+                reps: 2,
+                max_dim: Some(4608),
+                grid: Some(adsala_gemm::plan::PlanGrid::widened(vec![1, 2, 4], 384)),
+                seed: 0x2023_0012,
+                ..GatherConfig::paper()
+            },
+            families: vec![ModelKind::XgBoost],
+            grids: vec![(
+                ModelKind::XgBoost,
+                vec![ModelSpec::XgBoost { n_rounds: 8, max_depth: 4, eta: 0.15, lambda: 1.0 }],
+            )],
+            folds: 2,
+            test_fraction: 0.3,
+            speedup_reps: 1,
+            max_speedup_shapes: 8,
+            eval_scale: 1.0,
+            seed: 0xADA_0012,
+        };
+        Installation::run(&SimTimer::new(MachineModel::gadi()), &cfg).unwrap()
+    }
+
+    /// FNV-1a over `bytes` fed as little-endian 8-byte words, the last one
+    /// zero-padded: the `artifact_hash` the benchmark prints.
+    fn artifact_hash(bytes: &[u8]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            for b in word {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn widened_install_artifact_keeps_its_recorded_hash() {
+        // Recorded before the install's preprocessing and split search were
+        // rewritten for speed: every fitted bit of the chain and the model
+        // must survive such a rewrite.
+        let install = small_widened_install();
+        let json = install.to_artifact().to_json().unwrap();
+        assert_eq!(format!("{:016x}", artifact_hash(json.as_bytes())), "bcfcd4cc55b498d5");
+    }
+
     #[test]
     fn artifact_roundtrip_from_install() {
         let timer = SimTimer::new(MachineModel::gadi());

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::data::Matrix;
-use crate::models::tree::DecisionTree;
+use crate::models::tree::{ColumnRanks, DecisionTree};
 use crate::models::Regressor;
 use crate::MlError;
 
@@ -66,6 +66,7 @@ impl Regressor for AdaBoostR2 {
         let n = x.rows();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut weights = vec![1.0 / n as f64; n];
+        let ranks = ColumnRanks::new(x);
         self.stages.clear();
         self.stage_weights.clear();
 
@@ -90,7 +91,7 @@ impl Regressor for AdaBoostR2 {
                 seed: self.seed.wrapping_add(round as u64 + 1),
                 ..DecisionTree::default()
             };
-            tree.fit_on(x, y, &sample)?;
+            tree.fit_ranked(x, y, &sample, &ranks);
 
             // Linear loss normalised by the largest error.
             let errors: Vec<f64> =

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::data::Matrix;
-use crate::models::tree::{sum_leaves_set_valued, DecisionTree};
+use crate::models::tree::{sum_leaves_set_valued, ColumnRanks, DecisionTree};
 use crate::models::Regressor;
 use crate::MlError;
 
@@ -67,6 +67,7 @@ impl Regressor for RandomForest {
             return Err(MlError::BadShape("n_trees must be positive".into()));
         }
         let n = x.rows();
+        let ranks = ColumnRanks::new(x);
         let mut rng = StdRng::seed_from_u64(self.seed);
         self.trees = (0..self.n_trees)
             .map(|t| {
@@ -78,10 +79,10 @@ impl Regressor for RandomForest {
                     seed: self.seed.wrapping_add(t as u64 + 1),
                     ..DecisionTree::default()
                 };
-                tree.fit_on(x, y, &bootstrap)?;
-                Ok(tree)
+                tree.fit_ranked(x, y, &bootstrap, &ranks);
+                tree
             })
-            .collect::<Result<Vec<_>, MlError>>()?;
+            .collect();
         Ok(())
     }
 

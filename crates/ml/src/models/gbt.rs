@@ -18,7 +18,9 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::data::Matrix;
-use crate::models::tree::{leaf_value, sum_leaves_set_valued, Node, LEAF};
+use crate::models::tree::{
+    leaf_value, partition, sum_leaves_set_valued, ColumnRanks, Node, NodeSorter, LEAF,
+};
 use crate::models::Regressor;
 use crate::MlError;
 
@@ -100,6 +102,7 @@ impl GradientBoosting {
         &self,
         x: &Matrix,
         g: &[f64],
+        sorter: &mut NodeSorter,
         idx: &mut [usize],
         depth: usize,
         nodes: &mut Vec<Node>,
@@ -116,17 +119,18 @@ impl GradientBoosting {
         let parent_obj = g_sum * g_sum / (h_sum + self.lambda);
 
         let mut best: Option<(u32, f64, f64)> = None;
-        let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(idx.len());
         for f in 0..x.cols() {
-            pairs.clear();
-            pairs.extend(idx.iter().map(|&i| (x.get(i, f), g[i])));
-            pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+            let Some(node) = sorter.sort(f, g, idx) else {
+                continue;
+            };
             let mut gl = 0.0;
-            for split in 1..pairs.len() {
-                gl += pairs[split - 1].1;
-                if pairs[split - 1].0 == pairs[split].0 {
-                    continue;
+            let mut start = 0;
+            for pair in node.groups.windows(2) {
+                let ((value, split), (next, _)) = (pair[0], pair[1]);
+                for &gv in &node.labels[start..split] {
+                    gl += gv;
                 }
+                start = split;
                 let hl = split as f64;
                 let hr = h_sum - hl;
                 if hl < self.min_child_weight || hr < self.min_child_weight {
@@ -137,7 +141,7 @@ impl GradientBoosting {
                     * (gl * gl / (hl + self.lambda) + gr * gr / (hr + self.lambda) - parent_obj)
                     - self.gamma;
                 if gain > best.map_or(1e-12, |(_, _, b)| b) {
-                    let threshold = 0.5 * (pairs[split - 1].0 + pairs[split].0);
+                    let threshold = 0.5 * (value + next);
                     best = Some((f as u32, threshold, gain));
                 }
             }
@@ -146,19 +150,10 @@ impl GradientBoosting {
             return me;
         };
 
-        let mid = {
-            let mut m = 0;
-            for i in 0..idx.len() {
-                if x.get(idx[i], feature as usize) <= threshold {
-                    idx.swap(m, i);
-                    m += 1;
-                }
-            }
-            m
-        };
+        let mid = partition(idx, |&i| x.get(i, feature as usize) <= threshold);
         let (li, ri) = idx.split_at_mut(mid);
-        let left = self.build_node(x, g, li, depth + 1, nodes);
-        let right = self.build_node(x, g, ri, depth + 1, nodes);
+        let left = self.build_node(x, g, sorter, li, depth + 1, nodes);
+        let right = self.build_node(x, g, sorter, ri, depth + 1, nodes);
         let node = &mut nodes[me as usize];
         node.feature = feature;
         node.threshold = threshold;
@@ -184,6 +179,8 @@ impl Regressor for GradientBoosting {
         let mut pred = vec![self.base_score; n];
         let mut rng = StdRng::seed_from_u64(self.seed);
         self.trees.clear();
+        let ranks = ColumnRanks::new(x);
+        let mut sorter = ranks.sorter();
 
         for _ in 0..self.n_rounds {
             // Gradients at the current prediction.
@@ -196,7 +193,7 @@ impl Regressor for GradientBoosting {
             }
 
             let mut nodes = Vec::new();
-            self.build_node(x, &g, &mut idx, 0, &mut nodes);
+            self.build_node(x, &g, &mut sorter, &mut idx, 0, &mut nodes);
             // Update predictions with the new tree.
             for (i, p) in pred.iter_mut().enumerate() {
                 *p += leaf_value(&nodes, x.row(i));

@@ -294,6 +294,106 @@ mod tests {
         }
     }
 
+    /// `n` rows of five columns: constant, binary, 60 levels, continuous,
+    /// and `{−1, −0, +0, 1}` (zeros of both signs compare equal), with a
+    /// label that depends on all but the first.
+    fn mixed_level_dataset(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                vec![
+                    2.5,
+                    f64::from(rng.gen_range(0..2u32)),
+                    f64::from(rng.gen_range(0..60u32)) * 0.5 - 7.0,
+                    rng.gen_range(-3.0..3.0),
+                    [-1.0, -0.0, 0.0, 1.0][rng.gen_range(0..4usize)],
+                ]
+            })
+            .collect();
+        let y = rows
+            .iter()
+            .map(|r| {
+                3.0 * r[1] + (0.4 * r[2]).sin() * r[3] + r[3] * r[3] - 2.0 * r[4]
+                    + rng.gen_range(-0.1..0.1)
+            })
+            .collect();
+        (Matrix::from_rows(&rows), y)
+    }
+
+    #[test]
+    fn tree_learners_keep_recorded_prediction_bits() {
+        // FNV-1a of every prediction's bits, on the training rows and on
+        // held-out rows, recorded before the exact-greedy split search
+        // ranked its columns instead of sorting them per node: a split
+        // search may get faster, never different.
+        let (x, y) = mixed_level_dataset(240, 7);
+        let (probe, _) = mixed_level_dataset(100, 8);
+        let models: [(&str, AnyModel, u64); 7] = [
+            ("tree", AnyModel::DecisionTree(DecisionTree::default()), 0xea3c_e249_f545_b0c1),
+            (
+                "tree, leaf ≥ 5",
+                AnyModel::DecisionTree(DecisionTree {
+                    max_depth: 6,
+                    min_samples_leaf: 5,
+                    ..DecisionTree::default()
+                }),
+                0x3aec_f666_b9e2_029f,
+            ),
+            (
+                "forest",
+                AnyModel::RandomForest(RandomForest {
+                    n_trees: 10,
+                    max_depth: 8,
+                    max_features: 0.6,
+                    seed: 3,
+                    ..RandomForest::default()
+                }),
+                0xed3c_636d_3c0b_a217,
+            ),
+            (
+                "adaboost",
+                AnyModel::AdaBoost(AdaBoostR2 {
+                    n_rounds: 10,
+                    max_depth: 4,
+                    seed: 5,
+                    ..AdaBoostR2::default()
+                }),
+                0x4553_2ca7_a539_0df1,
+            ),
+            ("gbt", AnyModel::XgBoost(GradientBoosting::new(30, 4, 0.2)), 0x382a_9bea_aa9c_f968),
+            (
+                "gbt, subsample 0.7",
+                AnyModel::XgBoost(GradientBoosting {
+                    subsample: 0.7,
+                    seed: 9,
+                    ..GradientBoosting::new(30, 4, 0.2)
+                }),
+                0xa560_fea3_3db8_44af,
+            ),
+            (
+                "gbt, min_child_weight 4",
+                AnyModel::XgBoost(GradientBoosting {
+                    min_child_weight: 4.0,
+                    gamma: 0.01,
+                    ..GradientBoosting::new(20, 5, 0.3)
+                }),
+                0xf0db_eb23_9181_66cd,
+            ),
+        ];
+        for (name, mut model, recorded) in models {
+            model.fit(&x, &y).unwrap();
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for p in model.predict(&x).into_iter().chain(model.predict(&probe)) {
+                for b in p.to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(format!("{hash:016x}"), format!("{recorded:016x}"), "{name}");
+        }
+    }
+
     #[test]
     fn serde_roundtrip_preserves_predictions() {
         let (x, y) = test_support::nonlinear_dataset(100, 1);

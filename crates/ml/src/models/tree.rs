@@ -2,9 +2,14 @@
 //!
 //! The tree is stored as a flat node array (index-linked, serde-friendly);
 //! prediction walks from the root following threshold comparisons. The
-//! split search sorts each candidate feature's values within the node and
-//! scans split points accumulating left/right label sums — `O(d·n·log n)`
-//! per node, plenty for the paper's ~10³-sample datasets.
+//! split search orders the node's rows by each candidate feature and scans
+//! the split points between distinct values, accumulating left/right label
+//! sums. A fit ranks every column's distinct values once
+//! (`ColumnRanks`), so a node orders its rows with a stable counting sort
+//! by rank — `O(n + values)` per feature rather than a comparison sort's
+//! `O(n·log n)` — and skips a feature constant within the node, where no
+//! split exists. The order is the one a stable sort by value gives, so the
+//! label sums, and with them the fitted tree, are the same bits.
 //!
 //! The same builder powers [`crate::models::RandomForest`] (bootstrap
 //! rows plus per-split feature subsampling) and
@@ -278,11 +283,18 @@ impl DecisionTree {
         if x.rows() != y.len() {
             return Err(MlError::BadShape("label length mismatch".into()));
         }
+        self.fit_ranked(x, y, idx, &ColumnRanks::new(x));
+        Ok(())
+    }
+
+    /// [`DecisionTree::fit_on`] with `x`'s ranks already taken (an
+    /// ensemble ranks its matrix once for all its trees); `idx` is
+    /// non-empty and `y` as long as `x`.
+    pub(crate) fn fit_ranked(&mut self, x: &Matrix, y: &[f64], idx: &[usize], ranks: &ColumnRanks) {
         self.nodes.clear();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut work = idx.to_vec();
-        self.build(x, y, &mut work, 0, &mut rng);
-        Ok(())
+        self.build(x, y, &mut ranks.sorter(), &mut work, 0, &mut rng);
     }
 
     /// Recursive node construction; returns the node's index.
@@ -290,6 +302,7 @@ impl DecisionTree {
         &mut self,
         x: &Matrix,
         y: &[f64],
+        sorter: &mut NodeSorter,
         idx: &mut [usize],
         depth: usize,
         rng: &mut StdRng,
@@ -301,7 +314,7 @@ impl DecisionTree {
         if depth >= self.max_depth || idx.len() < self.min_samples_split {
             return me;
         }
-        let Some((feature, threshold)) = self.best_split(x, y, idx, rng) else {
+        let Some((feature, threshold)) = self.best_split(y, sorter, idx, rng) else {
             return me;
         };
 
@@ -310,8 +323,8 @@ impl DecisionTree {
         let (left_idx, right_idx) = idx.split_at_mut(mid);
         debug_assert!(!left_idx.is_empty() && !right_idx.is_empty());
 
-        let left = self.build(x, y, left_idx, depth + 1, rng);
-        let right = self.build(x, y, right_idx, depth + 1, rng);
+        let left = self.build(x, y, sorter, left_idx, depth + 1, rng);
+        let right = self.build(x, y, sorter, right_idx, depth + 1, rng);
         let node = &mut self.nodes[me as usize];
         node.feature = feature;
         node.threshold = threshold;
@@ -324,12 +337,12 @@ impl DecisionTree {
     /// (equivalently maximise variance reduction).
     fn best_split(
         &self,
-        x: &Matrix,
         y: &[f64],
+        sorter: &mut NodeSorter,
         idx: &[usize],
         rng: &mut StdRng,
     ) -> Option<(u32, f64)> {
-        let d = x.cols();
+        let d = sorter.columns();
         let n = idx.len();
         let features: Vec<usize> = match self.max_features {
             None => (0..d).collect(),
@@ -347,22 +360,21 @@ impl DecisionTree {
         let parent_score = total_sq - total_sum * total_sum / n as f64;
 
         let mut best: Option<(u32, f64, f64)> = None; // (feature, threshold, score)
-        let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(n);
         for &f in &features {
-            pairs.clear();
-            pairs.extend(idx.iter().map(|&i| (x.get(i, f), y[i])));
-            pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
-
+            let Some(node) = sorter.sort(f, y, idx) else {
+                continue;
+            };
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
-            for split in 1..n {
-                let (xv, yv) = pairs[split - 1];
-                left_sum += yv;
-                left_sq += yv * yv;
-                // Can't split between equal feature values.
-                if xv == pairs[split].0 {
-                    continue;
+            let mut start = 0;
+            // A split falls between two values, never between equal ones.
+            for pair in node.groups.windows(2) {
+                let ((xv, split), (next, _)) = (pair[0], pair[1]);
+                for &yv in &node.labels[start..split] {
+                    left_sum += yv;
+                    left_sq += yv * yv;
                 }
+                start = split;
                 let nl = split;
                 let nr = n - split;
                 if nl < self.min_samples_leaf || nr < self.min_samples_leaf {
@@ -375,7 +387,7 @@ impl DecisionTree {
                     + (right_sq - right_sum * right_sum / nr as f64);
                 if best.map_or(score < parent_score - 1e-12, |(_, _, b)| score < b) {
                     // Midpoint threshold, like scikit-learn.
-                    let threshold = 0.5 * (xv + pairs[split].0);
+                    let threshold = 0.5 * (xv + next);
                     best = Some((f as u32, threshold, score));
                 }
             }
@@ -384,9 +396,160 @@ impl DecisionTree {
     }
 }
 
-/// Stable-ish partition: reorders `idx` so rows satisfying `pred` come
-/// first; returns the boundary.
-fn partition<F: Fn(&usize) -> bool>(idx: &mut [usize], pred: F) -> usize {
+/// Every column's values as ranks: row `i`'s rank in column `f` counts the
+/// distinct values of the column below `x[i][f]` (values that compare
+/// equal, such as `−0` and `+0`, share one). Taken once per fit, so a node
+/// orders its rows by a column with a counting sort instead of a
+/// comparison sort.
+pub(crate) struct ColumnRanks {
+    /// Column `f`'s ranks are `ranks[f * rows..(f + 1) * rows]`.
+    ranks: Vec<u32>,
+    rows: usize,
+    /// Column `f`'s distinct values, ascending, are
+    /// `values[starts[f]..starts[f + 1]]`: rank `r` holds `values[starts[f] + r]`.
+    values: Vec<f64>,
+    starts: Vec<usize>,
+}
+
+/// A node's rows ordered by one column, as [`NodeSorter::sort`] leaves
+/// them.
+pub(crate) struct SortedNode<'s> {
+    /// The rows' labels, ascending by the column's value and, among equal
+    /// values, in the node's row order.
+    pub labels: &'s [f64],
+    /// One `(value, end)` per distinct value of the column in the node,
+    /// ascending: its rows are `labels[previous end..end]`.
+    pub groups: &'s [(f64, usize)],
+}
+
+/// Orders nodes' rows by a column of one fit's [`ColumnRanks`], reusing its
+/// buffers from node to node.
+pub(crate) struct NodeSorter<'r> {
+    ranks: &'r ColumnRanks,
+    node_ranks: Vec<u32>,
+    counts: Vec<usize>,
+    order: Vec<usize>,
+    labels: Vec<f64>,
+    groups: Vec<(f64, usize)>,
+}
+
+impl ColumnRanks {
+    /// Rank every column of `x`.
+    ///
+    /// # Panics
+    /// Panics on a NaN feature value.
+    pub(crate) fn new(x: &Matrix) -> Self {
+        let rows = x.rows();
+        let mut ranks = vec![0; rows * x.cols()];
+        let (mut values, mut starts) = (Vec::new(), Vec::with_capacity(x.cols() + 1));
+        let mut order: Vec<usize> = (0..rows).collect();
+        for (f, column) in ranks.chunks_exact_mut(rows.max(1)).enumerate() {
+            order.sort_unstable_by(|&a, &b| {
+                x.get(a, f).partial_cmp(&x.get(b, f)).expect("finite features")
+            });
+            starts.push(values.len());
+            for &i in &order {
+                let v = x.get(i, f);
+                if values.len() == starts[f] || values[values.len() - 1] != v {
+                    values.push(v);
+                }
+                column[i] = (values.len() - 1 - starts[f]) as u32;
+            }
+        }
+        starts.push(values.len());
+        Self { ranks, rows, values, starts }
+    }
+
+    /// A sorter for nodes of this fit.
+    pub(crate) fn sorter(&self) -> NodeSorter<'_> {
+        NodeSorter {
+            ranks: self,
+            node_ranks: Vec::new(),
+            counts: Vec::new(),
+            order: Vec::new(),
+            labels: Vec::new(),
+            groups: Vec::new(),
+        }
+    }
+}
+
+impl NodeSorter<'_> {
+    /// Columns of the ranked matrix.
+    pub(crate) fn columns(&self) -> usize {
+        self.ranks.starts.len() - 1
+    }
+
+    /// The node's rows `idx` ordered by column `f` as a stable sort by value
+    /// orders them, so sums over the labels run in the same order, grouped
+    /// by value. `None` when the column is constant over the node, where no
+    /// split exists.
+    ///
+    /// Within a group the values compare equal, so they are one bit pattern
+    /// or zeros of either sign; either way `0.5 · (a + b)` of two groups'
+    /// values does not depend on which of its rows each was taken from.
+    pub(crate) fn sort(
+        &mut self,
+        f: usize,
+        labels: &[f64],
+        idx: &[usize],
+    ) -> Option<SortedNode<'_>> {
+        let Self { ranks, node_ranks, counts, order, labels: sorted, groups } = self;
+        let column = &ranks.ranks[f * ranks.rows..(f + 1) * ranks.rows];
+        let values = &ranks.values[ranks.starts[f]..ranks.starts[f + 1]];
+        node_ranks.clear();
+        node_ranks.extend(idx.iter().map(|&i| column[i]));
+        let (lo, hi) = node_ranks.iter().fold((u32::MAX, 0), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+        if lo == hi {
+            return None;
+        }
+        sorted.clear();
+        groups.clear();
+        let levels = (hi - lo) as usize + 1;
+        if levels <= 4 * idx.len() {
+            // Counting sort: each value's rows start after every lower
+            // value's, and arrive in `idx` order.
+            counts.clear();
+            counts.resize(levels, 0);
+            for &r in node_ranks.iter() {
+                counts[(r - lo) as usize] += 1;
+            }
+            let mut end = 0;
+            for (level, count) in counts.iter_mut().enumerate() {
+                if *count > 0 {
+                    (*count, end) = (end, end + *count);
+                    groups.push((values[lo as usize + level], end));
+                }
+            }
+            sorted.resize(idx.len(), 0.0);
+            for (&i, &r) in idx.iter().zip(node_ranks.iter()) {
+                let slot = &mut counts[(r - lo) as usize];
+                sorted[*slot] = labels[i];
+                *slot += 1;
+            }
+        } else {
+            // Few rows over many values: a stable sort of the positions is
+            // cheaper than the counts.
+            order.clear();
+            order.extend(0..idx.len());
+            order.sort_by_key(|&p| node_ranks[p]);
+            sorted.extend(order.iter().map(|&p| labels[idx[p]]));
+            for (end, pair) in (1..).zip(order.windows(2)) {
+                if node_ranks[pair[0]] != node_ranks[pair[1]] {
+                    groups.push((values[node_ranks[pair[0]] as usize], end));
+                }
+            }
+            groups.push((values[hi as usize], idx.len()));
+        }
+        Some(SortedNode { labels: sorted, groups })
+    }
+}
+
+/// Reorders `idx` so rows satisfying `pred` come first; returns the
+/// boundary. An unstable swap partition: the rows on either side come out
+/// in an order of their own, and that order is the order the children's
+/// split searches add their labels in — part of every fitted tree's bits.
+/// Making it stable would change the trees.
+pub(crate) fn partition<F: Fn(&usize) -> bool>(idx: &mut [usize], pred: F) -> usize {
     let mut mid = 0;
     for i in 0..idx.len() {
         if pred(&idx[i]) {
@@ -660,6 +823,53 @@ mod tests {
                             model.predict_row(row).to_bits(),
                             "{name}, {shape} batch of {n}, row {r}: {row:?}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn node_order_is_the_stable_sort_by_value() {
+        // Columns of 2, 5 and 60 levels, zeros of both signs, and all
+        // distinct; nodes from 2 rows to all of them, bootstrap-style
+        // repeats included, so both the counting sort and its fallback run.
+        let mut rng = StdRng::seed_from_u64(30);
+        let n = 400;
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                vec![
+                    f64::from(rng.gen_range(0..2u32)),
+                    [-1.5, -0.0, 0.0, 2.0, 7.25][rng.gen_range(0..5usize)],
+                    f64::from(rng.gen_range(0..60u32)) - 30.0,
+                    rng.gen_range(-1.0..1.0),
+                ]
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let labels: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let ranks = ColumnRanks::new(&x);
+        let mut sorter = ranks.sorter();
+        for size in [2, 3, 7, 40, 150, n] {
+            for _ in 0..5 {
+                let idx: Vec<usize> = (0..size).map(|_| rng.gen_range(0..n)).collect();
+                for f in 0..x.cols() {
+                    let mut pairs: Vec<(f64, f64)> =
+                        idx.iter().map(|&i| (x.get(i, f), labels[i])).collect();
+                    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                    let Some(node) = sorter.sort(f, &labels, &idx) else {
+                        assert!(pairs.iter().all(|p| p.0 == pairs[0].0), "column {f} split");
+                        continue;
+                    };
+                    let expected: Vec<u64> = pairs.iter().map(|p| p.1.to_bits()).collect();
+                    let got: Vec<u64> = node.labels.iter().map(|l| l.to_bits()).collect();
+                    assert_eq!(got, expected, "column {f}, {size} rows");
+                    // A group ends exactly where the sorted values change.
+                    let ends: Vec<usize> =
+                        (1..size).filter(|&p| pairs[p - 1].0 != pairs[p].0).chain([size]).collect();
+                    assert_eq!(node.groups.iter().map(|g| g.1).collect::<Vec<_>>(), ends);
+                    for &(value, end) in node.groups {
+                        assert_eq!(value, pairs[end - 1].0, "column {f}, {size} rows");
                     }
                 }
             }

@@ -7,17 +7,22 @@
 //! statistical filters miss. The paper runs LOF after standardisation
 //! (distances need comparable scales) to clean the gathered timings.
 //!
-//! The neighbour search is exact brute force: every pairwise distance is
-//! computed, O(n²·d) time, which at the sizes gathered here (a few
-//! thousand rows: shapes × plan-grid points) is a fraction of a second.
-//! Memory is O(n·k): one n − 1 distance buffer is reused for every row, the
-//! k nearest are *selected* out of it (not sorted out of all n − 1) and
-//! copied into an exact-size list, so no n × n matrix ever exists. The
-//! order of a row's neighbours — nearest first, equidistant rows by
-//! ascending index — is the order of its sums, so it is part of the
-//! result: the scores, the flagged set and every artefact trained after
-//! the filter depend on it bit for bit. (A GEMM-shaped
-//! `‖x‖² + ‖y‖² − 2x·y` search would be faster still but rounds
+//! The neighbour search is exact and brute force: O(n²·d) time at worst,
+//! each unordered pair's distance computed once and offered to both rows
+//! (`distance(a, b)` is bitwise `distance(b, a)`). Each row keeps its k
+//! nearest in a bounded list ordered by `(distance, index)`, a total order,
+//! so the list it ends with is the unique k least whatever order the offers
+//! came in. Rows are taken eight at a time into a column-major tile, so a
+//! row's distances to all eight are eight running sums over its columns,
+//! each in column order; every eight columns the sums are checked against
+//! how near each pair must be to enter either of its rows' lists, and the
+//! tile is left there once none can — exact, because adding a non-negative
+//! term never lowers a sum and `√` is monotone. Memory is O(n·k) plus the
+//! tile: no n × n matrix ever exists. The order of a row's neighbours —
+//! nearest first, equidistant rows by ascending index — is the order of its
+//! sums, so it is part of the result: the scores, the flagged set and every
+//! artefact trained after the filter depend on it bit for bit. (A
+//! GEMM-shaped `‖x‖² + ‖y‖² − 2x·y` search would be faster still but rounds
 //! differently, moves ties, and with them the artefact.)
 
 use crate::data::Matrix;
@@ -47,39 +52,65 @@ impl LocalOutlierFactor {
     /// Compute LOF scores for every row of `x`.
     ///
     /// # Errors
-    /// Fails when there are fewer than `k + 1` samples.
+    /// Fails when there are fewer than `k + 1` samples or a value is not
+    /// finite.
     pub fn scores(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
         let n = x.rows();
         if n <= self.k {
             return Err(MlError::BadShape(format!("need more than k={} samples, got {n}", self.k)));
+        }
+        if !x.all_finite() {
+            return Err(MlError::Numeric("non-finite feature values".into()));
         }
         Ok(scores_from_neighbours(&self.nearest(x)))
     }
 
     /// Every row's `k` nearest other rows as `(distance, row)`, nearest
     /// first, equidistant rows by ascending index. Needs more than `k` rows.
-    ///
-    /// One distance buffer serves every row and each row keeps a list of
-    /// exactly `k`, so the n × (n − 1) distances are never alive together;
-    /// the `k` nearest are selected, not sorted out of all n − 1.
+    /// One distance per pair, offered to both rows' lists (see the module
+    /// doc).
     fn nearest(&self, x: &Matrix) -> Vec<Vec<(f64, usize)>> {
-        let n = x.rows();
-        let nearest_first = |a: &(f64, usize), b: &(f64, usize)| {
-            a.0.partial_cmp(&b.0).expect("finite distances").then(a.1.cmp(&b.1))
+        let (n, k, width) = (x.rows(), self.k, x.cols());
+        let mut lists = Neighbours {
+            k,
+            lists: (0..n).map(|_| Vec::with_capacity(k)).collect(),
+            bounds: vec![(f64::INFINITY, usize::MAX); n],
         };
-        let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n - 1);
-        (0..n)
-            .map(|i| {
-                dists.clear();
-                dists.extend((0..n).filter(|&j| j != i).map(|j| (distance(x.row(i), x.row(j)), j)));
-                if self.k < dists.len() {
-                    dists.select_nth_unstable_by(self.k, nearest_first);
+        // Rows go `TILE` at a time into a column-major tile, so a row's
+        // distances to all of them are one pass over its columns. Each row up
+        // to the block's last pairs with the block's later rows, the nearest
+        // indices first.
+        let mut tile = vec![[0.0; TILE]; width];
+        for first in (0..n).step_by(TILE) {
+            let block = first..(first + TILE).min(n);
+            for (lane, j) in block.clone().enumerate() {
+                for (column, &v) in tile.iter_mut().zip(x.row(j)) {
+                    column[lane] = v;
                 }
-                let nearest = &mut dists[..self.k];
-                nearest.sort_unstable_by(nearest_first);
-                nearest.to_vec()
-            })
-            .collect()
+            }
+            for i in (0..block.end).rev() {
+                // How near a pair must be to enter either list: nowhere for
+                // a lane past the block or not after row i.
+                let own = lists.bounds[i].0;
+                let mut reach = [f64::NEG_INFINITY; TILE];
+                for (lane, j) in block.clone().enumerate().filter(|&(_, j)| j > i) {
+                    reach[lane] = own.max(lists.bounds[j].0);
+                }
+                let Some(dists) = distances_within(x.row(i), &tile, &reach) else {
+                    continue;
+                };
+                let mut may = 0u32;
+                for (lane, (&d, &r)) in dists.iter().zip(&reach).enumerate() {
+                    may |= u32::from(d <= r) << lane;
+                }
+                while may != 0 {
+                    let lane = may.trailing_zeros() as usize;
+                    lists.offer_pair(i, first + lane, dists[lane]);
+                    may &= may - 1;
+                }
+            }
+        }
+        lists.lists
     }
 
     /// Indices of rows whose LOF score is at or below the threshold
@@ -95,9 +126,78 @@ impl LocalOutlierFactor {
     }
 }
 
-/// Euclidean distance between two rows.
-fn distance(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(&a, &b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+/// Rows per distance tile: [`distances_within`] keeps one running sum per
+/// row.
+const TILE: usize = 8;
+
+/// Every row's nearest-first list while the pairs are offered, with what
+/// an offer to it must come before: its `k`-th entry, or anything while it
+/// holds fewer.
+struct Neighbours {
+    k: usize,
+    lists: Vec<Vec<(f64, usize)>>,
+    bounds: Vec<(f64, usize)>,
+}
+
+impl Neighbours {
+    /// Offer the pair `(i, j)` at distance `d` to both rows' lists.
+    #[inline]
+    fn offer_pair(&mut self, i: usize, j: usize, d: f64) {
+        self.offer(i, (d, j));
+        self.offer(j, (d, i));
+    }
+
+    /// Insert `candidate` into row `row`'s list, kept ascending by
+    /// [`before`] and at most `k` long, if it comes before the list's
+    /// bound.
+    #[inline]
+    fn offer(&mut self, row: usize, candidate: (f64, usize)) {
+        if !before(&candidate, &self.bounds[row]) {
+            return;
+        }
+        let list = &mut self.lists[row];
+        if list.len() == self.k {
+            list.pop();
+        }
+        let at = list.partition_point(|entry| before(entry, &candidate));
+        list.insert(at, candidate);
+        if list.len() == self.k {
+            self.bounds[row] = list[self.k - 1];
+        }
+    }
+}
+
+/// `(distance, index)` order: nearer first, equidistant rows by index.
+#[inline]
+fn before(a: &(f64, usize), b: &(f64, usize)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// Columns summed between two looks at whether a tile can stop early.
+const COLUMNS_PER_LOOK: usize = 8;
+
+/// The Euclidean distance from `a` to each of the rows held column-major in
+/// `tile`: per row, the squared differences summed over the columns in
+/// order, then the square root — one running sum per row, so each is
+/// bitwise the distance of that one pair on its own.
+///
+/// `None` once every row is known to be farther than its `reach`: adding a
+/// non-negative term never lowers a sum and `√` is monotone, so a partial
+/// sum whose root exceeds the reach means the full distance does too.
+#[inline]
+fn distances_within(a: &[f64], tile: &[[f64; TILE]], reach: &[f64; TILE]) -> Option<[f64; TILE]> {
+    let mut sums = [0.0f64; TILE];
+    for (a, tile) in a.chunks(COLUMNS_PER_LOOK).zip(tile.chunks(COLUMNS_PER_LOOK)) {
+        if sums.iter().zip(reach).all(|(s, &r)| s.sqrt() > r) {
+            return None;
+        }
+        for (&ac, column) in a.iter().zip(tile) {
+            for (sum, &bc) in sums.iter_mut().zip(column) {
+                *sum += (ac - bc) * (ac - bc);
+            }
+        }
+    }
+    Some(sums.map(f64::sqrt))
 }
 
 /// LOF of every point from every point's nearest-first neighbour list.
@@ -200,6 +300,11 @@ mod tests {
         assert!(scores[50] > 1.5, "local outlier score {} too low", scores[50]);
     }
 
+    /// Euclidean distance between two rows, one row at a time.
+    fn distance(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(&a, &b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+    }
+
     /// The neighbour search `scores` ran before it selected: every distance
     /// of a row collected, stably sorted by distance alone (so equidistant
     /// rows keep their ascending-index order) and cut to `k`.
@@ -225,18 +330,32 @@ mod tests {
         let mut lattice: Vec<Vec<f64>> =
             (0..49).map(|i| vec![(i % 7) as f64, (i / 7) as f64]).collect();
         lattice.extend([vec![3.0, 3.0], vec![3.0, 3.0], vec![0.0, 6.0]]);
+        // Three stacked copies of it in 3-D, plus repeats: a row's nearest
+        // reach into rows both below and above its own index at every
+        // distance, so the pairs offered from either side must agree.
+        let mut stacked: Vec<Vec<f64>> = (0..3)
+            .flat_map(|z| (0..49).map(move |i| vec![(i % 7) as f64, (i / 7) as f64, z as f64]))
+            .collect();
+        stacked.extend([
+            vec![3.0, 3.0, 1.0],
+            vec![3.0, 3.0, 1.0],
+            vec![0.0, 0.0, 0.0],
+            vec![6.0, 6.0, 2.0],
+            vec![6.0, 6.0, 2.0],
+        ]);
         let fixtures = [
             cluster_with_outlier(),
             varying_density(),
             Matrix::from_rows(&vec![vec![1.0, 1.0]; 10]),
             Matrix::from_rows(&lattice),
+            Matrix::from_rows(&stacked),
         ];
         let bits = |lists: &[Vec<(f64, usize)>]| -> Vec<Vec<(u64, usize)>> {
             lists.iter().map(|nb| nb.iter().map(|&(d, j)| (d.to_bits(), j)).collect()).collect()
         };
         for x in &fixtures {
             // Cuts inside a group of equidistant rows, and every other row.
-            for k in [1, 3, 5, 6, 9, x.rows() - 1] {
+            for k in [1, 3, 5, 6, 9, 20, x.rows() - 1].into_iter().filter(|&k| k < x.rows()) {
                 let lof = LocalOutlierFactor::new(k, 1.5);
                 let (nearest, reference) = (lof.nearest(x), nearest_by_full_sort(&lof, x));
                 assert_eq!(bits(&nearest), bits(&reference), "{} rows, k = {k}", x.rows());
@@ -256,6 +375,13 @@ mod tests {
     #[test]
     fn too_few_samples_rejected() {
         let x = Matrix::zeros(5, 2);
+        assert!(LocalOutlierFactor::new(5, 1.5).scores(&x).is_err());
+    }
+
+    #[test]
+    fn non_finite_values_rejected() {
+        let mut x = cluster_with_outlier();
+        x.set(7, 1, f64::NAN);
         assert!(LocalOutlierFactor::new(5, 1.5).scores(&x).is_err());
     }
 

@@ -52,41 +52,78 @@ pub fn inverse_value(t: f64, lambda: f64) -> f64 {
     }
 }
 
-/// Gaussian profile log-likelihood of the transformed sample (up to an
-/// additive constant): `−n/2·ln σ̂² + (λ−1)·Σ sign(x)·ln(|x|+1)`.
-fn log_likelihood(xs: &[f64], lambda: f64) -> f64 {
-    let n = xs.len() as f64;
-    let transformed: Vec<f64> = xs.iter().map(|&x| transform_value(x, lambda)).collect();
-    let mean = transformed.iter().sum::<f64>() / n;
-    let var = transformed.iter().map(|&t| (t - mean) * (t - mean)).sum::<f64>() / n;
-    if var <= 0.0 || !var.is_finite() {
-        return f64::NEG_INFINITY;
+/// One column's Gaussian profile log-likelihood as a function of λ (up to
+/// an additive constant): `−n/2·ln σ̂² + (λ−1)·Σ sign(x)·ln(|x|+1)`.
+///
+/// The column is held as its distinct values and, per row, which one it
+/// holds: an evaluation transforms each distinct value once and sums the
+/// looked-up results in row order, so the mean and variance are the same
+/// additions, in the same order, as over the transformed rows. The
+/// Jacobian sum does not depend on λ and is taken once.
+struct Likelihood {
+    /// The column's distinct values (by bits).
+    values: Vec<f64>,
+    /// Per row, the index of its value in `values`.
+    rows: Vec<u32>,
+    /// `Σ sign(x)·ln(|x|+1)` over the rows, in row order.
+    jacobian: f64,
+    /// `values` transformed at the λ being evaluated.
+    transformed: Vec<f64>,
+}
+
+impl Likelihood {
+    fn new(xs: &[f64]) -> Self {
+        let mut bits: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
+        bits.sort_unstable();
+        bits.dedup();
+        let rows =
+            xs.iter().map(|x| bits.binary_search(&x.to_bits()).expect("a row's own value") as u32);
+        Self {
+            rows: rows.collect(),
+            jacobian: xs.iter().map(|&x| x.signum() * (x.abs() + 1.0).ln()).sum(),
+            transformed: Vec::with_capacity(bits.len()),
+            values: bits.into_iter().map(f64::from_bits).collect(),
+        }
     }
-    let jacobian: f64 = xs.iter().map(|&x| x.signum() * (x.abs() + 1.0).ln()).sum();
-    -0.5 * n * var.ln() + (lambda - 1.0) * jacobian
+
+    fn at(&mut self, lambda: f64) -> f64 {
+        self.transformed.clear();
+        self.transformed.extend(self.values.iter().map(|&x| transform_value(x, lambda)));
+        let t = &self.transformed;
+        let n = self.rows.len() as f64;
+        let mean = self.rows.iter().map(|&r| t[r as usize]).sum::<f64>() / n;
+        let var =
+            self.rows.iter().map(|&r| (t[r as usize] - mean) * (t[r as usize] - mean)).sum::<f64>()
+                / n;
+        if var <= 0.0 || !var.is_finite() {
+            return f64::NEG_INFINITY;
+        }
+        -0.5 * n * var.ln() + (lambda - 1.0) * self.jacobian
+    }
 }
 
 /// Golden-section maximisation of the profile likelihood over `[lo, hi]`.
 fn golden_section_max(xs: &[f64], lo: f64, hi: f64, iters: usize) -> f64 {
     const INV_PHI: f64 = 0.618_033_988_749_894_9;
+    let mut likelihood = Likelihood::new(xs);
     let (mut a, mut b) = (lo, hi);
     let mut c = b - INV_PHI * (b - a);
     let mut d = a + INV_PHI * (b - a);
-    let mut fc = log_likelihood(xs, c);
-    let mut fd = log_likelihood(xs, d);
+    let mut fc = likelihood.at(c);
+    let mut fd = likelihood.at(d);
     for _ in 0..iters {
         if fc >= fd {
             b = d;
             d = c;
             fd = fc;
             c = b - INV_PHI * (b - a);
-            fc = log_likelihood(xs, c);
+            fc = likelihood.at(c);
         } else {
             a = c;
             c = d;
             fc = fd;
             d = a + INV_PHI * (b - a);
-            fd = log_likelihood(xs, d);
+            fd = likelihood.at(d);
         }
     }
     0.5 * (a + b)
@@ -100,7 +137,16 @@ pub struct YeoJohnson {
 }
 
 impl YeoJohnson {
-    /// Estimate λ for every column of `x` by MLE.
+    /// Estimate λ for every column of `x` by MLE: 62 golden-section
+    /// evaluations of the column's profile likelihood over `[−5, 5]`, or
+    /// λ = 1 for a constant column.
+    ///
+    /// An evaluation transforms each *distinct* value of the column once —
+    /// a gathered design repeats few values per column (shapes × plan
+    /// points), so this is tens of `powf` instead of thousands — and sums the
+    /// transformed rows in row order, the additions a per-row pass makes, so
+    /// λ is the same bits either way. The λ-independent Jacobian term is
+    /// summed once per column.
     ///
     /// # Errors
     /// Fails on an empty matrix or non-finite inputs.
@@ -266,6 +312,43 @@ mod tests {
     }
 
     #[test]
+    fn fitted_lambdas_keep_recorded_bits() {
+        // λ per column, recorded before the likelihood was evaluated once
+        // per distinct value: constant, binary, 60 levels (skewed, then
+        // straddling zero), continuous (skewed, then mostly negative).
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let rows: Vec<Vec<f64>> = (0..500)
+            .map(|_| {
+                let level = f64::from(rng.gen_range(0..60u32));
+                vec![
+                    4.0,
+                    f64::from(rng.gen_range(0..2u32)),
+                    (level / 6.0).exp2(),
+                    level - 45.0,
+                    rng.gen_range(0.0..5.0f64).exp(),
+                    rng.gen_range(-20.0..5.0),
+                ]
+            })
+            .collect();
+        let yj = YeoJohnson::fit(&Matrix::from_rows(&rows)).unwrap();
+        let bits: Vec<String> =
+            yj.lambdas.iter().map(|l| format!("{:016x}", l.to_bits())).collect();
+        assert_eq!(
+            bits,
+            [
+                "3ff0000000000000",
+                "3fba980dd30c2238",
+                "bf995df3622cde5a",
+                "3ff1eec469635928",
+                "bfa2c183cee6a7e5",
+                "3ff2154a7b576168",
+            ]
+        );
+    }
+
+    #[test]
     fn transform_row_matches_matrix_path() {
         let x = Matrix::from_vec(3, 2, vec![1.0, 10.0, 4.0, 100.0, 9.0, 1000.0]);
         let yj = YeoJohnson::fit(&x).unwrap();
@@ -280,6 +363,42 @@ mod tests {
         let x = Matrix::zeros(3, 2);
         let yj = YeoJohnson { lambdas: vec![1.0] };
         assert!(yj.transform(&x).is_err());
+    }
+
+    /// The profile likelihood as one pass over the rows computes it.
+    fn log_likelihood_per_row(xs: &[f64], lambda: f64) -> f64 {
+        let n = xs.len() as f64;
+        let transformed: Vec<f64> = xs.iter().map(|&x| transform_value(x, lambda)).collect();
+        let mean = transformed.iter().sum::<f64>() / n;
+        let var = transformed.iter().map(|&t| (t - mean) * (t - mean)).sum::<f64>() / n;
+        if var <= 0.0 || !var.is_finite() {
+            return f64::NEG_INFINITY;
+        }
+        let jacobian: f64 = xs.iter().map(|&x| x.signum() * (x.abs() + 1.0).ln()).sum();
+        -0.5 * n * var.ln() + (lambda - 1.0) * jacobian
+    }
+
+    #[test]
+    fn likelihood_over_distinct_values_is_bitwise_the_per_row_pass() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(12);
+        let columns: [Vec<f64>; 4] = [
+            (0..300).map(|_| f64::from(rng.gen_range(0..2u32))).collect(),
+            (0..300).map(|_| [-3.0, -0.0, 0.0, 0.5, 40.0][rng.gen_range(0..5usize)]).collect(),
+            (0..300).map(|_| f64::from(rng.gen_range(0..60u32)) * 1.5 - 20.0).collect(),
+            (0..300).map(|_| rng.gen_range(-2.0..9.0)).collect(),
+        ];
+        for xs in &columns {
+            let mut likelihood = Likelihood::new(xs);
+            for lambda in [-5.0, -1.3, 0.0, 1e-13, 0.7, 1.0, 2.0, 2.0 + 1e-13, 3.9, 5.0] {
+                assert_eq!(
+                    likelihood.at(lambda).to_bits(),
+                    log_likelihood_per_row(xs, lambda).to_bits(),
+                    "λ = {lambda}"
+                );
+            }
+        }
     }
 
     #[test]
