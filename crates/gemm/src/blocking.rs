@@ -3,8 +3,7 @@
 //! The GotoBLAS/BLIS decomposition walks `C` in `NC`-wide column panels
 //! (outer `jc` loop), `A·B` in `KC`-deep rank updates (`pc` loop) and `MC`-
 //! tall row panels (`ic` loop); inside, the packed micro-panels are `MR×KC`
-//! strips of `A` and `KC×NR` strips of `B`. `KC·NR` should live in L1,
-//! `MC·KC` in L2 and `KC·NC` in L3.
+//! strips of `A` and `KC×NR` strips of `B`.
 //!
 //! Since the kernel-dispatch layer landed, the blocking is **derived at
 //! runtime** from two inputs:
@@ -12,10 +11,8 @@
 //! * the dispatched micro-kernel's `MR×NR` register tile (one per ISA and
 //!   precision, from 8×8 scalar to 12×32 AVX-512 `f32`: see
 //!   [`crate::isa`]), which `MC`/`NC` must be multiples of and which sets
-//!   `KC` — the `KC×NR` strip gets half of L1d, so a tile twice as wide
-//!   gets half the depth (48 KiB L1d, `f32`: `KC` 384 at AVX2's `NR` = 16,
-//!   192 at AVX-512's 32). Nothing here names an ISA: a new tile is
-//!   blocked by the same three rules; and
+//!   `KC` through `MR`. Nothing here names an ISA: a new tile is blocked
+//!   by the same three rules; and
 //! * the host's cache hierarchy, probed once per process from
 //!   `/sys/devices/system/cpu/.../cache` ([`CacheInfo::detect`]); when the
 //!   probe is unavailable (non-Linux, sandboxed sysfs) the derivation
@@ -23,16 +20,36 @@
 //!   shipped before ([`BlockSizes::for_f32`]/[`BlockSizes::for_f64`]),
 //!   snapped to the kernel's tile.
 //!
-//! The same L2 budget that sizes `MC` also decides whether a worker packs
-//! at all ([`reads_in_place`]): when its `ms×k` rows of `A` and `k×ns`
-//! columns of `B` together fit half of L2, every panel would be copied to
-//! be read a handful of times from the cache it already sits in, so the
-//! loop nest reads `A` in place, and `B` too unless the address range its
-//! re-reads sweep outgrows L2 ([`reads_b_in_place`]; see [`crate::pack`]).
-//! Above the budget — an `f32` n = 1024 square on one worker is 8 MiB —
-//! packing is what keeps the kernel fed, and nothing changes. Like
-//! `KC`/`MC`/`NC` it is a rule over the detected cache and the operands'
-//! shapes and strides, not a plan axis or an option.
+//! The three rules, each a budget in one core's own caches:
+//!
+//! | block | budget | 48 KiB L1d, 2 MiB L2, AVX-512 (`f32` / `f64`) |
+//! | --- | --- | --- |
+//! | `KC` | the `MR×KC` `A` micro-panel in ½ of L1d, `KC` ∈ [64, 512] | 512 / 256 |
+//! | `MC` | the `MC×KC` `A` block in ¼ of L2 | 252 / 252 |
+//! | `NC` | the `KC×NC` packed `B` block in ¾ of L2 | 768 / 768 |
+//!
+//! They were set by measurement on a two-core AVX-512 host, not by the
+//! textbook residency rule. The micro-kernel's rate is flat within a few
+//! per cent from `KC` 128 to 512, so the `KC×NR` `B` strip, which streams
+//! once per row strip, need not fit L1; what a short `KC` costs is passes
+//! over `C` (11 at n = 2048 with `KC` 192). A deep `KC` and an `NC` that
+//! keeps the packed `B` block in L2 took the two-thread 2048³ `f32`
+//! product from 130 to 164 GF/s. `NC` is bounded by L2 rather than L3 so
+//! a packed-`B` block is at most ¾ of L2 (1.5 MiB there, what the L3 rule
+//! gave an `f32` n = 2048 product); an `NC` of 8192 was a few per cent
+//! faster but raised the peak RSS of perfbench's `large_compute` from 187
+//! to 195 MB.
+//!
+//! The packing-free rule ([`reads_in_place`]) is a budget of its own:
+//! when a worker's `ms×k` rows of `A` and `k×ns` columns of `B` together
+//! fit half of L2, every panel would be copied to be read a handful of
+//! times from the cache it already sits in, so the loop nest reads `A` in
+//! place, and `B` too unless the address range its re-reads sweep
+//! outgrows L2 ([`reads_b_in_place`]; see [`crate::pack`]). Above the
+//! budget — an `f32` n = 1024 square on one worker is 8 MiB — packing is
+//! what keeps the kernel fed, and nothing changes. Like `KC`/`MC`/`NC` it
+//! is a rule over the detected cache and the operands' shapes and
+//! strides, not a plan axis or an option.
 //!
 //! Per-machine blocking is exactly the layer of optimisation the paper
 //! delegates to the vendor library; deriving it here is what makes the
@@ -50,9 +67,9 @@ use serde::{Deserialize, Serialize};
 pub struct BlockSizes {
     /// Row-panel height of `A` (L2 resident): `MC`.
     pub mc: usize,
-    /// Rank-update depth (L1/L2 resident): `KC`.
+    /// Rank-update depth (the `A` micro-panel L1 resident): `KC`.
     pub kc: usize,
-    /// Column-panel width of `B` (L3 resident): `NC`.
+    /// Column-panel width of `B` (L2 resident): `NC`.
     pub nc: usize,
     /// Micro-kernel rows: `MR`.
     pub mr: usize,
@@ -83,30 +100,32 @@ impl BlockSizes {
     }
 
     /// Derive blocking for a `mr×nr` register tile and an element of
-    /// `bytes` bytes from the cache hierarchy (BLIS's analytical model):
+    /// `bytes` bytes from the cache hierarchy (the module docs' rules):
     ///
-    /// * `KC` sizes one `KC×NR` packed B strip to about half of L1d,
-    /// * `MC` sizes one `MC×KC` packed A block to about half of L2,
-    /// * `NC` sizes one `KC×NC` packed B block to a quarter of L3
-    ///   (shared with other cores and the output traffic),
+    /// * `KC` sizes one `MR×KC` packed A micro-panel to at most half of
+    ///   L1d, clamped to [64, 512] and a multiple of 4,
+    /// * `MC` sizes one `MC×KC` packed A block to at most a quarter of L2,
+    /// * `NC` sizes one `KC×NC` packed B block to at most three quarters
+    ///   of L2,
     ///
-    /// each clamped to sane bounds and rounded so `MC % MR == 0` and
-    /// `NC % NR == 0`. With `cache == None` the per-precision fallback
-    /// constants are used, snapped to the tile.
+    /// rounded down so `MC % MR == 0` and `NC % NR == 0` (never below one
+    /// tile). With `cache == None` the per-precision fallback constants
+    /// are used, snapped to the tile.
     pub fn for_tile(mr: usize, nr: usize, bytes: usize, cache: Option<&CacheInfo>) -> Self {
         let (mr, nr) = (mr.max(1), nr.max(1));
         let Some(cache) = cache else {
             return Self::for_element_bytes(bytes).with_tile(mr, nr);
         };
-        // KC from L1d: half the cache for the streaming B strip, rounded
-        // to a multiple of 4 for the unrolled depth loop (the clamp floor
-        // of 64 survives the flooring, so kc ∈ [64, 512]).
-        let kc = (cache.l1d / 2 / (nr * bytes)).clamp(64, 512) / 4 * 4;
-        // MC from L2: half the cache for the resident A block.
-        let mc_raw = (cache.l2 / 2 / (kc * bytes)).max(mr);
+        // KC from L1d: half the cache for the A micro-panel the kernel
+        // re-reads against every B strip, rounded to a multiple of 4 for
+        // the unrolled depth loop (the clamp floor of 64 survives the
+        // flooring, so kc ∈ [64, 512]).
+        let kc = (cache.l1d / 2 / (mr * bytes)).clamp(64, 512) / 4 * 4;
+        // MC from L2: a quarter for the resident A block.
+        let mc_raw = (cache.l2 / 4 / (kc * bytes)).max(mr);
         let mc = (mc_raw / mr * mr).clamp(mr, 4096 / mr * mr);
-        // NC from L3: a quarter for the resident B block (L3 is shared).
-        let nc_raw = (cache.l3 / 4 / (kc * bytes)).max(nr);
+        // NC from L2: three quarters for the packed B block.
+        let nc_raw = (cache.l2 / 4 * 3 / (kc * bytes)).max(nr);
         let nc = (nc_raw / nr * nr).clamp(nr, 8192 / nr * nr);
         let derived = Self { mc, kc, nc, mr, nr };
         debug_assert!(derived.is_valid(), "derived blocking invalid: {derived:?}");
@@ -224,11 +243,16 @@ impl BlockSizes {
 }
 
 /// The packing-free rule: `true` when a worker's `ms×k` rows of `A` and
-/// `k×ns` columns of `B` of element type `T` fit in half of L2 — the
-/// budget `MC`'s `A` block is sized to in [`BlockSizes::for_tile`] — so
-/// the blocked loop nest reads `A` in place instead of packing it, and
-/// `B` too where [`reads_b_in_place`] allows (see [`crate::pack`]). From
-/// the detected cache, like the blocks.
+/// `k×ns` columns of `B` of element type `T` fit in half of L2, so the
+/// blocked loop nest reads `A` in place instead of packing it, and `B`
+/// too where [`reads_b_in_place`] allows (see [`crate::pack`]). Operands
+/// that fit half of L2 stay in L2 across the loop nest's re-reads, with
+/// the other half left to `C`, so a copy would only add traffic: reading
+/// them in place made `small_repeat` and `cold_shapes`, whose shapes sit
+/// under this budget, about 7 % faster. The budget is its own, fixed at
+/// half of L2 whatever the `MC`/`KC`/`NC` rules of
+/// [`BlockSizes::for_tile`] size their blocks to. From the detected cache,
+/// like the blocks.
 pub fn reads_in_place<T: Element>(ms: usize, ns: usize, k: usize) -> bool {
     ms.saturating_add(ns).saturating_mul(k).saturating_mul(T::BYTES) <= l2_bytes() / 2
 }
@@ -275,8 +299,8 @@ pub struct CacheInfo {
     pub l1d: usize,
     /// L2 (unified) cache size.
     pub l2: usize,
-    /// L3 (last-level) cache size. Falls back to `l2` on parts without
-    /// an L3 so the `NC` derivation stays meaningful.
+    /// L3 (last-level) cache size, or `l2` on parts without an L3.
+    /// Reported with the host's description; no block is sized from it.
     pub l3: usize,
 }
 
@@ -331,7 +355,7 @@ impl CacheInfo {
             }
         }
         // Sanity: require L1d and L2; tolerate missing L3 (some parts
-        // stop at L2) by reusing L2 for the NC derivation.
+        // stop at L2) by reporting L2 in its place.
         if l1d == 0 || l2 == 0 || l1d > l2 {
             return None;
         }
@@ -409,10 +433,19 @@ mod tests {
         assert_eq!(BlockSizes::for_tile(MR, NR, 8, None), BlockSizes::for_f64());
     }
 
+    /// Cache hierarchies the derivation is pinned on: a small client
+    /// part, a large-L1 server part, and the 48 KiB L1d / 2 MiB L2 host
+    /// the rules were measured on (also what the sysfs fixture below
+    /// describes).
+    const FIXTURE_CACHES: [CacheInfo; 3] = [
+        CacheInfo { l1d: 32 * 1024, l2: 256 * 1024, l3: 4 << 20 },
+        CacheInfo { l1d: 64 * 1024, l2: 2 << 20, l3: 64 << 20 },
+        CacheInfo { l1d: 48 * 1024, l2: 2 << 20, l3: 16 << 20 },
+    ];
+
     #[test]
     fn derivation_scales_with_cache_sizes() {
-        let small = CacheInfo { l1d: 32 * 1024, l2: 256 * 1024, l3: 4 << 20 };
-        let big = CacheInfo { l1d: 64 * 1024, l2: 2 << 20, l3: 64 << 20 };
+        let [small, big, _] = FIXTURE_CACHES;
         for (mr, nr, bytes) in [(6usize, 16usize, 4usize), (6, 8, 8), (8, 8, 4)] {
             let bs = BlockSizes::for_tile(mr, nr, bytes, Some(&small));
             let bb = BlockSizes::for_tile(mr, nr, bytes, Some(&big));
@@ -420,11 +453,36 @@ mod tests {
             assert!(bb.is_valid(), "{bb:?}");
             assert!(bb.kc >= bs.kc, "bigger L1 must not shrink KC: {bs:?} vs {bb:?}");
             assert!(bb.mc >= bs.mc, "bigger L2 must not shrink MC: {bs:?} vs {bb:?}");
-            assert!(bb.nc >= bs.nc, "bigger L3 must not shrink NC: {bs:?} vs {bb:?}");
-            // The packed working sets actually respect the cache budget.
-            assert!(bs.kc * nr * bytes <= small.l1d, "KC strip exceeds L1d: {bs:?}");
-            assert!(bs.mc * bs.kc * bytes <= small.l2, "MC block exceeds L2: {bs:?}");
+            assert!(bb.nc >= bs.nc, "bigger L2 must not shrink NC: {bs:?} vs {bb:?}");
         }
+    }
+
+    /// The three budgets of the module docs hold for every register tile
+    /// in the kernel table, at both precisions, on every fixture
+    /// hierarchy — and the derivation gives the measured blocks on the
+    /// host they were measured on.
+    #[test]
+    fn derived_blocks_keep_their_cache_budgets() {
+        use crate::isa::{kernel_f32, kernel_f64};
+        for cache in FIXTURE_CACHES {
+            for isa in KernelIsa::ALL {
+                let (k32, k64) = (kernel_f32(isa), kernel_f64(isa));
+                for (mr, nr, bytes) in [(k32.mr, k32.nr, 4), (k64.mr, k64.nr, 8)] {
+                    let b = BlockSizes::for_tile(mr, nr, bytes, Some(&cache));
+                    let what = format!("{isa} {mr}x{nr} {bytes}-byte on {cache:?}: {b:?}");
+                    assert!(b.is_valid(), "{what}");
+                    assert_eq!((b.mr, b.nr), (mr, nr), "{what}");
+                    assert!(mr * b.kc * bytes <= cache.l1d / 2, "A micro-panel over ½ L1d: {what}");
+                    assert!(b.mc * b.kc * bytes <= cache.l2 / 4, "A block over ¼ L2: {what}");
+                    assert!(b.kc * b.nc * bytes <= cache.l2 / 4 * 3, "B block over ¾ L2: {what}");
+                }
+            }
+        }
+        let host = FIXTURE_CACHES[2];
+        let f32_blocks = BlockSizes::for_tile(12, 32, 4, Some(&host));
+        assert_eq!(f32_blocks, BlockSizes { mc: 252, kc: 512, nc: 768, mr: 12, nr: 32 });
+        let f64_blocks = BlockSizes::for_tile(12, 16, 8, Some(&host));
+        assert_eq!(f64_blocks, BlockSizes { mc: 252, kc: 256, nc: 768, mr: 12, nr: 16 });
     }
 
     #[test]
@@ -574,11 +632,7 @@ mod tests {
         index("index2", "2", "Unified", "2048K\n");
         index("index3", "3", "Unified", "16M\n");
         let info = CacheInfo::from_sysfs(&dir).expect("fixture tree must parse");
-        assert_eq!(
-            info,
-            CacheInfo { l1d: 48 * 1024, l2: 2048 * 1024, l3: 16 << 20 },
-            "instruction caches must be ignored"
-        );
+        assert_eq!(info, FIXTURE_CACHES[2], "instruction caches must be ignored");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1359,6 +1359,49 @@ mod tests {
         }
     }
 
+    /// More than one column block per worker: at an explicit `NC` of two
+    /// register tiles every worker's `jc` loop walks three blocks (the
+    /// last ragged), whatever this host's caches derive. Shared-B packing
+    /// on a private pool of 4 must give independent packing's bits at 2
+    /// and 4 threads, under the packing-free rule and above it, and above
+    /// it the same copy volume moved between counters.
+    #[test]
+    fn shared_b_bitwise_equal_across_column_blocks() {
+        let pool = crate::pool::ThreadPool::new(4);
+        let kernel = Kernel::<f64>::dispatched();
+        let (mr, nr) = (kernel.mr, kernel.nr);
+        let blocks = BlockSizes { mc: 4 * mr, kc: 64, nc: 2 * nr, mr, nr };
+        let n = 2 * blocks.nc + nr / 2 + 3;
+        let m = 4 * n + 5; // tall: every grid splits rows, so B is shared
+        for threads in [2usize, 4] {
+            let shallow = 3 * blocks.kc + 7;
+            for k in [shallow, packed_depth(m, n, threads, shallow)] {
+                let a = fill(m * k, 51);
+                let b = fill(k * n, 52);
+                let mut c_private = fill(m * n, 53);
+                let mut c_shared = c_private.clone();
+                let call = GemmCall::new(m, n, k, threads).with_blocks(blocks);
+                let what = format!("{m}x{n}x{k} t{threads} at {blocks:?}");
+                let s1 =
+                    gemm_with_stats(&independent(call), 1.3, &a, k, &b, n, 0.6, &mut c_private, n);
+                let s2 =
+                    gemm_with_stats_pooled(&pool, &call, 1.3, &a, k, &b, n, 0.6, &mut c_shared, n);
+                assert!(s2.grid_rows > 1 && s2.b_pack_shared > 0, "B not shared: {what} {s2:?}");
+                assert!(n / s2.grid_cols > blocks.nc, "a single column block per worker: {what}");
+                assert_eq!(c_private, c_shared, "shared-B differs: {what}");
+                assert_eq!(s1.kernel_calls, s2.kernel_calls, "{what}");
+                if k > shallow {
+                    assert_eq!(s1.a_packed_bytes, s2.a_packed_bytes, "{what}");
+                    assert_eq!(
+                        s2.b_packed_bytes + s2.b_pack_shared,
+                        s1.b_packed_bytes,
+                        "copy conservation: {what}"
+                    );
+                }
+            }
+        }
+    }
+
     /// A shared-B call on a private pool of 2 workers against an
     /// independent one on the process pool (sized to the host).
     #[test]

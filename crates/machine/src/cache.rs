@@ -4,7 +4,7 @@
 //! The presets in [`crate::presets`] describe the *paper's* machines;
 //! this module describes the machine the process is actually running on,
 //! so the compute substrate can derive its cache blocking (`MC`/`KC`/`NC`)
-//! from real L1d/L2/L3 sizes instead of one hard-coded part's. The raw
+//! from real L1d/L2 sizes instead of one hard-coded part's. The raw
 //! sysfs read lives in `adsala_gemm::blocking` (the GEMM crate sits below
 //! this one and needs the numbers at kernel-dispatch time); this module
 //! re-exposes it at the machine-description layer together with the

@@ -365,3 +365,73 @@ proptest! {
         syrk_padded_case::<f64>(&pool, m, k_tail, pad_a, pad_c, alpha, beta, seed)?;
     }
 }
+
+/// A GEMM over several blocks of every loop: `A` transposed, `B` both
+/// ways, leading dimensions padded with NaN sentinels, β ≠ 0, at an
+/// explicit blocking small enough that `k ≥ 2·KC`, `n ≥ 2·NC` and
+/// `m > MC` whatever this host's caches derive. On one thread and on
+/// three, every live cell must match `naive_gemm` within
+/// `8ε(k+2)·(|α|Σ|a||b| + |β·c|)` and no padding cell may change.
+fn gemm_across_blocks_case<T: Scalar>(tb: Transpose) {
+    let kernel = Kernel::<T>::dispatched();
+    let (mr, nr) = (kernel.mr, kernel.nr);
+    let blocks = BlockSizes { mc: 3 * mr, kc: 48, nc: 2 * nr, mr, nr };
+    let (m, n, k) = (3 * mr + 5, 2 * blocks.nc + nr / 2 + 1, 2 * blocks.kc + 11);
+    assert!(m > blocks.mc && n >= 2 * blocks.nc && k >= 2 * blocks.kc);
+    let (alpha, beta) = (T::from_f64(1.25), T::from_f64(-0.75));
+    // Stored `A` is k×m (transposed), `B` k×n or n×k.
+    let (b_rows, b_cols) = if tb.is_transposed() { (n, k) } else { (k, n) };
+    let (lda, ldb, ldc) = (m + 3, b_cols + 2, n + 4);
+    let padded = |rows: usize, cols: usize, ld: usize, seed: u64| {
+        let mut buf = vec![T::SENTINEL; rows * ld];
+        for (row, values) in buf.chunks_mut(ld).zip(fill(rows * cols, seed).chunks(cols)) {
+            for (cell, &v) in row.iter_mut().zip(values) {
+                *cell = T::from_f64(v / 5.0);
+            }
+        }
+        buf
+    };
+    let a = padded(k, m, lda, 61);
+    let b = padded(b_rows, b_cols, ldb, 62);
+    let c0 = padded(m, n, ldc, 63);
+    let a_at = |i: usize, l: usize| a[l * lda + i].to_f64();
+    let b_at = |l: usize, j: usize| {
+        if tb.is_transposed() { b[j * ldb + l] } else { b[l * ldb + j] }.to_f64()
+    };
+
+    let mut reference = c0.clone();
+    naive_gemm(Transpose::Yes, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut reference, ldc);
+    for threads in [1, 3] {
+        let call =
+            GemmCall { trans_a: Transpose::Yes, trans_b: tb, ..GemmCall::new(m, n, k, threads) }
+                .with_blocks(blocks);
+        let mut c = c0.clone();
+        gemm_with_stats(&call, alpha, &a, lda, &b, ldb, beta, &mut c, ldc);
+        let what = format!("{m}x{n}x{k} tb={tb:?} t{threads}");
+        for i in 0..m {
+            for j in 0..ldc {
+                let (got, want, old) = (c[i * ldc + j], reference[i * ldc + j], c0[i * ldc + j]);
+                if j >= n {
+                    assert_eq!(got.bits(), T::SENTINEL.bits(), "padding ({i},{j}) written: {what}");
+                    continue;
+                }
+                let products: f64 = (0..k).map(|l| (a_at(i, l) * b_at(l, j)).abs()).sum();
+                let magnitude =
+                    alpha.to_f64().abs() * products + (beta.to_f64() * old.to_f64()).abs();
+                let tol = 8.0 * T::EPS * (k + 2) as f64 * magnitude;
+                assert!(
+                    (got.to_f64() - want.to_f64()).abs() <= tol,
+                    "({i},{j}): {got:?} vs naive {want:?} (tol {tol:e}, {what})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn gemm_across_column_and_depth_blocks_matches_naive() {
+    for tb in [Transpose::No, Transpose::Yes] {
+        gemm_across_blocks_case::<f32>(tb);
+        gemm_across_blocks_case::<f64>(tb);
+    }
+}

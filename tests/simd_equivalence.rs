@@ -26,7 +26,7 @@
 
 use adsala_repro::adsala::bundle::quick_test_bundle;
 use adsala_repro::adsala::{AdsalaService, ServiceConfig};
-use adsala_repro::adsala_gemm::blocking::{reads_in_place, BlockSizes};
+use adsala_repro::adsala_gemm::blocking::{reads_in_place, BlockSizes, CacheInfo};
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
 use adsala_repro::adsala_gemm::isa::{Kernel, KernelIsa};
 use adsala_repro::adsala_gemm::microkernel::{accumulate, merge_into_raw};
@@ -148,6 +148,14 @@ fn isa_coverage_is_on_the_log() {
             println!("simd_equivalence: {isa}: skipped, this host cannot execute it");
         }
     }
+    // The blocks the driver tests ran at on this host: the ones here and
+    // in `gemm_correctness` that size `k` from `KC` derive it from these.
+    match CacheInfo::detected() {
+        Some(c) => println!("simd_equivalence: caches l1d={} l2={} l3={}", c.l1d, c.l2, c.l3),
+        None => println!("simd_equivalence: caches not probed, fallback blocks"),
+    }
+    println!("simd_equivalence: f32 blocks {:?}", BlockSizes::dispatched::<f32>());
+    println!("simd_equivalence: f64 blocks {:?}", BlockSizes::dispatched::<f64>());
     // The dispatched ISA is never the one left out.
     assert!(exercised.contains(&KernelIsa::detect()));
 }
