@@ -15,10 +15,14 @@
 //!    [`ThreadGrid::choose`]).
 //! 3. **Tile loop** (`tile_loop` → `row_panel_sweep`): `jc → pc → ic → jr
 //!    → ir` over a worker's tile of `C`, parameterised by where the packed
-//!    `B` block comes from (`BSource`) and how an accumulator tile reaches
-//!    `C` (`Merge`, resolved statically: `Full` is the fused
-//!    `kernel.run`, SYRK's lower triangle a staged tile merged under a
-//!    row mask). A worker whose operands fit L2
+//!    `B` block comes from (`BSource`) and which columns of each row of `C`
+//!    may be written (`Merge`, resolved statically: `Full` all of them,
+//!    SYRK's lower triangle those up to the diagonal). A tile with no row
+//!    masked runs the fused `kernel.run`; SYRK skips a tile with every row
+//!    masked, and only the tiles the diagonal cuts are staged by
+//!    `kernel.acc` and merged under the row mask
+//!    ([`crate::microkernel::merge_tile`], the same write-back rule). A
+//!    worker whose operands fit L2
 //!    ([`crate::blocking::reads_in_place`]) packs only their ragged strips
 //!    and its kernel reads the rest where it lies (`Strips`; see
 //!    [`crate::pack`] for which operands qualify).
@@ -59,6 +63,7 @@ use std::time::Instant;
 
 use crate::blocking::{reads_b_in_place, reads_in_place, BlockSizes};
 use crate::isa::{Kernel, KernelIsa, MAX_TILE_ELEMS};
+use crate::microkernel::{merge_tile, write_back};
 use crate::pack::{morton_decode, pack_a, MatView};
 use crate::plan::{Algorithm, ExecutionPlan, PackingStrategy};
 use crate::pool::{GangReservation, ThreadPool};
@@ -68,7 +73,7 @@ use crate::workspace::{
     pack_buffer_lens, with_thread_arena, PackArena, PanelBarrier, PoisonOnUnwind, Workspace,
     CACHE_LINE,
 };
-use crate::{beta_scaled, Element, Transpose};
+use crate::{Element, Transpose};
 
 /// A fully described GEMM invocation: shape, flags, and the
 /// [`ExecutionPlan`] saying how to run it.
@@ -441,12 +446,14 @@ impl<'v, T: Element> Member<'v, T> {
     }
 }
 
-/// How an accumulator tile reaches `C`, resolved statically per routine.
+/// Which columns of `C` a routine writes, resolved statically per
+/// routine. A tile whose every row is live to its edge runs the fused
+/// `kernel.run`; a tile with no live column is skipped; a tile the mask
+/// cuts is staged by `kernel.acc` and merged row by row over the columns
+/// [`Merge::live_cols`] leaves writable.
 pub(crate) trait Merge {
-    /// Every tile is merged whole by the fused `kernel.run`. Otherwise a
-    /// tile is staged by `kernel.acc` and merged row by row over the
-    /// columns [`Merge::live_cols`] leaves writable, and a tile with none
-    /// is skipped.
+    /// No tile is ever cut, so the operands may be read in place (the
+    /// staging `kernel.acc` reads packed panels only).
     const FULL: bool;
 
     /// How many of the leading `ns` columns of `C`'s row `row` may be
@@ -636,10 +643,10 @@ impl Drop for RestoreSharedOnDrop<'_> {
     }
 }
 
-/// `row ← β·row` (see [`beta_scaled`] for β = 0).
+/// `row ← β·row`: the write-back rule ([`write_back`]) of a zero product.
 pub(crate) fn scale_row_by_beta<T: Element>(row: &mut [T], beta: T) {
     for v in row {
-        *v = beta_scaled(beta, *v);
+        write_back(v, T::ONE, T::ZERO, beta);
     }
 }
 
@@ -884,11 +891,6 @@ unsafe fn row_panel_sweep<T: Element, M: Merge>(
     // The register tile staged in memory for a masked merge;
     // MAX_TILE_ELEMS is the maximum over the table `kernel` came from.
     let mut tile = [T::ZERO; MAX_TILE_ELEMS];
-    // β = 0 (first rank update only): write-only merge, chosen here so
-    // the element loops below carry no branch — `C` may be uninitialised
-    // and must not be read (NaN/Inf would survive `0·C`). Bitwise equal to
-    // the general form for finite `C`.
-    let overwrite = beta_eff == T::ZERO;
 
     let mut ic = 0;
     while ic < ms {
@@ -918,7 +920,12 @@ unsafe fn row_panel_sweep<T: Element, M: Merge>(
                 // place when a strip is (the contract) and the staged
                 // tile holds mr·nr (≤ MAX_TILE_ELEMS).
                 let c_tile = c.add(i0 * ldc + j0);
-                if M::FULL {
+                // Live columns of the tile's row `di`: the first row has
+                // the fewest, the last the most.
+                let cols = |di: usize| M::live_cols(row0 + i0 + di, j0 + live_n).saturating_sub(j0);
+                if cols(0) == live_n {
+                    // No row masked (every GEMM tile; SYRK's on or below
+                    // the diagonal): the fused kernel.
                     kernel.run_strided(
                         kcur,
                         a_strip,
@@ -930,29 +937,14 @@ unsafe fn row_panel_sweep<T: Element, M: Merge>(
                         alpha,
                         beta_eff,
                     );
+                } else if cols(live_m - 1) == 0 {
+                    // Every row masked (SYRK: strictly above the diagonal).
+                    continue;
                 } else {
-                    // Its last row has the most live columns: with none
-                    // past `j0` the whole tile is masked (SYRK: strictly
-                    // above the diagonal).
-                    if M::live_cols(row0 + i0 + live_m - 1, j0 + live_n) <= j0 {
-                        continue;
-                    }
-                    // Packed strips (the contract), so the panels.
+                    // Cut by the mask: staged from the packed strips (the
+                    // contract) and merged row by row.
                     kernel.acc(kcur, a_strip.0, b_strip, tile.as_mut_ptr());
-                    for di in 0..live_m {
-                        let cols = M::live_cols(row0 + i0 + di, j0 + live_n).saturating_sub(j0);
-                        let acc_row = &tile[di * nr..di * nr + cols];
-                        let row = std::slice::from_raw_parts_mut(c_tile.add(di * ldc), cols);
-                        if overwrite {
-                            for (out, &acc) in row.iter_mut().zip(acc_row) {
-                                *out = alpha.mul_add_e(acc, T::ZERO);
-                            }
-                        } else {
-                            for (out, &acc) in row.iter_mut().zip(acc_row) {
-                                *out = alpha.mul_add_e(acc, beta_eff.mul_add_e(*out, T::ZERO));
-                            }
-                        }
-                    }
+                    merge_tile(tile.as_ptr(), nr, c_tile, ldc, live_m, cols, alpha, beta_eff);
                 }
                 stats.kernel_calls += 1;
             }
@@ -963,7 +955,7 @@ unsafe fn row_panel_sweep<T: Element, M: Merge>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::naive::naive_gemm;
 
@@ -1666,6 +1658,101 @@ mod tests {
                 assert_close(&c, &c_ref, 1e-9);
             }
         }
+    }
+
+    /// FNV-1a over the bits of `values` (as `f64`, to which `f32`
+    /// converts exactly), continuing from `hash`.
+    pub(crate) fn fnv1a<T: Element + Into<f64>>(hash: u64, values: &[T]) -> u64 {
+        values
+            .iter()
+            .flat_map(|&v| v.into().to_bits().to_le_bytes())
+            .fold(hash, |h, byte| (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// The kernels behind every ISA this host runs, each once: the ISA a
+    /// pinned call actually executes on (all of them scalar under
+    /// `ADSALA_FORCE_SCALAR`).
+    pub(crate) fn resolved_isas() -> Vec<KernelIsa> {
+        let mut isas: Vec<KernelIsa> =
+            KernelIsa::supported().map(|isa| Kernel::<f32>::for_isa(isa).isa).collect();
+        isas.dedup();
+        isas
+    }
+
+    /// The hash of `C` after every GEMM of a fixed set of edge-heavy
+    /// shapes (ragged in every loop at an explicit blocking, so no host
+    /// cache changes the depth order), both transposes of each operand,
+    /// 1, 2 and 3 threads, at each `(α, β)` of `scalars`, on `isa`'s
+    /// kernel, `T`'s precision.
+    fn gemm_bits<T: Element + Into<f64> + From<f32>>(
+        isa: KernelIsa,
+        scalars: &[(f32, f32)],
+        from: fn(f64) -> T,
+    ) -> u64 {
+        let blocks = BlockSizes { mc: 24, kc: 24, nc: 64, mr: 1, nr: 1 };
+        let to_t = |v: Vec<f64>| -> Vec<T> { v.into_iter().map(from).collect() };
+        let mut hash = FNV_BASIS;
+        for (seed, &(m, n, k)) in
+            [(37usize, 75usize, 53usize), (13, 130, 29), (50, 9, 61)].iter().enumerate()
+        {
+            let a = to_t(fill(m * k, 91 + seed as u64));
+            let b = to_t(fill(k * n, 92 + seed as u64));
+            let c0 = to_t(fill(m * n, 93 + seed as u64));
+            for (ta, tb) in [Transpose::No, Transpose::Yes]
+                .into_iter()
+                .flat_map(|ta| [(ta, Transpose::No), (ta, Transpose::Yes)])
+            {
+                let lda = if ta.is_transposed() { m } else { k };
+                let ldb = if tb.is_transposed() { k } else { n };
+                for &(alpha, beta) in scalars {
+                    for threads in 1..=3 {
+                        let call = GemmCall {
+                            trans_a: ta,
+                            trans_b: tb,
+                            ..GemmCall::new(m, n, k, threads)
+                        }
+                        .with_isa(isa)
+                        .with_blocks(blocks);
+                        let mut c = c0.clone();
+                        let (alpha, beta) = (T::from(alpha), T::from(beta));
+                        gemm_with_stats(&call, alpha, &a, lda, &b, ldb, beta, &mut c, n);
+                        hash = fnv1a(hash, &c);
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    /// The bits of the write-back where its rule has not changed, recorded
+    /// per kernel: every ISA's GEMM at α ∈ {1, −1.5} and β ∈ {0, 1}, and
+    /// the scalar kernel's at general α and β. (SYRK's pins are in
+    /// `syrk::tests`.) A kernel with no recorded bits is a printed skip.
+    #[test]
+    fn write_back_keeps_its_recorded_bits() {
+        const UNIT: [(f32, f32); 4] = [(1.0, 0.0), (1.0, 1.0), (-1.5, 0.0), (-1.5, 1.0)];
+        const RECORDED: [(KernelIsa, u64, u64); 3] = [
+            (KernelIsa::Avx512, 0xaf00_3c06_6284_c534, 0x7aa2_257d_d543_823a),
+            (KernelIsa::Avx2Fma, 0xaf00_3c06_6284_c534, 0x7aa2_257d_d543_823a),
+            (KernelIsa::Scalar, 0xecff_5f54_5a7a_73d0, 0x01ab_0bf2_844d_e5ed),
+        ];
+        for isa in resolved_isas() {
+            let got = (gemm_bits(isa, &UNIT, |x| x as f32), gemm_bits(isa, &UNIT, |x| x));
+            eprintln!("{isa}: {:#018x}, {:#018x}", got.0, got.1);
+            match RECORDED.iter().find(|r| r.0 == isa) {
+                Some(&(_, f32_bits, f64_bits)) => assert_eq!(got, (f32_bits, f64_bits), "{isa}"),
+                None => eprintln!("skipped: no bits recorded for the {isa} kernel"),
+            }
+        }
+        const GENERAL: [(f32, f32); 2] = [(1.25, 0.3), (-0.5, -0.75)];
+        let scalar = (
+            gemm_bits(KernelIsa::Scalar, &GENERAL, |x| x as f32),
+            gemm_bits(KernelIsa::Scalar, &GENERAL, |x| x),
+        );
+        eprintln!("scalar general: {:#018x}, {:#018x}", scalar.0, scalar.1);
+        assert_eq!(scalar, (0xa81e_f533_b948_2fa5, 0x730c_d961_2701_c697));
     }
 
     #[test]

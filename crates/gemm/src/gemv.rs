@@ -8,10 +8,11 @@
 //! ML thread selection is interesting.
 
 use crate::isa::KernelIsa;
+use crate::microkernel::write_back;
 use crate::pool::ThreadPool;
 use crate::stats::{GemmStats, StatsCollector, ThreadLocalStats};
 use crate::threading::SendMutPtr;
-use crate::{beta_scaled, Element};
+use crate::Element;
 use std::time::Instant;
 
 /// GEMV streams rows through plain (auto-vectorised) dot products — there
@@ -135,8 +136,7 @@ fn row_range<T: Element>(
             acc = av.mul_add_e(*xv, acc);
         }
         // SAFETY: rows [r0, r1) are owned exclusively by this worker.
-        let out = unsafe { &mut *y.add(i) };
-        *out = alpha.mul_add_e(acc, beta_scaled(beta, *out));
+        write_back(unsafe { &mut *y.add(i) }, alpha, acc, beta);
         stats.kernel_calls += 1;
     }
     stats.kernel_ns += t0.elapsed().as_nanos() as u64;
@@ -159,7 +159,7 @@ pub fn naive_gemv<T: Element>(
         for j in 0..n {
             acc = a[i * lda + j].mul_add_e(x[j], acc);
         }
-        y[i] = alpha.mul_add_e(acc, beta_scaled(beta, y[i]));
+        write_back(&mut y[i], alpha, acc, beta);
     }
 }
 

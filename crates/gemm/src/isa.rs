@@ -29,13 +29,11 @@
 //! 1.2–1.8 of that same 256-bit peak (its probe panels only just fit L1).
 //!
 //! A [`Kernel`] is a table row: the tile geometry and the function
-//! pointers behind the contract the scalar
-//! [`crate::microkernel::accumulate`] / [`crate::microkernel::merge_into_raw`]
-//! pair established — panels packed zero-padded to the full tile, the full
-//! tile always accumulated, only the write-back masked to `live_m × live_n`
-//! with the β = 0 (never read `C`) and α = 1 specialisations. Three
-//! pointers are the kernel: fused `run`, accumulate-only `acc`, and — for
-//! every ISA but NEON — `run_in_place`, the fused kernel reading operands
+//! pointers behind the contract the scalar kernel
+//! ([`crate::microkernel`]) established — panels packed zero-padded to the
+//! full tile, the full tile always accumulated, only the write-back masked
+//! to `live_m × live_n`. Three pointers are the kernel: fused `run`,
+//! accumulate-only `acc`, and — for every ISA but NEON — `run_in_place`, the fused kernel reading operands
 //! where they lie through runtime strides ([`InPlaceFn`]; the blocked loop
 //! nest's packing-free path for operands that fit L2). `run` and
 //! `run_in_place` are one template body: the packed entry passes the
@@ -52,15 +50,24 @@
 //! the write-back needs it. A prefetch is only a hint: it reads nothing
 //! and never faults, so the results are those of the kernel without it.
 //!
-//! SIMD and FMA change floating-point **rounding** relative to the scalar
-//! path (lanes partition the sum differently, FMA skips a rounding), so
-//! SIMD results are ULP-close to scalar ones, not bitwise equal; the
-//! scalar path itself is unchanged.
+//! **Write-back.** Every kernel writes a tile back by the one rule of
+//! [`crate::microkernel`] (`C ← α·acc + β̂·C`, each product rounded on its
+//! own, `C` unread when β = 0). It is written twice: the scalar masked
+//! merge [`crate::microkernel::merge_tile`], which merges the scalar
+//! kernel's tiles, every edge tile staged by the template (and every NEON
+//! tile), and SYRK's diagonal tiles; and the template's vector write-back of
+//! a full tile, the same operations in the same order, signed zeros
+//! included. A cell's bits therefore do not depend on whether it falls in
+//! a full or an edge tile, which the thread grid decides.
+//!
+//! SIMD and FMA change the **accumulation**'s rounding relative to the
+//! scalar path (FMA skips a rounding), so SIMD results are ULP-close to
+//! scalar ones, not bitwise equal; the scalar path itself is unchanged.
 
 use std::sync::OnceLock;
 
 use crate::blocking::{MR, NR};
-use crate::microkernel::{accumulate, accumulate_strided, merge_into_raw};
+use crate::microkernel::{accumulate, accumulate_strided, merge_tile};
 use crate::Element;
 use serde::{Deserialize, Serialize};
 
@@ -173,8 +180,8 @@ pub fn force_scalar_requested() -> bool {
 }
 
 /// Fused micro-kernel: multiply one packed `mr×kc` A panel by one packed
-/// `kc×nr` B panel and merge the tile into `C` as
-/// `C ← α·tile + β·C` over the `live_m × live_n` live region.
+/// `kc×nr` B panel and write the tile back into the `live_m × live_n`
+/// live region of `C` by the one rule (module docs).
 ///
 /// Safety contract (shared by every implementation):
 /// * `a_panel` points at `kc·mr` elements, `b_panel` at `kc·nr`,
@@ -222,9 +229,10 @@ pub type InPlaceFn<T> = unsafe fn(
 
 /// Accumulate-only micro-kernel: compute the full `mr×nr` tile of
 /// `A_panel · B_panel` into `tile` (row-major, `nr` stride), overwriting
-/// it. Used by consumers that need a custom masked merge (SYRK's
-/// triangle). Same safety contract as [`MicroFn`] minus the `C` clauses;
-/// `tile` must hold `mr·nr` elements.
+/// it. Used where a mask cuts the tile (SYRK's diagonal), which
+/// [`crate::microkernel::merge_tile`] then merges. Same safety contract
+/// as [`MicroFn`] minus the `C` clauses; `tile` must hold `mr·nr`
+/// elements.
 pub type AccFn<T> = unsafe fn(kc: usize, a_panel: *const T, b_panel: *const T, tile: *mut T);
 
 /// Panel-packing primitive: fill one strip of a packed operand —
@@ -454,8 +462,8 @@ pub const fn kernel_f64(isa: KernelIsa) -> Kernel<f64> {
     }
 }
 
-/// The always-available scalar kernel: the exact pre-dispatch
-/// `accumulate` + `merge_into_raw` pair at the historical `8×8` tile.
+/// The always-available scalar kernel: the pre-dispatch `accumulate` and
+/// the one masked merge at the historical `8×8` tile.
 const fn scalar_kernel<T: Element>() -> Kernel<T> {
     Kernel {
         isa: KernelIsa::Scalar,
@@ -504,9 +512,10 @@ unsafe fn scalar_run_in_place<T: Element>(
     alpha: T,
     beta: T,
 ) {
-    // SAFETY: both forwarded from the caller's contract.
+    // SAFETY: both forwarded from the caller's contract; the accumulator
+    // holds MR rows of NR.
     let acc = accumulate_strided(kc, a, a_rs, a_ks, b, b_ks);
-    merge_into_raw(&acc, c, ldc, live_m, live_n, alpha, beta);
+    merge_tile(acc.as_ptr().cast(), NR, c, ldc, live_m, |_| live_n, alpha, beta);
 }
 
 /// Scalar accumulate-only kernel. Safety: see [`AccFn`].
@@ -518,53 +527,6 @@ unsafe fn scalar_acc<T: Element>(kc: usize, a_panel: *const T, b_panel: *const T
     for (i, row) in acc.iter().enumerate() {
         // SAFETY: `tile` holds mr·nr = MR·NR elements per the contract.
         std::ptr::copy_nonoverlapping(row.as_ptr(), tile.add(i * NR), NR);
-    }
-}
-
-/// Masked scalar write-back of a row-major `mr×nr` tile staged in memory:
-/// `C ← α·tile + β·C` on the live region, with the same β = 0 (never
-/// read `C`) and α = 1 specialisations as the scalar merge.
-///
-/// # Safety
-/// `tile` holds `mr·nr` elements (`live_m·nr` actually read); `c` points
-/// at a tile whose `live_m` rows of `live_n` elements spaced `ldc` apart
-/// are valid for writes (and reads unless β = 0), with no concurrent
-/// access.
-#[allow(clippy::too_many_arguments)]
-unsafe fn merge_staged_tile<T: Element>(
-    tile: *const T,
-    nr: usize,
-    c: *mut T,
-    ldc: usize,
-    live_m: usize,
-    live_n: usize,
-    alpha: T,
-    beta: T,
-) {
-    for i in 0..live_m {
-        // SAFETY: row i is in bounds of both the staged tile and C per
-        // the function contract.
-        let src = std::slice::from_raw_parts(tile.add(i * nr), live_n);
-        let dst = std::slice::from_raw_parts_mut(c.add(i * ldc), live_n);
-        if beta == T::ZERO {
-            if alpha == T::ONE {
-                for (out, &v) in dst.iter_mut().zip(src) {
-                    *out = v + T::ZERO;
-                }
-            } else {
-                for (out, &v) in dst.iter_mut().zip(src) {
-                    *out = alpha.mul_add_e(v, T::ZERO);
-                }
-            }
-        } else if alpha == T::ONE {
-            for (out, &v) in dst.iter_mut().zip(src) {
-                *out = v + beta.mul_add_e(*out, T::ZERO);
-            }
-        } else {
-            for (out, &v) in dst.iter_mut().zip(src) {
-                *out = alpha.mul_add_e(v, beta.mul_add_e(*out, T::ZERO));
-            }
-        }
     }
 }
 
@@ -675,14 +637,15 @@ fn pack_copy_scalar<T: Element>(
 /// this container has no AArch64 target to compile a port against.
 #[cfg(target_arch = "x86_64")]
 mod tile {
-    use super::merge_staged_tile;
+    use crate::microkernel::merge_tile;
     use crate::Element;
     use std::mem::MaybeUninit;
 
     /// One SIMD register of `LANES` lanes of `Elem` — as much of it as a
     /// register-tile kernel needs: `zero`, `splat(x)` (every lane `x`),
     /// unaligned `load`/`store` of `LANES` elements at `p`, `a.mul(b)`
-    /// (`a·b`) and `a.fma(b, acc)` (`a·b + acc`, fused).
+    /// (`a·b`), `a.add(b)` (`a + b`) and `a.fma(b, acc)` (`a·b + acc`,
+    /// fused).
     ///
     /// # Safety
     /// `Self` must have the size of `[Elem; LANES]` (an edge tile is
@@ -698,6 +661,7 @@ mod tile {
         unsafe fn store(self, p: *mut Self::Elem);
         unsafe fn fma(self, b: Self, acc: Self) -> Self;
         unsafe fn mul(self, b: Self) -> Self;
+        unsafe fn add(self, b: Self) -> Self;
     }
 
     /// The accumulators of one `MR × NV·LANES` tile, row `i` in `tile[i]`.
@@ -830,9 +794,8 @@ mod tile {
     /// Fused kernel body ([`super::InPlaceFn`], and [`super::MicroFn`] at
     /// the packed strides): the live rows of the `C` tile are prefetched
     /// ([`prefetch_c`]), the tile accumulated, then a full tile is written
-    /// back in vectors (`α = 1` skips the scale, `β = 0` never reads `C`);
-    /// an edge tile is staged on the stack and merged by the scalar masked
-    /// merge.
+    /// back in vectors by the one rule; an edge tile is staged on the
+    /// stack and merged by the scalar masked merge, which follows it too.
     ///
     /// # Safety
     /// [`Vector`]'s CPU requirement plus the [`super::InPlaceFn`] contract
@@ -857,20 +820,17 @@ mod tile {
         let acc = accumulate::<V, MR, NV>(kc, a, a_rs, a_ks, b, b_ks);
         let nr = NV * V::LANES;
         if live_m == MR && live_n == nr {
-            let (va, vb) = (V::splat(alpha), V::splat(beta));
+            // `merge_tile`'s `write_back` in vectors, operation for
+            // operation: `α·acc`, `β̂·C` (`β·C + 0`, or `0` with `C`
+            // unread), their sum.
+            let (va, vb, zero) = (V::splat(alpha), V::splat(beta), V::zero());
+            let reads_c = beta != V::Elem::ZERO;
             for (i, row) in acc.iter().enumerate() {
                 for (j, &v) in row.iter().enumerate() {
                     // SAFETY: full-tile rows are valid per the contract.
                     let out = c.add(i * ldc + j * V::LANES);
-                    let mut v = v;
-                    if alpha != V::Elem::ONE {
-                        v = va.mul(v);
-                    }
-                    if beta != V::Elem::ZERO {
-                        // β = 0 must not read C (BLAS semantics).
-                        v = vb.fma(V::load(out), v);
-                    }
-                    v.store(out);
+                    let scaled_c = if reads_c { vb.mul(V::load(out)).add(zero) } else { zero };
+                    va.mul(v).add(scaled_c).store(out);
                 }
             }
         } else {
@@ -881,7 +841,7 @@ mod tile {
             // SAFETY: `store_tile` initialises all MR·nr elements before
             // the merge reads them; C bounds per the caller's contract.
             store_tile(&acc, tile);
-            merge_staged_tile(tile, nr, c, ldc, live_m, live_n, alpha, beta);
+            merge_tile(tile, nr, c, ldc, live_m, |_| live_n, alpha, beta);
         }
     }
 }
@@ -897,7 +857,8 @@ mod x86 {
 
     macro_rules! impl_vector {
         ($($V:ty = [$E:ty; $lanes:literal]:
-           $zero:ident, $splat:ident, $load:ident, $store:ident, $fma:ident, $mul:ident;)*) => {$(
+           $zero:ident, $splat:ident, $load:ident, $store:ident, $fma:ident, $mul:ident,
+           $add:ident;)*) => {$(
             // SAFETY: the register is `$lanes` packed `$E` in element
             // order; the `loadu`/`storeu` forms take any alignment.
             unsafe impl Vector for $V {
@@ -927,18 +888,22 @@ mod x86 {
                 unsafe fn mul(self, b: Self) -> Self {
                     $mul(self, b)
                 }
+                #[inline(always)]
+                unsafe fn add(self, b: Self) -> Self {
+                    $add(self, b)
+                }
             }
         )*};
     }
     impl_vector! {
-        __m256 = [f32; 8]:
-            _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_fmadd_ps, _mm256_mul_ps;
-        __m256d = [f64; 4]:
-            _mm256_setzero_pd, _mm256_set1_pd, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_fmadd_pd, _mm256_mul_pd;
-        __m512 = [f32; 16]:
-            _mm512_setzero_ps, _mm512_set1_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_fmadd_ps, _mm512_mul_ps;
-        __m512d = [f64; 8]:
-            _mm512_setzero_pd, _mm512_set1_pd, _mm512_loadu_pd, _mm512_storeu_pd, _mm512_fmadd_pd, _mm512_mul_pd;
+        __m256 = [f32; 8]: _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps,
+            _mm256_storeu_ps, _mm256_fmadd_ps, _mm256_mul_ps, _mm256_add_ps;
+        __m256d = [f64; 4]: _mm256_setzero_pd, _mm256_set1_pd, _mm256_loadu_pd,
+            _mm256_storeu_pd, _mm256_fmadd_pd, _mm256_mul_pd, _mm256_add_pd;
+        __m512 = [f32; 16]: _mm512_setzero_ps, _mm512_set1_ps, _mm512_loadu_ps,
+            _mm512_storeu_ps, _mm512_fmadd_ps, _mm512_mul_ps, _mm512_add_ps;
+        __m512d = [f64; 8]: _mm512_setzero_pd, _mm512_set1_pd, _mm512_loadu_pd,
+            _mm512_storeu_pd, _mm512_fmadd_pd, _mm512_mul_pd, _mm512_add_pd;
     }
 
     /// One row of the kernel table: the template at `$mr` rows of `$nv`
@@ -1219,7 +1184,7 @@ mod x86 {
 /// AArch64, so no `#[target_feature]` gymnastics are needed.
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::merge_staged_tile;
+    use crate::microkernel::merge_tile;
     use std::arch::aarch64::*;
 
     /// f32 register-tile rows.
@@ -1231,7 +1196,8 @@ mod neon {
     /// f64 register-tile columns (two 2-lane `v` registers per row).
     pub const NR_F64: usize = 4;
 
-    /// Fused 6×8 f32 NEON kernel.
+    /// Fused 6×8 f32 NEON kernel: the tile staged by [`acc_f32`], then
+    /// the one masked merge.
     ///
     /// # Safety
     /// See [`super::MicroFn`].
@@ -1247,34 +1213,10 @@ mod neon {
         alpha: f32,
         beta: f32,
     ) {
-        let acc = acc_tile_f32(kc, a_panel, b_panel);
-        if live_m == MR_F32 && live_n == NR_F32 {
-            for i in 0..MR_F32 {
-                // SAFETY: full-tile rows are valid per the contract.
-                let row = c.add(i * ldc);
-                let mut lo = acc[2 * i];
-                let mut hi = acc[2 * i + 1];
-                if alpha != 1.0 {
-                    lo = vmulq_n_f32(lo, alpha);
-                    hi = vmulq_n_f32(hi, alpha);
-                }
-                if beta != 0.0 {
-                    // β = 0 must not read C (BLAS semantics).
-                    lo = vfmaq_n_f32(lo, vld1q_f32(row), beta);
-                    hi = vfmaq_n_f32(hi, vld1q_f32(row.add(4)), beta);
-                }
-                vst1q_f32(row, lo);
-                vst1q_f32(row.add(4), hi);
-            }
-        } else {
-            let mut tile = [0.0f32; MR_F32 * NR_F32];
-            for i in 0..MR_F32 {
-                vst1q_f32(tile.as_mut_ptr().add(i * NR_F32), acc[2 * i]);
-                vst1q_f32(tile.as_mut_ptr().add(i * NR_F32 + 4), acc[2 * i + 1]);
-            }
-            // SAFETY: staged tile fully initialised; C bounds per caller.
-            merge_staged_tile(tile.as_ptr(), NR_F32, c, ldc, live_m, live_n, alpha, beta);
-        }
+        let mut tile = [0.0f32; MR_F32 * NR_F32];
+        acc_f32(kc, a_panel, b_panel, tile.as_mut_ptr());
+        // SAFETY: staged tile fully initialised; C bounds per caller.
+        merge_tile(tile.as_ptr(), NR_F32, c, ldc, live_m, |_| live_n, alpha, beta);
     }
 
     /// Accumulate the full 6×8 f32 tile (12 accumulator vectors).
@@ -1313,7 +1255,8 @@ mod neon {
         }
     }
 
-    /// Fused 6×4 f64 NEON kernel.
+    /// Fused 6×4 f64 NEON kernel: the tile staged by [`acc_f64`], then
+    /// the one masked merge.
     ///
     /// # Safety
     /// See [`super::MicroFn`].
@@ -1329,34 +1272,10 @@ mod neon {
         alpha: f64,
         beta: f64,
     ) {
-        let acc = acc_tile_f64(kc, a_panel, b_panel);
-        if live_m == MR_F64 && live_n == NR_F64 {
-            for i in 0..MR_F64 {
-                // SAFETY: full-tile rows are valid per the contract.
-                let row = c.add(i * ldc);
-                let mut lo = acc[2 * i];
-                let mut hi = acc[2 * i + 1];
-                if alpha != 1.0 {
-                    lo = vmulq_n_f64(lo, alpha);
-                    hi = vmulq_n_f64(hi, alpha);
-                }
-                if beta != 0.0 {
-                    // β = 0 must not read C (BLAS semantics).
-                    lo = vfmaq_n_f64(lo, vld1q_f64(row), beta);
-                    hi = vfmaq_n_f64(hi, vld1q_f64(row.add(2)), beta);
-                }
-                vst1q_f64(row, lo);
-                vst1q_f64(row.add(2), hi);
-            }
-        } else {
-            let mut tile = [0.0f64; MR_F64 * NR_F64];
-            for i in 0..MR_F64 {
-                vst1q_f64(tile.as_mut_ptr().add(i * NR_F64), acc[2 * i]);
-                vst1q_f64(tile.as_mut_ptr().add(i * NR_F64 + 2), acc[2 * i + 1]);
-            }
-            // SAFETY: staged tile fully initialised; C bounds per caller.
-            merge_staged_tile(tile.as_ptr(), NR_F64, c, ldc, live_m, live_n, alpha, beta);
-        }
+        let mut tile = [0.0f64; MR_F64 * NR_F64];
+        acc_f64(kc, a_panel, b_panel, tile.as_mut_ptr());
+        // SAFETY: staged tile fully initialised; C bounds per caller.
+        merge_tile(tile.as_ptr(), NR_F64, c, ldc, live_m, |_| live_n, alpha, beta);
     }
 
     /// Accumulate the full 6×4 f64 tile (12 accumulator vectors).
@@ -1687,6 +1606,57 @@ mod tests {
         }
     }
 
+    /// A full tile's vector write-back is the one masked merge, bit for
+    /// bit: `run` on every runnable kernel must equal its `acc` merged by
+    /// [`merge_tile`], for α ∈ {1, 1.25, −1} and β ∈ {0, 1, 0.3, −0.75},
+    /// over a `C` that holds `+0` and `−0` among its values.
+    #[test]
+    fn full_tile_run_is_acc_plus_the_one_merge() {
+        full_tile_run_is_acc_plus_merge::<f32>();
+        full_tile_run_is_acc_plus_merge::<f64>();
+    }
+
+    fn full_tile_run_is_acc_plus_merge<T: Element + From<f32> + Into<f64>>() {
+        let value = |i: usize| T::from(((i * 7 % 19) as f32 - 9.0) * 0.37);
+        let kc = 11;
+        for kern in runnable_kernels::<T>() {
+            let (mr, nr) = (kern.mr, kern.nr);
+            let ap: Vec<T> = (0..kc * mr).map(value).collect();
+            // A zero depth step's column: `acc` holds exact zeros there.
+            let bp: Vec<T> =
+                (0..kc * nr).map(|i| if i % nr == 1 { T::ZERO } else { value(i + 3) }).collect();
+            let c0: Vec<T> = (0..mr * nr)
+                .map(|i| match i % 5 {
+                    0 => T::ZERO,
+                    1 => T::ZERO * T::from(-1.0),
+                    _ => value(i + 11),
+                })
+                .collect();
+            let mut acc = vec![T::ZERO; mr * nr];
+            // SAFETY: packed panels of kc·mr / kc·nr, a tile of mr·nr.
+            unsafe { kern.acc(kc, ap.as_ptr(), bp.as_ptr(), acc.as_mut_ptr()) };
+            for alpha in [1.0, 1.25, -1.0].map(T::from) {
+                for beta in [0.0, 1.0, 0.3, -0.75].map(T::from) {
+                    let (mut via_run, mut via_merge) = (c0.clone(), c0.clone());
+                    // SAFETY: as above; both C tiles hold mr·nr at stride nr.
+                    unsafe {
+                        let (a, b) = (ap.as_ptr(), bp.as_ptr());
+                        kern.run(kc, a, b, via_run.as_mut_ptr(), nr, mr, nr, alpha, beta);
+                        let c = via_merge.as_mut_ptr();
+                        merge_tile(acc.as_ptr(), nr, c, nr, mr, |_| nr, alpha, beta);
+                    }
+                    let bits = |c: &[T]| c.iter().map(|&v| v.into().to_bits()).collect::<Vec<_>>();
+                    assert!(
+                        bits(&via_run) == bits(&via_merge),
+                        "{} α={alpha:?} β={beta:?}: {:?}",
+                        kern.isa,
+                        via_run.iter().zip(&via_merge).find(|(x, y)| bits(&[**x]) != bits(&[**y]))
+                    );
+                }
+            }
+        }
+    }
+
     /// The in-place entry reads its operands' `mr×kc` and `kc×nr` elements
     /// and nothing else. Each operand is stored at a padded leading
     /// dimension between NaN guards, and its view is built on a slice that
@@ -1791,16 +1761,15 @@ mod tests {
     /// past the buffer; a read of a guard puts a NaN into the result).
     /// With β = 0 over a NaN `C` and with a general β, for a full and a
     /// masked tile, the packed and the in-place entry must write exactly
-    /// the live cells, with the bits of the kernel's write-back applied to
-    /// its accumulate-only entry's tile, which never touches `C`.
+    /// the live cells, with the bits of the one write-back rule applied to
+    /// the accumulate-only entry's tile, which never touches `C`.
     #[test]
     fn c_prefetch_at_the_end_of_c_changes_no_bit() {
-        c_prefetch_at_the_end_of_c::<f32>(f32::mul_add);
-        c_prefetch_at_the_end_of_c::<f64>(f64::mul_add);
+        c_prefetch_at_the_end_of_c::<f32>();
+        c_prefetch_at_the_end_of_c::<f64>();
     }
 
-    /// `fused(x, y, z)` is `x·y + z` rounded once.
-    fn c_prefetch_at_the_end_of_c<T: Element + From<f32>>(fused: fn(T, T, T) -> T) {
+    fn c_prefetch_at_the_end_of_c<T: Element + From<f32>>() {
         const GUARD: usize = 16;
         let nan = T::ZERO * T::from(f32::INFINITY);
         let value = |i: usize| T::from(((i * 7 % 19) as f32 - 9.3) * 0.37);
@@ -1814,10 +1783,6 @@ mod tests {
             // SAFETY: packed panels of kc·mr / kc·nr, a tile of mr·nr.
             unsafe { kern.acc(kc, ap.as_ptr(), bp.as_ptr(), acc.as_mut_ptr()) };
             for (live_m, live_n) in [(mr, nr), (mr - 1, nr - 3)] {
-                // A full template tile is written back in vectors, which
-                // fuse β·C into α·acc; the masked merge, and every tile of
-                // the scalar kernel, rounds β·C first.
-                let vector = (live_m, live_n) == (mr, nr) && kern.isa != KernelIsa::Scalar;
                 let len = GUARD + (live_m - 1) * ldc + live_n;
                 let live = |i: usize, j: usize| GUARD + i * ldc + j;
                 for beta in [T::ZERO, T::from(-0.75)] {
@@ -1831,12 +1796,12 @@ mod tests {
                     for i in 0..live_m {
                         for j in 0..live_n {
                             let (v, out) = (acc[i * nr + j], &mut want[live(i, j)]);
-                            *out = match (beta == T::ZERO, vector) {
-                                (true, true) => alpha * v,
-                                (true, false) => alpha.mul_add_e(v, T::ZERO),
-                                (false, true) => fused(beta, *out, alpha * v),
-                                (false, false) => alpha.mul_add_e(v, beta.mul_add_e(*out, T::ZERO)),
+                            let scaled_c = if beta == T::ZERO {
+                                T::ZERO
+                            } else {
+                                beta.mul_add_e(*out, T::ZERO)
                             };
+                            *out = alpha.mul_add_e(v, scaled_c);
                         }
                     }
                     for in_place in [false, true] {

@@ -117,20 +117,6 @@ pub trait Element:
     fn kernel(isa: isa::KernelIsa) -> isa::Kernel<Self>;
 }
 
-/// `β·old` as the write-back paths outside the micro-kernel apply it.
-/// With β = 0 the old value does not enter the result (BLAS semantics:
-/// the output may be uninitialised, so NaN/Inf garbage must not
-/// propagate through `0·old`); for finite values the result is bitwise
-/// the same as the plain product.
-#[inline(always)]
-pub(crate) fn beta_scaled<T: Element>(beta: T, old: T) -> T {
-    if beta == T::ZERO {
-        T::ZERO
-    } else {
-        beta.mul_add_e(old, T::ZERO)
-    }
-}
-
 impl Element for f32 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;

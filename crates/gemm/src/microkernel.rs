@@ -1,17 +1,18 @@
-//! The **scalar reference** register-blocked micro-kernel.
+//! The **scalar reference** register-blocked micro-kernel, and the one
+//! write-back rule every tile of `C` follows.
 //!
 //! The kernel multiplies one packed `MR×kc` micro-panel of `A` by one packed
 //! `kc×NR` micro-panel of `B`, accumulating into an `MR×NR` register tile,
-//! and finally merges the tile into `C` as `C ← α·tile + β_eff·C`.
+//! and finally merges the tile into `C`.
 //!
 //! Since the kernel-dispatch layer ([`crate::isa`]) landed, drivers reach
 //! this code through [`crate::isa::KernelIsa::Scalar`]'s [`crate::isa::Kernel`]
 //! entry — the always-available portable path, also selectable via the
-//! `ADSALA_FORCE_SCALAR` environment variable. Its arithmetic (tile
-//! geometry, 4-way depth unroll, accumulation order, write-back
-//! specialisations) is unchanged from the pre-dispatch implementation, so
-//! forced-scalar results stay bitwise identical across releases; the SIMD
-//! kernels satisfy the same contract with different rounding.
+//! `ADSALA_FORCE_SCALAR` environment variable. Its accumulation (tile
+//! geometry, 4-way depth unroll, accumulation order) is unchanged from the
+//! pre-dispatch implementation, so forced-scalar results stay bitwise
+//! identical across releases; the SIMD kernels accumulate with different
+//! rounding.
 //!
 //! The accumulator is a fixed-size 2-D array so LLVM keeps it entirely in
 //! vector registers and unrolls the `MR×NR` update; the packed operands are
@@ -19,6 +20,22 @@
 //! — one depth loop, `accumulate_strided`, takes both. Edge tiles (fewer
 //! than `MR` rows or `NR` columns live in `C`) run the same arithmetic —
 //! the packed panels are zero padded — and only the write-back is masked.
+//!
+//! ## The write-back rule
+//!
+//! Every write-back of every routine computes, per live element,
+//! `C ← α·acc + β̂·C` with each product rounded on its own and then the
+//! sum, where `β̂·C` is `β·C + 0` — or `0` with `C` never read when β = 0
+//! (BLAS semantics: the output may hold NaN/Inf garbage, which `0·C` would
+//! propagate). The `+ 0` makes `β̂·C` `+0` where `β·C` is `−0`. The rule is
+//! written twice: per element in `write_back`, which the naive
+//! references, GEMV, SYRK's reference and the masked merge [`merge_tile`]
+//! call — the scalar kernel, every SIMD kernel's edge tiles and SYRK's
+//! diagonal tiles all merge through it — and once in vectors, for the full
+//! tiles of the SIMD template ([`crate::isa`]), with the same operations
+//! in the same order. So a cell's bits do not depend on the kind of tile
+//! it falls in, and the thread grid, which decides that, changes no result
+//! bit.
 
 use crate::blocking::{MR, NR};
 use crate::Element;
@@ -51,10 +68,14 @@ pub fn microkernel<T: Element>(
     if live_m > 0 {
         assert!(c.len() >= (live_m - 1) * ldc + live_n, "C tile out of bounds");
     }
+    assert!(live_m <= MR && live_n <= NR, "live region larger than the tile");
     let acc = accumulate(kc, a_panel, b_panel);
-    // SAFETY: the assert above guarantees every `i·ldc + j` written by the
-    // merge (i < live_m, j < live_n) is inside `c`.
-    unsafe { merge_into_raw(&acc, c.as_mut_ptr(), ldc, live_m, live_n, alpha, beta) }
+    // SAFETY: the asserts above guarantee every `i·ldc + j` written by the
+    // merge (i < live_m, j < live_n) is inside `c`, and the accumulator
+    // holds MR rows of NR.
+    unsafe {
+        merge_tile(acc.as_ptr().cast(), NR, c.as_mut_ptr(), ldc, live_m, |_| live_n, alpha, beta)
+    }
 }
 
 /// Compute the `MR×NR` accumulator tile for one packed micro-panel pair:
@@ -118,111 +139,42 @@ pub(crate) unsafe fn accumulate_strided<T: Element>(
     acc
 }
 
-/// Merge an accumulator tile into `C` through a raw pointer:
-/// `C ← α·acc + β·C` on the `live_m × live_n` live region.
-///
-/// Dispatches to specialised write-back paths:
-/// * **β = 0** — `C` is *not read at all* (BLAS semantics: with β = 0 the
-///   output may be uninitialised; existing NaN/Inf values do not
-///   propagate). For finite `C` the result is bitwise identical to the
-///   general path.
-/// * **α = 1** — the product scale is skipped (`1·x` is exact, so this is
-///   purely a codegen win: one multiply less per element).
-/// * general `α·acc + β·C` otherwise.
+/// The write-back rule (module docs) for one element of `C`:
+/// `out ← α·acc + β̂·out`, `out` read only when β ≠ 0.
+#[inline(always)]
+pub(crate) fn write_back<T: Element>(out: &mut T, alpha: T, acc: T, beta: T) {
+    let scaled_c = if beta == T::ZERO { T::ZERO } else { beta.mul_add_e(*out, T::ZERO) };
+    *out = alpha.mul_add_e(acc, scaled_c);
+}
+
+/// The one masked merge: `write_back` of a tile staged row-major at
+/// `tile`, rows `stride` apart, into the first `live_cols(i)` elements of
+/// each row `i < live_m` of the `C` tile at `c`, rows `ldc` apart.
 ///
 /// # Safety
-/// `c` must point at the `(0,0)` element of a tile whose `live_m` rows of
-/// `live_n` elements, spaced `ldc` apart, are valid for reads and writes
-/// (writes only when β = 0), and no other thread may access those
-/// elements concurrently.
+/// For every `i < live_m`, `live_cols(i)` elements at `tile + i·stride`
+/// are readable, and as many at `c + i·ldc` are valid for writes (and for
+/// reads unless β = 0) with no concurrent access.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub unsafe fn merge_into_raw<T: Element>(
-    acc: &[[T; NR]; MR],
+pub unsafe fn merge_tile<T: Element>(
+    tile: *const T,
+    stride: usize,
     c: *mut T,
     ldc: usize,
     live_m: usize,
-    live_n: usize,
+    live_cols: impl Fn(usize) -> usize,
     alpha: T,
     beta: T,
 ) {
-    debug_assert!(live_m <= MR && live_n <= NR);
-    if beta == T::ZERO {
-        if alpha == T::ONE {
-            // `acc + 0.0` matches the general path's `1·acc + (0·C + 0)`
-            // bit for bit (finite C) while reading nothing.
-            store_tile(acc, c, ldc, live_m, live_n, |v| v + T::ZERO);
-        } else {
-            store_tile(acc, c, ldc, live_m, live_n, |v| alpha.mul_add_e(v, T::ZERO));
-        }
-    } else if alpha == T::ONE {
-        update_tile(acc, c, ldc, live_m, live_n, |v, old| v + beta.mul_add_e(old, T::ZERO));
-    } else {
-        update_tile(acc, c, ldc, live_m, live_n, |v, old| {
-            alpha.mul_add_e(v, beta.mul_add_e(old, T::ZERO))
-        });
-    }
-}
-
-/// β = 0 write-back: overwrite the live region with `f(acc)`, never
-/// reading the previous `C` values.
-///
-/// # Safety
-/// As for [`merge_into_raw`], writes only.
-#[inline(always)]
-unsafe fn store_tile<T: Element>(
-    acc: &[[T; NR]; MR],
-    c: *mut T,
-    ldc: usize,
-    live_m: usize,
-    live_n: usize,
-    f: impl Fn(T) -> T,
-) {
-    if live_m == MR && live_n == NR {
-        // Full-tile fast path, no masking. Row slices are constructed one
-        // at a time, so no aliasing `&mut` ever coexists.
-        for (i, acc_row) in acc.iter().enumerate() {
-            let row = std::slice::from_raw_parts_mut(c.add(i * ldc), NR);
-            for j in 0..NR {
-                row[j] = f(acc_row[j]);
-            }
-        }
-    } else {
-        for (i, acc_row) in acc.iter().enumerate().take(live_m) {
-            let row = std::slice::from_raw_parts_mut(c.add(i * ldc), live_n);
-            for (j, out) in row.iter_mut().enumerate() {
-                *out = f(acc_row[j]);
-            }
-        }
-    }
-}
-
-/// General write-back: replace each live element with `f(acc, old)`.
-///
-/// # Safety
-/// As for [`merge_into_raw`].
-#[inline(always)]
-unsafe fn update_tile<T: Element>(
-    acc: &[[T; NR]; MR],
-    c: *mut T,
-    ldc: usize,
-    live_m: usize,
-    live_n: usize,
-    f: impl Fn(T, T) -> T,
-) {
-    if live_m == MR && live_n == NR {
-        for (i, acc_row) in acc.iter().enumerate() {
-            let row = std::slice::from_raw_parts_mut(c.add(i * ldc), NR);
-            for j in 0..NR {
-                row[j] = f(acc_row[j], row[j]);
-            }
-        }
-    } else {
-        for (i, acc_row) in acc.iter().enumerate().take(live_m) {
-            let row = std::slice::from_raw_parts_mut(c.add(i * ldc), live_n);
-            for (j, out) in row.iter_mut().enumerate() {
-                *out = f(acc_row[j], *out);
-            }
+    for i in 0..live_m {
+        let cols = live_cols(i);
+        // SAFETY: row i of both tiles is in bounds by the contract, and
+        // one row slice of `C` exists at a time.
+        let src = std::slice::from_raw_parts(tile.add(i * stride), cols);
+        let dst = std::slice::from_raw_parts_mut(c.add(i * ldc), cols);
+        for (out, &acc) in dst.iter_mut().zip(src) {
+            write_back(out, alpha, acc, beta);
         }
     }
 }
@@ -369,8 +321,8 @@ mod tests {
         let (ap, bp) = pack_dense(&a, &b, kc);
         let init: Vec<f64> = (0..MR * NR).map(|i| (i as f64 - 30.0) * 0.1).collect();
 
-        // α = 1 specialisation vs the general path forced via α slightly
-        // off one... instead compute the reference directly: 1·acc + β·c.
+        // α = 1 takes the one rule like any α (`1·acc` is exact): the
+        // reference is `acc + (β·c + 0)`, computed directly.
         let acc = accumulate(kc, &ap, &bp);
         let beta = -0.75;
         let mut c = init.clone();

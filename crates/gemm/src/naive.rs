@@ -3,7 +3,8 @@
 //! Deliberately simple: no blocking, no packing, no threading. Every
 //! optimised path in this crate is property-tested against these kernels.
 
-use crate::{beta_scaled, Element, Transpose};
+use crate::microkernel::write_back;
+use crate::{Element, Transpose};
 
 /// `C ← α·op(A)·op(B) + β·C` with the straightforward `i,j,l` loop nest.
 ///
@@ -67,8 +68,7 @@ pub fn naive_gemm<T: Element>(
             for l in 0..k {
                 acc = at(i, l).mul_add_e(bt(l, j), acc);
             }
-            let out = &mut c[i * ldc + j];
-            *out = alpha.mul_add_e(acc, beta_scaled(beta, *out));
+            write_back(&mut c[i * ldc + j], alpha, acc, beta);
         }
     }
 }

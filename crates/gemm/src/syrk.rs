@@ -13,16 +13,20 @@
 //! law, since the work below row `r` grows like `r²`), and the
 //! lower-triangle merge stops each band at its diagonal, skips tiles
 //! strictly above it and masks the merge of tiles straddling it, so the
-//! strict upper triangle of `C` is never written. Bands have different
+//! strict upper triangle of `C` is never written. A tile wholly on or
+//! below the diagonal runs the fused kernel, as GEMM's do; only the tiles
+//! the diagonal cuts are staged. Both write back by the one rule (see
+//! [`crate::microkernel`]), so which tiles the bands cut changes no bit. Bands have different
 //! widths, hence different `B` block sequences, so `B` is never shared.
 
 use crate::gemm::{run_tiles, Member, Merge, Prologue};
+use crate::microkernel::write_back;
 use crate::pack::MatView;
 use crate::plan::ExecutionPlan;
 use crate::pool::ThreadPool;
 use crate::stats::GemmStats;
 use crate::threading::ThreadGrid;
-use crate::{beta_scaled, Element};
+use crate::Element;
 
 /// `C ← α·A·Aᵀ + β·C`, updating only the lower triangle (row-major, `A` is
 /// `m×k` with row stride `lda`, `C` is `m×m` with row stride `ldc`).
@@ -134,8 +138,7 @@ pub fn naive_syrk<T: Element>(
             for l in 0..k {
                 acc = a[i * lda + l].mul_add_e(a[j * lda + l], acc);
             }
-            let out = &mut c[i * ldc + j];
-            *out = alpha.mul_add_e(acc, beta_scaled(beta, *out));
+            write_back(&mut c[i * ldc + j], alpha, acc, beta);
         }
     }
 }
@@ -143,6 +146,8 @@ pub fn naive_syrk<T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::tests::{fnv1a, resolved_isas, FNV_BASIS};
+    use crate::isa::KernelIsa;
 
     fn fill(n: usize, seed: u64) -> Vec<f64> {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -277,6 +282,80 @@ mod tests {
             assert_eq!(c1, c2, "pooled SYRK differs at m={m} k={k} t={threads}");
             assert_eq!(s1.kernel_calls, s2.kernel_calls);
             assert_eq!(s1.threads_used, s2.threads_used);
+        }
+    }
+
+    /// SYRK on `isa`'s kernel: [`syrk_with_stats`] with the plan's ISA
+    /// pinned, on the process pool.
+    #[allow(clippy::too_many_arguments)] // BLAS-style signature
+    fn syrk_at<T: Element>(
+        isa: KernelIsa,
+        m: usize,
+        k: usize,
+        alpha: T,
+        a: &[T],
+        beta: T,
+        c: &mut [T],
+        threads: usize,
+    ) {
+        let a_view = MatView::row_major(a, m, k, k);
+        let member = Member::new(a_view, m, m, alpha, beta, c, m);
+        let plan = ExecutionPlan { kernel_isa: Some(isa), ..ExecutionPlan::with_threads(1) };
+        let pro = Prologue::<T>::resolve(&plan, m, m, k);
+        let bands = band_edges(m, threads, pro.blocks.mr);
+        let grid = ThreadGrid { rows: bands.len() - 1, cols: 1 };
+        let rows = |band: usize| (bands[band], bands[band + 1]);
+        // SAFETY: as in `syrk_with_stats_pooled`.
+        unsafe {
+            run_tiles::<T, LowerTriangle>(
+                ThreadPool::global(),
+                &pro,
+                &a_view.t(),
+                &member,
+                grid,
+                rows,
+                false,
+            )
+        };
+    }
+
+    /// The hash of `C` after SYRKs whose lower triangles hold tiles wholly
+    /// below the diagonal and tiles it cuts, at general α and β, on 1, 2
+    /// and 3 threads (`k` below every derived `KC`, so one depth block on
+    /// any host).
+    fn syrk_bits<T: Element + Into<f64> + From<f32>>(isa: KernelIsa, from: fn(f64) -> T) -> u64 {
+        let to_t = |v: Vec<f64>| -> Vec<T> { v.into_iter().map(from).collect() };
+        let mut hash = FNV_BASIS;
+        for (m, k) in [(45usize, 29usize), (77, 53)] {
+            let a = to_t(fill(m * k, 31));
+            let c0 = to_t(fill(m * m, 32));
+            for (alpha, beta) in [(1.25f32, -0.75f32), (-0.5, 0.3)] {
+                for threads in 1..=3 {
+                    let mut c = c0.clone();
+                    syrk_at(isa, m, k, T::from(alpha), &a, T::from(beta), &mut c, threads);
+                    hash = fnv1a(hash, &c);
+                }
+            }
+        }
+        hash
+    }
+
+    /// SYRK's bits at general α and β, recorded per kernel; a kernel with
+    /// no recorded bits is a printed skip.
+    #[test]
+    fn write_back_keeps_its_recorded_bits() {
+        const RECORDED: [(KernelIsa, u64, u64); 3] = [
+            (KernelIsa::Avx512, 0x9360_bd87_43f4_c9c5, 0x66d9_b14d_d33e_e4d9),
+            (KernelIsa::Avx2Fma, 0x9360_bd87_43f4_c9c5, 0x66d9_b14d_d33e_e4d9),
+            (KernelIsa::Scalar, 0xf576_dbbe_976c_2574, 0x13b6_2796_54b5_df0f),
+        ];
+        for isa in resolved_isas() {
+            let got = (syrk_bits(isa, |x| x as f32), syrk_bits(isa, |x| x));
+            eprintln!("{isa}: {:#018x}, {:#018x}", got.0, got.1);
+            match RECORDED.iter().find(|r| r.0 == isa) {
+                Some(&(_, f32_bits, f64_bits)) => assert_eq!(got, (f32_bits, f64_bits), "{isa}"),
+                None => eprintln!("skipped: no bits recorded for the {isa} kernel"),
+            }
         }
     }
 

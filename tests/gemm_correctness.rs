@@ -10,7 +10,7 @@ use adsala_repro::adsala_gemm::naive::naive_gemm;
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::syrk::{naive_syrk, syrk_with_stats, syrk_with_stats_pooled};
 use adsala_repro::adsala_gemm::{
-    BlockSizes, Element, Kernel, PackingStrategy, ThreadGrid, Transpose,
+    BlockSizes, Element, Kernel, KernelIsa, PackingStrategy, ThreadGrid, Transpose,
 };
 use proptest::prelude::*;
 
@@ -151,6 +151,34 @@ fn syrk_padded_case<T: Scalar>(
     Ok(())
 }
 
+/// One `m×n×k` GEMM on 1, 2, 4 and 8 threads at every `(α, β)` of
+/// α ∈ {1, 1.25, −1} × β ∈ {0, 1, 0.3, −0.75}: the grid decides which
+/// cells fall in full and which in edge tiles, and both write back by one
+/// rule, so every thread count must give the serial bits.
+fn thread_invariant_case<T: Scalar>(m: usize, n: usize, k: usize) -> Result<(), TestCaseError> {
+    let convert = |v: Vec<f64>| -> Vec<T> { v.into_iter().map(T::from_f64).collect() };
+    let (a, b, c0) = (convert(fill(m * k, 11)), convert(fill(k * n, 12)), convert(fill(m * n, 13)));
+    for alpha in [1.0, 1.25, -1.0] {
+        for beta in [0.0, 1.0, 0.3, -0.75] {
+            let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+            let run = |threads: usize| {
+                let mut c = c0.clone();
+                let call = GemmCall::new(m, n, k, threads);
+                gemm_with_stats(&call, alpha, &a, k, &b, n, beta, &mut c, n);
+                c.iter().map(|v| v.bits()).collect::<Vec<u64>>()
+            };
+            let serial = run(1);
+            for t in [2, 4, 8] {
+                prop_assert!(
+                    run(t) == serial,
+                    "{m}x{n}x{k} α={alpha:?} β={beta:?}: {t} threads differ from 1"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -224,23 +252,8 @@ proptest! {
         n in 1usize..60,
         k in 1usize..50,
     ) {
-        let a = fill(m * k, 11);
-        let b = fill(k * n, 12);
-        let run = |threads: usize| {
-            let mut c = vec![0.0f64; m * n];
-            let call = GemmCall::new(m, n, k, threads);
-            gemm_with_stats(&call, 1.0, &a, k, &b, n, 0.0, &mut c, n);
-            c
-        };
-        let serial = run(1);
-        for t in [2, 4, 8] {
-            let par = run(t);
-            for (x, y) in par.iter().zip(&serial) {
-                // Per-tile accumulation order is identical, so results are
-                // bit-equal regardless of the grid.
-                prop_assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()));
-            }
-        }
+        thread_invariant_case::<f32>(m, n, k)?;
+        thread_invariant_case::<f64>(m, n, k)?;
     }
 
     #[test]
@@ -371,7 +384,8 @@ proptest! {
 /// explicit blocking small enough that `k ≥ 2·KC`, `n ≥ 2·NC` and
 /// `m > MC` whatever this host's caches derive. On one thread and on
 /// three, every live cell must match `naive_gemm` within
-/// `8ε(k+2)·(|α|Σ|a||b| + |β·c|)` and no padding cell may change.
+/// `8ε(k+2)·(|α|Σ|a||b| + |β·c|)` and no padding cell may change, and
+/// three threads must give the serial bits.
 fn gemm_across_blocks_case<T: Scalar>(tb: Transpose) {
     let kernel = Kernel::<T>::dispatched();
     let (mr, nr) = (kernel.mr, kernel.nr);
@@ -401,6 +415,7 @@ fn gemm_across_blocks_case<T: Scalar>(tb: Transpose) {
 
     let mut reference = c0.clone();
     naive_gemm(Transpose::Yes, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut reference, ldc);
+    let mut serial_bits = Vec::new();
     for threads in [1, 3] {
         let call =
             GemmCall { trans_a: Transpose::Yes, trans_b: tb, ..GemmCall::new(m, n, k, threads) }
@@ -425,6 +440,12 @@ fn gemm_across_blocks_case<T: Scalar>(tb: Transpose) {
                 );
             }
         }
+        let bits: Vec<u64> = c.iter().map(|v| v.bits()).collect();
+        if threads == 1 {
+            serial_bits = bits;
+        } else {
+            assert!(bits == serial_bits, "{what}: differs from the serial bits");
+        }
     }
 }
 
@@ -434,4 +455,95 @@ fn gemm_across_column_and_depth_blocks_matches_naive() {
         gemm_across_blocks_case::<f32>(tb);
         gemm_across_blocks_case::<f64>(tb);
     }
+}
+
+/// Signed zeros through every write-back. The operands are small
+/// integers, so every accumulation order is exact and the only bits left
+/// to differ are those the write-back rule decides: α < 0, all-zero rows of
+/// `A` (their cells accumulate `+0`, and `α·(+0)` is `−0`), `C` seeded with
+/// `+0`, `−0` and small integers, at β ∈ {0, 1, −0.75}. The rule gives
+/// `−0 + β̂·C`, which is never `−0`. With rows and columns of both full and
+/// edge tiles, GEMM on every kernel this host runs and SYRK on the
+/// dispatched one must give the naive references' bits at 1, 2 and 3
+/// threads.
+fn signed_zero_case<T: Scalar>() {
+    let small = |i: usize| T::from_f64(((i * 7 + 3) % 9) as f64 - 4.0);
+    let signed = |i: usize| match i % 3 {
+        0 => T::from_f64(0.0),
+        1 => T::from_f64(-0.0),
+        _ => small(i),
+    };
+    let bits = |c: &[T]| c.iter().map(|v| v.bits()).collect::<Vec<u64>>();
+    for isa in KernelIsa::supported() {
+        let kernel = Kernel::<T>::for_isa(isa);
+        let (m, n, k) = (2 * kernel.mr + 3, 2 * kernel.nr + 5, 7);
+        let mut a: Vec<T> = (0..m * k).map(small).collect();
+        for row in [0, m - 1] {
+            a[row * k..][..k].fill(T::ZERO);
+        }
+        let b: Vec<T> = (0..k * n).map(|i| small(i + 5)).collect();
+        let c0: Vec<T> = (0..m * n).map(signed).collect();
+        for alpha in [-1.0, -0.5] {
+            for beta in [0.0, 1.0, -0.75] {
+                let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+                let mut want = c0.clone();
+                naive_gemm(
+                    Transpose::No,
+                    Transpose::No,
+                    m,
+                    n,
+                    k,
+                    alpha,
+                    &a,
+                    k,
+                    &b,
+                    n,
+                    beta,
+                    &mut want,
+                    n,
+                );
+                for threads in 1..=3 {
+                    let mut got = c0.clone();
+                    let call = GemmCall::new(m, n, k, threads).with_isa(isa);
+                    gemm_with_stats(&call, alpha, &a, k, &b, n, beta, &mut got, n);
+                    assert!(
+                        bits(&got) == bits(&want),
+                        "GEMM on {} α={alpha:?} β={beta:?} t{threads}: {:?}",
+                        kernel.isa,
+                        got.iter().zip(&want).find(|(x, y)| x.bits() != y.bits())
+                    );
+                }
+            }
+        }
+    }
+    let kernel = Kernel::<T>::dispatched();
+    let m = 2 * kernel.mr.max(kernel.nr) + 3;
+    let k = 7;
+    let mut a: Vec<T> = (0..m * k).map(small).collect();
+    for row in [0, m - 1] {
+        a[row * k..][..k].fill(T::ZERO);
+    }
+    let c0: Vec<T> = (0..m * m).map(signed).collect();
+    for alpha in [-1.0, -0.5] {
+        for beta in [0.0, 1.0, -0.75] {
+            let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+            let mut want = c0.clone();
+            naive_syrk(m, k, alpha, &a, k, beta, &mut want, m);
+            for threads in 1..=3 {
+                let mut got = c0.clone();
+                syrk_with_stats(m, k, alpha, &a, k, beta, &mut got, m, threads);
+                assert!(
+                    bits(&got) == bits(&want),
+                    "SYRK on {} α={alpha:?} β={beta:?} t{threads}",
+                    kernel.isa
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn signed_zeros_follow_the_one_write_back_rule() {
+    signed_zero_case::<f32>();
+    signed_zero_case::<f64>();
 }

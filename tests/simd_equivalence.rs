@@ -13,11 +13,11 @@
 //!   accumulation-order error bound derived per element from exact
 //!   `f64`/`f128`-style arithmetic (`C·ε·k` times the magnitude sum of
 //!   the dot product — the standard reordering bound),
-//! * the β = 0 and α = 1 write-back specialisations agree under both
-//!   kernels (and β = 0 never reads `C` under either),
+//! * the β = 0 and α = 1 write-backs agree under both kernels (and
+//!   β = 0 never reads `C` under either),
 //! * the scalar path itself stays **bitwise identical** to the
 //!   pre-dispatch (PR 4) implementation, reconstructed here from the
-//!   public `accumulate`/`merge_into_raw` contract.
+//!   public `accumulate`/`merge_tile` contract.
 //!
 //! The suite passes under the host's own ISAs *and* under
 //! `ADSALA_FORCE_SCALAR=1` (CI runs both): under the override every
@@ -26,10 +26,11 @@
 
 use adsala_repro::adsala::bundle::quick_test_bundle;
 use adsala_repro::adsala::{AdsalaService, ServiceConfig};
+use adsala_repro::adsala_gemm::blocking::NR;
 use adsala_repro::adsala_gemm::blocking::{reads_in_place, BlockSizes, CacheInfo};
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
 use adsala_repro::adsala_gemm::isa::{Kernel, KernelIsa};
-use adsala_repro::adsala_gemm::microkernel::{accumulate, merge_into_raw};
+use adsala_repro::adsala_gemm::microkernel::{accumulate, merge_tile};
 use adsala_repro::adsala_gemm::pack::{pack_a, pack_b, MatView};
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::{
@@ -545,7 +546,10 @@ fn scalar_path_is_bitwise_identical_to_pr4_reference() {
         let acc = accumulate(kcur, ap, bp);
         // SAFETY: the tile origin and live region lie inside the m×n C
         // buffer by loop construction.
-        unsafe { merge_into_raw(&acc, c_ref[i * n + j..].as_mut_ptr(), n, lm, ln, alpha, beta_eff) }
+        unsafe {
+            let c = c_ref[i * n + j..].as_mut_ptr();
+            merge_tile(acc.as_ptr().cast(), NR, c, n, lm, |_| ln, alpha, beta_eff)
+        }
     });
     assert_eq!(c_driver, c_ref, "forced-scalar driver must match the PR 4 loop nest bitwise");
 }
@@ -772,7 +776,8 @@ fn orientations_match_elementwise_reference<T: Element>(fill: fn(usize, u64) -> 
                     let beta_eff = if pc == 0 { beta } else { T::ONE };
                     // SAFETY: a 1×1 live region at element (i, j) of C.
                     unsafe {
-                        merge_into_raw(&acc, &mut c_ref[i * n + j], n, 1, 1, alpha, beta_eff)
+                        let c = &mut c_ref[i * n + j];
+                        merge_tile(acc.as_ptr().cast(), NR, c, n, 1, |_| 1, alpha, beta_eff)
                     };
                 }
             }
