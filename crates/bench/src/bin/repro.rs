@@ -349,7 +349,7 @@ struct SpeedupRun {
     /// The full execution plan chosen for each sample, in sample order.
     plans: Vec<adsala_gemm::plan::ExecutionPlan>,
     /// The service's counters after serving the whole set (memo traffic,
-    /// model sweeps, pool gang traffic, plan downgrades).
+    /// model sweeps, pool respawns, plan downgrades).
     service: adsala::ServiceStats,
 }
 
@@ -418,10 +418,9 @@ fn speedup_table(ht: bool) {
             run.service.evaluations
         ));
         service_lines.push(format!(
-            "[service] {} pool gangs: {} reserved, {} refused; plan downgrades: {}",
+            "[service] {} pool workers respawned: {}; plan downgrades: {}",
             machine.name(),
-            run.service.pool.gang_reserved,
-            run.service.pool.gang_refused,
+            run.service.pool.workers_respawned,
             run.service.plan_downgrades
         ));
         service_lines.push(prediction_line(machine.name(), &run.service.prediction));
@@ -504,7 +503,9 @@ fn speedup_table(ht: bool) {
 /// Beyond the paper: install over the full execution-plan grid on the
 /// Gadi simulator and tabulate which plan axes the learned model picks
 /// for fresh shapes — the companion of Tables V/VI for the generalised
-/// (threads × ISA × blocking × packing) decision.
+/// (threads × ISA × blocking) decision. The grid's packing axis is
+/// reported from the sweep-optimal points only: a served plan does not
+/// carry it.
 fn plan_table() {
     banner("Plan table — grid-trained ExecutionPlan choices over fresh shapes, Gadi");
     let timer = sim_timer(Machine::Gadi, true, Affinity::CoreBased);
@@ -553,7 +554,6 @@ fn plan_table() {
     let mut csv_rows = Vec::new();
     let mut chose_isa = 0usize;
     let mut chose_blk = 0usize;
-    let mut chose_pack = 0usize;
     let mut distinct: std::collections::HashSet<adsala_gemm::plan::ExecutionPlan> =
         std::collections::HashSet::new();
     for (i, &s) in shapes.iter().enumerate() {
@@ -562,7 +562,6 @@ fn plan_table() {
         distinct.insert(plan);
         chose_isa += usize::from(plan.kernel_isa.is_some());
         chose_blk += usize::from(plan.blocking.is_some());
-        chose_pack += usize::from(plan.packing != adsala_gemm::plan::PackingStrategy::SharedB);
         if i < 16 {
             println!(
                 "{:<10} {:>8} {:>8} {:>12.3e}  [{}]",
@@ -578,21 +577,20 @@ fn plan_table() {
             .blocking
             .map_or_else(|| "auto".to_string(), |b| format!("{}x{}x{}", b.mc, b.kc, b.nc));
         csv_rows.push(format!(
-            "{},{},{},{},{},{},{},{:.9e}",
-            s.m, s.k, s.n, plan.threads, isa, blk, plan.packing, d.predicted_runtime_s
+            "{},{},{},{},{},{},{:.9e}",
+            s.m, s.k, s.n, plan.threads, isa, blk, d.predicted_runtime_s
         ));
     }
     println!(
         "\nmodel-selected over {} fresh shapes: {} distinct plans; non-default axes: \
-         isa {}, blocking {}, packing {}",
+         isa {}, blocking {}",
         shapes.len(),
         distinct.len(),
         chose_isa,
-        chose_blk,
-        chose_pack
+        chose_blk
     );
-    let axes_moved = [chose_isa, chose_blk, chose_pack].iter().filter(|&&c| c > 0).count();
-    println!("plan axes exercised beyond the thread count: {axes_moved} of 3");
+    let axes_moved = [chose_isa, chose_blk].iter().filter(|&&c| c > 0).count();
+    println!("plan axes exercised beyond the thread count: {axes_moved} of 2");
 
     // One real host execution through the service so the executed plan —
     // and any force-scalar/unsupported-ISA degradation — is visible.
@@ -620,9 +618,8 @@ fn plan_table() {
         );
         let svc = service.stats();
         println!(
-            "[service] pool gangs: {} reserved, {} refused (independent-packing fallbacks); \
-             plan downgrades: {}",
-            svc.pool.gang_reserved, svc.pool.gang_refused, svc.plan_downgrades
+            "[service] pool workers respawned: {}; plan downgrades: {}",
+            svc.pool.workers_respawned, svc.plan_downgrades
         );
         println!(
             "[service] executed algorithms: {} blocked, {} strassen, {} z-order",
@@ -631,11 +628,8 @@ fn plan_table() {
         println!("{}", prediction_line("plan-table", &svc.prediction));
     }
 
-    let path = write_csv(
-        "plan_choices_gadi.csv",
-        "m,k,n,threads,isa,blocking,packing,predicted_s",
-        &csv_rows,
-    );
+    let path =
+        write_csv("plan_choices_gadi.csv", "m,k,n,threads,isa,blocking,predicted_s", &csv_rows);
     println!("[csv] {}", path.display());
 }
 

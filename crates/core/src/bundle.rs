@@ -39,7 +39,7 @@ use crate::AdsalaError;
 /// the model's runtime prediction for it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlanDecision {
-    /// The chosen execution plan (threads, kernel ISA, blocking, packing).
+    /// The chosen execution plan (threads, kernel ISA, blocking, algorithm).
     pub plan: ExecutionPlan,
     /// Model-predicted runtime under that plan (seconds).
     pub predicted_runtime_s: f64,

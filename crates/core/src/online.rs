@@ -442,9 +442,10 @@ impl DriftDetector {
 /// Invert [`PlanPoint::materialise`] as far as the grid allows: recover
 /// the abstract grid point a concrete executed plan corresponds to, so an
 /// observation can be featurised exactly like the install sweep that
-/// trained the model. Thread count, packing and algorithm invert exactly;
-/// the ISA inverts to `Scalar` iff the plan pinned the scalar kernel; a
-/// materialised blocking override is matched against the grid's
+/// trained the model. Thread count and algorithm invert exactly; the
+/// packing axis, which no host plan carries, inverts to the grid's first
+/// packing value; the ISA inverts to `Scalar` iff the plan pinned the
+/// scalar kernel; a materialised blocking override is matched against the grid's
 /// `blockings` (host-default blocking ⇒ the uniform 100 triple). An
 /// off-grid blocking falls back to the default triple rather than failing
 /// — the feature is then slightly wrong for that row, which a statistical
@@ -469,7 +470,7 @@ pub fn point_for_plan(grid: &PlanGrid, precision: Precision, plan: &ExecutionPla
         threads: plan.threads.max(1),
         isa,
         blocking,
-        packing: plan.packing,
+        packing: grid.packing.first().copied().unwrap_or_default(),
         algorithm: plan.algorithm,
     }
 }
@@ -912,7 +913,10 @@ mod tests {
             for point in grid.points() {
                 for precision in [Precision::F32, Precision::F64] {
                     let plan = point.materialise(precision);
-                    assert_eq!(point_for_plan(&grid, precision, &plan), point, "{plan:?}");
+                    // Packing does not reach the plan: it inverts to the
+                    // grid's first packing value.
+                    let expected = PlanPoint { packing: grid.packing[0], ..point };
+                    assert_eq!(point_for_plan(&grid, precision, &plan), expected, "{plan:?}");
                 }
             }
         }

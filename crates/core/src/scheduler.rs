@@ -112,8 +112,7 @@ pub struct SchedulerStats {
     /// seconds. Compare against `predicted_makespan_s` to judge the model
     /// on this host.
     pub measured_makespan_s: f64,
-    /// The wrapped service's counters (cache, pool gang traffic,
-    /// workspace).
+    /// The wrapped service's counters (cache, pool, workspace).
     pub service: ServiceStats,
 }
 

@@ -53,9 +53,8 @@
 //! the batch panic is caught at this boundary (the pool has already
 //! respawned any workers it killed and reclaimed their arenas), and the
 //! request is retried once on the *degraded plan* — serial, scalar
-//! kernel, independent packing, blocked loop nest — which shares no
-//! barriers, gangs, or workers with anything else and runs inline on the
-//! caller's thread. The retry is attempted only when it is sound: the
+//! kernel, blocked loop nest — which shares no workers with anything else
+//! and runs inline on the caller's thread. The retry is attempted only when it is sound: the
 //! deadline (if any) must not have passed, and the op must be idempotent
 //! ([`OpRequest::is_idempotent`], i.e. `β == 0` — a partial first attempt
 //! may have dirtied the output buffer, and with `β ≠ 0` the output is
@@ -92,7 +91,7 @@ use std::time::Instant;
 
 use adsala_gemm::dispatch::{OpRequest, OpShape, OpStats};
 use adsala_gemm::isa::KernelIsa;
-use adsala_gemm::plan::{Algorithm, ExecutionPlan, PackingStrategy};
+use adsala_gemm::plan::{Algorithm, ExecutionPlan};
 use adsala_gemm::{ArenaStats, Element, PoolStats, PredictionErrorStats, ThreadPool};
 use parking_lot::RwLock;
 
@@ -266,7 +265,7 @@ pub struct ServiceStats {
     pub reservoir: ReservoirStats,
     /// Decision-memo counters.
     pub cache: CacheStats,
-    /// Execution-pool gang-reservation counters.
+    /// Execution-pool size and worker-respawn counter.
     pub pool: PoolStats,
     /// Packing-arena counters of the pool's workspace.
     pub workspace: ArenaStats,
@@ -557,14 +556,12 @@ impl AdsalaService {
     }
 
     /// The plan a panicked request retries on: serial, scalar kernel,
-    /// independent packing, blocked loop nest. It shares nothing with the
-    /// failed attempt — no pool workers, barriers, gangs, or shared-B
-    /// regions — and runs inline on the caller's thread, so it cannot
-    /// re-trip a worker-scoped fault or a poisoned coordination primitive.
+    /// blocked loop nest. It shares no pool worker with the failed attempt
+    /// and runs inline on the caller's thread, so it cannot re-trip a
+    /// worker-scoped fault.
     fn degraded_plan() -> ExecutionPlan {
         ExecutionPlan::with_threads(1)
             .with_isa(KernelIsa::Scalar)
-            .with_packing(PackingStrategy::Independent)
             .with_algorithm(Algorithm::Blocked)
     }
 

@@ -28,10 +28,9 @@
 //!
 //! Execution is arena-aware end to end: [`OpRequest::execute`] routes to
 //! the pooled drivers, which draw packing scratch from the pool's
-//! [`crate::workspace::Workspace`] (stable per-worker arena slots) and,
-//! for row-split GEMM grids, pack each B block once into a shared region
-//! (see [`crate::gemm`]'s module docs) — so a warm serving path performs
-//! zero packing-path heap allocations per request.
+//! [`crate::workspace::Workspace`] (stable per-worker arena slots) — so a
+//! warm serving path performs zero packing-path heap allocations per
+//! request.
 
 use crate::gemm::{gemm_with_stats_pooled, GemmCall};
 use crate::gemv::gemv_with_stats_pooled;
@@ -579,7 +578,7 @@ impl<T: Element> OpRequest<'_, T> {
     /// hot path should not pay the bounds checks twice).
     ///
     /// GEMM honours every plan axis; SYRK and GEMV have no configurable
-    /// kernel or packing and honour only `plan.threads` (the report's
+    /// kernel, blocking or algorithm and honour only `plan.threads` (the report's
     /// [`OpStats::plan_degraded`] flags when other axes were requested).
     ///
     /// On a request that would fail validation, the underlying kernels
@@ -747,7 +746,6 @@ mod tests {
     #[test]
     fn plan_degradation_is_reported() {
         use crate::isa::KernelIsa;
-        use crate::plan::PackingStrategy;
         let pool = ThreadPool::new(2);
 
         // A scalar-pinned GEMM plan always runs as requested.
@@ -763,13 +761,13 @@ mod tests {
         assert!(!stats.plan_degraded);
         assert_eq!(stats.plan, plan);
 
-        // SYRK has no packing axis: a non-default packing degrades.
+        // SYRK has no algorithm axis: a non-default algorithm degrades.
         let (m, k) = (12, 8);
         let a = fill(m * k, 11);
         let mut c = vec![0.0f64; m * m];
         let mut req: OpRequest<'_, f64> =
             SyrkArgs { m, k, alpha: 1.0, a: &a, lda: k, beta: 0.0, c: &mut c, ldc: m }.into();
-        let plan = ExecutionPlan::with_threads(2).with_packing(PackingStrategy::Independent);
+        let plan = ExecutionPlan::with_threads(2).with_algorithm(crate::plan::Algorithm::ZOrder);
         let stats = req.execute(&pool, &plan).unwrap();
         assert!(stats.plan_degraded, "SYRK honours only the thread axis");
     }

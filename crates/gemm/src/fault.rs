@@ -1,8 +1,8 @@
 //! Fault injection for chaos testing the serving stack.
 //!
 //! A production GEMM service has to survive the failures the happy path
-//! never exercises: a micro-kernel hitting a poisoned barrier, a worker
-//! thread wedging mid-batch, a truncated artifact on disk. This module is
+//! never exercises: a micro-kernel panicking mid-tile, a worker thread
+//! wedging mid-batch, a truncated artifact on disk. This module is
 //! the controlled way to *cause* those failures so the recovery machinery
 //! (service-boundary panic isolation, worker respawn, deadline shedding,
 //! artifact validation) can be tested end to end instead of trusted.

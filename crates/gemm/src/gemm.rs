@@ -14,13 +14,12 @@
 //!    vendor BLAS, tiny problems run on fewer threads (see
 //!    [`ThreadGrid::choose`]).
 //! 3. **Tile loop** (`tile_loop` → `row_panel_sweep`): `jc → pc → ic → jr
-//!    → ir` over a worker's tile of `C`, parameterised by where the packed
-//!    `B` block comes from (`BSource`) and which columns of each row of `C`
-//!    may be written (`Merge`, resolved statically: `Full` all of them,
-//!    SYRK's lower triangle those up to the diagonal). A tile with no row
-//!    masked runs the fused `kernel.run`; SYRK skips a tile with every row
-//!    masked, and only the tiles the diagonal cuts are staged by
-//!    `kernel.acc` and merged under the row mask
+//!    → ir` over a worker's tile of `C`, parameterised by which columns of
+//!    each row of `C` may be written (`Merge`, resolved statically: `Full`
+//!    all of them, SYRK's lower triangle those up to the diagonal). A tile
+//!    with no row masked runs the fused `kernel.run`; SYRK skips a tile
+//!    with every row masked, and only the tiles the diagonal cuts are
+//!    staged by `kernel.acc` and merged under the row mask
 //!    ([`crate::microkernel::merge_tile`], the same write-back rule). A
 //!    worker whose operands fit L2
 //!    ([`crate::blocking::reads_in_place`]) packs only their ragged strips
@@ -42,21 +41,12 @@
 //! steady-state pooled traffic performs **zero packing-path allocations**
 //! (see `GemmStats::arena_bytes_reused` and the workspace counters).
 //!
-//! ## Shared-B packing
-//!
-//! With a row-split grid and private `B`, every row group packs its own
-//! copy of the same `kc×nc` block — the duplicated-copy effect the
-//! paper's Table VII exposes (`more_threads_pack_more_b_panels` pins it).
-//! When the plan's [`PackingStrategy`] allows it, the builder instead
-//! gives each grid column group one shared arena region and one
-//! [`PanelBarrier`] spanning its row groups: a rotating rank packs each
-//! block **once**, the barrier publishes it to the rest.
-//! `b_packed_bytes` drops from `O(ranks · k·n)` to `O(k·n)` while per-tile
-//! FLOP order — and therefore every result bit — is the private case's. A
-//! shared grid is gang-reserved on the pool
-//! ([`ThreadPool::try_reserve_gang`]); when the pool cannot spare the
-//! workers the call packs privately rather than risk parking a barrier
-//! group behind its own queued ranks.
+//! Every worker gets its `B` block one way: it packs the block into its
+//! own arena, or reads it in place where `b_reads_in_place` allows. With a
+//! row-split grid every row group therefore packs its own copy of the same
+//! `kc×nc` block — the duplicated-copy effect the paper's Table VII
+//! exposes (`more_threads_pack_more_b_panels` pins it) — but no worker
+//! ever waits on another, so any grid runs on any pool.
 
 use std::marker::PhantomData;
 use std::time::Instant;
@@ -65,14 +55,11 @@ use crate::blocking::{reads_b_in_place, reads_in_place, BlockSizes};
 use crate::isa::{Kernel, KernelIsa, MAX_TILE_ELEMS};
 use crate::microkernel::{merge_tile, write_back};
 use crate::pack::{morton_decode, pack_a, MatView};
-use crate::plan::{Algorithm, ExecutionPlan, PackingStrategy};
-use crate::pool::{GangReservation, ThreadPool};
+use crate::plan::{Algorithm, ExecutionPlan};
+use crate::pool::ThreadPool;
 use crate::stats::{GemmStats, StatsCollector, ThreadLocalStats};
 use crate::threading::{SendMutPtr, ThreadGrid};
-use crate::workspace::{
-    pack_buffer_lens, with_thread_arena, PackArena, PanelBarrier, PoisonOnUnwind, Workspace,
-    CACHE_LINE,
-};
+use crate::workspace::{with_thread_arena, PackArena};
 use crate::{Element, Transpose};
 
 /// A fully described GEMM invocation: shape, flags, and the
@@ -89,8 +76,8 @@ pub struct GemmCall {
     pub m: usize,
     pub n: usize,
     pub k: usize,
-    /// How to execute: threads, micro-kernel ISA, cache blocking, and
-    /// B-panel packing. An explicit `kernel_isa` degrades to
+    /// How to execute: threads, micro-kernel ISA, cache blocking and
+    /// algorithm. An explicit `kernel_isa` degrades to
     /// [`KernelIsa::Scalar`] when unsupported or force-scalar is active
     /// (see [`Kernel::for_isa`]); an explicit `blocking` keeps its cache
     /// blocks but always runs at the resolved kernel's register tile
@@ -100,7 +87,7 @@ pub struct GemmCall {
 
 impl GemmCall {
     /// Untransposed call with a threads-only plan (default blocking,
-    /// process-wide kernel dispatch, shared-B packing).
+    /// process-wide kernel dispatch).
     pub fn new(m: usize, n: usize, k: usize, threads: usize) -> Self {
         Self {
             trans_a: Transpose::No,
@@ -161,10 +148,8 @@ pub fn gemm_with_stats<T: Element>(
     gemm_with_stats_pooled(ThreadPool::global(), call, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-/// [`gemm_with_stats`] on `pool`: its workers' warm packing arenas, and
-/// shared-B packing for the row-split grids it can gang-reserve (see the
-/// module docs). Results are bitwise identical on every pool; only the
-/// copy-volume counters depend on the workers it can spare.
+/// [`gemm_with_stats`] on `pool`: its workers' warm packing arenas.
+/// Results are bitwise identical on every pool.
 ///
 /// Algorithm dispatch sits in front of the blocked driver: the call goes to
 /// the plan's algorithm when the shape is eligible and degrades to the
@@ -222,11 +207,10 @@ pub(crate) fn drive<T: Element>(
         return pro.empty_stats();
     }
     let grid = ThreadGrid::choose(call.threads(), m, n, pro.blocks.mr, pro.blocks.nr);
-    let gang = reserve_gang(pool, &call.plan, grid.rows, grid.cols);
     let rows = |r| grid.row_range(r, m);
-    // SAFETY: `member` was checked for this `m×n`, the grid's row ranges
-    // partition `0..m`, and `gang` (when held) covers the whole grid.
-    unsafe { run_tiles::<T, Full>(pool, &pro, &b_view, &member, grid, rows, gang.is_some()) };
+    // SAFETY: `member` was checked for this `m×n`, and the grid's row
+    // ranges partition `0..m`.
+    unsafe { run_tiles::<T, Full>(pool, &pro, &b_view, &member, grid, rows) };
     pro.finish(&member.stats, grid)
 }
 
@@ -474,40 +458,17 @@ impl Merge for Full {
     }
 }
 
-/// Reserve the gang a shared-B grid needs — all `ranks` of each of its
-/// `cols` column groups running at once — or `None`, and private packing,
-/// when the plan packs independently, a lone rank has nobody to share
-/// with, or the pool cannot spare the workers.
-fn reserve_gang<'p>(
-    pool: &'p ThreadPool,
-    plan: &ExecutionPlan,
-    ranks: usize,
-    cols: usize,
-) -> Option<GangReservation<'p>> {
-    if plan.packing != PackingStrategy::SharedB || ranks < 2 {
-        return None;
-    }
-    pool.reserve_gang_backoff(ranks * cols)
-}
-
 /// The one task builder: run a worker for every *grid row × grid column*,
 /// each on its tile of `member`'s `C` — rows `rows(r)`, columns
-/// `grid.col_range(col, n)` — against the matching panels of `A` and `B`.
-///
-/// `share_b` says the caller holds a [`reserve_gang`] reservation for
-/// exactly these workers; with it, each column group's `B` blocks are
-/// packed once into a shared region (module docs), without it every
-/// worker packs its own. A `1×1` grid runs inline on the caller's thread
-/// and its thread-local arena, nothing boxed.
+/// `grid.col_range(col, n)` — against the matching panels of `A` and `B`,
+/// packed into the worker's own arena. A `1×1` grid runs inline on the
+/// caller's thread and its thread-local arena, nothing boxed.
 ///
 /// # Safety
 /// `member`'s `C` must have been checked by [`Member::new`] for the `m×n`
 /// of its `A` view's rows and `b`'s columns, and `rows(r)` for `r` in
 /// `0..grid.rows` must be pairwise disjoint, non-empty sub-ranges of
-/// `0..m`, the same on every call. With `share_b`, the reservation on
-/// `pool` must cover `grid.count()` workers (else a barrier group can park
-/// behind its own queued ranks), and `M` must leave every worker of a
-/// column group the same live columns.
+/// `0..m`.
 pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
     pool: &ThreadPool,
     pro: &Prologue<T>,
@@ -515,54 +476,21 @@ pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
     member: &Member<'_, T>,
     grid: ThreadGrid,
     rows: impl Fn(usize) -> (usize, usize) + Sync,
-    share_b: bool,
 ) {
     let Prologue { kernel, blocks, .. } = pro;
     let (k, n) = (b.rows(), b.cols());
-    let ranks = grid.rows;
-    let (a_len, b_len) = pack_buffer_lens(blocks);
-    // Pad each column group's region to cache lines so groups never
-    // false-share while one packs and another computes.
-    let elems_per_line = (CACHE_LINE / std::mem::size_of::<T>()).max(1);
-    let region_elems = b_len.div_ceil(elems_per_line) * elems_per_line;
 
-    // One worker: `shared` is its column group's region base, barrier and
-    // rank, or `None` to pack B privately.
-    let worker = |r: usize,
-                  col: usize,
-                  shared: Option<(SendMutPtr<T>, &PanelBarrier, usize)>,
-                  arena: &mut PackArena| {
-        // A panicking rank poisons its group's barrier so the rest fail
-        // fast instead of spinning forever.
-        let _poison = shared.map(|(_, barrier, _)| PoisonOnUnwind(barrier));
+    let worker = |r: usize, col: usize, arena: &mut PackArena| {
         let mut local = ThreadLocalStats::default();
-        let (a_buf, b_src) = match shared {
-            None => {
-                let (a_buf, b_buf, reused) = arena.checkout_pair::<T>(blocks);
-                local.arena_bytes_reused += reused;
-                (a_buf, BSource::Private(b_buf))
-            }
-            Some((base, barrier, rank)) => {
-                let (a_buf, reused) = arena.checkout_elems::<T>(a_len);
-                local.arena_bytes_reused += reused;
-                // SAFETY: `base` heads `grid.cols` regions of
-                // `region_elems` each (checked out below).
-                let region = unsafe { base.0.add(col * region_elems) };
-                (a_buf, BSource::Shared { region, barrier, rank, ranks })
-            }
-        };
+        let (a_buf, b_buf, reused) = arena.checkout_pair::<T>(blocks);
+        local.arena_bytes_reused += reused;
         let (r0, r1) = rows(r);
         let (c0, c1) = grid.col_range(col, n);
         // SAFETY: by this function's contract the tile (r0..r1) × (c0..c1)
         // lies inside the `C` that `Member::new` checked and is disjoint
         // from every other worker's, because the row and column ranges
         // partition it, and the pool blocks until every worker returns,
-        // keeping the borrows alive. A shared region is written only by
-        // the block's packing rank between barrier generations and read by
-        // its group only after the publish barrier; groups use disjoint,
-        // padded regions of an arena that outlives the run; and all
-        // `ranks` of a group share one `b` view, `ns` and `k`, so their
-        // barrier sequences are identical.
+        // keeping the borrows alive.
         unsafe {
             tile_loop::<T, M>(
                 kernel,
@@ -578,7 +506,7 @@ pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
                 member.beta,
                 blocks,
                 a_buf,
-                b_src,
+                b_buf,
                 &mut local,
             );
         }
@@ -586,61 +514,19 @@ pub(crate) unsafe fn run_tiles<T: Element, M: Merge>(
     };
 
     if grid.count() == 1 {
-        with_thread_arena(|arena| worker(0, 0, None, arena));
+        with_thread_arena(|arena| worker(0, 0, arena));
         return;
     }
 
-    // The restore guard owns the shared arena *before* the regions are
-    // checked out, so a panic anywhere past this point (including inside
-    // `checkout_elems` growth) returns it to the free list instead of
-    // dropping it — which would lose its counters and make the next
-    // shared-B call allocate. Its heap buffer is address-stable inside the
-    // guard, so `base` stays valid for the whole batch.
     let ws = pool.workspace();
-    let mut shared_return =
-        share_b.then(|| RestoreSharedOnDrop { ws, arena: Some(ws.checkout_shared()) });
-    // With it go one barrier per column group, spanning its row groups:
-    // rank `r` packs the blocks whose index lands on it.
-    let shared = shared_return.as_mut().map(|guard| {
-        let (all, reused) = guard.arena_mut().checkout_elems::<T>(region_elems * grid.cols);
-        let warm = ThreadLocalStats { arena_bytes_reused: reused, ..Default::default() };
-        member.stats.absorb(&warm);
-        let barriers: Vec<PanelBarrier> =
-            (0..grid.cols).map(|_| PanelBarrier::new(ranks)).collect();
-        (SendMutPtr(all.as_mut_ptr()), barriers)
-    });
-
     let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(grid.count());
     for col in 0..grid.cols {
         for r in 0..grid.rows {
-            let shared = shared.as_ref().map(|(base, barriers)| (*base, &barriers[col], r));
             let worker = &worker;
-            tasks.push(Box::new(move || ws.with_arena(|arena| worker(r, col, shared, arena))));
+            tasks.push(Box::new(move || ws.with_arena(|arena| worker(r, col, arena))));
         }
     }
     pool.scope_execute(tasks);
-}
-
-/// Returns a checked-out shared-B arena to its workspace's free list on
-/// scope exit, panic or not.
-struct RestoreSharedOnDrop<'w> {
-    ws: &'w Workspace,
-    arena: Option<PackArena>,
-}
-
-impl RestoreSharedOnDrop<'_> {
-    /// The held arena (always present until drop).
-    fn arena_mut(&mut self) -> &mut PackArena {
-        self.arena.as_mut().expect("arena held until drop")
-    }
-}
-
-impl Drop for RestoreSharedOnDrop<'_> {
-    fn drop(&mut self) {
-        if let Some(arena) = self.arena.take() {
-            self.ws.restore_shared(arena);
-        }
-    }
 }
 
 /// `row ← β·row`: the write-back rule ([`write_back`]) of a zero product.
@@ -648,16 +534,6 @@ pub(crate) fn scale_row_by_beta<T: Element>(row: &mut [T], beta: T) {
     for v in row {
         write_back(v, T::ONE, T::ZERO, beta);
     }
-}
-
-/// Where a worker's packed `kc×nc` B block lives.
-enum BSource<'b, T> {
-    /// In the worker's own arena scratch: it packs every block itself.
-    Private(&'b mut [T]),
-    /// In its grid column group's shared region: of the group's `ranks`
-    /// workers, the one a block's index lands on (rotating, for balance)
-    /// packs it, and `barrier` publishes it to the rest.
-    Shared { region: *mut T, barrier: &'b PanelBarrier, rank: usize, ranks: usize },
 }
 
 /// One operand block as the micro-kernel reads it, in strips of `width`
@@ -753,25 +629,19 @@ unsafe fn enter_tile<T: Element, M: Merge>(
 }
 
 /// The one blocked loop nest: `jc → pc` over a worker's `ms×ns` tile of
-/// `C`, each `kc×nc` block of `B` packed (or awaited) through `b_src`,
-/// then swept down the worker's rows by [`row_panel_sweep`]. Private and
-/// shared `B` run the same loop in the same order, which is what keeps
-/// their per-tile FLOP order — and results — bitwise identical.
+/// `C`, each `kc×nc` block of `B` staged in `b_buf`, then swept down the
+/// worker's rows by [`row_panel_sweep`].
 ///
 /// Whether the tile reads its operands in place is decided once, by the
 /// packing-free rule ([`reads_in_place`]) on its `ms×ns×k`: then `A` is
-/// read in place, and so is a private `B` that `b_reads_in_place` allows;
-/// SYRK's masked merge and a shared `B` keep their packed panels.
+/// read in place, and so is a `B` that `b_reads_in_place` allows; SYRK's
+/// masked merge keeps its packed panels.
 ///
 /// # Safety
 /// As for [`enter_tile`], with `ms, ns ≥ 1`. `blocks.mr`/`blocks.nr` must
 /// equal `kernel.mr`/`kernel.nr` (a [`Prologue`] derives one from the
-/// other) and `a_buf` (and a private `b_src`) must come from
-/// [`pack_buffer_lens`] of `blocks`. With [`BSource::Shared`], `region`
-/// must hold a packed `kc×nc` block, all `ranks` workers of the group
-/// must run this function with the same `b` view, `ns` and `k` so they
-/// execute the same barrier sequence, and nothing else may touch the
-/// region while the group runs.
+/// other) and `a_buf`/`b_buf` must come from
+/// [`crate::workspace::pack_buffer_lens`] of `blocks`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_loop<T: Element, M: Merge>(
     kernel: &Kernel<T>,
@@ -787,7 +657,7 @@ unsafe fn tile_loop<T: Element, M: Merge>(
     beta: T,
     blocks: &BlockSizes,
     a_buf: &mut [T],
-    mut b_src: BSource<'_, T>,
+    b_buf: &mut [T],
     stats: &mut ThreadLocalStats,
 ) {
     debug_assert!((blocks.mr, blocks.nr) == (kernel.mr, kernel.nr), "blocks/kernel tile mismatch");
@@ -800,10 +670,8 @@ unsafe fn tile_loop<T: Element, M: Merge>(
     }
     let BlockSizes { kc, nc, nr, .. } = *blocks;
     let in_place = M::FULL && kernel.reads_in_place() && reads_in_place::<T>(ms, ns, k);
-    let b_in_place =
-        in_place && matches!(b_src, BSource::Private(_)) && b_reads_in_place(b, ms, blocks);
+    let b_in_place = in_place && b_reads_in_place(b, ms, blocks);
 
-    let mut block_idx = 0usize;
     let mut jc = 0;
     while jc < ns {
         let ncur = (ns - jc).min(nc);
@@ -814,42 +682,14 @@ unsafe fn tile_loop<T: Element, M: Merge>(
             // updates accumulate.
             let beta_eff = if pc == 0 { beta } else { T::ONE };
             let b_block = b.sub(pc, jc, kcur, ncur).t();
-            let ThreadLocalStats { b_packed_bytes, pack_ns, b_pack_shared, .. } = stats;
-
-            let b_strips = match &mut b_src {
-                BSource::Private(buf) => {
-                    stage(&b_block, nr, b_in_place, buf, b_packed_bytes, pack_ns);
-                    Strips { lines: b_block, packed: buf, in_place: b_in_place, width: nr }
-                }
-                BSource::Shared { region, barrier, rank, ranks } => {
-                    let b_needed = kcur * ncur.div_ceil(nr) * nr;
-                    if block_idx % *ranks == *rank {
-                        // SAFETY: exclusive write access between barrier
-                        // generations by the group protocol (see above).
-                        let buf = std::slice::from_raw_parts_mut(*region, b_needed);
-                        stage(&b_block, nr, false, buf, b_packed_bytes, pack_ns);
-                    } else {
-                        // Copy volume this worker did NOT pay thanks to
-                        // sharing.
-                        *b_pack_shared += (b_needed * T::BYTES) as u64;
-                    }
-                    // Publish: the packed panel is visible to the group.
-                    barrier.wait();
-                    let packed = std::slice::from_raw_parts(*region, b_needed);
-                    Strips { lines: b_block, packed, in_place: false, width: nr }
-                }
-            };
+            let ThreadLocalStats { b_packed_bytes, pack_ns, .. } = stats;
+            stage(&b_block, nr, b_in_place, b_buf, b_packed_bytes, pack_ns);
+            let b_strips =
+                Strips { lines: b_block, packed: b_buf, in_place: b_in_place, width: nr };
             row_panel_sweep::<T, M>(
                 kernel, a, c, ldc, row0, ms, jc, pc, alpha, beta_eff, blocks, in_place, b_strips,
                 a_buf, stats,
             );
-            if let BSource::Shared { barrier, .. } = &b_src {
-                // Retire: nobody still reads the panel when the next
-                // packer overwrites it.
-                barrier.wait();
-            }
-
-            block_idx += 1;
             pc += kcur;
         }
         jc += ncur;
@@ -859,8 +699,8 @@ unsafe fn tile_loop<T: Element, M: Merge>(
 /// The `A`-panel sweep for one `B` block — `ic → jr → ir`: stage each
 /// `mc×kc` A block of the worker's rows (all of it, or its ragged strip
 /// when `a_in_place`), run the micro-kernels against `b`'s strips and
-/// merge each tile as `M` says. Every traversal (blocked, Z-order) and
-/// every `B` source ends here.
+/// merge each tile as `M` says. Every traversal (blocked, Z-order) ends
+/// here.
 ///
 /// # Safety
 /// As for [`tile_loop`]; `b` must be the `kcur×ncur` block of columns
@@ -990,13 +830,6 @@ pub(crate) mod tests {
         (k..).step_by(16).find(|&k| !reads_in_place::<f64>(ms, ns, k)).expect("a deep enough k")
     }
 
-    /// `call` packing `B` privately on every worker: the copy volume a
-    /// test pins then does not depend on how many workers the process pool
-    /// (sized to the host) can gang.
-    fn independent(call: GemmCall) -> GemmCall {
-        call.with_plan(call.plan.with_packing(PackingStrategy::Independent))
-    }
-
     #[allow(clippy::too_many_arguments)] // mirrors the BLAS-style call
     fn check_against_naive(
         m: usize,
@@ -1112,7 +945,7 @@ pub(crate) mod tests {
         let a = fill(m * k, 4);
         let b = fill(k * n, 5);
         let mut c = vec![0.0f64; m * n];
-        let call = independent(GemmCall::new(m, n, k, 4));
+        let call = GemmCall::new(m, n, k, 4);
         let stats = gemm_with_stats(&call, 1.0, &a, k, &b, n, 0.0, &mut c, n);
         assert_eq!(stats.threads_used, 4);
         assert_eq!(stats.grid_rows * stats.grid_cols, 4);
@@ -1121,8 +954,6 @@ pub(crate) mod tests {
         assert!(stats.a_packed_bytes >= (m * k * 8) as u64);
         assert!(stats.b_packed_bytes >= (k * n * 8) as u64);
         assert!(stats.wall_ns > 0);
-        // Independent packing never shares packed B.
-        assert_eq!(stats.b_pack_shared, 0);
     }
 
     #[test]
@@ -1208,10 +1039,8 @@ pub(crate) mod tests {
 
     #[test]
     fn more_threads_pack_more_b_panels() {
-        // With a row-split grid and independent packing each row group
-        // packs its own copy of B — the duplicated-copy effect the paper's
-        // Table VII exposes. Shared-B packing inverts this; see
-        // `pooled_row_groups_share_b_panels`.
+        // With a row-split grid each row group packs its own copy of B —
+        // the duplicated-copy effect the paper's Table VII exposes.
         let m = 512;
         let n = 64;
         let k = packed_depth(m, n, 8, 256);
@@ -1219,8 +1048,7 @@ pub(crate) mod tests {
         let b = fill(k * n, 7);
         let run = |threads: usize| {
             let mut c = vec![0.0f64; m * n];
-            let call = independent(GemmCall::new(m, n, k, threads));
-            gemm_with_stats(&call, 1.0, &a, k, &b, n, 0.0, &mut c, n)
+            gemm_with_stats(&GemmCall::new(m, n, k, threads), 1.0, &a, k, &b, n, 0.0, &mut c, n)
         };
         let s1 = run(1);
         let s8 = run(8);
@@ -1232,12 +1060,11 @@ pub(crate) mod tests {
         );
     }
 
+    /// A row-split grid on a private pool of 8: every row group packs the
+    /// whole of `B` for itself, and the result is the serial call's bits
+    /// (per-tile FLOP order is grid-invariant).
     #[test]
-    fn pooled_row_groups_share_b_panels() {
-        // The inverse of `more_threads_pack_more_b_panels`: under the
-        // cooperative pooled driver, a row-split grid packs each B
-        // element exactly once per rank update, so b_packed_bytes is
-        // independent of grid_rows.
+    fn pooled_row_groups_pack_their_own_b() {
         let pool = crate::pool::ThreadPool::new(8);
         let m = 512;
         let n = 64;
@@ -1246,66 +1073,25 @@ pub(crate) mod tests {
         let b = fill(k * n, 7);
         let run = |threads: usize| {
             let mut c = vec![0.0f64; m * n];
-            let s = gemm_with_stats_pooled(
-                &pool,
-                &GemmCall::new(m, n, k, threads),
-                1.0,
-                &a,
-                k,
-                &b,
-                n,
-                0.0,
-                &mut c,
-                n,
-            );
+            let call = GemmCall::new(m, n, k, threads);
+            let s = gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.0, &mut c, n);
             (s, c)
         };
         let (s1, c1) = run(1);
         let (s8, c8) = run(8);
-        assert_eq!(s8.grid_rows, 8, "expected a row-split grid: {s8:?}");
+        assert_eq!((s8.grid_rows, s8.grid_cols), (8, 1), "expected a row-split grid: {s8:?}");
         assert_eq!(
-            s8.b_packed_bytes, s1.b_packed_bytes,
-            "shared-B must pack each B element exactly once per rank update"
+            s8.b_packed_bytes,
+            8 * s1.b_packed_bytes,
+            "every row group packs its own copy of B: {s8:?} vs {s1:?}"
         );
-        assert!(s8.b_pack_shared > 0, "consumers must account the copies they skipped");
-        // Per-tile FLOP order is grid-invariant, so results agree bitwise.
         assert_eq!(c1, c8);
     }
 
+    /// Multi-threaded calls on a private pool of 8 against the serial
+    /// call: the same bits across every transpose of skewed shapes.
     #[test]
-    fn shared_b_copy_volume_matches_duplicated_driver() {
-        // packed + shared under the cooperative driver must equal the
-        // duplicated driver's packed volume: sharing moves bytes between
-        // counters, it does not lose track of them.
-        let pool = crate::pool::ThreadPool::new(8);
-        let (m, n, threads) = (384usize, 96usize, 6usize);
-        let k = packed_depth(m, n, threads, 192);
-        let a = fill(m * k, 31);
-        let b = fill(k * n, 32);
-        let call = GemmCall::new(m, n, k, threads);
-        let mut c_shared = fill(m * n, 33);
-        let mut c_dup = c_shared.clone();
-        let s_shared =
-            gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.5, &mut c_shared, n);
-        let dup_call = call.with_plan(call.plan.with_packing(PackingStrategy::Independent));
-        let s_dup = gemm_with_stats_pooled(&pool, &dup_call, 1.0, &a, k, &b, n, 0.5, &mut c_dup, n);
-        assert_eq!(c_shared, c_dup, "sharing must not change results");
-        assert!(s_shared.grid_rows > 1, "test shape must row-split: {s_shared:?}");
-        assert_eq!(s_dup.b_pack_shared, 0);
-        assert_eq!(
-            s_shared.b_packed_bytes + s_shared.b_pack_shared,
-            s_dup.b_packed_bytes,
-            "copy volume must be conserved: {s_shared:?} vs {s_dup:?}"
-        );
-        assert_eq!(s_shared.a_packed_bytes, s_dup.a_packed_bytes);
-        assert_eq!(s_shared.kernel_calls, s_dup.kernel_calls);
-    }
-
-    /// Shared-B packing on a private pool of 8 workers against independent
-    /// packing on the process pool (sized to the host): the same bits, and
-    /// the copy volume moved between counters, not lost.
-    #[test]
-    fn shared_b_bitwise_equal_across_transposes_and_skewed_shapes() {
+    fn pooled_bitwise_equal_across_transposes_and_skewed_shapes() {
         let pool = crate::pool::ThreadPool::new(8);
         let shapes = [(256usize, 40usize, 96usize, 8usize), (200, 200, 64, 4), (97, 33, 131, 6)];
         let flags = [Transpose::No, Transpose::Yes];
@@ -1317,35 +1103,29 @@ pub(crate) mod tests {
                     let (br, bc) = if tb.is_transposed() { (n, k) } else { (k, n) };
                     let a = fill(ar * ac, 41);
                     let b = fill(br * bc, 42);
-                    let mut c_private = fill(m * n, 43);
-                    let mut c_shared = c_private.clone();
-                    let call =
-                        GemmCall { trans_a: ta, trans_b: tb, ..GemmCall::new(m, n, k, threads) };
-                    let private = independent(call);
-                    let s1 = gemm_with_stats(&private, 1.3, &a, ac, &b, bc, 0.6, &mut c_private, n);
-                    let s2 = gemm_with_stats_pooled(
+                    let mut c_serial = fill(m * n, 43);
+                    let mut c_pooled = c_serial.clone();
+                    let call = |threads| GemmCall {
+                        trans_a: ta,
+                        trans_b: tb,
+                        ..GemmCall::new(m, n, k, threads)
+                    };
+                    let what = format!("{m}x{n}x{k} t{threads} {ta:?}/{tb:?}");
+                    gemm_with_stats(&call(1), 1.3, &a, ac, &b, bc, 0.6, &mut c_serial, n);
+                    let s = gemm_with_stats_pooled(
                         &pool,
-                        &call,
+                        &call(threads),
                         1.3,
                         &a,
                         ac,
                         &b,
                         bc,
                         0.6,
-                        &mut c_shared,
+                        &mut c_pooled,
                         n,
                     );
-                    assert_eq!(
-                        c_private, c_shared,
-                        "shared-B differs at {m}x{n}x{k} t{threads} {ta:?}/{tb:?}"
-                    );
-                    assert_eq!(s1.kernel_calls, s2.kernel_calls);
-                    assert_eq!(s1.a_packed_bytes, s2.a_packed_bytes);
-                    assert_eq!(
-                        s2.b_packed_bytes + s2.b_pack_shared,
-                        s1.b_packed_bytes,
-                        "copy conservation at {m}x{n}x{k} t{threads} {ta:?}/{tb:?}"
-                    );
+                    assert!(s.threads_used > 1, "the call must split: {what} {s:?}");
+                    assert_eq!(c_serial, c_pooled, "pooled differs from serial at {what}");
                 }
             }
         }
@@ -1353,67 +1133,75 @@ pub(crate) mod tests {
 
     /// More than one column block per worker: at an explicit `NC` of two
     /// register tiles every worker's `jc` loop walks three blocks (the
-    /// last ragged), whatever this host's caches derive. Shared-B packing
-    /// on a private pool of 4 must give independent packing's bits at 2
-    /// and 4 threads, under the packing-free rule and above it, and above
-    /// it the same copy volume moved between counters.
+    /// last ragged), whatever this host's caches derive. A private pool of
+    /// 4 must give the serial call's bits at 2 and 4 threads, under the
+    /// packing-free rule and above it.
     #[test]
-    fn shared_b_bitwise_equal_across_column_blocks() {
+    fn pooled_bitwise_equal_across_column_blocks() {
         let pool = crate::pool::ThreadPool::new(4);
         let kernel = Kernel::<f64>::dispatched();
         let (mr, nr) = (kernel.mr, kernel.nr);
         let blocks = BlockSizes { mc: 4 * mr, kc: 64, nc: 2 * nr, mr, nr };
         let n = 2 * blocks.nc + nr / 2 + 3;
-        let m = 4 * n + 5; // tall: every grid splits rows, so B is shared
+        let m = 4 * n + 5; // tall: every grid splits rows
         for threads in [2usize, 4] {
             let shallow = 3 * blocks.kc + 7;
             for k in [shallow, packed_depth(m, n, threads, shallow)] {
                 let a = fill(m * k, 51);
                 let b = fill(k * n, 52);
-                let mut c_private = fill(m * n, 53);
-                let mut c_shared = c_private.clone();
+                let mut c_serial = fill(m * n, 53);
+                let mut c_pooled = c_serial.clone();
                 let call = GemmCall::new(m, n, k, threads).with_blocks(blocks);
+                let serial = GemmCall::new(m, n, k, 1).with_blocks(blocks);
                 let what = format!("{m}x{n}x{k} t{threads} at {blocks:?}");
-                let s1 =
-                    gemm_with_stats(&independent(call), 1.3, &a, k, &b, n, 0.6, &mut c_private, n);
-                let s2 =
-                    gemm_with_stats_pooled(&pool, &call, 1.3, &a, k, &b, n, 0.6, &mut c_shared, n);
-                assert!(s2.grid_rows > 1 && s2.b_pack_shared > 0, "B not shared: {what} {s2:?}");
-                assert!(n / s2.grid_cols > blocks.nc, "a single column block per worker: {what}");
-                assert_eq!(c_private, c_shared, "shared-B differs: {what}");
-                assert_eq!(s1.kernel_calls, s2.kernel_calls, "{what}");
-                if k > shallow {
-                    assert_eq!(s1.a_packed_bytes, s2.a_packed_bytes, "{what}");
-                    assert_eq!(
-                        s2.b_packed_bytes + s2.b_pack_shared,
-                        s1.b_packed_bytes,
-                        "copy conservation: {what}"
-                    );
-                }
+                gemm_with_stats(&serial, 1.3, &a, k, &b, n, 0.6, &mut c_serial, n);
+                let s =
+                    gemm_with_stats_pooled(&pool, &call, 1.3, &a, k, &b, n, 0.6, &mut c_pooled, n);
+                assert!(s.grid_rows > 1, "rows not split: {what} {s:?}");
+                assert!(n / s.grid_cols > blocks.nc, "a single column block per worker: {what}");
+                assert_eq!(c_serial, c_pooled, "pooled differs from serial: {what}");
             }
         }
     }
 
-    /// A shared-B call on a private pool of 2 workers against an
-    /// independent one on the process pool (sized to the host).
+    /// Nothing in a driver waits on a groupmate, so a grid wider than the
+    /// pool just queues: 4- and 8-thread GEMM and SYRK plans on private
+    /// pools of 1 and 2 workers finish with the serial call's bits.
     #[test]
-    fn oversubscribed_pool_falls_back_to_independent_packing() {
-        // More grid tasks than pool workers: the gang reservation fails
-        // and the driver must fall back to duplicated (barrier-free)
-        // packing — same results, independent packing's counters.
-        let pool = crate::pool::ThreadPool::new(2);
-        let (m, n, k, threads) = (512usize, 64usize, 128usize, 8usize);
+    fn any_grid_runs_on_any_pool() {
+        let (m, n, k) = (512usize, 64usize, 128usize);
+        let (alpha, beta) = (1.25, -0.75);
         let a = fill(m * k, 51);
         let b = fill(k * n, 52);
-        let call = GemmCall::new(m, n, k, threads);
-        let mut c_private = fill(m * n, 53);
-        let mut c_pooled = c_private.clone();
-        let s1 = gemm_with_stats(&independent(call), 1.0, &a, k, &b, n, 0.25, &mut c_private, n);
-        let s2 = gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.25, &mut c_pooled, n);
-        assert!(s1.grid_rows * s1.grid_cols > pool.workers());
-        assert_eq!(c_private, c_pooled);
-        assert_eq!(s2.b_pack_shared, 0, "fallback must not claim sharing");
-        assert_eq!(s2.b_packed_bytes, s1.b_packed_bytes);
+        let c0 = fill(m * m, 53);
+        let serial_pool = crate::pool::ThreadPool::new(1);
+        let gemm = |pool: &crate::pool::ThreadPool, threads: usize| {
+            let mut c = c0[..m * n].to_vec();
+            let call = GemmCall::new(m, n, k, threads);
+            let s = gemm_with_stats_pooled(pool, &call, alpha, &a, k, &b, n, beta, &mut c, n);
+            (s, c)
+        };
+        let syrk = |pool: &crate::pool::ThreadPool, threads: usize| {
+            let mut c = c0.clone();
+            let s = crate::syrk::syrk_with_stats_pooled(
+                pool, m, k, alpha, &a, k, beta, &mut c, m, threads,
+            );
+            (s, c)
+        };
+        let (_, gemm_serial) = gemm(&serial_pool, 1);
+        let (_, syrk_serial) = syrk(&serial_pool, 1);
+        for workers in [1usize, 2] {
+            let pool = crate::pool::ThreadPool::new(workers);
+            for threads in [4usize, 8] {
+                let what = format!("{threads} threads on {workers} workers");
+                let (s, c) = gemm(&pool, threads);
+                assert!(s.threads_used > workers, "GEMM grid must oversubscribe: {what} {s:?}");
+                assert_eq!(c, gemm_serial, "GEMM differs: {what}");
+                let (s, c) = syrk(&pool, threads);
+                assert!(s.threads_used > workers, "SYRK bands must oversubscribe: {what} {s:?}");
+                assert_eq!(c, syrk_serial, "SYRK differs: {what}");
+            }
+        }
     }
 
     #[test]
@@ -1427,21 +1215,15 @@ pub(crate) mod tests {
             let mut c = vec![0.0f64; m * n];
             gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.0, &mut c, n)
         };
-        // Warm-up until the arena counters hold still: which worker takes
-        // which job is the pool's business, so no fixed number of calls
-        // guarantees every worker's arena has grown.
+        // Warm-up until every worker's slot has grown once (each checks
+        // out the same packing pair): which worker takes which job is the
+        // pool's business, so no fixed number of calls guarantees it.
         let allocations = || pool.workspace().arena_stats().allocations;
-        let (mut seen, mut stable_calls) = (allocations(), 0);
-        for _ in 0..200 {
+        let warm = (0..2000).any(|_| {
             run();
-            let now = allocations();
-            stable_calls = if now == seen { stable_calls + 1 } else { 0 };
-            seen = now;
-            if stable_calls == 8 {
-                break;
-            }
-        }
-        assert_eq!(stable_calls, 8, "arena allocations never settled");
+            allocations() == pool.workers() as u64
+        });
+        assert!(warm, "some worker slot never warmed: {:?}", pool.workspace().arena_stats());
         let before = pool.workspace().arena_stats();
         for _ in 0..10 {
             let stats = run();
@@ -1498,8 +1280,8 @@ pub(crate) mod tests {
         check_against_naive(16, 16, 16, 1000, Transpose::No, Transpose::No, 1.0, 0.0);
     }
 
-    /// The process pool (sized to the host), packing independently,
-    /// against a private pool of 4 workers free to share `B`.
+    /// The process pool (sized to the host) against a private pool of 4
+    /// workers: the same bits and the same counters.
     #[test]
     fn pooled_driver_matches_scoped_driver() {
         let pool = crate::pool::ThreadPool::new(4);
@@ -1512,14 +1294,12 @@ pub(crate) mod tests {
             let mut c1 = fill(m * n, 23);
             let mut c2 = c1.clone();
             let call = GemmCall::new(m, n, k, threads);
-            let s1 = gemm_with_stats(&independent(call), 1.5, &a, k, &b, n, 0.5, &mut c1, n);
+            let s1 = gemm_with_stats(&call, 1.5, &a, k, &b, n, 0.5, &mut c1, n);
             let s2 = gemm_with_stats_pooled(&pool, &call, 1.5, &a, k, &b, n, 0.5, &mut c2, n);
             assert_eq!(c1, c2, "pooled result differs at {m}x{n}x{k}");
             assert_eq!(s1.kernel_calls, s2.kernel_calls);
             assert_eq!(s1.a_packed_bytes, s2.a_packed_bytes);
-            // The private pool may share B panels; packed + shared is
-            // always the independent (duplicated) volume.
-            assert_eq!(s2.b_packed_bytes + s2.b_pack_shared, s1.b_packed_bytes);
+            assert_eq!(s1.b_packed_bytes, s2.b_packed_bytes);
             assert_eq!(s1.threads_used, s2.threads_used);
         }
     }
@@ -1756,11 +1536,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn concurrent_shared_b_calls_do_not_deadlock() {
-        // Two coop-eligible calls racing on one pool: the gang
-        // reservation admits at most one barrier group per worker, so
-        // whichever call loses the race falls back to independent
-        // packing — both finish, results identical.
+    fn concurrent_pooled_calls_do_not_deadlock() {
+        // Four callers racing multi-threaded calls on one pool: their
+        // tasks interleave on the pool's one queue and every call
+        // finishes with the lone call's bits.
         let pool = std::sync::Arc::new(crate::pool::ThreadPool::new(4));
         let (m, n, k) = (256usize, 48usize, 128usize);
         let a = std::sync::Arc::new(fill(m * k, 81));

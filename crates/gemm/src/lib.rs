@@ -6,8 +6,7 @@
 //! equivalent box with the same internal cost anatomy the paper's profiler
 //! analysis (§VI-D) identifies:
 //!
-//! 1. **thread synchronisation** — pool dispatch/join and per-panel
-//!    coordination,
+//! 1. **thread synchronisation** — pool dispatch/join,
 //! 2. **data copies** — packing of `A` into `MC×KC` row panels and `B` into
 //!    `KC×NC` column panels, laid out so the micro-kernel streams
 //!    contiguously,
@@ -16,8 +15,8 @@
 //!
 //! That anatomy exists once: [`gemm`] holds the one blocked loop nest —
 //! a prologue (kernel, blocks, views, bounds checks), a task builder over
-//! the thread grid, and a tile loop parameterised by where the packed `B`
-//! block comes from and by a statically dispatched merge — and GEMM,
+//! the thread grid, and a tile loop parameterised by a statically
+//! dispatched merge — and GEMM,
 //! Strassen's base case, Z-order and SYRK are entry points over it (GEMV, which packs nothing, has its own
 //! driver). Every threaded call runs on a persistent [`ThreadPool`]. The
 //! public entry points are [`gemm_with_stats`] (the process-wide

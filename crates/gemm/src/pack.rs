@@ -31,10 +31,8 @@
 //! re-reads a `B` strip one row stride at a time, where a packed strip is
 //! a few contiguous pages). Only the ragged parts are still packed, into
 //! their usual slots with the usual zero padding: the last `m % MR` rows
-//! of `A` and the last `n % NR` columns of `B`. A transposed `B`, a `B`
-//! shared by a gang of workers (the shared region is why the gang
-//! exists), SYRK's masked merge and NEON (no in-place kernel yet) pack as
-//! before. The FMAs run in the same order either way, so the results are
+//! of `A` and the last `n % NR` columns of `B`. A transposed `B`, SYRK's
+//! masked merge and NEON (no in-place kernel yet) pack as before. The FMAs run in the same order either way, so the results are
 //! the same bits.
 //!
 //! # One routine, two primitives

@@ -1,14 +1,18 @@
 //! Execution plans — the full "how to run" decision for one routine call.
 //!
-//! The paper's runtime learns a single knob, the thread count. After the
-//! SIMD dispatch and shared-packing work, the substrate has more knobs
-//! that matter: which micro-kernel ISA to run, how to block for the cache
-//! hierarchy, whether row groups cooperate on packing `B` or pack
-//! independent copies — and, since the algorithm axis landed, *which
-//! algorithm* multiplies at all (the blocked loop nest, Strassen
-//! recursion, or a Morton-ordered serial traversal). [`ExecutionPlan`]
-//! carries all of them from the decision layer down to the drivers, so
-//! "pick a thread count" becomes "pick how to run".
+//! The paper's runtime learns a single knob, the thread count. The
+//! substrate has more knobs that matter: which micro-kernel ISA to run,
+//! how to block for the cache hierarchy, and *which algorithm* multiplies
+//! at all (the blocked loop nest, Strassen recursion, or a Morton-ordered
+//! serial traversal). [`ExecutionPlan`] carries all of them from the
+//! decision layer down to the drivers, so "pick a thread count" becomes
+//! "pick how to run".
+//!
+//! The candidate grid ([`PlanGrid`], [`PlanPoint`]) still carries a
+//! [`PackingStrategy`] axis: trained artefacts and their feature rows
+//! name it, and the simulated node prices it. The host drivers have one
+//! way to get `B` (every worker packs its own), so
+//! [`PlanPoint::materialise`] drops the axis.
 //!
 //! A plan is deliberately *descriptive*, not prescriptive: `None` axes
 //! mean "derive from the host" (process-wide ISA dispatch, topology-fitted
@@ -19,32 +23,18 @@ use crate::blocking::BlockSizes;
 use crate::isa::KernelIsa;
 use serde::{Deserialize, Serialize};
 
-/// How row groups of the thread grid obtain their packed `B` panels.
+/// How row groups of the thread grid obtain their packed `B` panels, as
+/// a candidate-grid axis: artefacts carry it and the simulated node
+/// prices it, but no host plan executes it (every worker packs its own
+/// `B`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum PackingStrategy {
     /// Cooperative: one designated packer per column group fills a shared
-    /// `KC×NC` panel, the row group synchronises on a panel barrier.
+    /// `KC×NC` panel for its row group.
     #[default]
     SharedB,
-    /// Every row group packs its own copy of the `B` panel — more copy
-    /// volume, no panel barrier.
+    /// Every row group packs its own copy of the `B` panel.
     Independent,
-}
-
-impl PackingStrategy {
-    /// Short label for stats lines and tables.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PackingStrategy::SharedB => "shared-b",
-            PackingStrategy::Independent => "independent",
-        }
-    }
-}
-
-impl std::fmt::Display for PackingStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// Which multiplication algorithm a plan dispatches. The default blocked
@@ -104,8 +94,6 @@ pub struct ExecutionPlan {
     /// Cache blocking; `None` derives `MC/KC/NC` from the host topology
     /// for the resolved kernel's register tile.
     pub blocking: Option<BlockSizes>,
-    /// `B`-panel packing across row groups.
-    pub packing: PackingStrategy,
     /// Multiplication algorithm. Non-default algorithms may degrade back
     /// to [`Algorithm::Blocked`] at execution time when the shape is
     /// ineligible (odd dims below a Strassen cutoff); the executed
@@ -123,17 +111,13 @@ impl ExecutionPlan {
             threads: threads.max(1),
             kernel_isa: None,
             blocking: None,
-            packing: PackingStrategy::SharedB,
             algorithm: Algorithm::Blocked,
         }
     }
 
     /// `true` when every non-thread axis is at its host-default setting.
     pub fn is_threads_only(&self) -> bool {
-        self.kernel_isa.is_none()
-            && self.blocking.is_none()
-            && self.packing == PackingStrategy::SharedB
-            && self.algorithm == Algorithm::Blocked
+        self.kernel_isa.is_none() && self.blocking.is_none() && self.algorithm == Algorithm::Blocked
     }
 
     /// Builder: pin the micro-kernel ISA.
@@ -148,12 +132,6 @@ impl ExecutionPlan {
         self
     }
 
-    /// Builder: pick the packing strategy.
-    pub fn with_packing(mut self, packing: PackingStrategy) -> Self {
-        self.packing = packing;
-        self
-    }
-
     /// Builder: pick the multiplication algorithm.
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
@@ -162,14 +140,14 @@ impl ExecutionPlan {
 
     /// This plan with a different thread count (≥ 1), every other axis
     /// kept — how a scheduler re-budgets a learned plan without touching
-    /// its kernel/blocking/packing/algorithm choices.
+    /// its kernel/blocking/algorithm choices.
     pub fn with_thread_count(mut self, threads: usize) -> Self {
         self.threads = u32::try_from(threads.max(1)).unwrap_or(u32::MAX);
         self
     }
 
     /// Compact human-readable form for stats lines and tables, e.g.
-    /// `t=8 isa=auto blk=auto pack=shared-b`. The algorithm is appended
+    /// `t=8 isa=auto blk=auto`. The algorithm is appended
     /// only when it deviates from the blocked default
     /// (`… algo=strassen:512`), so threads-only lines keep their
     /// historical shape.
@@ -182,7 +160,7 @@ impl ExecutionPlan {
             None => "auto".to_string(),
             Some(b) => format!("{}x{}x{}", b.mc, b.kc, b.nc),
         };
-        let mut out = format!("t={} isa={} blk={} pack={}", self.threads, isa, blk, self.packing);
+        let mut out = format!("t={} isa={} blk={}", self.threads, isa, blk);
         if self.algorithm != Algorithm::Blocked {
             out.push_str(&format!(" algo={}", self.algorithm));
         }
@@ -293,7 +271,8 @@ pub struct PlanPoint {
     pub isa: IsaChoice,
     /// Per-axis cache-block scales (100/100/100 = host default).
     pub blocking: BlockScale,
-    /// `B`-panel packing strategy.
+    /// `B`-panel packing strategy: a grid axis only, which
+    /// [`PlanPoint::materialise`] drops.
     pub packing: PackingStrategy,
     /// Multiplication algorithm.
     pub algorithm: Algorithm,
@@ -321,7 +300,8 @@ impl PlanPoint {
 
     /// Concrete plan for `precision` on this host. Default axes map to
     /// `None` (derive from the host), so a threads-only point executes
-    /// exactly like the pre-plan runtime.
+    /// exactly like the pre-plan runtime; the packing axis has no host
+    /// counterpart and is dropped.
     pub fn materialise(&self, precision: crate::dispatch::Precision) -> ExecutionPlan {
         let mut plan = ExecutionPlan::with_threads(self.threads);
         if self.isa == IsaChoice::Scalar {
@@ -334,7 +314,7 @@ impl PlanPoint {
                 self.blocking.nc_percent,
             ));
         }
-        plan.with_packing(self.packing).with_algorithm(self.algorithm)
+        plan.with_algorithm(self.algorithm)
     }
 }
 
@@ -515,7 +495,6 @@ mod tests {
         let p = ExecutionPlan::with_threads(8);
         assert_eq!(p.threads, 8);
         assert!(p.is_threads_only());
-        assert_eq!(p, ExecutionPlan { packing: PackingStrategy::default(), ..p });
     }
 
     #[test]
@@ -526,12 +505,9 @@ mod tests {
 
     #[test]
     fn builders_leave_threads_alone() {
-        let p = ExecutionPlan::with_threads(4)
-            .with_isa(KernelIsa::Scalar)
-            .with_packing(PackingStrategy::Independent);
+        let p = ExecutionPlan::with_threads(4).with_isa(KernelIsa::Scalar);
         assert_eq!(p.threads, 4);
         assert_eq!(p.kernel_isa, Some(KernelIsa::Scalar));
-        assert_eq!(p.packing, PackingStrategy::Independent);
         assert!(!p.is_threads_only());
     }
 
@@ -548,13 +524,13 @@ mod tests {
     #[test]
     fn describe_is_compact() {
         let p = ExecutionPlan::with_threads(8);
-        assert_eq!(p.describe(), "t=8 isa=auto blk=auto pack=shared-b");
-        let q = p.with_isa(KernelIsa::Scalar).with_packing(PackingStrategy::Independent);
-        assert_eq!(q.describe(), "t=8 isa=scalar blk=auto pack=independent");
+        assert_eq!(p.describe(), "t=8 isa=auto blk=auto");
+        let q = p.with_isa(KernelIsa::Scalar);
+        assert_eq!(q.describe(), "t=8 isa=scalar blk=auto");
         let s = p.with_algorithm(Algorithm::Strassen { cutoff: 512 });
-        assert_eq!(s.describe(), "t=8 isa=auto blk=auto pack=shared-b algo=strassen:512");
+        assert_eq!(s.describe(), "t=8 isa=auto blk=auto algo=strassen:512");
         let z = p.with_algorithm(Algorithm::ZOrder);
-        assert_eq!(z.describe(), "t=8 isa=auto blk=auto pack=shared-b algo=zorder");
+        assert_eq!(z.describe(), "t=8 isa=auto blk=auto algo=zorder");
     }
 
     #[test]
@@ -636,19 +612,21 @@ mod tests {
         assert_eq!(p, ExecutionPlan::with_threads(6));
         assert!(p.is_threads_only());
 
-        let q = PlanPoint {
+        let point = PlanPoint {
             threads: 4,
             isa: IsaChoice::Scalar,
             blocking: BlockScale::uniform(50),
             packing: PackingStrategy::Independent,
             algorithm: Algorithm::Blocked,
-        }
-        .materialise(Precision::F32);
+        };
+        let q = point.materialise(Precision::F32);
         assert_eq!(q.threads, 4);
         assert_eq!(q.kernel_isa, Some(KernelIsa::Scalar));
         let blocks = q.blocking.expect("non-default percent pins blocking");
         assert!(blocks.is_valid());
-        assert_eq!(q.packing, PackingStrategy::Independent);
+        // The packing axis has no host counterpart: both points run alike.
+        let shared = PlanPoint { packing: PackingStrategy::SharedB, ..point };
+        assert_eq!(shared.materialise(Precision::F32), q);
     }
 
     #[test]
@@ -703,7 +681,6 @@ mod tests {
         let p = ExecutionPlan::with_threads(6)
             .with_isa(KernelIsa::Scalar)
             .with_blocking(BlockSizes::for_f32())
-            .with_packing(PackingStrategy::Independent)
             .with_algorithm(Algorithm::Strassen { cutoff: 384 });
         let v = serde::Serialize::to_value(&p);
         let back: ExecutionPlan = serde::Deserialize::from_value(&v).unwrap();

@@ -38,39 +38,22 @@ use crate::workspace::Workspace;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Counter snapshot of one [`ThreadPool`]'s gang-reservation traffic.
-///
-/// `gang_refused` is the silent-degradation signal: every refusal means a
-/// barrier-using batch fell back to independent (duplicated) B packing
-/// because concurrent callers had already reserved the workers it
-/// wanted.
+/// Counter snapshot of one [`ThreadPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Gang reservations granted since the pool was built.
-    pub gang_reserved: u64,
-    /// Gang reservations refused (the caller degraded to independent
-    /// packing or deferred).
-    pub gang_refused: u64,
-    /// Workers currently free for gang reservation.
-    pub gang_available: usize,
     /// Worker threads respawned after dying to a panicked job.
     pub workers_respawned: u64,
-    /// Transient gang refusals that were retried with backoff instead of
-    /// immediately degrading the caller to independent packing.
-    pub gang_backoff_retries: u64,
 }
 
 impl PoolStats {
-    /// Fraction of gang requests that were refused (0 when idle).
+    /// Always 0.0: the share of worker-gang requests the pool refused,
+    /// from when a call could ask for one. No call asks any more; the
+    /// method stays only so the benchmark, which still reports
+    /// `pool.gang_refusal_rate`, builds unedited until its next revision.
     pub fn refusal_rate(&self) -> f64 {
-        let total = self.gang_reserved + self.gang_refused;
-        if total == 0 {
-            0.0
-        } else {
-            self.gang_refused as f64 / total as f64
-        }
+        0.0
     }
 }
 
@@ -139,16 +122,6 @@ pub struct ThreadPool {
     workers: Mutex<Vec<JoinHandle<()>>>,
     worker_count: usize,
     workspace: Arc<Workspace>,
-    /// Workers not currently reserved by a gang-scheduled (barrier-using)
-    /// batch; see [`ThreadPool::try_reserve_gang`].
-    gang_capacity: Mutex<usize>,
-    /// Granted gang reservations (lifetime counter).
-    gang_reserved: AtomicU64,
-    /// Refused gang reservations — each one is a caller silently
-    /// degrading to independent packing.
-    gang_refused: AtomicU64,
-    /// Transient refusals absorbed by [`ThreadPool::reserve_gang_backoff`].
-    gang_backoff_retries: AtomicU64,
     /// Workers that have died to a panicked job (monotonic).
     deaths_recorded: Arc<AtomicUsize>,
     /// Dead workers reaped and replaced by [`ThreadPool::heal`].
@@ -207,10 +180,6 @@ impl ThreadPool {
             workers: Mutex::new(handles),
             worker_count: workers,
             workspace,
-            gang_capacity: Mutex::new(workers),
-            gang_reserved: AtomicU64::new(0),
-            gang_refused: AtomicU64::new(0),
-            gang_backoff_retries: AtomicU64::new(0),
             deaths_recorded: deaths,
             deaths_reaped: AtomicUsize::new(0),
             workers_respawned: AtomicU64::new(0),
@@ -279,72 +248,18 @@ impl ThreadPool {
         respawned
     }
 
-    /// The packing workspace owned by this pool (per-worker arena slots
-    /// plus the shared-B free list).
+    /// The packing workspace owned by this pool (its per-worker arena
+    /// slots).
     pub fn workspace(&self) -> &Workspace {
         &self.workspace
     }
 
-    /// Snapshot the pool's gang-reservation and fault-recovery counters.
+    /// Snapshot the pool's size and fault-recovery counter.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             workers: self.worker_count,
-            gang_reserved: self.gang_reserved.load(Ordering::Relaxed),
-            gang_refused: self.gang_refused.load(Ordering::Relaxed),
-            gang_available: *self.gang_capacity.lock(),
             workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            gang_backoff_retries: self.gang_backoff_retries.load(Ordering::Relaxed),
         }
-    }
-
-    /// Reserve `n` workers for a gang-scheduled batch whose tasks
-    /// synchronise with each other (the cooperative shared-B driver's
-    /// barriers). Returns `None` — caller must fall back to independent
-    /// tasks — when the reservation would over-subscribe the pool.
-    ///
-    /// Why this exists: tasks queue on one channel, so a barrier-using
-    /// batch larger than the worker count (or overlapping reservations
-    /// that sum past it) could park every worker on a barrier whose
-    /// remaining members are still queued behind them — deadlock. With
-    /// all barrier users holding reservations bounded by the worker
-    /// count, every member of every gang eventually gets a worker
-    /// (non-gang jobs never block indefinitely), so every barrier opens.
-    pub fn try_reserve_gang(&self, n: usize) -> Option<GangReservation<'_>> {
-        self.reserve_gang(n, 1)
-    }
-
-    /// [`ThreadPool::try_reserve_gang`] with bounded exponential backoff:
-    /// a refusal caused by concurrent holders is usually transient (gangs
-    /// live for one batch), so retry a few times before degrading the
-    /// caller to independent packing. A request larger than the pool can
-    /// *ever* satisfy is refused immediately — backing off cannot help.
-    pub fn reserve_gang_backoff(&self, n: usize) -> Option<GangReservation<'_>> {
-        self.reserve_gang(n, 4)
-    }
-
-    /// Up to `attempts` tries at taking `n` workers out of the gang
-    /// capacity, sleeping 50 µs, 100 µs, … between them.
-    fn reserve_gang(&self, n: usize, attempts: u32) -> Option<GangReservation<'_>> {
-        const BASE: Duration = Duration::from_micros(50);
-        for attempt in 0..attempts {
-            {
-                let mut available = self.gang_capacity.lock();
-                if *available >= n {
-                    *available -= n;
-                    self.gang_reserved.fetch_add(1, Ordering::Relaxed);
-                    return Some(GangReservation { pool: self, n });
-                }
-            }
-            if n > self.worker_count {
-                break; // permanent refusal: over the pool's total size
-            }
-            if attempt + 1 < attempts {
-                self.gang_backoff_retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(BASE * 2u32.pow(attempt));
-            }
-        }
-        self.gang_refused.fetch_add(1, Ordering::Relaxed);
-        None
     }
 
     /// Execute a batch of borrowing closures on the pool, blocking until
@@ -422,19 +337,6 @@ impl Drop for ThreadPool {
         for h in self.workers.lock().drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// A held gang reservation; dropping it returns the workers to the
-/// reservable capacity.
-pub struct GangReservation<'a> {
-    pool: &'a ThreadPool,
-    n: usize,
-}
-
-impl Drop for GangReservation<'_> {
-    fn drop(&mut self) {
-        *self.pool.gang_capacity.lock() += self.n;
     }
 }
 
@@ -593,37 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn gang_backoff_retries_transient_refusals() {
-        let pool = ThreadPool::new(4);
-        // Permanent refusal: larger than the pool — no retries, immediate.
-        assert!(pool.reserve_gang_backoff(5).is_none());
-        assert_eq!(pool.stats().gang_backoff_retries, 0);
-        assert_eq!(pool.stats().gang_refused, 1);
-
-        // Transient refusal: capacity held elsewhere, released while the
-        // caller backs off. Timing-dependent which attempt wins, so
-        // repeat until a retry-then-success run is observed.
-        let mut saw_retry_success = false;
-        for _ in 0..50 {
-            let ok = std::thread::scope(|s| {
-                let held = pool.try_reserve_gang(4).expect("capacity free");
-                let releaser = s.spawn(move || {
-                    std::thread::sleep(Duration::from_micros(1));
-                    drop(held);
-                });
-                let got = pool.reserve_gang_backoff(2);
-                releaser.join().unwrap();
-                got.is_some()
-            });
-            if ok && pool.stats().gang_backoff_retries > 0 {
-                saw_retry_success = true;
-                break;
-            }
-        }
-        assert!(saw_retry_success, "backoff never converted a transient refusal");
-    }
-
-    #[test]
     fn empty_batch_is_a_noop() {
         let pool = ThreadPool::new(1);
         pool.scope_execute(Vec::new());
@@ -667,31 +538,10 @@ mod tests {
     }
 
     #[test]
-    fn gang_reservation_bounds_concurrent_gangs() {
+    fn pool_stats_report_size_and_no_refusals() {
         let pool = ThreadPool::new(4);
-        let first = pool.try_reserve_gang(3).expect("capacity free");
-        assert!(pool.try_reserve_gang(2).is_none(), "3 + 2 > 4 must be refused");
-        let second = pool.try_reserve_gang(1).expect("one worker left");
-        drop(first);
-        let third = pool.try_reserve_gang(3).expect("capacity returned on drop");
-        drop(second);
-        drop(third);
-        assert!(pool.try_reserve_gang(4).is_some(), "full capacity restored");
-    }
-
-    #[test]
-    fn pool_stats_count_gang_traffic() {
-        let pool = ThreadPool::new(4);
-        assert_eq!(
-            pool.stats(),
-            PoolStats { workers: 4, gang_available: 4, ..PoolStats::default() }
-        );
-        let held = pool.try_reserve_gang(3).expect("capacity free");
-        assert!(pool.try_reserve_gang(2).is_none());
         let stats = pool.stats();
-        assert_eq!((stats.gang_reserved, stats.gang_refused, stats.gang_available), (1, 1, 1));
-        assert!((stats.refusal_rate() - 0.5).abs() < 1e-12);
-        drop(held);
-        assert_eq!(pool.stats().gang_available, 4, "drop returns capacity");
+        assert_eq!(stats, PoolStats { workers: 4, workers_respawned: 0 });
+        assert_eq!(stats.refusal_rate(), 0.0, "no call asks for a gang");
     }
 }

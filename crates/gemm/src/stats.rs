@@ -43,11 +43,6 @@ pub struct GemmStats {
     /// Bytes written while packing `B` micro-panels, summed over threads;
     /// like `a_packed_bytes`, only what was copied.
     pub b_packed_bytes: u64,
-    /// Bytes of packed `B` consumed from a groupmate's shared panel
-    /// instead of being re-packed locally — the duplicated-copy traffic
-    /// (paper Table VII's "data copy" column) the cooperative driver
-    /// eliminates. Always 0 for independent packing and one-worker grids.
-    pub b_pack_shared: u64,
     /// Packing-scratch bytes served from a warm arena without touching
     /// the allocator, summed over threads. On a steady-state serving
     /// path this equals the whole packing workspace per call.
@@ -89,7 +84,6 @@ impl GemmStats {
 pub struct StatsCollector {
     pub a_packed_bytes: AtomicU64,
     pub b_packed_bytes: AtomicU64,
-    pub b_pack_shared: AtomicU64,
     pub arena_bytes_reused: AtomicU64,
     pub kernel_calls: AtomicU64,
     pub pack_ns: AtomicU64,
@@ -103,7 +97,6 @@ impl StatsCollector {
     pub fn absorb(&self, local: &ThreadLocalStats) {
         self.a_packed_bytes.fetch_add(local.a_packed_bytes, Ordering::Relaxed);
         self.b_packed_bytes.fetch_add(local.b_packed_bytes, Ordering::Relaxed);
-        self.b_pack_shared.fetch_add(local.b_pack_shared, Ordering::Relaxed);
         self.arena_bytes_reused.fetch_add(local.arena_bytes_reused, Ordering::Relaxed);
         self.kernel_calls.fetch_add(local.kernel_calls, Ordering::Relaxed);
         self.pack_ns.fetch_add(local.pack_ns, Ordering::Relaxed);
@@ -132,7 +125,6 @@ impl StatsCollector {
             grid_cols,
             a_packed_bytes: self.a_packed_bytes.load(Ordering::Relaxed),
             b_packed_bytes: self.b_packed_bytes.load(Ordering::Relaxed),
-            b_pack_shared: self.b_pack_shared.load(Ordering::Relaxed),
             arena_bytes_reused: self.arena_bytes_reused.load(Ordering::Relaxed),
             kernel_calls: self.kernel_calls.load(Ordering::Relaxed),
             pack_ns: self.pack_ns.load(Ordering::Relaxed),
@@ -172,7 +164,6 @@ impl PredictionErrorStats {
 pub struct ThreadLocalStats {
     pub a_packed_bytes: u64,
     pub b_packed_bytes: u64,
-    pub b_pack_shared: u64,
     pub arena_bytes_reused: u64,
     pub kernel_calls: u64,
     pub pack_ns: u64,
@@ -189,7 +180,6 @@ mod tests {
         c.absorb(&ThreadLocalStats {
             a_packed_bytes: 10,
             b_packed_bytes: 20,
-            b_pack_shared: 5,
             arena_bytes_reused: 40,
             kernel_calls: 3,
             pack_ns: 100,
@@ -198,7 +188,6 @@ mod tests {
         c.absorb(&ThreadLocalStats {
             a_packed_bytes: 1,
             b_packed_bytes: 2,
-            b_pack_shared: 7,
             arena_bytes_reused: 2,
             kernel_calls: 4,
             pack_ns: 50,
@@ -209,7 +198,6 @@ mod tests {
         assert_eq!(s.a_packed_bytes, 11);
         assert_eq!(s.b_packed_bytes, 22);
         assert_eq!(s.packed_bytes(), 33);
-        assert_eq!(s.b_pack_shared, 12);
         assert_eq!(s.arena_bytes_reused, 42);
         assert_eq!(s.kernel_calls, 7);
         assert_eq!(s.pack_ns, 150);

@@ -13,7 +13,7 @@
 //! * The recursion computes `C += α·op(A)·op(B)` with `C` pre-scaled by
 //!   `β` once at the top, so every base case is a plain accumulate
 //!   (`β = 1`) through [`crate::gemm`]'s blocked driver with the plan's
-//!   remaining axes (threads, ISA, blocking, packing) intact.
+//!   remaining axes (threads, ISA, blocking) intact.
 //! * Operand quadrants are addressed through a `Quad` — an offset into
 //!   the caller's buffer plus the original leading dimension and
 //!   transpose flag — so no input data is ever copied to take a
@@ -167,7 +167,6 @@ impl Ctx<'_> {
         self.agg.grid_cols = self.agg.grid_cols.max(s.grid_cols);
         self.agg.a_packed_bytes += s.a_packed_bytes;
         self.agg.b_packed_bytes += s.b_packed_bytes;
-        self.agg.b_pack_shared += s.b_pack_shared;
         self.agg.arena_bytes_reused += s.arena_bytes_reused;
         self.agg.kernel_calls += s.kernel_calls;
         self.agg.pack_ns += s.pack_ns;

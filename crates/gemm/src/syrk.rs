@@ -16,8 +16,7 @@
 //! strict upper triangle of `C` is never written. A tile wholly on or
 //! below the diagonal runs the fused kernel, as GEMM's do; only the tiles
 //! the diagonal cuts are staged. Both write back by the one rule (see
-//! [`crate::microkernel`]), so which tiles the bands cut changes no bit. Bands have different
-//! widths, hence different `B` block sequences, so `B` is never shared.
+//! [`crate::microkernel`]), so which tiles the bands cut changes no bit.
 
 use crate::gemm::{run_tiles, Member, Merge, Prologue};
 use crate::microkernel::write_back;
@@ -86,7 +85,7 @@ pub fn syrk_with_stats_pooled<T: Element>(
     let rows = |band: usize| (bands[band], bands[band + 1]);
     // SAFETY: `member` was checked for this `m×m`, and `band_edges` ascend
     // strictly from 0 to `m`, so the bands partition the rows.
-    unsafe { run_tiles::<T, LowerTriangle>(pool, &pro, &a_view.t(), &member, grid, rows, false) };
+    unsafe { run_tiles::<T, LowerTriangle>(pool, &pro, &a_view.t(), &member, grid, rows) };
     pro.finish(&member.stats, grid)
 }
 
@@ -314,7 +313,6 @@ mod tests {
                 &member,
                 grid,
                 rows,
-                false,
             )
         };
     }

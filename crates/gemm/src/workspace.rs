@@ -19,17 +19,12 @@
 //!   across calls.
 //! * [`Workspace`] — the [`crate::pool::ThreadPool`]-owned set of
 //!   per-worker slots (cache-line padded so neighbouring workers never
-//!   false-share) plus a free list of shared-B regions. Pool workers get a
-//!   stable slot index at spawn; [`Workspace::with_arena`] routes a pool
-//!   worker to its own slot and any other thread to the thread-local
-//!   arena.
-//! * [`PanelBarrier`] — the lightweight per-rank-update barrier the
-//!   cooperative shared-B driver synchronises on: sense-reversing, spin
-//!   then yield, poisoned on worker panic so a failed groupmate turns
-//!   into a panic instead of a hang.
+//!   false-share). Pool workers get a stable slot index at spawn;
+//!   [`Workspace::with_arena`] routes a pool worker to its own slot and
+//!   any other thread to the thread-local arena.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -276,8 +271,7 @@ thread_local! {
 }
 
 /// The packing workspace owned by a [`crate::pool::ThreadPool`]: one
-/// cache-line-padded [`PackArena`] slot per worker plus a free list of
-/// arenas for the cooperative driver's shared-B regions.
+/// cache-line-padded [`PackArena`] slot per worker.
 ///
 /// Slots are keyed by the stable worker index each pool thread registers
 /// at spawn, so a worker always lands on the same warm arena. The slot
@@ -287,7 +281,6 @@ thread_local! {
 pub struct Workspace {
     id: u64,
     slots: Vec<CachePadded<Mutex<PackArena>>>,
-    shared: Mutex<Vec<PackArena>>,
 }
 
 impl std::fmt::Debug for Workspace {
@@ -302,7 +295,6 @@ impl Workspace {
         Self {
             id: NEXT_WORKSPACE_ID.fetch_add(1, Ordering::Relaxed),
             slots: (0..workers.max(1)).map(|_| CachePadded(Mutex::new(PackArena::new()))).collect(),
-            shared: Mutex::new(Vec::new()),
         }
     }
 
@@ -330,121 +322,19 @@ impl Workspace {
         }
     }
 
-    /// Take a shared-region arena from the free list (or a fresh empty
-    /// one on a cold start). Pair with [`Workspace::restore_shared`];
-    /// steady-state traffic cycles the same arenas with no allocation.
-    pub fn checkout_shared(&self) -> PackArena {
-        self.shared.lock().pop().unwrap_or_default()
-    }
-
-    /// Return a shared-region arena to the free list.
-    pub fn restore_shared(&self, arena: PackArena) {
-        self.shared.lock().push(arena);
-    }
-
-    /// Aggregate counters over every worker slot and every *parked*
-    /// shared-region arena (arenas checked out by an in-flight call are
-    /// counted once they are restored).
+    /// Aggregate counters over every worker slot.
     pub fn arena_stats(&self) -> ArenaStats {
         let mut total = ArenaStats::default();
         for slot in &self.slots {
             total.merge(&slot.0.lock().stats());
         }
-        for arena in self.shared.lock().iter() {
-            total.merge(&arena.stats());
-        }
         total
-    }
-}
-
-/// A sense-reversing barrier for one cooperative shared-B panel group.
-///
-/// All `members` workers of a grid column group call [`PanelBarrier::wait`]
-/// twice per rank update: once after the designated packer fills the
-/// shared panel (publish), once after everyone has consumed it (retire).
-/// Waiting spins briefly then yields, so the cost is nanoseconds when the
-/// group is balanced and the OS stays in charge when it is not.
-///
-/// If a groupmate panics, its unwind guard poisons the barrier and every
-/// waiter panics too instead of spinning forever — the pool's panic
-/// propagation then reports the original failure to the caller.
-pub struct PanelBarrier {
-    members: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    poisoned: AtomicBool,
-}
-
-impl PanelBarrier {
-    /// A barrier for `members` cooperating workers.
-    pub fn new(members: usize) -> Self {
-        Self {
-            members: members.max(1),
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    /// Block until all members have arrived.
-    ///
-    /// # Panics
-    /// Panics if the barrier was poisoned by a panicking member.
-    pub fn wait(&self) {
-        if self.members == 1 {
-            self.check_poison();
-            return;
-        }
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.members {
-            // Last arriver: reset the count, then open the gate. The
-            // release store publishes both the reset and every member's
-            // preceding writes (panel contents) to the waiters.
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation.store(generation.wrapping_add(1), Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                self.check_poison();
-                spins = spins.saturating_add(1);
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-        self.check_poison();
-    }
-
-    /// Mark the group as failed; every current and future waiter panics.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-    }
-
-    fn check_poison(&self) {
-        if self.poisoned.load(Ordering::Acquire) {
-            panic!("shared-B panel group poisoned by a panicking worker");
-        }
-    }
-}
-
-/// Poisons a [`PanelBarrier`] if the scope unwinds from a panic, so the
-/// rest of the group fails fast instead of deadlocking at the barrier.
-pub struct PoisonOnUnwind<'a>(pub &'a PanelBarrier);
-
-impl Drop for PoisonOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
 
     #[test]
     fn arena_reuses_after_first_checkout() {
@@ -536,72 +426,5 @@ mod tests {
             a.checkout_elems::<f32>(64);
         });
         assert_eq!(ws.arena_stats(), ArenaStats::default());
-    }
-
-    #[test]
-    fn workspace_shared_free_list_recycles() {
-        let ws = Workspace::new(1);
-        let mut arena = ws.checkout_shared();
-        arena.checkout_elems::<f64>(1000);
-        ws.restore_shared(arena);
-        let mut again = ws.checkout_shared();
-        let (_, warm) = again.checkout_elems::<f64>(1000);
-        assert!(warm > 0, "recycled shared arena must be warm");
-        ws.restore_shared(again);
-        assert_eq!(ws.arena_stats().allocations, 1);
-    }
-
-    #[test]
-    fn barrier_synchronises_phases() {
-        let members = 4;
-        let barrier = PanelBarrier::new(members);
-        let phase = AtomicU32::new(0);
-        let errors = AtomicU32::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..members {
-                scope.spawn(|| {
-                    for round in 0..50u32 {
-                        // Everyone must observe the same phase between
-                        // barrier generations.
-                        if phase.load(Ordering::SeqCst) != round {
-                            errors.fetch_add(1, Ordering::SeqCst);
-                        }
-                        barrier.wait();
-                        // One arbitrary member bumps the phase exactly once.
-                        let _ = phase.compare_exchange(
-                            round,
-                            round + 1,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        );
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        assert_eq!(errors.load(Ordering::SeqCst), 0);
-        assert_eq!(phase.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn poisoned_barrier_panics_waiters_instead_of_hanging() {
-        let barrier = PanelBarrier::new(2);
-        let waiter_result = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| barrier.wait()))
-            });
-            // Give the waiter a moment to park, then poison.
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            barrier.poison();
-            handle.join().expect("waiter thread survived")
-        });
-        assert!(waiter_result.is_err(), "poison must panic the waiter");
-    }
-
-    #[test]
-    fn single_member_barrier_is_free() {
-        let barrier = PanelBarrier::new(1);
-        barrier.wait();
-        barrier.wait();
     }
 }

@@ -59,6 +59,8 @@ fn main() {
             d.predicted_runtime_s * 1e3
         );
     }
+    // The reduced grid's one other axis, packing, is priced by the model
+    // but reaches no host plan (every worker packs its own `B`).
     println!("{non_default} of 4 decisions moved a non-thread plan axis");
 
     // Execute one real host GEMM under the learned plan; whatever the

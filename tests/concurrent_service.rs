@@ -1,7 +1,7 @@
 //! Concurrency tests for the shared ADSALA serving layer: N client
 //! threads hammering one `AdsalaService` through `&self`, the
-//! shared-vs-private packing equivalence the runtime path relies on, and
-//! mixed-routine/mixed-precision traffic through the generic `run`
+//! service-pool-vs-process-pool equivalence the runtime path relies on,
+//! and mixed-routine/mixed-precision traffic through the generic `run`
 //! entry point.
 
 use std::collections::HashMap;
@@ -10,18 +10,8 @@ use std::sync::Arc;
 use adsala::bundle::quick_test_bundle as quick_bundle;
 use adsala::prelude::*;
 use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
-use adsala_gemm::PackingStrategy;
 
 type ShapeKey = (u64, u64, u64);
-
-/// A direct call with private `B` panels: the process pool is sized to the
-/// host, so without this a reference could share `B` exactly as the
-/// service does, and the comparison would not check shared-B packing
-/// against private packing.
-fn private_b(m: usize, n: usize, k: usize, threads: usize) -> GemmCall {
-    let call = GemmCall::new(m, n, k, threads);
-    call.with_plan(call.plan.with_packing(PackingStrategy::Independent))
-}
 
 #[test]
 fn service_is_send_and_sync() {
@@ -142,8 +132,8 @@ fn cache_stays_bounded_under_adversarial_stream() {
 }
 
 /// Concurrent `sgemm` calls through one shared service must all be
-/// correct, and the service's pool (shared `B`) must produce
-/// bitwise-identical output to private packing on the process pool.
+/// correct, and the service's pool must produce bitwise-identical output
+/// to the process pool.
 #[test]
 fn concurrent_sgemm_matches_spawn_path_bitwise() {
     let service = AdsalaService::with_config(
@@ -172,7 +162,7 @@ fn concurrent_sgemm_matches_spawn_path_bitwise() {
                     // Same thread request on the process pool.
                     let threads = decision.threads().clamp(1, 4) as usize;
                     let mut c_global = vec![1.0f32; m * n];
-                    let call = private_b(m, n, k, threads);
+                    let call = GemmCall::new(m, n, k, threads);
                     gemm_with_stats(&call, 1.5, &a, k, &b, n, 0.5, &mut c_global, n);
                     assert_eq!(
                         c_pooled, c_global,
@@ -214,7 +204,7 @@ fn mixed_routine_traffic_matches_direct_kernels_bitwise() {
                 assert_eq!((stats.routine, stats.precision), (Routine::Gemm, Precision::F32));
                 let threads = d.threads().clamp(1, cap) as usize;
                 let mut c_direct = vec![1.0f32; m * n];
-                let call = private_b(m, n, k, threads);
+                let call = GemmCall::new(m, n, k, threads);
                 gemm_with_stats(&call, 1.5, &a, k, &b, n, 0.5, &mut c_direct, n);
                 assert_eq!(c, c_direct, "f32 GEMM diverged from direct kernel");
             }
@@ -234,7 +224,7 @@ fn mixed_routine_traffic_matches_direct_kernels_bitwise() {
                 assert_eq!((stats.routine, stats.precision), (Routine::Gemm, Precision::F64));
                 let threads = d.threads().clamp(1, cap) as usize;
                 let mut c_direct = vec![2.0f64; m * n];
-                let call = private_b(m, n, k, threads);
+                let call = GemmCall::new(m, n, k, threads);
                 gemm_with_stats(&call, 1.0, &a, k, &b, n, -0.5, &mut c_direct, n);
                 assert_eq!(c, c_direct, "f64 GEMM diverged from direct kernel");
             }

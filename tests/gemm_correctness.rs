@@ -9,9 +9,7 @@ use adsala_repro::adsala_gemm::gemv::{gemv_with_stats, naive_gemv};
 use adsala_repro::adsala_gemm::naive::naive_gemm;
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::syrk::{naive_syrk, syrk_with_stats, syrk_with_stats_pooled};
-use adsala_repro::adsala_gemm::{
-    BlockSizes, Element, Kernel, KernelIsa, PackingStrategy, ThreadGrid, Transpose,
-};
+use adsala_repro::adsala_gemm::{BlockSizes, Element, Kernel, KernelIsa, ThreadGrid, Transpose};
 use proptest::prelude::*;
 
 fn fill(n: usize, seed: u64) -> Vec<f64> {
@@ -329,8 +327,7 @@ proptest! {
     // The pooled driver spawns a pool per case; keep the case count low.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // Independent packing on the process pool (sized to the host) against
-    // shared-B packing on a private pool of 4.
+    // The process pool (sized to the host) against a private pool of 4.
     #[test]
     fn pooled_gemm_bit_matches_scoped_gemm(
         m in 1usize..80,
@@ -345,8 +342,7 @@ proptest! {
         let mut c1 = fill(m * n, seed + 2);
         let mut c2 = c1.clone();
         let call = GemmCall::new(m, n, k, threads);
-        let private = call.with_plan(call.plan.with_packing(PackingStrategy::Independent));
-        gemm_with_stats(&private, 1.0, &a, k, &b, n, 0.5, &mut c1, n);
+        gemm_with_stats(&call, 1.0, &a, k, &b, n, 0.5, &mut c1, n);
         gemm_with_stats_pooled(&pool, &call, 1.0, &a, k, &b, n, 0.5, &mut c2, n);
         prop_assert_eq!(c1, c2);
     }

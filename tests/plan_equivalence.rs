@@ -1,16 +1,15 @@
 //! Plan-equivalence coverage: every plan the candidate grid can emit —
 //! each combination of thread count, ISA choice, block scale, and packing
 //! strategy — must compute the correct product across transpose combos
-//! and skewed shapes, give the same bits on a private pool as with
-//! independent packing on the process pool (sized to the host), and (for
-//! scalar-ISA plans) be invariant to the thread count and packing strategy.
+//! and skewed shapes, give the same bits on a private pool as on the
+//! process pool (sized to the host), and (for scalar-ISA plans) be
+//! invariant to the thread count and the grid's packing axis (which no
+//! host plan carries).
 
 use adsala_repro::adsala_gemm::dispatch::Precision;
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
 use adsala_repro::adsala_gemm::naive::naive_gemm;
-use adsala_repro::adsala_gemm::plan::{
-    ExecutionPlan, IsaChoice, PackingStrategy, PlanGrid, PlanPoint,
-};
+use adsala_repro::adsala_gemm::plan::{ExecutionPlan, IsaChoice, PlanGrid, PlanPoint};
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::Transpose;
 
@@ -76,10 +75,7 @@ macro_rules! grid_plans_are_correct_and_pool_invariant {
 
                     let call = GemmCall { trans_a: ta, trans_b: tb, ..GemmCall::new(m, n, k, 1) }
                         .with_plan(plan);
-                    // Private `B` on the process pool, so a shared-B plan on
-                    // the private pool is checked against private packing.
-                    let private = call.with_plan(plan.with_packing(PackingStrategy::Independent));
-                    gemm_with_stats(&private, alpha, &a, lda, &b, ldb, beta, &mut c_global, n);
+                    gemm_with_stats(&call, alpha, &a, lda, &b, ldb, beta, &mut c_global, n);
                     gemm_with_stats_pooled(
                         &pool, &call, alpha, &a, lda, &b, ldb, beta, &mut c_pooled, n,
                     );
@@ -120,8 +116,8 @@ grid_plans_are_correct_and_pool_invariant!(
 );
 
 /// Scalar-ISA plans must be bitwise invariant to the thread count and the
-/// packing strategy: threads split `M`/`N` (never the `K` accumulation)
-/// and both packing strategies materialise identical panels, so only the
+/// grid's packing axis: threads split `M`/`N` (never the `K` accumulation)
+/// and both packing values materialise the same plan, so only the
 /// blocking axis may legitimately change the result bits.
 #[test]
 fn scalar_plans_are_thread_and_packing_invariant() {
@@ -129,7 +125,7 @@ fn scalar_plans_are_thread_and_packing_invariant() {
     let pool = ThreadPool::new(4);
     for point in grid.points().filter(|p| p.isa == IsaChoice::Scalar) {
         let plan = point.materialise(Precision::F64);
-        let reference = ExecutionPlan { threads: 1, packing: PackingStrategy::SharedB, ..plan };
+        let reference = ExecutionPlan { threads: 1, ..plan };
         for &(m, n, k, ta, tb) in CASES {
             let (ta, tb) = transposes(ta, tb);
             let (a_len, b_len, lda, ldb) = strides(m, n, k, ta, tb);
@@ -155,7 +151,7 @@ fn scalar_plans_are_thread_and_packing_invariant() {
             assert_eq!(
                 c_plan,
                 c_ref,
-                "scalar plan [{}] must match its single-threaded shared-B form bitwise \
+                "scalar plan [{}] must match its single-threaded form bitwise \
                  on {m}x{n}x{k} ta={ta:?} tb={tb:?}",
                 plan.describe()
             );

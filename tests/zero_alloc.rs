@@ -13,7 +13,7 @@ use adsala::prelude::*;
 use adsala_gemm::blocking::reads_in_place;
 use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
 use adsala_gemm::workspace::thread_arena_stats;
-use adsala_gemm::{syrk_with_stats, BlockSizes, GemmStats, PackingStrategy, ThreadPool};
+use adsala_gemm::{syrk_with_stats, BlockSizes, GemmStats, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -39,8 +39,8 @@ fn steady_state_service_traffic_allocates_nothing_on_the_packing_path() {
     let svc = service();
     let shapes = [(192usize, 192usize, 96usize), (256, 64, 128), (64, 64, 64)];
 
-    // Warm-up: the first call per shape may grow pool-slot arenas, the
-    // shared-B free list, and this client thread's local arena.
+    // Warm-up: the first call per shape may grow pool-slot arenas and
+    // this client thread's local arena.
     for &(m, n, k) in &shapes {
         run_gemm(&svc, m, n, k);
         run_gemm(&svc, m, n, k);
@@ -119,7 +119,6 @@ fn unpooled_calls_reuse_the_process_pool() {
     let k = (64..).step_by(16).find(|&k| !reads_in_place::<f64>(m / 2, m, k)).expect("deep k");
     let a: Vec<f64> = (0..m * k).map(|i| (i % 7) as f64).collect();
     let call = GemmCall::new(m, m, k, 2);
-    let call = call.with_plan(call.plan.with_packing(PackingStrategy::Independent));
     let gemm = || {
         let mut c = vec![0.0f64; m * m];
         gemm_with_stats(&call, 1.0, &a, k, &a, m, 0.0, &mut c, m)
@@ -131,13 +130,12 @@ fn unpooled_calls_reuse_the_process_pool() {
 
     // Warm every worker with the packing pair both calls check out (the
     // default blocks on `m×m×k`): one task per worker, held on a barrier
-    // until all have started so no worker takes two, under a gang
-    // reservation of the whole pool, as a batch whose tasks wait on each
-    // other must hold. A second checkout reports the pair's size.
+    // until all have started so no worker takes two. Nothing else uses
+    // the process pool, so every worker is free to start one. A second
+    // checkout reports the pair's size.
     let pool = ThreadPool::global();
     let blocks = BlockSizes::dispatched::<f64>().clamped(m, m, k);
     let workers = pool.workers();
-    let gang = pool.try_reserve_gang(workers).expect("nothing else uses the process pool");
     let (barrier, pair) = (Barrier::new(workers), AtomicU64::new(0));
     let (ws, barrier, pair) = (pool.workspace(), &barrier, &pair);
     let tasks = (0..workers)
@@ -152,7 +150,6 @@ fn unpooled_calls_reuse_the_process_pool() {
         })
         .collect();
     pool.scope_execute(tasks);
-    drop(gang);
 
     let pair = pair.load(Ordering::Relaxed);
     let before = pool.workspace().arena_stats();
