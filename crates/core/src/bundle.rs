@@ -129,16 +129,6 @@ impl ArtifactBundle {
         self.grid.threads.iter().copied().max().unwrap_or(1)
     }
 
-    /// A new bundle carrying a replacement [`ModelTable`] but the *same*
-    /// fitted preprocessing config and candidate grid — the shape of an
-    /// online-retrain hot-swap. Keeping the old config is deliberate:
-    /// the config is shared by every routine's model, so refitting it for
-    /// the retrained routines would silently desynchronise the features
-    /// seen by the routines that were *not* retrained.
-    pub fn refreshed(&self, models: ModelTable) -> Self {
-        Self { config: self.config.clone(), models, grid: self.grid.clone() }
-    }
-
     /// The conservative fallback decision served while the drift detector
     /// is tripped: a threads-only plan at the widest candidate within
     /// `cap` — the paper's max-threads baseline, i.e. what a non-learning

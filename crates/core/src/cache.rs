@@ -20,9 +20,9 @@
 //! asserts.
 //!
 //! **Generations.** Decisions are only as durable as the model that made
-//! them: when the online-adaptation layer hot-swaps the artefact bundle,
-//! every memoised plan is stale. The cache therefore carries a
-//! monotonically increasing *generation*; each resident entry is tagged
+//! them: when the service hot-swaps the artefact bundle (a reinstall
+//! going live), every memoised plan is stale. The cache therefore carries
+//! a monotonically increasing *generation*; each resident entry is tagged
 //! with the generation it was decided under, lookups treat a tag from an
 //! older generation as a miss, and [`DecisionCache::bump_generation`]
 //! retires the whole memo in O(shards). The swap protocol in

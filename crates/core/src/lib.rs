@@ -33,10 +33,10 @@
 //!    owns a persistent [`adsala_gemm::ThreadPool`] and answers typed
 //!    [`OpRequest`]s — GEMM, SYRK, GEMV, in `f32` or `f64` — through one
 //!    `run` entry point, from any number of client threads;
-//! 4. [`online`] — the control plane that closes the loop: every call
-//!    feeds an observation reservoir and a drift detector, and a
-//!    background retrainer rebuilds models from observed timings and
-//!    hot-swaps the bundle under live traffic with zero downtime.
+//! 4. [`online`] — the drift recorder: every call feeds a per-routine
+//!    predicted-vs-measured error with a trip wire, a tripped detector
+//!    can fall back to max-threads plans, and a reinstalled bundle is
+//!    hot-swapped under live traffic with zero downtime.
 //!
 //! There is one decision path ([`select`]'s single pricing sweep, folded
 //! into its argmin) and one serving path (the service's execute → observe
@@ -80,10 +80,7 @@ pub use cache::{CacheStats, DecisionCache};
 pub use features::{shape_terms, RowLayout, FEATURE_COUNT};
 pub use gather::{GatherConfig, GemmRecord, ThreadLadder, TrainingData};
 pub use install::{InstallConfig, Installation};
-pub use online::{
-    retrain_now, DriftConfig, DriftDetector, DriftSnapshot, Observation, ObservationReservoir,
-    OnlineAdapter, OnlineConfig, ReservoirStats, RetrainConfig, RetrainOutcome,
-};
+pub use online::{DriftConfig, DriftDetector, DriftSnapshot, OnlineConfig};
 pub use preprocess::{
     fit_preprocess, fit_preprocess_with, PreprocessConfig, PreprocessOptions, PreprocessReport,
 };
@@ -123,9 +120,7 @@ pub mod prelude {
     pub use crate::bundle::{ArtifactBundle, PlanDecision};
     pub use crate::cache::CacheStats;
     pub use crate::install::{InstallConfig, Installation};
-    pub use crate::online::{
-        retrain_now, DriftConfig, OnlineAdapter, OnlineConfig, RetrainConfig, RetrainOutcome,
-    };
+    pub use crate::online::{DriftConfig, OnlineConfig};
     pub use crate::scheduler::{ScheduledRun, SchedulerConfig, SchedulerStats, ServiceScheduler};
     pub use crate::service::{AdsalaService, RunOptions, ServiceConfig, ServiceStats};
     pub use crate::AdsalaError;

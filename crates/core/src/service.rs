@@ -14,10 +14,7 @@
 //! (§VI-D) identifies as the dominant overhead for small shapes. The pool
 //! also owns the packing [`adsala_gemm::Workspace`]: workers reuse warm
 //! per-worker arenas (zero packing-path heap allocations at steady
-//! state, observable as [`ServiceStats::workspace`]) and
-//! row-split GEMM grids pack each B panel once into a shared region
-//! instead of once per row group — the two copy/sync costs of Table VII
-//! this layer eliminates.
+//! state, observable as [`ServiceStats::workspace`]).
 //!
 //! The serving surface is routine- and precision-generic: build an
 //! [`OpRequest`] from a typed descriptor ([`adsala_gemm::GemmArgs`],
@@ -30,12 +27,12 @@
 //! `evaluations` counts actual model sweeps (concurrent racing misses may
 //! sweep the same shape twice — both count), `cache` the memo traffic.
 //!
-//! **Online adaptation.** The bundle slot is hot-swappable: every call
-//! feeds the [`crate::online`] feedback loop (the per-routine error
-//! recorder with its drift trip wire, and the observation reservoir —
-//! lock-cheap accounting),
-//! and [`AdsalaService::swap_bundle`] publishes a retrained bundle under
-//! live traffic. The swap is two ordered steps — install the new `Arc`
+//! **Drift and swaps.** Every model-decided call feeds the
+//! [`crate::online`] drift recorder (per-routine predicted-vs-measured
+//! error with a trip wire, one logarithm under one short lock), and the
+//! bundle slot is hot-swappable: [`AdsalaService::swap_bundle`] publishes
+//! a reinstalled bundle under live traffic and resets the recorder. The
+//! swap is two ordered steps — install the new `Arc`
 //! under the bundle `RwLock`, then bump the memo's generation —
 //! while serving threads read the generation *before* loading the
 //! bundle and publish decisions through `insert_if_generation`, so a
@@ -97,9 +94,7 @@ use parking_lot::RwLock;
 
 use crate::bundle::{ArtifactBundle, PlanDecision};
 use crate::cache::{CacheStats, DecisionCache, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS};
-use crate::online::{
-    DriftDetector, DriftSnapshot, Observation, ObservationReservoir, OnlineConfig, ReservoirStats,
-};
+use crate::online::{DriftDetector, DriftSnapshot, OnlineConfig};
 use crate::AdsalaError;
 
 /// Tunables for [`AdsalaService`].
@@ -198,8 +193,6 @@ pub struct AdsalaService {
     online: OnlineConfig,
     /// Per-routine predicted-vs-measured error with the drift trip wire.
     drift: DriftDetector,
-    /// Bounded sink of executed-op observations for the retrainer.
-    reservoir: ObservationReservoir,
     /// Bundle hot-swaps performed.
     swaps: AtomicU64,
     /// Decisions served as conservative fallbacks while drifted.
@@ -261,8 +254,6 @@ pub struct ServiceStats {
     pub prediction: PredictionErrorStats,
     /// Drift-detector state (trip wire + per-routine error).
     pub drift: DriftSnapshot,
-    /// Observation-reservoir occupancy and traffic.
-    pub reservoir: ReservoirStats,
     /// Decision-memo counters.
     pub cache: CacheStats,
     /// Execution-pool size and worker-respawn counter.
@@ -305,7 +296,6 @@ impl AdsalaService {
             plan_downgrades: AtomicU64::new(0),
             online: cfg.online,
             drift: DriftDetector::new(cfg.online.drift),
-            reservoir: ObservationReservoir::for_service(),
             swaps: AtomicU64::new(0),
             drift_fallbacks: AtomicU64::new(0),
             algo_executed: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
@@ -521,7 +511,7 @@ impl AdsalaService {
 
     /// Book one executed op: stamp the prediction it ran under (if any),
     /// count a plan downgrade, tally the algorithm that actually ran, and
-    /// feed the feedback loop (only when there is a prediction to compare
+    /// feed the drift recorder (only when there is a prediction to compare
     /// the measurement against).
     fn settle(
         &self,
@@ -637,19 +627,18 @@ impl AdsalaService {
         self.serve(req, plan, None, None, false)
     }
 
-    /// Feed one executed op into the feedback loop: the per-routine error
-    /// recorder (with its drift trip wire) and the observation reservoir.
-    /// The serve stage calls this for every model-decided op. Lock-cheap
-    /// and never blocking.
+    /// Feed one executed op into the per-routine error recorder and its
+    /// drift trip wire. The serve stage calls this for every model-decided
+    /// op. One logarithm under one short per-routine lock; the error is
+    /// kept per routine, so the plan the op ran under is not read.
     pub fn observe(
         &self,
         shape: OpShape,
-        plan: &ExecutionPlan,
+        _plan: &ExecutionPlan,
         predicted_runtime_s: f64,
         wall_ns: u64,
     ) {
         self.drift.record(shape.routine, predicted_runtime_s, wall_ns);
-        self.reservoir.record(Observation { shape, plan: *plan, predicted_runtime_s, wall_ns });
     }
 
     /// Whether the drift detector is currently tripped.
@@ -661,11 +650,6 @@ impl AdsalaService {
     /// swapping a bundle (an operator override; a swap resets it anyway).
     pub fn reset_drift(&self) {
         self.drift.reset();
-    }
-
-    /// Take every resident observation (the retrainer's feed).
-    pub fn drain_observations(&self) -> Vec<crate::online::Observation> {
-        self.reservoir.drain()
     }
 
     /// Snapshot every service-level counter at once — the one way to ask.
@@ -685,7 +669,6 @@ impl AdsalaService {
             drift_fallbacks: self.drift_fallbacks.load(Ordering::Relaxed),
             prediction: drift.prediction(),
             drift,
-            reservoir: self.reservoir.stats(),
             cache,
             pool: self.pool.stats(),
             workspace: self.pool.workspace().arena_stats(),
@@ -992,8 +975,7 @@ mod tests {
         let svc = service();
         let before = decide(&svc, 128, 512, 128);
         assert_eq!(svc.stats().generation, 0);
-        let refreshed = svc.bundle().refreshed(svc.bundle().models.clone()).into_shared();
-        let generation = svc.swap_bundle(refreshed);
+        let generation = svc.swap_bundle((*svc.bundle()).clone().into_shared());
         assert_eq!(generation, 1);
         assert_eq!(svc.stats().generation, 1);
         assert_eq!(svc.stats().swaps, 1);
@@ -1019,13 +1001,7 @@ mod tests {
         assert!(stats.prediction_log_error().is_some());
         let s = svc.stats();
         assert_eq!(s.prediction.samples, 1);
-        assert_eq!(s.reservoir.recorded, 1, "every served op must reach the reservoir");
         assert_eq!(s.drift.for_routine(Routine::Gemm).samples, 1);
-        let drained = svc.drain_observations();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].shape, OpShape::gemm(Precision::F32, 64, 64, 64));
-        assert_eq!(drained[0].plan, decision.plan);
-        assert_eq!(drained[0].wall_ns, stats.exec.wall_ns);
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl StatsCollector {
 }
 
 /// Predicted-vs-measured runtime error over a set of executed ops, in
-/// log space (the serving layer's feedback loop accumulates it).
+/// log space (the serving layer's drift recorder accumulates it).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PredictionErrorStats {
     /// Ops that carried both a prediction and a measurement.

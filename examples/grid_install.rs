@@ -1,7 +1,7 @@
-//! Grid install smoke: train over a reduced execution-plan grid
-//! (threads × packing) on the simulated Gadi node, round-trip the
-//! versioned artefact, and serve full-plan decisions plus one real host
-//! GEMM.
+//! Grid install smoke: train over the widened execution-plan grid
+//! (threads × cache blocking × algorithm) on the simulated Gadi node,
+//! round-trip the versioned artefact, and serve full-plan decisions plus
+//! one real host GEMM.
 //!
 //! This is the CI guard for the plan-candidate machinery: gathering over
 //! a non-degenerate `PlanGrid`, appending the plan axes to the feature
@@ -21,12 +21,12 @@ use adsala_machine::{MachineModel, SimTimer};
 fn main() {
     let timer = SimTimer::new(MachineModel::gadi());
 
-    // A reduced grid keeps the sweep cheap (2 plan axes) while still
-    // exercising plan features and non-default candidate points.
+    // Four thread rungs keep the sweep cheap while every non-thread axis
+    // of the grid reaches the host plan it decides.
     let mut cfg = InstallConfig::quick();
     cfg.gather.n_shapes = 120;
-    cfg.gather.grid = Some(PlanGrid::reduced(vec![1, 8, 24, 96]));
-    println!("installing over a reduced plan grid (threads x packing)...");
+    cfg.gather.grid = Some(PlanGrid::widened(vec![1, 8, 24, 96], 384));
+    println!("installing over the widened plan grid (threads x blocking x algorithm)...");
     let install = Installation::run(&timer, &cfg).expect("grid install");
     assert!(!install.grid.is_threads_only(), "the gathered grid must keep its plan axes");
     assert_ne!(
@@ -59,9 +59,8 @@ fn main() {
             d.predicted_runtime_s * 1e3
         );
     }
-    // The reduced grid's one other axis, packing, is priced by the model
-    // but reaches no host plan (every worker packs its own `B`).
     println!("{non_default} of 4 decisions moved a non-thread plan axis");
+    assert!(non_default > 0, "a grid install must move some decision off the thread axis");
 
     // Execute one real host GEMM under the learned plan; whatever the
     // model chose must run correctly (degrading to scalar if forced).

@@ -268,8 +268,7 @@ fn scheduled_decisions_live_in_the_service_memo() {
     assert_eq!(submit().evaluations, 2, "clear_cache must retire scheduled decisions too");
 
     let service = sched.service();
-    let generation =
-        service.swap_bundle(service.bundle().refreshed(service.bundle().models.clone()).into());
+    let generation = service.swap_bundle((*service.bundle()).clone().into());
     let swapped = submit();
     assert_eq!(swapped.evaluations, 3, "a swap must retire scheduled decisions");
     assert_eq!((swapped.generation, swapped.cache.generation), (generation, generation));
