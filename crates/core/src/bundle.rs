@@ -25,14 +25,14 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use adsala_gemm::plan::{ExecutionPlan, PlanGrid, PlanPoint};
+use adsala_gemm::plan::{ExecutionPlan, PlanGrid};
 use adsala_gemm::{OpShape, Routine};
 use adsala_ml::AnyModel;
 use serde::{Deserialize, Serialize};
 
 use crate::artifact::{Artifact, ModelTable};
 use crate::preprocess::PreprocessConfig;
-use crate::select::{predict_at_point, predict_point_for_op_capped};
+use crate::select::predict_point_for_op_capped;
 use crate::AdsalaError;
 
 /// The outcome of a plan selection: the full learned execution plan plus
@@ -127,24 +127,6 @@ impl ArtifactBundle {
     /// any uncapped decision can emit.
     pub fn max_candidate_threads(&self) -> u32 {
         self.grid.threads.iter().copied().max().unwrap_or(1)
-    }
-
-    /// The conservative fallback decision served while the drift detector
-    /// is tripped: a threads-only plan at the widest candidate within
-    /// `cap` — the paper's max-threads baseline, i.e. what a non-learning
-    /// BLAS would do. The model still prices the point (in the grid's row
-    /// layout) so the decision carries a prediction for the books, but no
-    /// model *choice* is trusted.
-    pub fn conservative_op(&self, shape: OpShape, cap: u32) -> PlanDecision {
-        let threads = self.max_candidate_threads().min(cap.max(1));
-        let point = PlanPoint::threads_only(threads);
-        let model = self.models.for_routine(shape.routine);
-        let pred = predict_at_point(model, &self.config, &self.grid, &shape, &point);
-        PlanDecision {
-            plan: point.materialise(shape.precision),
-            predicted_runtime_s: self.config.runtime_from_prediction(pred),
-            memoised: false,
-        }
     }
 
     /// Strip provenance off an on-disk artefact.

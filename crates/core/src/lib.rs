@@ -4,8 +4,9 @@
 //! to pick, per call, the execution configuration minimising runtime. The
 //! paper learns one axis (the thread count); this library generalises the
 //! learned decision to a full [`adsala_gemm::plan::ExecutionPlan`] —
-//! threads, micro-kernel ISA, cache-blocking scale, and packing strategy —
-//! while keeping the paper's two-phase life cycle:
+//! threads, micro-kernel ISA, cache-blocking scale, and multiplication
+//! algorithm (blocked, Strassen, Z-order) — while keeping the paper's
+//! two-phase life cycle:
 //!
 //! **Installation** ([`gather`] → [`preprocess`] → [`train`] → [`select`]):
 //! sample GEMM shapes quasi-randomly, time them at a grid of candidate
@@ -33,18 +34,21 @@
 //!    owns a persistent [`adsala_gemm::ThreadPool`] and answers typed
 //!    [`OpRequest`]s — GEMM, SYRK, GEMV, in `f32` or `f64` — through one
 //!    `run` entry point, from any number of client threads;
-//! 4. [`online`] — the drift recorder: every call feeds a per-routine
-//!    predicted-vs-measured error with a trip wire, a tripped detector
-//!    can fall back to max-threads plans, and a reinstalled bundle is
-//!    hot-swapped under live traffic with zero downtime.
+//! 4. [`scheduler::ServiceScheduler`] — admission control and deadlines
+//!    in front of the service: a FIFO gate, then one `run_with` call.
+//!
+//! As in the paper, the models are trained once and then only served: the
+//! service keeps per-routine sums of their prediction error
+//! ([`ServiceStats::prediction`]), and the remedy for a model that no
+//! longer predicts the machine is a fresh install, hot-swapped under live
+//! traffic with zero downtime ([`AdsalaService::swap_bundle`]).
 //!
 //! There is one decision path ([`select`]'s single pricing sweep, folded
 //! into its argmin) and one serving path (the service's execute → observe
-//! → recover stage; the [`scheduler`] is an admission gate in front of
-//! it). The paper's single-threaded
-//! runtime class (Fig. 3) is a service used from one thread: its §III-C
-//! "same shape as the previous call" memo is the cache's per-shard
-//! last-shape fast path.
+//! → recover stage, which the scheduler enters through `run_with`). The
+//! paper's single-threaded runtime class (Fig. 3) is a service used from
+//! one thread: its §III-C "same shape as the previous call" memo is the
+//! cache's per-shard last-shape fast path.
 //!
 //! ```no_run
 //! use adsala::install::{InstallConfig, Installation};
@@ -66,7 +70,6 @@ pub mod cache;
 pub mod features;
 pub mod gather;
 pub mod install;
-pub mod online;
 pub mod preprocess;
 pub mod scheduler;
 pub mod select;
@@ -80,7 +83,6 @@ pub use cache::{CacheStats, DecisionCache};
 pub use features::{shape_terms, RowLayout, FEATURE_COUNT};
 pub use gather::{GatherConfig, GemmRecord, ThreadLadder, TrainingData};
 pub use install::{InstallConfig, Installation};
-pub use online::{DriftConfig, DriftDetector, DriftSnapshot, OnlineConfig};
 pub use preprocess::{
     fit_preprocess, fit_preprocess_with, PreprocessConfig, PreprocessOptions, PreprocessReport,
 };
@@ -120,7 +122,6 @@ pub mod prelude {
     pub use crate::bundle::{ArtifactBundle, PlanDecision};
     pub use crate::cache::CacheStats;
     pub use crate::install::{InstallConfig, Installation};
-    pub use crate::online::{DriftConfig, OnlineConfig};
     pub use crate::scheduler::{ScheduledRun, SchedulerConfig, SchedulerStats, ServiceScheduler};
     pub use crate::service::{AdsalaService, RunOptions, ServiceConfig, ServiceStats};
     pub use crate::AdsalaError;

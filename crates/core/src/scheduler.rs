@@ -11,10 +11,10 @@
 //!    through `run_with` with its thread cap lowered to
 //!    [`SchedulerConfig::thread_budget`]. It decides, executes, observes
 //!    and recovers exactly like a direct `run_with`: the same memo, the
-//!    same drift gate and the same panic boundary, so the scheduler adds
-//!    no serving path of its own. The budget is each op's ceiling; while
-//!    other ops are in flight, `run_with` lowers it further to the op's
-//!    share of the pool, as it does for a direct call.
+//!    same prediction-error sums and the same panic boundary, so the
+//!    scheduler adds no serving path of its own. The budget is each op's
+//!    ceiling; while other ops are in flight, `run_with` lowers it
+//!    further to the op's share of the pool, as it does for a direct call.
 //!
 //! The gate counts ops, not threads. Admitting by the threads of each
 //! op's plan would park a small op until a wide one's threads came back,

@@ -72,9 +72,9 @@ pub struct SpeedupEstimate {
     pub est_aggregate: f64,
 }
 
-/// Evaluate the model at one (possibly clamped) candidate point.
-/// `pub(crate)` so the bundle can price a single conservative fallback
-/// plan with the same feature path the sweep uses.
+/// Evaluate the model at one (possibly clamped) candidate point: the
+/// one-row reference the batched sweep is compared with.
+#[cfg(test)]
 pub(crate) fn predict_at_point(
     model: &AnyModel,
     config: &PreprocessConfig,
@@ -151,7 +151,7 @@ fn axis_value(
 /// a grid that sweeps more axes gets them appended to every row, in the
 /// grid's [`RowLayout`].
 ///
-/// The rows are those [`predict_at_point`] builds one at a time, bit for
+/// The rows are those `predict_at_point` builds one at a time, bit for
 /// bit, but built as one batch (see the module doc): a column is
 /// transformed once for all the candidates that share its value, and the
 /// model prices the batch in one [`Regressor::predict_rows`] call (a tree

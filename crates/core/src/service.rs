@@ -27,12 +27,16 @@
 //! `evaluations` counts actual model sweeps (concurrent racing misses may
 //! sweep the same shape twice — both count), `cache` the memo traffic.
 //!
-//! **Drift and swaps.** Every model-decided call feeds the
-//! [`crate::online`] drift recorder (per-routine predicted-vs-measured
-//! error with a trip wire, one logarithm under one short lock), and the
-//! bundle slot is hot-swappable: [`AdsalaService::swap_bundle`] publishes
-//! a reinstalled bundle under live traffic and resets the recorder. The
-//! swap is two ordered steps — install the new `Arc`
+//! **Prediction error and swaps.** The paper trains once at install time
+//! and then only serves, and so does this service: every model-decided
+//! call takes the same decision path (the memo, then the sweep). Each
+//! one also adds `ln(measured / predicted)` to its routine's running
+//! sums (one logarithm under one short lock), which
+//! [`ServiceStats::prediction`] and [`ServiceStats::prediction_by_routine`]
+//! report; nothing on the serving path reads them. The remedy for a model
+//! that no longer predicts this machine is a fresh install, published
+//! under live traffic with [`AdsalaService::swap_bundle`], which also
+//! zeroes the sums. The swap is two ordered steps — install the new `Arc`
 //! under the bundle `RwLock`, then bump the memo's generation —
 //! while serving threads read the generation *before* loading the
 //! bundle and publish decisions through `insert_if_generation`, so a
@@ -40,10 +44,7 @@
 //! swap in the memo. In-flight requests are never blocked or dropped:
 //! they finish under the plan they decided with (the retiring `Arc`
 //! keeps its artefacts alive), and the next request simply decides
-//! under the new epoch. When [`OnlineConfig::enabled`] is set and the
-//! drift detector is tripped, decisions fall back to conservative
-//! max-threads plans instead of trusting a model the measurements have
-//! disowned.
+//! under the new epoch.
 //!
 //! **Fault tolerance.** A kernel panic — a bug, or an injected fault from
 //! [`adsala_gemm::fault`] — is confined to the request that triggered it:
@@ -59,11 +60,9 @@
 //! [`AdsalaError::Execution`]; the service itself stays healthy either
 //! way. [`RunOptions::deadline`] bounds a call end-to-end: a request
 //! whose deadline has already passed is refused up front with
-//! [`AdsalaError::Timeout`] before touching the memo or the pool — the
-//! check runs before the drift-fallback branch, so drifted routines
-//! honor deadlines too. The counters (`panics_recovered`,
-//! `degraded_retries`, `execution_failures`, `deadline_misses`) land in
-//! [`ServiceStats`].
+//! [`AdsalaError::Timeout`] before touching the memo or the pool. The
+//! counters (`panics_recovered`, `degraded_retries`, `execution_failures`,
+//! `deadline_misses`) land in [`ServiceStats`].
 //!
 //! **Sharing the pool.** The model prices each plan for a node the call
 //! has to itself, as the paper's install does. Under concurrency it does
@@ -89,12 +88,11 @@ use std::time::Instant;
 use adsala_gemm::dispatch::{OpRequest, OpShape, OpStats};
 use adsala_gemm::isa::KernelIsa;
 use adsala_gemm::plan::{Algorithm, ExecutionPlan};
-use adsala_gemm::{ArenaStats, Element, PoolStats, PredictionErrorStats, ThreadPool};
-use parking_lot::RwLock;
+use adsala_gemm::{ArenaStats, Element, PoolStats, PredictionErrorStats, Routine, ThreadPool};
+use parking_lot::{Mutex, RwLock};
 
 use crate::bundle::{ArtifactBundle, PlanDecision};
 use crate::cache::{CacheStats, DecisionCache, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS};
-use crate::online::{DriftDetector, DriftSnapshot, OnlineConfig};
 use crate::AdsalaError;
 
 /// Tunables for [`AdsalaService`].
@@ -107,9 +105,6 @@ pub struct ServiceConfig {
     pub cache_shards: usize,
     /// Maximum resident decisions across all the memo's stripes.
     pub cache_capacity: usize,
-    /// Online-adaptation knobs (whether drift changes behaviour, and how
-    /// fast the detector moves).
-    pub online: OnlineConfig,
 }
 
 impl Default for ServiceConfig {
@@ -118,7 +113,6 @@ impl Default for ServiceConfig {
             pool_workers: 0,
             cache_shards: DEFAULT_CACHE_SHARDS,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            online: OnlineConfig::default(),
         }
     }
 }
@@ -132,8 +126,7 @@ pub struct RunOptions {
     pub host_max_threads: u32,
     /// Refuse the call with [`AdsalaError::Timeout`] if this instant has
     /// passed before execution starts (also re-checked before a degraded
-    /// retry). `None` means no deadline. The check runs before the
-    /// drift-fallback branch, so drifted routines honor deadlines too.
+    /// retry). `None` means no deadline.
     pub deadline: Option<Instant>,
 }
 
@@ -189,14 +182,10 @@ pub struct AdsalaService {
     /// Ops reported with `OpStats::plan_degraded` (see
     /// [`ServiceStats::plan_downgrades`] for what that covers).
     plan_downgrades: AtomicU64,
-    /// Online-adaptation knobs.
-    online: OnlineConfig,
-    /// Per-routine predicted-vs-measured error with the drift trip wire.
-    drift: DriftDetector,
+    /// Per-routine predicted-vs-measured error since the last swap.
+    errors: PredictionErrors,
     /// Bundle hot-swaps performed.
     swaps: AtomicU64,
-    /// Decisions served as conservative fallbacks while drifted.
-    drift_fallbacks: AtomicU64,
     /// Executed-algorithm tallies: `[blocked, strassen, zorder]`, counted
     /// by what actually ran (a refused Strassen plan lands in `blocked`
     /// *and* in `plan_downgrades`).
@@ -247,13 +236,12 @@ pub struct ServiceStats {
     pub swaps: u64,
     /// Current memo generation (bumped once per swap).
     pub generation: u64,
-    /// Decisions served as conservative fallbacks while drifted.
-    pub drift_fallbacks: u64,
     /// Predicted-vs-measured error since the last swap, over every
-    /// routine (the fold of `drift`'s per-routine rows).
+    /// routine (the fold of `prediction_by_routine`).
     pub prediction: PredictionErrorStats,
-    /// Drift-detector state (trip wire + per-routine error).
-    pub drift: DriftSnapshot,
+    /// Predicted-vs-measured error since the last swap, one row per
+    /// routine in [`Routine::ALL`] order (GEMM, SYRK, GEMV).
+    pub prediction_by_routine: [PredictionErrorStats; 3],
     /// Decision-memo counters.
     pub cache: CacheStats,
     /// Execution-pool size and worker-respawn counter.
@@ -281,7 +269,7 @@ impl AdsalaService {
         Self::with_config(bundle, ServiceConfig::default())
     }
 
-    /// Build a service with explicit pool/cache/online tunables.
+    /// Build a service with explicit pool/cache tunables.
     pub fn with_config(bundle: Arc<ArtifactBundle>, cfg: ServiceConfig) -> Self {
         let pool = if cfg.pool_workers == 0 {
             ThreadPool::with_host_parallelism()
@@ -294,10 +282,8 @@ impl AdsalaService {
             pool,
             evaluations: AtomicU64::new(0),
             plan_downgrades: AtomicU64::new(0),
-            online: cfg.online,
-            drift: DriftDetector::new(cfg.online.drift),
+            errors: PredictionErrors::default(),
             swaps: AtomicU64::new(0),
-            drift_fallbacks: AtomicU64::new(0),
             algo_executed: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             panics_recovered: AtomicU64::new(0),
             degraded_retries: AtomicU64::new(0),
@@ -320,9 +306,9 @@ impl AdsalaService {
     /// first the bundle slot is replaced (one brief write lock), then the
     /// memo's generation is bumped so pre-swap entries die.
     /// Requests already executing finish under the plan they decided with
-    /// — the old `Arc` keeps their artefacts alive. Also resets the drift
-    /// detector (its errors measured the retiring model). Returns the new
-    /// memo generation.
+    /// — the old `Arc` keeps their artefacts alive. Also zeroes the
+    /// prediction-error sums (they measured the retiring model). Returns
+    /// the new memo generation.
     pub fn swap_bundle(&self, bundle: Arc<ArtifactBundle>) -> u64 {
         *self.bundle.write() = bundle;
         // Order matters: the generation bump must follow the publish, so
@@ -332,7 +318,7 @@ impl AdsalaService {
         // stale).
         let generation = self.cache.bump_generation();
         self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.drift.reset();
+        self.errors.reset();
         generation
     }
 
@@ -429,9 +415,7 @@ impl AdsalaService {
     ) -> Result<(PlanDecision, OpStats), AdsalaError> {
         // Reject malformed operands before touching the memo or the pool.
         req.validate()?;
-        // The deadline gate precedes the drift-fallback branch: a drifted
-        // routine's conservative decision still honors the caller's
-        // deadline. The output buffer is untouched here.
+        // An expired deadline is refused with the output buffer untouched.
         if opts.deadline.is_some_and(|d| Instant::now() >= d) {
             self.deadline_misses.fetch_add(1, Ordering::Relaxed);
             return Err(AdsalaError::Timeout(format!(
@@ -454,15 +438,7 @@ impl AdsalaService {
                 cap = share;
             }
         }
-        let decision = if self.online.enabled && self.drift.is_drifted() {
-            // The measurements have disowned the model: decide
-            // conservatively within the cap. The fallback never enters the
-            // memo, so it vanishes the moment the detector recovers.
-            self.drift_fallbacks.fetch_add(1, Ordering::Relaxed);
-            bundle.conservative_op(shape, cap)
-        } else {
-            self.decide(&bundle, generation, shape, cap)
-        };
+        let decision = self.decide(&bundle, generation, shape, cap);
         // The cap bounded the sweep, so the decision *is* the executed
         // plan — no post-hoc clamp that would desynchronise the reported
         // prediction from the configuration that runs.
@@ -511,8 +487,8 @@ impl AdsalaService {
 
     /// Book one executed op: stamp the prediction it ran under (if any),
     /// count a plan downgrade, tally the algorithm that actually ran, and
-    /// feed the drift recorder (only when there is a prediction to compare
-    /// the measurement against).
+    /// add its prediction error (only when there is a prediction to
+    /// compare the measurement against).
     fn settle(
         &self,
         shape: OpShape,
@@ -611,12 +587,11 @@ impl AdsalaService {
 
     /// Execute a request under a caller-pinned [`ExecutionPlan`] on the
     /// service's pool, skipping the model sweep and the memo. Downgrade
-    /// and algorithm-mix telemetry still apply; the error recorder and its
-    /// drift detector do not (a pinned run carries no prediction to
-    /// compare against), and a kernel panic is isolated but never retried
-    /// on a different plan. The op counts as in flight while it runs, so
-    /// ops arriving meanwhile decide within their share of the pool; its
-    /// own plan is never capped.
+    /// and algorithm-mix telemetry still apply; the prediction-error sums
+    /// do not (a pinned run carries no prediction to compare against), and
+    /// a kernel panic is isolated but never retried on a different plan.
+    /// The op counts as in flight while it runs, so ops arriving meanwhile
+    /// decide within their share of the pool; its own plan is never capped.
     pub fn run_pinned<T: Element>(
         &self,
         req: &mut OpRequest<'_, T>,
@@ -627,10 +602,10 @@ impl AdsalaService {
         self.serve(req, plan, None, None, false)
     }
 
-    /// Feed one executed op into the per-routine error recorder and its
-    /// drift trip wire. The serve stage calls this for every model-decided
-    /// op. One logarithm under one short per-routine lock; the error is
-    /// kept per routine, so the plan the op ran under is not read.
+    /// Add one executed op's prediction error to its routine's running
+    /// sums. The serve stage calls this for every model-decided op. One
+    /// logarithm under one short per-routine lock; the error is kept per
+    /// routine, so the plan the op ran under is not read.
     pub fn observe(
         &self,
         shape: OpShape,
@@ -638,18 +613,7 @@ impl AdsalaService {
         predicted_runtime_s: f64,
         wall_ns: u64,
     ) {
-        self.drift.record(shape.routine, predicted_runtime_s, wall_ns);
-    }
-
-    /// Whether the drift detector is currently tripped.
-    pub fn is_drifted(&self) -> bool {
-        self.drift.is_drifted()
-    }
-
-    /// Untrip the drift detector and zero its per-routine errors without
-    /// swapping a bundle (an operator override; a swap resets it anyway).
-    pub fn reset_drift(&self) {
-        self.drift.reset();
+        self.errors.record(shape.routine, predicted_runtime_s, wall_ns);
     }
 
     /// Snapshot every service-level counter at once — the one way to ask.
@@ -659,16 +623,15 @@ impl AdsalaService {
     /// zero-allocation hot path (the paper's Table VII "data copy"
     /// component with the allocator taken out of it).
     pub fn stats(&self) -> ServiceStats {
-        let drift = self.drift.snapshot();
+        let prediction_by_routine = self.errors.snapshot();
         let cache = self.cache.stats();
         ServiceStats {
             evaluations: self.evaluations.load(Ordering::Relaxed),
             plan_downgrades: self.plan_downgrades.load(Ordering::Relaxed),
             swaps: self.swaps.load(Ordering::Relaxed),
             generation: cache.generation,
-            drift_fallbacks: self.drift_fallbacks.load(Ordering::Relaxed),
-            prediction: drift.prediction(),
-            drift,
+            prediction: fold(&prediction_by_routine),
+            prediction_by_routine,
             cache,
             pool: self.pool.stats(),
             workspace: self.pool.workspace().arena_stats(),
@@ -700,6 +663,90 @@ impl Drop for InFlight<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
+}
+
+/// Log-ratios are clamped to ±32 nats (a factor of ~8·10¹³) so a single
+/// absurd prediction cannot swamp the sums.
+const LOG_CLAMP: f64 = 32.0;
+
+/// One routine's running sums of `ln(measured / predicted)`. Log space is
+/// the natural domain: the models are trained on `ln(runtime)` labels, and
+/// a symmetric ±x% miss contributes equally in either direction.
+#[derive(Debug, Clone, Copy, Default)]
+struct ErrorSums {
+    samples: u64,
+    /// Σ |ln(measured / predicted)|.
+    sum_abs_log: f64,
+    /// Σ ln(measured / predicted) — positive means the model is
+    /// optimistic (reality slower than predicted).
+    sum_log: f64,
+    /// Ops where measured > predicted.
+    overshoots: u64,
+}
+
+/// Per-routine prediction-error sums, in [`Routine::ALL`] order, each
+/// behind a short lock that only [`AdsalaService::observe`] and the
+/// stats snapshot take.
+#[derive(Debug, Default)]
+struct PredictionErrors([Mutex<ErrorSums>; 3]);
+
+impl PredictionErrors {
+    /// Add one executed op. Pairs without a prediction or a measurement
+    /// are ignored (they say nothing about model quality).
+    fn record(&self, routine: Routine, predicted_s: f64, wall_ns: u64) {
+        if !predicted_s.is_finite() || predicted_s <= 0.0 || wall_ns == 0 {
+            return;
+        }
+        let log_ratio = (wall_ns as f64 * 1e-9 / predicted_s).ln().clamp(-LOG_CLAMP, LOG_CLAMP);
+        let slot = match routine {
+            Routine::Gemm => 0,
+            Routine::Syrk => 1,
+            Routine::Gemv => 2,
+        };
+        let mut sums = self.0[slot].lock();
+        sums.samples += 1;
+        sums.sum_abs_log += log_ratio.abs();
+        sums.sum_log += log_ratio;
+        sums.overshoots += u64::from(log_ratio > 0.0);
+    }
+
+    /// Zero every routine's sums.
+    fn reset(&self) {
+        for sums in &self.0 {
+            *sums.lock() = ErrorSums::default();
+        }
+    }
+
+    /// Each routine's sums as means.
+    fn snapshot(&self) -> [PredictionErrorStats; 3] {
+        std::array::from_fn(|i| {
+            let s = *self.0[i].lock();
+            let denom = s.samples.max(1) as f64;
+            PredictionErrorStats {
+                samples: s.samples,
+                mean_abs_log_error: s.sum_abs_log / denom,
+                mean_log_ratio: s.sum_log / denom,
+                overshoot_fraction: s.overshoots as f64 / denom,
+            }
+        })
+    }
+}
+
+/// The error over every routine: the sample-weighted fold of the rows.
+fn fold(rows: &[PredictionErrorStats; 3]) -> PredictionErrorStats {
+    let mut all = PredictionErrorStats::default();
+    for row in rows {
+        let n = row.samples as f64;
+        all.samples += row.samples;
+        all.mean_abs_log_error += row.mean_abs_log_error * n;
+        all.mean_log_ratio += row.mean_log_ratio * n;
+        all.overshoot_fraction += row.overshoot_fraction * n;
+    }
+    let denom = all.samples.max(1) as f64;
+    all.mean_abs_log_error /= denom;
+    all.mean_log_ratio /= denom;
+    all.overshoot_fraction /= denom;
+    all
 }
 
 /// Normalise a thread cap into the memo key space of `bundle`'s grid:
@@ -750,7 +797,7 @@ const _: () = _assert_send_sync::<AdsalaService>();
 mod tests {
     use super::*;
     use crate::bundle::tests::quick_bundle;
-    use adsala_gemm::dispatch::{GemmArgs, GemvArgs, Precision, Routine, SyrkArgs};
+    use adsala_gemm::dispatch::{GemmArgs, GemvArgs, Precision, SyrkArgs};
 
     /// The uncapped f32-GEMM decision for `(m, k, n)`.
     fn decide(svc: &AdsalaService, m: u64, k: u64, n: u64) -> PlanDecision {
@@ -1001,47 +1048,69 @@ mod tests {
         assert!(stats.prediction_log_error().is_some());
         let s = svc.stats();
         assert_eq!(s.prediction.samples, 1);
-        assert_eq!(s.drift.for_routine(Routine::Gemm).samples, 1);
+        assert_eq!(s.prediction_by_routine[0].samples, 1);
     }
 
     #[test]
-    fn drifted_service_serves_conservative_fallbacks_when_enabled() {
-        use crate::online::DriftConfig;
-        let cfg = ServiceConfig {
-            pool_workers: 4,
-            online: OnlineConfig {
-                enabled: true,
-                drift: DriftConfig { min_samples: 4, alpha: 0.5 },
-            },
-            ..ServiceConfig::default()
-        };
-        let svc = AdsalaService::with_config(quick_bundle().into_shared(), cfg);
-        let shape = OpShape::gemm(Precision::F32, 64, 64, 64);
-        let plan = adsala_gemm::plan::ExecutionPlan::with_threads(2);
-        // Sustained 8× slowdown versus prediction: trips the detector.
-        for _ in 0..16 {
-            svc.observe(shape, &plan, 1e-3, 8_000_000);
+    fn prediction_meter_tracks_log_error() {
+        let errors = PredictionErrors::default();
+        // Perfect prediction: 1 ms predicted, 1 ms measured.
+        errors.record(Routine::Gemm, 1e-3, 1_000_000);
+        // 2× slower than predicted (model optimistic / overshoot).
+        errors.record(Routine::Gemm, 1e-3, 2_000_000);
+        // 2× faster than predicted.
+        errors.record(Routine::Gemm, 2e-3, 1_000_000);
+        let s = fold(&errors.snapshot());
+        assert_eq!(s.samples, 3);
+        let ln2 = std::f64::consts::LN_2;
+        assert!((s.mean_abs_log_error - 2.0 * ln2 / 3.0).abs() < 1e-4, "{s:?}");
+        assert!(s.mean_log_ratio.abs() < 1e-4, "{s:?}");
+        assert!((s.overshoot_fraction - 1.0 / 3.0).abs() < 1e-12);
+        assert!(s.mean_abs_pct() > 0.0);
+        errors.reset();
+        assert_eq!(errors.snapshot(), [PredictionErrorStats::default(); 3]);
+    }
+
+    #[test]
+    fn prediction_meter_ignores_unpredicted_ops() {
+        let errors = PredictionErrors::default();
+        for _ in 0..100 {
+            errors.record(Routine::Gemm, 0.0, 5_000_000);
+            errors.record(Routine::Gemm, -1.0, 5_000_000);
+            errors.record(Routine::Gemm, f64::NAN, 5_000_000);
+            errors.record(Routine::Gemm, 1e-3, 0);
         }
-        assert!(svc.is_drifted());
-        let (m, n, k) = (64usize, 64usize, 64usize);
-        let a = vec![1.0f32; m * k];
-        let b = vec![1.0f32; k * n];
-        let mut c = vec![0.0f32; m * n];
-        let mut req: OpRequest<'_, f32> =
-            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-        let cap = 2;
-        let (decision, _) = svc.run_with(&mut req, RunOptions::with_host_cap(cap)).unwrap();
-        assert_eq!(svc.stats().drift_fallbacks, 1);
-        assert!(!decision.memoised, "fallback decisions must not be memoised");
-        assert_eq!(decision.plan, svc.bundle().conservative_op(shape, cap).plan);
-        assert_eq!(decision.threads(), cap, "conservative = widest plan within the cap");
-        // Recovery (here via the operator override) restores model serving.
-        svc.reset_drift();
-        assert!(!svc.is_drifted());
-        let mut req: OpRequest<'_, f32> =
-            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-        svc.run_with(&mut req, RunOptions::with_host_cap(cap)).unwrap();
-        assert_eq!(svc.stats().drift_fallbacks, 1, "recovered service trusts the model again");
+        assert_eq!(errors.snapshot(), [PredictionErrorStats::default(); 3]);
+    }
+
+    #[test]
+    fn global_error_is_the_fold_of_the_routine_rows() {
+        let errors = PredictionErrors::default();
+        for i in 0..5u64 {
+            errors.record(Routine::Syrk, 1e-3, 1_500_000 + 100_000 * i);
+        }
+        let syrk_only = errors.snapshot();
+        assert_eq!(syrk_only[0], PredictionErrorStats::default());
+        assert_eq!(fold(&syrk_only), syrk_only[1]);
+
+        for i in 0..3u64 {
+            errors.record(Routine::Gemm, 2e-3, 1_000_000 + 300_000 * i);
+            errors.record(Routine::Gemv, 1e-4, 50_000 + 10_000 * i);
+        }
+        let rows = errors.snapshot();
+        assert_eq!(rows[1], syrk_only[1]);
+        let all = fold(&rows);
+        assert_eq!(all.samples, rows.iter().map(|r| r.samples).sum::<u64>());
+        assert_eq!(all.samples, 11);
+        let sum_of = |field: fn(&PredictionErrorStats) -> f64| -> f64 {
+            rows.iter().map(|r| field(r) * r.samples as f64).sum()
+        };
+        let n = all.samples as f64;
+        assert!((all.mean_abs_log_error * n - sum_of(|r| r.mean_abs_log_error)).abs() < 1e-12);
+        assert!((all.mean_log_ratio * n - sum_of(|r| r.mean_log_ratio)).abs() < 1e-12);
+        assert!((all.overshoot_fraction * n - sum_of(|r| r.overshoot_fraction)).abs() < 1e-12);
+        // Only SYRK ran slower than predicted: 5 overshoots in 11.
+        assert!((all.overshoot_fraction - 5.0 / 11.0).abs() < 1e-12, "{all:?}");
     }
 
     #[test]

@@ -1332,8 +1332,10 @@ pub(crate) mod tests {
             let mut c_blocked = fill(m * n, 103);
             let mut c_z = c_blocked.clone();
             let serial = GemmCall::new(m, n, k, 1);
-            let zcall = serial
-                .with_plan(serial.plan.with_algorithm(Algorithm::ZOrder).with_thread_count(8));
+            let zcall = serial.with_plan(ExecutionPlan {
+                threads: 8,
+                ..serial.plan.with_algorithm(Algorithm::ZOrder)
+            });
             let s1 = gemm_with_stats(&serial, 1.5, &a, k, &b, n, 0.25, &mut c_blocked, n);
             let s2 = gemm_with_stats_pooled(&pool, &zcall, 1.5, &a, k, &b, n, 0.25, &mut c_z, n);
             assert_eq!(c_blocked, c_z, "zorder differs at {m}x{n}x{k}");

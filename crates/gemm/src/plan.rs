@@ -138,14 +138,6 @@ impl ExecutionPlan {
         self
     }
 
-    /// This plan with a different thread count (≥ 1), every other axis
-    /// kept — how a scheduler re-budgets a learned plan without touching
-    /// its kernel/blocking/algorithm choices.
-    pub fn with_thread_count(mut self, threads: usize) -> Self {
-        self.threads = u32::try_from(threads.max(1)).unwrap_or(u32::MAX);
-        self
-    }
-
     /// Compact human-readable form for stats lines and tables, e.g.
     /// `t=8 isa=auto blk=auto`. The algorithm is appended
     /// only when it deviates from the blocked default
@@ -515,7 +507,10 @@ mod tests {
     fn algorithm_plans_are_not_threads_only() {
         let p = ExecutionPlan::with_threads(4).with_algorithm(Algorithm::Strassen { cutoff: 256 });
         assert!(!p.is_threads_only());
-        assert_eq!(p.with_thread_count(9).algorithm, Algorithm::Strassen { cutoff: 256 });
+        assert_eq!(
+            ExecutionPlan { threads: 9, ..p }.algorithm,
+            Algorithm::Strassen { cutoff: 256 }
+        );
         assert!(ExecutionPlan::with_threads(4)
             .with_algorithm(Algorithm::Blocked)
             .is_threads_only());

@@ -136,7 +136,8 @@ impl StatsCollector {
 }
 
 /// Predicted-vs-measured runtime error over a set of executed ops, in
-/// log space (the serving layer's drift recorder accumulates it).
+/// log space (the serving layer keeps it per routine and over all of
+/// them).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PredictionErrorStats {
     /// Ops that carried both a prediction and a measurement.

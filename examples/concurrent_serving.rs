@@ -30,12 +30,7 @@ fn main() {
     //    sharded decision cache, all behind one shareable handle.
     let service = AdsalaService::with_config(
         Arc::clone(&bundle),
-        ServiceConfig {
-            pool_workers: 0,
-            cache_shards: 8,
-            cache_capacity: 1024,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { pool_workers: 0, cache_shards: 8, cache_capacity: 1024 },
     );
     println!(
         "service up: {} pool workers, {} candidate thread counts",

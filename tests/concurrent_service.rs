@@ -28,12 +28,7 @@ fn concurrent_clients_get_deterministic_in_ladder_decisions() {
     let bundle = quick_bundle().into_shared();
     let service = AdsalaService::with_config(
         Arc::clone(&bundle),
-        ServiceConfig {
-            pool_workers: 4,
-            cache_shards: 8,
-            cache_capacity: 256,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { pool_workers: 4, cache_shards: 8, cache_capacity: 256 },
     );
     let n_clients = 8u64;
     let calls_per_client = 200u64;
@@ -103,12 +98,7 @@ fn concurrent_clients_get_deterministic_in_ladder_decisions() {
 fn cache_stays_bounded_under_adversarial_stream() {
     let service = AdsalaService::with_config(
         quick_bundle().into_shared(),
-        ServiceConfig {
-            pool_workers: 1,
-            cache_shards: 4,
-            cache_capacity: 32,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { pool_workers: 1, cache_shards: 4, cache_capacity: 32 },
     );
     std::thread::scope(|scope| {
         for client in 0..4u64 {
