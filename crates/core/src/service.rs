@@ -1074,11 +1074,22 @@ mod tests {
     #[test]
     fn prediction_meter_ignores_unpredicted_ops() {
         let errors = PredictionErrors::default();
+        errors.record(Routine::Gemm, 0.0, 1_000_000);
+        errors.record(Routine::Gemm, -1.0, 1_000_000);
+        errors.record(Routine::Gemm, 1e-3, 0);
+        assert_eq!(fold(&errors.snapshot()).samples, 0);
+    }
+
+    #[test]
+    fn unpredicted_ops_leave_every_routine_row_empty() {
+        let errors = PredictionErrors::default();
         for _ in 0..100 {
-            errors.record(Routine::Gemm, 0.0, 5_000_000);
-            errors.record(Routine::Gemm, -1.0, 5_000_000);
-            errors.record(Routine::Gemm, f64::NAN, 5_000_000);
-            errors.record(Routine::Gemm, 1e-3, 0);
+            for routine in Routine::ALL {
+                errors.record(routine, 0.0, 5_000_000);
+                errors.record(routine, -1.0, 5_000_000);
+                errors.record(routine, f64::NAN, 5_000_000);
+                errors.record(routine, 1e-3, 0);
+            }
         }
         assert_eq!(errors.snapshot(), [PredictionErrorStats::default(); 3]);
     }
