@@ -349,7 +349,7 @@ struct SpeedupRun {
     /// The full execution plan chosen for each sample, in sample order.
     plans: Vec<adsala_gemm::plan::ExecutionPlan>,
     /// The service's counters after serving the whole set (memo traffic,
-    /// model sweeps, pool respawns, plan downgrades).
+    /// model sweeps, plan downgrades).
     service: adsala::ServiceStats,
 }
 
@@ -418,9 +418,8 @@ fn speedup_table(ht: bool) {
             run.service.evaluations
         ));
         service_lines.push(format!(
-            "[service] {} pool workers respawned: {}; plan downgrades: {}",
+            "[service] {} plan downgrades: {}",
             machine.name(),
-            run.service.pool.workers_respawned,
             run.service.plan_downgrades
         ));
         service_lines.push(prediction_line(machine.name(), &run.service.prediction));
@@ -617,10 +616,7 @@ fn plan_table() {
             stats.prediction_log_error().map_or_else(|| "n/a".to_string(), |e| format!("{e:+.3}")),
         );
         let svc = service.stats();
-        println!(
-            "[service] pool workers respawned: {}; plan downgrades: {}",
-            svc.pool.workers_respawned, svc.plan_downgrades
-        );
+        println!("[service] plan downgrades: {}", svc.plan_downgrades);
         println!(
             "[service] executed algorithms: {} blocked, {} strassen, {} z-order",
             svc.algorithms.blocked, svc.algorithms.strassen, svc.algorithms.zorder

@@ -48,11 +48,11 @@
 //!
 //! **Fault tolerance.** A kernel panic — a bug, or an injected fault from
 //! [`adsala_gemm::fault`] — is confined to the request that triggered it:
-//! the batch panic is caught at this boundary (the pool has already
-//! respawned any workers it killed and reclaimed their arenas), and the
-//! request is retried once on the *degraded plan* — serial, scalar
-//! kernel, blocked loop nest — which shares no workers with anything else
-//! and runs inline on the caller's thread. The retry is attempted only when it is sound: the
+//! the batch panic is caught at this boundary (the pool's workers survive
+//! it, each on its own warm arena), and the request is retried once on
+//! the *degraded plan* — serial, scalar kernel, blocked loop nest — which
+//! shares no workers with anything else and runs inline on the caller's
+//! thread. The retry is attempted only when it is sound: the
 //! deadline (if any) must not have passed, and the op must be idempotent
 //! ([`OpRequest::is_idempotent`], i.e. `β == 0` — a partial first attempt
 //! may have dirtied the output buffer, and with `β ≠ 0` the output is
@@ -244,7 +244,7 @@ pub struct ServiceStats {
     pub prediction_by_routine: [PredictionErrorStats; 3],
     /// Decision-memo counters.
     pub cache: CacheStats,
-    /// Execution-pool size and worker-respawn counter.
+    /// Execution-pool size.
     pub pool: PoolStats,
     /// Packing-arena counters of the pool's workspace.
     pub workspace: ArenaStats,
@@ -467,7 +467,7 @@ impl AdsalaService {
         match self.execute_guarded(req, plan) {
             Ok(stats) => Ok(self.settle(req.shape(), plan, predicted_s, stats)),
             Err(detail) => {
-                self.isolate_panic();
+                self.panics_recovered.fetch_add(1, Ordering::Relaxed);
                 self.retry_degraded(req, &detail, deadline, allow_retry)
             }
         }
@@ -510,15 +510,6 @@ impl AdsalaService {
             self.observe(shape, plan, predicted_s, stats.exec.wall_ns);
         }
         stats
-    }
-
-    /// Count a caught kernel-batch panic and sweep the pool roster whole.
-    /// The pool has already respawned any workers the panic killed (its
-    /// batch wait does not return until the roster is whole); the `heal`
-    /// is a belt-and-braces sweep for panics that unwound outside a batch.
-    fn isolate_panic(&self) {
-        self.panics_recovered.fetch_add(1, Ordering::Relaxed);
-        self.pool.heal();
     }
 
     /// The plan a panicked request retries on: serial, scalar kernel,
@@ -567,7 +558,6 @@ impl AdsalaService {
             None => {
                 self.degraded_retries.fetch_add(1, Ordering::Relaxed);
                 self.execute_guarded(req, &Self::degraded_plan()).map_err(|retry_detail| {
-                    self.pool.heal();
                     format!("{detail}; degraded retry also failed: {retry_detail}")
                 })
             }

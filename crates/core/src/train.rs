@@ -44,7 +44,7 @@ pub struct ModelReport {
 }
 
 /// Tune one family (optionally with a custom grid) on the training split.
-pub fn train_family(
+fn train_family(
     kind: ModelKind,
     grid_override: Option<&[ModelSpec]>,
     train: &Dataset,

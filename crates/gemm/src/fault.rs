@@ -4,7 +4,7 @@
 //! never exercises: a micro-kernel panicking mid-tile, a worker thread
 //! wedging mid-batch, a truncated artifact on disk. This module is
 //! the controlled way to *cause* those failures so the recovery machinery
-//! (service-boundary panic isolation, worker respawn, deadline shedding,
+//! (service-boundary panic isolation, degraded retry, deadline shedding,
 //! artifact validation) can be tested end to end instead of trusted.
 //!
 //! A [`FaultPlan`] describes what to inject:
@@ -60,7 +60,7 @@ pub enum ContextFilter {
     #[default]
     Any,
     /// Fire only on pool worker threads — a serial (caller-thread)
-    /// degraded retry then runs clean, and worker respawn is exercised.
+    /// degraded retry then runs clean.
     WorkerOnly,
 }
 

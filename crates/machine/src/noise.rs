@@ -65,18 +65,6 @@ pub fn spike_factor(seed: u64, prob: f64, scale: f64) -> f64 {
     }
 }
 
-/// Sustained drift factor for online-adaptation experiments: a machine
-/// that suddenly runs `severity`× slower than the model was trained on
-/// (thermal throttling, a co-tenant stealing cores, frequency scaling),
-/// with per-call log-normal jitter of width `sigma` on top. `index`
-/// distinguishes successive calls so the jitter scatters like real
-/// measurements while the whole sequence stays a pure function of
-/// `seed`. `severity` below 1 is clamped to 1 (drift only ever slows a
-/// machine down in this model).
-pub fn drift_slowdown(seed: u64, index: u64, severity: f64, sigma: f64) -> f64 {
-    severity.max(1.0) * lognormal_factor(combine(&[seed, 0xD21F_7517_CA1E_D05E, index]), sigma)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,23 +124,6 @@ mod tests {
             assert_eq!(f, spike_factor(s, 0.05, 2.0));
             assert!(f >= 1.0);
         }
-    }
-
-    #[test]
-    fn drift_slowdown_is_deterministic_and_scales_with_severity() {
-        for i in 0..200 {
-            let f = drift_slowdown(9, i, 1.8, 0.05);
-            assert_eq!(f, drift_slowdown(9, i, 1.8, 0.05));
-            assert!(f > 0.0);
-        }
-        // Zero jitter: the factor is exactly the severity.
-        assert_eq!(drift_slowdown(9, 0, 2.5, 0.0), 2.5);
-        // Sub-unity severity clamps to 1 — drift never speeds a machine up.
-        assert_eq!(drift_slowdown(9, 0, 0.3, 0.0), 1.0);
-        // Mean over many calls tracks the severity (jitter is mean-one).
-        let n = 10_000;
-        let mean: f64 = (0..n).map(|i| drift_slowdown(4, i, 2.0, 0.08)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

@@ -29,16 +29,6 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard { inner: self.inner.lock().unwrap_or_else(sync::PoisonError::into_inner) }
     }
-
-    /// Acquire the lock only if it is free right now. Returns `None` on
-    /// contention (parking_lot returns an `Option`, not a `Result`).
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard { inner: p.into_inner() }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
 }
 
 impl<T> Deref for MutexGuard<'_, T> {
@@ -222,16 +212,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-    }
-
-    #[test]
-    fn try_lock_reports_contention() {
-        let m = Mutex::new(5);
-        let g = m.try_lock().expect("uncontended try_lock succeeds");
-        assert_eq!(*g, 5);
-        assert!(m.try_lock().is_none(), "second try_lock must fail while held");
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Chaos and deadline tests for the fault-tolerance layer: injected
-//! kernel panics must never escape to a client, the pool must respawn
-//! dead workers and keep its packing arenas allocation-steady, an op
+//! kernel panics must never escape to a client, every pool worker must
+//! outlive them and keep its packing arena allocation-steady, an op
 //! whose deadline passes before it starts must be refused with an honest
 //! `Timeout`, and a corrupted artifact must be refused at load.
 //!
@@ -107,9 +107,9 @@ fn assert_close(c: &[f32], c_ref: &[f32], what: &str) {
 /// The acceptance-criteria chaos test: one fault plan injects kernel
 /// panics into pool workers while 8 clients flood the service with
 /// mixed shapes. Every client must get a numerically correct result
-/// (a degraded retry is allowed), the panics must be counted and the
-/// dead workers respawned, and once the plan is cleared a large op must
-/// run undegraded on the full pool.
+/// (a degraded retry is allowed), the panics must be counted while no
+/// worker is lost, and once the plan is cleared a large op must run
+/// undegraded on the full pool.
 #[test]
 fn chaos_flood_isolates_injected_panics_from_every_client() {
     let (_lock, guard, plan) = install("panic:where=worker:count=3");
@@ -147,10 +147,10 @@ fn chaos_flood_isolates_injected_panics_from_every_client() {
     assert!(stats.panics_recovered >= 1, "panic not counted: {stats:?}");
     assert!(stats.degraded_retries >= 1, "no degraded retry recorded: {stats:?}");
     assert_eq!(stats.execution_failures, 0, "a request was dropped: {stats:?}");
-    assert!(stats.pool.workers_respawned >= 1, "dead worker not respawned: {stats:?}");
+    assert_eq!(stats.pool.workers_respawned, 0, "workers outlive a panic: {stats:?}");
 
     // Faults off: a subsequent large op must run undegraded and
-    // multi-threaded on the fully healed pool.
+    // multi-threaded on the whole pool.
     drop(guard);
     let (m, n, k) = (256usize, 256usize, 256usize);
     let a = fill(m * k, 901);
@@ -159,32 +159,39 @@ fn chaos_flood_isolates_injected_panics_from_every_client() {
     let mut c = vec![0.0f32; m * n];
     let mut req: OpRequest<'_, f32> =
         GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-    let (_, post) = svc.run_with(&mut req, RunOptions::with_host_cap(4)).expect("healed pool run");
+    let (_, post) =
+        svc.run_with(&mut req, RunOptions::with_host_cap(4)).expect("post-recovery run");
     assert!(!post.plan_degraded, "post-recovery op should not be degraded");
-    assert!(post.exec.threads_used >= 2, "healed pool did not execute in parallel: {post:?}");
+    assert!(post.exec.threads_used >= 2, "post-recovery op did not execute in parallel: {post:?}");
     assert_close(&c, &c_ref, "post-recovery result");
     assert_eq!(svc.stats().pool.workers, 4, "pool lost a worker permanently");
 }
 
-/// After a panic is isolated and the worker respawned, the pool must
-/// serve the *entire* plan grid again: pinned plans at every width up
-/// to the worker count execute with exactly that many threads on a pool
-/// that is whole again.
+/// After more panics than the pool has workers, each isolated, the pool
+/// must serve the *entire* plan grid again: pinned plans at every width
+/// up to the worker count execute with exactly that many threads.
 #[test]
 fn pool_serves_full_plan_grid_after_recovery() {
-    let (_lock, guard, plan) = install("panic:where=worker:count=1");
+    let (_lock, guard, plan) = install("panic:where=worker:count=6");
     let svc = service(4);
 
     let (m, n, k) = (256usize, 256usize, 256usize);
     let a = fill(m * k, 11);
     let b = fill(k * n, 12);
     let c_ref = serial_reference(m, n, k, &a, &b);
-    let mut c = vec![0.0f32; m * n];
-    let mut req: OpRequest<'_, f32> =
-        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-    svc.run(&mut req).expect("panicked op must recover");
-    assert_eq!(plan.injected_panics(), 1);
-    assert_close(&c, &c_ref, "recovered result");
+    // A panicking batch may fire the fault on several of its tasks; run
+    // until the whole budget has fired, every op recovering.
+    for _ in 0..100 {
+        let mut c = vec![0.0f32; m * n];
+        let mut req: OpRequest<'_, f32> =
+            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+        svc.run(&mut req).expect("panicked op must recover");
+        assert_close(&c, &c_ref, "recovered result");
+        if plan.injected_panics() == 6 {
+            break;
+        }
+    }
+    assert_eq!(plan.injected_panics(), 6);
 
     drop(guard);
     for threads in [1u32, 2, 4] {
@@ -193,19 +200,18 @@ fn pool_serves_full_plan_grid_after_recovery() {
             GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
         let stats = svc
             .run_pinned(&mut req, &ExecutionPlan::with_threads(threads))
-            .expect("pinned run on healed pool");
+            .expect("pinned run after the panics");
         assert_eq!(stats.exec.threads_used, threads as usize, "grid width {threads} unavailable");
         assert_close(&c, &c_ref, "pinned post-recovery result");
     }
     let pool = svc.stats().pool;
     assert_eq!(pool.workers, 4);
-    assert_eq!(pool.workers_respawned, 1, "the dead worker must be replaced once: {pool:?}");
+    assert_eq!(pool.workers_respawned, 0, "no worker is ever replaced: {pool:?}");
 }
 
-/// A panicked batch must not leak packing-arena state. The respawned
-/// worker re-registers its predecessor's workspace slot, so once every
-/// slot is warm the pool is whole after a panic and the calls that follow
-/// allocate nothing.
+/// A panicked batch must not leak packing-arena state. The worker that
+/// ran the panicking job keeps its workspace slot, so once every slot is
+/// warm the calls that follow a panic allocate nothing.
 #[test]
 fn packing_arenas_stay_allocation_steady_after_a_panic() {
     let _lock = hold_fault_lock();
@@ -252,7 +258,7 @@ fn packing_arenas_stay_allocation_steady_after_a_panic() {
         GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
     svc.run(&mut req).expect("panicked op must recover");
     assert_eq!(svc.stats().panics_recovered, 1);
-    assert_eq!(svc.stats().pool.workers_respawned, 1, "the pool must be whole again");
+    assert_eq!(svc.stats().pool.workers_respawned, 0, "the worker must outlive its panic");
     fault::set_plan(None);
 
     for round in 0..3 {

@@ -543,3 +543,74 @@ fn signed_zeros_follow_the_one_write_back_rule() {
     signed_zero_case::<f32>();
     signed_zero_case::<f64>();
 }
+
+/// β = 0 over a NaN output, at 1 and 2 threads: SYRK's lower triangle and
+/// all of GEMV's `y` must come out finite and equal to the naive
+/// references (run over the same NaN output), and SYRK's strict upper
+/// triangle must keep its NaN bits.
+fn beta_zero_over_nan_case<T: Scalar>() {
+    let (m, n, k) = (37usize, 29usize, 45usize);
+    let convert = |v: Vec<f64>| -> Vec<T> { v.into_iter().map(T::from_f64).collect() };
+    let (alpha, zero) = (T::from_f64(1.25), T::ZERO);
+    let a = convert(fill(m * k, 31));
+    let x = convert(fill(n, 32));
+    // `a` read as the GEMV matrix is `m×n` at `lda = k`.
+    let gemv_a = &a[..(m - 1) * k + n];
+    let tol = |terms: f64, depth: usize| 8.0 * T::EPS * (depth + 2) as f64 * terms;
+
+    let mut syrk_want = vec![T::SENTINEL; m * m];
+    naive_syrk(m, k, alpha, &a, k, zero, &mut syrk_want, m);
+    let mut gemv_want = vec![T::SENTINEL; m];
+    naive_gemv(m, n, alpha, gemv_a, k, &x, zero, &mut gemv_want);
+    for threads in [1, 2] {
+        let mut c = vec![T::SENTINEL; m * m];
+        let s = syrk_with_stats(m, k, alpha, &a, k, zero, &mut c, m, threads);
+        assert_eq!(s.threads_used, threads, "SYRK: the grid must split: {s:?}");
+        for i in 0..m {
+            for j in 0..m {
+                let got = c[i * m + j];
+                if j > i {
+                    assert_eq!(
+                        got.bits(),
+                        T::SENTINEL.bits(),
+                        "SYRK t{threads}: ({i},{j}) written"
+                    );
+                    continue;
+                }
+                let want = syrk_want[i * m + j].to_f64();
+                let terms: f64 =
+                    (0..k).map(|p| (a[i * k + p].to_f64() * a[j * k + p].to_f64()).abs()).sum();
+                assert!(
+                    got.to_f64().is_finite() && want.is_finite(),
+                    "SYRK t{threads}: ({i},{j}) read the NaN output: {got:?} vs naive {want}"
+                );
+                assert!(
+                    (got.to_f64() - want).abs() <= tol(1.25 * terms, k),
+                    "SYRK t{threads}: ({i},{j}) {got:?} vs naive {want}"
+                );
+            }
+        }
+
+        let mut y = vec![T::SENTINEL; m];
+        let s = gemv_with_stats(m, n, alpha, gemv_a, k, &x, zero, &mut y, threads);
+        assert_eq!(s.threads_used, threads, "GEMV: the grid must split: {s:?}");
+        for (i, (&got, &want)) in y.iter().zip(&gemv_want).enumerate() {
+            let (got, want) = (got.to_f64(), want.to_f64());
+            let terms: f64 = (0..n).map(|p| (a[i * k + p].to_f64() * x[p].to_f64()).abs()).sum();
+            assert!(
+                got.is_finite() && want.is_finite(),
+                "GEMV t{threads}: y[{i}] read the NaN output: {got} vs naive {want}"
+            );
+            assert!(
+                (got - want).abs() <= tol(1.25 * terms, n),
+                "GEMV t{threads}: y[{i}] {got} vs naive {want}"
+            );
+        }
+    }
+}
+
+#[test]
+fn beta_zero_overwrites_a_nan_output_in_syrk_and_gemv() {
+    beta_zero_over_nan_case::<f32>();
+    beta_zero_over_nan_case::<f64>();
+}

@@ -39,12 +39,20 @@ fn steady_state_service_traffic_allocates_nothing_on_the_packing_path() {
     let svc = service();
     let shapes = [(192usize, 192usize, 96usize), (256, 64, 128), (64, 64, 64)];
 
-    // Warm-up: the first call per shape may grow pool-slot arenas and
-    // this client thread's local arena.
-    for &(m, n, k) in &shapes {
-        run_gemm(&svc, m, n, k);
-        run_gemm(&svc, m, n, k);
-    }
+    // Warm-up: the first call per shape may grow this client thread's
+    // local arena, and a pooled grid may grow the slot arena of each
+    // worker that takes one of its tasks. Which worker takes which task
+    // is the pool's business, so the warm-up runs whole rounds until
+    // every slot has grown once (every pooled task here checks out the
+    // same packing pair) rather than for a fixed number of calls.
+    let workers = svc.stats().pool.workers as u64;
+    let warm = (0..2000).any(|_| {
+        for &(m, n, k) in &shapes {
+            run_gemm(&svc, m, n, k);
+        }
+        svc.stats().workspace.allocations == workers
+    });
+    assert!(warm, "some worker slot never warmed: {:?}", svc.stats().workspace);
 
     // The packing path draws from two places: the pool workspace
     // (parallel grids) and the client thread's local arena (serial
