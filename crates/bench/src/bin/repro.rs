@@ -360,7 +360,7 @@ fn speedup_run(machine: Machine, ht: bool) -> SpeedupRun {
     // spawning idle host-parallelism workers per run.
     let service = adsala::AdsalaService::with_config(
         saved.artifact.into_bundle().into_shared(),
-        adsala::ServiceConfig { pool_workers: 1, ..Default::default() },
+        adsala::ServiceConfig { pool_workers: 1 },
     );
     // The paper's evaluation-time overhead for the selected model.
     let eval_s = saved
@@ -502,15 +502,13 @@ fn speedup_table(ht: bool) {
 /// Beyond the paper: install over the full execution-plan grid on the
 /// Gadi simulator and tabulate which plan axes the learned model picks
 /// for fresh shapes — the companion of Tables V/VI for the generalised
-/// (threads × ISA × blocking) decision. The grid's packing axis is
-/// reported from the sweep-optimal points only: a served plan does not
-/// carry it.
+/// (threads × ISA × blocking) decision.
 fn plan_table() {
     banner("Plan table — grid-trained ExecutionPlan choices over fresh shapes, Gadi");
     let timer = sim_timer(Machine::Gadi, true, Affinity::CoreBased);
     let mut cfg = InstallConfig::quick();
-    // Every shape is timed at every grid point (threads × isa × blocking
-    // × packing), and the LOF filter is quadratic in rows (in time; its
+    // Every shape is timed at every grid point (threads × isa ×
+    // blocking), and the LOF filter is quadratic in rows (in time; its
     // memory is linear) — keep the thread axis coarse so the sweep stays a
     // few thousand rows.
     cfg.gather.n_shapes = 120;
@@ -518,12 +516,11 @@ fn plan_table() {
         Some(adsala_gemm::plan::PlanGrid::full(vec![1, 8, 24, 48, timer.max_threads()]));
     let install = Installation::run(&timer, &cfg).expect("grid install");
     println!(
-        "grid: {} candidate plans per shape ({} threads x {} isa x {} block scales x {} packings); selected {:?}",
+        "grid: {} candidate plans per shape ({} threads x {} isa x {} block scales); selected {:?}",
         install.grid.len(),
         install.grid.threads.len(),
         install.grid.isa.len(),
         install.grid.blockings.len(),
-        install.grid.packing.len(),
         install.selected
     );
 
@@ -534,19 +531,15 @@ fn plan_table() {
     let opt_isa =
         optimal.iter().filter(|(_, p)| p.isa != adsala_gemm::plan::IsaChoice::default()).count();
     let opt_blk = optimal.iter().filter(|(_, p)| !p.blocking.is_default()).count();
-    let opt_pack = optimal
-        .iter()
-        .filter(|(_, p)| p.packing != adsala_gemm::plan::PackingStrategy::SharedB)
-        .count();
     println!(
         "sweep-optimal non-default axes over {swept} training shapes: \
-         isa {opt_isa}, blocking {opt_blk}, packing {opt_pack}"
+         isa {opt_isa}, blocking {opt_blk}"
     );
 
     // Serve fresh shapes and tabulate the model's plan choices.
     let service = adsala::AdsalaService::with_config(
         install.into_bundle().into_shared(),
-        adsala::ServiceConfig { pool_workers: 1, ..Default::default() },
+        adsala::ServiceConfig { pool_workers: 1 },
     );
     let shapes = sample_shapes(MemoryCap::paper_training(), 120, 0x91A);
     println!("\n{:<10} {:>8} {:>8} {:>12}  chosen plan", "m", "k", "n", "pred (s)");
@@ -1085,7 +1078,7 @@ fn ablation_memo() {
     // spawning idle host-parallelism workers per run.
     let service = adsala::AdsalaService::with_config(
         saved.artifact.into_bundle().into_shared(),
-        adsala::ServiceConfig { pool_workers: 1, ..Default::default() },
+        adsala::ServiceConfig { pool_workers: 1 },
     );
     let bundle = service.bundle();
     let shape = adsala::OpShape::gemm(adsala::Precision::F32, 64, 2048, 64);

@@ -24,13 +24,18 @@
 //!   the table's GEMM slot, which every other routine falls back to
 //!   (sound because each routine's shape maps into the same GEMM feature
 //!   space — see [`adsala_gemm::OpShape::gemm_equivalent`]).
+//!
+//! v3 and v4 documents written before the `B`-packing grid axis was
+//! deleted carry a `packing` list in their grid. Loading ignores that key
+//! on purpose (the derived deserialisers skip keys a struct does not
+//! name): no host plan ever executed the axis, and the feature rows keep
+//! its column as the constant a shared-`B` point wrote
+//! ([`crate::RowLayout`]), so such a document decides as before.
 
 use std::fs;
 use std::path::Path;
 
-use adsala_gemm::plan::{
-    Algorithm, BlockScale, IsaChoice, PackingStrategy, PlanGrid, FEATURE_REV_LEGACY,
-};
+use adsala_gemm::plan::{Algorithm, BlockScale, IsaChoice, PlanGrid, FEATURE_REV_LEGACY};
 use adsala_gemm::Routine;
 use adsala_ml::AnyModel;
 use serde::{Deserialize, Serialize, Value};
@@ -129,13 +134,13 @@ struct ArtifactV2 {
 }
 
 /// The v3 on-disk grid: one uniform `block_percents` scale list and no
-/// algorithm axis. Kept only for migration.
+/// algorithm axis. Kept only for migration. Its `packing` key is
+/// deliberately not named, so loading ignores it (see the module docs).
 #[derive(Deserialize)]
 struct PlanGridV3 {
     threads: Vec<u32>,
     isa: Vec<IsaChoice>,
     block_percents: Vec<u32>,
-    packing: Vec<PackingStrategy>,
     plan_features: bool,
 }
 
@@ -148,7 +153,6 @@ impl PlanGridV3 {
             threads: self.threads,
             isa: self.isa,
             blockings: self.block_percents.into_iter().map(BlockScale::uniform).collect(),
-            packing: self.packing,
             algorithms: vec![Algorithm::Blocked],
             plan_features: self.plan_features,
             feature_rev: FEATURE_REV_LEGACY,
@@ -211,7 +215,6 @@ fn validate_grid(grid: &PlanGrid) -> Result<(), AdsalaError> {
     for (axis, empty) in [
         ("isa", grid.isa.is_empty()),
         ("blockings", grid.blockings.is_empty()),
-        ("packing", grid.packing.is_empty()),
         ("algorithms", grid.algorithms.is_empty()),
     ] {
         if empty {
@@ -396,7 +399,6 @@ mod tests {
         threads: Vec<u32>,
         isa: Vec<IsaChoice>,
         block_percents: Vec<u32>,
-        packing: Vec<PackingStrategy>,
         plan_features: bool,
     }
 
@@ -479,13 +481,20 @@ mod tests {
                 threads: art.candidates().to_vec(),
                 isa: vec![IsaChoice::Dispatched, IsaChoice::Scalar],
                 block_percents: vec![100, 50, 200],
-                packing: vec![PackingStrategy::SharedB, PackingStrategy::Independent],
                 plan_features: true,
             },
             config: art.config.clone(),
             models: art.models.clone(),
         };
-        let json = serde_json::to_string(&v3).unwrap();
+        // A v3 build also wrote the since-deleted `B`-packing axis, which
+        // loading ignores.
+        let axes = "\"block_percents\":[100,50,200],";
+        let json = serde_json::to_string(&v3).unwrap().replacen(
+            axes,
+            &format!("{axes}\"packing\":[\"SharedB\",\"Independent\"],"),
+            1,
+        );
+        assert!(json.contains("\"packing\""));
         let migrated = Artifact::from_json(&json).unwrap();
         assert_eq!(migrated.version, Artifact::VERSION);
         assert_eq!(
@@ -497,7 +506,7 @@ mod tests {
         assert!(migrated.grid.plan_features);
         // The widened grid enumerates exactly the v3 candidate set: the
         // pinned algorithm axis adds no points.
-        assert_eq!(migrated.grid.len(), art.candidates().len() * 2 * 3 * 2);
+        assert_eq!(migrated.grid.len(), art.candidates().len() * 2 * 3);
         assert!(migrated.grid.points().all(|p| p.algorithm == Algorithm::Blocked));
         assert_eq!(migrated.grid, art.grid, "the widened grid is the full legacy grid");
         let a = art.into_service();
@@ -557,7 +566,6 @@ mod tests {
     fn an_install_over_every_grid_constructor_loads() {
         for grid in [
             None,
-            Some(PlanGrid::reduced(vec![1, 4, 16])),
             Some(PlanGrid::full(vec![1, 8, 96])),
             Some(PlanGrid::widened(vec![1, 2, 4], 384)),
         ] {
@@ -676,7 +684,6 @@ mod tests {
         for strip in [
             |g: &mut PlanGrid| g.isa.clear(),
             |g: &mut PlanGrid| g.blockings.clear(),
-            |g: &mut PlanGrid| g.packing.clear(),
             |g: &mut PlanGrid| g.algorithms.clear(),
             |g: &mut PlanGrid| {
                 g.blockings = vec![BlockScale { mc_percent: 0, kc_percent: 100, nc_percent: 100 }]

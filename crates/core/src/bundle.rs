@@ -293,6 +293,6 @@ pub(crate) mod tests {
     #[should_panic(expected = "config does not fit the grid")]
     fn grid_of_another_layout_rejected() {
         let bundle = quick_bundle();
-        ArtifactBundle::new(bundle.config, bundle.models, PlanGrid::reduced(vec![1, 2]));
+        ArtifactBundle::new(bundle.config, bundle.models, PlanGrid::full(vec![1, 2]));
     }
 }

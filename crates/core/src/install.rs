@@ -182,7 +182,7 @@ impl Installation {
         // and a threads-only sweep keeps the per-call evaluation in the
         // tens of microseconds — the regime of the paper's Tables III/IV
         // `t_eval`. Grid installs sweep every (threads, isa, blocking,
-        // packing) point instead.
+        // algorithm) point instead.
         let grid_runtime = data.grid.clone();
         let tuned = train_all_families(&cfg.families, &cfg.grids, &train_set, cfg.folds, cfg.seed)?;
 
@@ -367,10 +367,12 @@ mod tests {
     fn widened_install_artifact_keeps_its_recorded_hash() {
         // Recorded before the install's preprocessing and split search were
         // rewritten for speed: every fitted bit of the chain and the model
-        // must survive such a rewrite.
+        // must survive such a rewrite. Re-recorded when the grid's
+        // `B`-packing axis was deleted: the JSON lost exactly its
+        // `"packing":["SharedB"],` key and nothing else.
         let install = small_widened_install();
         let json = install.to_artifact().to_json().unwrap();
-        assert_eq!(format!("{:016x}", artifact_hash(json.as_bytes())), "bcfcd4cc55b498d5");
+        assert_eq!(format!("{:016x}", artifact_hash(json.as_bytes())), "53ba9333f265ee9d");
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub mod prelude {
     pub use adsala_gemm::dispatch::{
         GemmArgs, GemvArgs, OpRequest, OpShape, OpStats, Precision, Routine, ShapeError, SyrkArgs,
     };
-    pub use adsala_gemm::plan::{ExecutionPlan, PackingStrategy, PlanGrid};
+    pub use adsala_gemm::plan::{ExecutionPlan, PlanGrid};
     pub use adsala_gemm::Transpose;
 }
 

@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn plan_feature_fit_keeps_at_least_one_plan_axis() {
-        use adsala_gemm::plan::{Algorithm, BlockScale, IsaChoice, PackingStrategy};
+        use adsala_gemm::plan::{Algorithm, BlockScale, IsaChoice};
         let timer = SimTimer::new(MachineModel::gadi());
         let config = GatherConfig {
             n_shapes: 40,
@@ -337,8 +337,9 @@ mod tests {
         assert_eq!(f.report.features_in, RowLayout::LegacyAxes.width());
         assert_eq!(f.config.check_fits(&data.grid), Ok(()));
         // The plan axes are weakly correlated with the size terms, so the
-        // pruner must keep them.
-        for plan_col in crate::features::FEATURE_COUNT..RowLayout::LegacyAxes.width() {
+        // pruner must keep the two that vary (`isa_scalar`, `block_scale`;
+        // the last legacy column, `packing_independent`, is constant).
+        for plan_col in crate::features::FEATURE_COUNT..RowLayout::LegacyAxes.width() - 1 {
             assert!(
                 f.config.pruner.kept.contains(&plan_col),
                 "plan-axis column {plan_col} was pruned: kept {:?}",
@@ -350,7 +351,6 @@ mod tests {
             threads: 4,
             isa: IsaChoice::Scalar,
             blocking: BlockScale::uniform(50),
-            packing: PackingStrategy::Independent,
             algorithm: Algorithm::Blocked,
         };
         let shape = OpShape::gemm(adsala_gemm::Precision::F32, 500, 300, 400);

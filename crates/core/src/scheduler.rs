@@ -327,7 +327,7 @@ mod tests {
     fn scheduler(workers: usize, cfg: SchedulerConfig) -> ServiceScheduler {
         let service = Arc::new(AdsalaService::with_config(
             quick_bundle().into_shared(),
-            ServiceConfig { pool_workers: workers, ..ServiceConfig::default() },
+            ServiceConfig { pool_workers: workers },
         ));
         ServiceScheduler::with_config(service, cfg)
     }

@@ -92,29 +92,18 @@ use adsala_gemm::{ArenaStats, Element, PoolStats, PredictionErrorStats, Routine,
 use parking_lot::{Mutex, RwLock};
 
 use crate::bundle::{ArtifactBundle, PlanDecision};
-use crate::cache::{CacheStats, DecisionCache, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS};
+use crate::cache::{CacheStats, DecisionCache};
 use crate::AdsalaError;
 
-/// Tunables for [`AdsalaService`].
-#[derive(Debug, Clone, Copy)]
+/// Tunables for [`AdsalaService`]. The decision memo is always
+/// [`DecisionCache::default`] (its stripe count and capacity are
+/// [`crate::cache::DEFAULT_CACHE_SHARDS`] and
+/// [`crate::cache::DEFAULT_CACHE_CAPACITY`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceConfig {
     /// Worker threads in the persistent GEMM pool; 0 means one per
     /// available hardware thread.
     pub pool_workers: usize,
-    /// Lock stripes in the decision memo.
-    pub cache_shards: usize,
-    /// Maximum resident decisions across all the memo's stripes.
-    pub cache_capacity: usize,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self {
-            pool_workers: 0,
-            cache_shards: DEFAULT_CACHE_SHARDS,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-        }
-    }
 }
 
 /// Per-call options for [`AdsalaService::run_with`].
@@ -269,7 +258,7 @@ impl AdsalaService {
         Self::with_config(bundle, ServiceConfig::default())
     }
 
-    /// Build a service with explicit pool/cache tunables.
+    /// Build a service with an explicit pool size.
     pub fn with_config(bundle: Arc<ArtifactBundle>, cfg: ServiceConfig) -> Self {
         let pool = if cfg.pool_workers == 0 {
             ThreadPool::with_host_parallelism()
@@ -278,7 +267,7 @@ impl AdsalaService {
         };
         Self {
             bundle: RwLock::new(bundle),
-            cache: DecisionCache::new(cfg.cache_shards, cfg.cache_capacity),
+            cache: DecisionCache::default(),
             pool,
             evaluations: AtomicU64::new(0),
             plan_downgrades: AtomicU64::new(0),
@@ -795,10 +784,7 @@ mod tests {
     }
 
     fn service() -> AdsalaService {
-        AdsalaService::with_config(
-            quick_bundle().into_shared(),
-            ServiceConfig { pool_workers: 4, ..ServiceConfig::default() },
-        )
+        AdsalaService::with_config(quick_bundle().into_shared(), ServiceConfig { pool_workers: 4 })
     }
 
     #[test]
@@ -1127,14 +1113,8 @@ mod tests {
     #[test]
     fn shared_bundle_feeds_many_services() {
         let bundle = quick_bundle().into_shared();
-        let a = AdsalaService::with_config(
-            Arc::clone(&bundle),
-            ServiceConfig { pool_workers: 1, ..ServiceConfig::default() },
-        );
-        let b = AdsalaService::with_config(
-            bundle,
-            ServiceConfig { pool_workers: 1, ..ServiceConfig::default() },
-        );
+        let a = AdsalaService::with_config(Arc::clone(&bundle), ServiceConfig { pool_workers: 1 });
+        let b = AdsalaService::with_config(bundle, ServiceConfig { pool_workers: 1 });
         assert_eq!(decide(&a, 64, 2048, 64).threads(), decide(&b, 64, 2048, 64).threads());
     }
 }

@@ -58,8 +58,8 @@ pub use gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
 pub use gemv::{gemv_with_stats, gemv_with_stats_pooled};
 pub use isa::{Kernel, KernelIsa};
 pub use plan::{
-    Algorithm, BlockScale, ExecutionPlan, IsaChoice, PackingStrategy, PlanGrid, PlanPoint,
-    FEATURE_REV_AXES, FEATURE_REV_LEGACY,
+    Algorithm, BlockScale, ExecutionPlan, IsaChoice, PlanGrid, PlanPoint, FEATURE_REV_AXES,
+    FEATURE_REV_LEGACY,
 };
 pub use pool::{PoolStats, ThreadPool};
 pub use stats::{GemmStats, PredictionErrorStats};

@@ -8,11 +8,10 @@
 //! decision layer down to the drivers, so "pick a thread count" becomes
 //! "pick how to run".
 //!
-//! The candidate grid ([`PlanGrid`], [`PlanPoint`]) still carries a
-//! [`PackingStrategy`] axis: trained artefacts and their feature rows
-//! name it, and the simulated node prices it. The host drivers have one
-//! way to get `B` (every worker packs its own), so
-//! [`PlanPoint::materialise`] drops the axis.
+//! The candidate grid ([`PlanGrid`], [`PlanPoint`]) has exactly the axes
+//! a host plan executes. There is no `B`-packing axis: the host drivers
+//! have one way to get `B` (every worker packs its own), so such an axis
+//! could not change what runs.
 //!
 //! A plan is deliberately *descriptive*, not prescriptive: `None` axes
 //! mean "derive from the host" (process-wide ISA dispatch, topology-fitted
@@ -22,20 +21,6 @@
 use crate::blocking::BlockSizes;
 use crate::isa::KernelIsa;
 use serde::{Deserialize, Serialize};
-
-/// How row groups of the thread grid obtain their packed `B` panels, as
-/// a candidate-grid axis: artefacts carry it and the simulated node
-/// prices it, but no host plan executes it (every worker packs its own
-/// `B`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum PackingStrategy {
-    /// Cooperative: one designated packer per column group fills a shared
-    /// `KC×NC` panel for its row group.
-    #[default]
-    SharedB,
-    /// Every row group packs its own copy of the `B` panel.
-    Independent,
-}
 
 /// Which multiplication algorithm a plan dispatches. The default blocked
 /// loop nest is always legal; the alternatives are only *profitable* on a
@@ -263,9 +248,6 @@ pub struct PlanPoint {
     pub isa: IsaChoice,
     /// Per-axis cache-block scales (100/100/100 = host default).
     pub blocking: BlockScale,
-    /// `B`-panel packing strategy: a grid axis only, which
-    /// [`PlanPoint::materialise`] drops.
-    pub packing: PackingStrategy,
     /// Multiplication algorithm.
     pub algorithm: Algorithm,
 }
@@ -277,7 +259,6 @@ impl PlanPoint {
             threads: threads.max(1),
             isa: IsaChoice::Dispatched,
             blocking: BlockScale::default(),
-            packing: PackingStrategy::SharedB,
             algorithm: Algorithm::Blocked,
         }
     }
@@ -286,14 +267,12 @@ impl PlanPoint {
     pub fn is_default_axes(&self) -> bool {
         self.isa == IsaChoice::Dispatched
             && self.blocking.is_default()
-            && self.packing == PackingStrategy::SharedB
             && self.algorithm == Algorithm::Blocked
     }
 
     /// Concrete plan for `precision` on this host. Default axes map to
     /// `None` (derive from the host), so a threads-only point executes
-    /// exactly like the pre-plan runtime; the packing axis has no host
-    /// counterpart and is dropped.
+    /// exactly like the pre-plan runtime.
     pub fn materialise(&self, precision: crate::dispatch::Precision) -> ExecutionPlan {
         let mut plan = ExecutionPlan::with_threads(self.threads);
         if self.isa == IsaChoice::Scalar {
@@ -333,8 +312,6 @@ pub struct PlanGrid {
     /// Cache-block scale candidates (defaults first; each entry scales
     /// the three axes independently).
     pub blockings: Vec<BlockScale>,
-    /// Packing-strategy candidates (defaults first).
-    pub packing: Vec<PackingStrategy>,
     /// Algorithm candidates (defaults first).
     pub algorithms: Vec<Algorithm>,
     /// Whether timing rows gathered from this grid carry the plan axes as
@@ -354,7 +331,6 @@ impl PlanGrid {
             threads,
             isa: vec![IsaChoice::Dispatched],
             blockings: vec![BlockScale::default()],
-            packing: vec![PackingStrategy::SharedB],
             algorithms: vec![Algorithm::Blocked],
             plan_features: false,
             feature_rev: FEATURE_REV_LEGACY,
@@ -362,29 +338,13 @@ impl PlanGrid {
     }
 
     /// The full legacy grid: thread ladder × {dispatched, scalar} ×
-    /// {100, 50, 200}% uniform blocking × {shared, independent} packing.
-    /// Kept at [`FEATURE_REV_LEGACY`] — this is the v3 artefact shape.
+    /// {100, 50, 200}% uniform blocking. Kept at [`FEATURE_REV_LEGACY`] —
+    /// the v3 artefact shape.
     pub fn full(threads: Vec<u32>) -> Self {
         Self {
             threads,
             isa: vec![IsaChoice::Dispatched, IsaChoice::Scalar],
             blockings: vec![100, 50, 200].into_iter().map(BlockScale::uniform).collect(),
-            packing: vec![PackingStrategy::SharedB, PackingStrategy::Independent],
-            algorithms: vec![Algorithm::Blocked],
-            plan_features: true,
-            feature_rev: FEATURE_REV_LEGACY,
-        }
-    }
-
-    /// A reduced grid for smoke tests: two plan axes (threads × packing)
-    /// so an install sweep stays cheap while still exercising the
-    /// plan-candidate machinery.
-    pub fn reduced(threads: Vec<u32>) -> Self {
-        Self {
-            threads,
-            isa: vec![IsaChoice::Dispatched],
-            blockings: vec![BlockScale::default()],
-            packing: vec![PackingStrategy::SharedB, PackingStrategy::Independent],
             algorithms: vec![Algorithm::Blocked],
             plan_features: true,
             feature_rev: FEATURE_REV_LEGACY,
@@ -392,15 +352,14 @@ impl PlanGrid {
     }
 
     /// The widened algorithm-axis grid: thread ladder × per-axis blocking
-    /// deviations × {blocked, strassen, zorder}. ISA and packing stay at
-    /// their defaults to keep the sweep affordable; rows carry the
+    /// deviations × {blocked, strassen, zorder}. The ISA stays at its
+    /// default to keep the sweep affordable; rows carry the
     /// [`FEATURE_REV_AXES`] feature layout.
     pub fn widened(threads: Vec<u32>, strassen_cutoff: u32) -> Self {
         Self {
             threads,
             isa: vec![IsaChoice::Dispatched],
             blockings: BlockScale::axes_product(&[100], &[100, 50, 200], &[100, 200]),
-            packing: vec![PackingStrategy::SharedB],
             algorithms: vec![
                 Algorithm::Blocked,
                 Algorithm::Strassen { cutoff: strassen_cutoff },
@@ -415,17 +374,12 @@ impl PlanGrid {
     pub fn is_threads_only(&self) -> bool {
         self.isa == [IsaChoice::Dispatched]
             && self.blockings == [BlockScale::default()]
-            && self.packing == [PackingStrategy::SharedB]
             && self.algorithms == [Algorithm::Blocked]
     }
 
     /// Number of candidate points.
     pub fn len(&self) -> usize {
-        self.threads.len()
-            * self.isa.len()
-            * self.blockings.len()
-            * self.packing.len()
-            * self.algorithms.len()
+        self.threads.len() * self.isa.len() * self.blockings.len() * self.algorithms.len()
     }
 
     /// `true` when the grid has no candidate points.
@@ -464,14 +418,11 @@ impl PlanGrid {
         }
         axis(&self.isa, distinct).flat_map(move |isa| {
             axis(&self.blockings, distinct).flat_map(move |blocking| {
-                axis(&self.packing, distinct).flat_map(move |packing| {
-                    axis(&self.algorithms, distinct).map(move |algorithm| PlanPoint {
-                        threads,
-                        isa,
-                        blocking,
-                        packing,
-                        algorithm,
-                    })
+                axis(&self.algorithms, distinct).map(move |algorithm| PlanPoint {
+                    threads,
+                    isa,
+                    blocking,
+                    algorithm,
                 })
             })
         })
@@ -545,16 +496,16 @@ mod tests {
     fn full_grid_enumerates_the_cartesian_product() {
         let grid = PlanGrid::full(vec![1, 8]);
         assert!(!grid.is_threads_only());
-        assert_eq!(grid.len(), 2 * 2 * 3 * 2);
+        assert_eq!(grid.len(), 2 * 2 * 3);
         let points: Vec<_> = grid.points().collect();
         assert_eq!(points.len(), grid.len());
         // Thread-major, defaults first: the first point of each thread
         // count is the threads-only point.
         assert_eq!(points[0], PlanPoint::threads_only(1));
-        assert_eq!(points[12], PlanPoint::threads_only(8));
+        assert_eq!(points[6], PlanPoint::threads_only(8));
         // All points distinct.
         let mut uniq = points.clone();
-        uniq.sort_by_key(|p| (p.threads, p.isa as u8, p.blocking.kc_percent, p.packing as u8));
+        uniq.sort_by_key(|p| (p.threads, p.isa as u8, p.blocking.kc_percent));
         uniq.dedup();
         assert_eq!(uniq.len(), points.len());
     }
@@ -587,7 +538,7 @@ mod tests {
         let grid = PlanGrid::widened(vec![1, 8], 256);
         assert!(!grid.is_threads_only());
         assert_eq!(grid.feature_rev, FEATURE_REV_AXES);
-        // 2 threads × 1 isa × (1·3·2) blockings × 1 packing × 3 algos.
+        // 2 threads × 1 isa × (1·3·2) blockings × 3 algos.
         assert_eq!(grid.len(), 2 * 6 * 3);
         let points: Vec<_> = grid.points().collect();
         assert_eq!(points[0], PlanPoint::threads_only(1));
@@ -611,7 +562,6 @@ mod tests {
             threads: 4,
             isa: IsaChoice::Scalar,
             blocking: BlockScale::uniform(50),
-            packing: PackingStrategy::Independent,
             algorithm: Algorithm::Blocked,
         };
         let q = point.materialise(Precision::F32);
@@ -619,9 +569,6 @@ mod tests {
         assert_eq!(q.kernel_isa, Some(KernelIsa::Scalar));
         let blocks = q.blocking.expect("non-default percent pins blocking");
         assert!(blocks.is_valid());
-        // The packing axis has no host counterpart: both points run alike.
-        let shared = PlanPoint { packing: PackingStrategy::SharedB, ..point };
-        assert_eq!(shared.materialise(Precision::F32), q);
     }
 
     #[test]
@@ -651,15 +598,6 @@ mod tests {
         assert_eq!(plan.algorithm, Algorithm::Strassen { cutoff: 128 });
         assert!(plan.blocking.is_none(), "default blocking stays host-derived");
         assert!(!point.is_default_axes());
-    }
-
-    #[test]
-    fn reduced_grid_has_two_axes() {
-        let grid = PlanGrid::reduced(vec![1, 2, 4]);
-        assert_eq!(grid.len(), 6);
-        assert!(!grid.is_threads_only());
-        assert!(grid.plan_features);
-        assert_eq!(grid.feature_rev, FEATURE_REV_LEGACY);
     }
 
     #[test]

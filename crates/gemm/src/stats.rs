@@ -29,7 +29,11 @@ pub struct GemmStats {
     pub mr: usize,
     /// Effective register-tile columns of the dispatched kernel.
     pub nr: usize,
-    /// Threads that actually ran (≤ requested; tiny problems use fewer).
+    /// Tasks the call's thread grid was split into (≤ requested threads;
+    /// tiny problems use fewer). This is the plan's executed width, not a
+    /// count of distinct workers: each task runs on one pool worker, but a
+    /// pool with fewer workers than tasks runs several on one worker, so
+    /// the count can exceed the pool's size.
     pub threads_used: usize,
     /// Thread-grid rows (partition of `C`'s row dimension).
     pub grid_rows: usize,

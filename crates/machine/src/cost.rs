@@ -5,8 +5,13 @@
 //! same model instance answers "how long would this GEMM take at *any*
 //! thread count" — which is exactly the question the paper's training data
 //! gathering asks the real machines.
+//!
+//! A blocked plan is priced as the vendor library of the paper's nodes
+//! runs it: row groups share cooperatively packed `B` panels and meet at a
+//! barrier per rank-update panel. The plan grid has no `B`-packing axis
+//! (no host plan could execute one), so this is the only blocked price.
 
-use adsala_gemm::plan::{Algorithm, IsaChoice, PackingStrategy, PlanPoint};
+use adsala_gemm::plan::{Algorithm, IsaChoice, PlanPoint};
 use adsala_sampling::GemmShape;
 use serde::{Deserialize, Serialize};
 
@@ -121,9 +126,6 @@ impl MachineModel {
     ///   per-panel barrier count, `C` write-back traffic and kernel-call
     ///   overhead; any axis off 100% additionally pays a small
     ///   kernel-efficiency penalty for leaving the tuned cache footprint;
-    /// * **independent packing** — drops the per-panel barrier (only a
-    ///   start and end barrier remain) but pays duplicated `B`-copy
-    ///   traffic across row groups;
     /// * **Strassen** — with `L` eligible recursion levels, the cost is
     ///   `7^L` blocked base calls at the `2^L`-times-halved shape (this
     ///   is literally what the driver executes) plus operand
@@ -199,7 +201,6 @@ impl MachineModel {
             (params.kc * point.blocking.kc_percent.max(1) as u64 / 100).max(1)
         };
         let kblocks = k.div_ceil(kc).max(1) as f64;
-        let independent = point.packing == PackingStrategy::Independent;
 
         // ---- spawn + sync -------------------------------------------------
         let (spawn_s, sync_s) = if p <= 1 {
@@ -209,10 +210,8 @@ impl MachineModel {
             let barrier = params.sync_per_barrier_s
                 * (p as f64).log2()
                 * (1.0 + params.sync_numa_penalty * (place.sockets_used - 1) as f64);
-            // Cooperative B packing synchronises every rank-update panel;
-            // independent packing only meets at the start and end.
-            let barriers = if independent { 2.0 } else { kblocks + 2.0 };
-            (spawn, barriers * barrier)
+            // Cooperative B packing synchronises every rank-update panel.
+            (spawn, (kblocks + 2.0) * barrier)
         };
 
         // ---- data copy (packing) -----------------------------------------
@@ -220,12 +219,7 @@ impl MachineModel {
         // group its own copy of the A panel (duplication across the grid),
         // padded to full micro-tiles.
         let a_bytes = es * (m * k) as f64 * pad_m * pc as f64;
-        let mut b_bytes = es * (k * n) as f64 * pad_n * pr as f64;
-        if independent {
-            // No shared panel to lean on: every row group streams its own
-            // copy through a cold cache.
-            b_bytes *= 1.35;
-        }
+        let b_bytes = es * (k * n) as f64 * pad_n * pr as f64;
         let copy_bytes = a_bytes + b_bytes;
 
         // Aggregate copy bandwidth: sockets in play, NUMA-interleave
@@ -316,7 +310,9 @@ impl MachineModel {
             point.blocking.mc_percent as u64,
             point.blocking.kc_percent as u64,
             point.blocking.nc_percent as u64,
-            point.packing as u64,
+            // The deleted packing axis's shared-B word: noise streams keep
+            // their bits.
+            0,
             match point.algorithm {
                 Algorithm::Blocked => 0,
                 Algorithm::ZOrder => 1,
@@ -581,19 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn independent_packing_trades_sync_for_copy() {
-        let model = MachineModel::gadi();
-        let shape = GemmShape::new(96, 8192, 96);
-        let shared = model.expected_point(shape, &PlanPoint::threads_only(96));
-        let indep = model.expected_point(
-            shape,
-            &PlanPoint { packing: PackingStrategy::Independent, ..PlanPoint::threads_only(96) },
-        );
-        assert!(indep.sync_s < shared.sync_s, "independent packing must drop panel barriers");
-        assert!(indep.copy_s > shared.copy_s, "independent packing must duplicate B traffic");
-    }
-
-    #[test]
     fn block_scale_moves_barrier_and_writeback_counts() {
         let model = MachineModel::gadi();
         let shape = GemmShape::new(256, 8192, 256);
@@ -690,7 +673,7 @@ mod tests {
             blocking: adsala_gemm::plan::BlockScale::uniform(200),
             ..PlanPoint::threads_only(24)
         };
-        let b = PlanPoint { packing: PackingStrategy::Independent, ..PlanPoint::threads_only(24) };
+        let b = PlanPoint { isa: IsaChoice::Scalar, ..PlanPoint::threads_only(24) };
         let ma = model.measure_point(shape, &a, 0);
         assert_eq!(ma, model.measure_point(shape, &a, 0), "deterministic");
         let ra = ma / model.expected_point(shape, &a).total();

@@ -248,12 +248,11 @@ mod tests {
 
     #[test]
     fn sim_timer_time_plan_matches_model_points() {
-        use adsala_gemm::plan::PackingStrategy;
+        use adsala_gemm::plan::BlockScale;
         let model = MachineModel::gadi();
         let timer = SimTimer::new(model.clone());
         let shape = GemmShape::new(300, 300, 300);
-        let point =
-            PlanPoint { packing: PackingStrategy::Independent, ..PlanPoint::threads_only(16) };
+        let point = PlanPoint { blocking: BlockScale::uniform(50), ..PlanPoint::threads_only(16) };
         let mean = (0..4).map(|r| model.measure_point(shape, &point, r)).sum::<f64>() / 4.0;
         assert_eq!(timer.time_plan(shape, &point, 4), mean);
         // A thread count is the default-axes point, bit for bit.
@@ -267,14 +266,13 @@ mod tests {
 
     #[test]
     fn host_timer_runs_non_default_plans() {
-        use adsala_gemm::plan::{Algorithm, BlockScale, IsaChoice, PackingStrategy};
+        use adsala_gemm::plan::{Algorithm, BlockScale, IsaChoice};
         let timer = HostTimer::with_max_threads(2);
         let shape = GemmShape::new(48, 48, 48);
         let point = PlanPoint {
             threads: 2,
             isa: IsaChoice::Scalar,
             blocking: BlockScale::uniform(50),
-            packing: PackingStrategy::Independent,
             algorithm: Algorithm::Blocked,
         };
         let t = timer.time_plan(shape, &point, 1);

@@ -28,10 +28,8 @@ fn main() {
 
     // 2. Stand up the serving layer: a persistent GEMM pool plus a
     //    sharded decision cache, all behind one shareable handle.
-    let service = AdsalaService::with_config(
-        Arc::clone(&bundle),
-        ServiceConfig { pool_workers: 0, cache_shards: 8, cache_capacity: 1024 },
-    );
+    let service =
+        AdsalaService::with_config(Arc::clone(&bundle), ServiceConfig { pool_workers: 0 });
     println!(
         "service up: {} pool workers, {} candidate thread counts",
         service.stats().pool.workers,

@@ -98,10 +98,7 @@ fn main() {
     }
 
     // 4. One service, four concurrent clients, four routine/precision mixes.
-    let service = AdsalaService::with_config(
-        bundle,
-        ServiceConfig { pool_workers: 0, cache_shards: 8, cache_capacity: 1024 },
-    );
+    let service = AdsalaService::with_config(bundle, ServiceConfig { pool_workers: 0 });
     let rounds = 12usize;
     std::thread::scope(|scope| {
         // f32 GEMM client.

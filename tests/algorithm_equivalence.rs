@@ -157,10 +157,7 @@ fn fixture_path(name: &str) -> PathBuf {
 
 fn fixture_service() -> AdsalaService {
     let art = Artifact::load(&fixture_path("artifact_v3.json")).expect("fixture must load");
-    AdsalaService::with_config(
-        art.into_bundle().into_shared(),
-        ServiceConfig { pool_workers: 2, ..ServiceConfig::default() },
-    )
+    AdsalaService::with_config(art.into_bundle().into_shared(), ServiceConfig { pool_workers: 2 })
 }
 
 /// An eligible Strassen plan pinned through the service executes the
@@ -202,10 +199,7 @@ fn learned_non_blocked_decision_executes_as_decided() {
 
     // Simulator-trained, so the decisions are the same on every host.
     let bundle = quick_test_bundle_over(Some(PlanGrid::widened(vec![1, 2], 64)));
-    let svc = AdsalaService::with_config(
-        bundle.into_shared(),
-        ServiceConfig { pool_workers: 2, ..ServiceConfig::default() },
-    );
+    let svc = AdsalaService::with_config(bundle.into_shared(), ServiceConfig { pool_workers: 2 });
     const SHAPES: &[(usize, usize, usize)] = &[
         (128, 128, 128),
         (192, 192, 192),

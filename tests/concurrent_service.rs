@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use adsala::bundle::quick_test_bundle as quick_bundle;
+use adsala::cache::DEFAULT_CACHE_CAPACITY;
 use adsala::prelude::*;
 use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
 
@@ -26,10 +27,8 @@ fn service_is_send_and_sync() {
 #[test]
 fn concurrent_clients_get_deterministic_in_ladder_decisions() {
     let bundle = quick_bundle().into_shared();
-    let service = AdsalaService::with_config(
-        Arc::clone(&bundle),
-        ServiceConfig { pool_workers: 4, cache_shards: 8, cache_capacity: 256 },
-    );
+    let service =
+        AdsalaService::with_config(Arc::clone(&bundle), ServiceConfig { pool_workers: 4 });
     let n_clients = 8u64;
     let calls_per_client = 200u64;
 
@@ -96,17 +95,17 @@ fn concurrent_clients_get_deterministic_in_ladder_decisions() {
 /// Adversarial shape streams cannot grow the memo past its bound.
 #[test]
 fn cache_stays_bounded_under_adversarial_stream() {
-    let service = AdsalaService::with_config(
-        quick_bundle().into_shared(),
-        ServiceConfig { pool_workers: 1, cache_shards: 4, cache_capacity: 32 },
-    );
+    let service =
+        AdsalaService::with_config(quick_bundle().into_shared(), ServiceConfig { pool_workers: 1 });
+    // Half as many fresh keys again as the memo holds, over four clients.
+    let per_client = (DEFAULT_CACHE_CAPACITY as u64 * 3 / 2).div_ceil(4);
     std::thread::scope(|scope| {
         for client in 0..4u64 {
             let service = &service;
             scope.spawn(move || {
-                for i in 0..500u64 {
-                    // Almost every key is fresh: a worst-case stream.
-                    let v = client * 1000 + i;
+                for i in 0..per_client {
+                    // Every key is fresh: a worst-case stream.
+                    let v = client * per_client + i;
                     service.select_for_capped(
                         OpShape::gemm(Precision::F32, 32 + v, 64 + v, 32 + (v % 97)),
                         u32::MAX,
@@ -117,8 +116,9 @@ fn cache_stays_bounded_under_adversarial_stream() {
     });
     let stats = service.stats().cache;
     assert!(stats.entries <= stats.capacity, "{stats:?}");
+    assert_eq!(stats.capacity, DEFAULT_CACHE_CAPACITY as u64, "{stats:?}");
     assert!(stats.evictions > 0, "an adversarial stream must trigger evictions: {stats:?}");
-    assert_eq!(stats.lookups(), 2000);
+    assert_eq!(stats.lookups(), 4 * per_client);
 }
 
 /// Concurrent `sgemm` calls through one shared service must all be
@@ -126,10 +126,8 @@ fn cache_stays_bounded_under_adversarial_stream() {
 /// to the process pool.
 #[test]
 fn concurrent_sgemm_matches_spawn_path_bitwise() {
-    let service = AdsalaService::with_config(
-        quick_bundle().into_shared(),
-        ServiceConfig { pool_workers: 4, ..ServiceConfig::default() },
-    );
+    let service =
+        AdsalaService::with_config(quick_bundle().into_shared(), ServiceConfig { pool_workers: 4 });
     let cases: Vec<(usize, usize, usize)> =
         vec![(33, 17, 29), (64, 64, 64), (96, 40, 72), (20, 128, 24)];
 
@@ -171,10 +169,8 @@ fn concurrent_sgemm_matches_spawn_path_bitwise() {
 /// thread count.
 #[test]
 fn mixed_routine_traffic_matches_direct_kernels_bitwise() {
-    let service = AdsalaService::with_config(
-        quick_bundle().into_shared(),
-        ServiceConfig { pool_workers: 4, ..ServiceConfig::default() },
-    );
+    let service =
+        AdsalaService::with_config(quick_bundle().into_shared(), ServiceConfig { pool_workers: 4 });
     let rounds = 3usize;
     let cap = 4u32;
 
@@ -274,10 +270,8 @@ fn mixed_routine_traffic_matches_direct_kernels_bitwise() {
 /// the good ones all succeed, and no serving thread panics.
 #[test]
 fn malformed_requests_error_cleanly_under_concurrency() {
-    let service = AdsalaService::with_config(
-        quick_bundle().into_shared(),
-        ServiceConfig { pool_workers: 2, ..ServiceConfig::default() },
-    );
+    let service =
+        AdsalaService::with_config(quick_bundle().into_shared(), ServiceConfig { pool_workers: 2 });
     std::thread::scope(|scope| {
         for client in 0..4usize {
             let svc = &service;

@@ -32,10 +32,8 @@ fn hot_swap_mid_flood_keeps_results_bitwise_stable() {
     const N_SWAPS: u64 = 5;
     const CAP: u32 = 4;
 
-    let service = AdsalaService::with_config(
-        quick_bundle().into_shared(),
-        ServiceConfig { pool_workers: 4, ..ServiceConfig::default() },
-    );
+    let service =
+        AdsalaService::with_config(quick_bundle().into_shared(), ServiceConfig { pool_workers: 4 });
     let done = AtomicBool::new(false);
     let ops = AtomicU64::new(0);
 
@@ -146,10 +144,8 @@ fn a_swap_zeroes_the_error_sums_and_retires_the_memo() {
     const ROUNDS: u64 = 8;
 
     let bundle = quick_bundle().into_shared();
-    let service = AdsalaService::with_config(
-        Arc::clone(&bundle),
-        ServiceConfig { pool_workers: 2, ..ServiceConfig::default() },
-    );
+    let service =
+        AdsalaService::with_config(Arc::clone(&bundle), ServiceConfig { pool_workers: 2 });
     let shapes = swap_shapes();
     // Ground truth: the install-time model is perfect, so the "machine"
     // runs each pinned plan in the time the bundle predicts, times noise.

@@ -1,10 +1,9 @@
 //! Plan-equivalence coverage: every plan the candidate grid can emit —
-//! each combination of thread count, ISA choice, block scale, and packing
-//! strategy — must compute the correct product across transpose combos
-//! and skewed shapes, give the same bits on a private pool as on the
-//! process pool (sized to the host), and (for scalar-ISA plans) be
-//! invariant to the thread count and the grid's packing axis (which no
-//! host plan carries).
+//! each combination of thread count, ISA choice and block scale — must
+//! compute the correct product across transpose combos and skewed shapes,
+//! give the same bits on a private pool as on the process pool (sized to
+//! the host), and (for scalar-ISA plans) be invariant to the thread
+//! count.
 
 use adsala_repro::adsala_gemm::dispatch::Precision;
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
@@ -115,12 +114,11 @@ grid_plans_are_correct_and_pool_invariant!(
     1e-4
 );
 
-/// Scalar-ISA plans must be bitwise invariant to the thread count and the
-/// grid's packing axis: threads split `M`/`N` (never the `K` accumulation)
-/// and both packing values materialise the same plan, so only the
+/// Scalar-ISA plans must be bitwise invariant to the thread count:
+/// threads split `M`/`N` (never the `K` accumulation), so only the
 /// blocking axis may legitimately change the result bits.
 #[test]
-fn scalar_plans_are_thread_and_packing_invariant() {
+fn scalar_plans_are_thread_invariant() {
     let grid = PlanGrid::full(vec![1, 2, 5]);
     let pool = ThreadPool::new(4);
     for point in grid.points().filter(|p| p.isa == IsaChoice::Scalar) {

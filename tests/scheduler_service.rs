@@ -13,7 +13,7 @@ use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
 fn scheduler(workers: usize, cfg: SchedulerConfig) -> ServiceScheduler {
     let service = Arc::new(AdsalaService::with_config(
         quick_bundle().into_shared(),
-        ServiceConfig { pool_workers: workers, ..ServiceConfig::default() },
+        ServiceConfig { pool_workers: workers },
     ));
     ServiceScheduler::with_config(service, cfg)
 }

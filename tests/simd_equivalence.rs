@@ -371,7 +371,7 @@ fn beta_zero_never_reads_c_under_dispatch() {
     let pool = ThreadPool::new(3);
     let service = AdsalaService::with_config(
         quick_test_bundle().into_shared(),
-        ServiceConfig { pool_workers: 3, ..ServiceConfig::default() },
+        ServiceConfig { pool_workers: 3 },
     );
     beta_zero_overwrites_nan::<f32>(&pool, &service, f32::NAN);
     beta_zero_overwrites_nan::<f64>(&pool, &service, f64::NAN);

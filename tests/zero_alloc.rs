@@ -18,10 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 fn service() -> AdsalaService {
-    AdsalaService::with_config(
-        quick_test_bundle().into_shared(),
-        ServiceConfig { pool_workers: 4, ..ServiceConfig::default() },
-    )
+    AdsalaService::with_config(quick_test_bundle().into_shared(), ServiceConfig { pool_workers: 4 })
 }
 
 fn run_gemm(svc: &AdsalaService, m: usize, n: usize, k: usize) -> OpStats {
