@@ -563,6 +563,38 @@ mod tests {
         }
     }
 
+    /// Noisy measurements of non-default points, recorded while the grid
+    /// still had a `B`-packing axis (every point here was shared-`B`):
+    /// `(rep 0, rep 2)` bits. They draw from the full seed words, so they
+    /// pin that the deleted axis's word is still the shared-`B` `0`.
+    #[test]
+    fn non_default_points_keep_their_recorded_bits() {
+        use adsala_gemm::plan::BlockScale;
+        let scalar = PlanPoint { isa: IsaChoice::Scalar, ..PlanPoint::threads_only(16) };
+        let blocked =
+            PlanPoint { blocking: BlockScale::new(100, 50, 200), ..PlanPoint::threads_only(96) };
+        let strassen = PlanPoint {
+            algorithm: Algorithm::Strassen { cutoff: 256 },
+            ..PlanPoint::threads_only(48)
+        };
+        let zorder = PlanPoint { algorithm: Algorithm::ZOrder, ..PlanPoint::threads_only(1) };
+        let recorded = [
+            (MachineModel::gadi(), sq(64), scalar, [0x3f55cf7a9ba87679, 0x3f5194a7140c2ef8]),
+            (
+                MachineModel::gadi(),
+                GemmShape::new(64, 2048, 64),
+                blocked,
+                [0x3fd42c21751d71a8, 0x3fd59f1c37c64dae],
+            ),
+            (MachineModel::setonix(), sq(1024), strassen, [0x3f78c33760e6b8ce, 0x3f776a3354a06c89]),
+            (MachineModel::setonix(), sq(300), zorder, [0x3f548e6fed566c24, 0x3f53c79e3b0d0657]),
+        ];
+        for (model, shape, point, [rep0, rep2]) in recorded {
+            assert_eq!(model.measure_point(shape, &point, 0).to_bits(), rep0, "{point:?}");
+            assert_eq!(model.measure_point(shape, &point, 2).to_bits(), rep2, "{point:?}");
+        }
+    }
+
     #[test]
     fn scalar_isa_is_slower_on_compute_bound_shapes() {
         let model = MachineModel::gadi();
