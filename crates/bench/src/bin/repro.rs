@@ -502,24 +502,22 @@ fn speedup_table(ht: bool) {
 /// Beyond the paper: install over the full execution-plan grid on the
 /// Gadi simulator and tabulate which plan axes the learned model picks
 /// for fresh shapes — the companion of Tables V/VI for the generalised
-/// (threads × ISA × blocking) decision.
+/// (threads × blocking) decision.
 fn plan_table() {
     banner("Plan table — grid-trained ExecutionPlan choices over fresh shapes, Gadi");
     let timer = sim_timer(Machine::Gadi, true, Affinity::CoreBased);
     let mut cfg = InstallConfig::quick();
-    // Every shape is timed at every grid point (threads × isa ×
-    // blocking), and the LOF filter is quadratic in rows (in time; its
-    // memory is linear) — keep the thread axis coarse so the sweep stays a
-    // few thousand rows.
+    // Every shape is timed at every grid point (threads × blocking), and
+    // the LOF filter is quadratic in rows (in time; its memory is linear)
+    // — keep the thread axis coarse so the sweep stays a few thousand rows.
     cfg.gather.n_shapes = 120;
     cfg.gather.grid =
         Some(adsala_gemm::plan::PlanGrid::full(vec![1, 8, 24, 48, timer.max_threads()]));
     let install = Installation::run(&timer, &cfg).expect("grid install");
     println!(
-        "grid: {} candidate plans per shape ({} threads x {} isa x {} block scales); selected {:?}",
+        "grid: {} candidate plans per shape ({} threads x {} block scales); selected {:?}",
         install.grid.len(),
         install.grid.threads.len(),
-        install.grid.isa.len(),
         install.grid.blockings.len(),
         install.selected
     );
@@ -528,13 +526,8 @@ fn plan_table() {
     // axis optimal during gathering.
     let optimal = install.data.optimal_points();
     let swept = optimal.len();
-    let opt_isa =
-        optimal.iter().filter(|(_, p)| p.isa != adsala_gemm::plan::IsaChoice::default()).count();
     let opt_blk = optimal.iter().filter(|(_, p)| !p.blocking.is_default()).count();
-    println!(
-        "sweep-optimal non-default axes over {swept} training shapes: \
-         isa {opt_isa}, blocking {opt_blk}"
-    );
+    println!("sweep-optimal non-default blocking over {swept} training shapes: {opt_blk}");
 
     // Serve fresh shapes and tabulate the model's plan choices.
     let service = adsala::AdsalaService::with_config(
@@ -544,7 +537,6 @@ fn plan_table() {
     let shapes = sample_shapes(MemoryCap::paper_training(), 120, 0x91A);
     println!("\n{:<10} {:>8} {:>8} {:>12}  chosen plan", "m", "k", "n", "pred (s)");
     let mut csv_rows = Vec::new();
-    let mut chose_isa = 0usize;
     let mut chose_blk = 0usize;
     let mut distinct: std::collections::HashSet<adsala_gemm::plan::ExecutionPlan> =
         std::collections::HashSet::new();
@@ -552,7 +544,6 @@ fn plan_table() {
         let d = decide(&service, s);
         let plan = d.plan;
         distinct.insert(plan);
-        chose_isa += usize::from(plan.kernel_isa.is_some());
         chose_blk += usize::from(plan.blocking.is_some());
         if i < 16 {
             println!(
@@ -564,25 +555,20 @@ fn plan_table() {
                 plan.describe()
             );
         }
-        let isa = plan.kernel_isa.map_or("auto", |i| i.as_str());
         let blk = plan
             .blocking
             .map_or_else(|| "auto".to_string(), |b| format!("{}x{}x{}", b.mc, b.kc, b.nc));
         csv_rows.push(format!(
-            "{},{},{},{},{},{},{:.9e}",
-            s.m, s.k, s.n, plan.threads, isa, blk, d.predicted_runtime_s
+            "{},{},{},{},{},{:.9e}",
+            s.m, s.k, s.n, plan.threads, blk, d.predicted_runtime_s
         ));
     }
     println!(
-        "\nmodel-selected over {} fresh shapes: {} distinct plans; non-default axes: \
-         isa {}, blocking {}",
+        "\nmodel-selected over {} fresh shapes: {} distinct plans; non-default blocking: {}",
         shapes.len(),
         distinct.len(),
-        chose_isa,
         chose_blk
     );
-    let axes_moved = [chose_isa, chose_blk].iter().filter(|&&c| c > 0).count();
-    println!("plan axes exercised beyond the thread count: {axes_moved} of 2");
 
     // One real host execution through the service so the executed plan —
     // and any force-scalar/unsupported-ISA degradation — is visible.
@@ -617,8 +603,7 @@ fn plan_table() {
         println!("{}", prediction_line("plan-table", &svc.prediction));
     }
 
-    let path =
-        write_csv("plan_choices_gadi.csv", "m,k,n,threads,isa,blocking,predicted_s", &csv_rows);
+    let path = write_csv("plan_choices_gadi.csv", "m,k,n,threads,blocking,predicted_s", &csv_rows);
     println!("[csv] {}", path.display());
 }
 

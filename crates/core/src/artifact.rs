@@ -25,17 +25,20 @@
 //!   (sound because each routine's shape maps into the same GEMM feature
 //!   space — see [`adsala_gemm::OpShape::gemm_equivalent`]).
 //!
-//! v3 and v4 documents written before the `B`-packing grid axis was
-//! deleted carry a `packing` list in their grid. Loading ignores that key
-//! on purpose (the derived deserialisers skip keys a struct does not
-//! name): no host plan ever executed the axis, and the feature rows keep
-//! its column as the constant a shared-`B` point wrote
+//! v3 and v4 documents written before the `B`-packing and ISA grid axes
+//! were deleted carry `packing` and `isa` lists in their grid. Loading
+//! ignores both keys on purpose (the derived deserialisers skip keys a
+//! struct does not name), so a grid that listed the scalar ISA loses
+//! those candidates and keeps exactly its dispatched ones, in their
+//! order. No host plan ever executed the packing axis, and a scalar point
+//! was the timed optimum of no swept shape; the feature rows keep
+//! both columns as the constants a shared-`B`, dispatched point wrote
 //! ([`crate::RowLayout`]), so such a document decides as before.
 
 use std::fs;
 use std::path::Path;
 
-use adsala_gemm::plan::{Algorithm, BlockScale, IsaChoice, PlanGrid, FEATURE_REV_LEGACY};
+use adsala_gemm::plan::{Algorithm, BlockScale, PlanGrid, FEATURE_REV_LEGACY};
 use adsala_gemm::Routine;
 use adsala_ml::AnyModel;
 use serde::{Deserialize, Serialize, Value};
@@ -134,24 +137,23 @@ struct ArtifactV2 {
 }
 
 /// The v3 on-disk grid: one uniform `block_percents` scale list and no
-/// algorithm axis. Kept only for migration. Its `packing` key is
-/// deliberately not named, so loading ignores it (see the module docs).
+/// algorithm axis. Kept only for migration. Its `packing` and `isa` keys
+/// are deliberately not named, so loading ignores them (see the module
+/// docs).
 #[derive(Deserialize)]
 struct PlanGridV3 {
     threads: Vec<u32>,
-    isa: Vec<IsaChoice>,
     block_percents: Vec<u32>,
     plan_features: bool,
 }
 
 impl PlanGridV3 {
-    /// Widen into the v4 grid without changing the candidate set, its
-    /// iteration order, or (via [`FEATURE_REV_LEGACY`]) the feature rows
-    /// — migrated artefacts decide bit-identically.
+    /// Widen into the v4 grid without changing the dispatched candidates,
+    /// their iteration order, or (via [`FEATURE_REV_LEGACY`]) the feature
+    /// rows — migrated artefacts decide bit-identically.
     fn widen(self) -> PlanGrid {
         PlanGrid {
             threads: self.threads,
-            isa: self.isa,
             blockings: self.block_percents.into_iter().map(BlockScale::uniform).collect(),
             algorithms: vec![Algorithm::Blocked],
             plan_features: self.plan_features,
@@ -212,11 +214,9 @@ fn validate_grid(grid: &PlanGrid) -> Result<(), AdsalaError> {
             grid.threads
         ));
     }
-    for (axis, empty) in [
-        ("isa", grid.isa.is_empty()),
-        ("blockings", grid.blockings.is_empty()),
-        ("algorithms", grid.algorithms.is_empty()),
-    ] {
+    for (axis, empty) in
+        [("blockings", grid.blockings.is_empty()), ("algorithms", grid.algorithms.is_empty())]
+    {
         if empty {
             return bad(format!("artifact grid has an empty `{axis}` axis"));
         }
@@ -397,7 +397,6 @@ mod tests {
     #[derive(Serialize)]
     struct GridV3Writer {
         threads: Vec<u32>,
-        isa: Vec<IsaChoice>,
         block_percents: Vec<u32>,
         plan_features: bool,
     }
@@ -479,22 +478,23 @@ mod tests {
             machine: art.machine.clone(),
             grid: GridV3Writer {
                 threads: art.candidates().to_vec(),
-                isa: vec![IsaChoice::Dispatched, IsaChoice::Scalar],
                 block_percents: vec![100, 50, 200],
                 plan_features: true,
             },
             config: art.config.clone(),
             models: art.models.clone(),
         };
-        // A v3 build also wrote the since-deleted `B`-packing axis, which
-        // loading ignores.
+        // A v3 build also wrote the since-deleted ISA and `B`-packing axes,
+        // which loading ignores.
         let axes = "\"block_percents\":[100,50,200],";
         let json = serde_json::to_string(&v3).unwrap().replacen(
             axes,
-            &format!("{axes}\"packing\":[\"SharedB\",\"Independent\"],"),
+            &format!(
+                "\"isa\":[\"Dispatched\",\"Scalar\"],{axes}\"packing\":[\"SharedB\",\"Independent\"],"
+            ),
             1,
         );
-        assert!(json.contains("\"packing\""));
+        assert!(json.contains("\"isa\"") && json.contains("\"packing\""));
         let migrated = Artifact::from_json(&json).unwrap();
         assert_eq!(migrated.version, Artifact::VERSION);
         assert_eq!(
@@ -504,9 +504,9 @@ mod tests {
         assert_eq!(migrated.grid.algorithms, vec![Algorithm::Blocked]);
         assert_eq!(migrated.grid.feature_rev, FEATURE_REV_LEGACY);
         assert!(migrated.grid.plan_features);
-        // The widened grid enumerates exactly the v3 candidate set: the
-        // pinned algorithm axis adds no points.
-        assert_eq!(migrated.grid.len(), art.candidates().len() * 2 * 3);
+        // The widened grid enumerates exactly the v3 dispatched candidates:
+        // the pinned algorithm axis adds no points.
+        assert_eq!(migrated.grid.len(), art.candidates().len() * 3);
         assert!(migrated.grid.points().all(|p| p.algorithm == Algorithm::Blocked));
         assert_eq!(migrated.grid, art.grid, "the widened grid is the full legacy grid");
         let a = art.into_service();
@@ -682,7 +682,6 @@ mod tests {
     #[test]
     fn empty_grid_axis_rejected() {
         for strip in [
-            |g: &mut PlanGrid| g.isa.clear(),
             |g: &mut PlanGrid| g.blockings.clear(),
             |g: &mut PlanGrid| g.algorithms.clear(),
             |g: &mut PlanGrid| {

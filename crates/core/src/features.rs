@@ -17,7 +17,7 @@
 //! model trained on that routine's timings — serves every routine. A
 //! thread count enters it as [`PlanPoint::threads_only`].
 
-use adsala_gemm::plan::{Algorithm, IsaChoice, PlanGrid, PlanPoint, FEATURE_REV_AXES};
+use adsala_gemm::plan::{Algorithm, PlanGrid, PlanPoint, FEATURE_REV_AXES};
 use adsala_gemm::OpShape;
 
 /// Number of Table II columns — the whole row of a threads-only grid.
@@ -50,13 +50,14 @@ const TABLE2_NAMES: [&str; FEATURE_COUNT] = [
 /// is the v3 uniform cache-block scale; migrated v4 points reproduce it
 /// from `kc_percent` (the three axes are equal on a migrated uniform
 /// triple), keeping these rows bit-identical under v3→v4 migration.
-/// `packing_independent` is the constant `0.0` (see [`RowLayout`]).
+/// `isa_scalar` and `packing_independent` are the constant `0.0` (see
+/// [`RowLayout`]).
 const LEGACY_AXIS_NAMES: [&str; 3] = ["isa_scalar", "block_scale", "packing_independent"];
 
-/// Names of the [`RowLayout::Axes`] plan-axis columns: per-axis cache-block
-/// scales, the constant `packing_independent` column (as in
-/// [`LEGACY_AXIS_NAMES`]), one-hot algorithm flags and the Strassen cutoff
-/// (0 when not Strassen).
+/// Names of the [`RowLayout::Axes`] plan-axis columns: the constant
+/// `isa_scalar` column, per-axis cache-block scales, the constant
+/// `packing_independent` column (both as in [`LEGACY_AXIS_NAMES`]),
+/// one-hot algorithm flags and the Strassen cutoff (0 when not Strassen).
 const AXIS_NAMES: [&str; 8] = [
     "isa_scalar",
     "mc_scale",
@@ -108,24 +109,26 @@ pub(crate) fn write_table2(terms: &[f64; 8], n_threads: u32, out: &mut [f64]) {
 /// three revisions, all live: artefacts of every schema keep deciding from
 /// the rows their model was fitted on.
 ///
-/// Both plan-axis layouts keep a `packing_independent` column written as
-/// the constant `0.0`, the value every shared-`B` point wrote when the
-/// grid had a `B`-packing axis (no host plan executed that axis, so it was
-/// deleted). Keeping the column at its index leaves every fitted chain's
-/// kept indices, and every row of a point that never named the
-/// independent strategy, byte-identical.
+/// Both plan-axis layouts keep two columns of deleted grid axes, each
+/// written as the constant `0.0`: `isa_scalar`, the value every point on
+/// the dispatched kernel wrote when the grid had an ISA axis (the scalar
+/// kernel never won a sweep), and `packing_independent`, the value every
+/// shared-`B` point wrote when the grid had a `B`-packing axis (no host
+/// plan executed it). Keeping the columns at their indices leaves every
+/// fitted chain's kept indices, and every row of a point that never named
+/// a deleted value, byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowLayout {
     /// Table II alone — a threads-only grid (every v1/v2 artefact, and the
     /// paper's pipeline bit for bit).
     Table2,
     /// Table II plus the three plan-axis columns of the v3 plan space
-    /// (`isa_scalar`, the uniform `block_scale`, and `packing_independent`,
-    /// now constant).
+    /// (`isa_scalar` and `packing_independent`, both now constant, and the
+    /// uniform `block_scale`).
     LegacyAxes,
-    /// Table II plus eight plan-axis columns: per-axis blocking scales, the
-    /// constant `packing_independent`, the algorithm one-hots and the
-    /// Strassen cutoff.
+    /// Table II plus eight plan-axis columns: the constant `isa_scalar`,
+    /// per-axis blocking scales, the constant `packing_independent`, the
+    /// algorithm one-hots and the Strassen cutoff.
     Axes,
 }
 
@@ -181,11 +184,8 @@ impl RowLayout {
     /// The plan-axis columns of [`RowLayout::write`] alone. They depend on
     /// the point's non-thread axes, not on the shape or the thread count.
     pub(crate) fn write_axes(self, point: &PlanPoint, out: &mut [f64]) {
-        let isa = match point.isa {
-            IsaChoice::Dispatched => 0.0,
-            IsaChoice::Scalar => 1.0,
-        };
-        let packing = 0.0; // `packing_independent` is constant.
+        // `isa_scalar` and `packing_independent` are constant.
+        let (isa, packing) = (0.0, 0.0);
         let scale = |percent: u32| f64::from(percent.max(1)) / 100.0;
         let out = &mut out[FEATURE_COUNT..];
         match self {
@@ -301,7 +301,6 @@ mod tests {
             .grid;
         let legacy_point = PlanPoint {
             threads: 2,
-            isa: IsaChoice::Scalar,
             blocking: BlockScale::uniform(50),
             algorithm: Algorithm::Blocked,
         };
@@ -324,7 +323,7 @@ mod tests {
                 PlanGrid::full(vec![1, 2]),
                 RowLayout::LegacyAxes,
                 legacy_point,
-                &[1.0, 0.5, 0.0],
+                &[0.0, 0.5, 0.0],
             ),
             // A default-axes point appends the all-defaults columns.
             (
@@ -340,14 +339,14 @@ mod tests {
                 migrated_v3,
                 RowLayout::LegacyAxes,
                 PlanPoint { blocking: BlockScale::new(70, 150, 90), ..legacy_point },
-                &[1.0, 1.5, 0.0],
+                &[0.0, 1.5, 0.0],
             ),
             (
                 "widened",
                 PlanGrid::widened(vec![1, 2], 512),
                 RowLayout::Axes,
                 axes_point,
-                &[1.0, 1.0, 0.5, 2.0, 0.0, 1.0, 0.0, 0.5],
+                &[0.0, 1.0, 0.5, 2.0, 0.0, 1.0, 0.0, 0.5],
             ),
         ];
         for (name, grid, layout, point, axes) in table {

@@ -293,19 +293,20 @@ mod tests {
             assert_eq!(**a, *b);
         }
         // Non-default axes actually change the measurement.
-        let scalar = data
+        let rescaled = data
             .records
             .iter()
-            .find(|r| r.point.isa == adsala_gemm::IsaChoice::Scalar)
-            .expect("grid sweeps scalar points");
+            .find(|r| !r.point.blocking.is_default())
+            .expect("grid sweeps rescaled blocks");
         let base = data
             .records
             .iter()
             .find(|r| {
-                r.shape == scalar.shape && r.point == PlanPoint::threads_only(scalar.point.threads)
+                r.shape == rescaled.shape
+                    && r.point == PlanPoint::threads_only(rescaled.point.threads)
             })
             .unwrap();
-        assert_ne!(scalar.runtime_s, base.runtime_s);
+        assert_ne!(rescaled.runtime_s, base.runtime_s);
     }
 
     #[test]

@@ -323,7 +323,8 @@ mod tests {
     }
 
     /// A small widened-grid install, gather to refit: Yeo–Johnson, LOF,
-    /// pruning, two-fold CV and both refits all feed its artefact.
+    /// pruning and both refits all feed its artefact (its one-spec model
+    /// grid leaves nothing to cross-validate).
     fn small_widened_install() -> Installation {
         let cfg = InstallConfig {
             gather: GatherConfig {
@@ -368,11 +369,12 @@ mod tests {
         // Recorded before the install's preprocessing and split search were
         // rewritten for speed: every fitted bit of the chain and the model
         // must survive such a rewrite. Re-recorded when the grid's
-        // `B`-packing axis was deleted: the JSON lost exactly its
-        // `"packing":["SharedB"],` key and nothing else.
+        // `B`-packing axis was deleted, and again when its ISA axis was:
+        // each time the JSON lost exactly one key (`"packing":["SharedB"],`,
+        // then `"isa":["Dispatched"],`) and nothing else.
         let install = small_widened_install();
         let json = install.to_artifact().to_json().unwrap();
-        assert_eq!(format!("{:016x}", artifact_hash(json.as_bytes())), "53ba9333f265ee9d");
+        assert_eq!(format!("{:016x}", artifact_hash(json.as_bytes())), "a866d9b530978bc5");
     }
 
     #[test]

@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn plan_feature_fit_keeps_at_least_one_plan_axis() {
-        use adsala_gemm::plan::{Algorithm, BlockScale, IsaChoice};
+        use adsala_gemm::plan::{Algorithm, BlockScale};
         let timer = SimTimer::new(MachineModel::gadi());
         let config = GatherConfig {
             n_shapes: 40,
@@ -337,19 +337,18 @@ mod tests {
         assert_eq!(f.report.features_in, RowLayout::LegacyAxes.width());
         assert_eq!(f.config.check_fits(&data.grid), Ok(()));
         // The plan axes are weakly correlated with the size terms, so the
-        // pruner must keep the two that vary (`isa_scalar`, `block_scale`;
-        // the last legacy column, `packing_independent`, is constant).
-        for plan_col in crate::features::FEATURE_COUNT..RowLayout::LegacyAxes.width() - 1 {
-            assert!(
-                f.config.pruner.kept.contains(&plan_col),
-                "plan-axis column {plan_col} was pruned: kept {:?}",
-                f.config.pruner.kept
-            );
-        }
+        // pruner must keep the one that varies (`block_scale`; the other
+        // legacy columns, `isa_scalar` and `packing_independent`, are
+        // constant).
+        let block_scale = crate::features::FEATURE_COUNT + 1;
+        assert!(
+            f.config.pruner.kept.contains(&block_scale),
+            "the block-scale column was pruned: kept {:?}",
+            f.config.pruner.kept
+        );
         // The runtime plan path produces rows of the fitted width.
         let point = PlanPoint {
             threads: 4,
-            isa: IsaChoice::Scalar,
             blocking: BlockScale::uniform(50),
             algorithm: Algorithm::Blocked,
         };

@@ -395,7 +395,7 @@ mod tests {
         // occurrence of each point only.
         let mut repeated = full.clone();
         repeated.blockings.push(repeated.blockings[1]);
-        repeated.isa.insert(1, repeated.isa[0]);
+        repeated.blockings.insert(1, repeated.blockings[0]);
 
         let trained = [ladder, full, widened].map(|grid| quick_test_bundle_over(Some(grid)));
         let shapes = [
@@ -449,9 +449,9 @@ mod tests {
     /// bundle over each grid flavour × six shapes × caps `{1, 3, none}`, as
     /// `(threads, (mc, kc, nc) percent, algorithm, predicted seconds' bits)`.
     /// The `PlanGrid::full` flavour was re-recorded when the grid's
-    /// `B`-packing axis was deleted: its quick install no longer gathers
-    /// rows for that axis's second value, so it trains a different model.
-    /// Every pinned point has the dispatched ISA; the plan is the point
+    /// `B`-packing axis was deleted, and again when its ISA axis was: each
+    /// time its quick install stopped gathering rows for the axis's second
+    /// value, so it trains a different model. The plan is the point
     /// materialised, whose block sizes are the host's.
     #[test]
     fn decisions_are_bitwise_the_recorded_ones() {
@@ -482,12 +482,12 @@ mod tests {
                 [(1, H, B, 0x3f75af41996c1f69), (3, H, B, 0x3f5daf10854f245b), (16, H, B, 0x3f462fa8d7d95b75)],
             ]),
             (Some(PlanGrid::full(vec![1, 4, 16, 96])), [
-                [(1, H, B, 0x3eff3ddb0114ddf9); 3],
-                [(1, HALF, B, 0x3f75857ce99b7dc6), (3, HALF, B, 0x3f5f1e38ee46779c), (96, H, B, 0x3f407648e11e5ff3)],
-                [(1, HALF, B, 0x3f6324c215fbfb07), (3, H, B, 0x3f57b64b62fd6a47), (16, TWICE, B, 0x3f4dc58ccaf570d6)],
-                [(1, HALF, B, 0x3f41e456e423097c), (3, H, B, 0x3f2553b5c7353d65), (16, TWICE, B, 0x3f17331278f415a5)],
-                [(1, TWICE, B, 0x3f33fda11900ab0a); 3],
-                [(1, HALF, B, 0x3f6fff6eb8d97276), (3, HALF, B, 0x3f4e5b0b34418ded), (96, HALF, B, 0x3f2503ed29db07a5)],
+                [(1, HALF, B, 0x3ef5f9583563d91a); 3],
+                [(1, TWICE, B, 0x3f7ba0bfc61cb6d1), (3, TWICE, B, 0x3f5cff6c9236d8b4), (96, TWICE, B, 0x3f3be0f39d5da0eb)],
+                [(1, HALF, B, 0x3f66defc6277bd08), (3, H, B, 0x3f5774a17296875a), (16, TWICE, B, 0x3f4ebac3a2811e41)],
+                [(1, TWICE, B, 0x3f4590f01231422b), (3, H, B, 0x3f2c38f9e305a7b0), (16, H, B, 0x3f14006d834fcd1b)],
+                [(1, TWICE, B, 0x3f31686ca33a8ebb); 3],
+                [(1, H, B, 0x3f7b66a14eb77396), (3, H, B, 0x3f5b5ddd8c5d9162), (96, H, B, 0x3f36248f580879c2)],
             ]),
             (Some(PlanGrid::widened(vec![1, 2, 4], 384)), [
                 [(1, KN, Z, 0x3ef9ab0d3b366a4a); 3],

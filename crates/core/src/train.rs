@@ -16,11 +16,10 @@ use crate::preprocess::PreprocessConfig;
 use crate::select::predict_point_for_op_capped;
 use crate::AdsalaError;
 
-/// One tuned family, its CV score and its fitted model.
+/// One tuned family: its chosen spec and its fitted model.
 pub struct TrainedCandidate {
     pub kind: ModelKind,
     pub spec: ModelSpec,
-    pub cv_rmse: f64,
     pub model: AnyModel,
 }
 
@@ -61,7 +60,7 @@ fn train_family(
         }
     };
     let (result, model) = gs.tune(grid, train)?;
-    Ok(TrainedCandidate { kind, spec: result.spec, cv_rmse: result.cv_rmse, model })
+    Ok(TrainedCandidate { kind, spec: result.spec, model })
 }
 
 /// Tune every requested family.
@@ -134,7 +133,6 @@ mod tests {
         let c = train_family(ModelKind::DecisionTree, None, &data, 3, 0).unwrap();
         assert_eq!(c.kind, ModelKind::DecisionTree);
         assert!(c.model.is_fitted());
-        assert!(c.cv_rmse.is_finite() && c.cv_rmse >= 0.0);
     }
 
     #[test]

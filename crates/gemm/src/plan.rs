@@ -8,10 +8,13 @@
 //! decision layer down to the drivers, so "pick a thread count" becomes
 //! "pick how to run".
 //!
-//! The candidate grid ([`PlanGrid`], [`PlanPoint`]) has exactly the axes
-//! a host plan executes. There is no `B`-packing axis: the host drivers
-//! have one way to get `B` (every worker packs its own), so such an axis
-//! could not change what runs.
+//! The candidate grid ([`PlanGrid`], [`PlanPoint`]) sweeps threads,
+//! cache blocking and algorithm. It has no `B`-packing axis (the host
+//! drivers have one way to get `B`, so such an axis could not change what
+//! runs) and no ISA axis (the scalar kernel was the timed optimum of no
+//! swept shape). The ISA stays an execution knob:
+//! [`ExecutionPlan::kernel_isa`] pins a kernel for tests and benchmarks,
+//! and `ADSALA_FORCE_SCALAR` forces the scalar one.
 //!
 //! A plan is deliberately *descriptive*, not prescriptive: `None` axes
 //! mean "derive from the host" (process-wide ISA dispatch, topology-fitted
@@ -151,28 +154,6 @@ impl Default for ExecutionPlan {
     }
 }
 
-/// The ISA axis of a candidate grid: candidates do not name a concrete
-/// instruction set (artefacts must be portable across hosts) but choose
-/// between "whatever this host dispatches" and the scalar reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum IsaChoice {
-    /// Use the process-wide dispatched kernel ([`KernelIsa::dispatched`]).
-    #[default]
-    Dispatched,
-    /// Pin the portable scalar kernel.
-    Scalar,
-}
-
-impl IsaChoice {
-    /// Short label for tables and timing records.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IsaChoice::Dispatched => "dispatched",
-            IsaChoice::Scalar => "scalar",
-        }
-    }
-}
-
 /// Per-axis cache-block scales in percent of the host-derived baseline
 /// (100/100/100 = host default). Until schema v4 the grid carried one
 /// scalar `block_percent` applied to all three axes; a v3 percent `p`
@@ -244,8 +225,6 @@ pub const FEATURE_REV_AXES: u32 = 2;
 pub struct PlanPoint {
     /// Worker threads (≥ 1).
     pub threads: u32,
-    /// Kernel ISA choice.
-    pub isa: IsaChoice,
     /// Per-axis cache-block scales (100/100/100 = host default).
     pub blocking: BlockScale,
     /// Multiplication algorithm.
@@ -257,7 +236,6 @@ impl PlanPoint {
     pub fn threads_only(threads: u32) -> Self {
         Self {
             threads: threads.max(1),
-            isa: IsaChoice::Dispatched,
             blocking: BlockScale::default(),
             algorithm: Algorithm::Blocked,
         }
@@ -265,9 +243,7 @@ impl PlanPoint {
 
     /// `true` when every non-thread axis is at its default setting.
     pub fn is_default_axes(&self) -> bool {
-        self.isa == IsaChoice::Dispatched
-            && self.blocking.is_default()
-            && self.algorithm == Algorithm::Blocked
+        self.blocking.is_default() && self.algorithm == Algorithm::Blocked
     }
 
     /// Concrete plan for `precision` on this host. Default axes map to
@@ -275,9 +251,6 @@ impl PlanPoint {
     /// exactly like the pre-plan runtime.
     pub fn materialise(&self, precision: crate::dispatch::Precision) -> ExecutionPlan {
         let mut plan = ExecutionPlan::with_threads(self.threads);
-        if self.isa == IsaChoice::Scalar {
-            plan = plan.with_isa(KernelIsa::Scalar);
-        }
         if !self.blocking.is_default() {
             plan = plan.with_blocking(BlockSizes::dispatched_for(precision).scaled_axes(
                 self.blocking.mc_percent,
@@ -307,8 +280,6 @@ impl Default for PlanPoint {
 pub struct PlanGrid {
     /// Thread-count candidates (the paper's ladder).
     pub threads: Vec<u32>,
-    /// ISA candidates (defaults first).
-    pub isa: Vec<IsaChoice>,
     /// Cache-block scale candidates (defaults first; each entry scales
     /// the three axes independently).
     pub blockings: Vec<BlockScale>,
@@ -329,7 +300,6 @@ impl PlanGrid {
     pub fn threads_only(threads: Vec<u32>) -> Self {
         Self {
             threads,
-            isa: vec![IsaChoice::Dispatched],
             blockings: vec![BlockScale::default()],
             algorithms: vec![Algorithm::Blocked],
             plan_features: false,
@@ -337,13 +307,12 @@ impl PlanGrid {
         }
     }
 
-    /// The full legacy grid: thread ladder × {dispatched, scalar} ×
-    /// {100, 50, 200}% uniform blocking. Kept at [`FEATURE_REV_LEGACY`] —
-    /// the v3 artefact shape.
+    /// The full legacy grid: thread ladder × {100, 50, 200}% uniform
+    /// blocking. Kept at [`FEATURE_REV_LEGACY`] — the v3 artefact shape,
+    /// whose `isa_scalar` column its rows write as the constant `0.0`.
     pub fn full(threads: Vec<u32>) -> Self {
         Self {
             threads,
-            isa: vec![IsaChoice::Dispatched, IsaChoice::Scalar],
             blockings: vec![100, 50, 200].into_iter().map(BlockScale::uniform).collect(),
             algorithms: vec![Algorithm::Blocked],
             plan_features: true,
@@ -352,13 +321,11 @@ impl PlanGrid {
     }
 
     /// The widened algorithm-axis grid: thread ladder × per-axis blocking
-    /// deviations × {blocked, strassen, zorder}. The ISA stays at its
-    /// default to keep the sweep affordable; rows carry the
+    /// deviations × {blocked, strassen, zorder}; rows carry the
     /// [`FEATURE_REV_AXES`] feature layout.
     pub fn widened(threads: Vec<u32>, strassen_cutoff: u32) -> Self {
         Self {
             threads,
-            isa: vec![IsaChoice::Dispatched],
             blockings: BlockScale::axes_product(&[100], &[100, 50, 200], &[100, 200]),
             algorithms: vec![
                 Algorithm::Blocked,
@@ -370,16 +337,15 @@ impl PlanGrid {
         }
     }
 
-    /// `true` when only the thread axis has more than its default point.
+    /// `true` when the blocking and algorithm axes each hold only their
+    /// default, so the thread axis is the whole decision.
     pub fn is_threads_only(&self) -> bool {
-        self.isa == [IsaChoice::Dispatched]
-            && self.blockings == [BlockScale::default()]
-            && self.algorithms == [Algorithm::Blocked]
+        self.blockings == [BlockScale::default()] && self.algorithms == [Algorithm::Blocked]
     }
 
     /// Number of candidate points.
     pub fn len(&self) -> usize {
-        self.threads.len() * self.isa.len() * self.blockings.len() * self.algorithms.len()
+        self.threads.len() * self.blockings.len() * self.algorithms.len()
     }
 
     /// `true` when the grid has no candidate points.
@@ -416,14 +382,11 @@ impl PlanGrid {
                 .filter(move |&(i, entry)| !(distinct && entries[..i].contains(entry)))
                 .map(|(_, &entry)| entry)
         }
-        axis(&self.isa, distinct).flat_map(move |isa| {
-            axis(&self.blockings, distinct).flat_map(move |blocking| {
-                axis(&self.algorithms, distinct).map(move |algorithm| PlanPoint {
-                    threads,
-                    isa,
-                    blocking,
-                    algorithm,
-                })
+        axis(&self.blockings, distinct).flat_map(move |blocking| {
+            axis(&self.algorithms, distinct).map(move |algorithm| PlanPoint {
+                threads,
+                blocking,
+                algorithm,
             })
         })
     }
@@ -496,16 +459,16 @@ mod tests {
     fn full_grid_enumerates_the_cartesian_product() {
         let grid = PlanGrid::full(vec![1, 8]);
         assert!(!grid.is_threads_only());
-        assert_eq!(grid.len(), 2 * 2 * 3);
+        assert_eq!(grid.len(), 2 * 3);
         let points: Vec<_> = grid.points().collect();
         assert_eq!(points.len(), grid.len());
         // Thread-major, defaults first: the first point of each thread
         // count is the threads-only point.
         assert_eq!(points[0], PlanPoint::threads_only(1));
-        assert_eq!(points[6], PlanPoint::threads_only(8));
+        assert_eq!(points[3], PlanPoint::threads_only(8));
         // All points distinct.
         let mut uniq = points.clone();
-        uniq.sort_by_key(|p| (p.threads, p.isa as u8, p.blocking.kc_percent));
+        uniq.sort_by_key(|p| (p.threads, p.blocking.kc_percent));
         uniq.dedup();
         assert_eq!(uniq.len(), points.len());
     }
@@ -522,7 +485,7 @@ mod tests {
         // first occurrence of every point, in `points()` order.
         let mut dup = PlanGrid::full(vec![4]);
         dup.blockings.push(BlockScale::uniform(50));
-        dup.isa.push(IsaChoice::Dispatched);
+        dup.blockings.push(BlockScale::default());
         let mut first_seen: Vec<PlanPoint> = Vec::new();
         for p in dup.points() {
             if !first_seen.contains(&p) {
@@ -538,7 +501,7 @@ mod tests {
         let grid = PlanGrid::widened(vec![1, 8], 256);
         assert!(!grid.is_threads_only());
         assert_eq!(grid.feature_rev, FEATURE_REV_AXES);
-        // 2 threads × 1 isa × (1·3·2) blockings × 3 algos.
+        // 2 threads × (1·3·2) blockings × 3 algos.
         assert_eq!(grid.len(), 2 * 6 * 3);
         let points: Vec<_> = grid.points().collect();
         assert_eq!(points[0], PlanPoint::threads_only(1));
@@ -560,13 +523,12 @@ mod tests {
 
         let point = PlanPoint {
             threads: 4,
-            isa: IsaChoice::Scalar,
             blocking: BlockScale::uniform(50),
             algorithm: Algorithm::Blocked,
         };
         let q = point.materialise(Precision::F32);
         assert_eq!(q.threads, 4);
-        assert_eq!(q.kernel_isa, Some(KernelIsa::Scalar));
+        assert_eq!(q.kernel_isa, None, "a grid point never pins the kernel");
         let blocks = q.blocking.expect("non-default percent pins blocking");
         assert!(blocks.is_valid());
     }

@@ -8,10 +8,12 @@
 //!
 //! A blocked plan is priced as the vendor library of the paper's nodes
 //! runs it: row groups share cooperatively packed `B` panels and meet at a
-//! barrier per rank-update panel. The plan grid has no `B`-packing axis
-//! (no host plan could execute one), so this is the only blocked price.
+//! barrier per rank-update panel, on the vendor's vector kernel. The plan
+//! grid has no `B`-packing axis (no host plan could execute one) and no
+//! ISA axis (the scalar kernel was the timed optimum of no swept shape),
+//! so this is the only blocked price.
 
-use adsala_gemm::plan::{Algorithm, IsaChoice, PlanPoint};
+use adsala_gemm::plan::{Algorithm, PlanPoint};
 use adsala_sampling::GemmShape;
 use serde::{Deserialize, Serialize};
 
@@ -120,8 +122,6 @@ impl MachineModel {
     /// threads-only model (bit-identical results). Non-default axes
     /// adjust the terms they physically touch:
     ///
-    /// * **scalar ISA** — divides the kernel's FLOP capacity by the
-    ///   vector width (`32 / element_bytes` lanes);
     /// * **block scale** — the `kc` axis rescales `KC`, which moves the
     ///   per-panel barrier count, `C` write-back traffic and kernel-call
     ///   overhead; any axis off 100% additionally pays a small
@@ -266,11 +266,7 @@ impl MachineModel {
             eff *= 0.96;
         }
         let flops = shape.flops() as f64;
-        let mut flop_time = flops / (capacity * eff.max(1e-3));
-        if point.isa == IsaChoice::Scalar {
-            // The scalar reference kernel leaves every vector lane idle.
-            flop_time *= (32.0 / es).max(2.0);
-        }
+        let flop_time = flops / (capacity * eff.max(1e-3));
         // Memory roofline: C is streamed (read+write) once per rank-update
         // block. SMT siblings hide memory latency, extracting more of the
         // socket bandwidth (this is why a small cluster of memory-bound
@@ -306,12 +302,13 @@ impl MachineModel {
             rep as u64,
             matches!(self.affinity, Affinity::ThreadBased) as u64,
             0x504C_414E, // "PLAN": keeps plan streams off the legacy ones
-            point.isa as u64,
+            // The deleted ISA axis's word, the value of its dispatched
+            // choice: noise streams keep their bits.
+            0,
             point.blocking.mc_percent as u64,
             point.blocking.kc_percent as u64,
             point.blocking.nc_percent as u64,
-            // The deleted packing axis's shared-B word: noise streams keep
-            // their bits.
+            // The deleted packing axis's shared-B word, kept the same way.
             0,
             match point.algorithm {
                 Algorithm::Blocked => 0,
@@ -564,13 +561,13 @@ mod tests {
     }
 
     /// Noisy measurements of non-default points, recorded while the grid
-    /// still had a `B`-packing axis (every point here was shared-`B`):
-    /// `(rep 0, rep 2)` bits. They draw from the full seed words, so they
-    /// pin that the deleted axis's word is still the shared-`B` `0`.
+    /// still had `B`-packing and ISA axes (every point here was shared-`B`
+    /// on the dispatched kernel): `(rep 0, rep 2)` bits. They draw from the
+    /// full seed words, so they pin that the deleted axes' words are still
+    /// the shared-`B` and dispatched `0`s.
     #[test]
     fn non_default_points_keep_their_recorded_bits() {
         use adsala_gemm::plan::BlockScale;
-        let scalar = PlanPoint { isa: IsaChoice::Scalar, ..PlanPoint::threads_only(16) };
         let blocked =
             PlanPoint { blocking: BlockScale::new(100, 50, 200), ..PlanPoint::threads_only(96) };
         let strassen = PlanPoint {
@@ -579,7 +576,6 @@ mod tests {
         };
         let zorder = PlanPoint { algorithm: Algorithm::ZOrder, ..PlanPoint::threads_only(1) };
         let recorded = [
-            (MachineModel::gadi(), sq(64), scalar, [0x3f55cf7a9ba87679, 0x3f5194a7140c2ef8]),
             (
                 MachineModel::gadi(),
                 GemmShape::new(64, 2048, 64),
@@ -593,19 +589,6 @@ mod tests {
             assert_eq!(model.measure_point(shape, &point, 0).to_bits(), rep0, "{point:?}");
             assert_eq!(model.measure_point(shape, &point, 2).to_bits(), rep2, "{point:?}");
         }
-    }
-
-    #[test]
-    fn scalar_isa_is_slower_on_compute_bound_shapes() {
-        let model = MachineModel::gadi();
-        let base = model.expected_point(sq(2048), &PlanPoint::threads_only(48)).total();
-        let scalar = model
-            .expected_point(
-                sq(2048),
-                &PlanPoint { isa: IsaChoice::Scalar, ..PlanPoint::threads_only(48) },
-            )
-            .total();
-        assert!(scalar > 3.0 * base, "scalar {scalar} vs dispatched {base}");
     }
 
     #[test]
@@ -705,7 +688,7 @@ mod tests {
             blocking: adsala_gemm::plan::BlockScale::uniform(200),
             ..PlanPoint::threads_only(24)
         };
-        let b = PlanPoint { isa: IsaChoice::Scalar, ..PlanPoint::threads_only(24) };
+        let b = PlanPoint { algorithm: Algorithm::ZOrder, ..PlanPoint::threads_only(24) };
         let ma = model.measure_point(shape, &a, 0);
         assert_eq!(ma, model.measure_point(shape, &a, 0), "deterministic");
         let ra = ma / model.expected_point(shape, &a).total();

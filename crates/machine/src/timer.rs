@@ -220,8 +220,9 @@ mod tests {
             // have, do not enter a routine model.
             let point = PlanPoint::threads_only(threads);
             assert_eq!(timer.time_plan(shape, &point, reps).to_bits(), bits);
-            let scalar = PlanPoint { isa: adsala_gemm::plan::IsaChoice::Scalar, ..point };
-            assert_eq!(timer.time_plan(shape, &scalar, reps).to_bits(), bits);
+            let rescaled =
+                PlanPoint { blocking: adsala_gemm::plan::BlockScale::uniform(50), ..point };
+            assert_eq!(timer.time_plan(shape, &rescaled, reps).to_bits(), bits);
             let unprojected = GemmShape::new(d1, d2, 77);
             assert_eq!(timer.time_plan(unprojected, &point, reps).to_bits(), bits);
         }
@@ -266,12 +267,11 @@ mod tests {
 
     #[test]
     fn host_timer_runs_non_default_plans() {
-        use adsala_gemm::plan::{Algorithm, BlockScale, IsaChoice};
+        use adsala_gemm::plan::{Algorithm, BlockScale};
         let timer = HostTimer::with_max_threads(2);
         let shape = GemmShape::new(48, 48, 48);
         let point = PlanPoint {
             threads: 2,
-            isa: IsaChoice::Scalar,
             blocking: BlockScale::uniform(50),
             algorithm: Algorithm::Blocked,
         };

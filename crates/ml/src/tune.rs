@@ -165,13 +165,16 @@ impl ModelSpec {
 pub struct TuneResult {
     /// The winning hyper-parameter point.
     pub spec: ModelSpec,
-    /// Its mean CV RMSE.
-    pub cv_rmse: f64,
-    /// Every `(spec, mean CV RMSE)` evaluated, in grid order.
+    /// Its mean CV RMSE; `None` when the grid had one spec, so nothing was
+    /// chosen and nothing cross-validated.
+    pub cv_rmse: Option<f64>,
+    /// Every `(spec, mean CV RMSE)` evaluated, in grid order (empty for a
+    /// one-spec grid).
     pub trials: Vec<(ModelSpec, f64)>,
 }
 
 /// Grid search with stratified k-fold CV; refits the winner on all data.
+/// A one-spec grid has no choice to make, so it is refitted without CV.
 #[derive(Debug, Clone)]
 pub struct GridSearch {
     pub folds: usize,
@@ -206,22 +209,26 @@ impl GridSearch {
         grid: &[ModelSpec],
         data: &Dataset,
     ) -> Result<(TuneResult, AnyModel), MlError> {
-        if grid.is_empty() {
-            return Err(MlError::BadShape("empty grid".into()));
-        }
-        let mut trials = Vec::with_capacity(grid.len());
-        for spec in grid {
-            let score = self.cv_rmse(spec, data)?;
-            trials.push((spec.clone(), score));
-        }
-        let (best_spec, best_score) = trials
-            .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite RMSE"))
-            .cloned()
-            .expect("non-empty grid");
-        let mut model = best_spec.build(self.seed);
+        let mut trials = Vec::new();
+        let (spec, cv_rmse) = match grid {
+            [] => return Err(MlError::BadShape("empty grid".into())),
+            [only] => (only.clone(), None),
+            _ => {
+                for spec in grid {
+                    let score = self.cv_rmse(spec, data)?;
+                    trials.push((spec.clone(), score));
+                }
+                let (spec, score) = trials
+                    .iter()
+                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite RMSE"))
+                    .cloned()
+                    .expect("non-empty grid");
+                (spec, Some(score))
+            }
+        };
+        let mut model = spec.build(self.seed);
         model.fit(&data.x, &data.y)?;
-        Ok((TuneResult { spec: best_spec, cv_rmse: best_score, trials }, model))
+        Ok((TuneResult { spec, cv_rmse, trials }, model))
     }
 
     /// Tune the default grid of one family.
@@ -288,7 +295,25 @@ mod tests {
         let best_trial =
             result.trials.iter().min_by(|a, b| a.1.partial_cmp(&b.1).unwrap()).unwrap();
         assert_eq!(result.spec, best_trial.0);
+        assert_eq!(result.cv_rmse, Some(best_trial.1));
         assert!(model.is_fitted());
+    }
+
+    #[test]
+    fn one_spec_grid_is_refit_without_cross_validation() {
+        let data = dataset(120, 74);
+        let spec = ModelSpec::DecisionTree { max_depth: 6, min_samples_leaf: 1 };
+        let gs = GridSearch::default();
+        let (result, model) = gs.tune(std::slice::from_ref(&spec), &data).unwrap();
+        assert_eq!(result.spec, spec);
+        assert_eq!(result.cv_rmse, None);
+        assert!(result.trials.is_empty());
+        // The refit is the one a cross-validated search would have made.
+        let mut reference = spec.build(gs.seed);
+        reference.fit(&data.x, &data.y).unwrap();
+        let bits =
+            |m: &AnyModel| m.predict(&data.x).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&model), bits(&reference));
     }
 
     #[test]

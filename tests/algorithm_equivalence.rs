@@ -292,6 +292,32 @@ const V3_PINNED_DECISIONS: &[((u64, u64, u64), u32, u64)] = &[
     ((1, 74000, 1), 1, 0x3f84a9d848a76302),
 ];
 
+/// The fixture's grid lists the since-deleted scalar ISA beside the
+/// dispatched one (`5 threads × 2 ISAs × 3 block scales` = 30 points when
+/// it was written). Loading keeps exactly the dispatched candidates, in the
+/// order the writing build enumerated them: thread-major, each rung's
+/// block scales as listed.
+#[test]
+fn v3_fixture_keeps_exactly_its_dispatched_candidates() {
+    use adsala_repro::adsala_gemm::plan::{BlockScale, PlanPoint};
+    const RECORDED_POINTS: usize = 30;
+    let path = fixture_path("artifact_v3.json");
+    let json = std::fs::read_to_string(&path).expect("fixture must read");
+    assert!(json.contains("\"isa\":[\"Dispatched\",\"Scalar\"]"), "the fixture names both ISAs");
+    let art = Artifact::from_json(&json).expect("fixture must load");
+    let dispatched: Vec<PlanPoint> = [1, 8, 24, 48, 96]
+        .into_iter()
+        .flat_map(|threads| {
+            [100, 50, 200].map(|percent| PlanPoint {
+                blocking: BlockScale::uniform(percent),
+                ..PlanPoint::threads_only(threads)
+            })
+        })
+        .collect();
+    assert_eq!(art.grid.points().collect::<Vec<_>>(), dispatched);
+    assert_eq!(art.grid.len(), RECORDED_POINTS / 2);
+}
+
 #[test]
 fn v3_fixture_loads_as_v4_with_a_widened_blocked_only_grid() {
     use adsala_repro::adsala_gemm::plan::{BlockScale, FEATURE_REV_LEGACY};

@@ -201,20 +201,23 @@ const V4_PINNED_DECISIONS: &[V4Pin] = &[
     ((1, 4000, 1), None, 1, (100, 200, 100), Z, 0x3f3180d7afac2999),
 ];
 
-/// The v4 fixture names the deleted `B`-packing axis; loading ignores
-/// that key and keeps everything else, so rewriting the document drops
-/// exactly that key.
+/// The v4 fixture names the deleted `B`-packing and ISA axes; loading
+/// ignores those keys and keeps everything else, so rewriting the document
+/// drops exactly those keys.
 #[test]
 fn v4_fixture_with_a_packing_axis_loads_with_that_axis_ignored() {
     let path = fixture_path("artifact_v4.json");
     let json = std::fs::read_to_string(&path).expect("fixture must read");
-    let packing = "\"packing\":[\"SharedB\"],";
-    assert_eq!(json.matches(packing).count(), 1, "the fixture predates the axis's deletion");
+    let deleted = ["\"packing\":[\"SharedB\"],", "\"isa\":[\"Dispatched\"],"];
+    for key in deleted {
+        assert_eq!(json.matches(key).count(), 1, "the fixture predates the deletion of {key}");
+    }
     let art = Artifact::load(&path).expect("fixture must load");
     assert_eq!(art.version, Artifact::VERSION);
     assert_eq!(art.machine, "gadi-sim-v4");
     assert_eq!(art.grid, PlanGrid::widened(vec![1, 2, 4, 8], 384));
-    assert_eq!(art.to_json().expect("serialise"), json.replacen(packing, "", 1));
+    let rewritten = deleted.iter().fold(json.clone(), |doc, key| doc.replacen(key, "", 1));
+    assert_eq!(art.to_json().expect("serialise"), rewritten);
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Plan-equivalence coverage: every plan the candidate grid can emit —
-//! each combination of thread count, ISA choice and block scale — must
-//! compute the correct product across transpose combos and skewed shapes,
-//! give the same bits on a private pool as on the process pool (sized to
-//! the host), and (for scalar-ISA plans) be invariant to the thread
-//! count.
+//! each combination of thread count and block scale — must compute the
+//! correct product across transpose combos and skewed shapes, give the
+//! same bits on a private pool as on the process pool (sized to the host),
+//! and (with the scalar kernel pinned) be invariant to the thread count.
 
 use adsala_repro::adsala_gemm::dispatch::Precision;
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
+use adsala_repro::adsala_gemm::isa::KernelIsa;
 use adsala_repro::adsala_gemm::naive::naive_gemm;
-use adsala_repro::adsala_gemm::plan::{ExecutionPlan, IsaChoice, PlanGrid, PlanPoint};
+use adsala_repro::adsala_gemm::plan::{ExecutionPlan, PlanGrid, PlanPoint};
 use adsala_repro::adsala_gemm::pool::ThreadPool;
 use adsala_repro::adsala_gemm::Transpose;
 
@@ -114,15 +114,15 @@ grid_plans_are_correct_and_pool_invariant!(
     1e-4
 );
 
-/// Scalar-ISA plans must be bitwise invariant to the thread count:
-/// threads split `M`/`N` (never the `K` accumulation), so only the
-/// blocking axis may legitimately change the result bits.
+/// Grid plans with the scalar kernel pinned must be bitwise invariant to
+/// the thread count: threads split `M`/`N` (never the `K` accumulation),
+/// so only the blocking axis may legitimately change the result bits.
 #[test]
 fn scalar_plans_are_thread_invariant() {
     let grid = PlanGrid::full(vec![1, 2, 5]);
     let pool = ThreadPool::new(4);
-    for point in grid.points().filter(|p| p.isa == IsaChoice::Scalar) {
-        let plan = point.materialise(Precision::F64);
+    for point in grid.points() {
+        let plan = point.materialise(Precision::F64).with_isa(KernelIsa::Scalar);
         let reference = ExecutionPlan { threads: 1, ..plan };
         for &(m, n, k, ta, tb) in CASES {
             let (ta, tb) = transposes(ta, tb);
