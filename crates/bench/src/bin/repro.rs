@@ -507,9 +507,14 @@ fn plan_table() {
     banner("Plan table — grid-trained ExecutionPlan choices over fresh shapes, Gadi");
     let timer = sim_timer(Machine::Gadi, true, Affinity::CoreBased);
     let mut cfg = InstallConfig::quick();
-    // Every shape is timed at every grid point (threads × blocking), and
-    // the LOF filter is quadratic in rows (in time; its memory is linear)
-    // — keep the thread axis coarse so the sweep stays a few thousand rows.
+    // The family the paper selects. Linear regression, the quick install's
+    // other family, fits no interaction of shape and plan, so it serves
+    // one blocking for every shape.
+    cfg.families = vec![ModelKind::XgBoost];
+    // Every shape is timed at every grid point (threads × blocking): 1,800
+    // rows. The LOF filter does not cost the square of the rows: a row
+    // visits only the few sweeps nearest its own and rules out the rest by
+    // their shared columns (`adsala_ml::preprocess::lof`).
     cfg.gather.n_shapes = 120;
     cfg.gather.grid =
         Some(adsala_gemm::plan::PlanGrid::full(vec![1, 8, 24, 48, timer.max_threads()]));

@@ -90,6 +90,16 @@ impl ModelTable {
         }
     }
 
+    /// Whether every model can predict rows `width` wide
+    /// ([`AnyModel::check_width`]).
+    pub(crate) fn check_width(&self, width: usize) -> Result<(), AdsalaError> {
+        [Some(&self.gemm), self.syrk.as_ref(), self.gemv.as_ref()]
+            .into_iter()
+            .flatten()
+            .try_for_each(|model| model.check_width(width))
+            .map_err(|e| AdsalaError::Artifact(format!("model: {e}")))
+    }
+
     /// Whether `routine` has its own trained model (vs the GEMM fallback).
     pub fn has_dedicated(&self, routine: Routine) -> bool {
         match routine {
@@ -316,6 +326,8 @@ impl Artifact {
         // The grid decides which columns a row has; a chain fitted on
         // another layout would index past a row inside the decision sweep.
         artifact.config.check_fits(&artifact.grid).map_err(AdsalaError::Artifact)?;
+        // A damaged model would index past a row, or never reach a leaf.
+        artifact.models.check_width(artifact.config.pruner.kept.len())?;
         Ok(artifact)
     }
 

@@ -169,6 +169,18 @@ impl RowLayout {
         FEATURE_COUNT + self.axis_names().len()
     }
 
+    /// How many leading columns the rows of one sweep share bit for bit:
+    /// on plan-axis rows the whole Table II block (one shape and thread
+    /// count, every non-thread point), on Table II rows the dimensions
+    /// `m, k, n` (one shape, every thread count; the next column is the
+    /// count).
+    pub(crate) fn shared_prefix(self) -> usize {
+        match self {
+            Self::Table2 => THREADS_COL,
+            Self::LegacyAxes | Self::Axes => FEATURE_COUNT,
+        }
+    }
+
     /// Names of the raw columns, in row order.
     pub fn names(self) -> Vec<&'static str> {
         TABLE2_NAMES.iter().chain(self.axis_names()).copied().collect()

@@ -170,15 +170,8 @@ pub fn fit_preprocess_with(
     if data.is_empty() {
         return Err(AdsalaError::InsufficientData("no gathered records".into()));
     }
-    // 1. Raw features and log labels. Grid-gathered data appends the plan
-    //    axes as features; ladder-gathered data keeps the paper's Table II
-    //    space bit-for-bit.
-    let layout = RowLayout::of(&data.grid);
-    let mut raw = vec![0.0; data.records.len() * layout.width()];
-    for (r, row) in data.records.iter().zip(raw.chunks_exact_mut(layout.width())) {
-        layout.write(&shape_terms(r.shape.m, r.shape.k, r.shape.n), &r.point, row);
-    }
-    let x_raw = Matrix::from_vec(data.records.len(), layout.width(), raw);
+    // 1. Raw features and log labels.
+    let x_raw = raw_rows(data);
     let log_runtime: Vec<f64> = data.records.iter().map(|r| r.runtime_s.max(1e-12).ln()).collect();
 
     // 2. Yeo-Johnson (identity when ablated: λ = 1 for every feature).
@@ -199,10 +192,12 @@ pub fn fit_preprocess_with(
     let scaler = StandardScaler::fit(&x_yj)?;
     let x_std = scaler.transform(&x_yj)?;
 
-    // 4. LOF outlier removal (density-based, hence after scaling).
+    // 4. LOF outlier removal (density-based, hence after scaling). The
+    //    rows of one sweep share their leading columns, which lets the
+    //    neighbour search rule out a pair of sweeps at once.
     let lof = LocalOutlierFactor::default();
     let keep_rows = if opts.lof && x_std.rows() > lof.k + 1 {
-        lof.inlier_indices(&x_std)?
+        lof.inlier_indices(&x_std, RowLayout::of(&data.grid).shared_prefix())?
     } else {
         (0..x_std.rows()).collect()
     };
@@ -238,6 +233,18 @@ pub fn fit_preprocess_with(
         report,
         row_records: keep_rows,
     })
+}
+
+/// The raw feature row of every gathered record, in [`RowLayout::of`] the
+/// data's grid: grid-gathered data appends the plan axes as features;
+/// ladder-gathered data keeps the paper's Table II space bit for bit.
+fn raw_rows(data: &TrainingData) -> Matrix {
+    let layout = RowLayout::of(&data.grid);
+    let mut raw = vec![0.0; data.records.len() * layout.width()];
+    for (r, row) in data.records.iter().zip(raw.chunks_exact_mut(layout.width())) {
+        layout.write(&shape_terms(r.shape.m, r.shape.k, r.shape.n), &r.point, row);
+    }
+    Matrix::from_vec(data.records.len(), layout.width(), raw)
 }
 
 #[cfg(test)]
@@ -384,6 +391,45 @@ mod tests {
         assert_eq!(row, f.config.features_for_op_plan(&shape, &point, data.grid.feature_rev));
         assert_eq!(row.len(), f.config.pruner.kept.len());
         assert!(row.iter().all(|v| v.is_finite()));
+    }
+
+    /// FNV-1a over the little-endian bytes of every score's bits.
+    fn score_hash(scores: &[f64]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for b in scores.iter().flat_map(|s| s.to_bits().to_le_bytes()) {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    #[test]
+    fn lof_scores_keep_recorded_bits() {
+        // LOF flags few or none of these rows, so no artefact pin sees most
+        // score bits: these pin the scores themselves, as the install's
+        // grouped search computes them. Recorded with the ungrouped search,
+        // before the grouping.
+        let widened = GatherConfig {
+            n_shapes: 60,
+            reps: 2,
+            max_dim: Some(4608),
+            grid: Some(PlanGrid::widened(vec![1, 2, 4], 384)),
+            seed: 0x2023_0012,
+            ..GatherConfig::paper()
+        };
+        let ladder = GatherConfig { n_shapes: 200, reps: 2, ..GatherConfig::quick() };
+        let timer = SimTimer::new(MachineModel::gadi());
+        for (config, rows, recorded) in
+            [(widened, 3240, "4bcfbbf42a3ba7f5"), (ladder, 2600, "4f908efe672d8ad3")]
+        {
+            let data = crate::gather::TrainingData::gather(&timer, &config);
+            let x_raw = raw_rows(&data);
+            let x_yj = YeoJohnson::fit(&x_raw).unwrap().transform(&x_raw).unwrap();
+            let x_std = StandardScaler::fit(&x_yj).unwrap().transform(&x_yj).unwrap();
+            assert_eq!(x_std.rows(), rows);
+            let shared = RowLayout::of(&data.grid).shared_prefix();
+            let scores = LocalOutlierFactor::default().scores_grouped(&x_std, shared).unwrap();
+            assert_eq!(format!("{:016x}", score_hash(&scores)), recorded, "{rows} rows");
+        }
     }
 
     #[test]

@@ -140,6 +140,48 @@ impl AnyModel {
         }
     }
 
+    /// Whether this model, as loaded, can predict rows `width` wide: it is
+    /// fitted, a linear model holds one weight per column, and every tree
+    /// node splits on a column inside the row and points only at later
+    /// nodes of its tree, so every descent ends at a leaf. A model this
+    /// library fitted always passes; a damaged document may not.
+    ///
+    /// # Errors
+    /// [`MlError::BadShape`] naming the first defect, or
+    /// [`MlError::NotFitted`].
+    pub fn check_width(&self, width: usize) -> Result<(), MlError> {
+        let weights = |coef: &[f64]| {
+            if coef.len() == width {
+                Ok(())
+            } else {
+                Err(MlError::BadShape(format!("{} weights for {width} columns", coef.len())))
+            }
+        };
+        let tree = |nodes: &[tree::Node]| tree::check_nodes(nodes, width);
+        match self {
+            AnyModel::LinearRegression(m) => weights(&m.coef),
+            AnyModel::ElasticNet(m) => weights(&m.coef),
+            AnyModel::BayesianRidge(m) => weights(&m.coef),
+            AnyModel::DecisionTree(m) => tree(&m.nodes),
+            AnyModel::RandomForest(m) => m.trees.iter().try_for_each(|t| tree(&t.nodes)),
+            AnyModel::AdaBoost(m) if m.stage_weights.len() != m.stages.len() => {
+                Err(MlError::BadShape(format!(
+                    "{} stage weights for {} stages",
+                    m.stage_weights.len(),
+                    m.stages.len()
+                )))
+            }
+            AnyModel::AdaBoost(m) => m.stages.iter().try_for_each(|t| tree(&t.nodes)),
+            AnyModel::XgBoost(m) => m.trees.iter().try_for_each(|t| tree(t)),
+            AnyModel::LightGbm(m) => m.trees.iter().try_for_each(|t| tree(t)),
+        }?;
+        if self.is_fitted() {
+            Ok(())
+        } else {
+            Err(MlError::NotFitted)
+        }
+    }
+
     /// Which family this model belongs to.
     pub fn kind(&self) -> ModelKind {
         match self {
@@ -266,8 +308,11 @@ mod tests {
         let (x, y) = test_support::nonlinear_dataset(120, 0);
         for kind in ModelKind::table_candidates() {
             let mut m = AnyModel::default_for(kind);
+            assert!(m.check_width(x.cols()).is_err(), "{kind:?} passed the load check unfitted");
             m.fit(&x, &y).unwrap_or_else(|e| panic!("{kind:?} failed to fit: {e}"));
             assert!(m.is_fitted(), "{kind:?} not fitted after fit");
+            // Every learner lays its trees out as the load check requires.
+            m.check_width(x.cols()).unwrap_or_else(|e| panic!("{kind:?} failed the check: {e}"));
             let preds = m.predict(&x);
             assert_eq!(preds.len(), y.len());
             assert!(

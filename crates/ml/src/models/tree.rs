@@ -81,6 +81,29 @@ pub(crate) fn leaf_value(nodes: &[Node], row: &[f64]) -> f64 {
     node.value
 }
 
+/// Whether `nodes` is a tree [`leaf_value`] can walk for rows `width`
+/// wide: not empty, and every split on a column inside the row with both
+/// children after it in `nodes` (every learner here pushes a node's
+/// children after it), which bounds every descent.
+pub(crate) fn check_nodes(nodes: &[Node], width: usize) -> Result<(), MlError> {
+    if nodes.is_empty() {
+        return Err(MlError::BadShape("a tree with no nodes".into()));
+    }
+    for (at, node) in nodes.iter().enumerate().filter(|(_, node)| node.feature != LEAF) {
+        let later = |child: u32| (at + 1..nodes.len()).contains(&(child as usize));
+        if node.feature as usize >= width || !later(node.left) || !later(node.right) {
+            return Err(MlError::BadShape(format!(
+                "tree node {at} of {} splits on column {} of {width} into nodes {} and {}",
+                nodes.len(),
+                node.feature,
+                node.left,
+                node.right
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Rows per set-valued descent: one `u64` holds a set of them.
 const CHUNK_ROWS: usize = u64::BITS as usize;
 
