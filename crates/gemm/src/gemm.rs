@@ -30,8 +30,9 @@
 //! serving path, [`gemm_with_stats_pooled`]) or the process-wide
 //! [`ThreadPool::global`] ([`gemm_with_stats`]). Z-order keeps its own
 //! Morton traversal between the prologue and `row_panel_sweep`. Every
-//! worker enters its tile through `enter_tile`, the fault-injection hook's
-//! one site.
+//! worker enters its tile through `enter_tile`, the one site of the
+//! fault-injection hook ([`crate::fault::kernel_entry`]): armed, it sees
+//! the tile's `m×n×k` and whether a pool worker runs it, nothing more.
 //!
 //! ## Packing workspace
 //!
@@ -258,7 +259,7 @@ fn zorder_with_stats<T: Element>(
         // SAFETY: `member` holds the exclusive borrow of the whole of `C`,
         // whose extent `Member::new` checked, and this thread is its only
         // worker.
-        if !unsafe { enter_tile::<T, Full>(kernel.isa, c, ldc, 0, m, n, k, beta) } {
+        if !unsafe { enter_tile::<T, Full>(c, ldc, 0, m, n, k, beta) } {
             return;
         }
         let nbi = m.div_ceil(mc);
@@ -607,9 +608,7 @@ fn b_reads_in_place<T: Element>(b: &MatView<'_, T>, ms: usize, blocks: &BlockSiz
 /// `c` must point at the tile origin, `row0` being that row's index in the
 /// whole of `C`; the `ms` rows of `ns` elements spaced `ldc` apart must be
 /// valid for read/write and not concurrently accessed.
-#[allow(clippy::too_many_arguments)]
 unsafe fn enter_tile<T: Element, M: Merge>(
-    isa: KernelIsa,
     c: *mut T,
     ldc: usize,
     row0: usize,
@@ -618,7 +617,7 @@ unsafe fn enter_tile<T: Element, M: Merge>(
     k: usize,
     beta: T,
 ) -> bool {
-    crate::fault::kernel_entry(isa, ms, ns, k);
+    crate::fault::kernel_entry(ms, ns, k);
     if k == 0 {
         for i in 0..ms {
             let live = M::live_cols(row0 + i, ns);
@@ -665,7 +664,7 @@ unsafe fn tile_loop<T: Element, M: Merge>(
     // No row of the tile writes past its last row's live columns, so the
     // rest take no part: a SYRK band stops at its diagonal.
     let ns = M::live_cols(row0 + ms - 1, ns);
-    if !enter_tile::<T, M>(kernel.isa, c, ldc, row0, ms, ns, k, beta) {
+    if !enter_tile::<T, M>(c, ldc, row0, ms, ns, k, beta) {
         return;
     }
     let BlockSizes { kc, nc, nr, .. } = *blocks;

@@ -126,7 +126,7 @@ fn row_range<T: Element>(
     beta: T,
     stats: &mut ThreadLocalStats,
 ) {
-    crate::fault::kernel_entry(GEMV_KERNEL.0, r1 - r0, 1, n);
+    crate::fault::kernel_entry(r1 - r0, 1, n);
     let t0 = Instant::now();
     for i in r0..r1 {
         // n = 0 leaves `a` conceptually empty; never index into it then.

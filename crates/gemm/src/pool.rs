@@ -166,7 +166,7 @@ impl ThreadPool {
                         // then run jobs until the queue closes.
                         workspace.register_worker(index);
                         while let Some(job) = shared.next_job() {
-                            fault::worker_job_entry(index);
+                            fault::worker_job_entry();
                             job();
                         }
                     })

@@ -1,7 +1,8 @@
 //! `Artifact::from_json` on damaged documents: byte substitutions,
 //! truncations and deleted keys of the committed v1–v4 fixtures. Every
 //! input must come back as a typed error or as an artefact that then
-//! decides shapes of every routine; none may panic.
+//! decides shapes of every routine; none may panic. A model float that
+//! parses to infinity is refused at load.
 
 use std::path::Path;
 
@@ -115,6 +116,25 @@ fn damaged_trees_fail_typed() {
         match Artifact::from_json(&damaged) {
             Err(AdsalaError::Artifact(e)) => assert!(e.starts_with("model: "), "{e}"),
             other => panic!("expected a model error, got {:?}", other.map(|a| a.machine)),
+        }
+    }
+}
+
+#[test]
+fn non_finite_model_floats_fail_typed() {
+    // A float too large for `f64`, as a truncated or corrupted number can
+    // be, parses to +∞: the load refuses it instead of serving decisions
+    // from a model that predicts NaN.
+    for (which, float) in
+        [(2, r#""base_score":-2.37988641139787e-15"#), (3, r#""threshold":0.15638113599539438"#)]
+    {
+        let json = fixture(which);
+        assert!(json.contains(float), "{} lost {float}", FIXTURES[which]);
+        let key = &float[..float.find(':').expect("a key")];
+        let damaged = json.replacen(float, &format!("{key}:1e999"), 1);
+        match Artifact::from_json(&damaged) {
+            Err(AdsalaError::Artifact(e)) => assert!(e.contains("non-finite"), "{e}"),
+            other => panic!("expected a non-finite error, got {:?}", other.map(|a| a.machine)),
         }
     }
 }

@@ -2,7 +2,7 @@
 //! kernel panics must never escape to a client, every pool worker must
 //! outlive them and keep its packing arena allocation-steady, an op
 //! whose deadline passes before it starts must be refused with an honest
-//! `Timeout`, and a corrupted artifact must be refused at load.
+//! `Timeout`, and a stall must end when its plan is cleared.
 //!
 //! Fault state (`adsala_gemm::fault::set_plan`) is process-global, so
 //! every test that installs a plan serializes on one mutex and clears
@@ -19,6 +19,7 @@ use adsala_gemm::gemm::{gemm_with_stats, GemmCall};
 use adsala_gemm::gemv::naive_gemv;
 use adsala_gemm::isa::KernelIsa;
 use adsala_gemm::plan::Algorithm;
+use adsala_gemm::pool::ThreadPool;
 use adsala_gemm::syrk::naive_syrk;
 use adsala_gemm::workspace::thread_arena_stats;
 
@@ -38,27 +39,26 @@ impl Drop for PlanGuard {
 }
 
 /// Take the suite's fault lock. A test that runs a kernel outside a
-/// pool (a serial reference, say) while *another* test's any-context
-/// plan is armed would eat that plan's panic budget, so such a test
+/// pool (a serial reference, say) while *another* test's plan that is
+/// not workers-only is armed would eat that plan's panic budget, so such a test
 /// holds the lock from its first kernel call and [`arm`]s under it.
 fn hold_fault_lock() -> MutexGuard<'static, ()> {
     fault_lock().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Install `spec`; the caller holds the fault lock. Returns the cleanup
+/// Install `plan`; the caller holds the fault lock. Returns the cleanup
 /// guard and the installed plan for reading its injection counters.
-fn arm(spec: &str) -> (PlanGuard, Arc<FaultPlan>) {
-    let plan = fault::set_plan(Some(FaultPlan::parse(spec).expect("valid fault spec")))
-        .expect("installed");
+fn arm(plan: FaultPlan) -> (PlanGuard, Arc<FaultPlan>) {
+    let plan = fault::set_plan(Some(plan)).expect("installed");
     (PlanGuard, plan)
 }
 
-/// Serialize on the global fault state and install `spec`. Returns the
+/// Serialize on the global fault state and install `plan`. Returns the
 /// lock (held for the test's duration), the cleanup guard, and the
 /// installed plan for reading its injection counters.
-fn install(spec: &str) -> (MutexGuard<'static, ()>, PlanGuard, Arc<FaultPlan>) {
+fn install(plan: FaultPlan) -> (MutexGuard<'static, ()>, PlanGuard, Arc<FaultPlan>) {
     let lock = hold_fault_lock();
-    let (guard, plan) = arm(spec);
+    let (guard, plan) = arm(plan);
     (lock, guard, plan)
 }
 
@@ -112,11 +112,11 @@ fn assert_close(c: &[f32], c_ref: &[f32], what: &str) {
 /// undegraded on the full pool.
 #[test]
 fn chaos_flood_isolates_injected_panics_from_every_client() {
-    let (_lock, guard, plan) = install("panic:where=worker:count=3");
+    let (_lock, guard, plan) = install(FaultPlan::panics(3).on_workers_only());
     let svc = service(4);
 
     // Mixed shapes: the big symmetric ones decide multi-threaded plans
-    // (whose jobs run on pool workers — the fault's context filter), the
+    // (whose jobs run on pool workers, where a workers-only fault fires), the
     // small ones run serial and can never be hit.
     let shapes: [(usize, usize, usize); 4] =
         [(256, 256, 256), (384, 384, 384), (48, 48, 64), (64, 64, 64)];
@@ -174,7 +174,7 @@ fn chaos_flood_isolates_injected_panics_from_every_client() {
 /// survives its panics.)
 #[test]
 fn pool_serves_full_plan_grid_after_recovery() {
-    let (_lock, guard, plan) = install("panic:where=worker:count=6");
+    let (_lock, guard, plan) = install(FaultPlan::panics(6).on_workers_only());
     let svc = service(4);
 
     let (m, n, k) = (256usize, 256usize, 256usize);
@@ -254,7 +254,7 @@ fn packing_arenas_stay_allocation_steady_after_a_panic() {
     let pool_before = svc.stats().workspace;
     let local_before = thread_arena_stats();
 
-    fault::set_plan(Some(FaultPlan::parse("panic:where=worker:count=1").unwrap()));
+    fault::set_plan(Some(FaultPlan::panics(1).on_workers_only()));
     let mut c = vec![0.0f32; m * n];
     let mut req: OpRequest<'_, f32> =
         GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
@@ -299,11 +299,10 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
         (s.panics_recovered, s.degraded_retries, s.plan_downgrades, s.algorithms.blocked)
     };
 
-    // Any context, any ISA: the first GEMM kernel entry panics wherever
+    // Not workers-only: the first GEMM kernel entry panics wherever
     // it runs; the degraded retry finds the budget spent and runs clean.
-    let spec = "panic:count=1";
     let per_op = {
-        let (_guard, plan) = arm(spec);
+        let (_guard, plan) = arm(FaultPlan::panics(1));
         let svc = service(2);
         let mut c = vec![f32::NAN; m * n];
         let mut req: OpRequest<'_, f32> =
@@ -317,7 +316,7 @@ fn injected_panic_is_booked_identically_by_service_and_scheduler() {
         per_op
     };
 
-    let (_guard, plan) = arm(spec);
+    let (_guard, plan) = arm(FaultPlan::panics(1));
     let sched = ServiceScheduler::new(Arc::new(service(2)));
     let mut c = vec![f32::NAN; m * n];
     let mut req: OpRequest<'_, f32> =
@@ -340,7 +339,7 @@ fn injected_panic_reaches_syrk_bands_and_the_zorder_traversal() {
     let _lock = hold_fault_lock();
     // (a) SYRK: the strict upper triangle starts as NaN and must stay so.
     {
-        let (_guard, plan) = arm("panic:count=1");
+        let (_guard, plan) = arm(FaultPlan::panics(1));
         let svc = service(2);
         let (m, k, ldc) = (200usize, 48usize, 203usize);
         let a = fill(m * k, 81);
@@ -368,14 +367,14 @@ fn injected_panic_reaches_syrk_bands_and_the_zorder_traversal() {
         );
     }
 
-    // (b) Z-order: serial on the caller's thread, so no context filter
+    // (b) Z-order: serial on the caller's thread, so not workers-only
     // (and the reference is computed before the fault is armed, under the
     // lock, so it cannot trip a neighbouring test's plan either).
     let (m, n, k) = (96usize, 80usize, 64usize);
     let a = fill(m * k, 82);
     let b = fill(k * n, 83);
     let c_ref = serial_reference(m, n, k, &a, &b);
-    let (guard, plan) = arm("panic:count=1");
+    let (guard, plan) = arm(FaultPlan::panics(1));
     let svc = service(2);
     let zorder = ExecutionPlan::with_threads(1).with_algorithm(Algorithm::ZOrder);
     let mut c = vec![f32::NAN; m * n];
@@ -418,7 +417,7 @@ fn injected_panic_reaches_gemv_rows() {
     let x = fill(n, 92);
     let mut y_ref = vec![0.0f32; m];
     naive_gemv(m, n, alpha, &a, n, &x, 0.0, &mut y_ref);
-    let (_guard, plan) = arm("panic:count=1");
+    let (_guard, plan) = arm(FaultPlan::panics(1));
     let svc = service(2);
     let mut y = vec![f32::NAN; m];
     let mut req: OpRequest<'_, f32> =
@@ -457,7 +456,7 @@ fn occupier(sched: &ServiceScheduler, seed: u64) -> ScheduledRun {
 /// shed — and the occupier itself must still complete.
 #[test]
 fn submit_within_times_out_under_a_stalled_wave() {
-    let (_lock, _guard, plan) = install("stall:ms=300:count=4");
+    let (_lock, _guard, plan) = install(FaultPlan::stalls(4, 300));
     let svc = Arc::new(service(4));
     let sched = ServiceScheduler::with_config(
         Arc::clone(&svc),
@@ -503,7 +502,7 @@ fn submit_within_times_out_under_a_stalled_wave() {
 /// deadline and returns the serial reference's result.
 #[test]
 fn small_op_is_not_held_behind_an_occupier() {
-    let (_lock, _guard, plan) = install("stall:ms=300:count=4");
+    let (_lock, _guard, plan) = install(FaultPlan::stalls(4, 300));
     let svc = Arc::new(service(4));
     let sched = ServiceScheduler::with_config(
         Arc::clone(&svc),
@@ -554,7 +553,7 @@ fn share_shape() -> OpShape {
 /// reference's.
 #[test]
 fn op_arriving_under_load_decides_within_its_share() {
-    let (_lock, _guard, plan) = install("stall:ms=300:count=4");
+    let (_lock, _guard, plan) = install(FaultPlan::stalls(4, 300));
     let svc = Arc::new(service(4));
     let sched = ServiceScheduler::with_config(
         Arc::clone(&svc),
@@ -635,7 +634,7 @@ fn in_flight_slot_is_released_on_every_exit_path() {
 
     // Injected panic, recovered by the degraded retry (β = 0).
     {
-        let (_guard, plan) = arm("panic:count=1");
+        let (_guard, plan) = arm(FaultPlan::panics(1));
         let mut c = vec![f32::NAN; m * n];
         let (_, stats) = run(0.0, &mut c, RunOptions::default()).expect("degraded retry");
         assert!(stats.plan_degraded);
@@ -645,7 +644,7 @@ fn in_flight_slot_is_released_on_every_exit_path() {
 
     // Injected panic that cannot be retried (β ≠ 0): an Execution failure.
     {
-        let (_guard, plan) = arm("panic:count=1");
+        let (_guard, plan) = arm(FaultPlan::panics(1));
         let mut c = vec![0.0f32; m * n];
         assert!(matches!(
             run(1.0, &mut c, RunOptions::default()),
@@ -701,7 +700,7 @@ fn expired_deadline_is_shed_by_the_wave_planner() {
 /// of blocking until the stalls release.
 #[test]
 fn admission_gate_honors_the_configured_timeout() {
-    let (_lock, _guard, plan) = install("stall:ms=300:count=8");
+    let (_lock, _guard, plan) = install(FaultPlan::stalls(8, 300));
     let svc = Arc::new(service(4));
     let sched = ServiceScheduler::with_config(
         Arc::clone(&svc),
@@ -765,22 +764,22 @@ fn service_refuses_a_call_whose_deadline_has_passed() {
     assert_eq!(stats.panics_recovered, 0);
 }
 
-/// Satellite 2 end to end: flipping one model coefficient to a
-/// non-finite value must make `Artifact::from_json` refuse the whole
-/// document instead of serving decisions from a silently-NaN model.
+/// `set_plan` promises that a cleared plan stops stalling. A single long
+/// stall holds the one job of a 2-worker pool; clearing the plan once the
+/// stall has begun must return the job long before the stall would end.
 #[test]
-fn corrupted_artifact_is_rejected_at_load() {
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/artifact_v3.json");
-    let pristine = std::fs::read_to_string(&path).expect("read fixture");
-    let corrupt = FaultPlan::corrupt_artifact_json(&pristine);
-    assert_ne!(corrupt, pristine, "corruption helper found no coefficient to flip");
-
-    match Artifact::from_json(&corrupt) {
-        Err(AdsalaError::Artifact(msg)) => {
-            assert!(msg.contains("non-finite"), "unexpected rejection: {msg}")
-        }
-        other => panic!("corrupted artifact must be rejected, got {other:?}"),
-    }
-    Artifact::from_json(&pristine).expect("pristine fixture still loads");
+fn clearing_the_plan_releases_a_stall_in_progress() {
+    let (_lock, _guard, plan) = install(FaultPlan::stalls(1, 10_000));
+    let pool = ThreadPool::new(2);
+    std::thread::scope(|scope| {
+        let job = scope.spawn(|| {
+            let start = Instant::now();
+            pool.scope_execute(vec![Box::new(|| {})]);
+            start.elapsed()
+        });
+        wait_for("the job to stall", || plan.injected_stalls() == 1);
+        fault::set_plan(None);
+        let held = job.join().expect("job thread");
+        assert!(held < Duration::from_secs(2), "the stall outlived its plan: {held:?}");
+    });
 }
