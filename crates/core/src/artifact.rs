@@ -639,6 +639,29 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_model_curve_rejected_at_load() {
+        let json = artifact().to_json().unwrap();
+        // The first split threshold of the fitted model becomes `1e999`,
+        // which parses to +∞ and would reach the decision sweep as NaN via
+        // the typed float path.
+        let models = json.find("\"models\"").expect("a model table");
+        let at = models + json[models..].find("\"threshold\":").expect("a split") + 12;
+        let len = json[at..]
+            .find(|ch: char| !(ch.is_ascii_digit() || "-+.eE".contains(ch)))
+            .expect("a number token");
+        let corrupt = format!("{}1e999{}", &json[..at], &json[at + len..]);
+        assert_ne!(corrupt, json, "corruption must alter the document");
+        match Artifact::from_json(&corrupt) {
+            Err(AdsalaError::Artifact(msg)) => {
+                assert!(msg.contains("non-finite"), "{msg}")
+            }
+            other => panic!("expected Artifact error, got {other:?}"),
+        }
+        // The pristine document still loads.
+        assert!(Artifact::from_json(&json).is_ok());
+    }
+
+    #[test]
     fn model_of_a_deleted_family_is_refused_at_load() {
         // Earlier builds had SVR and k-NN model variants. A document naming
         // one must be refused with a typed error, not panic a loader.

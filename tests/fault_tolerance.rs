@@ -764,6 +764,41 @@ fn service_refuses_a_call_whose_deadline_has_passed() {
     assert_eq!(stats.panics_recovered, 0);
 }
 
+/// A damaged artefact file must stop the serving stack at load, before a
+/// model that predicts NaN can decide a plan; the pristine file still
+/// loads and serves.
+#[test]
+fn corrupted_artifact_is_rejected_at_load() {
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/artifact_v3.json");
+    let pristine = std::fs::read_to_string(&fixture).expect("read fixture");
+    let float = r#""base_score":-2.37988641139787e-15"#;
+    assert!(pristine.contains(float), "the fixture lost {float}");
+    let dir = std::env::temp_dir().join(format!("adsala-corrupt-artifact-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("artifact.json");
+    std::fs::write(&path, pristine.replacen(float, r#""base_score":1e999"#, 1)).expect("write");
+    let loaded = Artifact::load(&path);
+    std::fs::remove_dir_all(&dir).ok();
+    match loaded {
+        Err(AdsalaError::Artifact(msg)) => {
+            assert!(msg.contains("non-finite"), "unexpected rejection: {msg}")
+        }
+        other => panic!("corrupted artifact must be rejected, got {:?}", other.map(|a| a.machine)),
+    }
+
+    let _lock = hold_fault_lock();
+    let svc = Artifact::load(&fixture).expect("pristine fixture still loads").into_service();
+    let (m, n, k) = (64, 64, 64);
+    let a = fill(m * k, 91);
+    let b = fill(k * n, 92);
+    let mut c = vec![0.0f32; m * n];
+    let mut req: OpRequest<'_, f32> =
+        GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+    svc.run(&mut req).expect("the pristine artefact serves");
+    assert_close(&c, &serial_reference(m, n, k, &a, &b), "pristine artefact");
+}
+
 /// `set_plan` promises that a cleared plan stops stalling. A single long
 /// stall holds the one job of a 2-worker pool; clearing the plan once the
 /// stall has begun must return the job long before the stall would end.
