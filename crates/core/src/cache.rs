@@ -18,18 +18,6 @@
 //! Hit/miss/eviction counters are relaxed atomics; `hits + misses` equals
 //! the number of `get` calls exactly, which the concurrency stress test
 //! asserts.
-//!
-//! **Generations.** Decisions are only as durable as the model that made
-//! them: when the service hot-swaps the artefact bundle (a reinstall
-//! going live), every memoised plan is stale. The cache therefore carries
-//! a monotonically increasing *generation*; each resident entry is tagged
-//! with the generation it was decided under, lookups treat a tag from an
-//! older generation as a miss, and [`DecisionCache::bump_generation`]
-//! retires the whole memo in O(shards). The swap protocol in
-//! `service.rs` reads the generation *before* loading the bundle and
-//! publishes via [`DecisionCache::insert_if_generation`], so a decision
-//! computed against a pre-swap bundle can never survive into the
-//! post-swap memo, no matter how the insert races the swap.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -64,9 +52,6 @@ pub struct CacheStats {
     pub capacity: u64,
     /// Number of lock stripes.
     pub shards: u64,
-    /// Current model generation; entries tagged with an older generation
-    /// are dead and lookups miss them.
-    pub generation: u64,
 }
 
 impl CacheStats {
@@ -86,19 +71,11 @@ impl CacheStats {
     }
 }
 
-/// A resident decision tagged with the model generation it was decided
-/// under.
-#[derive(Debug, Clone, Copy)]
-struct Tagged {
-    generation: u64,
-    decision: PlanDecision,
-}
-
 #[derive(Debug)]
 struct ShardState<K> {
     /// The shard's last-decided key — the §III-C fast path.
-    last: Option<(K, Tagged)>,
-    map: HashMap<K, Tagged>,
+    last: Option<(K, PlanDecision)>,
+    map: HashMap<K, PlanDecision>,
 }
 
 impl<K> Default for ShardState<K> {
@@ -121,9 +98,6 @@ pub struct DecisionCache<K: Hash + Eq + Copy = ShapeKey> {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Current model generation. Bumped on bundle hot-swap; entries from
-    /// older generations are unreachable.
-    generation: AtomicU64,
 }
 
 /// Default total capacity (decisions, across all shards).
@@ -153,7 +127,6 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
         }
     }
 
@@ -164,21 +137,16 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
     }
 
     /// Look a shape up, counting exactly one hit or one miss. A hit is
-    /// flagged [`PlanDecision::memoised`]. Entries tagged with a generation
-    /// older than the current one are dead: they miss, exactly as if a
-    /// hot-swap had physically erased them.
+    /// flagged [`PlanDecision::memoised`].
     pub fn get(&self, key: K) -> Option<PlanDecision> {
-        let generation = self.generation.load(Ordering::Acquire);
         let shard = self.shard_for(key);
         let found = {
             let state = shard.read();
-            let tagged = match &state.last {
-                Some((last_key, tagged)) if *last_key == key => Some(tagged),
+            let decision = match &state.last {
+                Some((last_key, decision)) if *last_key == key => Some(decision),
                 _ => state.map.get(&key),
             };
-            tagged
-                .filter(|t| t.generation == generation)
-                .map(|t| PlanDecision { memoised: true, ..t.decision })
+            decision.map(|d| PlanDecision { memoised: true, ..*d })
         };
         let counter = if found.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -187,33 +155,8 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
 
     /// Insert (or refresh) a decision, evicting an arbitrary resident
     /// entry if the shard is at capacity. Also refreshes the shard's
-    /// last-shape fast path. The entry is tagged with the generation
-    /// current at insert time; callers racing a hot-swap use
-    /// [`DecisionCache::insert_if_generation`] instead.
+    /// last-shape fast path.
     pub fn insert(&self, key: K, decision: PlanDecision) {
-        self.insert_tagged(key, decision, self.generation.load(Ordering::Acquire));
-    }
-
-    /// Insert a decision only if the cache is still at `generation` (the
-    /// value the caller read *before* computing the decision). If a
-    /// hot-swap bumped the generation in between, the decision was made
-    /// against a retired bundle and is silently discarded — returning
-    /// `false` so callers can observe the refusal. This is the
-    /// linchpin of swap coherence: swap publishes the new bundle first
-    /// and bumps the generation second, so any decision tagged with the
-    /// pre-swap generation is guaranteed stale-or-equal and safe to drop.
-    pub fn insert_if_generation(&self, key: K, decision: PlanDecision, generation: u64) -> bool {
-        if self.generation.load(Ordering::Acquire) != generation {
-            return false;
-        }
-        // A bump racing us right here is benign: the entry keeps the old
-        // tag and dies on the next lookup's generation check.
-        self.insert_tagged(key, decision, generation);
-        true
-    }
-
-    fn insert_tagged(&self, key: K, decision: PlanDecision, generation: u64) {
-        let stored = Tagged { generation, decision };
         let shard = self.shard_for(key);
         let mut state = shard.write();
         if !state.map.contains_key(&key) && state.map.len() >= self.per_shard_capacity {
@@ -222,23 +165,8 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        state.map.insert(key, stored);
-        state.last = Some((key, stored));
-    }
-
-    /// The current model generation.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Retire every memoised decision by advancing the generation, then
-    /// physically drop the dead entries. Returns the new generation.
-    /// Lookups racing the sweep are safe either way: they compare entry
-    /// tags against the already-advanced generation and miss.
-    pub fn bump_generation(&self) -> u64 {
-        let next = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        self.clear();
-        next
+        state.map.insert(key, decision);
+        state.last = Some((key, decision));
     }
 
     /// Decisions currently resident across all shards.
@@ -274,7 +202,6 @@ impl<K: Hash + Eq + Copy> DecisionCache<K> {
             entries: self.len() as u64,
             capacity: self.capacity() as u64,
             shards: self.shards.len() as u64,
-            generation: self.generation(),
         }
     }
 }
@@ -357,46 +284,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert!(cache.get(key(1, 2, 3)).is_none(), "cleared entries must miss");
-    }
-
-    #[test]
-    fn bump_generation_retires_resident_decisions() {
-        let cache = DecisionCache::new(4, 64);
-        cache.insert(key(1, 2, 3), decision(8));
-        assert_eq!(cache.stats().generation, 0);
-        assert!(cache.get(key(1, 2, 3)).is_some());
-        let gen = cache.bump_generation();
-        assert_eq!(gen, 1);
-        assert_eq!(cache.generation(), 1);
-        assert!(cache.get(key(1, 2, 3)).is_none(), "pre-swap decisions must die");
-        assert!(cache.is_empty());
-        // Fresh inserts under the new generation are served normally.
-        cache.insert(key(1, 2, 3), decision(4));
-        assert_eq!(cache.get(key(1, 2, 3)).unwrap().threads(), 4);
-    }
-
-    #[test]
-    fn insert_if_generation_refuses_stale_publishers() {
-        let cache = DecisionCache::new(4, 64);
-        let pre = cache.generation();
-        // A swap lands between the caller reading the generation and
-        // publishing its decision.
-        cache.bump_generation();
-        assert!(!cache.insert_if_generation(key(9, 9, 9), decision(2), pre));
-        assert!(cache.get(key(9, 9, 9)).is_none(), "stale publish must be dropped");
-        // A current-generation publish is accepted.
-        assert!(cache.insert_if_generation(key(9, 9, 9), decision(2), cache.generation()));
-        assert!(cache.get(key(9, 9, 9)).is_some());
-    }
-
-    #[test]
-    fn last_shape_fast_path_respects_generation() {
-        // The `last` slot must not leak a retired decision even though it
-        // bypasses the map.
-        let cache = DecisionCache::new(1, 8);
-        cache.insert(key(5, 5, 5), decision(8));
-        cache.bump_generation();
-        assert!(cache.get(key(5, 5, 5)).is_none());
     }
 
     #[test]

@@ -37,11 +37,11 @@
 //! 4. [`scheduler::ServiceScheduler`] — admission control and deadlines
 //!    in front of the service: a FIFO gate, then one `run_with` call.
 //!
-//! As in the paper, the models are trained once and then only served: the
-//! service keeps per-routine sums of their prediction error
-//! ([`ServiceStats::prediction`]), and the remedy for a model that no
-//! longer predicts the machine is a fresh install, hot-swapped under live
-//! traffic with zero downtime ([`AdsalaService::swap_bundle`]).
+//! As in the paper, the models are trained once and then only served: a
+//! service serves the bundle it was built with and keeps per-routine sums
+//! of its prediction error ([`ServiceStats::prediction`]). The remedy for
+//! a model that no longer predicts the machine is a fresh install and a
+//! new [`AdsalaService`] built on it.
 //!
 //! There is one decision path ([`select`]'s single pricing sweep, folded
 //! into its argmin) and one serving path (the service's execute → observe

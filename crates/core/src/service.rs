@@ -27,24 +27,15 @@
 //! `evaluations` counts actual model sweeps (concurrent racing misses may
 //! sweep the same shape twice — both count), `cache` the memo traffic.
 //!
-//! **Prediction error and swaps.** The paper trains once at install time
-//! and then only serves, and so does this service: every model-decided
-//! call takes the same decision path (the memo, then the sweep). Each
-//! one also adds `ln(measured / predicted)` to its routine's running
-//! sums (one logarithm under one short lock), which
-//! [`ServiceStats::prediction`] and [`ServiceStats::prediction_by_routine`]
-//! report; nothing on the serving path reads them. The remedy for a model
-//! that no longer predicts this machine is a fresh install, published
-//! under live traffic with [`AdsalaService::swap_bundle`], which also
-//! zeroes the sums. The swap is two ordered steps — install the new `Arc`
-//! under the bundle `RwLock`, then bump the memo's generation —
-//! while serving threads read the generation *before* loading the
-//! bundle and publish decisions through `insert_if_generation`, so a
-//! decision computed against the retired bundle can never outlive the
-//! swap in the memo. In-flight requests are never blocked or dropped:
-//! they finish under the plan they decided with (the retiring `Arc`
-//! keeps its artefacts alive), and the next request simply decides
-//! under the new epoch.
+//! **Prediction error.** The paper trains once at install time and then
+//! only serves, and so does this service: it serves the bundle it was
+//! built with, and every model-decided call takes the same decision path
+//! (the memo, then the sweep). Each one also adds `ln(measured /
+//! predicted)` to its routine's running sums (one logarithm under one
+//! short lock), which [`ServiceStats::prediction`] and
+//! [`ServiceStats::prediction_by_routine`] report; nothing on the serving
+//! path reads them. The remedy for a model that no longer predicts this
+//! machine is a fresh install and a new service built on it.
 //!
 //! **Fault tolerance.** A kernel panic — a bug, or an injected fault from
 //! [`adsala_gemm::fault`] — is confined to the request that triggered it:
@@ -89,7 +80,7 @@ use adsala_gemm::dispatch::{OpRequest, OpShape, OpStats};
 use adsala_gemm::isa::KernelIsa;
 use adsala_gemm::plan::{Algorithm, ExecutionPlan};
 use adsala_gemm::{ArenaStats, Element, PoolStats, PredictionErrorStats, Routine, ThreadPool};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::bundle::{ArtifactBundle, PlanDecision};
 use crate::cache::{CacheStats, DecisionCache};
@@ -155,10 +146,8 @@ impl RunOptions {
 /// and precision.
 #[derive(Debug)]
 pub struct AdsalaService {
-    /// The current artefact epoch. Reads are one brief `RwLock` read to
-    /// clone the `Arc`; [`AdsalaService::swap_bundle`] takes the only
-    /// write this lock ever sees.
-    bundle: RwLock<Arc<ArtifactBundle>>,
+    /// The artefacts every decision is made with, fixed at construction.
+    bundle: Arc<ArtifactBundle>,
     /// Decisions are memoised per `(shape, normalised thread cap)`: a
     /// capped sweep is a genuinely different optimisation problem, so a
     /// capped decision must never be served to an uncapped caller (or
@@ -171,10 +160,8 @@ pub struct AdsalaService {
     /// Ops reported with `OpStats::plan_degraded` (see
     /// [`ServiceStats::plan_downgrades`] for what that covers).
     plan_downgrades: AtomicU64,
-    /// Per-routine predicted-vs-measured error since the last swap.
+    /// Per-routine predicted-vs-measured error.
     errors: PredictionErrors,
-    /// Bundle hot-swaps performed.
-    swaps: AtomicU64,
     /// Executed-algorithm tallies: `[blocked, strassen, zorder]`, counted
     /// by what actually ran (a refused Strassen plan lands in `blocked`
     /// *and* in `plan_downgrades`).
@@ -221,15 +208,11 @@ pub struct ServiceStats {
     /// axis, which those routines do not honour (most of the count under a
     /// grid install with mixed routines).
     pub plan_downgrades: u64,
-    /// Bundle hot-swaps performed.
-    pub swaps: u64,
-    /// Current memo generation (bumped once per swap).
-    pub generation: u64,
-    /// Predicted-vs-measured error since the last swap, over every
-    /// routine (the fold of `prediction_by_routine`).
+    /// Predicted-vs-measured error over every routine (the fold of
+    /// `prediction_by_routine`).
     pub prediction: PredictionErrorStats,
-    /// Predicted-vs-measured error since the last swap, one row per
-    /// routine in [`Routine::ALL`] order (GEMM, SYRK, GEMV).
+    /// Predicted-vs-measured error, one row per routine in
+    /// [`Routine::ALL`] order (GEMM, SYRK, GEMV).
     pub prediction_by_routine: [PredictionErrorStats; 3],
     /// Decision-memo counters.
     pub cache: CacheStats,
@@ -266,13 +249,12 @@ impl AdsalaService {
             ThreadPool::new(cfg.pool_workers)
         };
         Self {
-            bundle: RwLock::new(bundle),
+            bundle,
             cache: DecisionCache::default(),
             pool,
             evaluations: AtomicU64::new(0),
             plan_downgrades: AtomicU64::new(0),
             errors: PredictionErrors::default(),
-            swaps: AtomicU64::new(0),
             algo_executed: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             panics_recovered: AtomicU64::new(0),
             degraded_retries: AtomicU64::new(0),
@@ -283,38 +265,16 @@ impl AdsalaService {
         }
     }
 
-    /// The artefact bundle of the current epoch (a cheap `Arc` clone; the
-    /// caller's decisions stay coherent against this snapshot even if a
-    /// hot-swap lands concurrently).
+    /// The artefact bundle the service was built with (a cheap `Arc`
+    /// clone).
     pub fn bundle(&self) -> Arc<ArtifactBundle> {
-        Arc::clone(&self.bundle.read())
-    }
-
-    /// Atomically publish a new artefact bundle and retire every memoised
-    /// decision, without blocking or invalidating in-flight requests:
-    /// first the bundle slot is replaced (one brief write lock), then the
-    /// memo's generation is bumped so pre-swap entries die.
-    /// Requests already executing finish under the plan they decided with
-    /// — the old `Arc` keeps their artefacts alive. Also zeroes the
-    /// prediction-error sums (they measured the retiring model). Returns
-    /// the new memo generation.
-    pub fn swap_bundle(&self, bundle: Arc<ArtifactBundle>) -> u64 {
-        *self.bundle.write() = bundle;
-        // Order matters: the generation bump must follow the publish, so
-        // any reader who saw the old generation either decided with the
-        // old bundle (entry dies now) or the new one (entry is refused by
-        // insert_if_generation and re-decided — conservative but never
-        // stale).
-        let generation = self.cache.bump_generation();
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.errors.reset();
-        generation
+        Arc::clone(&self.bundle)
     }
 
     /// Candidate thread counts swept per decision (the grid's thread
     /// axis).
     pub fn candidates(&self) -> Vec<u32> {
-        self.bundle().candidates().to_vec()
+        self.bundle.candidates().to_vec()
     }
 
     /// Worker threads in the persistent execution pool.
@@ -330,24 +290,14 @@ impl AdsalaService {
     }
 
     /// The memo-then-sweep decision for `shape` under `cap`, a cap already
-    /// normalised on `bundle`'s grid. `bundle` must have been loaded after
-    /// `generation` was read: if a swap lands in between, this decision is
-    /// refused by the memo and the next caller re-decides under the new
-    /// epoch — nothing can enter a younger memo than the bundle it came
-    /// from. A sweep counts in `evaluations`.
-    fn decide(
-        &self,
-        bundle: &ArtifactBundle,
-        generation: u64,
-        shape: OpShape,
-        cap: u32,
-    ) -> PlanDecision {
+    /// normalised on the bundle's grid. A sweep counts in `evaluations`.
+    fn decide(&self, shape: OpShape, cap: u32) -> PlanDecision {
         if let Some(hit) = self.cache.get((shape, cap)) {
             return hit;
         }
-        let decision = bundle.decide_op_capped(shape, cap);
+        let decision = self.bundle.decide_op_capped(shape, cap);
         self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.cache.insert_if_generation((shape, cap), decision, generation);
+        self.cache.insert((shape, cap), decision);
         decision
     }
 
@@ -362,9 +312,7 @@ impl AdsalaService {
     /// deterministic. The load on the pool plays no part here: only
     /// [`AdsalaService::run_with`] lowers a cap to the op's share.
     pub fn select_for_capped(&self, shape: OpShape, cap: u32) -> PlanDecision {
-        let generation = self.cache.generation();
-        let bundle = self.bundle();
-        self.decide(&bundle, generation, shape, normalised_cap(&bundle, cap))
+        self.decide(shape, normalised_cap(&self.bundle, cap))
     }
 
     /// Serve one operation with default options: validate the operands,
@@ -413,21 +361,15 @@ impl AdsalaService {
             )));
         }
         let (_slot, in_flight) = self.enter();
-        let shape = req.shape();
-        // One bundle load per call, after the generation read `decide`
-        // needs: the cap, the share and the decision all come from this
-        // snapshot, so the share is rounded on the grid that decides.
-        let generation = self.cache.generation();
-        let bundle = self.bundle();
-        let mut cap = normalised_cap(&bundle, opts.thread_cap());
+        let mut cap = normalised_cap(&self.bundle, opts.thread_cap());
         if in_flight >= 2 {
-            let share = pool_share(bundle.candidates(), self.pool.workers(), in_flight);
+            let share = pool_share(self.bundle.candidates(), self.pool.workers(), in_flight);
             if share < cap {
                 self.share_capped.fetch_add(1, Ordering::Relaxed);
                 cap = share;
             }
         }
-        let decision = self.decide(&bundle, generation, shape, cap);
+        let decision = self.decide(req.shape(), cap);
         // The cap bounded the sweep, so the decision *is* the executed
         // plan — no post-hoc clamp that would desynchronise the reported
         // prediction from the configuration that runs.
@@ -603,15 +545,12 @@ impl AdsalaService {
     /// component with the allocator taken out of it).
     pub fn stats(&self) -> ServiceStats {
         let prediction_by_routine = self.errors.snapshot();
-        let cache = self.cache.stats();
         ServiceStats {
             evaluations: self.evaluations.load(Ordering::Relaxed),
             plan_downgrades: self.plan_downgrades.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            generation: cache.generation,
             prediction: fold(&prediction_by_routine),
             prediction_by_routine,
-            cache,
+            cache: self.cache.stats(),
             pool: self.pool.stats(),
             workspace: self.pool.workspace().arena_stats(),
             algorithms: AlgorithmMix {
@@ -689,13 +628,6 @@ impl PredictionErrors {
         sums.overshoots += u64::from(log_ratio > 0.0);
     }
 
-    /// Zero every routine's sums.
-    fn reset(&self) {
-        for sums in &self.0 {
-            *sums.lock() = ErrorSums::default();
-        }
-    }
-
     /// Each routine's sums as means.
     fn snapshot(&self) -> [PredictionErrorStats; 3] {
         std::array::from_fn(|i| {
@@ -730,9 +662,7 @@ fn fold(rows: &[PredictionErrorStats; 3]) -> PredictionErrorStats {
 
 /// Normalise a thread cap into the memo key space of `bundle`'s grid:
 /// caps at or above its largest candidate are equivalent to "no cap" (the
-/// sweep is identical), so they share one entry per shape. The bound is
-/// the grid's, and a swapped-in bundle may have another grid, so callers
-/// normalise on the snapshot that decides.
+/// sweep is identical), so they share one entry per shape.
 fn normalised_cap(bundle: &ArtifactBundle, cap: u32) -> u32 {
     cap.clamp(1, bundle.max_candidate_threads())
 }
@@ -994,22 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_bundle_bumps_generation_and_forces_reevaluation() {
-        let svc = service();
-        let before = decide(&svc, 128, 512, 128);
-        assert_eq!(svc.stats().generation, 0);
-        let generation = svc.swap_bundle((*svc.bundle()).clone().into_shared());
-        assert_eq!(generation, 1);
-        assert_eq!(svc.stats().generation, 1);
-        assert_eq!(svc.stats().swaps, 1);
-        let after = decide(&svc, 128, 512, 128);
-        assert!(!after.memoised, "a swap must retire memoised decisions");
-        assert_eq!(svc.stats().evaluations, 2);
-        // Identical models ⇒ identical decision, freshly swept.
-        assert_eq!(after.plan, before.plan);
-    }
-
-    #[test]
     fn run_stamps_prediction_and_feeds_the_meter() {
         let svc = service();
         let (m, n, k) = (64usize, 64usize, 64usize);
@@ -1028,6 +942,54 @@ mod tests {
     }
 
     #[test]
+    fn observed_gemm_traffic_fills_only_the_gemm_row() {
+        let svc = service();
+        let shapes: Vec<OpShape> = (0..8u64)
+            .map(|i| {
+                OpShape::gemm(Precision::F32, 32 + 16 * (i % 4), 64 + 64 * (i % 3), 32 + 8 * i)
+            })
+            .collect();
+        // Healthy traffic: each op runs within ±2 % of its prediction.
+        for round in 0..8u64 {
+            for (j, &shape) in shapes.iter().enumerate() {
+                let d = svc.select_for_capped(shape, 1);
+                let factor = 1.0 + 0.02 * (((round + j as u64) % 5) as f64 - 2.0) / 2.0;
+                let wall_ns = (d.predicted_runtime_s * factor * 1e9).round() as u64;
+                svc.observe(shape, &d.plan, d.predicted_runtime_s, wall_ns);
+            }
+        }
+        let s = svc.stats();
+        let [gemm, syrk, gemv] = s.prediction_by_routine;
+        assert_eq!(gemm.samples, 8 * shapes.len() as u64);
+        assert!(gemm.mean_abs_log_error > 0.0 && gemm.mean_abs_log_error < 0.1, "{gemm:?}");
+        assert_eq!((syrk.samples, gemv.samples), (0, 0));
+        assert_eq!(s.prediction, gemm, "one routine's row is the whole fold");
+    }
+
+    #[test]
+    fn a_first_run_with_decision_is_the_models_and_memoises_on_repeat() {
+        let svc = service();
+        let (m, n, k) = (96usize, 48usize, 32usize);
+        let a = vec![1.0f32; m * k];
+        let b = vec![1.0f32; k * n];
+        let mut c = vec![0.0f32; m * n];
+        let mut serve = || {
+            let mut req: OpRequest<'_, f32> =
+                GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
+            svc.run_with(&mut req, RunOptions::with_host_cap(1)).unwrap().0
+        };
+        let first = serve();
+        let again = serve();
+        assert!(!first.memoised, "this shape's first model decision is a sweep");
+        let shape = OpShape::gemm(Precision::F32, m as u64, k as u64, n as u64);
+        assert_eq!(first, svc.bundle().decide_op_capped(shape, 1), "the model's own decision");
+        assert!(again.memoised);
+        assert_eq!(again.plan, first.plan);
+        assert!(c.iter().all(|&v| v == k as f32));
+        assert_eq!(svc.stats().prediction_by_routine[0].samples, 2);
+    }
+
+    #[test]
     fn prediction_meter_tracks_log_error() {
         let errors = PredictionErrors::default();
         // Perfect prediction: 1 ms predicted, 1 ms measured.
@@ -1043,8 +1005,6 @@ mod tests {
         assert!(s.mean_log_ratio.abs() < 1e-4, "{s:?}");
         assert!((s.overshoot_fraction - 1.0 / 3.0).abs() < 1e-12);
         assert!(s.mean_abs_pct() > 0.0);
-        errors.reset();
-        assert_eq!(errors.snapshot(), [PredictionErrorStats::default(); 3]);
     }
 
     #[test]

@@ -94,14 +94,6 @@ pub enum Precision {
 }
 
 impl Precision {
-    /// Lower-case BLAS-style prefix ("s" / "d").
-    pub fn blas_prefix(self) -> &'static str {
-        match self {
-            Precision::F32 => "s",
-            Precision::F64 => "d",
-        }
-    }
-
     /// Element size in bytes.
     pub fn bytes(self) -> usize {
         match self {
@@ -679,7 +671,6 @@ mod tests {
         assert_eq!(<f32 as Element>::PRECISION, Precision::F32);
         assert_eq!(<f64 as Element>::PRECISION, Precision::F64);
         assert_eq!(Precision::F32.bytes(), 4);
-        assert_eq!(Precision::F64.blas_prefix(), "d");
     }
 
     #[test]

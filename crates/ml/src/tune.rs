@@ -230,15 +230,6 @@ impl GridSearch {
         model.fit(&data.x, &data.y)?;
         Ok((TuneResult { spec, cv_rmse, trials }, model))
     }
-
-    /// Tune the default grid of one family.
-    pub fn tune_family(
-        &self,
-        kind: ModelKind,
-        data: &Dataset,
-    ) -> Result<(TuneResult, AnyModel), MlError> {
-        self.tune(&ModelSpec::default_grid(kind), data)
-    }
 }
 
 #[cfg(test)]
