@@ -576,7 +576,7 @@ fn plan_table() {
     );
 
     // One real host execution through the service so the executed plan —
-    // and any force-scalar/unsupported-ISA degradation — is visible.
+    // and any refused-algorithm degradation — is visible.
     {
         use adsala_gemm::dispatch::{GemmArgs, OpRequest};
         let (m, n, k) = (192usize, 160, 224);

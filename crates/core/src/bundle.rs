@@ -39,7 +39,8 @@ use crate::AdsalaError;
 /// the model's runtime prediction for it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlanDecision {
-    /// The chosen execution plan (threads, kernel ISA, blocking, algorithm).
+    /// The chosen execution plan (threads, blocking, algorithm); it runs
+    /// on the process-wide dispatched kernel.
     pub plan: ExecutionPlan,
     /// Model-predicted runtime under that plan (seconds).
     pub predicted_runtime_s: f64,

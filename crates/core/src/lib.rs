@@ -4,9 +4,9 @@
 //! to pick, per call, the execution configuration minimising runtime. The
 //! paper learns one axis (the thread count); this library generalises the
 //! learned decision to a full [`adsala_gemm::plan::ExecutionPlan`] —
-//! threads, micro-kernel ISA, cache-blocking scale, and multiplication
-//! algorithm (blocked, Strassen, Z-order) — while keeping the paper's
-//! two-phase life cycle:
+//! threads, cache-blocking scale and multiplication algorithm (blocked,
+//! Strassen, Z-order), on the kernel CPU detection dispatches — while
+//! keeping the paper's two-phase life cycle:
 //!
 //! **Installation** ([`gather`] → [`preprocess`] → [`train`] → [`select`]):
 //! sample GEMM shapes quasi-randomly, time them at a grid of candidate

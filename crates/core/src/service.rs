@@ -41,10 +41,13 @@
 //! [`adsala_gemm::fault`] — is confined to the request that triggered it:
 //! the batch panic is caught at this boundary (the pool's workers survive
 //! it, each on its own warm arena), and the request is retried once on
-//! the *degraded plan* — serial, scalar kernel, blocked loop nest — which
-//! shares no workers with anything else and runs inline on the caller's
-//! thread. The retry is attempted only when it is sound: the
-//! deadline (if any) must not have passed, and the op must be idempotent
+//! the *degraded plan* — serial, blocked loop nest at the default blocking,
+//! on the same dispatched kernel as every other op — which shares no
+//! workers with anything else and runs inline on the caller's thread.
+//! Since the thread count changes no result bit, a recovered op returns
+//! exactly the bits an unfaulted threads-only plan would have. The retry
+//! is attempted only when it is sound: the deadline (if any) must not have
+//! passed, and the op must be idempotent
 //! ([`OpRequest::is_idempotent`], i.e. `β == 0` — a partial first attempt
 //! may have dirtied the output buffer, and with `β ≠ 0` the output is
 //! also an input). An unrecoverable op returns
@@ -77,7 +80,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use adsala_gemm::dispatch::{OpRequest, OpShape, OpStats};
-use adsala_gemm::isa::KernelIsa;
 use adsala_gemm::plan::{Algorithm, ExecutionPlan};
 use adsala_gemm::{ArenaStats, Element, PoolStats, PredictionErrorStats, Routine, ThreadPool};
 use parking_lot::Mutex;
@@ -128,10 +130,7 @@ impl RunOptions {
     /// The cap bounds the *sweep*, not the executed plan after the fact:
     /// the model prices candidates clamped to the cap and the argmin is
     /// taken among them, so a capped call's `PlanDecision` reports the
-    /// predicted runtime of the configuration that actually runs. (The
-    /// old decide-then-clamp behaviour executed `cap` threads while
-    /// reporting the uncapped winner's prediction — and let a scheduler's
-    /// thread budget be silently exceeded at decision time.)
+    /// predicted runtime of the configuration that actually runs.
     pub fn thread_cap(&self) -> u32 {
         if self.host_max_threads == 0 {
             u32::MAX
@@ -202,11 +201,10 @@ pub struct AlgorithmMix {
 pub struct ServiceStats {
     /// Model sweeps performed (memo hits don't count).
     pub evaluations: u64,
-    /// Ops whose report carried [`OpStats::plan_degraded`]: a pinned
-    /// kernel ISA clamped, a requested algorithm refused, a degraded
-    /// retry — and every SYRK/GEMV served under a plan with a non-thread
-    /// axis, which those routines do not honour (most of the count under a
-    /// grid install with mixed routines).
+    /// Ops whose report carried [`OpStats::plan_degraded`]: a requested
+    /// algorithm refused, a degraded retry — and every SYRK/GEMV served
+    /// under a plan with a non-thread axis, which those routines do not
+    /// honour (most of the count under a grid install with mixed routines).
     pub plan_downgrades: u64,
     /// Predicted-vs-measured error over every routine (the fold of
     /// `prediction_by_routine`).
@@ -443,14 +441,12 @@ impl AdsalaService {
         stats
     }
 
-    /// The plan a panicked request retries on: serial, scalar kernel,
-    /// blocked loop nest. It shares no pool worker with the failed attempt
-    /// and runs inline on the caller's thread, so it cannot re-trip a
-    /// worker-scoped fault.
+    /// The plan a panicked request retries on: serial, blocked loop nest,
+    /// default blocking, the dispatched kernel. It shares no pool worker
+    /// with the failed attempt and runs inline on the caller's thread, so
+    /// it cannot re-trip a worker-scoped fault.
     fn degraded_plan() -> ExecutionPlan {
         ExecutionPlan::with_threads(1)
-            .with_isa(KernelIsa::Scalar)
-            .with_algorithm(Algorithm::Blocked)
     }
 
     /// The recovery arm: after an isolated panic (`detail`), rerun `req`

@@ -322,6 +322,7 @@ impl<'a, T: Element> GemmArgs<'a, T> {
             n: self.n,
             k: self.k,
             plan: *plan,
+            isa: None,
         }
     }
 
@@ -409,12 +410,6 @@ impl<T: Element> GemvArgs<'_, T> {
     }
 }
 
-/// Whether a GEMM executed something humbler than `plan` asked for: a
-/// pinned kernel ISA clamped, or the requested algorithm refused.
-fn gemm_plan_degraded(plan: &ExecutionPlan, exec: &GemmStats) -> bool {
-    plan.kernel_isa.is_some_and(|isa| exec.kernel_isa != isa) || plan.algorithm != exec.algorithm
-}
-
 /// Unified execution report: the kernel breakdown tagged with what ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpStats {
@@ -422,17 +417,16 @@ pub struct OpStats {
     pub routine: Routine,
     /// The element precision it ran at.
     pub precision: Precision,
-    /// The [`ExecutionPlan`] the caller requested for this operation.
-    /// The ISA that actually ran is `exec.kernel_isa` — compare the two
-    /// (or check [`OpStats::plan_degraded`]) to spot clamping.
+    /// The [`ExecutionPlan`] the caller requested for this operation. The
+    /// kernel that ran (`exec.kernel_isa`) is the process-wide dispatch,
+    /// which no plan chooses.
     pub plan: ExecutionPlan,
     /// `true` when the executed configuration fell back from the
-    /// requested plan: a pinned kernel ISA was clamped (unsupported host
-    /// or `ADSALA_FORCE_SCALAR`), the requested algorithm was refused
-    /// (e.g. Strassen on an ineligible shape ran blocked — compare
-    /// `plan.algorithm` against `exec.algorithm`), or a non-thread plan
-    /// axis was requested for a routine (SYRK/GEMV) that only honours the
-    /// thread count.
+    /// requested plan: the requested algorithm was refused (e.g. Strassen
+    /// on an ineligible shape ran blocked — compare `plan.algorithm`
+    /// against `exec.algorithm`), a non-thread plan axis was requested for
+    /// a routine (SYRK/GEMV) that only honours the thread count, or the
+    /// service recovered the op on its degraded retry.
     pub plan_degraded: bool,
     /// The model's runtime prediction for this call in nanoseconds, or 0
     /// when no model priced the plan (direct execution, a caller-pinned
@@ -570,7 +564,7 @@ impl<T: Element> OpRequest<'_, T> {
     /// hot path should not pay the bounds checks twice).
     ///
     /// GEMM honours every plan axis; SYRK and GEMV have no configurable
-    /// kernel, blocking or algorithm and honour only `plan.threads` (the report's
+    /// blocking or algorithm and honour only `plan.threads` (the report's
     /// [`OpStats::plan_degraded`] flags when other axes were requested).
     ///
     /// On a request that would fail validation, the underlying kernels
@@ -600,7 +594,8 @@ impl<T: Element> OpRequest<'_, T> {
             ),
         };
         let plan_degraded = match shape.routine {
-            Routine::Gemm => gemm_plan_degraded(plan, &exec),
+            // The requested algorithm refused.
+            Routine::Gemm => plan.algorithm != exec.algorithm,
             Routine::Syrk | Routine::Gemv => !plan.is_threads_only(),
         };
         OpStats {
@@ -736,21 +731,7 @@ mod tests {
 
     #[test]
     fn plan_degradation_is_reported() {
-        use crate::isa::KernelIsa;
         let pool = ThreadPool::new(2);
-
-        // A scalar-pinned GEMM plan always runs as requested.
-        let (m, n, k) = (16, 16, 16);
-        let a = fill(m * k, 9);
-        let b = fill(k * n, 10);
-        let mut c = vec![0.0f64; m * n];
-        let mut req: OpRequest<'_, f64> =
-            GemmArgs::untransposed(m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n).into();
-        let plan = ExecutionPlan::with_threads(2).with_isa(KernelIsa::Scalar);
-        let stats = req.execute(&pool, &plan).unwrap();
-        assert_eq!(stats.exec.kernel_isa, KernelIsa::Scalar);
-        assert!(!stats.plan_degraded);
-        assert_eq!(stats.plan, plan);
 
         // SYRK has no algorithm axis: a non-default algorithm degrades.
         let (m, k) = (12, 8);

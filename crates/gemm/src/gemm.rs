@@ -63,8 +63,8 @@ use crate::threading::{SendMutPtr, ThreadGrid};
 use crate::workspace::{with_thread_arena, PackArena};
 use crate::{Element, Transpose};
 
-/// A fully described GEMM invocation: shape, flags, and the
-/// [`ExecutionPlan`] saying how to run it.
+/// A fully described GEMM invocation: shape, flags, the
+/// [`ExecutionPlan`] saying how to run it, and an optional kernel pin.
 ///
 /// The plan's non-thread axes default to "derive from the host"
 /// ([`ExecutionPlan::with_threads`]), which is what the plain BLAS entry
@@ -77,13 +77,16 @@ pub struct GemmCall {
     pub m: usize,
     pub n: usize,
     pub k: usize,
-    /// How to execute: threads, micro-kernel ISA, cache blocking and
-    /// algorithm. An explicit `kernel_isa` degrades to
-    /// [`KernelIsa::Scalar`] when unsupported or force-scalar is active
-    /// (see [`Kernel::for_isa`]); an explicit `blocking` keeps its cache
-    /// blocks but always runs at the resolved kernel's register tile
-    /// (via [`BlockSizes::with_tile`]).
+    /// How to execute: threads, cache blocking and algorithm. An
+    /// explicit `blocking` keeps its cache blocks but always runs at the
+    /// resolved kernel's register tile (via [`BlockSizes::with_tile`]).
     pub plan: ExecutionPlan,
+    /// The micro-kernel ISA; `None` (what every plan-built call carries)
+    /// runs the process-wide dispatch ([`KernelIsa::dispatched`]). A pin,
+    /// set by [`GemmCall::with_isa`] for the tests that compare kernels,
+    /// degrades to [`KernelIsa::Scalar`] when the host cannot run it (see
+    /// [`Kernel::for_isa`]).
+    pub isa: Option<KernelIsa>,
 }
 
 impl GemmCall {
@@ -97,6 +100,7 @@ impl GemmCall {
             n,
             k,
             plan: ExecutionPlan::with_threads(u32::try_from(threads.max(1)).unwrap_or(u32::MAX)),
+            isa: None,
         }
     }
 
@@ -107,9 +111,9 @@ impl GemmCall {
         self
     }
 
-    /// This call with an explicit micro-kernel ISA.
+    /// This call pinned to `isa`'s micro-kernel.
     pub fn with_isa(mut self, isa: KernelIsa) -> Self {
-        self.plan.kernel_isa = Some(isa);
+        self.isa = Some(isa);
         self
     }
 
@@ -203,7 +207,7 @@ pub(crate) fn drive<T: Element>(
     let a_view = operand_view(call.trans_a, a, m, k, lda);
     let b_view = operand_view(call.trans_b, b, k, n, ldb);
     let member = Member::new(a_view, m, n, alpha, beta, c, ldc);
-    let pro = Prologue::<T>::resolve(&call.plan, m, n, k);
+    let pro = Prologue::<T>::resolve(&call.plan, call.isa, m, n, k);
     if m == 0 || n == 0 {
         return pro.empty_stats();
     }
@@ -241,7 +245,7 @@ fn zorder_with_stats<T: Element>(
     let a_view = operand_view(call.trans_a, a, m, k, lda);
     let b_view = operand_view(call.trans_b, b, k, n, ldb);
     let member = Member::new(a_view, m, n, alpha, beta, c, ldc);
-    let pro = Prologue::<T>::resolve(&call.plan, m, n, k);
+    let pro = Prologue::<T>::resolve(&call.plan, call.isa, m, n, k);
     if m == 0 || n == 0 {
         return GemmStats { algorithm: Algorithm::ZOrder, ..pro.empty_stats() };
     }
@@ -341,7 +345,7 @@ fn operand_view<T: Element>(
 }
 
 /// What every blocked entry point — GEMM, Z-order, SYRK — resolves from
-/// its plan before the first tile: the micro-kernel, the
+/// its plan and kernel pin before the first tile: the micro-kernel, the
 /// cache blocks at that kernel's register tile clamped to the shape, and
 /// the wall clock.
 pub(crate) struct Prologue<T> {
@@ -351,17 +355,24 @@ pub(crate) struct Prologue<T> {
 }
 
 impl<T: Element> Prologue<T> {
-    /// Resolve `plan` for an `m×n×k` product. The micro-kernel is resolved
-    /// once per call (the dispatch itself once per process); blocking,
-    /// grid choice, packing geometry and the per-tile kernel calls all
-    /// flow from its register tile.
-    pub(crate) fn resolve(plan: &ExecutionPlan, m: usize, n: usize, k: usize) -> Self {
-        let kernel = match plan.kernel_isa {
+    /// Resolve `plan` for an `m×n×k` product on `isa`'s kernel (`None`:
+    /// the dispatched one). The micro-kernel is resolved once per call
+    /// (the dispatch itself once per process); blocking, grid choice,
+    /// packing geometry and the per-tile kernel calls all flow from its
+    /// register tile.
+    pub(crate) fn resolve(
+        plan: &ExecutionPlan,
+        isa: Option<KernelIsa>,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> Self {
+        let kernel = match isa {
             Some(isa) => Kernel::<T>::for_isa(isa),
             None => Kernel::<T>::dispatched(),
         };
         let start = Instant::now();
-        let blocks = match (plan.blocking, plan.kernel_isa) {
+        let blocks = match (plan.blocking, isa) {
             // An explicit MC/KC/NC override keeps its cache blocks but must
             // run at the resolved kernel's register tile.
             (Some(b), _) => b.with_tile(kernel.mr, kernel.nr),
@@ -1452,16 +1463,6 @@ pub(crate) mod tests {
 
     pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-    /// The kernels behind every ISA this host runs, each once: the ISA a
-    /// pinned call actually executes on (all of them scalar under
-    /// `ADSALA_FORCE_SCALAR`).
-    pub(crate) fn resolved_isas() -> Vec<KernelIsa> {
-        let mut isas: Vec<KernelIsa> =
-            KernelIsa::supported().map(|isa| Kernel::<f32>::for_isa(isa).isa).collect();
-        isas.dedup();
-        isas
-    }
-
     /// The hash of `C` after every GEMM of a fixed set of edge-heavy
     /// shapes (ragged in every loop at an explicit blocking, so no host
     /// cache changes the depth order), both transposes of each operand,
@@ -1519,7 +1520,7 @@ pub(crate) mod tests {
             (KernelIsa::Avx2Fma, 0xaf00_3c06_6284_c534, 0x7aa2_257d_d543_823a),
             (KernelIsa::Scalar, 0xecff_5f54_5a7a_73d0, 0x01ab_0bf2_844d_e5ed),
         ];
-        for isa in resolved_isas() {
+        for isa in KernelIsa::supported() {
             let got = (gemm_bits(isa, &UNIT, |x| x as f32), gemm_bits(isa, &UNIT, |x| x));
             eprintln!("{isa}: {:#018x}, {:#018x}", got.0, got.1);
             match RECORDED.iter().find(|r| r.0 == isa) {

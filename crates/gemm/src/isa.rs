@@ -4,7 +4,7 @@
 //! has; a scalar kernel would put every latency the ML router trains on
 //! an order of magnitude off the roofline. So all floating-point work runs
 //! through a register-tile micro-kernel chosen **once per process** by CPU
-//! feature detection ([`KernelIsa::detect`], widest first). On x86-64 the
+//! feature detection ([`KernelIsa::dispatched`], widest first). On x86-64 the
 //! kernels are **one template** (`tile`): `MR` rows of `NV` vector
 //! registers, instantiated per vector width — an ISA is a row of this
 //! table, not a copy of the kernel:
@@ -14,7 +14,7 @@
 //! | `Avx512` (`avx512f`) | 12×32 | 12×16 | 24 accumulators + 2 `B` + 1 broadcast of 32 `zmm` |
 //! | `Avx2Fma` (`avx2`, `fma`) | 6×16 | 6×8 | 12 + 2 + 1 of 16 `ymm` |
 //! | `Neon` (AArch64 baseline) | 6×8 | 6×4 | 12 + 2 of 32 `v`; hand-written, not yet on the template |
-//! | `Scalar` | 8×8 | 8×8 | [`crate::microkernel`], bitwise the pre-dispatch code; forced by `ADSALA_FORCE_SCALAR` (any value but empty or `0`) |
+//! | `Scalar` | 8×8 | 8×8 | [`crate::microkernel`], bitwise the pre-dispatch code; dispatched where no SIMD kernel runs |
 //!
 //! The tile per ISA is **fixed, not searched**. Every shape that fits the
 //! register file issues FMAs at the same rate from L1 (6×32, 12×32, 8×48
@@ -101,8 +101,8 @@ pub enum KernelIsa {
 }
 
 impl KernelIsa {
-    /// Every ISA, most preferred first: [`KernelIsa::detect`] is the first
-    /// supported entry.
+    /// Every ISA, most preferred first: [`KernelIsa::dispatched`] is the
+    /// first supported entry.
     pub const ALL: [KernelIsa; 4] =
         [KernelIsa::Avx512, KernelIsa::Avx2Fma, KernelIsa::Neon, KernelIsa::Scalar];
 
@@ -146,24 +146,11 @@ impl KernelIsa {
         Self::ALL.into_iter().filter(|isa| isa.is_supported())
     }
 
-    /// Detect the best ISA supported by the running CPU, ignoring the
-    /// `ADSALA_FORCE_SCALAR` override.
-    pub fn detect() -> KernelIsa {
-        Self::supported().next().unwrap_or(KernelIsa::Scalar)
-    }
-
-    /// The ISA every default kernel dispatches to, resolved once per
-    /// process: [`KernelIsa::detect`] unless `ADSALA_FORCE_SCALAR` is set
-    /// to a non-empty value other than `0`.
+    /// The ISA every kernel dispatches to: the widest one the running CPU
+    /// supports, detected once per process.
     pub fn dispatched() -> KernelIsa {
         static DISPATCHED: OnceLock<KernelIsa> = OnceLock::new();
-        *DISPATCHED.get_or_init(|| {
-            if force_scalar_requested() {
-                KernelIsa::Scalar
-            } else {
-                KernelIsa::detect()
-            }
-        })
+        *DISPATCHED.get_or_init(|| Self::supported().next().unwrap_or(KernelIsa::Scalar))
     }
 }
 
@@ -171,12 +158,6 @@ impl std::fmt::Display for KernelIsa {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// `true` if the `ADSALA_FORCE_SCALAR` override is active in this
-/// process's environment.
-pub fn force_scalar_requested() -> bool {
-    std::env::var("ADSALA_FORCE_SCALAR").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
 }
 
 /// Fused micro-kernel: multiply one packed `mr×kc` A panel by one packed
@@ -294,15 +275,10 @@ impl<T: Element> Kernel<T> {
     }
 
     /// The kernel for `isa`, falling back to [`KernelIsa::Scalar`] when
-    /// the requested ISA is not executable on this host/build (so an
-    /// artefact recorded on another machine can never dispatch an
-    /// illegal-instruction path), or when `ADSALA_FORCE_SCALAR` is active
-    /// (so a plan decided — or cached — while SIMD was dispatched cannot
-    /// replay a SIMD kernel past the override).
+    /// the requested ISA is not executable on this host/build, so a pin
+    /// can never dispatch an illegal-instruction path.
     pub fn for_isa(isa: KernelIsa) -> Kernel<T> {
-        let isa =
-            if isa.is_supported() && !force_scalar_requested() { isa } else { KernelIsa::Scalar };
-        T::kernel(isa)
+        T::kernel(if isa.is_supported() { isa } else { KernelIsa::Scalar })
     }
 
     /// Run the fused multiply + merge micro-kernel.
@@ -1500,9 +1476,8 @@ mod tests {
     }
 
     /// The kernels a test can run here: every supported ISA's (one per
-    /// ISA the host executes, scalar always) — or the scalar kernel alone
-    /// under `ADSALA_FORCE_SCALAR`. An ISA the host lacks is a printed
-    /// skip, so a runner's coverage is on its log.
+    /// ISA the host executes, scalar always). An ISA the host lacks is a
+    /// printed skip, so a runner's coverage is on its log.
     fn runnable_kernels<T: Element>() -> Vec<Kernel<T>> {
         let mut kernels: Vec<Kernel<T>> = Vec::new();
         for isa in KernelIsa::ALL {
@@ -1839,24 +1814,11 @@ mod tests {
     }
 
     #[test]
-    fn force_scalar_env_parsing() {
-        // Can't mutate the process env safely in a threaded test run;
-        // just pin the parse rule on the current (unset) state.
-        if std::env::var("ADSALA_FORCE_SCALAR").is_err() {
-            assert!(!force_scalar_requested());
-        } else if force_scalar_requested() {
-            // When CI exports the override the dispatch must honour it.
-            // (The converse does not hold: a host may dispatch Scalar by
-            // detection even with the override unset or set to "0".)
-            assert_eq!(KernelIsa::dispatched(), KernelIsa::Scalar);
-        }
-    }
-
-    #[test]
     fn detect_is_stable_and_supported() {
-        let isa = KernelIsa::detect();
+        let isa = KernelIsa::dispatched();
         assert!(isa.is_supported());
-        assert_eq!(isa, KernelIsa::detect());
+        assert_eq!(Some(isa), KernelIsa::supported().next(), "the widest supported ISA");
+        assert_eq!(isa, KernelIsa::dispatched());
         assert!(KernelIsa::Scalar.is_supported());
         assert_eq!(KernelIsa::supported().last(), Some(KernelIsa::Scalar));
     }
@@ -1866,11 +1828,8 @@ mod tests {
         // Each architecture's ISAs form a ladder (`ALL` lists it widest
         // first): the host runs its detected rung and every one below it,
         // and nothing above — or of another architecture — may resolve to
-        // anything but the scalar kernel. Were support `detect() == self`,
-        // an AVX-512 host would run a plan pinned to AVX2 on scalar. Even
-        // a supported ISA must degrade while ADSALA_FORCE_SCALAR is active
-        // (is_supported() reflects detection, not the override, so a
-        // cached SIMD plan would otherwise replay past it).
+        // anything but the scalar kernel. Were support `dispatched() == self`,
+        // an AVX-512 host would run a call pinned to AVX2 on scalar.
         let ladder: &[KernelIsa] = if cfg!(target_arch = "x86_64") {
             &[KernelIsa::Avx512, KernelIsa::Avx2Fma, KernelIsa::Scalar]
         } else if cfg!(target_arch = "aarch64") {
@@ -1878,12 +1837,12 @@ mod tests {
         } else {
             &[KernelIsa::Scalar]
         };
-        let detected = KernelIsa::detect();
+        let detected = KernelIsa::dispatched();
         let top = ladder.iter().position(|&isa| isa == detected).expect("detected off-ladder");
         for isa in KernelIsa::ALL {
             let runs = ladder.iter().position(|&rung| rung == isa).is_some_and(|at| at >= top);
             assert_eq!(isa.is_supported(), runs, "{isa} on a host that detects {detected}");
-            let want = if runs && !force_scalar_requested() { isa } else { KernelIsa::Scalar };
+            let want = if runs { isa } else { KernelIsa::Scalar };
             assert_eq!(Kernel::<f32>::for_isa(isa).isa, want);
             assert_eq!(Kernel::<f64>::for_isa(isa).isa, want);
         }

@@ -7,12 +7,12 @@
 //!
 //! Since the kernel-dispatch layer ([`crate::isa`]) landed, drivers reach
 //! this code through [`crate::isa::KernelIsa::Scalar`]'s [`crate::isa::Kernel`]
-//! entry — the always-available portable path, also selectable via the
-//! `ADSALA_FORCE_SCALAR` environment variable. Its accumulation (tile
-//! geometry, 4-way depth unroll, accumulation order) is unchanged from the
-//! pre-dispatch implementation, so forced-scalar results stay bitwise
-//! identical across releases; the SIMD kernels accumulate with different
-//! rounding.
+//! entry — the always-available portable path, dispatched on hosts with no
+//! SIMD kernel and reached elsewhere by a driver call that pins it
+//! ([`crate::gemm::GemmCall::with_isa`]). Its accumulation (tile geometry,
+//! 4-way depth unroll, accumulation order) is unchanged from the
+//! pre-dispatch implementation, so scalar results stay bitwise identical
+//! across releases; the SIMD kernels accumulate with different rounding.
 //!
 //! The accumulator is a fixed-size 2-D array so LLVM keeps it entirely in
 //! vector registers and unrolls the `MR×NR` update; the packed operands are

@@ -43,8 +43,7 @@
 //! loop. It walks the strips and hands each to one of two per-ISA
 //! primitives that live beside the micro-kernels ([`crate::isa::PanelFn`],
 //! chosen by the same once-per-process [`crate::isa::KernelIsa::dispatched`]
-//! decision, so `ADSALA_FORCE_SCALAR` and hosts without AVX2/NEON get the
-//! scalar versions):
+//! detection, so hosts without AVX2/NEON get the scalar versions):
 //!
 //! | the strip's … are contiguous in storage | primitive | reached by |
 //! | --- | --- | --- |
@@ -531,14 +530,8 @@ mod tests {
     }
 
     fn panels_match_reference<T: BitElement>() {
-        // Each supported ISA's primitives (under ADSALA_FORCE_SCALAR they
-        // all resolve to the scalar ones: once is enough).
-        let mut kernels: Vec<Kernel<T>> = Vec::new();
-        for kernel in KernelIsa::supported().map(Kernel::<T>::for_isa) {
-            if kernels.iter().all(|k| k.isa != kernel.isa) {
-                kernels.push(kernel);
-            }
-        }
+        // Each supported ISA's primitives.
+        let kernels: Vec<Kernel<T>> = KernelIsa::supported().map(Kernel::<T>::for_isa).collect();
         let lane = T::LANE;
         for w in [4usize, 6, 8, 12, 16, 32] {
             for rows in [0, 1, w - 1, w, w + 1, 3 * w + 2] {

@@ -1,28 +1,27 @@
 //! Execution plans — the full "how to run" decision for one routine call.
 //!
 //! The paper's runtime learns a single knob, the thread count. The
-//! substrate has more knobs that matter: which micro-kernel ISA to run,
-//! how to block for the cache hierarchy, and *which algorithm* multiplies
-//! at all (the blocked loop nest, Strassen recursion, or a Morton-ordered
-//! serial traversal). [`ExecutionPlan`] carries all of them from the
-//! decision layer down to the drivers, so "pick a thread count" becomes
-//! "pick how to run".
+//! substrate has two more that matter: how to block for the cache
+//! hierarchy, and *which algorithm* multiplies at all (the blocked loop
+//! nest, Strassen recursion, or a Morton-ordered serial traversal).
+//! [`ExecutionPlan`] carries all three from the decision layer down to the
+//! drivers, so "pick a thread count" becomes "pick how to run".
 //!
-//! The candidate grid ([`PlanGrid`], [`PlanPoint`]) sweeps threads,
-//! cache blocking and algorithm. It has no `B`-packing axis (the host
-//! drivers have one way to get `B`, so such an axis could not change what
-//! runs) and no ISA axis (the scalar kernel was the timed optimum of no
-//! swept shape). The ISA stays an execution knob:
-//! [`ExecutionPlan::kernel_isa`] pins a kernel for tests and benchmarks,
-//! and `ADSALA_FORCE_SCALAR` forces the scalar one.
+//! The candidate grid ([`PlanGrid`], [`PlanPoint`]) sweeps exactly those
+//! axes. It has no `B`-packing axis (the host drivers have one way to get
+//! `B`, so such an axis could not change what runs) and no ISA axis (the
+//! scalar kernel was the timed optimum of no swept shape). The kernel is
+//! not part of a plan at all: every plan runs the one CPU detection picks
+//! once per process ([`crate::isa::KernelIsa::dispatched`]); only a
+//! driver-level call ([`crate::gemm::GemmCall::with_isa`]) pins another,
+//! for the tests that compare kernels.
 //!
-//! A plan is deliberately *descriptive*, not prescriptive: `None` axes
-//! mean "derive from the host" (process-wide ISA dispatch, topology-fitted
-//! block sizes), so a threads-only plan — what a migrated v1/v2 artefact
-//! degrades to — executes exactly like the pre-plan runtime did.
+//! A plan is deliberately *descriptive*, not prescriptive: a `None`
+//! blocking means "derive from the host" (topology-fitted block sizes), so
+//! a threads-only plan — what a migrated v1/v2 artefact degrades to —
+//! executes exactly like the pre-plan runtime did.
 
 use crate::blocking::BlockSizes;
-use crate::isa::KernelIsa;
 use serde::{Deserialize, Serialize};
 
 /// Which multiplication algorithm a plan dispatches. The default blocked
@@ -69,16 +68,11 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// The full learned decision: every execution knob for one call.
+/// The full learned decision: one value per axis of the candidate grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ExecutionPlan {
     /// Worker threads (≥ 1).
     pub threads: u32,
-    /// Micro-kernel ISA; `None` defers to the process-wide dispatch
-    /// ([`KernelIsa::dispatched`]). An explicit ISA is still clamped to
-    /// scalar at execution time when the host cannot run it or
-    /// `ADSALA_FORCE_SCALAR` is set.
-    pub kernel_isa: Option<KernelIsa>,
     /// Cache blocking; `None` derives `MC/KC/NC` from the host topology
     /// for the resolved kernel's register tile.
     pub blocking: Option<BlockSizes>,
@@ -95,23 +89,12 @@ impl ExecutionPlan {
     /// entry points produce, and it executes exactly like the pre-plan
     /// runtime.
     pub fn with_threads(threads: u32) -> Self {
-        Self {
-            threads: threads.max(1),
-            kernel_isa: None,
-            blocking: None,
-            algorithm: Algorithm::Blocked,
-        }
+        Self { threads: threads.max(1), blocking: None, algorithm: Algorithm::Blocked }
     }
 
     /// `true` when every non-thread axis is at its host-default setting.
     pub fn is_threads_only(&self) -> bool {
-        self.kernel_isa.is_none() && self.blocking.is_none() && self.algorithm == Algorithm::Blocked
-    }
-
-    /// Builder: pin the micro-kernel ISA.
-    pub fn with_isa(mut self, isa: KernelIsa) -> Self {
-        self.kernel_isa = Some(isa);
-        self
+        self.blocking.is_none() && self.algorithm == Algorithm::Blocked
     }
 
     /// Builder: pin the cache blocking.
@@ -127,20 +110,16 @@ impl ExecutionPlan {
     }
 
     /// Compact human-readable form for stats lines and tables, e.g.
-    /// `t=8 isa=auto blk=auto`. The algorithm is appended
+    /// `t=8 blk=auto`. The algorithm is appended
     /// only when it deviates from the blocked default
     /// (`… algo=strassen:512`), so threads-only lines keep their
     /// historical shape.
     pub fn describe(&self) -> String {
-        let isa = match self.kernel_isa {
-            None => "auto".to_string(),
-            Some(isa) => format!("{isa:?}").to_lowercase(),
-        };
         let blk = match self.blocking {
             None => "auto".to_string(),
             Some(b) => format!("{}x{}x{}", b.mc, b.kc, b.nc),
         };
-        let mut out = format!("t={} isa={} blk={}", self.threads, isa, blk);
+        let mut out = format!("t={} blk={}", self.threads, blk);
         if self.algorithm != Algorithm::Blocked {
             out.push_str(&format!(" algo={}", self.algorithm));
         }
@@ -411,9 +390,9 @@ mod tests {
 
     #[test]
     fn builders_leave_threads_alone() {
-        let p = ExecutionPlan::with_threads(4).with_isa(KernelIsa::Scalar);
+        let p = ExecutionPlan::with_threads(4).with_blocking(BlockSizes::for_f32());
         assert_eq!(p.threads, 4);
-        assert_eq!(p.kernel_isa, Some(KernelIsa::Scalar));
+        assert_eq!(p.blocking, Some(BlockSizes::for_f32()));
         assert!(!p.is_threads_only());
     }
 
@@ -433,13 +412,11 @@ mod tests {
     #[test]
     fn describe_is_compact() {
         let p = ExecutionPlan::with_threads(8);
-        assert_eq!(p.describe(), "t=8 isa=auto blk=auto");
-        let q = p.with_isa(KernelIsa::Scalar);
-        assert_eq!(q.describe(), "t=8 isa=scalar blk=auto");
+        assert_eq!(p.describe(), "t=8 blk=auto");
         let s = p.with_algorithm(Algorithm::Strassen { cutoff: 512 });
-        assert_eq!(s.describe(), "t=8 isa=auto blk=auto algo=strassen:512");
+        assert_eq!(s.describe(), "t=8 blk=auto algo=strassen:512");
         let z = p.with_algorithm(Algorithm::ZOrder);
-        assert_eq!(z.describe(), "t=8 isa=auto blk=auto algo=zorder");
+        assert_eq!(z.describe(), "t=8 blk=auto algo=zorder");
     }
 
     #[test]
@@ -528,7 +505,6 @@ mod tests {
         };
         let q = point.materialise(Precision::F32);
         assert_eq!(q.threads, 4);
-        assert_eq!(q.kernel_isa, None, "a grid point never pins the kernel");
         let blocks = q.blocking.expect("non-default percent pins blocking");
         assert!(blocks.is_valid());
     }
@@ -574,7 +550,6 @@ mod tests {
     #[test]
     fn serde_roundtrip() {
         let p = ExecutionPlan::with_threads(6)
-            .with_isa(KernelIsa::Scalar)
             .with_blocking(BlockSizes::for_f32())
             .with_algorithm(Algorithm::Strassen { cutoff: 384 });
         let v = serde::Serialize::to_value(&p);

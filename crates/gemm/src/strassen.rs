@@ -34,7 +34,7 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use crate::gemm::{drive, scale_row_by_beta, GemmCall};
-use crate::plan::{Algorithm, ExecutionPlan};
+use crate::plan::Algorithm;
 use crate::pool::ThreadPool;
 use crate::stats::GemmStats;
 use crate::workspace::PackArena;
@@ -145,9 +145,10 @@ impl<'a, T: Element> Quad<'a, T> {
 /// Everything the recursion threads through unchanged.
 struct Ctx<'p> {
     pool: &'p ThreadPool,
-    /// The caller's plan with the algorithm forced back to blocked — the
-    /// base case must not re-enter the Strassen dispatch.
-    base_plan: ExecutionPlan,
+    /// The caller's call with the algorithm forced back to blocked — the
+    /// base case must not re-enter the Strassen dispatch. Each base case
+    /// takes its plan and kernel pin, with its own shape and flags.
+    base: GemmCall,
     /// Effective cutoff (plan cutoff clamped to [`MIN_CUTOFF`]).
     cut: usize,
     /// Aggregated counters across all base-case driver calls.
@@ -238,7 +239,7 @@ fn accumulate<T: Element>(
             m,
             n,
             k,
-            plan: ctx.base_plan,
+            ..ctx.base
         };
         let s = drive(ctx.pool, &call, alpha, a.slice(), a.ld, b.slice(), b.ld, T::ONE, c, ldc);
         ctx.absorb(&s);
@@ -341,7 +342,7 @@ pub(crate) fn strassen_with_stats<T: Element>(
     let cut = cutoff.max(MIN_CUTOFF) as usize;
     let mut ctx = Ctx {
         pool,
-        base_plan: call.plan.with_algorithm(Algorithm::Blocked),
+        base: call.with_plan(call.plan.with_algorithm(Algorithm::Blocked)),
         cut,
         agg: GemmStats::default(),
     };

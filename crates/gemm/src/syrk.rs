@@ -76,7 +76,7 @@ pub fn syrk_with_stats_pooled<T: Element>(
     let a_view = MatView::row_major(a, m, k, lda);
     let member = Member::new(a_view, m, m, alpha, beta, c, ldc);
     // SYRK takes no plan: the process-wide kernel and its blocking.
-    let pro = Prologue::<T>::resolve(&ExecutionPlan::with_threads(1), m, m, k);
+    let pro = Prologue::<T>::resolve(&ExecutionPlan::with_threads(1), None, m, m, k);
     if m == 0 {
         return pro.empty_stats();
     }
@@ -145,7 +145,7 @@ pub fn naive_syrk<T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::tests::{fnv1a, resolved_isas, FNV_BASIS};
+    use crate::gemm::tests::{fnv1a, FNV_BASIS};
     use crate::isa::KernelIsa;
 
     fn fill(n: usize, seed: u64) -> Vec<f64> {
@@ -284,8 +284,8 @@ mod tests {
         }
     }
 
-    /// SYRK on `isa`'s kernel: [`syrk_with_stats`] with the plan's ISA
-    /// pinned, on the process pool.
+    /// SYRK on `isa`'s kernel: [`syrk_with_stats`] with the kernel pinned,
+    /// on the process pool.
     #[allow(clippy::too_many_arguments)] // BLAS-style signature
     fn syrk_at<T: Element>(
         isa: KernelIsa,
@@ -299,8 +299,7 @@ mod tests {
     ) {
         let a_view = MatView::row_major(a, m, k, k);
         let member = Member::new(a_view, m, m, alpha, beta, c, m);
-        let plan = ExecutionPlan { kernel_isa: Some(isa), ..ExecutionPlan::with_threads(1) };
-        let pro = Prologue::<T>::resolve(&plan, m, m, k);
+        let pro = Prologue::<T>::resolve(&ExecutionPlan::with_threads(1), Some(isa), m, m, k);
         let bands = band_edges(m, threads, pro.blocks.mr);
         let grid = ThreadGrid { rows: bands.len() - 1, cols: 1 };
         let rows = |band: usize| (bands[band], bands[band + 1]);
@@ -347,7 +346,7 @@ mod tests {
             (KernelIsa::Avx2Fma, 0x9360_bd87_43f4_c9c5, 0x66d9_b14d_d33e_e4d9),
             (KernelIsa::Scalar, 0xf576_dbbe_976c_2574, 0x13b6_2796_54b5_df0f),
         ];
-        for isa in resolved_isas() {
+        for isa in KernelIsa::supported() {
             let got = (syrk_bits(isa, |x| x as f32), syrk_bits(isa, |x| x));
             eprintln!("{isa}: {:#018x}, {:#018x}", got.0, got.1);
             match RECORDED.iter().find(|r| r.0 == isa) {

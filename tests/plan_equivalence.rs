@@ -2,11 +2,10 @@
 //! each combination of thread count and block scale — must compute the
 //! correct product across transpose combos and skewed shapes, give the
 //! same bits on a private pool as on the process pool (sized to the host),
-//! and (with the scalar kernel pinned) be invariant to the thread count.
+//! and be invariant to the thread count on the dispatched kernel.
 
 use adsala_repro::adsala_gemm::dispatch::Precision;
 use adsala_repro::adsala_gemm::gemm::{gemm_with_stats, gemm_with_stats_pooled, GemmCall};
-use adsala_repro::adsala_gemm::isa::KernelIsa;
 use adsala_repro::adsala_gemm::naive::naive_gemm;
 use adsala_repro::adsala_gemm::plan::{ExecutionPlan, PlanGrid, PlanPoint};
 use adsala_repro::adsala_gemm::pool::ThreadPool;
@@ -114,15 +113,15 @@ grid_plans_are_correct_and_pool_invariant!(
     1e-4
 );
 
-/// Grid plans with the scalar kernel pinned must be bitwise invariant to
-/// the thread count: threads split `M`/`N` (never the `K` accumulation),
-/// so only the blocking axis may legitimately change the result bits.
+/// Every grid plan must be bitwise invariant to the thread count on the
+/// dispatched kernel: threads split `M`/`N` (never the `K` accumulation),
+/// so only the blocking and algorithm axes may change the result bits.
 #[test]
-fn scalar_plans_are_thread_invariant() {
+fn grid_plans_are_thread_invariant() {
     let grid = PlanGrid::full(vec![1, 2, 5]);
     let pool = ThreadPool::new(4);
     for point in grid.points() {
-        let plan = point.materialise(Precision::F64).with_isa(KernelIsa::Scalar);
+        let plan = point.materialise(Precision::F64);
         let reference = ExecutionPlan { threads: 1, ..plan };
         for &(m, n, k, ta, tb) in CASES {
             let (ta, tb) = transposes(ta, tb);
@@ -149,7 +148,7 @@ fn scalar_plans_are_thread_invariant() {
             assert_eq!(
                 c_plan,
                 c_ref,
-                "scalar plan [{}] must match its single-threaded form bitwise \
+                "plan [{}] must match its single-threaded form bitwise \
                  on {m}x{n}x{k} ta={ta:?} tb={tb:?}",
                 plan.describe()
             );
